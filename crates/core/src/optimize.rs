@@ -20,7 +20,7 @@
 use crate::modify::{CoupledByte, ModifiedSample};
 use mpass_detectors::{benign_loss, DetectorExt, WhiteBoxModel, WhiteBoxSession};
 use mpass_engine::metrics as trace;
-use mpass_ml::{Adam, ParamBuf};
+use mpass_ml::{Adam, Embedding, ParamBuf};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -43,22 +43,50 @@ impl Default for OptimizerConfig {
     }
 }
 
+/// Lanes of [`argmin256`]'s running minimum: lane `j` tracks the
+/// candidates `j, j + 8, j + 16, …`.
+const LANES: usize = 8;
+
+/// Candidates per block of the mapping sweep, summed over every model in
+/// registers before the block is stored.
+const BLOCK: usize = 32;
+
+/// Length of the doubled candidate axis of [`ModelState`]'s tables: entry
+/// `i` holds byte `i mod 256`, so the key window of a coupled variable,
+/// which starts at `256 − original`, is one contiguous read that never
+/// wraps.
+const SPAN: usize = 512;
+
 /// Index of the first minimum of `vals` under a strict-`<` first-win scan,
-/// or `None` when nothing compares below +∞. Split into a min-reduction
-/// and a first-equal scan so both passes vectorize; the selected index is
-/// identical to the branchy scan's (`==` pairs ±0.0, and NaNs lose every
-/// comparison in both formulations).
+/// or `None` when nothing compares below +∞.
+///
+/// A serial strict-`<` scan is a 256-step dependency chain the compiler
+/// may not reorder. Here each of [`LANES`] lanes keeps its own strict-`<`
+/// running minimum over every eighth value, the lane minima reduce to the
+/// global minimum *value*, and a first-equal scan recovers its index. The
+/// index is the serial scan's: NaNs lose every comparison, so they never
+/// enter a lane and never equal the minimum; the smallest lane minimum
+/// equals the serial minimum up to the sign of zero; and `==` pairs ±0.0,
+/// so the first value equal to it is the first value holding the minimum.
 fn argmin256(vals: &[f32; 256]) -> Option<usize> {
-    let mut best = f32::INFINITY;
-    for &d in vals.iter() {
-        if d < best {
-            best = d;
+    let mut lane_min = [f32::INFINITY; LANES];
+    for group in vals.chunks_exact(LANES) {
+        for (m, &d) in lane_min.iter_mut().zip(group) {
+            *m = if d < *m { d } else { *m };
         }
     }
+    let best = lane_min.iter().fold(f32::INFINITY, |m, &d| if d < m { d } else { m });
     if best == f32::INFINITY {
         return None;
     }
-    vals.iter().position(|&d| d == best)
+    // Test a whole lane group per step (no early exit inside a group, so
+    // the compare vectorizes), then locate the hit inside the first group
+    // that has one.
+    let (g, group) = vals
+        .chunks_exact(LANES)
+        .enumerate()
+        .find(|(_, group)| group.iter().fold(false, |hit, &d| hit | (d == best)))?;
+    group.iter().position(|&d| d == best).map(|j| g * LANES + j)
 }
 
 /// One optimizable variable of Eq. 2.
@@ -75,17 +103,127 @@ struct ModelState {
     z: ParamBuf,
     dim: usize,
     window: usize,
-    /// `‖e(b)‖²` for every candidate byte `b`, precomputed once: the
-    /// mapping step ranks candidates by `‖e(b)‖² − 2⟨e(b), z⟩`, which
-    /// orders identically to `‖e(b) − z‖²` (the `‖z‖²` term is constant
-    /// per slot) without forming the difference vector.
+    /// `norms[i] = ‖e(i mod 256)‖²` over the doubled axis, precomputed
+    /// once: the mapping step ranks candidates by `‖e(b)‖² − 2⟨e(b), z⟩`,
+    /// which orders identically to `‖e(b) − z‖²` (the `‖z‖²` term is
+    /// constant per slot) without forming the difference vector.
     norms: Vec<f32>,
-    /// Transposed embedding columns `et[c · 256 + b] = e(b)[c]`: the
-    /// candidate sweep walks 256-wide contiguous rows (one axpy per
-    /// embedding component) instead of 256 strided `dim`-length dots, so
-    /// the compiler vectorizes across candidates. Accumulating component
-    /// by component reproduces the sequential-dot rounding exactly.
+    /// Transposed embedding columns over the doubled axis,
+    /// `et[c · SPAN + i] = e(i mod 256)[c]`: a block of candidates reads
+    /// one contiguous run per embedding component instead of strided
+    /// `dim`-length rows.
     et: Vec<f32>,
+}
+
+impl ModelState {
+    /// State over the slots whose stacked embedding vectors are `z`, for a
+    /// model with embedding table `emb` that sees the first `window` bytes.
+    fn new(emb: &Embedding, window: usize, z: Vec<f32>) -> ModelState {
+        let dim = emb.dim();
+        let mut et = vec![0.0f32; dim * SPAN];
+        for i in 0..SPAN {
+            for (c, &v) in emb.vector(i % 256).iter().enumerate() {
+                et[c * SPAN + i] = v;
+            }
+        }
+        let norms = emb.squared_norms(256);
+        ModelState {
+            z: ParamBuf::new(z),
+            dim,
+            window,
+            norms: norms.iter().chain(&norms).copied().collect(),
+            et,
+        }
+    }
+
+    /// `‖e(b)‖² − 2⟨e(b), z⟩` for the [`BLOCK`] candidates whose doubled-axis
+    /// indices start at `start`. The dot is accumulated component by
+    /// component, left-associated — the rounding of a sequential per-candidate
+    /// dot — and is 0 for a zero-dimensional embedding.
+    #[inline(always)]
+    fn term(&self, z: &[f32], start: usize) -> [f32; BLOCK] {
+        let column = |c: usize| -> &[f32; BLOCK] {
+            self.et[c * SPAN + start..][..BLOCK].try_into().expect("BLOCK wide")
+        };
+        let mut a = [0.0f32; BLOCK];
+        if let Some((&z0, rest)) = z.split_first() {
+            for (a, &e) in a.iter_mut().zip(column(0)) {
+                *a = e * z0;
+            }
+            for (c, &zc) in rest.iter().enumerate() {
+                for (a, &e) in a.iter_mut().zip(column(c + 1)) {
+                    *a += e * zc;
+                }
+            }
+        }
+        let n: &[f32; BLOCK] = self.norms[start..][..BLOCK].try_into().expect("BLOCK wide");
+        std::array::from_fn(|j| n[j] - 2.0 * a[j])
+    }
+}
+
+/// One model's contribution to one slot in the fused mapping sweep.
+struct Term<'s> {
+    state: &'s ModelState,
+    /// The model's continuous state at the slot.
+    z: &'s [f32],
+}
+
+/// Fill `out` with the [`Term`]s at `slot` of the models that can see
+/// file offset `off`, in model order.
+fn visible_terms<'s>(
+    states: &'s [ModelState],
+    slot: usize,
+    off: usize,
+    out: &mut Vec<Term<'s>>,
+) {
+    out.clear();
+    out.extend(states.iter().filter(|st| off < st.window).map(|st| Term {
+        state: st,
+        z: &st.z.w[slot * st.dim..(slot + 1) * st.dim],
+    }));
+}
+
+/// `Σ_F ‖e_F(b)‖² − 2⟨e_F(b), z_F⟩` over `terms` for one block of
+/// candidates: the first model's term, then `+=` for each further model,
+/// and 0 when no model sees the slot.
+#[inline(always)]
+fn slot_block(terms: &[Term], start: usize) -> [f32; BLOCK] {
+    let Some((first, rest)) = terms.split_first() else {
+        return [0.0; BLOCK];
+    };
+    let mut s = first.state.term(first.z, start);
+    for t in rest {
+        for (s, v) in s.iter_mut().zip(t.state.term(t.z, start)) {
+            *s += v;
+        }
+    }
+    s
+}
+
+/// The joint nearest-byte objective of one variable, in one pass over
+/// the 256 candidates: `scores[b]` is the cover slot's ensemble term at
+/// `b`, plus — for a coupled variable with `key = Some((terms, original))`
+/// — the key slot's term at the induced key `(b − original) & 255`. Each
+/// block of [`BLOCK`] candidates is summed over every model and both slots
+/// in registers and stored once. Returns the selected byte, the first
+/// strict minimum of `scores` ([`argmin256`]).
+fn nearest_byte(
+    cover: &[Term],
+    key: Option<(&[Term], u8)>,
+    scores: &mut [f32; 256],
+) -> Option<usize> {
+    for (blk, out) in scores.chunks_exact_mut(BLOCK).enumerate() {
+        let b0 = blk * BLOCK;
+        let mut s = slot_block(cover, b0);
+        if let Some((key, original)) = key {
+            let k = slot_block(key, b0 + 256 - usize::from(original));
+            for (s, k) in s.iter_mut().zip(k) {
+                *s += k;
+            }
+        }
+        out.copy_from_slice(&s);
+    }
+    argmin256(scores)
 }
 
 /// The ensemble optimizer over one [`ModifiedSample`].
@@ -138,25 +276,12 @@ impl<'a> EnsembleOptimizer<'a> {
         let states = models
             .iter()
             .map(|m| {
-                let dim = m.embedding().dim();
-                let mut z = Vec::with_capacity(slot_offsets.len() * dim);
+                let emb = m.embedding();
+                let mut z = Vec::with_capacity(slot_offsets.len() * emb.dim());
                 for &off in &slot_offsets {
-                    let byte = sample.bytes[off] as usize;
-                    z.extend_from_slice(m.embedding().vector(byte));
+                    z.extend_from_slice(emb.vector(sample.bytes[off] as usize));
                 }
-                let mut et = vec![0.0f32; dim * 256];
-                for b in 0..256 {
-                    for (c, &v) in m.embedding().vector(b).iter().enumerate() {
-                        et[c * 256 + b] = v;
-                    }
-                }
-                ModelState {
-                    z: ParamBuf::new(z),
-                    dim,
-                    window: m.window(),
-                    norms: m.embedding().squared_norms(256),
-                    et,
-                }
+                ModelState::new(emb, m.window(), z)
             })
             .collect();
         let sessions = models.iter().map(|&m| m.session()).collect();
@@ -222,77 +347,6 @@ impl<'a> EnsembleOptimizer<'a> {
         }
     }
 
-    /// Fill `scores[b]` with `Σ_F ‖e_F(b)‖² − 2⟨e_F(b), z_F[slot]⟩` over
-    /// the models that can see `slot` — the joint nearest-token objective
-    /// up to a per-slot constant. One norm-table sweep per (model, slot),
-    /// shared by free variables and both halves of a coupled pair.
-    fn fill_slot_scores(&self, slot: usize, scores: &mut [f32; 256]) {
-        let mut acc = [0.0f32; 256];
-        let mut first = true;
-        for state in &self.states {
-            if self.slot_offsets[slot] >= state.window {
-                continue; // invisible to this model
-            }
-            let z = &state.z.w[slot * state.dim..(slot + 1) * state.dim];
-            // acc[b] = ⟨e(b), z⟩, accumulated component-by-component over
-            // contiguous transposed columns — the same left-associated
-            // addition sequence as a per-candidate sequential dot, but 256
-            // candidates per vectorized pass. The ubiquitous dim = 4 case
-            // fuses all components and the norm combine into one pass so
-            // the accumulator never round-trips through memory.
-            if let [z0, z1, z2, z3] = *z {
-                let (c0, rest) = state.et.split_at(256);
-                let (c1, rest) = rest.split_at(256);
-                let (c2, c3) = rest.split_at(256);
-                let it = scores
-                    .iter_mut()
-                    .zip(&state.norms)
-                    .zip(c0.iter().zip(c1).zip(c2.iter().zip(c3)));
-                if first {
-                    for ((s, &n), ((&e0, &e1), (&e2, &e3))) in it {
-                        let a = e0 * z0 + e1 * z1 + e2 * z2 + e3 * z3;
-                        *s = n - 2.0 * a;
-                    }
-                } else {
-                    for ((s, &n), ((&e0, &e1), (&e2, &e3))) in it {
-                        let a = e0 * z0 + e1 * z1 + e2 * z2 + e3 * z3;
-                        *s += n - 2.0 * a;
-                    }
-                }
-                first = false;
-                continue;
-            }
-            for (c, &zc) in z.iter().enumerate() {
-                let col = &state.et[c * 256..(c + 1) * 256];
-                if c == 0 {
-                    for (a, &e) in acc.iter_mut().zip(col) {
-                        *a = e * zc;
-                    }
-                } else {
-                    for (a, &e) in acc.iter_mut().zip(col) {
-                        *a += e * zc;
-                    }
-                }
-            }
-            if state.dim == 0 {
-                acc.fill(0.0);
-            }
-            if first {
-                for ((s, &n), &a) in scores.iter_mut().zip(&state.norms).zip(&acc) {
-                    *s = n - 2.0 * a;
-                }
-                first = false;
-            } else {
-                for ((s, &n), &a) in scores.iter_mut().zip(&state.norms).zip(&acc) {
-                    *s += n - 2.0 * a;
-                }
-            }
-        }
-        if first {
-            scores.fill(0.0); // slot invisible to every model
-        }
-    }
-
     /// Run `cfg.iterations` gradient iterations, mutating the sample's
     /// bytes (and coupled keys) in place. Returns the ensemble loss after
     /// the final mapping step. Each iteration's pre-step ensemble loss is
@@ -304,10 +358,7 @@ impl<'a> EnsembleOptimizer<'a> {
     /// not be mutated by anyone else while this optimizer is alive (the
     /// attack loop only *queries* between rounds, which is read-only).
     pub fn run(&mut self, sample: &mut ModifiedSample) -> f32 {
-        let mut cover_scores = [0.0f32; 256];
-        let mut key_scores = [0.0f32; 256];
-        let mut rotated = [0.0f32; 256];
-        let mut combined = [0.0f32; 256];
+        let mut scores = [0.0f32; 256];
         for _ in 0..self.cfg.iterations {
             // Gradient step on every model's embedding-space state. Only
             // the windows overlapping bytes rewritten by the previous
@@ -329,11 +380,13 @@ impl<'a> EnsembleOptimizer<'a> {
             trace::series("optimize/loss", f64::from(iteration_loss));
             // Map back to bytes, jointly over models and (for coupled
             // variables) jointly over the cover and the induced key byte.
-            for vi in 0..self.vars.len() {
-                match self.vars[vi] {
+            let mut cover = Vec::with_capacity(self.states.len());
+            let mut key = Vec::with_capacity(self.states.len());
+            for &var in &self.vars {
+                match var {
                     Var::Free { off, slot } => {
-                        self.fill_slot_scores(slot, &mut cover_scores);
-                        let best = argmin256(&cover_scores)
+                        visible_terms(&self.states, slot, off, &mut cover);
+                        let best = nearest_byte(&cover, None, &mut scores)
                             .map_or(sample.bytes[off], |b| b as u8);
                         if best != sample.bytes[off] {
                             sample.bytes[off] = best;
@@ -341,23 +394,9 @@ impl<'a> EnsembleOptimizer<'a> {
                         }
                     }
                     Var::Coupled { pair, cover_slot, key_slot } => {
-                        self.fill_slot_scores(cover_slot, &mut cover_scores);
-                        self.fill_slot_scores(key_slot, &mut key_scores);
-                        // Candidate `b` induces key `b − original`, so the
-                        // key scores seen along the candidate axis are a
-                        // rotation of `key_scores` — realign once and the
-                        // joint objective is an elementwise sum instead of
-                        // a per-candidate gather.
-                        let o = pair.original as usize;
-                        let split = 256 - o;
-                        rotated[..o].copy_from_slice(&key_scores[split..]);
-                        rotated[o..].copy_from_slice(&key_scores[..split]);
-                        for ((d, &c), &k) in
-                            combined.iter_mut().zip(&cover_scores).zip(&rotated)
-                        {
-                            *d = c + k;
-                        }
-                        let best = argmin256(&combined)
+                        visible_terms(&self.states, cover_slot, pair.cover_offset, &mut cover);
+                        visible_terms(&self.states, key_slot, pair.key_offset, &mut key);
+                        let best = nearest_byte(&cover, Some((&key, pair.original)), &mut scores)
                             .map_or(sample.bytes[pair.cover_offset], |b| b as u8);
                         if best != sample.bytes[pair.cover_offset] {
                             sample.bytes[pair.cover_offset] = best;
@@ -390,7 +429,7 @@ mod tests {
     use mpass_detectors::train::training_pairs;
     use mpass_detectors::{ByteConvConfig, MalConv, MalGcg, MalGcgConfig, NonNeg};
     use mpass_sandbox::Sandbox;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     struct World {
@@ -536,5 +575,258 @@ mod tests {
         // tiny window = 2048; most of the file lies beyond it.
         assert!(opt.position_count() <= ms.position_count());
         assert!(opt.position_count() > 0, "some positions must be visible");
+    }
+
+    /// The mapping step as it ran before the fused sweep — one
+    /// `fill_slot_scores` pass per (model, slot), a rotation of the key
+    /// scores onto the candidate axis, an elementwise combine and a
+    /// two-pass argmin — kept as the reference the sweep must reproduce
+    /// bit for bit.
+    mod reference {
+        use super::super::{ModelState, SPAN};
+
+        /// Strict-`<` min-reduction, then a first-equal scan.
+        pub fn argmin_two_pass(vals: &[f32; 256]) -> Option<usize> {
+            let mut best = f32::INFINITY;
+            for &d in vals.iter() {
+                if d < best {
+                    best = d;
+                }
+            }
+            if best == f32::INFINITY {
+                return None;
+            }
+            vals.iter().position(|&d| d == best)
+        }
+
+        /// `Σ_F ‖e_F(b)‖² − 2⟨e_F(b), z_F[slot]⟩` over the models that can
+        /// see file offset `off`, one 256-wide pass per model.
+        fn fill_slot_scores(
+            states: &[ModelState],
+            slot: usize,
+            off: usize,
+            scores: &mut [f32; 256],
+        ) {
+            let mut acc = [0.0f32; 256];
+            let mut first = true;
+            for state in states {
+                if off >= state.window {
+                    continue; // invisible to this model
+                }
+                let z = &state.z.w[slot * state.dim..(slot + 1) * state.dim];
+                let col = |c: usize| &state.et[c * SPAN..c * SPAN + 256];
+                if let [z0, z1, z2, z3] = *z {
+                    let it = scores
+                        .iter_mut()
+                        .zip(&state.norms[..256])
+                        .zip(col(0).iter().zip(col(1)).zip(col(2).iter().zip(col(3))));
+                    if first {
+                        for ((s, &n), ((&e0, &e1), (&e2, &e3))) in it {
+                            let a = e0 * z0 + e1 * z1 + e2 * z2 + e3 * z3;
+                            *s = n - 2.0 * a;
+                        }
+                    } else {
+                        for ((s, &n), ((&e0, &e1), (&e2, &e3))) in it {
+                            let a = e0 * z0 + e1 * z1 + e2 * z2 + e3 * z3;
+                            *s += n - 2.0 * a;
+                        }
+                    }
+                    first = false;
+                    continue;
+                }
+                for (c, &zc) in z.iter().enumerate() {
+                    if c == 0 {
+                        for (a, &e) in acc.iter_mut().zip(col(c)) {
+                            *a = e * zc;
+                        }
+                    } else {
+                        for (a, &e) in acc.iter_mut().zip(col(c)) {
+                            *a += e * zc;
+                        }
+                    }
+                }
+                if state.dim == 0 {
+                    acc.fill(0.0);
+                }
+                let norms = &state.norms[..256];
+                if first {
+                    for ((s, &n), &a) in scores.iter_mut().zip(norms).zip(&acc) {
+                        *s = n - 2.0 * a;
+                    }
+                    first = false;
+                } else {
+                    for ((s, &n), &a) in scores.iter_mut().zip(norms).zip(&acc) {
+                        *s += n - 2.0 * a;
+                    }
+                }
+            }
+            if first {
+                scores.fill(0.0); // slot invisible to every model
+            }
+        }
+
+        /// Combined scores and selected byte of a free variable
+        /// (`key = None`) or a coupled one (`key = Some((slot, offset,
+        /// original))`).
+        pub fn select(
+            states: &[ModelState],
+            cover: (usize, usize),
+            key: Option<(usize, usize, u8)>,
+        ) -> ([f32; 256], Option<usize>) {
+            let mut cover_scores = [0.0f32; 256];
+            fill_slot_scores(states, cover.0, cover.1, &mut cover_scores);
+            let Some((key_slot, key_off, original)) = key else {
+                return (cover_scores, argmin_two_pass(&cover_scores));
+            };
+            let mut key_scores = [0.0f32; 256];
+            fill_slot_scores(states, key_slot, key_off, &mut key_scores);
+            let o = original as usize;
+            let split = 256 - o;
+            let mut rotated = [0.0f32; 256];
+            rotated[..o].copy_from_slice(&key_scores[split..]);
+            rotated[o..].copy_from_slice(&key_scores[..split]);
+            let mut combined = [0.0f32; 256];
+            for ((d, &c), &k) in combined.iter_mut().zip(&cover_scores).zip(&rotated) {
+                *d = c + k;
+            }
+            (combined, argmin_two_pass(&combined))
+        }
+    }
+
+    /// A value drawn from a small grid (so distinct candidates tie
+    /// exactly), from a continuous range, or — when `wild` — occasionally
+    /// NaN or ±∞.
+    fn draw(rng: &mut ChaCha8Rng, grid: bool, wild: bool) -> f32 {
+        if wild && rng.gen_bool(0.02) {
+            return [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3)];
+        }
+        if grid {
+            rng.gen_range(-4i32..=4) as f32 * 0.25
+        } else {
+            rng.gen_range(-1.0f32..1.0)
+        }
+    }
+
+    /// Seeded random states for models of embedding widths `dims` over
+    /// `slots` slots; model `m` sees the first `(m + 1) · 1000` bytes.
+    fn random_states(
+        rng: &mut ChaCha8Rng,
+        dims: &[usize],
+        slots: usize,
+        grid: bool,
+        wild: bool,
+    ) -> Vec<ModelState> {
+        dims.iter()
+            .enumerate()
+            .map(|(m, &dim)| {
+                let table = (0..256 * dim).map(|_| draw(rng, grid, false)).collect();
+                let emb = Embedding::from_weights(256, dim, table);
+                let z = (0..slots * dim).map(|_| draw(rng, grid, wild)).collect();
+                ModelState::new(&emb, (m + 1) * 1000, z)
+            })
+            .collect()
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: Rust leaves the
+    /// sign and payload of a NaN result unspecified, and a NaN never wins.
+    fn assert_same_bits(got: &[f32; 256], want: &[f32; 256], what: &str) {
+        for (b, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "{what}: candidate {b}: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn fused_sweep_matches_the_reference_bit_for_bit() {
+        // Offsets below 1000 are visible to every model, 1000..2000 to all
+        // but the first, and ≥ 3000 to none.
+        const OFFSETS: [usize; 4] = [10, 1000, 5000, 1999];
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+        for dims in [&[4, 4][..], &[8, 8], &[8, 4], &[4], &[4, 8, 4]] {
+            for (grid, wild) in [(false, false), (true, false), (true, true)] {
+                let slots = 64;
+                let states = random_states(&mut rng, dims, slots, grid, wild);
+                let mut scores = [0.0f32; 256];
+                let (mut cover, mut key) = (Vec::new(), Vec::new());
+                for pair in 0..slots / 2 {
+                    let (cs, ks) = (2 * pair, 2 * pair + 1);
+                    let c_off = OFFSETS[pair % 4];
+                    let k_off = OFFSETS[(pair / 4) % 4];
+                    let original = match pair % 8 {
+                        0 => 0,
+                        1 => 255,
+                        _ => rng.gen_range(0..256usize) as u8,
+                    };
+                    let what = format!("dims {dims:?} grid {grid} wild {wild} pair {pair}");
+
+                    visible_terms(&states, cs, c_off, &mut cover);
+                    let got = nearest_byte(&cover, None, &mut scores);
+                    let (want_scores, want) = reference::select(&states, (cs, c_off), None);
+                    assert_same_bits(&scores, &want_scores, &format!("free {what}"));
+                    assert_eq!(got, want, "free {what}");
+
+                    visible_terms(&states, ks, k_off, &mut key);
+                    let got = nearest_byte(&cover, Some((&key, original)), &mut scores);
+                    let (want_scores, want) = reference::select(
+                        &states,
+                        (cs, c_off),
+                        Some((ks, k_off, original)),
+                    );
+                    assert_same_bits(&scores, &want_scores, &format!("coupled {what}"));
+                    assert_eq!(got, want, "coupled {what}");
+                }
+            }
+        }
+    }
+
+    /// The serial first-win scan `argmin256` must agree with.
+    fn naive_argmin(vals: &[f32; 256]) -> Option<usize> {
+        let mut best = (f32::INFINITY, None);
+        for (i, &d) in vals.iter().enumerate() {
+            if d < best.0 {
+                best = (d, Some(i));
+            }
+        }
+        best.1
+    }
+
+    #[test]
+    fn argmin256_matches_a_first_win_scan_on_adversarial_arrays() {
+        let with = |fill: f32, at: &[(usize, f32)]| {
+            let mut v = [fill; 256];
+            for &(i, d) in at {
+                v[i] = d;
+            }
+            v
+        };
+        let nan = f32::NAN;
+        let inf = f32::INFINITY;
+        let cases = [
+            (with(inf, &[]), None),
+            (with(nan, &[]), None),
+            (with(inf, &[(3, nan), (77, nan)]), None),
+            (with(1.0, &[(13, 0.0), (5, -0.0)]), Some(5)),
+            (with(1.0, &[(13, -0.0), (5, 0.0)]), Some(5)),
+            (with(1.0, &[(8, -0.0), (1, 0.0), (250, -0.0)]), Some(1)),
+            (with(0.0, &[(200, -0.0)]), Some(0)),
+            (with(2.0, &[(200, -3.0), (17, -3.0), (42, -3.0)]), Some(17)),
+            (with(2.0, &[(9, -3.0), (16, -3.0), (23, -3.0)]), Some(9)),
+            (with(nan, &[(255, 7.0)]), Some(255)),
+            (with(nan, &[(0, 7.0), (1, -inf)]), Some(1)),
+            (with(inf, &[(100, -inf), (4, -inf)]), Some(4)),
+            (with(-inf, &[]), Some(0)),
+            (with(f32::MAX, &[(31, nan), (32, f32::MAX)]), Some(0)),
+        ];
+        for (i, (vals, want)) in cases.iter().enumerate() {
+            assert_eq!(naive_argmin(vals), *want, "case {i}: the oracle itself");
+            assert_eq!(argmin256(vals), *want, "case {i}");
+        }
+        // Random arrays over a value set dense in ties and non-finites.
+        let pool = [nan, inf, -inf, 0.0, -0.0, 1.0, -1.0, 2.0, f32::MIN_POSITIVE];
+        let mut rng = ChaCha8Rng::seed_from_u64(0xa11);
+        for round in 0..2000 {
+            let vals: [f32; 256] = std::array::from_fn(|_| pool[rng.gen_range(0..pool.len())]);
+            assert_eq!(argmin256(&vals), naive_argmin(&vals), "random array {round}");
+        }
     }
 }

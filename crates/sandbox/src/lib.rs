@@ -192,12 +192,6 @@ impl Sandbox {
         }
     }
 
-    /// Parse and execute raw bytes, discarding the parse failure reason.
-    #[deprecated(note = "use Sandbox::execute, which preserves the parse failure reason")]
-    pub fn run(&self, bytes: &[u8]) -> Option<Execution> {
-        self.execute(bytes).ok()
-    }
-
     /// Parse and execute raw bytes, driving `sink` with every API event
     /// instead of materializing a trace vector.
     pub fn execute_with_sink<S: TraceSink>(
@@ -416,16 +410,6 @@ mod tests {
         let err = sb.execute(&[0u8; 64]).unwrap_err();
         let SandboxError::Unparseable(inner) = &err;
         assert_eq!(format!("sample does not parse: {inner}"), err.to_string());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_shim_matches_execute() {
-        let ds = dataset();
-        let sb = Sandbox::new();
-        let s = &ds.samples[0];
-        assert_eq!(sb.run(&s.bytes), sb.execute(&s.bytes).ok());
-        assert_eq!(sb.run(&[0u8; 64]), None);
     }
 
     /// Pre-redesign digests of the seed-77 corpus, captured when the

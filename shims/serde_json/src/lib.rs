@@ -318,13 +318,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input came from &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape in
+                    // one validated slice. Both delimiters are ASCII, so the
+                    // run ends on a character boundary of the input `&str`.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    let text = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::msg("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
                 }
                 None => return Err(Error::msg("unterminated string")),
             }
@@ -422,7 +427,51 @@ mod tests {
     }
 
     #[test]
+    fn every_escape_parses_to_its_character() {
+        let v: Value =
+            from_str(r#""\"\\\/\b\f\n\r\t\u0000\u001f\u00e9\u20ac\ud83d\ude00\udbff\udfff""#)
+                .unwrap();
+        let want = "\"\\/\u{8}\u{c}\n\r\t\u{0}\u{1f}é€😀\u{10ffff}";
+        assert_eq!(v, Value::Str(want.into()));
+    }
+
+    #[test]
+    fn strings_round_trip_unchanged() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            String::new(),
+            controls,
+            "quote \" backslash \\ slash / del \u{7f}".to_string(),
+            "ascii, é, € and 😀 mixed: aé€😀".to_string(),
+            "😀".repeat(3) + "\\\"" + &"é".repeat(3),
+        ];
+        for s in cases {
+            let text = to_string(&Value::Str(s.clone())).unwrap();
+            let back: Value = from_str(&text).unwrap();
+            assert_eq!(back, Value::Str(s));
+        }
+    }
+
+    #[test]
+    fn megabyte_strings_round_trip() {
+        // Long escape-free runs with multi-byte characters and sparse
+        // escapes; a per-character parse would be quadratic here.
+        let mut s = String::new();
+        while s.len() < (1 << 20) {
+            s.push_str("MZ\u{90}payload-é€😀-");
+            s.push_str(&"x".repeat(4093));
+            s.push_str("\"\\\n");
+        }
+        let text = to_string(&Value::Map(vec![("bytes".into(), Value::Str(s.clone()))])).unwrap();
+        let back: Value = from_str(&text).unwrap();
+        assert_eq!(back, Value::Map(vec![("bytes".into(), Value::Str(s))]));
+    }
+
+    #[test]
     fn malformed_inputs_error() {
+        assert!(from_str::<Value>("\"unterminated").is_err());
+        assert!(from_str::<Value>("\"bad \\q escape\"").is_err());
+        assert!(from_str::<Value>("\"lone \\ud83d\"").is_err());
         assert!(from_str::<Value>("{\"a\": }").is_err());
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("nul").is_err());
