@@ -24,9 +24,9 @@
 //!   and that the p99 of *admitted* requests stays bounded.
 //!
 //! A third tier times the inference kernels themselves — conv forward,
-//! linear forward, embedding lookup, GBDT predict, and their int8
-//! variants — each as optimized-vs-scalar-reference *within one
-//! process*, so the reported speedup is a machine-independent ratio.
+//! linear forward, embedding lookup and GBDT predict — each as
+//! optimized-vs-scalar-reference *within one process*, so the reported
+//! speedup is a machine-independent ratio.
 //! `--gate PATH` compares those ratios (and the detector speedups)
 //! against a committed report and fails if any regresses more than 20%
 //! relative: the per-kernel regression gate CI runs on every push.
@@ -39,20 +39,18 @@
 //! * `--gate PATH` — fail (exit 1) if any speedup ratio regressed >20%
 //!   against the report at PATH.
 
-use mpass_bench::bench_fixture;
+use mpass_bench::{bench_fixture, check_gate, time_pair_us, GateRow, GatedReport};
 use mpass_detectors::train::training_pairs;
 use mpass_detectors::{
     ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig, NonNeg,
 };
-use mpass_ml::{
-    Conv1d, Embedding, Gbdt, GbdtParams, Linear, QuantizedConv1d, QuantizedLinear, QuantizedVec,
-};
+use mpass_ml::{Conv1d, Embedding, Gbdt, GbdtParams, Linear};
 use mpass_serve::{ReloadableModel, Response, ServeClient, Server, ServerConfig, TenantPolicy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Batched-vs-sequential classify cost for one detector.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -97,7 +95,7 @@ struct DaemonMeasurement {
 /// timings — rather than wall-clock, so it survives hardware variance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KernelMeasurement {
-    /// Kernel tag (`conv-forward`, `linear-forward-int8`, ...).
+    /// Kernel tag (`conv-forward`, `linear-forward`, ...).
     kernel: String,
     /// What the optimized path is measured against.
     reference: String,
@@ -123,27 +121,6 @@ struct ServeReport {
 
 const FIXTURE_DESC: &str = "corpus seed 0xBE7C4 (12+12), default detector configs, \
      train seed 1, classify over all 24 samples per pass";
-
-/// Interleaved min-of-reps timing of two alternatives, in microseconds:
-/// every repetition times one pass of `a` then one pass of `b`, so a
-/// machine-load burst lands on both alike — and the per-variant
-/// *minimum* (the least-interfered-with pass) then discards it. Every
-/// row in the report is a speedup *ratio* of the two, and this pairing
-/// is what keeps the ratio reproducible on a shared box, where a median
-/// drifts with whatever else the machine is doing.
-fn time_pair_us(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut a_us = f64::INFINITY;
-    let mut b_us = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        a();
-        a_us = a_us.min(t.elapsed().as_secs_f64() * 1e6);
-        let t = Instant::now();
-        b();
-        b_us = b_us.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    (a_us, b_us)
-}
 
 fn measure_detector(name: &str, det: &dyn Detector, items: &[&[u8]], reps: usize) -> ServeMeasurement {
     let mut out = Vec::with_capacity(items.len());
@@ -173,51 +150,6 @@ fn measure_detector(name: &str, det: &dyn Detector, items: &[&[u8]], reps: usize
     }
 }
 
-/// Batched-vs-sequential cost of the int8 scoring path. The bit-identity
-/// of batch and sequential quantized scores is asserted (it is the same
-/// contract as the f32 pair), and the quantized scores are checked
-/// against the f32 scores within the property-test bound.
-fn measure_quantized(
-    name: &str,
-    det: &dyn Detector,
-    items: &[&[u8]],
-    reps: usize,
-) -> ServeMeasurement {
-    assert!(det.has_quantized_path(), "{name} has no quantized path");
-    let mut out = Vec::with_capacity(items.len());
-    let (sequential, batched) = time_pair_us(
-        reps,
-        || {
-            for bytes in items {
-                std::hint::black_box(det.score_quantized(std::hint::black_box(bytes)));
-            }
-        },
-        || {
-            out.clear();
-            det.score_quantized_batch(std::hint::black_box(items), &mut out);
-            std::hint::black_box(&out);
-        },
-    );
-    for (bytes, q) in items.iter().zip(&out) {
-        let seq = det.score_quantized(bytes);
-        assert_eq!(
-            q.to_bits(),
-            seq.to_bits(),
-            "{name}: quantized batch diverged from sequential"
-        );
-        let f = det.score(bytes);
-        assert!((f - q).abs() <= 1e-2, "{name}: int8 score {q} drifted from f32 {f}");
-    }
-    let n = items.len() as f64;
-    ServeMeasurement {
-        name: format!("{name}-int8"),
-        items: items.len(),
-        sequential_us_per_item: sequential / n,
-        batched_us_per_item: batched / n,
-        speedup: sequential / batched,
-    }
-}
-
 fn measure(reps: usize) -> (Vec<ServeMeasurement>, MalConv, Vec<Vec<u8>>) {
     let (ds, _pool) = bench_fixture();
     let samples: Vec<_> = ds.samples.iter().collect();
@@ -239,10 +171,8 @@ fn measure(reps: usize) -> (Vec<ServeMeasurement>, MalConv, Vec<Vec<u8>>) {
         ("MalGCG", &malgcg),
         ("LightGBM", &lightgbm),
     ];
-    let mut rows: Vec<ServeMeasurement> =
+    let rows: Vec<ServeMeasurement> =
         roster.iter().map(|(name, det)| measure_detector(name, *det, &items, reps)).collect();
-    rows.push(measure_quantized("MalConv", &malconv, &items, reps));
-    rows.push(measure_quantized("MalGCG", &malgcg, &items, reps));
     let payloads: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
     (rows, malconv, payloads)
 }
@@ -315,28 +245,6 @@ fn measure_kernels(reps: usize) -> Vec<KernelMeasurement> {
         },
     ));
 
-    let qconv = QuantizedConv1d::from_f32(&conv);
-    let mut qx = QuantizedVec::from_f32(&[]);
-    rows.push(ratio_row(
-        "conv-forward-int8",
-        "scalar f32 conv pass (incl. activation quantization)",
-        reps,
-        || {
-            // Dynamic activation quantization is part of the per-item cost.
-            qx.quantize(&x);
-            for w in 0..windows {
-                qconv.forward_window_into(&qx, w, &mut opt_row);
-                std::hint::black_box(&opt_row);
-            }
-        },
-        || {
-            for w in 0..windows {
-                conv.forward_window_into(&x, w, &mut ref_row);
-                std::hint::black_box(&ref_row);
-            }
-        },
-    ));
-
     // A dense layer big enough to time: 256 -> 256, 16 calls per pass.
     let (in_dim, out_dim, calls) = (256usize, 256usize, 16usize);
     let lin = Linear::from_weights(
@@ -355,25 +263,6 @@ fn measure_kernels(reps: usize) -> Vec<KernelMeasurement> {
             let wt = lin.weight_xposed();
             for _ in 0..calls {
                 lin.forward_xposed_into(&wt, std::hint::black_box(&lx), &mut y);
-                std::hint::black_box(&y);
-            }
-        },
-        || {
-            for _ in 0..calls {
-                std::hint::black_box(lin.forward(std::hint::black_box(&lx)));
-            }
-        },
-    ));
-
-    let qlin = QuantizedLinear::from_f32(&lin);
-    rows.push(ratio_row(
-        "linear-forward-int8",
-        "scalar allocating Linear::forward (incl. activation quantization)",
-        reps,
-        || {
-            for _ in 0..calls {
-                qx.quantize(std::hint::black_box(&lx));
-                qlin.forward_into(&qx, &mut y);
                 std::hint::black_box(&y);
             }
         },
@@ -438,54 +327,21 @@ fn measure_kernels(reps: usize) -> Vec<KernelMeasurement> {
     rows
 }
 
-/// Compare `report` against the committed report at `path`: every row
-/// present in both (by detector name / kernel tag) must keep at least
-/// 80% of its recorded speedup. Only same-process ratios are gated —
-/// never raw microseconds — so the gate holds across machines. Ratios
-/// are clamped to [`GATE_SPEEDUP_CAP`] on both sides first: a 19×
-/// kernel dividing a multi-millisecond reference by a ~200 µs optimized
-/// pass swings ±25% with timer noise alone, and a drop from 19× to 14×
-/// is not a regression worth failing CI over — losing the advantage
-/// (falling toward 1×) is, and the clamp keeps exactly that signal.
-const GATE_SPEEDUP_CAP: f64 = 8.0;
-
-fn check_gate(report: &ServeReport, path: &str) -> Result<usize, Vec<String>> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| vec![format!("cannot read gate baseline {path}: {e}")])?;
-    let base: ServeReport =
-        serde_json::from_str(&text).map_err(|e| vec![format!("bad gate baseline {path}: {e}")])?;
-    let mut failures = Vec::new();
-    let mut checked = 0usize;
-    for bm in &base.measurements {
-        if let Some(cur) = report.measurements.iter().find(|m| m.name == bm.name) {
-            checked += 1;
-            let (cur_s, base_s) =
-                (cur.speedup.min(GATE_SPEEDUP_CAP), bm.speedup.min(GATE_SPEEDUP_CAP));
-            if cur_s < base_s * 0.8 {
-                failures.push(format!(
-                    "{}: batched speedup {:.2}x fell >20% below baseline {:.2}x",
-                    bm.name, cur.speedup, bm.speedup
-                ));
-            }
-        }
-    }
-    for bk in &base.kernels {
-        if let Some(cur) = report.kernels.iter().find(|k| k.kernel == bk.kernel) {
-            checked += 1;
-            let (cur_s, base_s) =
-                (cur.speedup.min(GATE_SPEEDUP_CAP), bk.speedup.min(GATE_SPEEDUP_CAP));
-            if cur_s < base_s * 0.8 {
-                failures.push(format!(
-                    "{}: kernel speedup {:.2}x fell >20% below baseline {:.2}x",
-                    bk.kernel, cur.speedup, bk.speedup
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(checked)
-    } else {
-        Err(failures)
+/// Gated rows: every detector's batched speedup and every kernel's
+/// optimized-vs-reference ratio, compared by [`mpass_bench::check_gate`].
+impl GatedReport for ServeReport {
+    fn gate_rows(&self) -> Vec<GateRow> {
+        let detectors = self.measurements.iter().map(|m| GateRow {
+            what: "batched",
+            name: m.name.clone(),
+            speedup: m.speedup,
+        });
+        let kernels = self.kernels.iter().map(|k| GateRow {
+            what: "kernel",
+            name: k.kernel.clone(),
+            speedup: k.speedup,
+        });
+        detectors.chain(kernels).collect()
     }
 }
 

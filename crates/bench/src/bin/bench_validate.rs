@@ -34,11 +34,10 @@
 //! * `--gate PATH` — fail if a speedup regressed >20% vs the report at
 //!   PATH.
 
-use mpass_bench::bench_fixture;
+use mpass_bench::{bench_fixture, check_gate, time_pair_us, GateRow, GatedReport};
 use mpass_sandbox::{FunctionalityVerdict, Sandbox};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Full-trace vs digest validation cost for one candidate wave.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -136,20 +135,6 @@ fn diverging_candidate(original: &mpass_pe::PeFile, i: u32) -> Vec<u8> {
         }
     }
     pe.to_bytes()
-}
-
-fn time_pair_us(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut a_us = f64::INFINITY;
-    let mut b_us = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        a();
-        a_us = a_us.min(t.elapsed().as_secs_f64() * 1e6);
-        let t = Instant::now();
-        b();
-        b_us = b_us.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    (a_us, b_us)
 }
 
 fn measure_wave(
@@ -253,35 +238,14 @@ fn measure(reps: usize) -> Vec<ValidateMeasurement> {
     rows
 }
 
-/// Same clamp-then-compare contract as `bench_serve`: ratios only, both
-/// sides clamped so timer noise on very large speedups cannot fail CI,
-/// while a collapse toward 1× still does.
-const GATE_SPEEDUP_CAP: f64 = 8.0;
-
-fn check_gate(report: &ValidateReport, path: &str) -> Result<usize, Vec<String>> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| vec![format!("cannot read gate baseline {path}: {e}")])?;
-    let base: ValidateReport =
-        serde_json::from_str(&text).map_err(|e| vec![format!("bad gate baseline {path}: {e}")])?;
-    let mut failures = Vec::new();
-    let mut checked = 0usize;
-    for bm in &base.measurements {
-        if let Some(cur) = report.measurements.iter().find(|m| m.name == bm.name) {
-            checked += 1;
-            let (cur_s, base_s) =
-                (cur.speedup.min(GATE_SPEEDUP_CAP), bm.speedup.min(GATE_SPEEDUP_CAP));
-            if cur_s < base_s * 0.8 {
-                failures.push(format!(
-                    "{}: digest speedup {:.2}x fell >20% below baseline {:.2}x",
-                    bm.name, cur.speedup, bm.speedup
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(checked)
-    } else {
-        Err(failures)
+/// Same clamp-then-compare contract as `bench_serve`
+/// ([`mpass_bench::check_gate`]).
+impl GatedReport for ValidateReport {
+    fn gate_rows(&self) -> Vec<GateRow> {
+        self.measurements
+            .iter()
+            .map(|m| GateRow { what: "digest", name: m.name.clone(), speedup: m.speedup })
+            .collect()
     }
 }
 

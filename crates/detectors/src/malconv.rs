@@ -14,9 +14,8 @@
 use crate::traits::{Detector, WhiteBoxModel, WhiteBoxSession};
 use mpass_ml::{
     bce_with_logits, bce_with_logits_backward, global_max_pool, global_max_pool_backward,
-    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, Embedding, Linear, QuantizedConv1d,
-    QuantizedLinear, QuantizedVec, Snapshot, SnapshotBuilder, SnapshotError, TokenConv,
-    Workspace,
+    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, Embedding, Linear, Snapshot,
+    SnapshotBuilder, SnapshotError, TokenConv, Workspace,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -81,9 +80,6 @@ pub struct ByteConvNet {
     /// rebuilt lazily after every training run ([`Cached`] is excluded
     /// from comparison/serialization and clones empty).
     tables: Cached<GatedTables>,
-    /// Int8-quantized inference layers, likewise derived lazily from the
-    /// trained weights and invalidated by training.
-    quant: Cached<QuantizedByteConv>,
 }
 
 /// Token-indexed response tables of the gated conv pair — the inference
@@ -92,16 +88,6 @@ pub struct ByteConvNet {
 struct GatedTables {
     a: TokenConv,
     b: TokenConv,
-}
-
-/// Int8-quantized counterparts of the full inference stack (gated conv
-/// pair + dense head), used by the opt-in `score_quantized` path.
-#[derive(Debug, Clone)]
-struct QuantizedByteConv {
-    a: QuantizedConv1d,
-    b: QuantizedConv1d,
-    head1: QuantizedLinear,
-    head2: QuantizedLinear,
 }
 
 /// Cached activations of one forward pass.
@@ -131,7 +117,6 @@ impl ByteConvNet {
             nonneg,
             threshold: 0.5,
             tables: Cached::new(),
-            quant: Cached::new(),
         };
         // PAD embeds to a frozen zero vector (PyTorch's `padding_idx`):
         // otherwise, on files shorter than the window, the identical
@@ -252,7 +237,6 @@ impl ByteConvNet {
             nonneg,
             threshold: snap.tensor_scalar("threshold")?,
             tables: Cached::new(),
-            quant: Cached::new(),
         })
     }
 
@@ -277,17 +261,6 @@ impl ByteConvNet {
         self.tables.get_or_build(|| GatedTables {
             a: TokenConv::build(&self.conv_a, &self.embedding),
             b: TokenConv::build(&self.conv_b, &self.embedding),
-        })
-    }
-
-    /// The int8-quantized inference layers, built on first use after
-    /// training (per-output-channel symmetric weight quantization).
-    fn quantized(&self) -> &QuantizedByteConv {
-        self.quant.get_or_build(|| QuantizedByteConv {
-            a: QuantizedConv1d::from_f32(&self.conv_a),
-            b: QuantizedConv1d::from_f32(&self.conv_b),
-            head1: QuantizedLinear::from_f32(&self.head1),
-            head2: QuantizedLinear::from_f32(&self.head2),
         })
     }
 
@@ -448,30 +421,24 @@ impl ByteConvNet {
             }
             last = total / data.len().max(1) as f32;
         }
-        // Weights changed: derived token tables and quantized layers must
-        // be rebuilt on next use.
+        // Weights changed: the derived token tables must be rebuilt on
+        // next use.
         self.tables.invalidate();
-        self.quant.invalidate();
         last
     }
 
-    /// Raw logit on raw bytes.
-    pub fn logit(&self, bytes: &[u8]) -> f32 {
-        self.forward(bytes).logit
-    }
-
-    /// Batched logits, appended to `out` in input order.
+    /// Logits of `items`, appended to `out` in input order — the one f32
+    /// inference kernel behind every black-box score (`score` and
+    /// `raw_score` are a batch of one).
     ///
-    /// Bit-identical to N [`ByteConvNet::logit`] calls: every window whose
-    /// receptive field touches file bytes runs the same
-    /// `forward_window_into` arithmetic as the sequential path, over an
-    /// embedding buffer filled with the same per-token rows. Windows past
-    /// the file's extent all see the identical all-PAD patch, so their
-    /// gated row is computed once per batch and replicated — that skip,
-    /// plus embedding/conv scratch drawn once from a [`Workspace`]
-    /// free-list and reused across items, is where the batch throughput
-    /// comes from (a sequential `score` call allocates a fresh
-    /// `window × dim` embedding per file).
+    /// Bit-identical to the training `forward(..).logit`: every window
+    /// whose receptive field touches file bytes runs the same
+    /// `forward_window_into` arithmetic, over an embedding buffer filled
+    /// with the same per-token rows. Windows past the file's extent all
+    /// see the identical all-PAD patch, so their gated row is computed
+    /// once per batch and replicated — that skip, plus embedding/conv
+    /// scratch drawn once from a [`Workspace`] free-list and reused
+    /// across items, is where the batch throughput comes from.
     fn logit_batch_into(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         let dim = self.embedding.dim();
         let window = self.config.window;
@@ -545,93 +512,6 @@ impl ByteConvNet {
             out.push(self.head_logit(&gated));
         }
     }
-
-    /// Batched int8-quantized logits, appended to `out` in input order.
-    ///
-    /// Weights are quantized per output channel (symmetric), activations
-    /// dynamically per tensor with 0.0 always exactly representable — so
-    /// PAD regions (frozen zero embedding) land exactly on the zero-point
-    /// and the all-PAD gated row computed once per batch replicates
-    /// bit-exactly. Each item's arithmetic is independent of the rest of
-    /// the batch, so a single-item call is bit-identical to the batched
-    /// one; accuracy versus the f32 path is tolerance-gated (score
-    /// divergence ≤ 1e-2, classification agreement ≥ 99%), not bit-exact.
-    fn logit_quantized_batch_into(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let q = self.quantized();
-        let dim = self.embedding.dim();
-        let window = self.config.window;
-        let filters = self.config.filters;
-        let kernel = self.config.kernel;
-        let stride = self.config.stride;
-        let windows_total = self.conv_a.windows(window);
-        let mut ws = Workspace::default();
-        let mut pad_a = ws.take_f32(filters);
-        let mut pad_b = ws.take_f32(filters);
-        let mut pad_gated = ws.take_f32(filters);
-        if windows_total > 0 {
-            // PAD embeds to zero, and zero quantizes onto the zero-point
-            // exactly, so one all-zero receptive field serves every
-            // fully-padded window of every item.
-            let pad_qx = QuantizedVec::from_f32(&vec![0.0f32; kernel * dim]);
-            q.a.forward_window_into(&pad_qx, 0, &mut pad_a);
-            q.b.forward_window_into(&pad_qx, 0, &mut pad_b);
-            for ((g, &ai), &bi) in pad_gated.iter_mut().zip(&pad_a).zip(&pad_b) {
-                *g = ai * sigmoid(bi);
-            }
-        }
-        let mut x = ws.take_f32(window * dim);
-        let mut qx = QuantizedVec::default();
-        let mut a_row = ws.take_f32(filters);
-        let mut b_row = ws.take_f32(filters);
-        let mut gated = ws.take_f32(windows_total * filters);
-        let mut qpooled = QuantizedVec::default();
-        let mut a1 = ws.take_f32(self.config.hidden);
-        let mut qh1 = QuantizedVec::default();
-        let mut logit = [0.0f32; 1];
-        out.reserve(items.len());
-        for bytes in items {
-            let data_len = bytes.len().min(window);
-            let data_windows = if data_len == 0 {
-                0
-            } else {
-                (((data_len - 1) / stride) + 1).min(windows_total)
-            };
-            let visible = if data_windows == 0 {
-                0
-            } else {
-                ((data_windows - 1) * stride + kernel).min(window)
-            };
-            let data_fill = data_len.min(visible);
-            for (i, &byte) in bytes.iter().enumerate().take(data_fill) {
-                x[i * dim..(i + 1) * dim]
-                    .copy_from_slice(self.embedding.vector(byte as usize));
-            }
-            for i in data_fill..visible {
-                x[i * dim..(i + 1) * dim].copy_from_slice(self.embedding.vector(PAD));
-            }
-            qx.quantize(&x[..visible * dim]);
-            for w in 0..data_windows {
-                q.a.forward_window_into(&qx, w, &mut a_row);
-                q.b.forward_window_into(&qx, w, &mut b_row);
-                let g = &mut gated[w * filters..(w + 1) * filters];
-                for ((gi, &ai), &bi) in g.iter_mut().zip(&a_row).zip(&b_row) {
-                    *gi = ai * sigmoid(bi);
-                }
-            }
-            for w in data_windows..windows_total {
-                gated[w * filters..(w + 1) * filters].copy_from_slice(&pad_gated);
-            }
-            let (pooled, _) = global_max_pool(&gated, filters);
-            qpooled.quantize(&pooled);
-            q.head1.forward_into(&qpooled, &mut a1);
-            for v in a1.iter_mut() {
-                *v = v.max(0.0);
-            }
-            qh1.quantize(&a1);
-            q.head2.forward_into(&qh1, &mut logit);
-            out.push(logit[0]);
-        }
-    }
 }
 
 impl Detector for ByteConvNet {
@@ -640,11 +520,13 @@ impl Detector for ByteConvNet {
     }
 
     fn score(&self, bytes: &[u8]) -> f32 {
-        sigmoid(self.logit(bytes))
+        sigmoid(self.raw_score(bytes))
     }
 
     fn raw_score(&self, bytes: &[u8]) -> f32 {
-        self.logit(bytes)
+        let mut out = Vec::with_capacity(1);
+        self.logit_batch_into(&[bytes], &mut out);
+        out[0]
     }
 
     fn threshold(&self) -> f32 {
@@ -661,24 +543,6 @@ impl Detector for ByteConvNet {
 
     fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         self.logit_batch_into(items, out);
-    }
-
-    fn has_quantized_path(&self) -> bool {
-        true
-    }
-
-    fn score_quantized(&self, bytes: &[u8]) -> f32 {
-        let mut out = Vec::with_capacity(1);
-        self.logit_quantized_batch_into(&[bytes], &mut out);
-        sigmoid(out[0])
-    }
-
-    fn score_quantized_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let start = out.len();
-        self.logit_quantized_batch_into(items, out);
-        for s in &mut out[start..] {
-            *s = sigmoid(*s);
-        }
     }
 }
 
@@ -868,15 +732,6 @@ impl Detector for MalConv {
     fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         self.0.raw_score_batch(items, out)
     }
-    fn has_quantized_path(&self) -> bool {
-        self.0.has_quantized_path()
-    }
-    fn score_quantized(&self, bytes: &[u8]) -> f32 {
-        self.0.score_quantized(bytes)
-    }
-    fn score_quantized_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.0.score_quantized_batch(items, out)
-    }
 }
 
 impl crate::traits::DetectorExt for MalConv {
@@ -965,15 +820,6 @@ impl Detector for NonNeg {
     }
     fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         self.0.raw_score_batch(items, out)
-    }
-    fn has_quantized_path(&self) -> bool {
-        self.0.has_quantized_path()
-    }
-    fn score_quantized(&self, bytes: &[u8]) -> f32 {
-        self.0.score_quantized(bytes)
-    }
-    fn score_quantized_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.0.score_quantized_batch(items, out)
     }
 }
 
@@ -1127,20 +973,23 @@ mod tests {
         m
     }
 
-    /// The batched forward skips all-PAD windows and reuses scratch, but
-    /// its scores must stay bit-identical to N sequential `score` calls —
-    /// including empty input, files shorter than one kernel, and files
-    /// longer than the model window.
+    /// Every black-box score runs the pad-skipping batch kernel; batched,
+    /// single-call `score` and single-call `raw_score` results must all
+    /// stay bit-identical to the training forward's logit — including
+    /// empty input, files shorter than one kernel, exactly one window, and
+    /// files longer than the model window.
     #[test]
     fn score_batch_is_bit_identical_to_sequential_scores() {
         let m = trained_tiny();
         let ds = dataset();
-        let window = m.0.config().window;
+        let config = *m.0.config();
         let mut owned: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
         owned.push(Vec::new());
         owned.push(vec![0x4d; 3]);
+        owned.push(vec![0x90; config.kernel - 1]);
         owned.push(vec![0xcc; 70]);
-        owned.push(vec![0xab; window + 257]);
+        owned.push(vec![0x5a; config.window]);
+        owned.push(vec![0xab; config.window + 257]);
         let items: Vec<&[u8]> = owned.iter().map(|b| b.as_slice()).collect();
         let mut scores = Vec::new();
         let mut raw = Vec::new();
@@ -1148,15 +997,13 @@ mod tests {
         m.raw_score_batch(&items, &mut raw);
         assert_eq!(scores.len(), items.len());
         for (i, bytes) in items.iter().enumerate() {
-            assert_eq!(
-                scores[i].to_bits(),
-                m.score(bytes).to_bits(),
-                "item {i} (len {}): batched {} vs sequential {}",
-                bytes.len(),
-                scores[i],
-                m.score(bytes)
-            );
-            assert_eq!(raw[i].to_bits(), m.raw_score(bytes).to_bits(), "raw item {i}");
+            let logit = m.0.forward(bytes).logit;
+            let len = bytes.len();
+            assert_eq!(raw[i].to_bits(), logit.to_bits(), "batched raw item {i} (len {len})");
+            assert_eq!(m.raw_score(bytes).to_bits(), logit.to_bits(), "raw item {i} (len {len})");
+            let p = sigmoid(logit);
+            assert_eq!(scores[i].to_bits(), p.to_bits(), "batched item {i} (len {len})");
+            assert_eq!(m.score(bytes).to_bits(), p.to_bits(), "item {i} (len {len})");
         }
         let mut verdicts = Vec::new();
         m.classify_batch(&items, &mut verdicts);
@@ -1165,89 +1012,14 @@ mod tests {
         }
     }
 
-    /// The int8 path is tolerance-gated against f32: score divergence
-    /// stays within 1e-2, and any classification flip must be a genuinely
-    /// borderline score (f32 score within the divergence budget of the
-    /// threshold).
-    #[test]
-    fn quantized_score_tracks_f32_score() {
-        let m = trained_tiny();
-        assert!(m.has_quantized_path());
-        let ds = dataset();
-        let window = m.0.config().window;
-        let mut owned: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
-        owned.push(Vec::new());
-        owned.push(vec![0x4d; 3]);
-        owned.push(vec![0xab; window + 257]);
-        for (i, bytes) in owned.iter().enumerate() {
-            let f = m.score(bytes);
-            let qv = m.score_quantized(bytes);
-            assert!(
-                (f - qv).abs() <= 1e-2,
-                "item {i}: f32 {f} vs quantized {qv} diverge past 1e-2"
-            );
-            if (qv > m.threshold()) != (f > m.threshold()) {
-                assert!(
-                    (f - m.threshold()).abs() <= 1e-2,
-                    "item {i}: non-borderline verdict flip (f32 {f}, quantized {qv})"
-                );
-            }
-        }
-    }
-
-    /// The quantized path is integer arithmetic per item: batched scoring
-    /// must be bit-identical to N sequential `score_quantized` calls.
-    #[test]
-    fn quantized_batch_is_bit_identical_to_sequential() {
-        let m = trained_tiny();
-        let ds = dataset();
-        let mut owned: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
-        owned.push(Vec::new());
-        owned.push(vec![0xcc; 70]);
-        let items: Vec<&[u8]> = owned.iter().map(|b| b.as_slice()).collect();
-        let mut batched = Vec::new();
-        m.score_quantized_batch(&items, &mut batched);
-        assert_eq!(batched.len(), items.len());
-        for (i, bytes) in items.iter().enumerate() {
-            assert_eq!(
-                batched[i].to_bits(),
-                m.score_quantized(bytes).to_bits(),
-                "item {i} (len {})",
-                bytes.len()
-            );
-        }
-    }
-
-    /// Training must invalidate the cached quantized layers along with the
-    /// token tables, or stale int8 weights would keep scoring.
-    #[test]
-    fn training_invalidates_quantized_cache() {
-        let ds = dataset();
-        let pairs = training_pairs(&ds.samples.iter().collect::<Vec<_>>());
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut m = MalConv::new(ByteConvConfig::tiny(), &mut rng);
-        m.train(&pairs, 1, 5e-3, &mut rng);
-        let bytes = &ds.malware()[0].bytes;
-        let before = m.score_quantized(bytes);
-        assert!(m.0.quant.is_built());
-        m.train(&pairs, 2, 5e-3, &mut rng);
-        let after = m.score_quantized(bytes);
-        // Same fixed point would mean the cache survived the weight update.
-        assert!(
-            (before - after).abs() > 0.0 || m.score(bytes) == before,
-            "quantized score unchanged by further training"
-        );
-        assert!((m.score(bytes) - after).abs() <= 1e-2);
-    }
-
-    /// The tabled white-box forward must agree with the naive score path
-    /// within float-reassociation error.
+    /// The tabled white-box forward must agree with the naive training
+    /// forward within float-reassociation error.
     #[test]
     fn tabled_logit_matches_naive_logit() {
         let m = trained_tiny();
         let ds = dataset();
         for s in ds.samples.iter().take(6) {
-            let naive = m.raw_score(&s.bytes);
+            let naive = m.0.forward(&s.bytes).logit;
             let tabled = m.0.session().score_delta(&s.bytes, &[]);
             assert!(
                 (naive - tabled).abs() < 1e-4,

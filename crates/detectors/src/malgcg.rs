@@ -10,9 +10,8 @@
 use crate::traits::{Detector, WhiteBoxModel, WhiteBoxSession};
 use mpass_ml::{
     bce_with_logits, bce_with_logits_backward, global_max_pool, global_max_pool_backward,
-    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, Embedding, Linear, QuantizedConv1d,
-    QuantizedVec, Snapshot, SnapshotBuilder, SnapshotError, TokenConv,
-    Workspace,
+    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, Embedding, Linear, Snapshot,
+    SnapshotBuilder, SnapshotError, TokenConv, Workspace,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -89,8 +88,6 @@ pub struct MalGcg {
     threshold: f32,
     /// Token-indexed layer-1 responses; rebuilt lazily after training.
     tables: Cached<GcgTables>,
-    /// Int8-quantized inference layers, rebuilt lazily after training.
-    quant: Cached<QuantizedGcg>,
 }
 
 /// Token-indexed response table of the first conv layer. The second layer
@@ -99,17 +96,6 @@ pub struct MalGcg {
 #[derive(Debug, Clone)]
 struct GcgTables {
     t1: TokenConv,
-}
-
-/// Int8-quantized layer 1, used by the opt-in `score_quantized` path.
-/// Quantization is deliberately **hybrid**: layer 1 slides over the full
-/// byte window and dominates the compute, so it runs int8; stacking a
-/// second quantized conv on top of requantized activations compounds
-/// the error past the 1e-2 score budget, so layer 2 and the heads stay
-/// f32.
-#[derive(Debug, Clone)]
-struct QuantizedGcg {
-    c1: QuantizedConv1d,
 }
 
 struct Activations {
@@ -138,7 +124,6 @@ impl MalGcg {
             head2: Linear::new(config.hidden, 1, rng),
             threshold: 0.5,
             tables: Cached::new(),
-            quant: Cached::new(),
         }
     }
 
@@ -244,7 +229,6 @@ impl MalGcg {
             head2,
             threshold: snap.tensor_scalar("threshold")?,
             tables: Cached::new(),
-            quant: Cached::new(),
         })
     }
 
@@ -266,12 +250,6 @@ impl MalGcg {
     fn tables(&self) -> &GcgTables {
         self.tables
             .get_or_build(|| GcgTables { t1: TokenConv::build(&self.conv1, &self.embedding) })
-    }
-
-    /// The int8-quantized inference layers, built on first use after
-    /// training (per-output-channel symmetric weight quantization).
-    fn quantized(&self) -> &QuantizedGcg {
-        self.quant.get_or_build(|| QuantizedGcg { c1: QuantizedConv1d::from_f32(&self.conv1) })
     }
 
     /// Tabled stacked forward: layer 1 via the token table, layer 2 via the
@@ -476,15 +454,16 @@ impl MalGcg {
             }
             last = total / data.len().max(1) as f32;
         }
-        // Weights changed: the derived token table and quantized layers
-        // must be rebuilt on next use.
+        // Weights changed: the derived token table must be rebuilt on
+        // next use.
         self.tables.invalidate();
-        self.quant.invalidate();
         last
     }
 
-    /// Batched logits, appended to `out` in input order; bit-identical to
-    /// N [`Detector::raw_score`] calls. Same pad-replication scheme as the
+    /// Logits of `items`, appended to `out` in input order — the one f32
+    /// inference kernel behind every black-box score (`score` and
+    /// `raw_score` are a batch of one), bit-identical to the training
+    /// `forward(..).logit`. Same pad-replication scheme as the
     /// MalConv batch path, applied at both layers: all-PAD layer-1 windows
     /// produce one constant relu row, and layer-2 windows whose receptive
     /// field lies entirely in that constant region produce one constant
@@ -588,109 +567,6 @@ impl MalGcg {
             out.push(self.head_logit(&r2));
         }
     }
-
-    /// Batched int8-quantized logits, appended to `out` in input order.
-    /// Hybrid quantization: layer 1 (the full-window slide that dominates
-    /// the compute) runs through the int8 kernel; layer 2 and the heads
-    /// stay f32, because a second quantized conv over requantized
-    /// activations compounds the error past the 1e-2 score budget. Same
-    /// pad-replication scheme as the f32 batch path: the constant all-PAD
-    /// layer-1 row is computed once per batch through the quantized
-    /// kernel (PAD embeds to zero, which lands exactly on the activation
-    /// zero-point). Each item's arithmetic is independent of the batch,
-    /// so single-item calls are bit-identical to batched ones; accuracy
-    /// versus f32 is tolerance-gated (divergence ≤ 1e-2, agreement
-    /// ≥ 99%), not bit-exact.
-    fn logit_quantized_batch_into(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let q = self.quantized();
-        let dim = self.config.embed_dim;
-        let (window, ch1, ch2) = (self.config.window, self.config.ch1, self.config.ch2);
-        let (kernel1, stride1) = (self.config.kernel1, self.config.stride1);
-        let (kernel2, stride2) = (self.config.kernel2, self.config.stride2);
-        let w1_total = self.conv1.windows(window);
-        let w2_total = self.conv2.windows(w1_total);
-        let x2 = self.conv2.transposed();
-        let mut ws = Workspace::default();
-        let mut pad_r1 = ws.take_f32(ch1);
-        if w1_total > 0 {
-            let pad_qx = QuantizedVec::from_f32(&vec![0.0f32; kernel1 * dim]);
-            q.c1.forward_window_into(&pad_qx, 0, &mut pad_r1);
-            for v in &mut pad_r1 {
-                *v = v.max(0.0);
-            }
-        }
-        let mut pad_r1_patch = ws.take_f32(kernel2 * ch1);
-        for k in 0..kernel2 {
-            pad_r1_patch[k * ch1..(k + 1) * ch1].copy_from_slice(&pad_r1);
-        }
-        let mut pad_r2 = ws.take_f32(ch2);
-        if w2_total > 0 {
-            x2.forward_window_into(&pad_r1_patch, 0, &mut pad_r2);
-            for v in &mut pad_r2 {
-                *v = v.max(0.0);
-            }
-        }
-        let mut x = ws.take_f32(window * dim);
-        let mut qx = QuantizedVec::default();
-        let mut c1_row = ws.take_f32(ch1);
-        let mut c2_row = ws.take_f32(ch2);
-        let mut r1 = ws.take_f32(w1_total * ch1);
-        let mut r2 = ws.take_f32(w2_total * ch2);
-        out.reserve(items.len());
-        for bytes in items {
-            let data_len = bytes.len().min(window);
-            let data_w1 = if data_len == 0 {
-                0
-            } else {
-                (((data_len - 1) / stride1) + 1).min(w1_total)
-            };
-            let visible = if data_w1 == 0 {
-                0
-            } else {
-                ((data_w1 - 1) * stride1 + kernel1).min(window)
-            };
-            let data_fill = data_len.min(visible);
-            for (i, &byte) in bytes.iter().enumerate().take(data_fill) {
-                x[i * dim..(i + 1) * dim]
-                    .copy_from_slice(self.embedding.vector(byte as usize));
-            }
-            for i in data_fill..visible {
-                x[i * dim..(i + 1) * dim].copy_from_slice(self.embedding.vector(PAD));
-            }
-            qx.quantize(&x[..visible * dim]);
-            for w in 0..data_w1 {
-                q.c1.forward_window_into(&qx, w, &mut c1_row);
-                for (r, &v) in r1[w * ch1..(w + 1) * ch1].iter_mut().zip(&c1_row) {
-                    *r = v.max(0.0);
-                }
-            }
-            let data_w2 = if data_w1 == 0 {
-                0
-            } else {
-                (((data_w1 - 1) / stride2) + 1).min(w2_total)
-            };
-            let visible1 = if data_w2 == 0 {
-                0
-            } else {
-                ((data_w2 - 1) * stride2 + kernel2).min(w1_total)
-            };
-            for w in data_w1..visible1 {
-                r1[w * ch1..(w + 1) * ch1].copy_from_slice(&pad_r1);
-            }
-            // Layer 2 consumes the (dequantized-by-construction) f32 r1
-            // rows through the f32 transposed kernel.
-            for w in 0..data_w2 {
-                x2.forward_window_into(&r1, w, &mut c2_row);
-                for (r, &v) in r2[w * ch2..(w + 1) * ch2].iter_mut().zip(&c2_row) {
-                    *r = v.max(0.0);
-                }
-            }
-            for w in data_w2..w2_total {
-                r2[w * ch2..(w + 1) * ch2].copy_from_slice(&pad_r2);
-            }
-            out.push(self.head_logit(&r2));
-        }
-    }
 }
 
 impl Detector for MalGcg {
@@ -699,11 +575,13 @@ impl Detector for MalGcg {
     }
 
     fn score(&self, bytes: &[u8]) -> f32 {
-        sigmoid(self.forward(bytes).logit)
+        sigmoid(self.raw_score(bytes))
     }
 
     fn raw_score(&self, bytes: &[u8]) -> f32 {
-        self.forward(bytes).logit
+        let mut out = Vec::with_capacity(1);
+        self.logit_batch_into(&[bytes], &mut out);
+        out[0]
     }
 
     fn threshold(&self) -> f32 {
@@ -720,24 +598,6 @@ impl Detector for MalGcg {
 
     fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         self.logit_batch_into(items, out);
-    }
-
-    fn has_quantized_path(&self) -> bool {
-        true
-    }
-
-    fn score_quantized(&self, bytes: &[u8]) -> f32 {
-        let mut out = Vec::with_capacity(1);
-        self.logit_quantized_batch_into(&[bytes], &mut out);
-        sigmoid(out[0])
-    }
-
-    fn score_quantized_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let start = out.len();
-        self.logit_quantized_batch_into(items, out);
-        for s in &mut out[start..] {
-            *s = sigmoid(*s);
-        }
     }
 }
 
@@ -957,92 +817,46 @@ mod tests {
         (m, ds)
     }
 
-    /// The two-level pad-replication batch path must stay bit-identical
-    /// to N sequential `score` calls — including empty input, files
-    /// shorter than one layer-1 kernel, and files past the model window.
+    /// Every black-box score runs the two-level pad-replication batch
+    /// kernel; batched, single-call `score` and single-call `raw_score`
+    /// results must all stay bit-identical to the training forward's
+    /// logit — including empty input, files shorter than one layer-1
+    /// kernel, exactly one window, and files past the model window.
     #[test]
     fn score_batch_is_bit_identical_to_sequential_scores() {
         let (m, ds) = trained_tiny();
-        let window = m.config().window;
+        let config = *m.config();
         let mut owned: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
         owned.push(Vec::new());
         owned.push(vec![0x4d; 5]);
+        owned.push(vec![0x90; config.kernel1 - 1]);
         owned.push(vec![0xcc; 33]);
-        owned.push(vec![0xab; window + 100]);
+        owned.push(vec![0x5a; config.window]);
+        owned.push(vec![0xab; config.window + 100]);
         let items: Vec<&[u8]> = owned.iter().map(|b| b.as_slice()).collect();
         let mut scores = Vec::new();
         let mut raw = Vec::new();
         m.score_batch(&items, &mut scores);
         m.raw_score_batch(&items, &mut raw);
+        assert_eq!(scores.len(), items.len());
         for (i, bytes) in items.iter().enumerate() {
-            assert_eq!(
-                scores[i].to_bits(),
-                m.score(bytes).to_bits(),
-                "item {i} (len {}): batched {} vs sequential {}",
-                bytes.len(),
-                scores[i],
-                m.score(bytes)
-            );
-            assert_eq!(raw[i].to_bits(), m.raw_score(bytes).to_bits(), "raw item {i}");
+            let logit = m.forward(bytes).logit;
+            let len = bytes.len();
+            assert_eq!(raw[i].to_bits(), logit.to_bits(), "batched raw item {i} (len {len})");
+            assert_eq!(m.raw_score(bytes).to_bits(), logit.to_bits(), "raw item {i} (len {len})");
+            let p = sigmoid(logit);
+            assert_eq!(scores[i].to_bits(), p.to_bits(), "batched item {i} (len {len})");
+            assert_eq!(m.score(bytes).to_bits(), p.to_bits(), "item {i} (len {len})");
         }
     }
 
-    /// The int8 path is tolerance-gated against f32 through both conv
-    /// layers: divergence ≤ 1e-2, and any verdict flip must be borderline.
-    #[test]
-    fn quantized_score_tracks_f32_score() {
-        let (m, ds) = trained_tiny();
-        assert!(m.has_quantized_path());
-        let window = m.config().window;
-        let mut owned: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
-        owned.push(Vec::new());
-        owned.push(vec![0x4d; 5]);
-        owned.push(vec![0xab; window + 100]);
-        for (i, bytes) in owned.iter().enumerate() {
-            let f = m.score(bytes);
-            let qv = m.score_quantized(bytes);
-            assert!(
-                (f - qv).abs() <= 1e-2,
-                "item {i}: f32 {f} vs quantized {qv} diverge past 1e-2"
-            );
-            if (qv > m.threshold()) != (f > m.threshold()) {
-                assert!(
-                    (f - m.threshold()).abs() <= 1e-2,
-                    "item {i}: non-borderline verdict flip (f32 {f}, quantized {qv})"
-                );
-            }
-        }
-    }
-
-    /// Batched quantized scoring must be bit-identical to N sequential
-    /// `score_quantized` calls (integer arithmetic, per-item independent).
-    #[test]
-    fn quantized_batch_is_bit_identical_to_sequential() {
-        let (m, ds) = trained_tiny();
-        let mut owned: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
-        owned.push(Vec::new());
-        owned.push(vec![0xcc; 33]);
-        let items: Vec<&[u8]> = owned.iter().map(|b| b.as_slice()).collect();
-        let mut batched = Vec::new();
-        m.score_quantized_batch(&items, &mut batched);
-        assert_eq!(batched.len(), items.len());
-        for (i, bytes) in items.iter().enumerate() {
-            assert_eq!(
-                batched[i].to_bits(),
-                m.score_quantized(bytes).to_bits(),
-                "item {i} (len {})",
-                bytes.len()
-            );
-        }
-    }
-
-    /// The tabled white-box forward must agree with the naive score path
-    /// within float-reassociation error.
+    /// The tabled white-box forward must agree with the naive training
+    /// forward within float-reassociation error.
     #[test]
     fn tabled_logit_matches_naive_logit() {
         let (m, ds) = trained_tiny();
         for s in ds.samples.iter().take(6) {
-            let naive = m.raw_score(&s.bytes);
+            let naive = m.forward(&s.bytes).logit;
             let tabled = m.session().score_delta(&s.bytes, &[]);
             assert!(
                 (naive - tabled).abs() < 1e-4,

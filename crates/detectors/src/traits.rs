@@ -103,28 +103,21 @@ pub trait Detector: Send + Sync {
         }
     }
 
-    /// `true` when [`Detector::score_quantized`] runs a genuinely
-    /// quantized kernel instead of falling back to the f32 path.
+    /// Always `false`: no detector has a quantized path. Kept, like
+    /// [`Detector::score_quantized`] and [`Detector::score_quantized_batch`],
+    /// only until the benchmark harness stops forwarding it.
     fn has_quantized_path(&self) -> bool {
         false
     }
 
-    /// Malicious probability through the int8-quantized inference path,
-    /// when the detector has one (`has_quantized_path`). An **opt-in**
-    /// approximation: deterministic, batch-stable, and gated by
-    /// bounded-error property tests (score divergence ≤ 1e-2 from
-    /// [`Detector::score`], classification agreement ≥ 99% on generated
-    /// corpora), but *not* bit-identical to the f32 score. Defaults to
-    /// the f32 path so every detector can be asked.
+    /// f32 alias of [`Detector::score`], kept only until the benchmark
+    /// harness stops forwarding it.
     fn score_quantized(&self, bytes: &[u8]) -> f32 {
         self.score(bytes)
     }
 
-    /// Batched [`Detector::score_quantized`]: append one probability per
-    /// item to `out` in input order. Contract mirrors `score_batch`: the
-    /// appended scores are **bit-identical** to `N` sequential
-    /// `score_quantized` calls (integer accumulation has no association
-    /// error, so batching quantized inference never changes numerics).
+    /// f32 alias of [`Detector::score_batch`], kept only until the
+    /// benchmark harness stops forwarding it.
     fn score_quantized_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         out.reserve(items.len());
         for bytes in items {

@@ -24,11 +24,10 @@
 //! chains (loss → logits → conv → embedding) are available to the
 //! ensemble-transfer optimizer.
 //!
-//! The serving-oriented additions live in three modules: [`simd`]
-//! (lane-chunked kernels the conv/linear/table forwards are built on),
-//! [`quant`] (int8 inference layers behind bounded-error gates), and
-//! [`snapshot`] (versioned, checksummed weight buffers for O(read) hot
-//! reload).
+//! The serving-oriented additions live in two modules: [`simd`]
+//! (lane-chunked, bit-exact f32 kernels the conv/linear/table forwards
+//! are built on) and [`snapshot`] (versioned, checksummed weight buffers
+//! for O(read) hot reload).
 
 // Inference kernels run inside the serving daemon; a stray panic there is
 // an outage. Shape violations still use `assert!` (programmer error), but
@@ -45,7 +44,6 @@ pub mod metrics;
 mod mlp;
 mod param;
 mod pool;
-pub mod quant;
 pub mod simd;
 pub mod snapshot;
 mod table;
@@ -60,7 +58,6 @@ pub use loss::{bce_with_logits, bce_with_logits_backward};
 pub use mlp::Mlp;
 pub use param::{Adam, ParamBuf};
 pub use pool::{global_max_pool, global_max_pool_backward};
-pub use quant::{QuantizedConv1d, QuantizedLinear, QuantizedVec};
 pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
 pub use table::{dirty_window_span, TokenConv};
 pub use workspace::{Cached, Workspace};

@@ -1,18 +1,15 @@
-//! Explicit lane-chunked f32/i8 kernels that autovectorize.
+//! Explicit lane-chunked f32 kernels that autovectorize.
 //!
 //! The hot inference loops (conv windows, dense heads, token-table
-//! accumulation, quantized dot products) all reduce to three primitive
-//! shapes. Writing them once with `chunks_exact(LANES)` bodies over
-//! fixed-size lane groups gives LLVM a trip count it can turn into
+//! accumulation) all reduce to a few element-wise primitive shapes.
+//! Writing them once with `chunks_exact(LANES)` bodies over fixed-size
+//! lane groups gives LLVM a trip count it can turn into
 //! packed SSE/AVX arithmetic, with a scalar tail for ragged lengths —
 //! no `std::simd` (unstable) and no unsafe.
 //!
-//! Numerics contract: [`axpy`] and [`add_assign`] are element-wise, so
-//! they are **bit-identical** to the naive loops they replace — chunking
-//! never re-associates a sum that lands in one output element. [`dot`]
-//! *does* re-associate (eight interleaved partial sums); it is reserved
-//! for paths with tolerance-based gates, never for the bit-exact score
-//! paths. The integer kernels are exact by nature.
+//! Numerics contract: every kernel is element-wise, so it is
+//! **bit-identical** to the naive loop it replaces — chunking never
+//! re-associates a sum that lands in one output element.
 
 /// Lane-group width the chunked loops are written for. Eight f32 lanes
 /// fill one AVX register (or two SSE registers, which LLVM still packs).
@@ -112,79 +109,6 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
     }
 }
 
-/// `Σ x[i] · y[i]` with eight interleaved partial sums and a scalar tail.
-///
-/// **Re-associates** the summation relative to a left-to-right loop, so
-/// results differ from a naive dot in the last bits. Use only behind
-/// tolerance-gated paths (quantization calibration, benchmarks) — the
-/// bit-exact inference kernels use [`axpy`] instead.
-#[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let mut acc = [0.0f32; LANES];
-    let split = x.len() - x.len() % LANES;
-    for (xc, yc) in x[..split].chunks_exact(LANES).zip(y[..split].chunks_exact(LANES)) {
-        for i in 0..LANES {
-            acc[i] += xc[i] * yc[i];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (&xi, &yi) in x[split..].iter().zip(&y[split..]) {
-        tail += xi * yi;
-    }
-    // Fixed-order horizontal reduction keeps the function deterministic.
-    let mut total = tail;
-    for a in acc {
-        total += a;
-    }
-    total
-}
-
-/// `Σ x[i] · y[i]` over i8 operands with i32 lane accumulators — exact
-/// (integer arithmetic never rounds), safe from overflow for lengths up
-/// to `i32::MAX / (128·128)` ≈ 131 k elements, far past any kernel here.
-#[inline]
-pub fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
-    assert_eq!(x.len(), y.len(), "dot_i8 length mismatch");
-    let mut acc = [0i32; LANES];
-    let split = x.len() - x.len() % LANES;
-    for (xc, yc) in x[..split].chunks_exact(LANES).zip(y[..split].chunks_exact(LANES)) {
-        for i in 0..LANES {
-            acc[i] += i32::from(xc[i]) * i32::from(yc[i]);
-        }
-    }
-    let mut total = 0i32;
-    for (&xi, &yi) in x[split..].iter().zip(&y[split..]) {
-        total += i32::from(xi) * i32::from(yi);
-    }
-    for a in acc {
-        total += a;
-    }
-    total
-}
-
-/// `acc[i] += row[i]` over an i8 row with i32 accumulators — the
-/// quantized token-table accumulation kernel. Exact.
-///
-/// # Panics
-///
-/// Panics when `row` and `acc` differ in length.
-#[inline]
-pub fn add_assign_i8(acc: &mut [i32], row: &[i8]) {
-    assert_eq!(row.len(), acc.len(), "add_assign_i8 length mismatch");
-    let split = row.len() - row.len() % LANES;
-    let (r_main, r_tail) = row.split_at(split);
-    let (a_main, a_tail) = acc.split_at_mut(split);
-    for (ac, rc) in a_main.chunks_exact_mut(LANES).zip(r_main.chunks_exact(LANES)) {
-        for i in 0..LANES {
-            ac[i] += i32::from(rc[i]);
-        }
-    }
-    for (ai, &ri) in a_tail.iter_mut().zip(r_tail) {
-        *ai += i32::from(ri);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,49 +182,5 @@ mod tests {
                 assert_eq!(f.to_bits(), s.to_bits(), "n={n}");
             }
         }
-    }
-
-    /// dot re-associates, so it is gated against an f64 reference with a
-    /// tolerance instead of bit equality.
-    #[test]
-    fn dot_matches_f64_reference() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for n in [0usize, 1, 8, 100, 1000, 2048] {
-            let x = randvec(&mut rng, n);
-            let y = randvec(&mut rng, n);
-            let reference: f64 =
-                x.iter().zip(&y).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
-            let got = f64::from(dot(&x, &y));
-            let bound = 1e-3 * (n.max(1) as f64).sqrt();
-            assert!((got - reference).abs() < bound, "n={n}: {got} vs {reference}");
-        }
-    }
-
-    #[test]
-    fn integer_kernels_are_exact() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        for n in [0usize, 1, 7, 8, 9, 255, 2048] {
-            let x: Vec<i8> = (0..n).map(|_| rng.gen_range(i8::MIN..=i8::MAX)).collect();
-            let y: Vec<i8> = (0..n).map(|_| rng.gen_range(i8::MIN..=i8::MAX)).collect();
-            let reference: i32 =
-                x.iter().zip(&y).map(|(&a, &b)| i32::from(a) * i32::from(b)).sum();
-            assert_eq!(dot_i8(&x, &y), reference, "n={n}");
-
-            let mut acc = vec![0i32; n];
-            add_assign_i8(&mut acc, &x);
-            add_assign_i8(&mut acc, &y);
-            for ((a, &xi), &yi) in acc.iter().zip(&x).zip(&y) {
-                assert_eq!(*a, i32::from(xi) + i32::from(yi), "n={n}");
-            }
-        }
-    }
-
-    /// Worst-case extremes must not overflow the i32 accumulators.
-    #[test]
-    fn dot_i8_extremes_do_not_overflow() {
-        let n = 4096;
-        let x = vec![i8::MIN; n];
-        let y = vec![i8::MIN; n];
-        assert_eq!(dot_i8(&x, &y), 128 * 128 * n as i32);
     }
 }

@@ -1,21 +1,18 @@
 //! Equivalence gates for the optimized inference kernels.
 //!
-//! The SIMD-shaped f32 paths promise bit-exactness (they reassociate
-//! nothing), the int8 paths promise bounded error, and the flattened
-//! GBDT and weight snapshots promise exact reconstruction. These tests
-//! pin all three contracts at the integration level, on the same
-//! trained world the experiment binaries use:
+//! The flattened GBDT and weight snapshots promise exact
+//! reconstruction. These tests pin both contracts at the integration
+//! level, on the same trained world the experiment binaries use:
 //!
-//! * quantized scores diverge from f32 scores by at most `1e-2`, and
-//!   verdicts agree on at least 99% of a 160+-sample corpus,
-//! * `score_quantized_batch` is bit-identical to N sequential
-//!   `score_quantized` calls,
-//! * the flattened SoA forest scores exactly like the pointer-form
-//!   tree walk, and survives a flatten → rebuild round trip,
+//! * the flattened forest scores exactly like the pointer-form tree
+//!   walk, and survives a flatten → rebuild round trip,
 //! * every roster detector reloaded from its weight snapshot scores
 //!   bit-identically to the model that wrote it.
+//!
+//! The conv detectors' one f32 kernel is pinned to their training
+//! forward by the unit tests beside it, and to batching by
+//! `batch_equivalence.rs`.
 
-use mpass_corpus::{CorpusConfig, Dataset};
 use mpass_detectors::features::FeatureExtractor;
 use mpass_detectors::{detector_from_snapshot, Detector};
 use mpass_experiments::world::{World, WorldConfig};
@@ -35,67 +32,6 @@ fn probe_items(w: &World) -> Vec<&[u8]> {
     items.push(b"");
     items.push(b"MZ\x90");
     items
-}
-
-/// The world corpus plus an independently seeded one: enough samples
-/// that a single verdict flip still clears the 99% agreement floor.
-fn agreement_corpus(w: &World) -> (Dataset, Vec<Vec<u8>>) {
-    let extra = Dataset::generate(&CorpusConfig {
-        n_malware: 60,
-        n_benign: 60,
-        seed: 0xA9EE,
-        no_slack_fraction: 0.1,
-    });
-    let mut items: Vec<Vec<u8>> = w.dataset.samples.iter().map(|s| s.bytes.clone()).collect();
-    items.extend(extra.samples.iter().map(|s| s.bytes.clone()));
-    (extra, items)
-}
-
-fn quantized_roster(w: &World) -> Vec<(&'static str, &dyn Detector)> {
-    vec![("MalConv", &w.malconv), ("NonNeg", &w.nonneg), ("MalGCG", &w.malgcg)]
-}
-
-#[test]
-fn quantized_scores_stay_within_bounds_and_agree() {
-    let w = world();
-    let (_extra, items) = agreement_corpus(w);
-    assert!(items.len() >= 160, "agreement corpus too small: {}", items.len());
-    for (name, det) in quantized_roster(w) {
-        assert!(det.has_quantized_path(), "{name} lost its quantized path");
-        let threshold = det.threshold();
-        let mut agree = 0usize;
-        for bytes in &items {
-            let f = det.score(bytes);
-            let q = det.score_quantized(bytes);
-            assert!(
-                (f - q).abs() <= 1e-2,
-                "{name}: int8 score {q} drifted from f32 {f} beyond 1e-2"
-            );
-            if (f > threshold) == (q > threshold) {
-                agree += 1;
-            }
-        }
-        let rate = agree as f64 / items.len() as f64;
-        assert!(rate >= 0.99, "{name}: verdict agreement {rate:.4} below 99%");
-    }
-}
-
-#[test]
-fn quantized_batch_is_bit_identical_to_sequential() {
-    let w = world();
-    let items = probe_items(w);
-    for (name, det) in quantized_roster(w) {
-        let mut batch = Vec::new();
-        det.score_quantized_batch(&items, &mut batch);
-        assert_eq!(batch.len(), items.len(), "{name}: quantized batch length");
-        for (i, bytes) in items.iter().enumerate() {
-            assert_eq!(
-                batch[i].to_bits(),
-                det.score_quantized(bytes).to_bits(),
-                "{name}: quantized batch diverged from sequential at item {i}"
-            );
-        }
-    }
 }
 
 #[test]
