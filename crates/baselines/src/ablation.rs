@@ -76,14 +76,7 @@ impl Attack for RandomData {
             last_size = ms.bytes.len();
             match target.query(&ms.bytes) {
                 Ok(Verdict::Benign) => {
-                    return AttackOutcome {
-                        sample: sample.name.clone(),
-                        evaded: true,
-                        queries: target.queries(),
-                        adversarial: Some(ms.bytes),
-                        original_size,
-                        final_size: last_size,
-                    }
+                    return AttackOutcome::evaded(sample, target.queries(), ms.bytes, original_size)
                 }
                 Ok(Verdict::Malicious) => {}
                 Err(_) => break,

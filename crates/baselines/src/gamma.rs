@@ -184,17 +184,7 @@ fn finish(
     last_size: usize,
 ) -> AttackOutcome {
     match best {
-        Some((_, bytes)) => {
-            let final_size = bytes.len();
-            AttackOutcome {
-                sample: sample.name.clone(),
-                evaded: true,
-                queries: target.queries(),
-                adversarial: Some(bytes),
-                original_size,
-                final_size,
-            }
-        }
+        Some((_, bytes)) => AttackOutcome::evaded(sample, target.queries(), bytes, original_size),
         None => AttackOutcome {
             sample: sample.name.clone(),
             evaded: false,

@@ -152,14 +152,12 @@ impl Attack for Mab {
                 match target.query(&bytes) {
                     Ok(Verdict::Benign) => {
                         self.arms[arm].alpha += 1.0;
-                        return AttackOutcome {
-                            sample: sample.name.clone(),
-                            evaded: true,
-                            queries: target.queries(),
-                            adversarial: Some(bytes),
+                        return AttackOutcome::evaded(
+                            sample,
+                            target.queries(),
+                            bytes,
                             original_size,
-                            final_size: last_size,
-                        };
+                        );
                     }
                     Ok(Verdict::Malicious) => {
                         self.arms[arm].beta += 0.3;

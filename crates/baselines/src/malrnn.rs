@@ -191,14 +191,12 @@ impl Attack for MalRnn {
                 last_size = bytes.len();
                 match target.query(&bytes) {
                     Ok(Verdict::Benign) => {
-                        return AttackOutcome {
-                            sample: sample.name.clone(),
-                            evaded: true,
-                            queries: target.queries(),
-                            adversarial: Some(bytes),
+                        return AttackOutcome::evaded(
+                            sample,
+                            target.queries(),
+                            bytes,
                             original_size,
-                            final_size: last_size,
-                        }
+                        )
                     }
                     Ok(Verdict::Malicious) => {}
                     Err(_) => {

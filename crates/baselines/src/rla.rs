@@ -121,14 +121,12 @@ impl Attack for Rla {
                 match target.query(&bytes) {
                     Ok(Verdict::Benign) => {
                         self.update(state, a, 1.0, state + 1);
-                        return AttackOutcome {
-                            sample: sample.name.clone(),
-                            evaded: true,
-                            queries: target.queries(),
-                            adversarial: Some(bytes),
+                        return AttackOutcome::evaded(
+                            sample,
+                            target.queries(),
+                            bytes,
                             original_size,
-                            final_size: last_size,
-                        };
+                        );
                     }
                     Ok(Verdict::Malicious) => {
                         self.update(state, a, -0.05, state + 1);

@@ -902,8 +902,12 @@ pub fn dispatch(args: &[String]) -> CliResult {
 mod tests {
     use super::*;
 
+    /// A fresh directory per call: tests run in parallel and each removes
+    /// its directory when done, so no two may share one.
     fn tempdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("mpass-cli-test-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("mpass-cli-test-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -367,6 +367,27 @@ pub struct AttackOutcome {
 }
 
 impl AttackOutcome {
+    /// The outcome of an attack that evaded with `bytes` after `queries`
+    /// queries. Campaigns keep every outcome, so the adversarial example is
+    /// trimmed to its length: a buffer grown by in-place edits would
+    /// otherwise carry its spare capacity along.
+    pub fn evaded(
+        sample: &Sample,
+        queries: usize,
+        mut bytes: Vec<u8>,
+        original_size: usize,
+    ) -> Self {
+        bytes.shrink_to_fit();
+        AttackOutcome {
+            sample: sample.name.clone(),
+            evaded: true,
+            queries,
+            final_size: bytes.len(),
+            adversarial: Some(bytes),
+            original_size,
+        }
+    }
+
     /// File-size increment ratio (the paper's per-sample APR term).
     pub fn appending_rate(&self) -> f64 {
         (self.final_size as f64 - self.original_size as f64) / self.original_size.max(1) as f64
@@ -633,14 +654,7 @@ impl Attack for MPassAttack<'_> {
             last_size = ms.bytes.len();
             match target.query(&ms.bytes) {
                 Ok(Verdict::Benign) => {
-                    return AttackOutcome {
-                        sample: sample.name.clone(),
-                        evaded: true,
-                        queries: target.queries(),
-                        adversarial: Some(ms.bytes),
-                        original_size,
-                        final_size: last_size,
-                    }
+                    return AttackOutcome::evaded(sample, target.queries(), ms.bytes, original_size)
                 }
                 Ok(Verdict::Malicious) => {}
                 // A candidate that failed AE validation consumed no budget;
@@ -660,14 +674,12 @@ impl Attack for MPassAttack<'_> {
                 last_size = ms.bytes.len();
                 match target.query(&ms.bytes) {
                     Ok(Verdict::Benign) => {
-                        return AttackOutcome {
-                            sample: sample.name.clone(),
-                            evaded: true,
-                            queries: target.queries(),
-                            adversarial: Some(ms.bytes),
+                        return AttackOutcome::evaded(
+                            sample,
+                            target.queries(),
+                            ms.bytes,
                             original_size,
-                            final_size: last_size,
-                        }
+                        )
                     }
                     Ok(Verdict::Malicious) => {}
                     // An optimizer round that corrupted the candidate is
@@ -1009,6 +1021,26 @@ mod tests {
                 .build(),
             Err(MPassConfigError::BadLearningRate)
         );
+    }
+
+    #[test]
+    fn evaded_outcomes_hold_no_spare_capacity() {
+        let ds = Dataset::generate(&CorpusConfig {
+            n_malware: 1,
+            n_benign: 0,
+            seed: 3,
+            no_slack_fraction: 0.0,
+        });
+        let s = &ds.samples[0];
+        // An AE grown in place: 13,312 bytes in a 16,384-byte buffer.
+        let mut bytes = Vec::with_capacity(16_384);
+        bytes.resize(13_312, 0x90);
+        let outcome = AttackOutcome::evaded(s, 7, bytes, s.size());
+        let ae = outcome.adversarial.as_ref().expect("an evading outcome holds its AE");
+        assert_eq!(ae.capacity(), ae.len());
+        assert_eq!(outcome.final_size, 13_312);
+        assert!(outcome.evaded);
+        assert_eq!((outcome.queries, outcome.original_size), (7, s.size()));
     }
 
     #[test]

@@ -23,6 +23,8 @@ use mpass_engine::metrics as trace;
 use mpass_ml::{Adam, Embedding, ParamBuf};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 /// Optimizer hyper-parameters. The paper uses Adam with η = 0.01 and
 /// γ = 50 iterations; this reproduction spends a smaller per-round budget
@@ -48,8 +50,10 @@ impl Default for OptimizerConfig {
 const LANES: usize = 8;
 
 /// Candidates per block of the mapping sweep, summed over every model in
-/// registers before the block is stored.
-const BLOCK: usize = 32;
+/// registers before the block is stored. 64 candidates are eight 8-lane
+/// accumulators under AVX2, enough independent chains to hide the latency
+/// of each candidate's dependent `+=` over embedding components.
+const BLOCK: usize = 64;
 
 /// Length of the doubled candidate axis of [`ModelState`]'s tables: entry
 /// `i` holds byte `i mod 256`, so the key window of a coupled variable,
@@ -68,6 +72,7 @@ const SPAN: usize = 512;
 /// enter a lane and never equal the minimum; the smallest lane minimum
 /// equals the serial minimum up to the sign of zero; and `==` pairs ±0.0,
 /// so the first value equal to it is the first value holding the minimum.
+#[inline(always)]
 fn argmin256(vals: &[f32; 256]) -> Option<usize> {
     let mut lane_min = [f32::INFINITY; LANES];
     for group in vals.chunks_exact(LANES) {
@@ -170,6 +175,7 @@ struct Term<'s> {
 
 /// Fill `out` with the [`Term`]s at `slot` of the models that can see
 /// file offset `off`, in model order.
+#[inline(always)]
 fn visible_terms<'s>(
     states: &'s [ModelState],
     slot: usize,
@@ -207,6 +213,7 @@ fn slot_block(terms: &[Term], start: usize) -> [f32; BLOCK] {
 /// block of [`BLOCK`] candidates is summed over every model and both slots
 /// in registers and stored once. Returns the selected byte, the first
 /// strict minimum of `scores` ([`argmin256`]).
+#[inline(always)]
 fn nearest_byte(
     cover: &[Term],
     key: Option<(&[Term], u8)>,
@@ -224,6 +231,96 @@ fn nearest_byte(
         out.copy_from_slice(&s);
     }
     argmin256(scores)
+}
+
+/// The mapping step of one gradient iteration: every variable goes back to
+/// its nearest byte, jointly over the models and, for a coupled variable,
+/// jointly over the cover and the induced key byte. Changed bytes (and
+/// their rekeyed keys) are written to `bytes` and their spans appended to
+/// `dirty`; `scores` is scratch and ends holding the last variable's
+/// objective.
+///
+/// [`map_vars_body`] is compiled twice: for the build's baseline target
+/// and, on x86-64, with AVX2 enabled, picked by a CPU check made once per
+/// process. The two select identical bytes: every candidate runs the same
+/// floating-point operations in the same order in both (Rust never
+/// contracts `a * b + c` into a fused multiply-add), and [`BLOCK`] only
+/// sets how many candidates share a register pass.
+fn map_vars(
+    states: &[ModelState],
+    vars: &[Var],
+    bytes: &mut [u8],
+    dirty: &mut Vec<Range<usize>>,
+    scores: &mut [f32; 256],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2` detected AVX2 on this CPU.
+        return unsafe { map_vars_avx2(states, vars, bytes, dirty, scores) };
+    }
+    map_vars_body(states, vars, bytes, dirty, scores);
+}
+
+/// Whether this CPU executes AVX2, detected on the first call.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2() -> bool {
+    static AVX2: OnceLock<bool> = OnceLock::new();
+    *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+}
+
+/// [`map_vars_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must execute AVX2 ([`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn map_vars_avx2(
+    states: &[ModelState],
+    vars: &[Var],
+    bytes: &mut [u8],
+    dirty: &mut Vec<Range<usize>>,
+    scores: &mut [f32; 256],
+) {
+    map_vars_body(states, vars, bytes, dirty, scores);
+}
+
+/// The one source body of [`map_vars`]; inlined, with everything it calls
+/// in the sweep, into each instantiation.
+#[inline(always)]
+fn map_vars_body(
+    states: &[ModelState],
+    vars: &[Var],
+    bytes: &mut [u8],
+    dirty: &mut Vec<Range<usize>>,
+    scores: &mut [f32; 256],
+) {
+    let mut cover = Vec::with_capacity(states.len());
+    let mut key = Vec::with_capacity(states.len());
+    for &var in vars {
+        match var {
+            Var::Free { off, slot } => {
+                visible_terms(states, slot, off, &mut cover);
+                let best = nearest_byte(&cover, None, scores).map_or(bytes[off], |b| b as u8);
+                if best != bytes[off] {
+                    bytes[off] = best;
+                    dirty.push(off..off + 1);
+                }
+            }
+            Var::Coupled { pair, cover_slot, key_slot } => {
+                visible_terms(states, cover_slot, pair.cover_offset, &mut cover);
+                visible_terms(states, key_slot, pair.key_offset, &mut key);
+                let best = nearest_byte(&cover, Some((&key, pair.original)), scores)
+                    .map_or(bytes[pair.cover_offset], |b| b as u8);
+                if best != bytes[pair.cover_offset] {
+                    bytes[pair.cover_offset] = best;
+                    bytes[pair.key_offset] = crate::recovery::rekey(best, pair.original);
+                    dirty.push(pair.cover_offset..pair.cover_offset + 1);
+                    dirty.push(pair.key_offset..pair.key_offset + 1);
+                }
+            }
+        }
+    }
 }
 
 /// The ensemble optimizer over one [`ModifiedSample`].
@@ -246,6 +343,18 @@ pub struct EnsembleOptimizer<'a> {
     dirty: Vec<Range<usize>>,
     /// Reusable input-gradient buffer shared across models and iterations.
     grad: Vec<f32>,
+    #[cfg(test)]
+    probe: SweepProbe,
+}
+
+/// Test hook on the mapping step: `plain` forces the baseline
+/// instantiation of [`map_vars_body`], and `spans` logs the dirty spans
+/// of every iteration.
+#[cfg(test)]
+#[derive(Default)]
+struct SweepProbe {
+    plain: bool,
+    spans: Vec<Vec<Range<usize>>>,
 }
 
 impl<'a> EnsembleOptimizer<'a> {
@@ -295,6 +404,8 @@ impl<'a> EnsembleOptimizer<'a> {
             sessions,
             dirty: Vec::new(),
             grad: Vec::new(),
+            #[cfg(test)]
+            probe: SweepProbe::default(),
         }
     }
 
@@ -380,34 +491,11 @@ impl<'a> EnsembleOptimizer<'a> {
             trace::series("optimize/loss", f64::from(iteration_loss));
             // Map back to bytes, jointly over models and (for coupled
             // variables) jointly over the cover and the induced key byte.
-            let mut cover = Vec::with_capacity(self.states.len());
-            let mut key = Vec::with_capacity(self.states.len());
-            for &var in &self.vars {
-                match var {
-                    Var::Free { off, slot } => {
-                        visible_terms(&self.states, slot, off, &mut cover);
-                        let best = nearest_byte(&cover, None, &mut scores)
-                            .map_or(sample.bytes[off], |b| b as u8);
-                        if best != sample.bytes[off] {
-                            sample.bytes[off] = best;
-                            self.dirty.push(off..off + 1);
-                        }
-                    }
-                    Var::Coupled { pair, cover_slot, key_slot } => {
-                        visible_terms(&self.states, cover_slot, pair.cover_offset, &mut cover);
-                        visible_terms(&self.states, key_slot, pair.key_offset, &mut key);
-                        let best = nearest_byte(&cover, Some((&key, pair.original)), &mut scores)
-                            .map_or(sample.bytes[pair.cover_offset], |b| b as u8);
-                        if best != sample.bytes[pair.cover_offset] {
-                            sample.bytes[pair.cover_offset] = best;
-                            sample.bytes[pair.key_offset] =
-                                crate::recovery::rekey(best, pair.original);
-                            self.dirty.push(pair.cover_offset..pair.cover_offset + 1);
-                            self.dirty.push(pair.key_offset..pair.key_offset + 1);
-                        }
-                    }
-                }
-            }
+            #[cfg(test)]
+            let map_vars = if self.probe.plain { map_vars_body } else { map_vars };
+            map_vars(&self.states, &self.vars, &mut sample.bytes, &mut self.dirty, &mut scores);
+            #[cfg(test)]
+            self.probe.spans.push(self.dirty.clone());
         }
         // Final loss through the same incremental sessions — the mapping
         // step's spans are still dirty, so this re-scores a few windows
@@ -708,21 +796,22 @@ mod tests {
     }
 
     /// Seeded random states for models of embedding widths `dims` over
-    /// `slots` slots; model `m` sees the first `(m + 1) · 1000` bytes.
+    /// `slots` slots; model `m` sees the first `windows[m]` bytes.
     fn random_states(
         rng: &mut ChaCha8Rng,
         dims: &[usize],
+        windows: &[usize],
         slots: usize,
         grid: bool,
         wild: bool,
     ) -> Vec<ModelState> {
         dims.iter()
-            .enumerate()
-            .map(|(m, &dim)| {
+            .zip(windows)
+            .map(|(&dim, &window)| {
                 let table = (0..256 * dim).map(|_| draw(rng, grid, false)).collect();
                 let emb = Embedding::from_weights(256, dim, table);
                 let z = (0..slots * dim).map(|_| draw(rng, grid, wild)).collect();
-                ModelState::new(&emb, (m + 1) * 1000, z)
+                ModelState::new(&emb, window, z)
             })
             .collect()
     }
@@ -736,47 +825,137 @@ mod tests {
         }
     }
 
+    type MapVars = fn(&[ModelState], &[Var], &mut [u8], &mut Vec<Range<usize>>, &mut [f32; 256]);
+
+    /// Every instantiation of the mapping sweep this CPU can run, by name.
+    fn instantiations() -> Vec<(&'static str, MapVars)> {
+        #[allow(unused_mut)] // nothing further to add off x86-64
+        let mut out: Vec<(&'static str, MapVars)> = vec![("plain", map_vars_body)];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            out.push(("avx2", |states, vars, bytes, dirty, scores| {
+                // SAFETY: listed only after `has_avx2` detected AVX2.
+                unsafe { map_vars_avx2(states, vars, bytes, dirty, scores) }
+            }));
+        }
+        out
+    }
+
+    /// Name of the instantiation [`map_vars`] dispatches to on this CPU.
+    fn dispatched() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            return "avx2";
+        }
+        "plain"
+    }
+
     #[test]
     fn fused_sweep_matches_the_reference_bit_for_bit() {
-        // Offsets below 1000 are visible to every model, 1000..2000 to all
-        // but the first, and ≥ 3000 to none.
-        const OFFSETS: [usize; 4] = [10, 1000, 5000, 1999];
+        // Cover and key offsets of the same index share a visibility
+        // class: below 1000, 1000..2000, or beyond every window.
+        const COVER: [usize; 4] = [10, 1000, 5000, 1999];
+        const KEY: [usize; 4] = [11, 1001, 5001, 1998];
+        let sweeps = instantiations();
+        let names: Vec<_> = sweeps.iter().map(|(name, _)| *name).collect();
+        println!("mapping sweep vs reference, instantiations compared: {names:?}");
+        // Model `m` sees the first `windows[m]` bytes. The last case's
+        // middle model is blind to 1000..2000 while both neighbours see it.
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[4, 4], &[1000, 2000]),
+            (&[8, 8], &[1000, 2000]),
+            (&[8, 4], &[1000, 2000]),
+            (&[4], &[1000]),
+            (&[4, 8, 4], &[1000, 2000, 3000]),
+            (&[8, 16, 4], &[3000, 1000, 2000]),
+        ];
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
-        for dims in [&[4, 4][..], &[8, 8], &[8, 4], &[4], &[4, 8, 4]] {
+        for (dims, windows) in cases {
             for (grid, wild) in [(false, false), (true, false), (true, true)] {
                 let slots = 64;
-                let states = random_states(&mut rng, dims, slots, grid, wild);
-                let mut scores = [0.0f32; 256];
-                let (mut cover, mut key) = (Vec::new(), Vec::new());
+                let states = random_states(&mut rng, dims, windows, slots, grid, wild);
                 for pair in 0..slots / 2 {
                     let (cs, ks) = (2 * pair, 2 * pair + 1);
-                    let c_off = OFFSETS[pair % 4];
-                    let k_off = OFFSETS[(pair / 4) % 4];
+                    let (c_off, k_off) = (COVER[pair % 4], KEY[(pair / 4) % 4]);
                     let original = match pair % 8 {
                         0 => 0,
                         1 => 255,
                         _ => rng.gen_range(0..256usize) as u8,
                     };
-                    let what = format!("dims {dims:?} grid {grid} wild {wild} pair {pair}");
-
-                    visible_terms(&states, cs, c_off, &mut cover);
-                    let got = nearest_byte(&cover, None, &mut scores);
-                    let (want_scores, want) = reference::select(&states, (cs, c_off), None);
-                    assert_same_bits(&scores, &want_scores, &format!("free {what}"));
-                    assert_eq!(got, want, "free {what}");
-
-                    visible_terms(&states, ks, k_off, &mut key);
-                    let got = nearest_byte(&cover, Some((&key, original)), &mut scores);
-                    let (want_scores, want) = reference::select(
-                        &states,
-                        (cs, c_off),
-                        Some((ks, k_off, original)),
-                    );
-                    assert_same_bits(&scores, &want_scores, &format!("coupled {what}"));
-                    assert_eq!(got, want, "coupled {what}");
+                    let current = rng.gen_range(0..256usize) as u8;
+                    let coupled = CoupledByte { cover_offset: c_off, key_offset: k_off, original };
+                    let vars = [
+                        ("free", Var::Free { off: c_off, slot: cs }, None),
+                        (
+                            "coupled",
+                            Var::Coupled { pair: coupled, cover_slot: cs, key_slot: ks },
+                            Some((ks, k_off, original)),
+                        ),
+                    ];
+                    for (kind, var, key) in vars {
+                        let (want_scores, want) = reference::select(&states, (cs, c_off), key);
+                        let best = want.map_or(current, |b| b as u8);
+                        let mut before = vec![0u8; 6000];
+                        before[c_off] = current;
+                        before[k_off] = crate::recovery::rekey(current, original);
+                        let mut want_bytes = before.clone();
+                        let mut want_dirty = Vec::new();
+                        if best != current {
+                            want_bytes[c_off] = best;
+                            want_dirty.push(c_off..c_off + 1);
+                            if key.is_some() {
+                                want_bytes[k_off] = crate::recovery::rekey(best, original);
+                                want_dirty.push(k_off..k_off + 1);
+                            }
+                        }
+                        for (name, sweep) in &sweeps {
+                            let what = format!(
+                                "{name} {kind} dims {dims:?} grid {grid} wild {wild} pair {pair}"
+                            );
+                            let mut bytes = before.clone();
+                            let (mut dirty, mut scores) = (Vec::new(), [0.0f32; 256]);
+                            sweep(&states, &[var], &mut bytes, &mut dirty, &mut scores);
+                            assert_same_bits(&scores, &want_scores, &what);
+                            assert!(bytes == want_bytes, "{what}: selected bytes differ");
+                            assert_eq!(dirty, want_dirty, "{what}");
+                            // The states did not move, so a second sweep
+                            // keeps every byte and marks nothing dirty.
+                            dirty.clear();
+                            sweep(&states, &[var], &mut bytes, &mut dirty, &mut scores);
+                            assert!(bytes == want_bytes && dirty.is_empty(), "{what}: resweep");
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn dispatched_sweep_runs_the_optimizer_like_the_plain_body() {
+        let w = world();
+        println!("optimizer run: plain body vs dispatched sweep ({})", dispatched());
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let models: Vec<&dyn mpass_detectors::WhiteBoxModel> =
+            vec![&w.malconv, &w.nonneg, &w.malgcg];
+        let cfg = OptimizerConfig { lr: 0.12, iterations: 3 };
+        let mut rewritten = 0;
+        for s in w.ds.malware().into_iter().take(2) {
+            let mut plain_ms =
+                modify(s, &w.pool, &ModificationConfig::default(), &mut rng).unwrap();
+            let mut ms = plain_ms.clone();
+            let mut plain = EnsembleOptimizer::new(models.clone(), &plain_ms, cfg);
+            plain.probe.plain = true;
+            let mut opt = EnsembleOptimizer::new(models.clone(), &ms, cfg);
+            for round in 0..4 {
+                let want = plain.run(&mut plain_ms);
+                let got = opt.run(&mut ms);
+                assert!(ms.bytes == plain_ms.bytes, "{} round {round}: bytes differ", s.name);
+                assert_eq!(opt.probe.spans, plain.probe.spans, "{} round {round}", s.name);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} round {round}: loss", s.name);
+            }
+            rewritten += opt.probe.spans.iter().map(Vec::len).sum::<usize>();
+        }
+        assert!(rewritten > 0, "the sweeps never rewrote a byte");
     }
 
     /// The serial first-win scan `argmin256` must agree with.

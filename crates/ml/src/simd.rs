@@ -3,16 +3,19 @@
 //! The hot inference loops (conv windows, dense heads, token-table
 //! accumulation) all reduce to a few element-wise primitive shapes.
 //! Writing them once with `chunks_exact(LANES)` bodies over fixed-size
-//! lane groups gives LLVM a trip count it can turn into
-//! packed SSE/AVX arithmetic, with a scalar tail for ragged lengths —
-//! no `std::simd` (unstable) and no unsafe.
+//! lane groups gives LLVM a trip count it can turn into packed
+//! arithmetic, with a scalar tail for ragged lengths — no `std::simd`
+//! (unstable) and no unsafe. Under the default x86-64 target that is
+//! SSE2: these kernels are not compiled for AVX or dispatched at run time.
 //!
 //! Numerics contract: every kernel is element-wise, so it is
 //! **bit-identical** to the naive loop it replaces — chunking never
 //! re-associates a sum that lands in one output element.
 
-/// Lane-group width the chunked loops are written for. Eight f32 lanes
-/// fill one AVX register (or two SSE registers, which LLVM still packs).
+/// Lane-group width the chunked loops are written for. Under the default
+/// x86-64 target eight f32 lanes fill two SSE2 registers, which LLVM
+/// packs; they would fill one AVX register, but nothing here is built
+/// for AVX.
 pub const LANES: usize = 8;
 
 /// `y[i] += a * x[i]` — element-wise, bit-identical to the scalar loop.
