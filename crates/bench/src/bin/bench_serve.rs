@@ -23,52 +23,34 @@
 //!   can hold; reports how much was shed (typed refusals, no waiting)
 //!   and that the p99 of *admitted* requests stays bounded.
 //!
-//! A third tier times the inference kernels themselves — conv forward,
-//! linear forward, embedding lookup and GBDT predict — each as
-//! optimized-vs-scalar-reference *within one process*, so the reported
-//! speedup is a machine-independent ratio.
-//! `--gate PATH` compares those ratios (and the detector speedups)
-//! against a committed report and fails if any regresses more than 20%
-//! relative: the per-kernel regression gate CI runs on every push.
+//! A third tier times two inference kernels — conv forward and GBDT
+//! predict — each against the reference path it replaced, in the same
+//! process. Detector and kernel rows are [`PairRow`]s in tables
+//! `batched` and `kernel`; the daemon scenarios are reported, not gated.
 //!
-//! Usage:
+//! Usage (see [`mpass_bench::Cli`]):
 //!
 //! * `bench_serve` — measure and write `results/BENCH_serve.json`,
 //! * `--quick` — fewer repetitions (CI smoke; kernel reps stay high),
 //! * `--out PATH` — alternative output path,
 //! * `--gate PATH` — fail (exit 1) if any speedup ratio regressed >20%
-//!   against the report at PATH.
+//!   against the report at PATH ([`mpass_bench::check_gate`]).
 
-use mpass_bench::{bench_fixture, check_gate, time_pair_us, GateRow, GatedReport};
+use mpass_bench::{bench_corpus, Cli, PairRow};
 use mpass_detectors::train::training_pairs;
 use mpass_detectors::{
     ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig, NonNeg,
 };
-use mpass_ml::{Conv1d, Embedding, Gbdt, GbdtParams, Linear};
+use mpass_ml::{Conv1d, Gbdt, GbdtParams};
 use mpass_serve::{ReloadableModel, Response, ServeClient, Server, ServerConfig, TenantPolicy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Batched-vs-sequential classify cost for one detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ServeMeasurement {
-    /// Detector name.
-    name: String,
-    /// Items per pass (the whole bench corpus).
-    items: usize,
-    /// Sequential `classify` loop, microseconds per item.
-    sequential_us_per_item: f64,
-    /// One `classify_batch` call, microseconds per item.
-    batched_us_per_item: f64,
-    /// `sequential / batched` (higher means batching pays).
-    speedup: f64,
-}
-
 /// One end-to-end daemon load scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct DaemonMeasurement {
     /// Scenario tag (`daemon-sustained`, `daemon-overload`).
     scenario: String,
@@ -89,32 +71,13 @@ struct DaemonMeasurement {
     p99_ms: f64,
 }
 
-/// One inference-kernel micro-benchmark: the optimized path against the
-/// scalar reference it replaced, timed in the same process. The
-/// regression gate compares `speedup` — a ratio of two same-machine
-/// timings — rather than wall-clock, so it survives hardware variance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct KernelMeasurement {
-    /// Kernel tag (`conv-forward`, `linear-forward`, ...).
-    kernel: String,
-    /// What the optimized path is measured against.
-    reference: String,
-    /// Optimized path, microseconds per pass.
-    optimized_us: f64,
-    /// Scalar reference, microseconds per pass.
-    reference_us: f64,
-    /// `reference / optimized` (higher means the kernel pays).
-    speedup: f64,
-}
-
 /// The on-disk report consumed by the README throughput table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ServeReport {
     /// Fixture description (seeds are fixed inside the binary).
     fixture: String,
-    measurements: Vec<ServeMeasurement>,
-    /// Per-kernel optimized-vs-scalar ratios (the gated rows).
-    kernels: Vec<KernelMeasurement>,
+    /// Gated rows: per-detector batched speedups, then kernel ratios.
+    rows: Vec<PairRow>,
     /// End-to-end daemon scenarios (`mpass-serve` over Unix sockets).
     daemon: Vec<DaemonMeasurement>,
 }
@@ -122,9 +85,13 @@ struct ServeReport {
 const FIXTURE_DESC: &str = "corpus seed 0xBE7C4 (12+12), default detector configs, \
      train seed 1, classify over all 24 samples per pass";
 
-fn measure_detector(name: &str, det: &dyn Detector, items: &[&[u8]], reps: usize) -> ServeMeasurement {
+fn measure_detector(name: &str, det: &dyn Detector, items: &[&[u8]], reps: usize) -> PairRow {
     let mut out = Vec::with_capacity(items.len());
-    let (sequential, batched) = time_pair_us(
+    let row = PairRow::measure(
+        "batched",
+        name,
+        "sequential Detector::classify loop",
+        items.len(),
         reps,
         || {
             for bytes in items {
@@ -140,18 +107,11 @@ fn measure_detector(name: &str, det: &dyn Detector, items: &[&[u8]], reps: usize
     // The contract behind the speedup claim: identical verdicts.
     let seq_verdicts: Vec<_> = items.iter().map(|b| det.classify(b)).collect();
     assert_eq!(out, seq_verdicts, "{name}: classify_batch diverged from classify");
-    let n = items.len() as f64;
-    ServeMeasurement {
-        name: name.to_owned(),
-        items: items.len(),
-        sequential_us_per_item: sequential / n,
-        batched_us_per_item: batched / n,
-        speedup: sequential / batched,
-    }
+    row
 }
 
-fn measure(reps: usize) -> (Vec<ServeMeasurement>, MalConv, Vec<Vec<u8>>) {
-    let (ds, _pool) = bench_fixture();
+fn measure(reps: usize) -> (Vec<PairRow>, MalConv, Vec<Vec<u8>>) {
+    let ds = bench_corpus();
     let samples: Vec<_> = ds.samples.iter().collect();
     let pairs = training_pairs(&samples);
     let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -171,29 +131,10 @@ fn measure(reps: usize) -> (Vec<ServeMeasurement>, MalConv, Vec<Vec<u8>>) {
         ("MalGCG", &malgcg),
         ("LightGBM", &lightgbm),
     ];
-    let rows: Vec<ServeMeasurement> =
+    let rows: Vec<PairRow> =
         roster.iter().map(|(name, det)| measure_detector(name, *det, &items, reps)).collect();
     let payloads: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
     (rows, malconv, payloads)
-}
-
-/// One optimized-vs-reference kernel row, timed as interleaved
-/// min-of-reps pairs ([`time_pair_us`]).
-fn ratio_row(
-    kernel: &str,
-    reference: &str,
-    reps: usize,
-    optimized: impl FnMut(),
-    reference_pass: impl FnMut(),
-) -> KernelMeasurement {
-    let (ref_us, opt_us) = time_pair_us(reps, reference_pass, optimized);
-    KernelMeasurement {
-        kernel: kernel.to_owned(),
-        reference: reference.to_owned(),
-        optimized_us: opt_us,
-        reference_us: ref_us,
-        speedup: ref_us / opt_us,
-    }
 }
 
 /// Deterministic pseudo-weights/activations: no rng, identical across
@@ -202,13 +143,12 @@ fn ramp(n: usize, phase: f32) -> Vec<f32> {
     (0..n).map(|i| ((i as f32 + phase) * 0.137).sin() * 0.5).collect()
 }
 
-/// Micro-benchmark the inference kernels, each against the scalar
-/// reference it replaced. Kernel passes are cheap, so repetitions stay
-/// high even under `--quick` — the gate needs stable ratios more than
-/// the detector tier does.
-fn measure_kernels(reps: usize) -> Vec<KernelMeasurement> {
+/// Micro-benchmark two inference kernels, each against the reference
+/// path it replaced. Kernel passes are cheap, so repetitions stay high
+/// even under `--quick` — the gate needs stable ratios more than the
+/// detector tier does.
+fn measure_kernels(reps: usize) -> Vec<PairRow> {
     let reps = reps.max(50);
-    let mut rows = Vec::new();
 
     // MalConv-shaped convolution: 8 -> 16 channels, kernel 256, one pass
     // = 64 windows (a 16 KiB window's worth at stride 256).
@@ -224,10 +164,18 @@ fn measure_kernels(reps: usize) -> Vec<KernelMeasurement> {
     let x = ramp(windows * kernel * dim, 1.1);
     let mut opt_row = vec![0.0f32; filters];
     let mut ref_row = vec![0.0f32; filters];
-    rows.push(ratio_row(
+    let conv_row = PairRow::measure(
+        "kernel",
         "conv-forward",
         "scalar Conv1d::forward_window_into",
+        windows,
         reps,
+        || {
+            for w in 0..windows {
+                conv.forward_window_into(&x, w, &mut ref_row);
+                std::hint::black_box(&ref_row);
+            }
+        },
         || {
             // The batch paths hoist the transpose once per batch; one pass
             // here is one 64-window batch, so the copy pays its real share.
@@ -237,62 +185,7 @@ fn measure_kernels(reps: usize) -> Vec<KernelMeasurement> {
                 std::hint::black_box(&opt_row);
             }
         },
-        || {
-            for w in 0..windows {
-                conv.forward_window_into(&x, w, &mut ref_row);
-                std::hint::black_box(&ref_row);
-            }
-        },
-    ));
-
-    // A dense layer big enough to time: 256 -> 256, 16 calls per pass.
-    let (in_dim, out_dim, calls) = (256usize, 256usize, 16usize);
-    let lin = Linear::from_weights(
-        in_dim,
-        out_dim,
-        ramp(out_dim * in_dim, 0.9),
-        ramp(out_dim, 0.2),
     );
-    let lx = ramp(in_dim, 2.3);
-    let mut y = vec![0.0f32; out_dim];
-    rows.push(ratio_row(
-        "linear-forward",
-        "scalar allocating Linear::forward",
-        reps,
-        || {
-            let wt = lin.weight_xposed();
-            for _ in 0..calls {
-                lin.forward_xposed_into(&wt, std::hint::black_box(&lx), &mut y);
-                std::hint::black_box(&y);
-            }
-        },
-        || {
-            for _ in 0..calls {
-                std::hint::black_box(lin.forward(std::hint::black_box(&lx)));
-            }
-        },
-    ));
-
-    // Token embedding lookup over a 16 KiB stream: reused scratch buffer
-    // versus the allocating `Embedding::forward`.
-    let emb = Embedding::from_weights(257, dim, ramp(257 * dim, 3.1));
-    let tokens: Vec<usize> = (0..16 * 1024).map(|i| (i * 31) % 256 + 1).collect();
-    let mut ex = vec![0.0f32; tokens.len() * dim];
-    rows.push(ratio_row(
-        "embedding-lookup",
-        "allocating Embedding::forward",
-        reps,
-        || {
-            // Batch-path idiom: one buffer reused across every item.
-            for (chunk, &t) in ex.chunks_exact_mut(dim).zip(&tokens) {
-                chunk.copy_from_slice(emb.vector(t));
-            }
-            std::hint::black_box(&ex);
-        },
-        || {
-            std::hint::black_box(emb.forward(std::hint::black_box(&tokens)));
-        },
-    ));
 
     // GBDT predict: flattened node-array traversal versus the
     // pointer-chasing tree walk, over 64 feature vectors per pass.
@@ -308,41 +201,25 @@ fn measure_kernels(reps: usize) -> Vec<KernelMeasurement> {
             "flattened GBDT diverged from the tree walk"
         );
     }
-    rows.push(ratio_row(
+    let gbdt_row = PairRow::measure(
+        "kernel",
         "gbdt-predict",
         "pointer-chasing Gbdt::logit_treewalk",
+        feats.len(),
         reps,
-        || {
-            for f in &feats {
-                std::hint::black_box(gbdt.logit(std::hint::black_box(f)));
-            }
-        },
         || {
             for f in &feats {
                 std::hint::black_box(gbdt.logit_treewalk(std::hint::black_box(f)));
             }
         },
-    ));
+        || {
+            for f in &feats {
+                std::hint::black_box(gbdt.logit(std::hint::black_box(f)));
+            }
+        },
+    );
 
-    rows
-}
-
-/// Gated rows: every detector's batched speedup and every kernel's
-/// optimized-vs-reference ratio, compared by [`mpass_bench::check_gate`].
-impl GatedReport for ServeReport {
-    fn gate_rows(&self) -> Vec<GateRow> {
-        let detectors = self.measurements.iter().map(|m| GateRow {
-            what: "batched",
-            name: m.name.clone(),
-            speedup: m.speedup,
-        });
-        let kernels = self.kernels.iter().map(|k| GateRow {
-            what: "kernel",
-            name: k.kernel.clone(),
-            speedup: k.speedup,
-        });
-        detectors.chain(kernels).collect()
-    }
+    vec![conv_row, gbdt_row]
 }
 
 /// Run one daemon scenario: boot `mpass-serve` over `model`, hammer it
@@ -451,37 +328,12 @@ fn measure_daemons(quick: bool, malconv: MalConv, payloads: Vec<Vec<u8>>) -> Vec
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("results/BENCH_serve.json")
-        .to_owned();
-    let gate = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let reps = if quick { 3 } else { 15 };
+    let cli = Cli::parse("results/BENCH_serve.json");
+    let reps = if cli.quick { 3 } else { 15 };
 
-    let (measurements, malconv, payloads) = measure(reps);
-    for m in &measurements {
-        eprintln!(
-            "{:<13} sequential {:>8.1} us/item  batched {:>8.1} us/item  speedup {:.2}x",
-            m.name, m.sequential_us_per_item, m.batched_us_per_item, m.speedup
-        );
-    }
-    let kernels = measure_kernels(reps);
-    for k in &kernels {
-        eprintln!(
-            "{:<20} optimized {:>8.1} us/pass  reference {:>8.1} us/pass  speedup {:.2}x",
-            k.kernel, k.optimized_us, k.reference_us, k.speedup
-        );
-    }
-    let daemon = measure_daemons(quick, malconv, payloads);
+    let (mut rows, malconv, payloads) = measure(reps);
+    rows.extend(measure_kernels(reps));
+    let daemon = measure_daemons(cli.quick, malconv, payloads);
     for d in &daemon {
         eprintln!(
             "{:<17} clients {:>2}  requests {:>4}  completed {:>4}  shed {:>4}  \
@@ -491,26 +343,6 @@ fn main() {
         );
     }
 
-    let report = ServeReport { fixture: FIXTURE_DESC.to_owned(), measurements, kernels, daemon };
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| {
-        eprintln!("could not write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {out}");
-
-    if let Some(baseline) = gate {
-        match check_gate(&report, &baseline) {
-            Ok(checked) => println!("gate vs {baseline}: {checked} rows within 20% of baseline"),
-            Err(failures) => {
-                for f in &failures {
-                    eprintln!("GATE FAIL {f}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
+    let report = ServeReport { fixture: FIXTURE_DESC.to_owned(), rows, daemon };
+    cli.finish(&report, &report.rows);
 }

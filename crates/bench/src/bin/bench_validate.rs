@@ -20,47 +20,27 @@
 //!   its halt, stacking early-abort on top of amortization,
 //! * `mixed-wave` — half and half, the realistic campaign mix.
 //!
-//! Both paths are timed in the same process over the same bytes, so the
-//! reported `speedup` is a machine-independent ratio. `--gate PATH`
-//! fails (exit 1) if any wave's speedup regressed more than 20% relative
-//! to a committed report — the same regression contract as
-//! `bench_serve`.
-//!
-//! Usage:
+//! Both paths are timed in the same process over the same bytes, one
+//! [`PairRow`] per wave in table `digest`. Usage (see
+//! [`mpass_bench::Cli`]):
 //!
 //! * `bench_validate` — measure and write `results/BENCH_validate.json`,
 //! * `--quick` — fewer repetitions (CI smoke),
 //! * `--out PATH` — alternative output path,
-//! * `--gate PATH` — fail if a speedup regressed >20% vs the report at
-//!   PATH.
+//! * `--gate PATH` — fail (exit 1) if a wave's speedup regressed >20%
+//!   against the report at PATH ([`mpass_bench::check_gate`]).
 
-use mpass_bench::{bench_fixture, check_gate, time_pair_us, GateRow, GatedReport};
+use mpass_bench::{bench_corpus, Cli, PairRow};
 use mpass_sandbox::{FunctionalityVerdict, Sandbox};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::hint::black_box;
 
-/// Full-trace vs digest validation cost for one candidate wave.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ValidateMeasurement {
-    /// Wave tag (`preserved-wave`, `diverging-wave`, `mixed-wave`).
-    name: String,
-    /// Candidates validated per pass.
-    candidates: usize,
-    /// Pre-redesign path: re-run original + run candidate + compare
-    /// trace vectors, microseconds per candidate.
-    full_trace_us_per_candidate: f64,
-    /// Digest path: baseline once, comparing-sink replay per candidate,
-    /// microseconds per candidate.
-    digest_us_per_candidate: f64,
-    /// `full_trace / digest` (higher means the digest path pays).
-    speedup: f64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ValidateReport {
     /// Human description of the fixture the numbers were taken on.
     fixture: String,
-    measurements: Vec<ValidateMeasurement>,
+    /// One digest-vs-full-trace row per wave, µs per candidate.
+    rows: Vec<PairRow>,
 }
 
 const FIXTURE_DESC: &str = "two originals x 48-candidate waves: corpus- rows use bench sample \
@@ -143,7 +123,7 @@ fn measure_wave(
     original: &[u8],
     candidates: &[Vec<u8>],
     reps: usize,
-) -> ValidateMeasurement {
+) -> PairRow {
     let refs: Vec<&[u8]> = candidates.iter().map(Vec::as_slice).collect();
     // Correctness first, outside the timed region: both paths must agree
     // on which candidates preserve functionality.
@@ -158,7 +138,11 @@ fn measure_wave(
         );
     }
 
-    let (full_us, digest_us) = time_pair_us(
+    PairRow::measure(
+        "digest",
+        name,
+        "full-trace re-run of original and candidate",
+        refs.len(),
         reps,
         || {
             for c in &refs {
@@ -169,19 +153,11 @@ fn measure_wave(
             let baseline = sb.baseline_digest(original).expect("bench original parses");
             black_box(sb.validate_batch(&baseline, &refs));
         },
-    );
-    let n = refs.len() as f64;
-    ValidateMeasurement {
-        name: name.to_owned(),
-        candidates: refs.len(),
-        full_trace_us_per_candidate: full_us / n,
-        digest_us_per_candidate: digest_us / n,
-        speedup: full_us / digest_us,
-    }
+    )
 }
 
-fn measure(reps: usize) -> Vec<ValidateMeasurement> {
-    let (ds, _pool) = bench_fixture();
+fn measure(reps: usize) -> Vec<PairRow> {
+    let ds = bench_corpus();
     let sb = Sandbox::new();
     const WAVE: u32 = 48;
 
@@ -238,62 +214,9 @@ fn measure(reps: usize) -> Vec<ValidateMeasurement> {
     rows
 }
 
-/// Same clamp-then-compare contract as `bench_serve`
-/// ([`mpass_bench::check_gate`]).
-impl GatedReport for ValidateReport {
-    fn gate_rows(&self) -> Vec<GateRow> {
-        self.measurements
-            .iter()
-            .map(|m| GateRow { what: "digest", name: m.name.clone(), speedup: m.speedup })
-            .collect()
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("results/BENCH_validate.json")
-        .to_owned();
-    let gate = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let reps = if quick { 5 } else { 25 };
-
-    let measurements = measure(reps);
-    for m in &measurements {
-        eprintln!(
-            "{:<22} full-trace {:>8.1} us/cand  digest {:>8.1} us/cand  speedup {:.2}x",
-            m.name, m.full_trace_us_per_candidate, m.digest_us_per_candidate, m.speedup
-        );
-    }
-
-    let report = ValidateReport { fixture: FIXTURE_DESC.to_owned(), measurements };
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| {
-        eprintln!("could not write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {out}");
-
-    if let Some(baseline) = gate {
-        match check_gate(&report, &baseline) {
-            Ok(checked) => println!("gate vs {baseline}: {checked} rows within 20% of baseline"),
-            Err(failures) => {
-                for f in &failures {
-                    eprintln!("GATE FAIL {f}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
+    let cli = Cli::parse("results/BENCH_validate.json");
+    let rows = measure(if cli.quick { 5 } else { 25 });
+    let report = ValidateReport { fixture: FIXTURE_DESC.to_owned(), rows };
+    cli.finish(&report, &report.rows);
 }

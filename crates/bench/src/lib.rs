@@ -1,49 +1,38 @@
-//! # mpass-bench — benchmark support
+//! # mpass-bench — gated reference-vs-optimized reports
 //!
-//! The benches live in `benches/`:
+//! Two report binaries time optimized paths against a live reference in
+//! the same process:
 //!
-//! * `substrates` — PE parse/serialize, MVM execution, stub layouting.
-//! * `detectors` — per-detector inference latency and training epochs.
-//! * `attack_pipeline` — modification, optimization and full MPass attack
-//!   cost per sample.
-//! * `paper_tables` — one benchmark group per paper table/figure, running
-//!   the corresponding experiment at reduced scale and reporting the
-//!   regenerated numbers via `eprintln!` alongside the timing.
+//! * `bench_serve` — batched vs sequential scoring per roster detector,
+//!   the conv-forward and GBDT-predict kernels, plus two ungated daemon
+//!   load scenarios,
+//! * `bench_validate` — digest validation vs full-trace comparison over
+//!   six candidate waves.
 //!
-//! This library crate hosts what the benches and the report binaries
-//! share: the corpus fixture, the interleaved pair timer
-//! ([`time_pair_us`]) and the speedup regression gate ([`check_gate`]).
+//! Every gated measurement is one [`PairRow`], timed by the interleaved
+//! pair timer ([`time_pair_us`]) and compared against a committed report
+//! by one regression gate ([`check_gate`]). Both binaries share one
+//! command line and one write-and-gate tail ([`Cli`]). End-to-end and
+//! per-layer timings of the attack itself live in `perfbench/`.
 
-use mpass_corpus::{BenignPool, CorpusConfig, Dataset};
-use serde::Deserialize;
+use mpass_corpus::{CorpusConfig, Dataset};
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// A small deterministic corpus + pool fixture shared by the benches.
-pub fn bench_fixture() -> (Dataset, BenignPool) {
-    let ds = Dataset::generate(&CorpusConfig {
+/// The small deterministic corpus both binaries measure on.
+pub fn bench_corpus() -> Dataset {
+    Dataset::generate(&CorpusConfig {
         n_malware: 12,
         n_benign: 12,
         seed: 0xBE7C4,
         no_slack_fraction: 0.1,
-    });
-    let pool = BenignPool::generate(4, 0xBE7C4);
-    (ds, pool)
+    })
 }
 
 /// Interleaved min-of-reps timing of two alternatives, in microseconds:
 /// every repetition times one pass of `a` then one pass of `b`, so a
-/// machine-load burst lands on both alike — and the per-variant
-/// *minimum* (the least-interfered-with pass) then discards it. Every
-/// gated report row is a speedup *ratio* of the two, and this pairing
-/// is what keeps the ratio reproducible on a shared box, where a median
-/// drifts with whatever else the machine is doing.
-///
-/// `#[inline]` lets both passes inline into the calling binary, where
-/// its constants (kernel shapes, row widths) stay visible to the
-/// optimizer: without it, a 32-byte row copy in `bench_serve`'s
-/// embedding-lookup pass compiles to a `memcpy` call and the row reads
-/// ~1.0× instead of ~1.7×.
-#[inline]
+/// short machine-load burst lands on both alike — and the per-variant
+/// *minimum* (the least-interfered-with pass) then discards it.
 pub fn time_pair_us(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
     let mut a_us = f64::INFINITY;
     let mut b_us = f64::INFINITY;
@@ -58,6 +47,55 @@ pub fn time_pair_us(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f
     (a_us, b_us)
 }
 
+/// One gated measurement: an optimized path against the live reference
+/// it replaced, timed in the same process over the same inputs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PairRow {
+    /// Report table the row sits in (`batched`, `kernel`, `digest`); with
+    /// `name`, the key the gate matches rows by.
+    pub table: String,
+    /// Row name within its table (detector name, kernel tag, wave tag).
+    pub name: String,
+    /// What the optimized path is measured against.
+    pub reference: String,
+    /// Units per timed pass (samples, conv windows, feature vectors,
+    /// candidates).
+    pub items: usize,
+    /// Reference path, microseconds per unit.
+    pub reference_us: f64,
+    /// Optimized path, microseconds per unit.
+    pub optimized_us: f64,
+    /// `reference / optimized` (higher means the optimized path pays).
+    pub speedup: f64,
+}
+
+impl PairRow {
+    /// Time one pass of `reference_pass` against one of `optimized_pass`,
+    /// interleaved over `reps` repetitions ([`time_pair_us`]); each pass
+    /// covers `items` units.
+    pub fn measure(
+        table: &str,
+        name: &str,
+        reference: &str,
+        items: usize,
+        reps: usize,
+        reference_pass: impl FnMut(),
+        optimized_pass: impl FnMut(),
+    ) -> PairRow {
+        let (ref_us, opt_us) = time_pair_us(reps, reference_pass, optimized_pass);
+        let n = items as f64;
+        PairRow {
+            table: table.to_owned(),
+            name: name.to_owned(),
+            reference: reference.to_owned(),
+            items,
+            reference_us: ref_us / n,
+            optimized_us: opt_us / n,
+            speedup: ref_us / opt_us,
+        }
+    }
+}
+
 /// Both sides of a gated ratio are clamped to this before comparing. A
 /// 19× kernel dividing a multi-millisecond reference by a ~200 µs
 /// optimized pass swings ±25% with timer noise alone, and a drop from
@@ -69,75 +107,145 @@ const GATE_SPEEDUP_CAP: f64 = 8.0;
 /// Share of its clamped baseline ratio a row must keep to pass.
 const GATE_MIN_SHARE: f64 = 0.8;
 
-/// One gated report row: a same-process speedup ratio, keyed by the
-/// report table it sits in and its name there.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateRow {
-    /// What the ratio measures (`batched`, `kernel`, `digest`), used as
-    /// the table key and in failure messages.
-    pub what: &'static str,
-    /// Row name within its table (detector name, kernel tag, wave tag).
-    pub name: String,
-    /// `reference / optimized` timing ratio.
-    pub speedup: f64,
-}
-
-/// A bench report whose ratio rows can be gated against a committed one.
-pub trait GatedReport: Deserialize {
-    /// Every gated row of the report.
-    fn gate_rows(&self) -> Vec<GateRow>;
-}
-
-/// Compare `current` rows against `baseline` rows: every row present in
-/// both (same `what` and `name`) must keep at least [`GATE_MIN_SHARE`]
-/// of its baseline speedup, after clamping both sides to
-/// [`GATE_SPEEDUP_CAP`]. Rows missing from either side are skipped.
-/// Only same-process ratios are gated — never raw microseconds — so the
-/// gate holds across machines. Returns the number of rows checked, or
-/// one message per regressed row.
-fn compare_gate_rows(current: &[GateRow], baseline: &[GateRow]) -> Result<usize, Vec<String>> {
+/// Compare `current` rows against `baseline` rows matched by `table` and
+/// `name`: every baseline row must have a current counterpart that keeps
+/// at least [`GATE_MIN_SHARE`] of its baseline speedup, after clamping
+/// both sides to [`GATE_SPEEDUP_CAP`]. A current row absent from the
+/// baseline is allowed (a new row), and checking no row at all fails.
+/// Only same-process ratios are gated — never raw microseconds. Returns
+/// the number of rows checked, or one message per failure.
+fn compare_gate_rows(current: &[PairRow], baseline: &[PairRow]) -> Result<usize, Vec<String>> {
     let mut failures = Vec::new();
-    let mut checked = 0usize;
     for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.what == base.what && c.name == base.name)
+        let Some(cur) = current.iter().find(|c| c.table == base.table && c.name == base.name)
         else {
+            failures
+                .push(format!("{}: {} row missing from the current report", base.name, base.table));
             continue;
         };
-        checked += 1;
         let (cur_s, base_s) =
             (cur.speedup.min(GATE_SPEEDUP_CAP), base.speedup.min(GATE_SPEEDUP_CAP));
         if cur_s < base_s * GATE_MIN_SHARE {
             failures.push(format!(
                 "{}: {} speedup {:.2}x fell >20% below baseline {:.2}x",
-                base.name, base.what, cur.speedup, base.speedup
+                base.name, base.table, cur.speedup, base.speedup
             ));
         }
     }
+    if baseline.is_empty() {
+        failures.push("baseline has no rows: the gate would check nothing".to_owned());
+    }
     if failures.is_empty() {
-        Ok(checked)
+        Ok(baseline.len())
     } else {
         Err(failures)
     }
 }
 
-/// Gate `report` against the committed report at `path`: every row
-/// present in both must keep at least 80% of its baseline speedup, after
-/// clamping both sides to 8×. An unreadable or unparsable baseline is an
-/// error, never a silent pass.
-pub fn check_gate<R: GatedReport>(report: &R, path: &str) -> Result<usize, Vec<String>> {
+/// The gated part of a committed report: its `rows`. Every other field
+/// (`fixture`, `daemon`, ...) is ignored.
+#[derive(Deserialize)]
+struct Baseline {
+    rows: Vec<PairRow>,
+}
+
+/// Gate `rows` against the `rows` of the committed report at `path`:
+/// every committed row must be present and keep at least 80% of its
+/// speedup, after clamping both sides to 8×, and at least one row must be
+/// checked. An unreadable or unparsable baseline is an error, never a
+/// silent pass.
+pub fn check_gate(rows: &[PairRow], path: &str) -> Result<usize, Vec<String>> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| vec![format!("cannot read gate baseline {path}: {e}")])?;
-    let base: R =
+    let base: Baseline =
         serde_json::from_str(&text).map_err(|e| vec![format!("bad gate baseline {path}: {e}")])?;
-    compare_gate_rows(&report.gate_rows(), &base.gate_rows())
+    compare_gate_rows(rows, &base.rows)
+}
+
+/// The command line both report binaries accept: `--quick` (fewer
+/// repetitions, the CI smoke setting), `--out PATH` (where to write the
+/// report) and `--gate PATH` (exit 1 if a row regressed against the
+/// report at PATH).
+#[derive(Debug, PartialEq)]
+pub struct Cli {
+    /// `--quick` was given.
+    pub quick: bool,
+    out: String,
+    gate: Option<String>,
+}
+
+impl Cli {
+    /// Parse the process arguments, writing to `default_out` unless
+    /// `--out` is given. Exits 2 on anything else.
+    pub fn parse(default_out: &str) -> Cli {
+        Cli::from_args(std::env::args().skip(1), default_out).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: [--quick] [--out PATH] [--gate PATH]");
+            std::process::exit(2);
+        })
+    }
+
+    fn from_args(args: impl IntoIterator<Item = String>, default_out: &str) -> Result<Cli, String> {
+        let mut cli = Cli { quick: false, out: default_out.to_owned(), gate: None };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or(format!("{arg} needs a path"));
+            match arg.as_str() {
+                "--quick" => cli.quick = true,
+                "--out" => cli.out = value()?,
+                "--gate" => cli.gate = Some(value()?),
+                _ => return Err(format!("unknown argument {arg}")),
+            }
+        }
+        Ok(cli)
+    }
+
+    /// Print `rows`, write `report` as pretty JSON to the output path,
+    /// then gate `rows` if `--gate` was given. Exits 1 if the report
+    /// cannot be written or the gate fails.
+    pub fn finish(&self, report: &impl Serialize, rows: &[PairRow]) {
+        for r in rows {
+            eprintln!(
+                "{:<7} {:<22} reference {:>9.2} us/item  optimized {:>9.2} us/item  speedup {:.2}x",
+                r.table, r.name, r.reference_us, r.optimized_us, r.speedup
+            );
+        }
+        if let Some(parent) = std::path::Path::new(&self.out).parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        let json = serde_json::to_string_pretty(report).expect("report serializes");
+        std::fs::write(&self.out, json + "\n").unwrap_or_else(|e| {
+            eprintln!("could not write {}: {e}", self.out);
+            std::process::exit(1);
+        });
+        println!("wrote {}", self.out);
+
+        let Some(baseline) = &self.gate else { return };
+        match check_gate(rows, baseline) {
+            Ok(checked) => println!("gate vs {baseline}: {checked} rows within 20% of baseline"),
+            Err(failures) => {
+                for f in &failures {
+                    eprintln!("GATE FAIL {f}");
+                }
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn row(what: &'static str, name: &str, speedup: f64) -> GateRow {
-        GateRow { what, name: name.to_owned(), speedup }
+    fn row(table: &str, name: &str, speedup: f64) -> PairRow {
+        PairRow {
+            table: table.to_owned(),
+            name: name.to_owned(),
+            reference: String::new(),
+            items: 1,
+            reference_us: speedup,
+            optimized_us: 1.0,
+            speedup,
+        }
     }
 
     #[test]
@@ -167,41 +275,101 @@ mod tests {
     }
 
     #[test]
-    fn rows_missing_from_either_report_are_skipped() {
-        let current = [row("batched", "MalConv", 0.5), row("kernel", "new-kernel", 0.1)];
+    fn baseline_rows_without_a_current_row_fail() {
+        let current = [row("batched", "MalConv", 5.0), row("kernel", "new-kernel", 0.1)];
+        // A current row the baseline lacks is a new row: allowed.
+        assert_eq!(compare_gate_rows(&current, &[row("batched", "MalConv", 5.0)]), Ok(1));
+        // A baseline row the current report lacks (renamed, dropped, or
+        // moved to another table) is a failure, not a skip.
         let baseline = [row("batched", "Retired", 5.0), row("kernel", "MalConv", 5.0)];
-        // No (what, name) pair appears on both sides: nothing checked.
-        assert_eq!(compare_gate_rows(&current, &baseline), Ok(0));
-        assert_eq!(compare_gate_rows(&[], &baseline), Ok(0));
-        assert_eq!(compare_gate_rows(&current, &[]), Ok(0));
-    }
-
-    #[derive(Deserialize)]
-    struct Report {
-        speedup: f64,
-    }
-
-    impl GatedReport for Report {
-        fn gate_rows(&self) -> Vec<GateRow> {
-            vec![row("digest", "wave", self.speedup)]
-        }
+        let err = compare_gate_rows(&current, &baseline).unwrap_err();
+        assert_eq!(
+            err,
+            vec![
+                "Retired: batched row missing from the current report",
+                "MalConv: kernel row missing from the current report",
+            ]
+        );
+        assert_eq!(compare_gate_rows(&[], &baseline).unwrap_err().len(), 2);
+        // Checking nothing is a failure too.
+        let err = compare_gate_rows(&current, &[]).unwrap_err();
+        assert_eq!(err, vec!["baseline has no rows: the gate would check nothing"]);
     }
 
     #[test]
     fn an_unreadable_baseline_is_an_error() {
-        let report = Report { speedup: 2.0 };
+        let rows = [row("digest", "wave", 2.0)];
         let dir = std::env::temp_dir().join(format!("mpass-bench-gate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let missing = dir.join("missing.json");
-        let err = check_gate(&report, missing.to_str().unwrap()).unwrap_err();
+        let err = check_gate(&rows, missing.to_str().unwrap()).unwrap_err();
         assert!(err[0].starts_with("cannot read gate baseline"), "{err:?}");
         let garbled = dir.join("garbled.json");
         std::fs::write(&garbled, "{not json").unwrap();
-        let err = check_gate(&report, garbled.to_str().unwrap()).unwrap_err();
+        let err = check_gate(&rows, garbled.to_str().unwrap()).unwrap_err();
         assert!(err[0].starts_with("bad gate baseline"), "{err:?}");
+        // Fields beside `rows` are ignored; an empty `rows` checks nothing.
         let good = dir.join("good.json");
-        std::fs::write(&good, r#"{"speedup":2.4}"#).unwrap();
-        assert_eq!(check_gate(&report, good.to_str().unwrap()), Ok(1));
+        std::fs::write(&good, r#"{"fixture":"f","daemon":[],"rows":[]}"#).unwrap();
+        let err = check_gate(&rows, good.to_str().unwrap()).unwrap_err();
+        assert_eq!(err, vec!["baseline has no rows: the gate would check nothing"]);
+        let rows_json = serde_json::to_string(&rows).unwrap();
+        let report = format!(r#"{{"fixture":"f","rows":{rows_json}}}"#);
+        std::fs::write(&good, report).unwrap();
+        assert_eq!(check_gate(&rows, good.to_str().unwrap()), Ok(1));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_command_line_is_quick_out_and_gate() {
+        let parse = |args: &[&str]| Cli::from_args(args.iter().map(|a| a.to_string()), "d.json");
+        let cli = parse(&["--gate", "b.json", "--quick", "--out", "o.json"]).unwrap();
+        assert_eq!(
+            cli,
+            Cli { quick: true, out: "o.json".to_owned(), gate: Some("b.json".to_owned()) }
+        );
+        assert_eq!(parse(&[]).unwrap(), Cli { quick: false, out: "d.json".to_owned(), gate: None });
+        assert_eq!(parse(&["--out"]).unwrap_err(), "--out needs a path");
+        let err = parse(&["--record-baseline"]).unwrap_err();
+        assert_eq!(err, "unknown argument --record-baseline");
+    }
+
+    /// The committed reports the CI gate compares against: every kept
+    /// row present under its table, so a rename cannot leave a row
+    /// silently ungated.
+    #[test]
+    fn committed_reports_gate_the_expected_rows() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let gated = |file: &str| {
+            let path = results.join(file);
+            let path = path.to_str().unwrap();
+            let text = std::fs::read_to_string(path).unwrap();
+            let base: Baseline = serde_json::from_str(&text).unwrap();
+            // A report gates cleanly against itself.
+            assert_eq!(check_gate(&base.rows, path), Ok(base.rows.len()), "{file}");
+            base.rows.iter().map(|r| format!("{}/{}", r.table, r.name)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            gated("BENCH_serve.json"),
+            [
+                "batched/MalConv",
+                "batched/NonNeg",
+                "batched/MalGCG",
+                "batched/LightGBM",
+                "kernel/conv-forward",
+                "kernel/gbdt-predict",
+            ]
+        );
+        assert_eq!(
+            gated("BENCH_validate.json"),
+            [
+                "digest/corpus-preserved-wave",
+                "digest/corpus-diverging-wave",
+                "digest/corpus-mixed-wave",
+                "digest/hot-preserved-wave",
+                "digest/hot-diverging-wave",
+                "digest/hot-mixed-wave",
+            ]
+        );
     }
 }

@@ -53,9 +53,8 @@ impl Linear {
 
     /// Component-major (transposed) copy of the weights, `wt[i][o]`
     /// flattened — the layout [`Linear::forward`] streams through
-    /// [`simd::axpy`]. Exposed so batch paths can hoist the transpose out
-    /// of per-item loops.
-    pub fn weight_xposed(&self) -> Vec<f32> {
+    /// [`simd::axpy`].
+    fn weight_xposed(&self) -> Vec<f32> {
         let mut wt = vec![0.0f32; self.in_dim * self.out_dim];
         for o in 0..self.out_dim {
             let row = &self.weight.w[o * self.in_dim..(o + 1) * self.in_dim];
@@ -75,7 +74,7 @@ impl Linear {
     /// # Panics
     ///
     /// Panics when `x`, `y`, or `wt` shapes mismatch the layer.
-    pub fn forward_xposed_into(&self, wt: &[f32], x: &[f32], y: &mut [f32]) {
+    fn forward_xposed_into(&self, wt: &[f32], x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim, "linear input dimension mismatch");
         assert_eq!(y.len(), self.out_dim, "linear output dimension mismatch");
         assert_eq!(wt.len(), self.in_dim * self.out_dim, "transposed weight shape mismatch");
