@@ -58,13 +58,7 @@ impl Attack for RandomData {
     }
 
     fn attack(&mut self, sample: &Sample, target: &mut HardLabelTarget<'_>) -> AttackOutcome {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.seed
-                ^ sample
-                    .name
-                    .bytes()
-                    .fold(0u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3)),
-        );
+        let mut rng = crate::sample_rng(self.seed, sample);
         let original_size = sample.size();
         let mut last_size = original_size;
         for _ in 0..self.attempts {
@@ -82,14 +76,7 @@ impl Attack for RandomData {
                 Err(_) => break,
             }
         }
-        AttackOutcome {
-            sample: sample.name.clone(),
-            evaded: false,
-            queries: target.queries(),
-            adversarial: None,
-            original_size,
-            final_size: last_size,
-        }
+        AttackOutcome::failed(sample, target.queries(), original_size, last_size)
     }
 }
 

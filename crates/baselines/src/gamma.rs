@@ -101,13 +101,7 @@ impl Attack for Gamma {
     }
 
     fn attack(&mut self, sample: &Sample, target: &mut HardLabelTarget<'_>) -> AttackOutcome {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.cfg.seed
-                ^ sample
-                    .name
-                    .bytes()
-                    .fold(0u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3)),
-        );
+        let mut rng = crate::sample_rng(self.cfg.seed, sample);
         let original_size = sample.size();
         let mut last_size = original_size;
         // Initial population: random usage vectors biased high (GAMMA
@@ -185,14 +179,7 @@ fn finish(
 ) -> AttackOutcome {
     match best {
         Some((_, bytes)) => AttackOutcome::evaded(sample, target.queries(), bytes, original_size),
-        None => AttackOutcome {
-            sample: sample.name.clone(),
-            evaded: false,
-            queries: target.queries(),
-            adversarial: None,
-            original_size,
-            final_size: last_size,
-        },
+        None => AttackOutcome::failed(sample, target.queries(), original_size, last_size),
     }
 }
 

@@ -48,3 +48,15 @@ pub use mab::{Mab, MabConfig};
 pub use malrnn::{ByteLm, MalRnn, MalRnnConfig};
 pub use packers::{benign_packer_profile, packer_profiles, Packer, PackerProfile};
 pub use rla::{Rla, RlaConfig};
+
+use mpass_corpus::Sample;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// The per-sample random stream of a baseline attack: its base `seed`
+/// folded with an FNV-style hash of the sample name, so every sample's
+/// attack is reproducible on its own.
+fn sample_rng(seed: u64, sample: &Sample) -> ChaCha8Rng {
+    let h = sample.name.bytes().fold(0u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+    ChaCha8Rng::seed_from_u64(seed ^ h)
+}

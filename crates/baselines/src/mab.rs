@@ -14,7 +14,6 @@ use mpass_core::{Attack, AttackOutcome, HardLabelTarget};
 use mpass_corpus::{BenignPool, Sample};
 use mpass_detectors::Verdict;
 use rand::Rng;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -121,26 +120,13 @@ impl Attack for Mab {
     }
 
     fn attack(&mut self, sample: &Sample, target: &mut HardLabelTarget<'_>) -> AttackOutcome {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.cfg.seed
-                ^ sample
-                    .name
-                    .bytes()
-                    .fold(0u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3)),
-        );
+        let mut rng = crate::sample_rng(self.cfg.seed, sample);
         let original_size = sample.size();
         let mut last_size = original_size;
         // PE-only baseline: non-PE containers are out of this attack's
         // action space and count as a failed attempt.
         let Some(base) = sample.pe() else {
-            return AttackOutcome {
-                sample: sample.name.clone(),
-                evaded: false,
-                queries: target.queries(),
-                adversarial: None,
-                original_size,
-                final_size: original_size,
-            };
+            return AttackOutcome::failed(sample, target.queries(), original_size, original_size);
         };
         loop {
             let mut pe = base.clone();
@@ -163,26 +149,17 @@ impl Attack for Mab {
                         self.arms[arm].beta += 0.3;
                     }
                     Err(_) => {
-                        return AttackOutcome {
-                            sample: sample.name.clone(),
-                            evaded: false,
-                            queries: target.queries(),
-                            adversarial: None,
+                        return AttackOutcome::failed(
+                            sample,
+                            target.queries(),
                             original_size,
-                            final_size: last_size,
-                        };
+                            last_size,
+                        );
                     }
                 }
             }
             if target.remaining() == 0 {
-                return AttackOutcome {
-                    sample: sample.name.clone(),
-                    evaded: false,
-                    queries: target.queries(),
-                    adversarial: None,
-                    original_size,
-                    final_size: last_size,
-                };
+                return AttackOutcome::failed(sample, target.queries(), original_size, last_size);
             }
         }
     }
@@ -194,6 +171,7 @@ mod tests {
     use mpass_corpus::{CorpusConfig, Dataset};
     use mpass_detectors::Detector;
     use mpass_sandbox::Sandbox;
+    use rand::SeedableRng;
 
     struct OverlayWeakness;
     impl Detector for OverlayWeakness {

@@ -159,26 +159,13 @@ impl Attack for MalRnn {
     }
 
     fn attack(&mut self, sample: &Sample, target: &mut HardLabelTarget<'_>) -> AttackOutcome {
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.cfg.seed
-                ^ sample
-                    .name
-                    .bytes()
-                    .fold(0u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3)),
-        );
+        let mut rng = crate::sample_rng(self.cfg.seed, sample);
         let original_size = sample.size();
         let mut last_size = original_size;
         // PE-only baseline: non-PE containers are out of this attack's
         // action space and count as a failed attempt.
         let Some(base) = sample.pe() else {
-            return AttackOutcome {
-                sample: sample.name.clone(),
-                evaded: false,
-                queries: target.queries(),
-                adversarial: None,
-                original_size,
-                final_size: original_size,
-            };
+            return AttackOutcome::failed(sample, target.queries(), original_size, original_size);
         };
         loop {
             let mut pe = base.clone();
@@ -200,26 +187,17 @@ impl Attack for MalRnn {
                     }
                     Ok(Verdict::Malicious) => {}
                     Err(_) => {
-                        return AttackOutcome {
-                            sample: sample.name.clone(),
-                            evaded: false,
-                            queries: target.queries(),
-                            adversarial: None,
+                        return AttackOutcome::failed(
+                            sample,
+                            target.queries(),
                             original_size,
-                            final_size: last_size,
-                        }
+                            last_size,
+                        )
                     }
                 }
             }
             if target.remaining() == 0 {
-                return AttackOutcome {
-                    sample: sample.name.clone(),
-                    evaded: false,
-                    queries: target.queries(),
-                    adversarial: None,
-                    original_size,
-                    final_size: last_size,
-                };
+                return AttackOutcome::failed(sample, target.queries(), original_size, last_size);
             }
         }
     }

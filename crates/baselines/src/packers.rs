@@ -163,25 +163,13 @@ impl Attack for Packer {
         // PE-only baseline: non-PE containers fail to pack.
         match sample.pe().ok_or(()).and_then(|pe| self.pack(pe).map_err(|_| ())) {
             Ok(bytes) => {
-                let final_size = bytes.len();
-                let evaded = target.query(&bytes).is_ok_and(Verdict::is_benign);
-                AttackOutcome {
-                    sample: sample.name.clone(),
-                    evaded,
-                    queries: target.queries(),
-                    adversarial: evaded.then_some(bytes),
-                    original_size,
-                    final_size,
+                if target.query(&bytes).is_ok_and(Verdict::is_benign) {
+                    AttackOutcome::evaded(sample, target.queries(), bytes, original_size)
+                } else {
+                    AttackOutcome::failed(sample, target.queries(), original_size, bytes.len())
                 }
             }
-            Err(_) => AttackOutcome {
-                sample: sample.name.clone(),
-                evaded: false,
-                queries: target.queries(),
-                adversarial: None,
-                original_size,
-                final_size: original_size,
-            },
+            Err(_) => AttackOutcome::failed(sample, target.queries(), original_size, original_size),
         }
     }
 }

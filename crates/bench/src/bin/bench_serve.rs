@@ -38,9 +38,7 @@
 
 use mpass_bench::{bench_corpus, Cli, PairRow};
 use mpass_detectors::train::training_pairs;
-use mpass_detectors::{
-    ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig, NonNeg,
-};
+use mpass_detectors::{ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig};
 use mpass_ml::{Conv1d, Gbdt, GbdtParams};
 use mpass_serve::{ReloadableModel, Response, ServeClient, Server, ServerConfig, TenantPolicy};
 use rand::SeedableRng;
@@ -117,7 +115,7 @@ fn measure(reps: usize) -> (Vec<PairRow>, MalConv, Vec<Vec<u8>>) {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let mut malconv = MalConv::new(ByteConvConfig::default(), &mut rng);
     malconv.train(&pairs, 2, 5e-3, &mut rng);
-    let mut nonneg = NonNeg::new(ByteConvConfig::default(), &mut rng);
+    let mut nonneg = MalConv::nonneg(ByteConvConfig::default(), &mut rng);
     nonneg.train(&pairs, 2, 5e-3, &mut rng);
     let mut malgcg = MalGcg::new(MalGcgConfig::default(), &mut rng);
     malgcg.train(&pairs, 2, 5e-3, &mut rng);

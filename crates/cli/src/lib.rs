@@ -32,9 +32,7 @@
 use mpass_binary::{BinaryFormat, BinaryImage, Format, ParseMode};
 use mpass_corpus::{BenignPool, CorpusConfig, Dataset};
 use mpass_detectors::train::training_pairs;
-use mpass_detectors::{
-    ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig, NonNeg,
-};
+use mpass_detectors::{ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig};
 use mpass_pe::{PeFile, SectionKind};
 use mpass_sandbox::Sandbox;
 use rand::SeedableRng;
@@ -456,7 +454,7 @@ pub fn cmd_snapshot(out_path: &str, detector: &str, seed: u64) -> CliResult {
     let snap = match detector {
         "malconv" => train_demo_malconv(seed).to_snapshot(),
         "nonneg" => {
-            let mut m = NonNeg::new(ByteConvConfig::tiny(), &mut rng);
+            let mut m = MalConv::nonneg(ByteConvConfig::tiny(), &mut rng);
             m.train(&training_pairs(&samples), 5, 5e-3, &mut rng);
             m.to_snapshot()
         }

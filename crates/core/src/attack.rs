@@ -32,18 +32,6 @@ impl Channel<'_> {
         }
     }
 
-    /// Batched submission: one verdict-or-fault per item, in input order.
-    fn submit_batch(&self, items: &[&[u8]], out: &mut Vec<Result<Verdict, OracleFault>>) {
-        match self {
-            Channel::Reliable(det) => {
-                let mut verdicts = Vec::with_capacity(items.len());
-                det.classify_batch(items, &mut verdicts);
-                out.extend(verdicts.into_iter().map(Ok));
-            }
-            Channel::Unreliable(oracle) => oracle.submit_batch(items, out),
-        }
-    }
-
     fn name(&self) -> &str {
         match self {
             Channel::Reliable(det) => det.name(),
@@ -138,6 +126,10 @@ impl<'a> HardLabelTarget<'a> {
     /// are retried per the [`RetryPolicy`] and surface as the other
     /// [`QueryError`] variants when the policy gives up. Only delivered
     /// verdicts consume budget (see the type-level docs).
+    ///
+    /// The checks run in a fixed order: budget, then the AE gate, then the
+    /// circuit breaker. A spent budget therefore answers every candidate,
+    /// valid or not, with `BudgetExhausted`.
     pub fn query(&mut self, bytes: &[u8]) -> Result<Verdict, QueryError> {
         if self.budget.is_exhausted() {
             return Err(QueryBudgetExhausted { limit: self.budget.limit() }.into());
@@ -189,128 +181,6 @@ impl<'a> HardLabelTarget<'a> {
                     }
                 }
             }
-        }
-    }
-
-    /// Query the target with a whole candidate batch, appending one
-    /// result per item to `out` in input order.
-    ///
-    /// Semantics mirror N sequential [`HardLabelTarget::query`] calls:
-    ///
-    /// * **AE validation is per candidate** — invalid items fail with
-    ///   [`QueryError::InvalidCandidate`], are never submitted, and
-    ///   consume no budget.
-    /// * **Budget is metered per delivered verdict.** Each wave submits at
-    ///   most `budget.remaining()` candidates, so a delivery can always
-    ///   pay; items the budget defers are only submitted if an earlier
-    ///   item failed to deliver, and fail with
-    ///   [`QueryError::BudgetExhausted`] otherwise — exactly the
-    ///   sequential pre-check order.
-    /// * **Only the faulted subset is retried.** Delivered and fatal items
-    ///   leave the batch; transient/rate-limited items re-enter the next
-    ///   wave with the same per-attempt backoff, counters, and
-    ///   `max_attempts` cutoff as a sequential retry loop.
-    ///
-    /// Batch and sequential paths consume the same budget for the same
-    /// outcomes; on a fault-injecting oracle the *schedule alignment*
-    /// differs (a batch advances the oracle's submission index item by
-    /// item before any retry), so individual faults may land on different
-    /// items than a sequential interleaving — transparency holds for
-    /// budget accounting, not for fault placement. Both halves of that
-    /// statement are pinned by `tests/batch_equivalence.rs`
-    /// (`fault_placement_diverges_while_budget_accounting_stays_exact`),
-    /// and the retry-before-deferred wave ordering by
-    /// `retries_resubmit_ahead_of_budget_deferred_first_attempts`.
-    pub fn query_batch(
-        &mut self,
-        items: &[&[u8]],
-        out: &mut Vec<Result<Verdict, QueryError>>,
-    ) {
-        let start = out.len();
-        out.extend(items.iter().map(|_| Err(QueryError::Fatal)));
-        let mut unresolved: Vec<usize> = Vec::with_capacity(items.len());
-        for (i, bytes) in items.iter().enumerate() {
-            if self.validate_ae && !candidate_is_valid(bytes) {
-                trace::counter("oracle/ae_rejected", 1);
-                out[start + i] = Err(QueryError::InvalidCandidate);
-            } else {
-                unresolved.push(i);
-            }
-        }
-        let mut attempts = vec![0u32; items.len()];
-        let mut batch: Vec<&[u8]> = Vec::new();
-        let mut results: Vec<Result<Verdict, OracleFault>> = Vec::new();
-        while !unresolved.is_empty() {
-            if self.budget.is_exhausted() {
-                for &i in &unresolved {
-                    out[start + i] =
-                        Err(QueryBudgetExhausted { limit: self.budget.limit() }.into());
-                }
-                return;
-            }
-            if !self.breaker.allows() {
-                for &i in &unresolved {
-                    trace::counter("oracle/breaker_open", 1);
-                    out[start + i] = Err(QueryError::Fatal);
-                }
-                return;
-            }
-            let wave_len = unresolved.len().min(self.budget.remaining());
-            let mut deferred = unresolved.split_off(wave_len);
-            let wave = std::mem::take(&mut unresolved);
-            batch.clear();
-            batch.extend(wave.iter().map(|&i| items[i]));
-            results.clear();
-            {
-                let _span = trace::span("stage/query");
-                self.channel.submit_batch(&batch, &mut results);
-            }
-            let mut retry: Vec<usize> = Vec::new();
-            for (&i, res) in wave.iter().zip(results.drain(..)) {
-                match res {
-                    Ok(verdict) => {
-                        self.breaker.record_success();
-                        self.budget
-                            .try_consume()
-                            .expect("wave sized to the remaining budget");
-                        trace::counter("queries", 1);
-                        out[start + i] = Ok(verdict);
-                    }
-                    Err(OracleFault::Fatal) => {
-                        self.breaker.record_failure(&self.policy);
-                        out[start + i] = Err(QueryError::Fatal);
-                    }
-                    Err(fault) => {
-                        attempts[i] += 1;
-                        if attempts[i] >= self.policy.max_attempts.max(1) {
-                            self.breaker.record_failure(&self.policy);
-                            out[start + i] = Err(match fault {
-                                OracleFault::RateLimited { retry_after_ms } => {
-                                    QueryError::RateLimited { retry_after_ms }
-                                }
-                                _ => QueryError::Transient { attempts: attempts[i] },
-                            });
-                        } else {
-                            trace::counter("oracle/retry", 1);
-                            let hint = match fault {
-                                OracleFault::RateLimited { retry_after_ms } => retry_after_ms,
-                                _ => 0,
-                            };
-                            let backoff =
-                                self.policy.backoff_ms(attempts[i], self.retry_seed).max(hint);
-                            trace::counter("oracle/backoff_ms", backoff);
-                            if self.policy.sleep && backoff > 0 {
-                                std::thread::sleep(std::time::Duration::from_millis(backoff));
-                            }
-                            retry.push(i);
-                        }
-                    }
-                }
-            }
-            // Retries go ahead of budget-deferred first attempts, matching
-            // the order a sequential loop would reach them in.
-            retry.append(&mut deferred);
-            unresolved = retry;
         }
     }
 
@@ -385,6 +255,25 @@ impl AttackOutcome {
             final_size: bytes.len(),
             adversarial: Some(bytes),
             original_size,
+        }
+    }
+
+    /// The outcome of an attack that gave up after `queries` queries, its
+    /// last attempt `final_size` bytes long (`original_size` when it never
+    /// produced a candidate).
+    pub fn failed(
+        sample: &Sample,
+        queries: usize,
+        original_size: usize,
+        final_size: usize,
+    ) -> Self {
+        AttackOutcome {
+            sample: sample.name.clone(),
+            evaded: false,
+            queries,
+            adversarial: None,
+            original_size,
+            final_size,
         }
     }
 
@@ -616,6 +505,10 @@ impl<'a> MPassAttack<'a> {
         MPassAttack { models, pool, cfg }
     }
 
+    /// Not FNV-1a: the offset basis is FNV's, but the multiplier is
+    /// `0x1000_0000_01b3`, not the FNV prime `0x100_0000_01b3` the
+    /// baselines fold with. Every committed MPass result depends on this
+    /// stream, so it stays as it is.
     fn sample_rng(&self, sample: &Sample) -> ChaCha8Rng {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in sample.name.as_bytes() {
@@ -687,26 +580,17 @@ impl Attack for MPassAttack<'_> {
                     // perturbing and may restore validity.
                     Err(QueryError::InvalidCandidate) => {}
                     Err(_) => {
-                        return AttackOutcome {
-                            sample: sample.name.clone(),
-                            evaded: false,
-                            queries: target.queries(),
-                            adversarial: None,
+                        return AttackOutcome::failed(
+                            sample,
+                            target.queries(),
                             original_size,
-                            final_size: last_size,
-                        }
+                            last_size,
+                        )
                     }
                 }
             }
         }
-        AttackOutcome {
-            sample: sample.name.clone(),
-            evaded: false,
-            queries: target.queries(),
-            adversarial: None,
-            original_size,
-            final_size: last_size,
-        }
+        AttackOutcome::failed(sample, target.queries(), original_size, last_size)
     }
 }
 
@@ -818,8 +702,59 @@ mod tests {
         // A well-formed sample passes the gate and reaches the detector.
         assert!(t.query(&w.ds.samples[0].bytes).is_ok());
         assert_eq!(t.queries(), 1);
+        // Invalid candidates between valid ones stay free.
+        assert_eq!(t.query(b""), Err(QueryError::InvalidCandidate));
+        assert!(t.query(&w.ds.samples[1].bytes).is_ok());
+        assert_eq!(t.queries(), 2);
+        let shard = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
+        assert_eq!(shard.counters["oracle/ae_rejected"], 2);
+    }
+
+    /// `query` checks the budget first, then the AE gate, then the
+    /// breaker. A spent budget answers an invalid candidate with
+    /// `BudgetExhausted` and counts no AE rejection; an open breaker
+    /// still lets the gate reject an invalid candidate locally.
+    #[test]
+    fn query_checks_budget_then_ae_gate_then_breaker() {
+        struct Down;
+        impl Oracle for Down {
+            fn name(&self) -> &str {
+                "down"
+            }
+            fn submit(&self, _: &[u8]) -> Result<Verdict, OracleFault> {
+                Err(OracleFault::Fatal)
+            }
+        }
+        let ds = Dataset::generate(&CorpusConfig {
+            n_malware: 1,
+            n_benign: 0,
+            seed: 3,
+            no_slack_fraction: 0.0,
+        });
+        let valid = &ds.samples[0].bytes;
+        let policy = RetryPolicy { breaker_threshold: 1, ..RetryPolicy::default() };
+
+        mpass_engine::metrics::install(mpass_engine::Collector::default());
+        let mut spent = HardLabelTarget::unreliable(&Down, QueryBudget::new(0), policy.clone())
+            .with_ae_validation();
+        assert_eq!(
+            spent.query(b"MZ garbage"),
+            Err(QueryError::BudgetExhausted(QueryBudgetExhausted { limit: 0 }))
+        );
+        let shard = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
+        assert!(!shard.counters.contains_key("oracle/ae_rejected"));
+
+        mpass_engine::metrics::install(mpass_engine::Collector::default());
+        let mut t = HardLabelTarget::unreliable(&Down, QueryBudget::new(5), policy)
+            .with_ae_validation();
+        assert_eq!(t.query(valid), Err(QueryError::Fatal)); // trips the breaker
+        assert!(t.breaker().is_open());
+        assert_eq!(t.query(b"MZ garbage"), Err(QueryError::InvalidCandidate));
+        assert_eq!(t.query(valid), Err(QueryError::Fatal)); // fail-fast
         let shard = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
         assert_eq!(shard.counters["oracle/ae_rejected"], 1);
+        assert_eq!(shard.counters["oracle/breaker_open"], 1);
+        assert_eq!(t.queries(), 0);
     }
 
     #[test]
@@ -900,6 +835,28 @@ mod tests {
         let mut t = HardLabelTarget::unreliable(&AlwaysLimited, QueryBudget::new(5), policy);
         assert_eq!(t.query(b"x"), Err(QueryError::RateLimited { retry_after_ms: 40 }));
         assert_eq!(t.queries(), 0, "no verdict, no budget");
+    }
+
+    /// A query whose transient faults outlast the retry policy fails with
+    /// its attempt count and consumes no budget.
+    #[test]
+    fn exhausted_retries_consume_no_budget() {
+        struct Flaky;
+        impl Oracle for Flaky {
+            fn name(&self) -> &str {
+                "flaky"
+            }
+            fn submit(&self, _: &[u8]) -> Result<Verdict, OracleFault> {
+                Err(OracleFault::Transient)
+            }
+        }
+        let policy = RetryPolicy { max_attempts: 2, ..RetryPolicy::default() };
+        let mut t = HardLabelTarget::unreliable(&Flaky, QueryBudget::new(10), policy);
+        for _ in 0..2 {
+            assert_eq!(t.query(b"x"), Err(QueryError::Transient { attempts: 2 }));
+        }
+        assert_eq!(t.queries(), 0);
+        assert_eq!(t.remaining(), 10);
     }
 
     /// After `breaker_threshold` consecutive failed queries the breaker

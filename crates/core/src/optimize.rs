@@ -515,7 +515,7 @@ mod tests {
     use crate::modify::{modify, ModificationConfig};
     use mpass_corpus::{BenignPool, CorpusConfig, Dataset};
     use mpass_detectors::train::training_pairs;
-    use mpass_detectors::{ByteConvConfig, MalConv, MalGcg, MalGcgConfig, NonNeg};
+    use mpass_detectors::{ByteConvConfig, MalConv, MalGcg, MalGcgConfig};
     use mpass_sandbox::Sandbox;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -524,7 +524,7 @@ mod tests {
         ds: Dataset,
         pool: BenignPool,
         malconv: MalConv,
-        nonneg: NonNeg,
+        nonneg: MalConv,
         malgcg: MalGcg,
     }
 
@@ -541,7 +541,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut malconv = MalConv::new(ByteConvConfig::tiny(), &mut rng);
         malconv.train(&pairs, 5, 5e-3, &mut rng);
-        let mut nonneg = NonNeg::new(ByteConvConfig::tiny(), &mut rng);
+        let mut nonneg = MalConv::nonneg(ByteConvConfig::tiny(), &mut rng);
         nonneg.train(&pairs, 10, 5e-3, &mut rng);
         let mut malgcg = MalGcg::new(MalGcgConfig::tiny(), &mut rng);
         malgcg.train(&pairs, 5, 5e-3, &mut rng);

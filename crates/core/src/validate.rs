@@ -10,10 +10,9 @@
 //! either boundary is a well-formed, reproducible image.
 //!
 //! This module is that predicate, stated once: [`candidate_is_valid`] for
-//! the boolean gate, [`candidate_reject_reason`] when the caller journals
-//! a diagnostic, and [`validate_candidates`] for batch use ahead of a
-//! query wave. Behavioural (trace-digest) validation is a separate,
-//! costlier layer — see `mpass_sandbox::Sandbox::validate_batch`.
+//! the boolean gate and [`candidate_reject_reason`] when the caller
+//! journals a diagnostic. Behavioural (trace-digest) validation is a
+//! separate, costlier layer — see `mpass_sandbox::Sandbox::validate_batch`.
 
 use mpass_pe::PeFile;
 
@@ -36,13 +35,6 @@ pub fn candidate_reject_reason(bytes: &[u8]) -> Option<String> {
     }
 }
 
-/// Apply the structural predicate to a batch of candidates, in input
-/// order — the up-front sweep [`query_batch`](crate::attack::HardLabelTarget::query_batch)
-/// runs before spending any oracle budget.
-pub fn validate_candidates(candidates: &[&[u8]]) -> Vec<bool> {
-    candidates.iter().map(|c| candidate_is_valid(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,18 +47,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_predicate() {
+    fn well_formed_pe_is_accepted() {
         let good = {
             let mut pe = mpass_pe::PeBuilder::new();
             pe.add_section(".text", vec![0u8; 8], mpass_pe::SectionFlags::CODE).unwrap();
             pe.set_entry_section(".text", 0).unwrap();
             pe.build().unwrap().to_bytes()
         };
-        let bad = vec![0u8; 32];
-        let flags = validate_candidates(&[&good, &bad, &good]);
-        assert_eq!(flags, vec![true, false, true]);
-        for (bytes, flag) in [(&good, true), (&bad, false)] {
-            assert_eq!(candidate_is_valid(bytes), flag);
-        }
+        assert!(candidate_is_valid(&good));
+        assert_eq!(candidate_reject_reason(&good), None);
+        assert!(!candidate_is_valid(&[0u8; 32]));
     }
 }

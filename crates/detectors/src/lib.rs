@@ -8,7 +8,7 @@
 //! | Paper target | Implementation |
 //! |---|---|
 //! | MalConv (Raff et al.) | [`MalConv`]: byte embedding → gated 1-D conv → global max pool → dense head |
-//! | NonNeg (Fleshman et al.) | [`NonNeg`]: same architecture with non-negative conv/head weights |
+//! | NonNeg (Fleshman et al.) | [`MalConv::nonneg`]: same architecture with a non-negative dense head (convs unconstrained) |
 //! | LightGBM / EMBER | [`LightGbm`]: gradient-boosted trees over [`features::FeatureExtractor`] EMBER-style features |
 //! | MalGCG (Raff et al. 2021) | [`MalGcg`]: two stacked byte convolutions with mixed mean/max pooling |
 //! | MAX / CrowdStrike / Acronis / SentinelOne / Cylance | [`CommercialAv`] profiles AV₁–AV₅: ML ensemble + packer heuristics + an n-gram signature store with weekly [`CommercialAv::weekly_update`] learning |
@@ -45,7 +45,7 @@ pub mod train;
 
 pub use commercial::{AvProfile, CachedAv, CommercialAv};
 pub use lightgbm::LightGbm;
-pub use malconv::{ByteConvConfig, MalConv, NonNeg};
+pub use malconv::{ByteConvConfig, MalConv};
 pub use malgcg::{MalGcg, MalGcgConfig};
 pub use oracle::{FaultProfile, Oracle, UnreliableOracle};
 pub use signatures::SignatureStore;

@@ -27,7 +27,7 @@ pub const VOCAB: usize = 257;
 /// The padding token index.
 pub const PAD: usize = 256;
 
-/// Architecture hyper-parameters shared by [`MalConv`] and [`NonNeg`].
+/// Architecture hyper-parameters of [`MalConv`] and its NonNeg variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ByteConvConfig {
     /// Leading file bytes consumed (shorter files are padded).
@@ -64,9 +64,12 @@ impl ByteConvConfig {
     }
 }
 
-/// The shared gated-convolution network.
+/// The gated-convolution network: the MalConv detector, or its NonNeg
+/// variant when built by [`MalConv::nonneg`]. The variant's name and head
+/// constraint travel with the weights, so a snapshot reloads as the model
+/// it was taken from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ByteConvNet {
+pub struct MalConv {
     name: String,
     config: ByteConvConfig,
     embedding: Embedding,
@@ -104,10 +107,23 @@ struct Activations {
     logit: f32,
 }
 
-impl ByteConvNet {
-    fn new<R: Rng + ?Sized>(name: &str, config: ByteConvConfig, nonneg: bool, rng: &mut R) -> Self {
-        let mut net = ByteConvNet {
-            name: name.to_owned(),
+impl MalConv {
+    /// Fresh untrained MalConv.
+    pub fn new<R: Rng + ?Sized>(config: ByteConvConfig, rng: &mut R) -> Self {
+        Self::build(config, false, rng)
+    }
+
+    /// Fresh untrained NonNeg: the dense head's weights are projected to
+    /// be non-negative after every training step, making the logit
+    /// monotone in the pooled features (and therefore non-decreasing
+    /// under byte appends, which can only add max-pool candidates).
+    pub fn nonneg<R: Rng + ?Sized>(config: ByteConvConfig, rng: &mut R) -> Self {
+        Self::build(config, true, rng)
+    }
+
+    fn build<R: Rng + ?Sized>(config: ByteConvConfig, nonneg: bool, rng: &mut R) -> Self {
+        let mut net = MalConv {
+            name: if nonneg { "NonNeg" } else { "MalConv" }.to_owned(),
             config,
             embedding: Embedding::new(VOCAB, config.embed_dim, rng),
             conv_a: Conv1d::new(config.embed_dim, config.filters, config.kernel, config.stride, rng),
@@ -143,6 +159,13 @@ impl ByteConvNet {
         &self.config
     }
 
+    /// Whether all constrained weights (the dense head) are currently
+    /// non-negative.
+    pub fn weights_nonnegative(&self) -> bool {
+        self.head1.weight.w.iter().all(|&w| w >= 0.0)
+            && self.head2.weight.w.iter().all(|&w| w >= 0.0)
+    }
+
     /// Pack the trained weights into a versioned, checksummed
     /// [`Snapshot`]: one shared payload a reload can rebuild this exact
     /// model from in O(read).
@@ -170,10 +193,10 @@ impl ByteConvNet {
         b.finish()
     }
 
-    /// Rebuild the exact model a [`ByteConvNet::to_snapshot`] captured:
+    /// Rebuild the exact model a [`MalConv::to_snapshot`] captured:
     /// scores are bit-identical to the source model's. Shape-validated and
     /// panic-free on untrusted snapshots.
-    pub fn from_snapshot(snap: &Snapshot) -> Result<ByteConvNet, SnapshotError> {
+    pub fn from_snapshot(snap: &Snapshot) -> Result<MalConv, SnapshotError> {
         let config = ByteConvConfig {
             window: snap.meta_parsed("window")?,
             embed_dim: snap.meta_parsed("embed_dim")?,
@@ -226,7 +249,7 @@ impl ByteConvNet {
             snap.tensor_sized("head2.weight", config.hidden)?.to_vec(),
             snap.tensor_sized("head2.bias", 1)?.to_vec(),
         );
-        Ok(ByteConvNet {
+        Ok(MalConv {
             name: name.to_owned(),
             config,
             embedding,
@@ -383,7 +406,8 @@ impl ByteConvNet {
         dx
     }
 
-    /// Train on `(bytes, target)` pairs with per-sample Adam updates.
+    /// Train on `(bytes, target)` pairs with per-sample Adam updates; a
+    /// NonNeg model re-projects its head weights after every step.
     /// Returns the mean loss of the final epoch.
     pub fn train<R: Rng + ?Sized>(
         &mut self,
@@ -514,7 +538,7 @@ impl ByteConvNet {
     }
 }
 
-impl Detector for ByteConvNet {
+impl Detector for MalConv {
     fn name(&self) -> &str {
         &self.name
     }
@@ -546,13 +570,13 @@ impl Detector for ByteConvNet {
     }
 }
 
-impl crate::traits::DetectorExt for ByteConvNet {
+impl crate::traits::DetectorExt for MalConv {
     fn as_white_box(&self) -> Option<&dyn WhiteBoxModel> {
         Some(self)
     }
 }
 
-impl WhiteBoxModel for ByteConvNet {
+impl WhiteBoxModel for MalConv {
     fn embedding(&self) -> &Embedding {
         &self.embedding
     }
@@ -603,7 +627,7 @@ impl WhiteBoxModel for ByteConvNet {
 /// windows use the identical per-window arithmetic as the full tabled
 /// forward, so incremental results are bit-equal to a fresh session.
 struct ByteConvSession<'a> {
-    net: &'a ByteConvNet,
+    net: &'a MalConv,
     tables: &'a GatedTables,
     ws: Workspace,
     tokens: Vec<usize>,
@@ -681,174 +705,6 @@ impl WhiteBoxSession for ByteConvSession<'_> {
     }
 }
 
-/// The MalConv detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MalConv(pub ByteConvNet);
-
-impl MalConv {
-    /// Fresh untrained model.
-    pub fn new<R: Rng + ?Sized>(config: ByteConvConfig, rng: &mut R) -> Self {
-        MalConv(ByteConvNet::new("MalConv", config, false, rng))
-    }
-
-    /// Train in place; see [`ByteConvNet::train`].
-    pub fn train<R: Rng + ?Sized>(
-        &mut self,
-        data: &[(&[u8], f32)],
-        epochs: usize,
-        lr: f32,
-        rng: &mut R,
-    ) -> f32 {
-        self.0.train(data, epochs, lr, rng)
-    }
-
-    /// See [`ByteConvNet::to_snapshot`].
-    pub fn to_snapshot(&self) -> Snapshot {
-        self.0.to_snapshot()
-    }
-
-    /// See [`ByteConvNet::from_snapshot`].
-    pub fn from_snapshot(snap: &Snapshot) -> Result<MalConv, SnapshotError> {
-        Ok(MalConv(ByteConvNet::from_snapshot(snap)?))
-    }
-}
-
-impl Detector for MalConv {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn score(&self, bytes: &[u8]) -> f32 {
-        self.0.score(bytes)
-    }
-    fn raw_score(&self, bytes: &[u8]) -> f32 {
-        self.0.raw_score(bytes)
-    }
-    fn threshold(&self) -> f32 {
-        self.0.threshold()
-    }
-    fn score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.0.score_batch(items, out)
-    }
-    fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.0.raw_score_batch(items, out)
-    }
-}
-
-impl crate::traits::DetectorExt for MalConv {
-    fn as_white_box(&self) -> Option<&dyn WhiteBoxModel> {
-        Some(self)
-    }
-}
-
-impl WhiteBoxModel for MalConv {
-    fn embedding(&self) -> &Embedding {
-        self.0.embedding()
-    }
-    fn window(&self) -> usize {
-        self.0.window()
-    }
-    fn benign_loss_grad_into(
-        &self,
-        bytes: &[u8],
-        ws: &mut Workspace,
-        grad: &mut Vec<f32>,
-    ) -> f32 {
-        self.0.benign_loss_grad_into(bytes, ws, grad)
-    }
-    fn session(&self) -> Box<dyn WhiteBoxSession + '_> {
-        self.0.session()
-    }
-}
-
-/// The non-negative MalConv variant: the dense head's weights are
-/// projected to be non-negative after every training step, making the
-/// logit monotone in the pooled features (and therefore non-decreasing
-/// under byte appends, which can only add max-pool candidates).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NonNeg(pub ByteConvNet);
-
-impl NonNeg {
-    /// Fresh untrained model with the non-negativity constraint active.
-    pub fn new<R: Rng + ?Sized>(config: ByteConvConfig, rng: &mut R) -> Self {
-        NonNeg(ByteConvNet::new("NonNeg", config, true, rng))
-    }
-
-    /// Train in place; head weights are re-projected after every step.
-    pub fn train<R: Rng + ?Sized>(
-        &mut self,
-        data: &[(&[u8], f32)],
-        epochs: usize,
-        lr: f32,
-        rng: &mut R,
-    ) -> f32 {
-        self.0.train(data, epochs, lr, rng)
-    }
-
-    /// See [`ByteConvNet::to_snapshot`].
-    pub fn to_snapshot(&self) -> Snapshot {
-        self.0.to_snapshot()
-    }
-
-    /// See [`ByteConvNet::from_snapshot`].
-    pub fn from_snapshot(snap: &Snapshot) -> Result<NonNeg, SnapshotError> {
-        Ok(NonNeg(ByteConvNet::from_snapshot(snap)?))
-    }
-
-    /// Whether all constrained weights (the dense head) are currently
-    /// non-negative.
-    pub fn weights_nonnegative(&self) -> bool {
-        self.0.head1.weight.w.iter().all(|&w| w >= 0.0)
-            && self.0.head2.weight.w.iter().all(|&w| w >= 0.0)
-    }
-}
-
-impl Detector for NonNeg {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn score(&self, bytes: &[u8]) -> f32 {
-        self.0.score(bytes)
-    }
-    fn raw_score(&self, bytes: &[u8]) -> f32 {
-        self.0.raw_score(bytes)
-    }
-    fn threshold(&self) -> f32 {
-        self.0.threshold()
-    }
-    fn score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.0.score_batch(items, out)
-    }
-    fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.0.raw_score_batch(items, out)
-    }
-}
-
-impl crate::traits::DetectorExt for NonNeg {
-    fn as_white_box(&self) -> Option<&dyn WhiteBoxModel> {
-        Some(self)
-    }
-}
-
-impl WhiteBoxModel for NonNeg {
-    fn embedding(&self) -> &Embedding {
-        self.0.embedding()
-    }
-    fn window(&self) -> usize {
-        self.0.window()
-    }
-    fn benign_loss_grad_into(
-        &self,
-        bytes: &[u8],
-        ws: &mut Workspace,
-        grad: &mut Vec<f32>,
-    ) -> f32 {
-        self.0.benign_loss_grad_into(bytes, ws, grad)
-    }
-    fn session(&self) -> Box<dyn WhiteBoxSession + '_> {
-        self.0.session()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,7 +744,7 @@ mod tests {
         let ds = dataset();
         let pairs = training_pairs(&ds.samples.iter().collect::<Vec<_>>());
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut m = NonNeg::new(ByteConvConfig::tiny(), &mut rng);
+        let mut m = MalConv::nonneg(ByteConvConfig::tiny(), &mut rng);
         m.train(&pairs, 3, 5e-3, &mut rng);
         assert!(m.weights_nonnegative());
     }
@@ -982,7 +838,7 @@ mod tests {
     fn score_batch_is_bit_identical_to_sequential_scores() {
         let m = trained_tiny();
         let ds = dataset();
-        let config = *m.0.config();
+        let config = *m.config();
         let mut owned: Vec<Vec<u8>> = ds.samples.iter().map(|s| s.bytes.clone()).collect();
         owned.push(Vec::new());
         owned.push(vec![0x4d; 3]);
@@ -997,7 +853,7 @@ mod tests {
         m.raw_score_batch(&items, &mut raw);
         assert_eq!(scores.len(), items.len());
         for (i, bytes) in items.iter().enumerate() {
-            let logit = m.0.forward(bytes).logit;
+            let logit = m.forward(bytes).logit;
             let len = bytes.len();
             assert_eq!(raw[i].to_bits(), logit.to_bits(), "batched raw item {i} (len {len})");
             assert_eq!(m.raw_score(bytes).to_bits(), logit.to_bits(), "raw item {i} (len {len})");
@@ -1019,8 +875,8 @@ mod tests {
         let m = trained_tiny();
         let ds = dataset();
         for s in ds.samples.iter().take(6) {
-            let naive = m.0.forward(&s.bytes).logit;
-            let tabled = m.0.session().score_delta(&s.bytes, &[]);
+            let naive = m.forward(&s.bytes).logit;
+            let tabled = m.session().score_delta(&s.bytes, &[]);
             assert!(
                 (naive - tabled).abs() < 1e-4,
                 "{}: naive {naive} vs tabled {tabled}",
@@ -1037,7 +893,7 @@ mod tests {
         let m = trained_tiny();
         let ds = dataset();
         let mut bytes = ds.malware()[0].bytes.clone();
-        let mut sess = m.0.session();
+        let mut sess = m.session();
         sess.score_delta(&bytes, &[]); // prime
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         // kernel = stride = 64 for tiny: 60..70 straddles a boundary,
@@ -1058,7 +914,7 @@ mod tests {
                 *b = rng.gen();
             }
             let incremental = sess.score_delta(&bytes, std::slice::from_ref(&(lo..hi)));
-            let full = m.0.session().score_delta(&bytes, &[]);
+            let full = m.session().score_delta(&bytes, &[]);
             assert_eq!(
                 incremental.to_bits(),
                 full.to_bits(),
@@ -1074,7 +930,7 @@ mod tests {
         let m = trained_tiny();
         let ds = dataset();
         let mut bytes = ds.malware()[1].bytes.clone();
-        let mut sess = m.0.session();
+        let mut sess = m.session();
         let mut g_inc = Vec::new();
         let mut g_full = Vec::new();
         sess.loss_grad_delta(&bytes, &[], &mut g_inc); // prime
@@ -1086,7 +942,7 @@ mod tests {
                 *b = rng.gen();
             }
             let li = sess.loss_grad_delta(&bytes, std::slice::from_ref(&(lo..hi)), &mut g_inc);
-            let lf = m.0.session().loss_grad_delta(&bytes, &[], &mut g_full);
+            let lf = m.session().loss_grad_delta(&bytes, &[], &mut g_full);
             assert_eq!(li.to_bits(), lf.to_bits(), "trial {trial} loss mismatch");
             assert_eq!(g_inc, g_full, "trial {trial} gradient mismatch");
         }
@@ -1103,18 +959,18 @@ mod tests {
         let bytes = &ds.malware()[0].bytes;
         let mut ws = Workspace::default();
         let mut grad = Vec::new();
-        let l1 = m.0.benign_loss_grad_into(bytes, &mut ws, &mut grad);
+        let l1 = m.benign_loss_grad_into(bytes, &mut ws, &mut grad);
         let pooled_after_first = ws.pooled();
         let g1 = grad.clone();
-        let l2 = m.0.benign_loss_grad_into(bytes, &mut ws, &mut grad);
+        let l2 = m.benign_loss_grad_into(bytes, &mut ws, &mut grad);
         assert_eq!(l1.to_bits(), l2.to_bits());
         assert_eq!(g1, grad, "repeated calls must be deterministic");
         assert_eq!(ws.pooled(), pooled_after_first, "buffer pool must reach steady state");
         // &self throughout: parameter gradients cannot have been touched.
-        assert!(m.0.conv_a.weight.g.iter().all(|&g| g == 0.0));
-        assert!(m.0.conv_b.weight.g.iter().all(|&g| g == 0.0));
-        assert!(m.0.head1.weight.g.iter().all(|&g| g == 0.0));
+        assert!(m.conv_a.weight.g.iter().all(|&g| g == 0.0));
+        assert!(m.conv_b.weight.g.iter().all(|&g| g == 0.0));
+        assert!(m.head1.weight.g.iter().all(|&g| g == 0.0));
         // And the tables were built exactly once, on first use.
-        assert!(m.0.tables.is_built());
+        assert!(m.tables.is_built());
     }
 }

@@ -12,7 +12,7 @@
 //! [`Detector`] object the [`crate::SwappableDetector`] slot expects.
 
 use crate::lightgbm::LightGbm;
-use crate::malconv::{MalConv, NonNeg};
+use crate::malconv::MalConv;
 use crate::malgcg::MalGcg;
 use crate::traits::Detector;
 use mpass_ml::{Snapshot, SnapshotError};
@@ -23,8 +23,7 @@ use std::sync::Arc;
 /// Unknown architectures and malformed payloads fail typed.
 pub fn detector_from_snapshot(snap: &Snapshot) -> Result<Arc<dyn Detector>, SnapshotError> {
     match snap.meta("detector") {
-        Some("MalConv") => Ok(Arc::new(MalConv::from_snapshot(snap)?)),
-        Some("NonNeg") => Ok(Arc::new(NonNeg::from_snapshot(snap)?)),
+        Some("MalConv" | "NonNeg") => Ok(Arc::new(MalConv::from_snapshot(snap)?)),
         Some("MalGCG") => Ok(Arc::new(MalGcg::from_snapshot(snap)?)),
         Some("LightGBM") => Ok(Arc::new(LightGbm::from_snapshot(snap)?)),
         Some(other) => Err(SnapshotError::UnknownDetector(other.to_owned())),
@@ -90,13 +89,14 @@ mod tests {
         let ds = dataset();
         let pairs = training_pairs(&ds.samples.iter().collect::<Vec<_>>());
         let mut rng = ChaCha8Rng::seed_from_u64(32);
-        let mut m = NonNeg::new(ByteConvConfig::tiny(), &mut rng);
+        let mut m = MalConv::nonneg(ByteConvConfig::tiny(), &mut rng);
         m.train(&pairs, 2, 5e-3, &mut rng);
         let snap = Snapshot::from_bytes(&m.to_snapshot().to_bytes()).expect("decodes");
         let back = detector_from_snapshot(&snap).expect("registry rebuilds");
         assert_bit_identical(&m, back.as_ref(), &ds);
-        // The reloaded model keeps the non-negativity property.
-        let reloaded = NonNeg::from_snapshot(&snap).expect("rebuilds");
+        // The reloaded model keeps the NonNeg name and head constraint.
+        let reloaded = MalConv::from_snapshot(&snap).expect("rebuilds");
+        assert_eq!(reloaded.name(), "NonNeg");
         assert!(reloaded.weights_nonnegative());
     }
 

@@ -184,11 +184,8 @@ pub trait WhiteBoxModel: Detector {
 
     /// Open a stateful inference session for repeated evaluation of
     /// *nearby* inputs (the optimizer mutates a handful of bytes per
-    /// iteration). The default falls back to full recomputation per call;
-    /// models with incremental kernels override it.
-    fn session(&self) -> Box<dyn WhiteBoxSession + '_> {
-        Box::new(FullSession { model: self, ws: Workspace::default() })
-    }
+    /// iteration), recomputing only what the dirty spans touch.
+    fn session(&self) -> Box<dyn WhiteBoxSession + '_>;
 }
 
 /// A stateful white-box inference session over one evolving byte buffer.
@@ -215,29 +212,6 @@ pub trait WhiteBoxSession {
         dirty: &[Range<usize>],
         grad: &mut Vec<f32>,
     ) -> f32;
-}
-
-/// The non-incremental [`WhiteBoxSession`] fallback: every call is a full
-/// recompute through the model's one-shot entry points. Correct for any
-/// model; incremental implementations exist to beat it.
-struct FullSession<'a, M: ?Sized + WhiteBoxModel> {
-    model: &'a M,
-    ws: Workspace,
-}
-
-impl<M: ?Sized + WhiteBoxModel> WhiteBoxSession for FullSession<'_, M> {
-    fn score_delta(&mut self, bytes: &[u8], _dirty: &[Range<usize>]) -> f32 {
-        self.model.raw_score(bytes)
-    }
-
-    fn loss_grad_delta(
-        &mut self,
-        bytes: &[u8],
-        _dirty: &[Range<usize>],
-        grad: &mut Vec<f32>,
-    ) -> f32 {
-        self.model.benign_loss_grad_into(bytes, &mut self.ws, grad)
-    }
 }
 
 /// `bce_with_logits(logit, benign)` — the benign-direction loss every

@@ -1,10 +1,12 @@
 //! Campaign-level robustness options shared by the experiment runners:
 //! fault injection on the oracle channel, the retry policy applied to
-//! it, and the crash-safe resume journal.
+//! it, the crash-safe resume journal, and the sample ingestion gate.
 
 use crate::journal::CampaignJournal;
 use mpass_core::{HardLabelTarget, QueryBudget, RetryPolicy};
+use mpass_corpus::Sample;
 use mpass_detectors::{Detector, FaultProfile, UnreliableOracle};
+use mpass_engine::metrics as trace;
 use std::path::PathBuf;
 
 /// How a campaign run should treat the oracle transport and its own
@@ -101,6 +103,34 @@ impl<'a> ShardOracle<'a> {
     }
 }
 
+/// The ingestion gate every campaign loop applies before attacking a
+/// sample. Bytes that do not re-parse and survive a serialize/re-parse
+/// round trip — the predicate the oracle channel applies to outgoing
+/// candidates ([`mpass_core::validate`]), applied here to incoming
+/// samples — get the sample quarantined: counted in
+/// `campaign/quarantined`, journalled once under `label` with the
+/// diagnostic, and reported as `true` so the caller skips it instead of
+/// handing it to the attack, where hostile structure could otherwise
+/// surface deep inside the mutation machinery.
+///
+/// # Panics
+///
+/// On a journal write failure, like every other shard journal write.
+pub fn quarantined(sample: &Sample, label: &str, journal: Option<&CampaignJournal>) -> bool {
+    let Some(reason) = mpass_core::validate::candidate_reject_reason(&sample.bytes) else {
+        return false;
+    };
+    trace::counter("campaign/quarantined", 1);
+    if let Some(journal) = journal {
+        if journal.quarantine_reason(label, &sample.name).is_none() {
+            journal
+                .record_quarantine(label, &sample.name, &reason)
+                .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +165,22 @@ mod tests {
         });
         assert_eq!(target.query(&ds.samples[0].bytes), Ok(Verdict::Benign));
         assert_eq!(target.remaining(), 2);
+    }
+
+    #[test]
+    fn ingestion_gate_admits_the_corpus_and_quarantines_garbage() {
+        let ds = mpass_corpus::Dataset::generate(&mpass_corpus::CorpusConfig {
+            n_malware: 1,
+            n_benign: 1,
+            seed: 3,
+            no_slack_fraction: 0.0,
+        });
+        for s in &ds.samples {
+            assert!(!quarantined(s, "shard", None), "{}", s.name);
+        }
+        let mut garbage = ds.samples[0].clone();
+        garbage.bytes = b"MZ but not actually a PE".to_vec();
+        assert!(quarantined(&garbage, "shard", None));
     }
 
     #[test]

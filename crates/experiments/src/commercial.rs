@@ -2,7 +2,7 @@
 //! commercial ML AVs, keeping successful AEs for the Figure 4 learning
 //! experiment.
 
-use crate::campaign::{CampaignOptions, ShardOracle};
+use crate::campaign::{quarantined, CampaignOptions, ShardOracle};
 use crate::journal::CampaignJournal;
 use crate::offline::{make_attack, ATTACK_NAMES};
 use crate::world::World;
@@ -68,7 +68,8 @@ pub fn attack_av(world: &World, attack: &mut dyn Attack, av: &dyn Detector) -> C
 }
 
 /// [`attack_av`] with the full campaign machinery — see
-/// [`crate::offline::attack_target_with`] for the resume semantics; the
+/// [`crate::offline::attack_target_with`] for the ingestion gate and the
+/// resume semantics; the
 /// collected `successful_aes` rebuild identically from journalled
 /// outcomes because the AE bytes ride along in each record.
 pub fn attack_av_with(
@@ -90,6 +91,9 @@ pub fn attack_av_with(
     let mut outcomes = Vec::with_capacity(samples.len());
     let mut successful_aes = Vec::new();
     for sample in samples {
+        if quarantined(sample, label, journal) {
+            continue;
+        }
         let resumed = replay_samples
             .then(|| journal.and_then(|j| j.sample(label, &sample.name)).cloned())
             .flatten();
@@ -205,5 +209,67 @@ mod tests {
             let max_evaded = (c.stats.asr / 100.0 * c.stats.samples as f64).round() as usize;
             assert!(c.successful_aes.len() <= max_evaded + 1, "{}/{}", c.attack, c.av);
         }
+    }
+
+    /// The commercial twin of the offline quarantine test: a corrupted
+    /// sample in an AV's attack set is journalled with a diagnostic,
+    /// counted, and never attacked.
+    #[test]
+    fn malformed_sample_is_quarantined_not_attacked() {
+        let mut cfg = WorldConfig::quick();
+        cfg.attack_samples = 2;
+        let mut world = World::build(cfg);
+        // Destroy the PE signature of one malware sample; the raw bytes
+        // barely change, so the AV still flags it, but ingestion fails.
+        let victim = world
+            .dataset
+            .samples
+            .iter_mut()
+            .find(|s| s.label == mpass_corpus::Label::Malware)
+            .expect("quick world has malware");
+        victim.bytes[0] = 0;
+        victim.bytes[1] = 0;
+        let victim_name = victim.name.clone();
+        let av = &world.avs[0];
+        let attack_set = world.attack_set(av);
+        assert!(
+            attack_set.iter().any(|s| s.name == victim_name),
+            "corruption must not flip the verdict for this test to bite"
+        );
+
+        let path = std::env::temp_dir()
+            .join(format!("mpass-commercial-quarantine-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let journal = CampaignJournal::open(&path).unwrap();
+        let mut attack = make_attack(&world, "LightGBM", "MPass");
+        let label = "quarantine shard";
+        mpass_engine::metrics::install(mpass_engine::Collector::default());
+        let cell = attack_av_with(
+            &world,
+            attack.as_mut(),
+            av,
+            label,
+            &CampaignOptions::default(),
+            Some(&journal),
+            11,
+        );
+        let shard = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
+        assert_eq!(shard.counters["campaign/quarantined"], 1);
+        assert_eq!(
+            cell.stats.samples,
+            attack_set.len() - 1,
+            "quarantined sample must not be attacked"
+        );
+        drop(journal);
+        // Recovery state is built at open time, so reopen to observe
+        // the records the run just appended.
+        let reopened = CampaignJournal::open(&path).unwrap();
+        assert!(
+            reopened.quarantine_reason(label, &victim_name).is_some(),
+            "victim sample should be journalled as quarantined"
+        );
+        assert!(reopened.sample(label, &victim_name).is_none(), "victim has no outcome");
+        drop(reopened);
+        std::fs::remove_file(&path).unwrap();
     }
 }

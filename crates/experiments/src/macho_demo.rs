@@ -20,9 +20,7 @@ use mpass_core::attack::{
 };
 use mpass_corpus::{BenignPool, CorpusConfig, Dataset, Sample};
 use mpass_detectors::train::training_pairs;
-use mpass_detectors::{
-    ByteConvConfig, Detector, MalConv, MalGcg, MalGcgConfig, NonNeg, WhiteBoxModel,
-};
+use mpass_detectors::{ByteConvConfig, Detector, MalConv, MalGcg, MalGcgConfig, WhiteBoxModel};
 use mpass_sandbox::Sandbox;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -183,7 +181,7 @@ pub fn run(config: &MachoDemoConfig) -> MachoDemoResults {
     let mut malconv = MalConv::new(config.conv, &mut rng);
     malconv.train(&pairs, config.conv_epochs, config.conv_lr, &mut rng);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x7282);
-    let mut nonneg = NonNeg::new(config.conv, &mut rng);
+    let mut nonneg = MalConv::nonneg(config.conv, &mut rng);
     nonneg.train(&pairs, config.conv_epochs * 2, config.conv_lr, &mut rng);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x7283);
     let mut malgcg = MalGcg::new(config.malgcg, &mut rng);

@@ -2,7 +2,7 @@
 //! against the four offline detectors, plus the §IV-A functionality
 //! verification of every generated AE.
 
-use crate::campaign::{CampaignOptions, ShardOracle};
+use crate::campaign::{quarantined, CampaignOptions, ShardOracle};
 use crate::journal::CampaignJournal;
 use crate::world::World;
 use mpass_baselines::{Gamma, GammaConfig, Mab, MabConfig, MalRnn, MalRnnConfig, Rla, RlaConfig};
@@ -116,15 +116,6 @@ pub fn attack_target(
     attack_target_with(world, attack, target, &label, &CampaignOptions::default(), None, 0)
 }
 
-/// `None` when `bytes` ingest cleanly as a PE; otherwise the diagnostic
-/// reason the sample is quarantined with. Clean ingestion means the
-/// bytes parse *and* survive a serialize/re-parse round trip — literally
-/// the same predicate the oracle channel applies to outgoing candidates
-/// ([`mpass_core::validate`]), applied here to incoming samples.
-fn ingest_reason(bytes: &[u8]) -> Option<String> {
-    mpass_core::validate::candidate_reject_reason(bytes)
-}
-
 /// [`attack_target`] with the full campaign machinery: an optionally
 /// fault-injected oracle channel, and journal-backed resume.
 ///
@@ -174,19 +165,7 @@ pub fn attack_target_with(
         }
     };
     for sample in samples {
-        // Ingestion gate: a sample whose bytes do not re-parse and
-        // round-trip is quarantined with a diagnostic record instead of
-        // being handed to the attack, where hostile structure could
-        // otherwise surface deep inside the mutation machinery.
-        if let Some(reason) = ingest_reason(&sample.bytes) {
-            trace::counter("campaign/quarantined", 1);
-            if let Some(journal) = journal {
-                if journal.quarantine_reason(label, &sample.name).is_none() {
-                    journal
-                        .record_quarantine(label, &sample.name, &reason)
-                        .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-                }
-            }
+        if quarantined(sample, label, journal) {
             continue;
         }
         let resumed = replay_samples
@@ -368,20 +347,6 @@ mod tests {
         let (cells_parallel, labels_parallel) = run_at(4);
         assert_eq!(cells_serial, cells_parallel);
         assert_eq!(labels_serial, labels_parallel);
-    }
-
-    #[test]
-    fn ingest_reason_accepts_corpus_and_rejects_garbage() {
-        assert!(ingest_reason(b"MZ but not actually a PE").is_some());
-        let ds = mpass_corpus::Dataset::generate(&mpass_corpus::CorpusConfig {
-            n_malware: 1,
-            n_benign: 1,
-            seed: 3,
-            no_slack_fraction: 0.0,
-        });
-        for s in &ds.samples {
-            assert_eq!(ingest_reason(&s.bytes), None, "{}", s.name);
-        }
     }
 
     /// A corrupted sample is quarantined — journalled with a diagnostic,

@@ -4,7 +4,7 @@ use mpass_corpus::{BenignPool, CorpusConfig, Dataset, Sample};
 use mpass_detectors::train::training_pairs;
 use mpass_detectors::{
     commercial::default_profiles, ByteConvConfig, CommercialAv, Detector, DetectorExt, LightGbm,
-    MalConv, MalGcg, MalGcgConfig, NonNeg, WhiteBoxModel,
+    MalConv, MalGcg, MalGcgConfig, WhiteBoxModel,
 };
 use mpass_ml::GbdtParams;
 use rand::SeedableRng;
@@ -92,8 +92,8 @@ pub struct World {
     pub pool: BenignPool,
     /// MalConv.
     pub malconv: MalConv,
-    /// NonNeg.
-    pub nonneg: NonNeg,
+    /// NonNeg (MalConv with a non-negative head).
+    pub nonneg: MalConv,
     /// LightGBM-style GBDT.
     pub lightgbm: LightGbm,
     /// MalGCG.
@@ -138,7 +138,7 @@ impl World {
         let mut malconv = MalConv::new(config.conv, &mut rng);
         malconv.train(&pairs, config.conv_epochs, config.conv_lr, &mut rng);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x7282);
-        let mut nonneg = NonNeg::new(config.conv, &mut rng);
+        let mut nonneg = MalConv::nonneg(config.conv, &mut rng);
         // The non-negativity constraint clamps away half of every update;
         // NonNeg needs roughly twice the epochs to converge.
         nonneg.train(&pairs, config.conv_epochs * 2, config.conv_lr, &mut rng);

@@ -11,9 +11,7 @@
 use mpass::core::pem::{run_pem, PemConfig};
 use mpass::corpus::{CorpusConfig, Dataset};
 use mpass::detectors::train::training_pairs;
-use mpass::detectors::{
-    ByteConvConfig, DetectorExt, MalConv, MalGcg, MalGcgConfig, NonNeg,
-};
+use mpass::detectors::{ByteConvConfig, DetectorExt, MalConv, MalGcg, MalGcgConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -29,7 +27,7 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let mut malconv = MalConv::new(ByteConvConfig::default(), &mut rng);
     malconv.train(&pairs, 5, 5e-3, &mut rng);
-    let mut nonneg = NonNeg::new(ByteConvConfig::default(), &mut rng);
+    let mut nonneg = MalConv::nonneg(ByteConvConfig::default(), &mut rng);
     nonneg.train(&pairs, 10, 5e-3, &mut rng);
     let mut malgcg = MalGcg::new(MalGcgConfig::default(), &mut rng);
     malgcg.train(&pairs, 5, 5e-3, &mut rng);

@@ -9,18 +9,16 @@
 //!   bit-identical to N sequential calls for every roster detector,
 //!   including the caching AV wrapper,
 //! * `Oracle::submit_batch` consumes the same fault schedule as N
-//!   sequential submissions on an `UnreliableOracle`,
-//! * `HardLabelTarget::query_batch` meters budget exactly like N
-//!   sequential `query` calls — per delivered verdict, with AE-invalid
-//!   candidates free — including at the exhaustion boundary and under
-//!   injected faults.
+//!   sequential submissions on an `UnreliableOracle`.
+//!
+//! Attacks query their target one candidate at a time
+//! (`HardLabelTarget::query`); its budget and retry contract is pinned
+//! by the unit tests next to it in `mpass-core`.
 
-use mpass_core::{HardLabelTarget, QueryError, RetryPolicy};
 use mpass_detectors::{CachedAv, Detector, FaultProfile, Oracle, UnreliableOracle, Verdict};
-use mpass_engine::{OracleFault, QueryBudget};
+use mpass_engine::OracleFault;
 use mpass_experiments::world::{World, WorldConfig};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 fn world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
@@ -128,305 +126,4 @@ fn unreliable_oracle_submit_batch_consumes_the_sequential_schedule() {
     assert_eq!(batch_results, seq_results);
     assert_eq!(batched.submissions(), sequential.submissions());
     assert_eq!(batched.faults_injected(), sequential.faults_injected());
-}
-
-#[test]
-fn query_batch_matches_sequential_queries_on_a_reliable_channel() {
-    let w = world();
-    let items = probe_items(w);
-    // Budget below the item count so the exhaustion boundary is crossed
-    // mid-batch.
-    let limit = items.len() - 3;
-
-    let mut batched = HardLabelTarget::new(&w.malconv, limit);
-    let mut batch_results = Vec::new();
-    batched.query_batch(&items, &mut batch_results);
-
-    let mut sequential = HardLabelTarget::new(&w.malconv, limit);
-    let seq_results: Vec<Result<Verdict, QueryError>> =
-        items.iter().map(|b| sequential.query(b)).collect();
-
-    assert_eq!(batch_results, seq_results);
-    assert_eq!(batched.queries(), sequential.queries());
-    assert_eq!(batched.remaining(), sequential.remaining());
-    assert_eq!(batched.queries(), limit, "every delivered verdict costs one unit");
-    let delivered = batch_results.iter().filter(|r| r.is_ok()).count();
-    assert_eq!(delivered, limit);
-    assert!(batch_results[limit..]
-        .iter()
-        .all(|r| matches!(r, Err(e) if e.is_budget_exhausted())));
-}
-
-/// AE validation is per candidate in both paths: invalid candidates fail
-/// with `InvalidCandidate`, are never submitted, and consume no budget.
-#[test]
-fn query_batch_validates_each_candidate_without_spending_budget() {
-    let w = world();
-    let valid = w.dataset.samples[0].bytes.as_slice();
-    let items: Vec<&[u8]> = vec![valid, b"not a PE at all", valid, b"", valid];
-
-    let mut batched = HardLabelTarget::new(&w.malconv, 100).with_ae_validation();
-    let mut batch_results = Vec::new();
-    batched.query_batch(&items, &mut batch_results);
-
-    let mut sequential = HardLabelTarget::new(&w.malconv, 100).with_ae_validation();
-    let seq_results: Vec<Result<Verdict, QueryError>> =
-        items.iter().map(|b| sequential.query(b)).collect();
-
-    assert_eq!(batch_results, seq_results);
-    assert_eq!(batched.queries(), sequential.queries());
-    assert_eq!(batched.queries(), 3, "only the three valid candidates consume budget");
-    assert_eq!(batch_results[1], Err(QueryError::InvalidCandidate));
-    assert_eq!(batch_results[3], Err(QueryError::InvalidCandidate));
-}
-
-/// A channel that fails its first `k` submissions with transient faults
-/// and delivers ever after — a fault schedule whose retries resolve
-/// identically whether queries arrive one at a time or as a batch.
-struct FlakyFirstK<'a> {
-    inner: &'a dyn Detector,
-    remaining_faults: AtomicU64,
-}
-
-impl Oracle for FlakyFirstK<'_> {
-    fn name(&self) -> &str {
-        "flaky"
-    }
-
-    fn submit(&self, bytes: &[u8]) -> Result<Verdict, OracleFault> {
-        let left = self
-            .remaining_faults
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        if left {
-            Err(OracleFault::Transient)
-        } else {
-            Ok(self.inner.classify(bytes))
-        }
-    }
-}
-
-#[test]
-fn query_batch_budget_accounting_matches_sequential_under_injected_faults() {
-    let w = world();
-    let items = probe_items(w);
-    let policy = RetryPolicy { sleep: false, ..RetryPolicy::default() };
-    let run = |limit: usize| {
-        let channel = FlakyFirstK { inner: &w.malconv, remaining_faults: AtomicU64::new(3) };
-        let mut batched =
-            HardLabelTarget::unreliable(&channel, QueryBudget::new(limit), policy.clone());
-        let mut batch_results = Vec::new();
-        batched.query_batch(&items, &mut batch_results);
-
-        let channel = FlakyFirstK { inner: &w.malconv, remaining_faults: AtomicU64::new(3) };
-        let mut sequential =
-            HardLabelTarget::unreliable(&channel, QueryBudget::new(limit), policy.clone());
-        let seq_results: Vec<Result<Verdict, QueryError>> =
-            items.iter().map(|b| sequential.query(b)).collect();
-
-        assert_eq!(batch_results, seq_results, "limit {limit}");
-        assert_eq!(batched.queries(), sequential.queries(), "limit {limit}");
-        assert_eq!(batched.remaining(), sequential.remaining(), "limit {limit}");
-        // The invariant behind "budget meters delivered verdicts":
-        // consumed budget equals the number of Ok results, faults and
-        // retries are free.
-        let delivered = batch_results.iter().filter(|r| r.is_ok()).count();
-        assert_eq!(batched.queries(), delivered, "limit {limit}");
-    };
-    // Ample budget: every item delivers despite the three leading faults.
-    run(items.len() + 10);
-    // Tight budget: exhaustion landing after the faulted-and-retried
-    // prefix exercises deferred first attempts behind retries.
-    run(items.len() - 4);
-}
-
-/// Wraps an oracle and records which item every submission carried (by
-/// pointer identity into the probe set) and whether it delivered.
-struct Recorded<'a> {
-    inner: &'a dyn Oracle,
-    log: Mutex<Vec<(usize, bool)>>,
-}
-
-impl Oracle for Recorded<'_> {
-    fn name(&self) -> &str {
-        "recorded"
-    }
-
-    fn submit(&self, bytes: &[u8]) -> Result<Verdict, OracleFault> {
-        let res = self.inner.submit(bytes);
-        self.log.lock().unwrap().push((bytes.as_ptr() as usize, res.is_ok()));
-        res
-    }
-}
-
-impl Recorded<'_> {
-    /// The recorded submissions as `(item index, delivered)` pairs.
-    fn placements(&self, items: &[&[u8]]) -> Vec<(usize, bool)> {
-        self.log
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|&(ptr, ok)| {
-                let idx = items
-                    .iter()
-                    .position(|b| b.as_ptr() as usize == ptr)
-                    .expect("submission carried a probe item");
-                (idx, ok)
-            })
-            .collect()
-    }
-}
-
-/// Pins the documented `query_batch` caveat. The `UnreliableOracle`
-/// consumes its fault schedule per *submission*, and a batch advances
-/// the submission index across every item before any retry — so faults
-/// land on different items than under a sequential interleaving. The
-/// transparency contract that survives is budget accounting: consumed
-/// budget equals delivered verdicts in both paths, independently of
-/// where the faults landed.
-#[test]
-fn fault_placement_diverges_while_budget_accounting_stays_exact() {
-    let w = world();
-    let items = probe_items(w);
-    let profile = FaultProfile::seeded(0xD1FF);
-    let policy = RetryPolicy { sleep: false, ..RetryPolicy::default() };
-    let limit = items.len() + 16;
-
-    let oracle = UnreliableOracle::new(&w.malconv, profile);
-    let channel = Recorded { inner: &oracle, log: Mutex::new(Vec::new()) };
-    let mut batched =
-        HardLabelTarget::unreliable(&channel, QueryBudget::new(limit), policy.clone());
-    let mut batch_results = Vec::new();
-    batched.query_batch(&items, &mut batch_results);
-    let batch_placements = channel.placements(&items);
-
-    let oracle = UnreliableOracle::new(&w.malconv, profile);
-    let channel = Recorded { inner: &oracle, log: Mutex::new(Vec::new()) };
-    let mut sequential =
-        HardLabelTarget::unreliable(&channel, QueryBudget::new(limit), policy.clone());
-    let seq_results: Vec<Result<Verdict, QueryError>> =
-        items.iter().map(|b| sequential.query(b)).collect();
-    let seq_placements = channel.placements(&items);
-
-    // The caveat itself: the same fault schedule hits different items.
-    let batch_faulted: Vec<usize> =
-        batch_placements.iter().filter(|&&(_, ok)| !ok).map(|&(i, _)| i).collect();
-    let seq_faulted: Vec<usize> =
-        seq_placements.iter().filter(|&&(_, ok)| !ok).map(|&(i, _)| i).collect();
-    assert_ne!(
-        batch_faulted, seq_faulted,
-        "seed 0xD1FF was chosen to demonstrate divergent fault placement; \
-         if the schedule changed, pick a seed where the paths diverge"
-    );
-
-    // What *is* guaranteed either way: budget meters delivered verdicts.
-    let batch_delivered = batch_results.iter().filter(|r| r.is_ok()).count();
-    assert_eq!(batched.queries(), batch_delivered);
-    let seq_delivered = seq_results.iter().filter(|r| r.is_ok()).count();
-    assert_eq!(sequential.queries(), seq_delivered);
-    // And with retry patience beyond the profile's burst cap, every item
-    // still delivers in both paths — divergence is confined to placement.
-    assert_eq!(batch_delivered, items.len());
-    assert_eq!(seq_delivered, items.len());
-}
-
-/// A scripted channel for pinning wave ordering: the item tagged `0`
-/// faults transiently on its first submission only, the item tagged `1`
-/// is fatally rejected, everything else delivers. The submission log is
-/// the observable.
-struct ScriptedOracle {
-    log: Mutex<Vec<u8>>,
-    faulted_once: AtomicBool,
-}
-
-impl Oracle for ScriptedOracle {
-    fn name(&self) -> &str {
-        "scripted"
-    }
-
-    fn submit(&self, bytes: &[u8]) -> Result<Verdict, OracleFault> {
-        let tag = bytes[0];
-        self.log.lock().unwrap().push(tag);
-        match tag {
-            0 if !self.faulted_once.swap(true, Ordering::SeqCst) => Err(OracleFault::Transient),
-            1 => Err(OracleFault::Fatal),
-            _ => Ok(Verdict::Benign),
-        }
-    }
-}
-
-/// Pins the retry-wave ordering inside `query_batch`: items a wave
-/// could not deliver re-enter the next wave *ahead of* first attempts
-/// the budget deferred — the order a sequential loop would reach them
-/// in. Eight items under a budget of six: the first wave submits items
-/// 0–5 (deferring 6 and 7), item 0 faults transiently and item 1
-/// fatally, so the second wave has room for two submissions and must
-/// send item 0's retry before deferred item 6.
-#[test]
-fn retries_resubmit_ahead_of_budget_deferred_first_attempts() {
-    let storage: Vec<[u8; 1]> = (0u8..8).map(|b| [b]).collect();
-    let items: Vec<&[u8]> = storage.iter().map(|a| a.as_slice()).collect();
-    let policy = RetryPolicy { sleep: false, ..RetryPolicy::default() };
-
-    let channel = ScriptedOracle { log: Mutex::new(Vec::new()), faulted_once: AtomicBool::new(false) };
-    let mut batched =
-        HardLabelTarget::unreliable(&channel, QueryBudget::new(6), policy.clone());
-    let mut batch_results = Vec::new();
-    batched.query_batch(&items, &mut batch_results);
-
-    let log = channel.log.lock().unwrap().clone();
-    assert_eq!(&log[..6], &[0, 1, 2, 3, 4, 5], "wave 1 is budget-sized, in input order");
-    assert_eq!(
-        &log[6..],
-        &[0, 6],
-        "wave 2 must resubmit item 0's retry ahead of budget-deferred item 6"
-    );
-
-    assert_eq!(batch_results[0], Ok(Verdict::Benign), "retried and delivered");
-    assert_eq!(batch_results[1], Err(QueryError::Fatal));
-    assert!(
-        matches!(&batch_results[7], Err(e) if e.is_budget_exhausted()),
-        "item 7 never got a wave slot"
-    );
-    assert_eq!(batched.queries(), 6, "all six budget units bought delivered verdicts");
-
-    // The same schedule resolves to the same outcomes sequentially —
-    // the ordering rule is exactly what keeps the two paths aligned.
-    let channel = ScriptedOracle { log: Mutex::new(Vec::new()), faulted_once: AtomicBool::new(false) };
-    let mut sequential =
-        HardLabelTarget::unreliable(&channel, QueryBudget::new(6), policy.clone());
-    let seq_results: Vec<Result<Verdict, QueryError>> =
-        items.iter().map(|b| sequential.query(b)).collect();
-    assert_eq!(batch_results, seq_results);
-    assert_eq!(sequential.queries(), 6);
-}
-
-/// Under a schedule that faults beyond the retry policy's patience, the
-/// failed query consumes no budget in either path.
-#[test]
-fn exhausted_retries_are_free_in_both_paths() {
-    let w = world();
-    let valid = w.dataset.samples[0].bytes.as_slice();
-    let items: Vec<&[u8]> = vec![valid, valid];
-    let policy = RetryPolicy { max_attempts: 2, sleep: false, ..RetryPolicy::default() };
-    // Enough faults that the first item exhausts its attempts in both
-    // schedules (sequential burns 2 on item 1; the batch interleaves but
-    // still spends 4 submissions on 2 items x 2 attempts).
-    let channel = FlakyFirstK { inner: &w.malconv, remaining_faults: AtomicU64::new(4) };
-    let mut batched =
-        HardLabelTarget::unreliable(&channel, QueryBudget::new(10), policy.clone());
-    let mut batch_results = Vec::new();
-    batched.query_batch(&items, &mut batch_results);
-    assert!(batch_results
-        .iter()
-        .all(|r| matches!(r, Err(QueryError::Transient { attempts: 2 }))));
-    assert_eq!(batched.queries(), 0, "failed queries must not consume budget");
-
-    let channel = FlakyFirstK { inner: &w.malconv, remaining_faults: AtomicU64::new(4) };
-    let mut sequential =
-        HardLabelTarget::unreliable(&channel, QueryBudget::new(10), policy.clone());
-    let seq_results: Vec<Result<Verdict, QueryError>> =
-        items.iter().map(|b| sequential.query(b)).collect();
-    assert_eq!(batch_results, seq_results);
-    assert_eq!(sequential.queries(), 0);
 }
