@@ -184,13 +184,88 @@ impl RunSummary {
 
 const STACK_LIMIT: usize = 64 * 1024;
 
+/// Entries in the per-run decode cache. Fixed, so the cache costs the
+/// same 8 KiB whatever the image size or memory limit, and filling it is
+/// cheap enough for runs of a few dozen steps.
+const DECODE_CACHE_SLOTS: usize = 512;
+
+/// One decode-cache entry: the instruction that starts at `tag`.
+#[derive(Clone, Copy)]
+struct CacheEntry {
+    /// Start address, widened so that [`DecodeCache::EMPTY`] can never
+    /// equal a `u32` pc, however large the mapped image.
+    tag: u64,
+    instr: Instr,
+}
+
+const _: () = assert!(std::mem::size_of::<[CacheEntry; DECODE_CACHE_SLOTS]>() <= 8 * 1024);
+
+/// A direct-mapped table from instruction start address to decoded
+/// instruction, indexed by `(pc >> 3) & 511`; it lives for one
+/// [`Vm::run_with_sink`] call. Stores invalidate every entry whose 8 bytes
+/// they overlap, so a hit always equals a fresh decode of current memory.
+struct DecodeCache {
+    entries: [CacheEntry; DECODE_CACHE_SLOTS],
+    /// Lowest and highest start address ever cached: a store that ends
+    /// below `lo` or starts past `hi + 7` cannot touch a cached instruction.
+    lo: u64,
+    hi: u64,
+}
+
+impl DecodeCache {
+    const EMPTY: u64 = u64::MAX;
+
+    fn new() -> DecodeCache {
+        DecodeCache {
+            entries: [CacheEntry { tag: Self::EMPTY, instr: Instr::Nop }; DECODE_CACHE_SLOTS],
+            lo: u64::MAX,
+            hi: 0,
+        }
+    }
+
+    fn slot(addr: u64) -> usize {
+        (addr >> 3) as usize & (DECODE_CACHE_SLOTS - 1)
+    }
+
+    #[inline(always)]
+    fn get(&self, pc: u32) -> Option<Instr> {
+        let e = &self.entries[Self::slot(u64::from(pc))];
+        (e.tag == u64::from(pc)).then_some(e.instr)
+    }
+
+    fn insert(&mut self, pc: u32, instr: Instr) {
+        let tag = u64::from(pc);
+        self.entries[Self::slot(tag)] = CacheEntry { tag, instr };
+        self.lo = self.lo.min(tag);
+        self.hi = self.hi.max(tag);
+    }
+
+    /// Drop every cached instruction overlapping the `len` bytes written
+    /// at `addr`, i.e. those starting at `addr - 7 ..= addr + len - 1`.
+    #[inline(always)]
+    fn invalidate(&mut self, addr: u32, len: u64) {
+        let first = u64::from(addr).saturating_sub(INSTR_SIZE as u64 - 1);
+        let last = u64::from(addr) + len - 1;
+        if last < self.lo || first > self.hi {
+            return;
+        }
+        for start in first..=last {
+            let e = &mut self.entries[Self::slot(start)];
+            if e.tag == start {
+                e.tag = Self::EMPTY;
+            }
+        }
+    }
+}
+
 /// The MVM virtual machine.
 ///
 /// Address space: the PE image mapped at address 0 (RVA addressing), i.e.
 /// headers at 0 and every section at its RVA, with virtual-only space
 /// zero-filled. All of it is readable and writable — runtime unpacking,
 /// which both the MPass recovery module and the simulated packers rely on,
-/// writes over code.
+/// writes over code. Each run decodes an instruction once and reuses it
+/// until a store overwrites any of its bytes (see [`Vm::run_with_sink`]).
 #[derive(Debug, Clone)]
 pub struct Vm {
     memory: Vec<u8>,
@@ -355,6 +430,13 @@ impl Vm {
     ///
     /// The call is monomorphized over the sink type, so sinks with no-op
     /// observers cost nothing beyond their `on_api_event` body.
+    ///
+    /// Decoded instructions are kept for the length of the call in a fixed
+    /// 512-entry direct-mapped cache keyed by start address. Every
+    /// successful `St8`/`St32` drops each cached instruction whose 8 bytes
+    /// it overlaps, so self-modifying code (the recovery stub, unpackers)
+    /// runs exactly as if every step decoded memory afresh; debug builds
+    /// assert that on every cache hit.
     pub fn run_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> RunSummary {
         let mut steps: u64 = 0;
         if self.oversized {
@@ -374,6 +456,7 @@ impl Vm {
         // First instruction address of the sequential stream currently
         // executing; every slot in the stream sits at anchor + k·8.
         let mut stream_anchor: u32 = self.pc;
+        let mut cache = DecodeCache::new();
         loop {
             if steps >= self.limits.step_limit {
                 return RunSummary { outcome: Outcome::StepLimit, steps };
@@ -383,9 +466,22 @@ impl Vm {
             if end > self.memory.len() {
                 return faulted(sink, VmFault::PcOutOfBounds(pc), steps);
             }
-            let instr = match Instr::decode(&self.memory[pc as usize..end]) {
-                Ok(i) => i,
-                Err(_) => return faulted(sink, VmFault::IllegalInstruction(pc), steps),
+            let instr = match cache.get(pc) {
+                Some(i) => {
+                    debug_assert_eq!(
+                        Instr::decode(&self.memory[pc as usize..end]),
+                        Ok(i),
+                        "stale decode-cache entry at {pc:#x}"
+                    );
+                    i
+                }
+                None => match Instr::decode(&self.memory[pc as usize..end]) {
+                    Ok(i) => {
+                        cache.insert(pc, i);
+                        i
+                    }
+                    Err(_) => return faulted(sink, VmFault::IllegalInstruction(pc), steps),
+                },
             };
             steps += 1;
             sink.on_step(steps);
@@ -419,6 +515,7 @@ impl Vm {
                     if let Err(f) = self.write8(addr, r(a) as u8) {
                         return faulted(sink, f, steps);
                     }
+                    cache.invalidate(addr, 1);
                 }
                 Instr::Ld32(a, b, imm) => {
                     let addr = r(b).wrapping_add(imm as u32);
@@ -432,6 +529,7 @@ impl Vm {
                     if let Err(f) = self.write32(addr, r(a)) {
                         return faulted(sink, f, steps);
                     }
+                    cache.invalidate(addr, 4);
                 }
                 Instr::Jmp(d) => {
                     self.pc = next.wrapping_add(d as u32);
@@ -732,6 +830,117 @@ mod tests {
         asm.push(Instr::Jmp(1 << 20)); // would fault if not overwritten
         let (exec, _) = run_program(&asm);
         assert_eq!(exec.outcome, Outcome::Halted);
+    }
+
+    #[test]
+    fn rewriting_an_executed_instruction_runs_the_new_one() {
+        // Pass 1 runs `addi r2, 1` (now cached), then rewrites its
+        // immediate to 100; pass 2 must run `addi r2, 100`.
+        let mut asm = Asm::new();
+        asm.push(Instr::Movi(Reg::R0, 0));
+        asm.push(Instr::Movi(Reg::R1, 2));
+        asm.push(Instr::Movi(Reg::R3, 100));
+        asm.push(Instr::Movi(Reg::R4, 4 * 8 + 4)); // imm of the addi below
+        asm.label("loop");
+        asm.push(Instr::Addi(Reg::R2, 1));
+        asm.push(Instr::St32(Reg::R3, Reg::R4, 0));
+        asm.push(Instr::Addi(Reg::R0, 1));
+        asm.jump_to(Instr::Jlt(Reg::R0, Reg::R1, 0), "loop");
+        asm.push(Instr::Halt);
+        let (exec, vm) = run_program(&asm);
+        assert_eq!(exec.outcome, Outcome::Halted);
+        assert_eq!(exec.steps, 4 + 2 * 4 + 1);
+        assert_eq!(vm.regs()[2], 101);
+    }
+
+    #[test]
+    fn st32_straddling_two_cached_slots_invalidates_both() {
+        // The store covers the last two immediate bytes of `movi r5, 1` and
+        // the opcode and register bytes of `addi r6, 1`, turning them into
+        // `movi r5, 0x1122_0001` and `addi r7, 1`.
+        let a = 4 * 8;
+        let mut asm = Asm::new();
+        asm.push(Instr::Movi(Reg::R0, 0));
+        asm.push(Instr::Movi(Reg::R1, 2));
+        asm.push(Instr::Movi(Reg::R3, i32::from_le_bytes([0x22, 0x11, 0x0B, 7])));
+        asm.push(Instr::Movi(Reg::R4, a + 6));
+        asm.label("loop");
+        asm.push(Instr::Movi(Reg::R5, 1));
+        asm.push(Instr::Addi(Reg::R6, 1));
+        asm.push(Instr::St32(Reg::R3, Reg::R4, 0));
+        asm.push(Instr::Addi(Reg::R0, 1));
+        asm.jump_to(Instr::Jlt(Reg::R0, Reg::R1, 0), "loop");
+        asm.push(Instr::Halt);
+        let (exec, vm) = run_program(&asm);
+        assert_eq!(exec.outcome, Outcome::Halted);
+        assert_eq!(exec.steps, 4 + 2 * 5 + 1);
+        assert_eq!(vm.regs()[5], 0x1122_0001);
+        assert_eq!(vm.regs()[6], 1);
+        assert_eq!(vm.regs()[7], 1);
+    }
+
+    #[test]
+    fn store_making_a_cached_slot_undecodable_faults_at_the_same_step() {
+        let mut asm = Asm::new();
+        asm.push(Instr::Movi(Reg::R0, 0xEE)); // not an opcode
+        asm.push(Instr::Movi(Reg::R1, 2 * 8));
+        asm.label("loop");
+        asm.push(Instr::Nop);
+        asm.push(Instr::St8(Reg::R0, Reg::R1, 0));
+        asm.jump_to(Instr::Jmp(0), "loop");
+        let (exec, vm) = run_program(&asm);
+        assert_eq!(exec.outcome, Outcome::Faulted(VmFault::IllegalInstruction(2 * 8)));
+        assert_eq!(exec.steps, 2 + 3);
+        assert_eq!(vm.regs()[0], 0xEE);
+        assert_eq!(vm.regs()[1], 16);
+    }
+
+    #[test]
+    fn pcs_sharing_a_cache_entry_alternate() {
+        // 8 and 4104 are 512 slots apart, so they map to the same entry
+        // and evict each other on every pass.
+        let mut mem = vec![0u8; 8192];
+        let mut put = |at: usize, i: Instr| mem[at..at + INSTR_SIZE].copy_from_slice(&i.encode());
+        put(0, Instr::Movi(Reg::R0, 3));
+        put(8, Instr::Addi(Reg::R1, 1));
+        put(16, Instr::Jmp(4104 - 24));
+        put(4104, Instr::Addi(Reg::R2, 1));
+        put(4112, Instr::Addi(Reg::R0, -1));
+        put(4120, Instr::Jnz(Reg::R0, 8 - 4128));
+        put(4128, Instr::Halt);
+        let mut vm = Vm::from_image(mem, 0);
+        let exec = vm.run_in_place();
+        assert_eq!(exec.outcome, Outcome::Halted);
+        assert_eq!(exec.steps, 1 + 3 * 5 + 1);
+        assert_eq!(vm.regs()[..3], [0, 3, 3]);
+    }
+
+    #[test]
+    fn overwriting_the_last_byte_of_an_unaligned_cached_instruction() {
+        // The stream starts at 101, so no instruction sits on an 8-byte
+        // boundary; the store hits the top immediate byte of `movi r5, 5`.
+        let base = 101;
+        let x = base + 4 * 8;
+        let mut asm = Asm::new();
+        asm.push(Instr::Movi(Reg::R0, 0));
+        asm.push(Instr::Movi(Reg::R1, 2));
+        asm.push(Instr::Movi(Reg::R3, 1));
+        asm.push(Instr::Movi(Reg::R4, x + 7));
+        asm.label("loop");
+        asm.push(Instr::Movi(Reg::R5, 5));
+        asm.push(Instr::St8(Reg::R3, Reg::R4, 0));
+        asm.push(Instr::Addi(Reg::R0, 1));
+        asm.jump_to(Instr::Jlt(Reg::R0, Reg::R1, 0), "loop");
+        asm.push(Instr::Halt);
+        let code = asm.assemble().unwrap();
+        let mut mem = vec![0u8; 512];
+        mem[..INSTR_SIZE].copy_from_slice(&Instr::Jmp(base - 8).encode());
+        mem[base as usize..base as usize + code.len()].copy_from_slice(&code);
+        let mut vm = Vm::from_image(mem, 0);
+        let exec = vm.run_in_place();
+        assert_eq!(exec.outcome, Outcome::Halted);
+        assert_eq!(exec.steps, 1 + 4 + 2 * 4 + 1);
+        assert_eq!(vm.regs()[5], 0x0100_0005);
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub enum SinkControl {
 ///
 /// Callback contract, in interpreter order:
 ///
-/// 1. [`on_step`](TraceSink::on_step) fires once per decoded instruction,
+/// 1. [`on_step`](TraceSink::on_step) fires once per executed instruction,
 ///    after the step counter increments and before the instruction
 ///    executes (so a fault inside the instruction still follows its
 ///    `on_step`).
@@ -127,7 +127,8 @@ pub trait TraceSink {
     /// decides whether it does.
     fn on_api_event(&mut self, event: ApiEvent) -> SinkControl;
 
-    /// One instruction was decoded and charged against the step budget.
+    /// One instruction is about to execute and was charged against the
+    /// step budget.
     /// `steps` is the post-increment counter. Default: no-op.
     fn on_step(&mut self, steps: u64) {
         let _ = steps;

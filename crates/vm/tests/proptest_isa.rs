@@ -147,3 +147,72 @@ fn memory_round_trip() {
         }
     }
 }
+
+/// Self-modifying programs: every store targets the program's own code
+/// bytes, and every jump lands on one of its slots, so code is rewritten
+/// and then re-executed. Debug builds assert on every decode-cache hit
+/// that the cached instruction equals a fresh decode of memory.
+#[test]
+fn self_modifying_programs_match_fresh_decoding() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x15A7);
+    let mut rewritten_and_rerun = 0;
+    for _ in 0..CASES {
+        let n = rng.gen_range(4..48usize);
+        let code_len = (n * INSTR_SIZE) as i32;
+        // Displacement from the instruction at `at` to a random slot.
+        let slot_d = |rng: &mut ChaCha8Rng, at: usize| {
+            (rng.gen_range(0..n) as i32 - at as i32 - 1) * INSTR_SIZE as i32
+        };
+        let mut instrs = Vec::with_capacity(n);
+        while instrs.len() < n {
+            let at = instrs.len();
+            match rng.gen_range(0..8u32) {
+                // Store to a code byte, with the value either soup or half
+                // of a valid encoding (so rewrites often stay decodable).
+                0 | 1 if at + 3 <= n => {
+                    let word = arb_instr(&mut rng).encode();
+                    let half = if rng.gen() { &word[..4] } else { &word[4..] };
+                    let value = match rng.gen_range(0..3u32) {
+                        0 => rng.gen::<i32>(),
+                        _ => i32::from_le_bytes(half.try_into().expect("4 bytes")),
+                    };
+                    let target = if rng.gen() {
+                        rng.gen_range(0..code_len / 4) * 4
+                    } else {
+                        rng.gen_range(0..code_len)
+                    };
+                    instrs.push(Instr::Movi(Reg::R6, value));
+                    instrs.push(Instr::Movi(Reg::R7, target));
+                    instrs.push(if rng.gen() {
+                        Instr::St32(Reg::R6, Reg::R7, 0)
+                    } else {
+                        Instr::St8(Reg::R6, Reg::R7, 0)
+                    });
+                }
+                2 => instrs.push(Instr::Jmp(slot_d(&mut rng, at))),
+                3 => instrs.push(Instr::Jnz(arb_reg(&mut rng), slot_d(&mut rng, at))),
+                4 => instrs.push(arb_instr(&mut rng)),
+                _ => instrs.push(match rng.gen_range(0..3u32) {
+                    0 => Instr::Movi(arb_reg(&mut rng), rng.gen_range(-4..4)),
+                    1 => Instr::Addi(arb_reg(&mut rng), rng.gen_range(-4..4)),
+                    _ => Instr::Nop,
+                }),
+            }
+        }
+        let code: Vec<u8> = instrs.iter().flat_map(|i| i.encode()).collect();
+        let mut mem = code.clone();
+        mem.resize(4096, 0);
+        let mut vm = Vm::from_image(mem, 0).with_step_limit(2_000);
+        let exec = vm.run_in_place();
+        assert!(exec.steps <= 2_000);
+        if vm.memory()[..code.len()] != code[..] && exec.steps > n as u64 {
+            rewritten_and_rerun += 1;
+        }
+    }
+    // The property is only exercised if programs really do run over code
+    // they have rewritten.
+    assert!(
+        rewritten_and_rerun >= CASES / 8,
+        "only {rewritten_and_rerun} cases re-ran rewritten code"
+    );
+}
