@@ -400,13 +400,7 @@ pub fn cmd_attack(
         );
     }
     if let Some(ae) = outcome.adversarial {
-        // Digest-based validation: baseline the sample once, replay the AE
-        // against it with the early-aborting comparing sink.
-        let sandbox = Sandbox::new();
-        let verdict = match sandbox.baseline_digest(&sample.bytes) {
-            Ok(baseline) => sandbox.verify_candidate(&baseline, &ae),
-            Err(_) => mpass_sandbox::FunctionalityVerdict::BrokenParse,
-        };
+        let verdict = Sandbox::new().verify_functionality(&sample.bytes, &ae);
         let _ = writeln!(out, "functionality: {verdict}");
         std::fs::write(out_path, &ae).map_err(|e| format!("write {out_path}: {e}"))?;
         let _ = writeln!(out, "adversarial example written to {out_path}");

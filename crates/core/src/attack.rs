@@ -176,9 +176,6 @@ impl<'a> HardLabelTarget<'a> {
                     };
                     let backoff = self.policy.backoff_ms(attempt, self.retry_seed).max(hint);
                     trace::counter("oracle/backoff_ms", backoff);
-                    if self.policy.sleep && backoff > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(backoff));
-                    }
                 }
             }
         }

@@ -124,6 +124,10 @@ impl fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// Retry/backoff/breaker configuration for one oracle channel.
+///
+/// Backoff waits are scheduled, never slept: the retry loop records
+/// each wait in the `oracle/backoff_ms` counter, so simulated campaigns
+/// keep the schedule without its wall-clock cost.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Submission attempts per query, including the first (min 1).
@@ -140,10 +144,6 @@ pub struct RetryPolicy {
     /// Queries refused (fail-fast) while the breaker is open, before a
     /// half-open probe is allowed through.
     pub breaker_cooldown: u32,
-    /// Whether to actually sleep through backoff waits. Off by default:
-    /// simulated campaigns want the schedule (it is still recorded in
-    /// the `oracle/backoff_ms` counter) without the wall-clock cost.
-    pub sleep: bool,
 }
 
 impl Default for RetryPolicy {
@@ -155,7 +155,6 @@ impl Default for RetryPolicy {
             max_backoff_ms: 2_000,
             breaker_threshold: 3,
             breaker_cooldown: 8,
-            sleep: false,
         }
     }
 }
@@ -171,7 +170,6 @@ impl RetryPolicy {
             max_backoff_ms: 0,
             breaker_threshold: 0,
             breaker_cooldown: 0,
-            sleep: false,
         }
     }
 

@@ -26,7 +26,7 @@ fn main() {
     println!("{}", offline_results.table(Metric::Asr));
     println!("{}", offline_results.table(Metric::Avq));
     println!("{}", offline_results.table(Metric::Apr));
-    if let Ok(p) = report::save_json("exp_offline", &offline_results) {
+    if let Ok(p) = report::save_report("exp_offline", &offline_results.report()) {
         report::save_metrics(&p, &offline_metrics);
     }
 
@@ -42,12 +42,7 @@ fn main() {
         use mpass_detectors::Detector;
         println!("{}", fig4.figure4(av.name()));
     }
-    let slim: Vec<_> = fig3
-        .cells
-        .iter()
-        .map(|c| (c.attack.clone(), c.av.clone(), c.stats))
-        .collect();
-    if let Ok(p) = report::save_json("exp_commercial", &slim) {
+    if let Ok(p) = report::save_report("exp_commercial", &fig3.report()) {
         report::save_metrics(&p, &fig3_metrics);
     }
     let slim4: Vec<_> = fig4

@@ -2,90 +2,15 @@
 //!
 //! `--processes N` distributes the AV grid across N worker processes
 //! (this same binary, re-entered via the hidden `--orchestrate-work`
-//! flag) and prints the figure from the merged report — byte-identical
-//! to the single-process run's persisted stats.
+//! flag); the report is byte-identical to the single-process run's.
 
-use mpass_core::attack::metrics::AttackStats;
-use mpass_experiments::commercial::{CommercialCell, CommercialResults};
-use mpass_experiments::{commercial, orchestrator, report, World};
+use mpass_experiments::commercial::CommercialResults;
+use mpass_experiments::orchestrator::{campaign_main, CampaignKind};
 
 fn main() {
-    if let Some(code) = orchestrator::maybe_run_worker_from_args() {
-        std::process::exit(code);
-    }
-    let args = report::CliArgs::parse();
-    if let Some(processes) = args.processes.filter(|n| *n > 0) {
-        run_distributed(&args, processes);
-        return;
-    }
-    let world = World::build(args.world_config());
-    let engine = args.engine(world.config.seed);
-    let opts = args.campaign_options("exp_commercial");
-    let (results, metrics) = match commercial::run_campaign(&world, &engine, &opts) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("could not open campaign journal: {e}");
-            std::process::exit(1);
-        }
-    };
-    for failure in &metrics.failures {
-        eprintln!("shard {} failed: {}", failure.label, failure.panic);
-    }
-    println!("{}", results.figure3());
-    // AEs are large; persist only the stats.
-    let slim: Vec<_> = results
-        .cells
-        .iter()
-        .map(|c| (c.attack.clone(), c.av.clone(), c.stats))
-        .collect();
-    match report::save_json("exp_commercial", &slim) {
-        Ok(p) => {
-            println!("results written to {}", p.display());
-            report::save_metrics(&p, &metrics);
-        }
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-}
-
-fn run_distributed(args: &report::CliArgs, processes: usize) {
-    let outcome = orchestrator::run_distributed(
-        orchestrator::CampaignKind::Commercial,
-        "exp_commercial",
-        args.world_config(),
-        args.faults,
-        processes,
-        args.resume,
+    campaign_main(
+        CampaignKind::Commercial,
+        |_world| {},
+        |results: &CommercialResults| println!("{}", results.figure3()),
     );
-    let (summary, results_path) = match outcome {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("distributed campaign failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // The merged report is the slim (attack, av, stats) rows the
-    // single-process run persists; rebuild a printable grid from them.
-    match serde_json::from_str::<Vec<(String, String, AttackStats)>>(&summary.report) {
-        Ok(rows) => {
-            let results = CommercialResults {
-                cells: rows
-                    .into_iter()
-                    .map(|(attack, av, stats)| CommercialCell {
-                        attack,
-                        av,
-                        stats,
-                        successful_aes: Vec::new(),
-                    })
-                    .collect(),
-            };
-            println!("{}", results.figure3());
-        }
-        Err(e) => eprintln!("merged report does not parse: {e}"),
-    }
-    println!(
-        "campaign: {} shard(s) over {} process(es), {} reassigned, {} respawned",
-        summary.shards, processes, summary.reassigned, summary.respawned
-    );
-    println!("results written to {}", results_path.display());
-    println!("metrics  -> {}", mpass_engine::metrics_path(&results_path).display());
 }

@@ -2,78 +2,25 @@
 //!
 //! `--processes N` distributes the campaign grid across N worker
 //! processes (this same binary, re-entered via the hidden
-//! `--orchestrate-work` flag) and prints the tables from the merged
-//! report — byte-identical to the single-process run.
+//! `--orchestrate-work` flag); the report is byte-identical to the
+//! single-process run's.
 
 use mpass_experiments::offline::{Metric, OfflineResults};
-use mpass_experiments::{offline, orchestrator, report, World};
+use mpass_experiments::orchestrator::{campaign_main, CampaignKind};
 
 fn main() {
-    if let Some(code) = orchestrator::maybe_run_worker_from_args() {
-        std::process::exit(code);
-    }
-    let args = report::CliArgs::parse();
-    if let Some(processes) = args.processes.filter(|n| *n > 0) {
-        run_distributed(&args, processes);
-        return;
-    }
-    let world = World::build(args.world_config());
-    println!("== detector health ==");
-    for (name, acc) in world.detector_health() {
-        println!("  {name:<10} accuracy {acc:.3}");
-    }
-    let engine = args.engine(world.config.seed);
-    let opts = args.campaign_options("exp_offline");
-    let (results, metrics) = match offline::run_campaign(&world, &engine, &opts) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("could not open campaign journal: {e}");
-            std::process::exit(1);
-        }
-    };
-    for failure in &metrics.failures {
-        eprintln!("shard {} failed: {}", failure.label, failure.panic);
-    }
-    print_tables(&results);
-    match report::save_json("exp_offline", &results) {
-        Ok(p) => {
-            println!("results written to {}", p.display());
-            report::save_metrics(&p, &metrics);
-        }
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-}
-
-fn print_tables(results: &OfflineResults) {
-    println!("{}", results.table(Metric::Asr));
-    println!("{}", results.table(Metric::Avq));
-    println!("{}", results.table(Metric::Apr));
-}
-
-fn run_distributed(args: &report::CliArgs, processes: usize) {
-    let outcome = orchestrator::run_distributed(
-        orchestrator::CampaignKind::Offline,
-        "exp_offline",
-        args.world_config(),
-        args.faults,
-        processes,
-        args.resume,
+    campaign_main(
+        CampaignKind::Offline,
+        |world| {
+            println!("== detector health ==");
+            for (name, acc) in world.detector_health() {
+                println!("  {name:<10} accuracy {acc:.3}");
+            }
+        },
+        |results: &OfflineResults| {
+            println!("{}", results.table(Metric::Asr));
+            println!("{}", results.table(Metric::Avq));
+            println!("{}", results.table(Metric::Apr));
+        },
     );
-    let (summary, results_path) = match outcome {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("distributed campaign failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    match serde_json::from_str::<OfflineResults>(&summary.report) {
-        Ok(results) => print_tables(&results),
-        Err(e) => eprintln!("merged report does not parse: {e}"),
-    }
-    println!(
-        "campaign: {} shard(s) over {} process(es), {} reassigned, {} respawned",
-        summary.shards, processes, summary.reassigned, summary.respawned
-    );
-    println!("results written to {}", results_path.display());
-    println!("metrics  -> {}", mpass_engine::metrics_path(&results_path).display());
 }

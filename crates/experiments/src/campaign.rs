@@ -1,12 +1,16 @@
-//! Campaign-level robustness options shared by the experiment runners:
-//! fault injection on the oracle channel, the retry policy applied to
-//! it, the crash-safe resume journal, and the sample ingestion gate.
+//! The campaign runner's per-shard half: campaign-level options (fault
+//! injection on the oracle channel, the crash-safe resume journal) and
+//! `run_shard`, the one per-sample loop every campaign kind runs —
+//! offline and commercial, in-process and in a worker process.
 
 use crate::journal::CampaignJournal;
-use mpass_core::{HardLabelTarget, QueryBudget, RetryPolicy};
+use crate::world::World;
+use mpass_core::attack::metrics::{summarize, AttackStats};
+use mpass_core::{Attack, AttackOutcome, HardLabelTarget, QueryBudget, RetryPolicy};
 use mpass_corpus::Sample;
 use mpass_detectors::{Detector, FaultProfile, UnreliableOracle};
 use mpass_engine::metrics as trace;
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// How a campaign run should treat the oracle transport and its own
@@ -16,10 +20,8 @@ use std::path::PathBuf;
 pub struct CampaignOptions {
     /// Inject faults into every oracle query using this profile
     /// (reseeded per shard so schedules are independent but replayable).
+    /// Failed submissions are retried under [`RetryPolicy::default`].
     pub faults: Option<FaultProfile>,
-    /// Retry policy for failed submissions. Ignored (no submissions can
-    /// fail) when `faults` is `None`.
-    pub retry: RetryPolicy,
     /// Write-ahead journal path for crash-safe resume.
     pub journal: Option<PathBuf>,
     /// Resume from an existing journal instead of starting it over.
@@ -48,14 +50,103 @@ impl CampaignOptions {
     }
 }
 
+/// What a campaign kind does with each sample's outcome, and how it
+/// folds a finished shard into the cell it journals and reports.
+pub(crate) trait OutcomeHook {
+    /// The shard's persisted result.
+    type Cell: Serialize + Deserialize;
+    /// Called once per attacked or replayed sample, after the outcome is
+    /// journalled (so the hook may consume the AE bytes).
+    fn on_outcome(&mut self, sample: &Sample, outcome: &mut AttackOutcome);
+    /// Build the shard's cell from its summary statistics.
+    fn into_cell(self, attack: &str, target: &str, stats: AttackStats) -> Self::Cell;
+}
+
+/// Run one (attack, target) shard over the world's attack set under
+/// `label`, the engine shard label that also keys `shard_seed`.
+///
+/// Per sample, in order: the ingestion gate ([`quarantined`]); then
+/// either replay of the journalled outcome or attack-then-journal; then
+/// `hook`. The shard's cell is journalled last.
+///
+/// Resume operates at two granularities. A shard whose final cell is
+/// already journalled is returned wholesale (`campaign/shard_resumed`).
+/// Otherwise, when the attack carries no state across samples
+/// ([`Attack::stateful_across_samples`] is `false`), each journalled
+/// sample outcome is replayed instead of re-attacked
+/// (`campaign/sample_resumed`); a stateful attack (RLA's Q-table, MAB's
+/// arms) must re-run skipped samples to rebuild its state, so it only
+/// gets shard-level resume. Replayed outcomes carry their AE bytes, so
+/// the hook sees exactly what it saw in the original run.
+///
+/// # Panics
+///
+/// On a journal write failure: a shard that cannot journal must not
+/// pretend to be resumable.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_shard<H: OutcomeHook>(
+    world: &World,
+    attack: &mut dyn Attack,
+    target: &dyn Detector,
+    label: &str,
+    opts: &CampaignOptions,
+    journal: Option<&CampaignJournal>,
+    shard_seed: u64,
+    mut hook: H,
+) -> H::Cell {
+    if let Some(cell) = journal.and_then(|j| j.shard_cell::<H::Cell>(label)) {
+        trace::counter("campaign/shard_resumed", 1);
+        return cell;
+    }
+    let journal_write = |result: std::io::Result<()>| {
+        result.unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
+    };
+    let replay_samples = !attack.stateful_across_samples();
+    let oracle = ShardOracle::build(target, opts, shard_seed);
+    let samples = world.attack_set(target);
+    let mut outcomes = Vec::with_capacity(samples.len());
+    for sample in samples {
+        if quarantined(sample, label, journal) {
+            continue;
+        }
+        let resumed = replay_samples
+            .then(|| journal.and_then(|j| j.sample(label, &sample.name)).cloned())
+            .flatten();
+        let outcome = match resumed {
+            Some(mut outcome) => {
+                trace::counter("campaign/sample_resumed", 1);
+                hook.on_outcome(sample, &mut outcome);
+                outcome
+            }
+            None => {
+                trace::begin_sample(&sample.name);
+                let mut channel = oracle.target(world.config.max_queries, shard_seed);
+                let mut outcome = attack.attack(sample, &mut channel);
+                if let Some(journal) = journal {
+                    journal_write(journal.record_sample(label, &outcome));
+                }
+                hook.on_outcome(sample, &mut outcome);
+                trace::end_sample();
+                outcome
+            }
+        };
+        outcomes.push(outcome);
+    }
+    let cell = hook.into_cell(attack.name(), target.name(), summarize(&outcomes));
+    if let Some(journal) = journal {
+        journal_write(journal.record_shard(label, &cell));
+    }
+    cell
+}
+
 /// The oracle channel one shard queries: the detector itself, or the
 /// detector behind a per-shard [`UnreliableOracle`].
 ///
-/// Owning the wrapper here (rather than in the per-sample loop) keeps
-/// one fault schedule per shard: sample boundaries advance the schedule
+/// Owning the wrapper per shard (rather than per sample) keeps one
+/// fault schedule per shard: sample boundaries advance the schedule
 /// exactly as queries do, which is what makes kill-and-resume replay
 /// line up with the original run.
-pub enum ShardOracle<'a> {
+enum ShardOracle<'a> {
     /// Perfectly reliable in-process detector.
     Reliable(&'a dyn Detector),
     /// Fault-injected channel around the detector.
@@ -66,7 +157,7 @@ impl<'a> ShardOracle<'a> {
     /// Build the channel a shard should query. With faults enabled the
     /// profile is reseeded with `shard_seed` (the engine's label-keyed
     /// seed) so every shard draws an independent, replayable schedule.
-    pub fn build(detector: &'a dyn Detector, opts: &CampaignOptions, shard_seed: u64) -> Self {
+    fn build(detector: &'a dyn Detector, opts: &CampaignOptions, shard_seed: u64) -> Self {
         match &opts.faults {
             None => ShardOracle::Reliable(detector),
             Some(profile) => ShardOracle::Faulty(UnreliableOracle::new(
@@ -77,35 +168,33 @@ impl<'a> ShardOracle<'a> {
     }
 
     /// A fresh budgeted [`HardLabelTarget`] over this channel for one
-    /// sample. `retry_seed` keys the deterministic backoff jitter.
+    /// sample. `retry_seed` keys the deterministic backoff jitter of
+    /// [`RetryPolicy::default`].
     ///
     /// Campaign targets always validate adversarial candidates before
     /// submission: bytes that do not re-parse and round-trip as a PE
     /// are rejected locally (no budget spent) and recorded in metrics,
     /// so a buggy or hostile mutation can never smuggle a malformed
     /// sample into the oracle channel.
-    pub fn target(
-        &self,
-        max_queries: usize,
-        retry: &RetryPolicy,
-        retry_seed: u64,
-    ) -> HardLabelTarget<'_> {
+    fn target(&self, max_queries: usize, retry_seed: u64) -> HardLabelTarget<'_> {
         match self {
             ShardOracle::Reliable(det) => {
                 HardLabelTarget::new(*det, max_queries).with_ae_validation()
             }
-            ShardOracle::Faulty(oracle) => {
-                HardLabelTarget::unreliable(oracle, QueryBudget::new(max_queries), retry.clone())
-                    .with_retry_seed(retry_seed)
-                    .with_ae_validation()
-            }
+            ShardOracle::Faulty(oracle) => HardLabelTarget::unreliable(
+                oracle,
+                QueryBudget::new(max_queries),
+                RetryPolicy::default(),
+            )
+            .with_retry_seed(retry_seed)
+            .with_ae_validation(),
         }
     }
 }
 
-/// The ingestion gate every campaign loop applies before attacking a
-/// sample. Bytes that do not re-parse and survive a serialize/re-parse
-/// round trip — the predicate the oracle channel applies to outgoing
+/// The ingestion gate [`run_shard`] applies before attacking a sample.
+/// Bytes that do not re-parse and survive a serialize/re-parse round
+/// trip — the predicate the oracle channel applies to outgoing
 /// candidates ([`mpass_core::validate`]), applied here to incoming
 /// samples — get the sample quarantined: counted in
 /// `campaign/quarantined`, journalled once under `label` with the
@@ -116,7 +205,7 @@ impl<'a> ShardOracle<'a> {
 /// # Panics
 ///
 /// On a journal write failure, like every other shard journal write.
-pub fn quarantined(sample: &Sample, label: &str, journal: Option<&CampaignJournal>) -> bool {
+fn quarantined(sample: &Sample, label: &str, journal: Option<&CampaignJournal>) -> bool {
     let Some(reason) = mpass_core::validate::candidate_reject_reason(&sample.bytes) else {
         return false;
     };
@@ -151,7 +240,7 @@ mod tests {
         let det = Benign;
         let oracle = ShardOracle::build(&det, &CampaignOptions::default(), 7);
         assert!(matches!(oracle, ShardOracle::Reliable(_)));
-        let mut target = oracle.target(3, &RetryPolicy::default(), 7);
+        let mut target = oracle.target(3, 7);
         assert!(target.validates_ae());
         // The campaign channel gates submissions: bytes that are not a
         // well-formed PE never reach the oracle and spend no budget.

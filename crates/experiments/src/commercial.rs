@@ -2,14 +2,14 @@
 //! commercial ML AVs, keeping successful AEs for the Figure 4 learning
 //! experiment.
 
-use crate::campaign::{quarantined, CampaignOptions, ShardOracle};
-use crate::journal::CampaignJournal;
-use crate::offline::{make_attack, ATTACK_NAMES};
+use crate::campaign::{run_shard, CampaignOptions, OutcomeHook};
+use crate::orchestrator::{run_grid, AnyCell, CampaignKind};
 use crate::world::World;
-use mpass_core::attack::metrics::{summarize, AttackStats};
-use mpass_core::Attack;
-use mpass_detectors::{CachedAv, Detector};
-use mpass_engine::{metrics as trace, Engine, MetricsFile, Shard};
+use mpass_core::attack::metrics::AttackStats;
+use mpass_core::{Attack, AttackOutcome};
+use mpass_corpus::Sample;
+use mpass_detectors::Detector;
+use mpass_engine::{Engine, MetricsFile};
 use serde::{Deserialize, Serialize};
 
 /// One (attack, AV) cell with its surviving AEs.
@@ -32,7 +32,22 @@ pub struct CommercialResults {
     pub cells: Vec<CommercialCell>,
 }
 
+impl From<Vec<AnyCell>> for CommercialResults {
+    fn from(cells: Vec<AnyCell>) -> Self {
+        CommercialResults { cells: cells.into_iter().map(AnyCell::into_commercial).collect() }
+    }
+}
+
 impl CommercialResults {
+    /// The persisted report (`results/exp_commercial.json`, a
+    /// distributed campaign's `merged.json`): one `(attack, av, stats)`
+    /// row per cell. The AEs stay in memory; they are large.
+    pub fn report(&self) -> String {
+        let rows: Vec<(&str, &str, AttackStats)> =
+            self.cells.iter().map(|c| (c.attack.as_str(), c.av.as_str(), c.stats)).collect();
+        serde_json::to_string_pretty(&rows).expect("results serialize")
+    }
+
     /// Look up one cell.
     pub fn cell(&self, attack: &str, av: &str) -> Option<&CommercialCell> {
         self.cells.iter().find(|c| c.attack == attack && c.av == av)
@@ -61,84 +76,45 @@ impl CommercialResults {
     }
 }
 
-/// Run one attack against one AV, collecting successful AE bytes.
-pub fn attack_av(world: &World, attack: &mut dyn Attack, av: &dyn Detector) -> CommercialCell {
-    let label = format!("{} vs {}", attack.name(), av.name());
-    attack_av_with(world, attack, av, &label, &CampaignOptions::default(), None, 0)
+/// The commercial outcome hook: keep every successful AE's bytes.
+#[derive(Default)]
+pub(crate) struct CollectAes {
+    successful_aes: Vec<Vec<u8>>,
 }
 
-/// [`attack_av`] with the full campaign machinery — see
-/// [`crate::offline::attack_target_with`] for the ingestion gate and the
-/// resume semantics; the
-/// collected `successful_aes` rebuild identically from journalled
-/// outcomes because the AE bytes ride along in each record.
-pub fn attack_av_with(
-    world: &World,
-    attack: &mut dyn Attack,
-    av: &dyn Detector,
-    label: &str,
-    opts: &CampaignOptions,
-    journal: Option<&CampaignJournal>,
-    shard_seed: u64,
-) -> CommercialCell {
-    if let Some(cell) = journal.and_then(|j| j.shard_cell::<CommercialCell>(label)) {
-        trace::counter("campaign/shard_resumed", 1);
-        return cell;
-    }
-    let replay_samples = !attack.stateful_across_samples();
-    let oracle = ShardOracle::build(av, opts, shard_seed);
-    let samples = world.attack_set(av);
-    let mut outcomes = Vec::with_capacity(samples.len());
-    let mut successful_aes = Vec::new();
-    for sample in samples {
-        if quarantined(sample, label, journal) {
-            continue;
-        }
-        let resumed = replay_samples
-            .then(|| journal.and_then(|j| j.sample(label, &sample.name)).cloned())
-            .flatten();
-        let mut outcome = match resumed {
-            Some(outcome) => {
-                trace::counter("campaign/sample_resumed", 1);
-                outcome
-            }
-            None => {
-                trace::begin_sample(&sample.name);
-                let mut target = oracle.target(world.config.max_queries, &opts.retry, shard_seed);
-                let outcome = attack.attack(sample, &mut target);
-                if let Some(journal) = journal {
-                    journal
-                        .record_sample(label, &outcome)
-                        .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-                }
-                trace::end_sample();
-                outcome
-            }
-        };
+impl OutcomeHook for CollectAes {
+    type Cell = CommercialCell;
+
+    fn on_outcome(&mut self, _sample: &Sample, outcome: &mut AttackOutcome) {
         if let Some(ae) = outcome.adversarial.take() {
-            successful_aes.push(ae);
+            self.successful_aes.push(ae);
         }
-        outcomes.push(outcome);
     }
-    let cell = CommercialCell {
-        attack: attack.name().to_owned(),
-        av: av.name().to_owned(),
-        stats: summarize(&outcomes),
-        successful_aes,
-    };
-    if let Some(journal) = journal {
-        journal
-            .record_shard(label, &cell)
-            .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
+
+    fn into_cell(self, attack: &str, av: &str, stats: AttackStats) -> CommercialCell {
+        CommercialCell {
+            attack: attack.to_owned(),
+            av: av.to_owned(),
+            stats,
+            successful_aes: self.successful_aes,
+        }
     }
-    cell
+}
+
+/// Run one attack against one AV, collecting successful AE bytes: one
+/// shard of the campaign loop with no journal, no faults and shard seed
+/// 0, for experiments that bring their own attack (packers, ablations).
+pub fn attack_av(world: &World, attack: &mut dyn Attack, av: &dyn Detector) -> CommercialCell {
+    let label = format!("{} vs {}", attack.name(), av.name());
+    let opts = CampaignOptions::default();
+    run_shard(world, attack, av, &label, &opts, None, 0, CollectAes::default())
 }
 
 /// Run the full Figure 3 experiment on `engine`, one shard per
 /// (attack, AV) campaign. Against AVs the MPass ensemble is all three
 /// differentiable offline models (the AVs themselves are black boxes),
 /// which `make_attack` provides by excluding a non-AV name. Each shard
-/// queries a memoizing [`CachedAv`] copy of its AV so the metrics file
+/// queries a memoizing [`mpass_detectors::CachedAv`] copy of its AV so the metrics file
 /// records per-shard score-cache hit rates.
 pub fn run_with_engine(world: &World, engine: &Engine) -> (CommercialResults, MetricsFile) {
     run_campaign(world, engine, &CampaignOptions::default())
@@ -155,33 +131,9 @@ pub fn run_campaign(
     engine: &Engine,
     opts: &CampaignOptions,
 ) -> std::io::Result<(CommercialResults, MetricsFile)> {
-    let journal = opts.open_journal()?;
-    let journal = journal.as_ref();
-    let shards: Vec<Shard<(usize, &str)>> = world
-        .avs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, av)| {
-            ATTACK_NAMES
-                .iter()
-                .map(move |attack| Shard::new(format!("{attack} vs {}", av.name()), (i, *attack)))
-        })
-        .collect();
-    let run = engine.run(shards, |ctx, (av_index, attack_name)| {
-        let av = CachedAv::new(world.avs[av_index].clone());
-        let mut attack = make_attack(world, "LightGBM", attack_name);
-        attack_av_with(
-            world,
-            attack.as_mut(),
-            &av,
-            ctx.label(),
-            opts,
-            journal,
-            engine.shard_seed(ctx.label()),
-        )
-    });
-    let metrics = MetricsFile::from_run("commercial", &run);
-    Ok((CommercialResults { cells: run.results }, metrics))
+    let kind = CampaignKind::Commercial;
+    let (cells, metrics) = run_grid(world, kind, &kind.default_grid(), engine, opts)?;
+    Ok((cells.into(), metrics))
 }
 
 /// Run the full Figure 3 experiment on a default engine, discarding the
@@ -193,6 +145,8 @@ pub fn run(world: &World) -> CommercialResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::CampaignJournal;
+    use crate::offline::make_attack;
     use crate::world::WorldConfig;
 
     #[test]
@@ -244,7 +198,7 @@ mod tests {
         let mut attack = make_attack(&world, "LightGBM", "MPass");
         let label = "quarantine shard";
         mpass_engine::metrics::install(mpass_engine::Collector::default());
-        let cell = attack_av_with(
+        let cell = run_shard(
             &world,
             attack.as_mut(),
             av,
@@ -252,6 +206,7 @@ mod tests {
             &CampaignOptions::default(),
             Some(&journal),
             11,
+            CollectAes::default(),
         );
         let shard = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
         assert_eq!(shard.counters["campaign/quarantined"], 1);
@@ -271,5 +226,12 @@ mod tests {
         assert!(reopened.sample(label, &victim_name).is_none(), "victim has no outcome");
         drop(reopened);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn journalled_campaign_resumes_identically() {
+        crate::offline::tests::assert_journalled_campaign_resumes_identically(
+            CampaignKind::Commercial,
+        );
     }
 }

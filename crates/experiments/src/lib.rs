@@ -34,10 +34,9 @@ pub mod packers;
 pub mod pem;
 pub mod report;
 pub mod table;
-pub mod validation;
 pub mod world;
 
-pub use campaign::{CampaignOptions, ShardOracle};
+pub use campaign::CampaignOptions;
 pub use journal::CampaignJournal;
 pub use orchestrator::{CampaignKind, Manifest};
 pub use world::{World, WorldConfig};

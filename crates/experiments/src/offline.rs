@@ -2,14 +2,14 @@
 //! against the four offline detectors, plus the §IV-A functionality
 //! verification of every generated AE.
 
-use crate::campaign::{quarantined, CampaignOptions, ShardOracle};
-use crate::journal::CampaignJournal;
+use crate::campaign::{CampaignOptions, OutcomeHook};
+use crate::orchestrator::{run_grid, AnyCell, CampaignKind};
 use crate::world::World;
 use mpass_baselines::{Gamma, GammaConfig, Mab, MabConfig, MalRnn, MalRnnConfig, Rla, RlaConfig};
-use mpass_core::attack::metrics::{summarize, AttackStats};
-use mpass_core::{Attack, MPassAttack, MPassConfig};
-use mpass_detectors::Detector;
-use mpass_engine::{metrics as trace, Engine, MetricsFile, Shard};
+use mpass_core::attack::metrics::AttackStats;
+use mpass_core::{Attack, AttackOutcome, MPassAttack, MPassConfig};
+use mpass_corpus::Sample;
+use mpass_engine::{metrics as trace, Engine, MetricsFile};
 use mpass_sandbox::Sandbox;
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +39,12 @@ pub struct OfflineResults {
     pub cells: Vec<OfflineCell>,
 }
 
+impl From<Vec<AnyCell>> for OfflineResults {
+    fn from(cells: Vec<AnyCell>) -> Self {
+        OfflineResults { cells: cells.into_iter().map(AnyCell::into_offline).collect() }
+    }
+}
+
 /// Which metric of a cell to tabulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
@@ -51,6 +57,12 @@ pub enum Metric {
 }
 
 impl OfflineResults {
+    /// The persisted report (`results/exp_offline.json`, a distributed
+    /// campaign's `merged.json`): every cell as pretty JSON.
+    pub fn report(&self) -> String {
+        serde_json::to_string_pretty(self).expect("results serialize")
+    }
+
     fn cell(&self, attack: &str, target: &str) -> Option<&OfflineCell> {
         self.cells.iter().find(|c| c.attack == attack && c.target == target)
     }
@@ -105,110 +117,41 @@ impl OfflineResults {
     }
 }
 
-/// Run one attack against one target over the world's attack set,
-/// verifying every successful AE in the sandbox.
-pub fn attack_target(
-    world: &World,
-    attack: &mut dyn Attack,
-    target: &dyn Detector,
-) -> OfflineCell {
-    let label = format!("{} vs {}", attack.name(), target.name());
-    attack_target_with(world, attack, target, &label, &CampaignOptions::default(), None, 0)
+/// The offline outcome hook: every successful AE is checked in the
+/// sandbox against its original (the paper's §IV-A functionality
+/// check), counting `broken` out of `checked`.
+#[derive(Default)]
+pub(crate) struct VerifyAes {
+    sandbox: Sandbox,
+    broken: usize,
+    checked: usize,
 }
 
-/// [`attack_target`] with the full campaign machinery: an optionally
-/// fault-injected oracle channel, and journal-backed resume.
-///
-/// Resume operates at two granularities. A shard whose final cell is
-/// already journalled is returned wholesale (`campaign/shard_resumed`).
-/// Otherwise, when the attack carries no state across samples
-/// ([`Attack::stateful_across_samples`] is `false`), each journalled
-/// sample outcome is replayed instead of re-attacked
-/// (`campaign/sample_resumed`); a stateful attack (RLA's Q-table, MAB's
-/// arms) must re-run skipped samples to rebuild its state, so it only
-/// gets shard-level resume.
-pub fn attack_target_with(
-    world: &World,
-    attack: &mut dyn Attack,
-    target: &dyn Detector,
-    label: &str,
-    opts: &CampaignOptions,
-    journal: Option<&CampaignJournal>,
-    shard_seed: u64,
-) -> OfflineCell {
-    if let Some(cell) = journal.and_then(|j| j.shard_cell::<OfflineCell>(label)) {
-        trace::counter("campaign/shard_resumed", 1);
-        return cell;
-    }
-    let replay_samples = !attack.stateful_across_samples();
-    let oracle = ShardOracle::build(target, opts, shard_seed);
-    let sandbox = Sandbox::new();
-    let samples = world.attack_set(target);
-    let mut outcomes = Vec::with_capacity(samples.len());
-    let mut broken = 0;
-    let mut checked = 0;
-    let mut verify = |original: &[u8], outcome: &mut mpass_core::AttackOutcome| {
+impl OutcomeHook for VerifyAes {
+    type Cell = OfflineCell;
+
+    fn on_outcome(&mut self, sample: &Sample, outcome: &mut AttackOutcome) {
         if let Some(ae) = outcome.adversarial.take() {
-            checked += 1;
+            self.checked += 1;
             let _span = trace::span("stage/verify");
-            // Digest-based validation: baseline the original once, replay
-            // the AE against it with an early-aborting comparing sink.
-            let verdict = match sandbox.baseline_digest(original) {
-                Ok(baseline) => sandbox.verify_candidate(&baseline, &ae),
-                Err(_) => mpass_sandbox::FunctionalityVerdict::BrokenParse,
-            };
+            let verdict = self.sandbox.verify_functionality(&sample.bytes, &ae);
             trace::counter("campaign/ae_validated", 1);
             if !verdict.is_preserved() {
-                broken += 1;
+                self.broken += 1;
                 trace::counter("campaign/ae_digest_mismatch", 1);
             }
         }
-    };
-    for sample in samples {
-        if quarantined(sample, label, journal) {
-            continue;
+    }
+
+    fn into_cell(self, attack: &str, target: &str, stats: AttackStats) -> OfflineCell {
+        OfflineCell {
+            attack: attack.to_owned(),
+            target: target.to_owned(),
+            stats,
+            broken: self.broken,
+            checked: self.checked,
         }
-        let resumed = replay_samples
-            .then(|| journal.and_then(|j| j.sample(label, &sample.name)).cloned())
-            .flatten();
-        let outcome = match resumed {
-            Some(mut outcome) => {
-                trace::counter("campaign/sample_resumed", 1);
-                verify(&sample.bytes, &mut outcome);
-                outcome
-            }
-            None => {
-                trace::begin_sample(&sample.name);
-                let mut target = oracle.target(world.config.max_queries, &opts.retry, shard_seed);
-                let mut outcome = attack.attack(sample, &mut target);
-                // Journalled before the AE is consumed by the verify
-                // step, so a resumed run can rebuild everything —
-                // including the AE bytes — from the record.
-                if let Some(journal) = journal {
-                    journal
-                        .record_sample(label, &outcome)
-                        .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-                }
-                verify(&sample.bytes, &mut outcome);
-                trace::end_sample();
-                outcome
-            }
-        };
-        outcomes.push(outcome);
     }
-    let cell = OfflineCell {
-        attack: attack.name().to_owned(),
-        target: target.name().to_owned(),
-        stats: summarize(&outcomes),
-        broken,
-        checked,
-    };
-    if let Some(journal) = journal {
-        journal
-            .record_shard(label, &cell)
-            .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-    }
-    cell
 }
 
 /// Build one named attack of the roster for a campaign against
@@ -235,11 +178,6 @@ pub fn make_attack<'a>(world: &'a World, target_name: &str, attack_name: &str) -
     }
 }
 
-/// Build the fresh attack roster for a campaign against `target_name`.
-pub fn attack_roster<'a>(world: &'a World, target_name: &str) -> Vec<Box<dyn Attack + 'a>> {
-    ATTACK_NAMES.iter().map(|a| make_attack(world, target_name, a)).collect()
-}
-
 /// Run the full offline comparison (Tables I–III) on `engine`, one shard
 /// per (attack, target) campaign. Campaigns — not samples — are the shard
 /// unit because RLA and MAB carry learned state across samples within one
@@ -262,36 +200,9 @@ pub fn run_campaign(
     engine: &Engine,
     opts: &CampaignOptions,
 ) -> std::io::Result<(OfflineResults, MetricsFile)> {
-    let journal = opts.open_journal()?;
-    let journal = journal.as_ref();
-    let shards: Vec<Shard<(&str, &str)>> = world
-        .offline_targets()
-        .iter()
-        .flat_map(|(target, _)| {
-            ATTACK_NAMES.iter().map(move |attack| {
-                Shard::new(format!("{attack} vs {target}"), (*attack, *target))
-            })
-        })
-        .collect();
-    let run = engine.run(shards, |ctx, (attack_name, target_name)| {
-        let (_, det) = world
-            .offline_targets()
-            .into_iter()
-            .find(|(n, _)| *n == target_name)
-            .expect("shard names a roster target");
-        let mut attack = make_attack(world, target_name, attack_name);
-        attack_target_with(
-            world,
-            attack.as_mut(),
-            det,
-            ctx.label(),
-            opts,
-            journal,
-            engine.shard_seed(ctx.label()),
-        )
-    });
-    let metrics = MetricsFile::from_run("offline", &run);
-    Ok((OfflineResults { cells: run.results }, metrics))
+    let kind = CampaignKind::Offline;
+    let (cells, metrics) = run_grid(world, kind, &kind.default_grid(), engine, opts)?;
+    Ok((cells.into(), metrics))
 }
 
 /// Run the full offline comparison on a default engine, discarding the
@@ -301,8 +212,10 @@ pub fn run(world: &World) -> OfflineResults {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::campaign::run_shard;
+    use crate::journal::CampaignJournal;
     use crate::world::WorldConfig;
 
     #[test]
@@ -382,7 +295,7 @@ mod tests {
         let journal = CampaignJournal::open(&path).unwrap();
         let mut attack = make_attack(&world, target_name, "MPass");
         let label = "quarantine shard";
-        let cell = attack_target_with(
+        let cell = run_shard(
             &world,
             attack.as_mut(),
             det,
@@ -390,6 +303,7 @@ mod tests {
             &CampaignOptions::default(),
             Some(&journal),
             11,
+            VerifyAes::default(),
         );
         assert!(cell.stats.samples < 2, "quarantined sample must not be attacked");
         drop(journal);
@@ -404,30 +318,44 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A resumed campaign over a complete journal replays every shard
-    /// from the record and reproduces the results bit-identically.
     #[test]
     fn journalled_campaign_resumes_identically() {
+        assert_journalled_campaign_resumes_identically(CampaignKind::Offline);
+    }
+
+    /// A resumed campaign of `kind` over a complete journal replays every
+    /// shard from the record and reproduces the cells bit-identically —
+    /// for commercial cells, the collected AE bytes included.
+    pub(crate) fn assert_journalled_campaign_resumes_identically(kind: CampaignKind) {
         let mut cfg = WorldConfig::quick();
         cfg.attack_samples = 2;
         let world = World::build(cfg);
         let engine = Engine::new(mpass_engine::EngineConfig { workers: 2, seed: 5 });
         let path = std::env::temp_dir()
-            .join(format!("mpass-offline-resume-{}.jsonl", std::process::id()));
+            .join(format!("mpass-{kind}-resume-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let opts =
             CampaignOptions { journal: Some(path.clone()), ..CampaignOptions::default() };
-        let (first, _) = run_campaign(&world, &engine, &opts).unwrap();
+        let grid = kind.default_grid();
+        let (first, _) = run_grid(&world, kind, &grid, &engine, &opts).unwrap();
 
         let resume = CampaignOptions { resume: true, ..opts };
-        let (second, metrics) = run_campaign(&world, &engine, &resume).unwrap();
-        assert_eq!(format!("{:?}", first.cells), format!("{:?}", second.cells));
+        let (second, metrics) = run_grid(&world, kind, &grid, &engine, &resume).unwrap();
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        if kind == CampaignKind::Commercial {
+            assert!(
+                second.iter().any(
+                    |c| matches!(c, AnyCell::Commercial(cell) if !cell.successful_aes.is_empty())
+                ),
+                "some shard must collect an AE for the comparison to cover AE bytes"
+            );
+        }
         let resumed: u64 = metrics
             .shards
             .iter()
             .filter_map(|s| s.counters.get("campaign/shard_resumed"))
             .sum();
-        assert_eq!(resumed as usize, second.cells.len(), "every shard replays from journal");
+        assert_eq!(resumed as usize, second.len(), "every shard replays from journal");
         // No shard re-queried the oracle.
         assert!(metrics.shards.iter().all(|s| !s.counters.contains_key("queries")));
         std::fs::remove_file(&path).unwrap();

@@ -104,6 +104,10 @@ pub struct CoordinatorSummary {
     pub metrics_path: PathBuf,
     /// The merged report bytes (what `report_path` holds).
     pub report: String,
+    /// The merged cells, in manifest order.
+    pub cells: Vec<AnyCell>,
+    /// The merged metrics (what `metrics_path` holds).
+    pub metrics: MetricsFile,
     /// Shards in the campaign.
     pub shards: usize,
     /// Expired/dead leases the supervision loop broke.
@@ -373,7 +377,8 @@ pub fn run_coordinator(
     coordinator.counters.insert("campaign/workers_spawned".into(), spawned as u64);
     coordinator.series.insert("campaign/shards_finished".into(), finished_series);
 
-    let (report, metrics) = merge_campaign(&opts.dir, &manifest, opts.processes, coordinator)?;
+    let (cells, metrics) = merge_campaign(&opts.dir, &manifest, opts.processes, coordinator)?;
+    let report = report_from_cells(manifest.kind, &cells);
     let report_path = opts.dir.join("merged.json");
     let metrics_path = opts.dir.join("merged.metrics.json");
     write_atomic(&report_path, report.as_bytes())
@@ -385,6 +390,8 @@ pub fn run_coordinator(
         report_path,
         metrics_path,
         report,
+        cells,
+        metrics,
         shards: total,
         reassigned,
         respawned,
@@ -392,11 +399,12 @@ pub fn run_coordinator(
     })
 }
 
-/// Merge the per-shard journals into the final report and metrics — a
+/// Merge the per-shard journals into the final cells and metrics — a
 /// pure function of the journals (idempotent, so a coordinator killed
 /// mid-merge just re-merges on restart). Cells come out in manifest
-/// order, which is engine input order, which is why the report can be
-/// byte-identical to an uninterrupted in-process run.
+/// order, which is engine input order, which is why their
+/// [`report_from_cells`] can be byte-identical to an uninterrupted
+/// in-process run.
 ///
 /// # Errors
 ///
@@ -406,7 +414,7 @@ pub fn merge_campaign(
     manifest: &Manifest,
     processes: usize,
     coordinator: ShardMetrics,
-) -> Result<(String, MetricsFile), String> {
+) -> Result<(Vec<AnyCell>, MetricsFile), String> {
     let mut cells = Vec::new();
     let mut shard_metrics = Vec::new();
     let mut failures = Vec::new();
@@ -430,7 +438,6 @@ pub fn merge_campaign(
             None => ShardMetrics { label: spec.label.clone(), ..Default::default() },
         });
     }
-    let report = report_from_cells(manifest.kind, &cells);
     let wall_ms = coordinator.wall_ms;
     shard_metrics.push(coordinator);
     let metrics = MetricsFile {
@@ -444,7 +451,7 @@ pub fn merge_campaign(
         shards: shard_metrics,
         failures,
     };
-    Ok((report, metrics))
+    Ok((cells, metrics))
 }
 
 /// Per-shard view of a campaign directory.
@@ -852,8 +859,10 @@ mod tests {
         drop(journal);
 
         let coord = ShardMetrics { label: "coordinator".into(), ..Default::default() };
-        let (report_a, metrics_a) = merge_campaign(&dir, &manifest, 2, coord.clone()).unwrap();
-        let (report_b, metrics_b) = merge_campaign(&dir, &manifest, 2, coord).unwrap();
+        let (cells_a, metrics_a) = merge_campaign(&dir, &manifest, 2, coord.clone()).unwrap();
+        let (cells_b, metrics_b) = merge_campaign(&dir, &manifest, 2, coord).unwrap();
+        let report_a = report_from_cells(manifest.kind, &cells_a);
+        let report_b = report_from_cells(manifest.kind, &cells_b);
         assert_eq!(report_a, report_b, "merge is idempotent");
         assert_eq!(metrics_a, metrics_b);
         assert!(metrics_a.failures.is_empty());

@@ -37,6 +37,12 @@ impl CampaignKind {
         }
     }
 
+    /// The kind's full campaign grid: every roster attack
+    /// ([`crate::offline::ATTACK_NAMES`]) against every default target.
+    pub fn default_grid(self) -> Vec<ShardSpec> {
+        grid(&crate::offline::ATTACK_NAMES, &self.default_targets())
+    }
+
     /// The experiment name used in metrics files and results paths.
     pub fn experiment_name(self) -> &'static str {
         match self {
@@ -69,6 +75,32 @@ pub struct ShardSpec {
     pub target: String,
 }
 
+impl ShardSpec {
+    /// Grid cell `index`: `attack` against `target`, labelled
+    /// `"<attack> vs <target>"`.
+    pub fn new(index: usize, attack: &str, target: &str) -> ShardSpec {
+        let label = format!("{attack} vs {target}");
+        ShardSpec {
+            slug: slugify(index, &label),
+            label,
+            attack: attack.to_owned(),
+            target: target.to_owned(),
+        }
+    }
+}
+
+/// The campaign grid over `targets` × `attacks`: targets outer, attacks
+/// inner. This order is engine input order, manifest order and report
+/// order, for every runner.
+pub fn grid(attacks: &[impl AsRef<str>], targets: &[impl AsRef<str>]) -> Vec<ShardSpec> {
+    targets
+        .iter()
+        .flat_map(|target| attacks.iter().map(move |attack| (attack, target)))
+        .enumerate()
+        .map(|(index, (attack, target))| ShardSpec::new(index, attack.as_ref(), target.as_ref()))
+        .collect()
+}
+
 /// The manifest itself. Serialized pretty at `<dir>/manifest.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
@@ -90,9 +122,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Build a manifest over the `targets` × `attacks` grid (targets
-    /// outer, attacks inner — the same nesting the in-process campaign
-    /// runners use, so shard order matches engine input order).
+    /// Build a manifest over the [`grid`] of `targets` × `attacks`.
     pub fn new(
         kind: CampaignKind,
         world: WorldConfig,
@@ -101,26 +131,13 @@ impl Manifest {
         attacks: &[String],
         targets: &[String],
     ) -> Manifest {
-        let mut shards = Vec::with_capacity(attacks.len() * targets.len());
-        for target in targets {
-            for attack in attacks {
-                let label = format!("{attack} vs {target}");
-                let slug = slugify(shards.len(), &label);
-                shards.push(ShardSpec {
-                    label,
-                    slug,
-                    attack: attack.clone(),
-                    target: target.clone(),
-                });
-            }
-        }
         let mut manifest = Manifest {
             version: MANIFEST_VERSION,
             kind,
             world,
             seed,
             faults,
-            shards,
+            shards: grid(attacks, targets),
             config_hash: String::new(),
         };
         manifest.config_hash = manifest.compute_hash();

@@ -34,16 +34,21 @@ pub use coordinator::{
 pub use lease::{Heartbeat, Lease, LeaseInfo};
 pub use manifest::{CampaignKind, Manifest, ShardSpec};
 pub use worker::{
-    report_from_cells, run_baseline, run_shard_work, run_worker, AnyCell, WorkerOptions,
-    WorkerSummary,
+    report_from_cells, run_baseline, run_grid, run_shard_work, run_worker, AnyCell,
+    WorkerOptions, WorkerSummary,
 };
 
+use crate::report::{self, CliArgs};
+use crate::world::World;
+use mpass_engine::MetricsFile;
+use std::path::Path;
 use std::time::Duration;
 
 /// Parse the worker-process flags the coordinator passes when spawning
 /// (`--dir`, `--worker-id`, `--ttl-ms`, `--heartbeat-ms`, `--poll-ms`,
 /// `--hold-ms`, `--kill-after`). Shared by `mpass campaign work` and
-/// the exp binaries' hidden `--orchestrate-work` entry.
+/// the exp binaries' hidden `--orchestrate-work` entry
+/// ([`campaign_main`]).
 ///
 /// # Errors
 ///
@@ -76,16 +81,61 @@ pub fn worker_options_from_args(args: &[String]) -> Result<WorkerOptions, String
     Ok(opts)
 }
 
-/// The hidden worker entry for the exp binaries: when the process was
-/// started with `--orchestrate-work`, run the worker loop instead of
-/// the experiment and return the exit code to use. `None` means this is
-/// a normal invocation.
-pub fn maybe_run_worker_from_args() -> Option<i32> {
+/// The main of the campaign binaries (`exp_offline`, `exp_commercial`).
+///
+/// Runs `kind`'s full grid either in process (`--workers` engine
+/// threads, journalled to `results/<experiment>.journal.jsonl` for
+/// `--resume`) or, with `--processes N`, across N worker processes in
+/// `results/<experiment>.campaign` — the workers are this same binary,
+/// re-entered via the hidden `--orchestrate-work` flag. Both modes then
+/// report failed shards, hand the results to `print`, and write the
+/// same [`report_from_cells`] bytes to `results/<experiment>.json` with
+/// the metrics file next to it. `on_world` sees the in-process world
+/// once it is built.
+pub fn campaign_main<R: From<Vec<AnyCell>>>(
+    kind: CampaignKind,
+    on_world: fn(&World),
+    print: fn(&R),
+) {
     let args: Vec<String> = std::env::args().collect();
-    if !args.iter().any(|a| a == "--orchestrate-work") {
-        return None;
+    if args.iter().any(|a| a == "--orchestrate-work") {
+        std::process::exit(run_worker_from_args(&args));
     }
-    Some(match worker_options_from_args(&args).and_then(|opts| run_worker(&opts)) {
+    let cli = CliArgs::parse();
+    let experiment = format!("exp_{}", kind.experiment_name());
+    let outcome = match cli.processes.filter(|n| *n > 0) {
+        Some(processes) => run_distributed(kind, &experiment, &cli, processes),
+        None => {
+            let world = World::build(cli.world_config());
+            on_world(&world);
+            let engine = cli.engine(world.config.seed);
+            let opts = cli.campaign_options(&experiment);
+            run_grid(&world, kind, &kind.default_grid(), &engine, &opts)
+                .map_err(|e| format!("could not open campaign journal: {e}"))
+        }
+    };
+    let (cells, metrics) = outcome.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    });
+    for failure in &metrics.failures {
+        eprintln!("shard {} failed: {}", failure.label, failure.panic);
+    }
+    let report = report_from_cells(kind, &cells);
+    print(&R::from(cells));
+    match report::save_report(&experiment, &report) {
+        Ok(path) => {
+            println!("results written to {}", path.display());
+            report::save_metrics(&path, &metrics);
+        }
+        Err(e) => eprintln!("could not write results: {e}"),
+    }
+}
+
+/// The worker entry behind `--orchestrate-work`: run the worker loop and
+/// return the process exit code.
+fn run_worker_from_args(args: &[String]) -> i32 {
+    match worker_options_from_args(args).and_then(|opts| run_worker(&opts)) {
         Ok(summary) => {
             println!(
                 "worker {}: {} shard(s) run, {} failed",
@@ -97,33 +147,25 @@ pub fn maybe_run_worker_from_args() -> Option<i32> {
             eprintln!("{e}");
             1
         }
-    })
+    }
 }
 
-/// Run an experiment's full campaign grid across `processes` worker
-/// processes (the exp binaries' `--processes N` mode). The campaign
-/// directory lives at `results/<experiment>.campaign`; the merged
-/// report and metrics are copied to the same `results/<experiment>.*`
-/// paths a single-process run writes — with byte-identical report
-/// content.
-///
-/// # Errors
-///
-/// Coordination or filesystem errors.
-pub fn run_distributed(
+/// Coordinate `kind`'s full grid across `processes` worker processes in
+/// `results/<experiment>.campaign` and return the merged cells and
+/// metrics.
+fn run_distributed(
     kind: CampaignKind,
     experiment: &str,
-    world: crate::WorldConfig,
-    faults: Option<u64>,
+    cli: &CliArgs,
     processes: usize,
-    resume: bool,
-) -> Result<(CoordinatorSummary, std::path::PathBuf), String> {
+) -> Result<(Vec<AnyCell>, MetricsFile), String> {
+    let world = cli.world_config();
     let attacks: Vec<String> =
         crate::offline::ATTACK_NAMES.iter().map(|a| (*a).to_owned()).collect();
     let seed = world.seed;
-    let manifest = Manifest::new(kind, world, seed, faults, &attacks, &kind.default_targets());
-    let dir = std::path::Path::new(crate::report::RESULTS_DIR).join(format!("{experiment}.campaign"));
-    if !resume {
+    let manifest = Manifest::new(kind, world, seed, cli.faults, &attacks, &kind.default_targets());
+    let dir = Path::new(report::RESULTS_DIR).join(format!("{experiment}.campaign"));
+    if !cli.resume {
         // Same contract as the single-process journal: a fresh run must
         // not resurrect records from an older campaign.
         let _ = std::fs::remove_dir_all(&dir);
@@ -132,17 +174,14 @@ pub fn run_distributed(
     let worker_cmd = vec![exe.to_string_lossy().into_owned(), "--orchestrate-work".to_owned()];
     let mut opts = CoordinatorOptions::new(dir, worker_cmd);
     opts.processes = processes;
-    opts.resume = resume;
-    let summary = run_coordinator(&manifest, &opts)?;
-
-    let results_path =
-        std::path::Path::new(crate::report::RESULTS_DIR).join(format!("{experiment}.json"));
-    std::fs::copy(&summary.report_path, &results_path)
-        .map_err(|e| format!("copy merged report to {}: {e}", results_path.display()))?;
-    let metrics_path = mpass_engine::metrics_path(&results_path);
-    std::fs::copy(&summary.metrics_path, &metrics_path)
-        .map_err(|e| format!("copy merged metrics to {}: {e}", metrics_path.display()))?;
-    Ok((summary, results_path))
+    opts.resume = cli.resume;
+    let summary = run_coordinator(&manifest, &opts)
+        .map_err(|e| format!("distributed campaign failed: {e}"))?;
+    println!(
+        "campaign: {} shard(s) over {processes} process(es), {} reassigned, {} respawned",
+        summary.shards, summary.reassigned, summary.respawned
+    );
+    Ok((summary.cells, summary.metrics))
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
-//! Worker process: claims shard leases, runs the shard work, and
-//! journals everything — including its collected metrics — into the
-//! shard's crash-safe journal.
+//! The campaign runner's grid half, and the worker process.
 //!
-//! The worker and the single-process baseline share one execution path
-//! ([`run_shard_work`]) and one serialization path
-//! ([`report_from_cells`]), which is what makes a merged distributed
-//! campaign byte-identical to an uninterrupted in-process run: same
-//! label-keyed shard seeds, same resume semantics, same JSON shape.
+//! Every campaign — offline or commercial, in-process or distributed —
+//! runs its shards through one resolver ([`run_shard_work`]: shard →
+//! detector and attack → `campaign::run_shard`) and persists
+//! its cells through one writer per kind ([`report_from_cells`]). The
+//! in-process runner is [`run_grid`]; a worker process runs the same
+//! [`run_shard_work`] under a lease and a per-shard journal. That is
+//! what makes a merged distributed campaign byte-identical to an
+//! uninterrupted in-process run: same label-keyed shard seeds, same
+//! resume semantics, same JSON shape.
 //!
 //! Fault injection is process-level: with `kill_after` set, the worker
 //! counts journal appends across all its shards and dies via
@@ -16,13 +18,12 @@
 
 use super::lease::{Heartbeat, Lease};
 use super::manifest::{CampaignKind, Manifest, ShardSpec};
-use crate::campaign::CampaignOptions;
-use crate::commercial::{attack_av_with, CommercialCell};
+use crate::campaign::{run_shard, CampaignOptions};
+use crate::commercial::{CollectAes, CommercialCell, CommercialResults};
 use crate::journal::{scan_journal, CampaignJournal};
-use crate::offline::{attack_target_with, make_attack, OfflineCell, OfflineResults};
+use crate::offline::{make_attack, OfflineCell, OfflineResults, VerifyAes};
 use crate::world::World;
-use mpass_core::attack::metrics::AttackStats;
-use mpass_detectors::{CachedAv, FaultProfile};
+use mpass_detectors::{CachedAv, Detector, FaultProfile};
 use mpass_engine::metrics::{self as trace, Collector};
 use mpass_engine::{Engine, EngineConfig, MetricsFile, Shard};
 use std::collections::HashSet;
@@ -41,10 +42,49 @@ pub enum AnyCell {
     Commercial(CommercialCell),
 }
 
-/// Run one manifest shard. This is *the* shard execution path — the
-/// worker, the in-process baseline, and the exp binaries' distributed
-/// mode all come through here, so there is exactly one place where a
-/// shard's attack, target, seed, and resume behaviour are decided.
+impl AnyCell {
+    /// The offline cell. A grid holds cells of one kind only.
+    ///
+    /// # Panics
+    ///
+    /// On a commercial cell.
+    pub fn into_offline(self) -> OfflineCell {
+        match self {
+            AnyCell::Offline(cell) => cell,
+            AnyCell::Commercial(cell) => {
+                panic!("commercial cell {} in an offline grid", cell.attack)
+            }
+        }
+    }
+
+    /// The commercial cell. A grid holds cells of one kind only.
+    ///
+    /// # Panics
+    ///
+    /// On an offline cell.
+    pub fn into_commercial(self) -> CommercialCell {
+        match self {
+            AnyCell::Commercial(cell) => cell,
+            AnyCell::Offline(cell) => panic!("offline cell {} in a commercial grid", cell.attack),
+        }
+    }
+}
+
+/// Run one shard of a campaign grid. This is *the* shard resolver: the
+/// in-process runner, the worker and the tests all come through here,
+/// so there is exactly one place where a shard's attack, target, seed,
+/// and outcome hook are decided.
+///
+/// Offline shards attack the named detector and check every AE in the
+/// sandbox. Commercial shards attack a fresh memoizing [`CachedAv`] copy
+/// of the named AV (so the metrics record per-shard score-cache hit
+/// rates) with MPass's ensemble of all three differentiable offline
+/// models, which `make_attack` provides by excluding a non-AV name, and
+/// keep every AE.
+///
+/// # Panics
+///
+/// When the shard names a target the world does not have.
 pub fn run_shard_work(
     world: &World,
     kind: CampaignKind,
@@ -53,17 +93,18 @@ pub fn run_shard_work(
     journal: Option<&CampaignJournal>,
     shard_seed: u64,
 ) -> AnyCell {
+    let unknown = || -> ! {
+        panic!("shard {} names unknown {kind} target {}", spec.label, spec.target)
+    };
     match kind {
         CampaignKind::Offline => {
             let (_, det) = world
                 .offline_targets()
                 .into_iter()
                 .find(|(n, _)| *n == spec.target)
-                .unwrap_or_else(|| {
-                    panic!("manifest shard {} names unknown target {}", spec.label, spec.target)
-                });
+                .unwrap_or_else(|| unknown());
             let mut attack = make_attack(world, &spec.target, &spec.attack);
-            AnyCell::Offline(attack_target_with(
+            AnyCell::Offline(run_shard(
                 world,
                 attack.as_mut(),
                 det,
@@ -71,23 +112,14 @@ pub fn run_shard_work(
                 opts,
                 journal,
                 shard_seed,
+                VerifyAes::default(),
             ))
         }
         CampaignKind::Commercial => {
-            let index = spec
-                .target
-                .strip_prefix("AV")
-                .and_then(|n| n.parse::<usize>().ok())
-                .and_then(|n| n.checked_sub(1))
-                .filter(|i| *i < world.avs.len())
-                .unwrap_or_else(|| {
-                    panic!("manifest shard {} names unknown AV {}", spec.label, spec.target)
-                });
-            // Fresh memoizing wrapper per shard, exactly like the
-            // in-process commercial campaign.
-            let av = CachedAv::new(world.avs[index].clone());
+            let av = world.avs.iter().find(|av| av.name() == spec.target);
+            let av = CachedAv::new(av.unwrap_or_else(|| unknown()).clone());
             let mut attack = make_attack(world, "LightGBM", &spec.attack);
-            AnyCell::Commercial(attack_av_with(
+            AnyCell::Commercial(run_shard(
                 world,
                 attack.as_mut(),
                 &av,
@@ -95,61 +127,63 @@ pub fn run_shard_work(
                 opts,
                 journal,
                 shard_seed,
+                CollectAes::default(),
             ))
         }
     }
 }
 
-/// Serialize finished cells into the same pretty-JSON report the exp
-/// binaries persist: [`OfflineResults`] for offline campaigns, the slim
-/// `(attack, av, stats)` rows (AEs dropped — they are large) for
-/// commercial ones. Coordinator merge and in-process baseline both call
-/// this, so their outputs can be compared byte-for-byte.
+/// Run `shards` of a `kind` campaign on `engine`, in process, with the
+/// journal `opts` configures. Cells come back in shard order, which is
+/// the order a distributed merge writes them in.
+///
+/// # Errors
+///
+/// Fails only on journal filesystem errors (opening or recovering it);
+/// the shards themselves cannot fail, only panic — and a panicking shard
+/// is isolated into the metrics file's failure list.
+pub fn run_grid(
+    world: &World,
+    kind: CampaignKind,
+    shards: &[ShardSpec],
+    engine: &Engine,
+    opts: &CampaignOptions,
+) -> std::io::Result<(Vec<AnyCell>, MetricsFile)> {
+    let journal = opts.open_journal()?;
+    let journal = journal.as_ref();
+    let shards: Vec<Shard<&ShardSpec>> =
+        shards.iter().map(|s| Shard::new(s.label.clone(), s)).collect();
+    let run = engine.run(shards, |ctx, spec| {
+        run_shard_work(world, kind, spec, opts, journal, engine.shard_seed(ctx.label()))
+    });
+    let metrics = MetricsFile::from_run(kind.experiment_name(), &run);
+    Ok((run.results, metrics))
+}
+
+/// Serialize finished cells into the report the campaign persists:
+/// [`OfflineResults::report`] or [`CommercialResults::report`]. The exp
+/// binaries in both modes, the coordinator merge and the in-process
+/// baseline all call this, so their outputs compare byte-for-byte.
 pub fn report_from_cells(kind: CampaignKind, cells: &[AnyCell]) -> String {
     match kind {
-        CampaignKind::Offline => {
-            let cells: Vec<OfflineCell> = cells
-                .iter()
-                .filter_map(|c| match c {
-                    AnyCell::Offline(cell) => Some(cell.clone()),
-                    AnyCell::Commercial(_) => None,
-                })
-                .collect();
-            serde_json::to_string_pretty(&OfflineResults { cells }).expect("results serialize")
-        }
-        CampaignKind::Commercial => {
-            let slim: Vec<(String, String, AttackStats)> = cells
-                .iter()
-                .filter_map(|c| match c {
-                    AnyCell::Commercial(cell) => {
-                        Some((cell.attack.clone(), cell.av.clone(), cell.stats))
-                    }
-                    AnyCell::Offline(_) => None,
-                })
-                .collect();
-            serde_json::to_string_pretty(&slim).expect("results serialize")
-        }
+        CampaignKind::Offline => OfflineResults::from(cells.to_vec()).report(),
+        CampaignKind::Commercial => CommercialResults::from(cells.to_vec()).report(),
     }
 }
 
 /// Uninterrupted single-process reference run over the manifest's exact
-/// shard grid, on the work-stealing engine. Returns the serialized
-/// report and the metrics file — the report is what a distributed
-/// merge must reproduce byte-for-byte.
+/// shard grid: [`run_grid`] without a journal, then [`report_from_cells`].
+/// Returns the serialized report — what a distributed merge must
+/// reproduce byte-for-byte — and the metrics file.
 pub fn run_baseline(world: &World, manifest: &Manifest, workers: usize) -> (String, MetricsFile) {
     let engine = Engine::new(EngineConfig { workers, seed: manifest.seed });
     let opts = CampaignOptions {
         faults: manifest.faults.map(FaultProfile::seeded),
         ..CampaignOptions::default()
     };
-    let shards: Vec<Shard<&ShardSpec>> =
-        manifest.shards.iter().map(|s| Shard::new(s.label.clone(), s)).collect();
-    let run = engine.run(shards, |ctx, spec| {
-        run_shard_work(world, manifest.kind, spec, &opts, None, engine.shard_seed(ctx.label()))
-    });
-    let report = report_from_cells(manifest.kind, &run.results);
-    let metrics = MetricsFile::from_run(manifest.kind.experiment_name(), &run);
-    (report, metrics)
+    let (cells, metrics) = run_grid(world, manifest.kind, &manifest.shards, &engine, &opts)
+        .expect("no journal configured, so no I/O can fail");
+    (report_from_cells(manifest.kind, &cells), metrics)
 }
 
 /// How a worker process should behave.

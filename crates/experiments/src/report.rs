@@ -14,11 +14,21 @@ pub const RESULTS_DIR: &str = "results";
 ///
 /// Propagates filesystem errors.
 pub fn save_json<T: Serialize>(name: &str, value: &T) -> io::Result<PathBuf> {
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    save_report(name, &json)
+}
+
+/// Write an already serialized report into `results/<name>.json`,
+/// creating the directory if needed. Returns the written path.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn save_report(name: &str, json: &str) -> io::Result<PathBuf> {
     let dir = Path::new(RESULTS_DIR);
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     std::fs::write(&path, json)?;
     Ok(path)
 }
@@ -85,7 +95,6 @@ impl CliArgs {
     pub fn campaign_options(&self, experiment: &str) -> crate::campaign::CampaignOptions {
         crate::campaign::CampaignOptions {
             faults: self.faults.map(mpass_detectors::FaultProfile::seeded),
-            retry: mpass_engine::RetryPolicy::default(),
             journal: Some(
                 Path::new(RESULTS_DIR).join(format!("{experiment}.journal.jsonl")),
             ),

@@ -9,7 +9,8 @@
 
 use mpass::detectors::FaultProfile;
 use mpass::engine::metrics::{self, Collector, ShardMetrics};
-use mpass_experiments::offline::{attack_target_with, make_attack, OfflineCell};
+use mpass_experiments::offline::OfflineCell;
+use mpass_experiments::orchestrator::{run_shard_work, CampaignKind, ShardSpec};
 use mpass_experiments::{CampaignOptions, World, WorldConfig};
 
 /// Fault schedule seeds of the matrix. Fixed, not sampled: the point is
@@ -18,17 +19,10 @@ use mpass_experiments::{CampaignOptions, World, WorldConfig};
 const SCHEDULE_SEEDS: [u64; 3] = [11, 47, 2023];
 
 fn run_cell(world: &World, opts: &CampaignOptions) -> (OfflineCell, ShardMetrics) {
-    let mut attack = make_attack(world, "MalConv", "MPass");
+    let spec = ShardSpec::new(0, "MPass", "MalConv");
     let previous = metrics::install(Collector::default());
-    let cell = attack_target_with(
-        world,
-        attack.as_mut(),
-        &world.malconv,
-        "MPass vs MalConv",
-        opts,
-        None,
-        0xFA17_5EED,
-    );
+    let cell = run_shard_work(world, CampaignKind::Offline, &spec, opts, None, 0xFA17_5EED)
+        .into_offline();
     let collected = metrics::take().unwrap_or_default().finish("MPass vs MalConv", 0.0);
     if let Some(previous) = previous {
         metrics::install(previous);

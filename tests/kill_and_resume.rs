@@ -5,7 +5,8 @@
 
 use mpass::engine::metrics::{self, Collector};
 use mpass::engine::{Engine, EngineConfig, Shard};
-use mpass_experiments::offline::{attack_target_with, make_attack, OfflineCell};
+use mpass_experiments::offline::{make_attack, OfflineCell};
+use mpass_experiments::orchestrator::{run_shard_work, CampaignKind, ShardSpec};
 use mpass_experiments::{CampaignJournal, CampaignOptions, World, WorldConfig};
 use std::path::PathBuf;
 
@@ -29,9 +30,10 @@ fn run_shard(
     journal: Option<&CampaignJournal>,
 ) -> (OfflineCell, std::collections::BTreeMap<String, u64>) {
     let attack_name = label.split(' ').next().expect("label is `<attack> vs <target>`");
-    let mut attack = make_attack(world, "MalConv", attack_name);
+    let spec = ShardSpec::new(0, attack_name, "MalConv");
+    assert_eq!(spec.label, label);
     let previous = metrics::install(Collector::default());
-    let cell = attack_target_with(world, attack.as_mut(), &world.malconv, label, opts, journal, 7);
+    let cell = run_shard_work(world, CampaignKind::Offline, &spec, opts, journal, 7).into_offline();
     let collected = metrics::take().unwrap_or_default().finish(label, 0.0);
     if let Some(previous) = previous {
         metrics::install(previous);
@@ -73,8 +75,8 @@ fn killed_campaign_resumes_bit_identically() {
                 journal.record_sample(CRASH_SHARD, &outcome).expect("journal append");
                 panic!("simulated crash after one journalled sample");
             }
-            let mut attack = make_attack(world, "MalConv", "GAMMA");
-            attack_target_with(world, attack.as_mut(), &world.malconv, label, &fresh, Some(journal), 7)
+            let spec = ShardSpec::new(0, "GAMMA", "MalConv");
+            run_shard_work(world, CampaignKind::Offline, &spec, &fresh, Some(journal), 7)
         });
         assert_eq!(run.failures.len(), 1, "exactly the crash shard fails");
         assert_eq!(run.failures[0].label, CRASH_SHARD);
