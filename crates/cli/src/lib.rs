@@ -408,12 +408,6 @@ pub fn cmd_attack(
     Ok(out)
 }
 
-/// `mpass score`: classify files with a freshly trained MalConv
-/// (demonstration scale, same world as `mpass attack`). Every file is
-/// scored on its own thread through the engine's [`BatchScheduler`], so
-/// concurrent submissions coalesce into batched `score_batch` calls —
-/// the CLI face of the batched serving path. Scores are bit-identical to
-/// sequential `score` calls; only the throughput differs.
 /// Train the demonstration-scale MalConv every serving-path command
 /// uses (same corpus and hyperparameters as `mpass attack`'s world).
 fn train_demo_malconv(seed: u64) -> MalConv {
@@ -471,8 +465,11 @@ pub fn cmd_snapshot(out_path: &str, detector: &str, seed: u64) -> CliResult {
     Ok(format!("wrote {detector} snapshot ({} bytes) to {out_path}\n", bytes.len()))
 }
 
-pub fn cmd_score(paths: &[&String], seed: u64, max_batch: usize, linger_ms: u64) -> CliResult {
-    use mpass_engine::{BatchPolicy, BatchScheduler};
+/// `mpass score`: classify files with a freshly trained MalConv
+/// (demonstration scale, same world as `mpass attack`), reported in
+/// argument order. Files are scored in `max_batch`-sized `score_batch`
+/// calls, whose scores are bit-identical to sequential `score` calls.
+pub fn cmd_score(paths: &[&String], seed: u64, max_batch: usize) -> CliResult {
     if paths.is_empty() {
         return Err("score requires at least one FILE".to_owned());
     }
@@ -481,29 +478,11 @@ pub fn cmd_score(paths: &[&String], seed: u64, max_batch: usize, linger_ms: u64)
         files.push(read(path)?);
     }
     let target = train_demo_malconv(seed);
-
-    let sched = BatchScheduler::new(
-        BatchPolicy {
-            max_batch: max_batch.max(1),
-            max_delay: std::time::Duration::from_millis(linger_ms),
-            ..BatchPolicy::default()
-        },
-        |items: &[&[u8]]| {
-            let mut scores = Vec::with_capacity(items.len());
-            target.score_batch(items, &mut scores);
-            scores
-        },
-    );
-    let scores: Vec<f32> = std::thread::scope(|scope| {
-        let handles: Vec<_> = files
-            .iter()
-            .map(|bytes| {
-                let sched = &sched;
-                scope.spawn(move || sched.submit(bytes.as_slice()))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("scoring thread panicked")).collect()
-    });
+    let mut scores = Vec::with_capacity(files.len());
+    for batch in files.chunks(max_batch.max(1)) {
+        let items: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+        target.score_batch(&items, &mut scores);
+    }
     let threshold = target.threshold();
     let mut out = String::new();
     for (path, score) in paths.iter().zip(&scores) {
@@ -800,7 +779,7 @@ USAGE:
   mpass verify ORIGINAL MODIFIED
   mpass pack FILE --packer upx|pespin|aspack --out FILE
   mpass attack FILE --out FILE [--seed S] [--faults SEED] [--format pe|macho]
-  mpass score FILE [FILE ...] [--seed S] [--batch N] [--linger-ms MS]
+  mpass score FILE [FILE ...] [--seed S] [--batch N]
   mpass snapshot --out PATH [--detector malconv|nonneg|malgcg|lightgbm] [--seed S]
   mpass serve --socket PATH [--seed S] [--batch N] [--linger-ms MS] [--queue N]
               [--deadline-ms MS] [--rate R] [--burst B] [--tenant-budget N]
@@ -863,7 +842,6 @@ pub fn dispatch(args: &[String]) -> CliResult {
             &positional,
             seed,
             flag(args, "--batch").and_then(|s| s.parse().ok()).unwrap_or(32),
-            flag(args, "--linger-ms").and_then(|s| s.parse().ok()).unwrap_or(5),
         ),
         "snapshot" => cmd_snapshot(
             flag(args, "--out").ok_or("snapshot requires --out PATH")?,
@@ -1086,7 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn score_batches_files_through_the_scheduler() {
+    fn score_reports_every_file_in_order_across_batches() {
         let dir = tempdir();
         let out = dir.join("score-corpus");
         dispatch(&strings(&[
@@ -1094,27 +1072,30 @@ mod tests {
             "--out",
             out.to_str().unwrap(),
             "--malware",
-            "2",
+            "3",
             "--benign",
-            "1",
-            "--seed",
-            "9",
-        ]))
-        .unwrap();
-        let mal = out.join("mal_0.exe");
-        let ben = out.join("ben_0.exe");
-        let msg = dispatch(&strings(&[
-            "score",
-            mal.to_str().unwrap(),
-            ben.to_str().unwrap(),
-            "--seed",
-            "9",
-            "--batch",
             "2",
+            "--seed",
+            "9",
         ]))
         .unwrap();
-        assert!(msg.contains("mal_0.exe: score"), "{msg}");
-        assert!(msg.contains("ben_0.exe: score"), "{msg}");
+        let files: Vec<String> = ["mal_0", "ben_0", "mal_1", "ben_1", "mal_2"]
+            .iter()
+            .map(|n| out.join(format!("{n}.exe")).to_str().unwrap().to_owned())
+            .collect();
+        let score = |batch: &str| {
+            let mut args = vec!["score".to_owned()];
+            args.extend(files.iter().cloned());
+            args.extend(["--seed", "9", "--batch", batch].map(String::from));
+            dispatch(&args).unwrap()
+        };
+        // Five files in batches of two: three score_batch calls.
+        let msg = score("2");
+        let reported: Vec<&str> =
+            msg.lines().map(|l| l.split(": score ").next().unwrap()).collect();
+        assert_eq!(reported, files, "{msg}");
+        // One batch of all five scores bit-identically.
+        assert_eq!(msg, score("32"));
         assert!(dispatch(&strings(&["score"])).is_err());
         std::fs::remove_dir_all(&out).ok();
     }

@@ -164,7 +164,7 @@ mod tests {
         let actual_rva = pe.section(".data").unwrap().header().virtual_address;
         assert_eq!(actual_rva, spec.data_rva, "test layout assumption violated");
         pe.update_checksum();
-        Vm::load(&pe).run()
+        Vm::load_binary(&pe, mpass_vm::VmLimits::default()).run()
     }
 
     /// With default alignment the second section lands at 0x2000.

@@ -741,7 +741,7 @@ mod tests {
     #[test]
     fn malware_behaves_maliciously_and_halts() {
         for s in tiny().malware() {
-            let exec = Vm::load(s.pe().unwrap()).run();
+            let exec = Vm::load_binary(s.pe().unwrap(), mpass_vm::VmLimits::default()).run();
             assert!(exec.completed(), "{}: {:?}", s.name, exec.outcome);
             assert!(exec.suspicious_calls().count() >= 3, "{}", s.name);
         }
@@ -750,7 +750,7 @@ mod tests {
     #[test]
     fn benign_behaves_benignly_and_halts() {
         for s in tiny().benign() {
-            let exec = Vm::load(s.pe().unwrap()).run();
+            let exec = Vm::load_binary(s.pe().unwrap(), mpass_vm::VmLimits::default()).run();
             assert!(exec.completed(), "{}: {:?}", s.name, exec.outcome);
             // At most the single dual-use call some benign programs make.
             assert!(exec.suspicious_calls().count() <= 1, "{}", s.name);

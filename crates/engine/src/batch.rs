@@ -1,12 +1,14 @@
-//! Cross-shard batch coalescing for detector-level scoring.
+//! Cross-request batch coalescing for detector-level scoring.
 //!
-//! Engine shards produce candidates one at a time (each attack round
-//! yields one query), but the detectors underneath them score far cheaper
-//! per item when handed a whole batch (`Detector::score_batch` amortizes
-//! embedding scratch, feature buffers, and pad-window work). The
-//! [`BatchScheduler`] sits between the two: shards submit individual
-//! items and block for their result, while a flush policy coalesces
-//! everything pending across shards into one batched scorer call.
+//! Clients of a scoring service send files one at a time, but the
+//! detectors behind it score far cheaper per item when handed a whole
+//! batch (`Detector::score_batch` amortizes embedding scratch, feature
+//! buffers, and pad-window work). The [`BatchScheduler`] sits between
+//! the two: request threads submit individual items and block for their
+//! result, while a flush policy coalesces everything pending across
+//! threads into one batched scorer call. Its one user is the
+//! [`mpass serve`] daemon; campaign shards and `mpass score` call the
+//! detectors directly.
 //!
 //! ## Flush policy
 //!
@@ -26,11 +28,10 @@
 //!
 //! ## Overload behaviour
 //!
-//! Long-lived services ([`mpass serve`]) need the scheduler to *refuse*
-//! work rather than queue it without bound, and to *shed* work that has
-//! already missed its latency target rather than burn scorer time on an
-//! answer nobody is waiting for. [`BatchScheduler::try_submit`] provides
-//! both:
+//! A long-lived service needs the scheduler to *refuse* work rather than
+//! queue it without bound, and to *shed* work that has already missed
+//! its latency target rather than burn scorer time on an answer nobody
+//! is waiting for. [`BatchScheduler::try_submit`] provides both:
 //!
 //! * the pending queue is bounded by [`BatchPolicy::queue_capacity`] —
 //!   a submission against a full queue fails immediately with
@@ -42,14 +43,11 @@
 //!   the leader hands the scorer, or removed by its own waiter), failing
 //!   with [`SubmitError::DeadlineExpired`] without costing scorer time.
 //!
-//! [`BatchScheduler::submit`] keeps its original infallible contract: no
-//! deadline, exempt from the capacity bound, blocks until scored.
-//!
 //! Flush sizes are recorded to the `engine/batch_flush` counter and
 //! `engine/batch_size` series; refused and shed items to the
 //! `engine/batch_rejected` and `engine/batch_shed` counters, so the
-//! metrics file shows how well a campaign's traffic coalesced and how
-//! hard a service had to push back.
+//! metrics file shows how well the traffic coalesced and how hard the
+//! service had to push back.
 //!
 //! [`mpass serve`]: ../../mpass_serve/index.html
 
@@ -66,8 +64,8 @@ pub struct BatchPolicy {
     /// Flush when the oldest pending item has waited this long.
     pub max_delay: Duration,
     /// Bound on the pending queue enforced by
-    /// [`BatchScheduler::try_submit`] (never by the infallible
-    /// [`BatchScheduler::submit`]). Defaults to `usize::MAX` — unbounded.
+    /// [`BatchScheduler::try_submit`]. Defaults to `usize::MAX` —
+    /// unbounded.
     pub queue_capacity: usize,
 }
 
@@ -111,7 +109,7 @@ impl std::error::Error for SubmitError {}
 struct Pending<T> {
     ticket: u64,
     item: T,
-    /// `None` — the item can wait forever (plain `submit`).
+    /// `None` — the item can wait forever.
     deadline: Option<Instant>,
 }
 
@@ -134,12 +132,10 @@ struct SchedState<T, R> {
 /// Coalesces items submitted from many threads into batched scorer calls.
 ///
 /// `score` receives the drained batch in arrival order and must return
-/// one result per item, in the same order. [`BatchScheduler::submit`]
-/// blocks the calling thread until its item's result is available —
-/// semantically it behaves exactly like calling the scorer on a
-/// single-item batch, which is what makes the scheduler transparent to
-/// shard code. [`BatchScheduler::try_submit`] adds the bounded-queue and
-/// deadline behaviour services need (see the module docs).
+/// one result per item, in the same order. [`BatchScheduler::try_submit`]
+/// blocks the calling thread until its item is scored — exactly as if
+/// the scorer ran on a single-item batch — refused by the queue bound,
+/// or shed at its deadline (see the module docs).
 pub struct BatchScheduler<'s, T, R> {
     #[allow(clippy::type_complexity)]
     score: Box<dyn Fn(&[T]) -> Vec<R> + Send + Sync + 's>,
@@ -172,16 +168,6 @@ impl<'s, T: Send, R: Send> BatchScheduler<'s, T, R> {
         self.policy
     }
 
-    /// Submit one item and block until its result is available. Exempt
-    /// from the queue bound and never shed (no deadline).
-    pub fn submit(&self, item: T) -> R {
-        match self.submit_inner(item, None, false) {
-            Ok(result) => result,
-            // No deadline and no bound: neither error can occur.
-            Err(_) => unreachable!("unbounded submit cannot be refused or shed"),
-        }
-    }
-
     /// Submit one item against the queue bound, optionally with a
     /// deadline, and block until it is scored, refused, or shed.
     ///
@@ -196,24 +182,15 @@ impl<'s, T: Send, R: Send> BatchScheduler<'s, T, R> {
     ///   handed is always scored and returns `Ok` — shedding never
     ///   discards work the scorer spent time on.
     pub fn try_submit(&self, item: T, deadline: Option<Instant>) -> Result<R, SubmitError> {
-        self.submit_inner(item, deadline, true)
-    }
-
-    fn submit_inner(
-        &self,
-        item: T,
-        item_deadline: Option<Instant>,
-        bounded: bool,
-    ) -> Result<R, SubmitError> {
         let flush_deadline = Instant::now() + self.policy.max_delay;
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if bounded && state.pending.len() >= self.policy.queue_capacity {
+        if state.pending.len() >= self.policy.queue_capacity {
             trace::counter("engine/batch_rejected", 1);
             return Err(SubmitError::QueueFull { capacity: self.policy.queue_capacity });
         }
         let ticket = state.next_ticket;
         state.next_ticket += 1;
-        state.pending.push(Pending { ticket, item, deadline: item_deadline });
+        state.pending.push(Pending { ticket, item, deadline });
         loop {
             if let Some(slot) = state.results.remove(&ticket) {
                 return match slot {
@@ -225,7 +202,7 @@ impl<'s, T: Send, R: Send> BatchScheduler<'s, T, R> {
             if item_pending {
                 // Shed ourselves the moment our deadline passes while we
                 // still sit in the queue — before any scorer sees us.
-                if item_deadline.is_some_and(|d| Instant::now() >= d) {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
                     state.pending.retain(|p| p.ticket != ticket);
                     trace::counter("engine/batch_shed", 1);
                     return Err(SubmitError::DeadlineExpired);
@@ -243,7 +220,7 @@ impl<'s, T: Send, R: Send> BatchScheduler<'s, T, R> {
             // make us the leader (or our item deadline to shed us). While
             // a flush is in flight the leader's notify_all will wake us;
             // cap the wait either way so no deadline is missed.
-            let wake_at = match item_deadline {
+            let wake_at = match deadline {
                 Some(d) => flush_deadline.min(d),
                 None => flush_deadline,
             };
@@ -333,12 +310,12 @@ mod tests {
             let handles: Vec<_> = (0..32u32)
                 .map(|i| {
                     let sched = &sched;
-                    scope.spawn(move || (i, sched.submit(i)))
+                    scope.spawn(move || (i, sched.try_submit(i, None)))
                 })
                 .collect();
             for h in handles {
                 let (i, r) = h.join().expect("submitter panicked");
-                assert_eq!(r, i * 10, "item {i} got someone else's result");
+                assert_eq!(r, Ok(i * 10), "item {i} got someone else's result");
             }
         });
         let n = calls.load(Ordering::SeqCst);
@@ -366,7 +343,7 @@ mod tests {
         std::thread::scope(|scope| {
             for i in 0..4 {
                 let sched = &sched;
-                scope.spawn(move || assert_eq!(sched.submit(i), i));
+                scope.spawn(move || assert_eq!(sched.try_submit(i, None), Ok(i)));
             }
         });
         assert_eq!(*max_seen.lock().unwrap(), 4, "size trigger never saw a full batch");
@@ -383,7 +360,7 @@ mod tests {
             |items: &[u8]| items.iter().map(|&b| b as u16 + 1).collect(),
         );
         // Nobody else is submitting: only the deadline can flush this.
-        assert_eq!(sched.submit(41), 42);
+        assert_eq!(sched.try_submit(41, None), Ok(42));
     }
 
     #[test]
@@ -398,7 +375,7 @@ mod tests {
         );
         std::thread::scope(|scope| {
             let sched = &sched;
-            let h = scope.spawn(move || sched.submit(7));
+            let h = scope.spawn(move || sched.try_submit(7, None));
             // Wait until the submitter has enqueued, then force the flush
             // it would otherwise wait 30 s for.
             loop {
@@ -411,7 +388,7 @@ mod tests {
                 std::thread::yield_now();
             }
             sched.flush();
-            assert_eq!(h.join().expect("submitter panicked"), 7);
+            assert_eq!(h.join().expect("submitter panicked"), Ok(7));
         });
     }
 
@@ -451,22 +428,10 @@ mod tests {
             );
             // The refusal must not have disturbed the queue.
             assert_eq!(sched.state.lock().unwrap().pending.len(), 2);
-            // Plain submit ignores the bound entirely.
-            let h = scope.spawn(move || sched.submit(7));
-            loop {
-                {
-                    let state = sched.state.lock().unwrap();
-                    if state.pending.len() == 3 {
-                        break;
-                    }
-                }
-                std::thread::yield_now();
-            }
             sched.flush();
             for p in parked {
                 assert!(p.join().unwrap().is_ok());
             }
-            assert_eq!(h.join().unwrap(), 7);
         });
     }
 
@@ -521,9 +486,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             // Second item trips the size trigger; the leader must shed
             // item 1 and score only item 2.
-            let ok = scope.spawn(move || sched.submit(2u8));
+            let ok = scope.spawn(move || sched.try_submit(2u8, None));
             assert_eq!(doomed.join().unwrap(), Err(SubmitError::DeadlineExpired));
-            assert_eq!(ok.join().unwrap(), 2);
+            assert_eq!(ok.join().unwrap(), Ok(2));
         });
         assert_eq!(*scored.lock().unwrap(), vec![2], "expired item must not be scored");
     }

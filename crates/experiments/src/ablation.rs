@@ -1,13 +1,15 @@
 //! EXP-T5/T6 — Table V (Other-sec ablation) and Table VI (random-data
 //! control) on the commercial AVs.
 
-use crate::commercial::attack_av;
+use crate::commercial::CommercialResults;
+use crate::orchestrator::CampaignKind;
 use crate::world::World;
-use mpass_baselines::{other_sec, RandomData};
-use mpass_core::MPassConfig;
-use mpass_detectors::Detector;
-use mpass_engine::{Engine, MetricsFile, Shard};
+use mpass_engine::{Engine, MetricsFile};
 use serde::{Deserialize, Serialize};
+
+/// The attacks of Tables V and VI: both ablations and their shared
+/// MPass reference row.
+pub const ROSTER: [&str; 3] = ["Other-sec", "Random data", "MPass"];
 
 /// Results of both ablation tables.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -20,14 +22,24 @@ pub struct AblationResults {
     pub mpass: Vec<f64>,
 }
 
+/// Tables V and VI as a view over commercial cells.
+impl From<&CommercialResults> for AblationResults {
+    fn from(grid: &CommercialResults) -> Self {
+        AblationResults {
+            other_sec: grid.asr_row("Other-sec"),
+            random_data: grid.asr_row("Random data"),
+            mpass: grid.asr_row("MPass"),
+        }
+    }
+}
+
 impl AblationResults {
     /// Format Table V.
     pub fn table5(&self) -> String {
-        let avs: Vec<String> = (1..=5).map(|i| format!("AV{i}")).collect();
         crate::table::format_table(
             "TABLE V: Impact of changing modification positions on commercial ML AVs (ASR %).",
             "Method",
-            &avs,
+            &CampaignKind::Commercial.default_targets(),
             &[
                 ("Other-sec".to_owned(), self.other_sec.clone()),
                 ("MPass".to_owned(), self.mpass.clone()),
@@ -38,11 +50,10 @@ impl AblationResults {
 
     /// Format Table VI.
     pub fn table6(&self) -> String {
-        let avs: Vec<String> = (1..=5).map(|i| format!("AV{i}")).collect();
         crate::table::format_table(
             "TABLE VI: ASR (%) of modified malware with random data vs MPass on commercial ML AVs.",
             "Method",
-            &avs,
+            &CampaignKind::Commercial.default_targets(),
             &[
                 ("Random data".to_owned(), self.random_data.clone()),
                 ("MPass".to_owned(), self.mpass.clone()),
@@ -52,74 +63,8 @@ impl AblationResults {
     }
 }
 
-/// Run both ablations on `engine`, one shard per (method, AV) campaign.
-/// `mpass_row` supplies the shared MPass reference ASRs when the Figure-3
-/// campaign already produced them.
-pub fn run_with_engine(
-    world: &World,
-    engine: &Engine,
-    mpass_row: Option<Vec<f64>>,
-) -> (AblationResults, MetricsFile) {
-    let base = MPassConfig::builder()
-        .seed(world.config.seed)
-        .build()
-        .expect("default MPass config is valid");
-    let methods = ["Other-sec", "Random data"];
-    let shards: Vec<Shard<(usize, usize)>> = methods
-        .iter()
-        .enumerate()
-        .flat_map(|(m, method)| {
-            world.avs.iter().enumerate().map(move |(a, av)| {
-                Shard::new(format!("{method} vs {}", av.name()), (m, a))
-            })
-        })
-        .collect();
-    let run = engine.run(shards, |_ctx, (m, a)| {
-        let av = &world.avs[a];
-        if m == 0 {
-            let mut o = other_sec(world.all_known_models(), &world.pool, base.clone());
-            attack_av(world, &mut o, av).stats.asr
-        } else {
-            // Random-data attempts mirror MPass's modification count:
-            // restarts × (1 + rounds) queries would be the MPass budget;
-            // give the control the same number of fresh tries as MPass has
-            // restarts.
-            let mut r = RandomData::new(
-                base.max_restarts() * (1 + base.rounds_per_restart()),
-                world.config.seed,
-            );
-            attack_av(world, &mut r, av).stats.asr
-        }
-    });
-    let n = world.avs.len();
-    let other = run.results[..n].to_vec();
-    let random = run.results[n..].to_vec();
-    let mpass =
-        mpass_row.unwrap_or_else(|| crate::packers::mpass_reference_row(world, engine));
-    (AblationResults { other_sec: other, random_data: random, mpass },
-     MetricsFile::from_run("ablation", &run))
-}
-
-/// Run both ablations on a default engine, discarding the metrics.
-pub fn run(world: &World, mpass_row: Option<Vec<f64>>) -> AblationResults {
-    run_with_engine(world, &Engine::new(Default::default()), mpass_row).0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::world::WorldConfig;
-
-    #[test]
-    fn ablation_shapes_and_tables() {
-        let mut cfg = WorldConfig::quick();
-        cfg.attack_samples = 2;
-        let world = World::build(cfg);
-        let results = run(&world, None);
-        assert_eq!(results.other_sec.len(), 5);
-        assert_eq!(results.random_data.len(), 5);
-        assert_eq!(results.mpass.len(), 5);
-        assert!(results.table5().contains("Other-sec"));
-        assert!(results.table6().contains("Random data"));
-    }
+/// Run both ablations on `engine`: the commercial grid over [`ROSTER`].
+pub fn run(world: &World, engine: &Engine) -> (AblationResults, MetricsFile) {
+    let (grid, metrics) = crate::commercial::run(world, engine, &ROSTER);
+    ((&grid).into(), MetricsFile { experiment: "ablation".into(), ..metrics })
 }

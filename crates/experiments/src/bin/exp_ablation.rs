@@ -6,7 +6,7 @@ fn main() {
     let args = report::CliArgs::parse();
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);
-    let (results, metrics) = ablation::run_with_engine(&world, &engine, None);
+    let (results, metrics) = ablation::run(&world, &engine);
     println!("{}", results.table5());
     println!("{}", results.table6());
     match report::save_json("exp_ablation", &results) {

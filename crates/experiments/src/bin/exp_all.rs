@@ -1,7 +1,10 @@
 //! Run the complete evaluation: every table and figure in sequence,
-//! sharing one world, one engine (and one Figure-3 AE harvest).
+//! sharing one world, one engine and one commercial grid (Figure 3 and
+//! Tables IV–VI are cuts of it; its Figure-3 AEs feed Figure 4).
 
-use mpass_experiments::offline::Metric;
+use mpass_experiments::ablation::AblationResults;
+use mpass_experiments::offline::{Metric, ATTACK_NAMES};
+use mpass_experiments::packers::PackerResults;
 use mpass_experiments::{
     ablation, advtrain, commercial, functionality, learning, offline, packers, pem, report,
     World,
@@ -22,7 +25,7 @@ fn main() {
     println!("{}", pem_results.summary());
     let _ = report::save_json("exp_pem", &pem_results);
 
-    let (offline_results, offline_metrics) = offline::run_with_engine(&world, &engine);
+    let (offline_results, offline_metrics) = offline::run(&world, &engine);
     println!("{}", offline_results.table(Metric::Asr));
     println!("{}", offline_results.table(Metric::Avq));
     println!("{}", offline_results.table(Metric::Apr));
@@ -34,39 +37,39 @@ fn main() {
     println!("{}", func.summary());
     let _ = report::save_json("exp_functionality", &func);
 
-    let (fig3, fig3_metrics) = commercial::run_with_engine(&world, &engine);
+    // Every (attack, AV) shard of Figure 3 and Tables IV–VI runs once,
+    // MPass's included; its metrics go next to exp_commercial.json.
+    let mut roster = ATTACK_NAMES.to_vec();
+    for name in packers::ROSTER.into_iter().chain(ablation::ROSTER) {
+        if !roster.contains(&name) {
+            roster.push(name);
+        }
+    }
+    let (grid, grid_metrics) = commercial::run(&world, &engine, &roster);
+    let t4 = PackerResults::from(&grid);
+    let ab = AblationResults::from(&grid);
+    let mut fig3 = grid;
+    fig3.cells.retain(|c| ATTACK_NAMES.contains(&c.attack.as_str()));
     println!("{}", fig3.figure3());
 
-    let (fig4, fig4_metrics) = learning::run_with_engine(&world, &fig3, 4, &engine);
+    let (fig4, fig4_metrics) = learning::run(&world, &fig3, &engine);
     for av in &world.avs {
         use mpass_detectors::Detector;
         println!("{}", fig4.figure4(av.name()));
     }
     if let Ok(p) = report::save_report("exp_commercial", &fig3.report()) {
-        report::save_metrics(&p, &fig3_metrics);
+        report::save_metrics(&p, &grid_metrics);
     }
-    let slim4: Vec<_> = fig4
-        .series
-        .iter()
-        .map(|s| (s.attack.clone(), s.av.clone(), s.bypass_rate.clone(), s.signatures_learned))
-        .collect();
-    if let Ok(p) = report::save_json("exp_learning", &(fig4.weeks, slim4)) {
+    if let Ok(p) = report::save_report("exp_learning", &fig4.report()) {
         report::save_metrics(&p, &fig4_metrics);
     }
 
-    let mpass_row: Vec<f64> = (1..=5).map(|i| format!("AV{i}")).map(|av| fig3.cell("MPass", &av).map(|c| c.stats.asr).unwrap_or(0.0)).collect();
-    let (t4, t4_metrics) = packers::run_with_engine(&world, &engine, Some(mpass_row.clone()));
     println!("{}", t4.table4());
-    if let Ok(p) = report::save_json("exp_packers", &t4) {
-        report::save_metrics(&p, &t4_metrics);
-    }
+    let _ = report::save_json("exp_packers", &t4);
 
-    let (ab, ab_metrics) = ablation::run_with_engine(&world, &engine, Some(mpass_row.clone()));
     println!("{}", ab.table5());
     println!("{}", ab.table6());
-    if let Ok(p) = report::save_json("exp_ablation", &ab) {
-        report::save_metrics(&p, &ab_metrics);
-    }
+    let _ = report::save_json("exp_ablation", &ab);
 
     let adv = advtrain::run(&world);
     println!("{}", adv.summary());

@@ -5,7 +5,7 @@ use mpass_experiments::{functionality, offline, report, World};
 fn main() {
     let args = report::CliArgs::parse();
     let world = World::build(args.world_config());
-    let offline_results = offline::run(&world);
+    let (offline_results, _) = offline::run(&world, &args.engine(world.config.seed));
     let results = functionality::run(&offline_results);
     println!("{}", results.summary());
     match report::save_json("exp_functionality", &results) {

@@ -1,13 +1,14 @@
 //! EXP-F4: regenerate Figure 4 (bypass rate under weekly AV learning).
 
+use mpass_experiments::offline::ATTACK_NAMES;
 use mpass_experiments::{commercial, learning, report, World};
 
 fn main() {
     let args = report::CliArgs::parse();
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);
-    let (fig3, _) = commercial::run_with_engine(&world, &engine);
-    let (results, metrics) = learning::run_with_engine(&world, &fig3, 4, &engine);
+    let (fig3, _) = commercial::run(&world, &engine, &ATTACK_NAMES);
+    let (results, metrics) = learning::run(&world, &fig3, &engine);
     for av in world.avs.iter() {
         use mpass_detectors::Detector;
         println!("{}", results.figure4(av.name()));
@@ -20,12 +21,7 @@ fn main() {
         results.final_bypass("GAMMA"),
         results.final_bypass("MalRNN"),
     );
-    let slim: Vec<_> = results
-        .series
-        .iter()
-        .map(|s| (s.attack.clone(), s.av.clone(), s.bypass_rate.clone(), s.signatures_learned))
-        .collect();
-    match report::save_json("exp_learning", &(results.weeks, slim)) {
+    match report::save_report("exp_learning", &results.report()) {
         Ok(p) => {
             println!("results written to {}", p.display());
             report::save_metrics(&p, &metrics);

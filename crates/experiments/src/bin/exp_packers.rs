@@ -6,7 +6,7 @@ fn main() {
     let args = report::CliArgs::parse();
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);
-    let (results, metrics) = packers::run_with_engine(&world, &engine, None);
+    let (results, metrics) = packers::run(&world, &engine);
     println!("{}", results.table4());
     match report::save_json("exp_packers", &results) {
         Ok(p) => {

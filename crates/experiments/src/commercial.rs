@@ -1,14 +1,16 @@
 //! EXP-F3 — Figure 3: ASR of the five attacks against the five simulated
 //! commercial ML AVs, keeping successful AEs for the Figure 4 learning
-//! experiment.
+//! experiment. The same commercial grid, over other rosters, produces
+//! Tables IV–VI (`packers`, `ablation`).
 
-use crate::campaign::{run_shard, CampaignOptions, OutcomeHook};
+use crate::campaign::{CampaignOptions, OutcomeHook};
+use crate::offline::ATTACK_NAMES;
+use crate::orchestrator::manifest::grid;
 use crate::orchestrator::{run_grid, AnyCell, CampaignKind};
 use crate::world::World;
 use mpass_core::attack::metrics::AttackStats;
-use mpass_core::{Attack, AttackOutcome};
+use mpass_core::AttackOutcome;
 use mpass_corpus::Sample;
-use mpass_detectors::Detector;
 use mpass_engine::{Engine, MetricsFile};
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +27,7 @@ pub struct CommercialCell {
     pub successful_aes: Vec<Vec<u8>>,
 }
 
-/// Figure 3 results.
+/// The cells of a commercial grid: Figure 3's, or a Table IV–VI roster's.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CommercialResults {
     /// All (attack, AV) cells.
@@ -53,23 +55,25 @@ impl CommercialResults {
         self.cells.iter().find(|c| c.attack == attack && c.av == av)
     }
 
+    /// ASR (%) of `attack` against each AV, in AV order; `NaN` where
+    /// the grid has no such cell. Figure 3 and Tables IV–VI are all made
+    /// of these rows.
+    pub fn asr_row(&self, attack: &str) -> Vec<f64> {
+        CampaignKind::Commercial
+            .default_targets()
+            .iter()
+            .map(|av| self.cell(attack, av).map_or(f64::NAN, |c| c.stats.asr))
+            .collect()
+    }
+
     /// Format the Figure 3 ASR grid.
     pub fn figure3(&self) -> String {
-        let avs: Vec<String> = (1..=5).map(|i| format!("AV{i}")).collect();
-        let rows: Vec<(String, Vec<f64>)> = crate::offline::ATTACK_NAMES
-            .iter()
-            .map(|a| {
-                let vals = avs
-                    .iter()
-                    .map(|av| self.cell(a, av).map(|c| c.stats.asr).unwrap_or(f64::NAN))
-                    .collect();
-                ((*a).to_owned(), vals)
-            })
-            .collect();
+        let rows: Vec<(String, Vec<f64>)> =
+            ATTACK_NAMES.iter().map(|a| ((*a).to_owned(), self.asr_row(a))).collect();
         crate::table::format_table(
             "Fig. 3: ASR (%) of attack methods on commercial ML AVs.",
             "Attack",
-            &avs,
+            &CampaignKind::Commercial.default_targets(),
             &rows,
             1,
         )
@@ -101,50 +105,25 @@ impl OutcomeHook for CollectAes {
     }
 }
 
-/// Run one attack against one AV, collecting successful AE bytes: one
-/// shard of the campaign loop with no journal, no faults and shard seed
-/// 0, for experiments that bring their own attack (packers, ablations).
-pub fn attack_av(world: &World, attack: &mut dyn Attack, av: &dyn Detector) -> CommercialCell {
-    let label = format!("{} vs {}", attack.name(), av.name());
-    let opts = CampaignOptions::default();
-    run_shard(world, attack, av, &label, &opts, None, 0, CollectAes::default())
-}
-
-/// Run the full Figure 3 experiment on `engine`, one shard per
-/// (attack, AV) campaign. Against AVs the MPass ensemble is all three
-/// differentiable offline models (the AVs themselves are black boxes),
-/// which `make_attack` provides by excluding a non-AV name. Each shard
-/// queries a memoizing [`mpass_detectors::CachedAv`] copy of its AV so the metrics file
-/// records per-shard score-cache hit rates.
-pub fn run_with_engine(world: &World, engine: &Engine) -> (CommercialResults, MetricsFile) {
-    run_campaign(world, engine, &CampaignOptions::default())
-        .expect("no journal configured, so no I/O can fail")
-}
-
-/// [`run_with_engine`] under explicit [`CampaignOptions`].
-///
-/// # Errors
-///
-/// Fails only on journal filesystem errors.
-pub fn run_campaign(
-    world: &World,
-    engine: &Engine,
-    opts: &CampaignOptions,
-) -> std::io::Result<(CommercialResults, MetricsFile)> {
+/// Run `attacks` against every AV on `engine`, one shard per (attack,
+/// AV) campaign of the commercial grid. `ATTACK_NAMES` is Figure 3;
+/// Tables IV–VI run their own rosters, and `exp_all` the union of all
+/// four. Against AVs the MPass ensemble is all three differentiable
+/// offline models (the AVs themselves are black boxes). Each shard
+/// queries a memoizing [`mpass_detectors::CachedAv`] copy of its AV so
+/// the metrics file records per-shard score-cache hit rates.
+pub fn run(world: &World, engine: &Engine, attacks: &[&str]) -> (CommercialResults, MetricsFile) {
     let kind = CampaignKind::Commercial;
-    let (cells, metrics) = run_grid(world, kind, &kind.default_grid(), engine, opts)?;
-    Ok((cells.into(), metrics))
-}
-
-/// Run the full Figure 3 experiment on a default engine, discarding the
-/// metrics (test/API convenience).
-pub fn run(world: &World) -> CommercialResults {
-    run_with_engine(world, &Engine::new(Default::default())).0
+    let shards = grid(attacks, &kind.default_targets());
+    let (cells, metrics) = run_grid(world, kind, &shards, engine, &CampaignOptions::default())
+        .expect("no journal configured, so no I/O can fail");
+    (cells.into(), metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_shard;
     use crate::journal::CampaignJournal;
     use crate::offline::make_attack;
     use crate::world::WorldConfig;
@@ -154,7 +133,7 @@ mod tests {
         let mut cfg = WorldConfig::quick();
         cfg.attack_samples = 2;
         let world = World::build(cfg);
-        let results = run(&world);
+        let (results, _) = run(&world, &Engine::new(Default::default()), &ATTACK_NAMES);
         assert_eq!(results.cells.len(), 5 * 5);
         let fig = results.figure3();
         assert!(fig.contains("AV3") && fig.contains("GAMMA"));

@@ -14,6 +14,9 @@ use mpass_detectors::Detector;
 use mpass_engine::{metrics as trace, Engine, MetricsFile, Shard};
 use serde::{Deserialize, Serialize};
 
+/// Number of weekly update rounds after the first submission.
+pub const WEEKS: usize = 4;
+
 /// Weekly bypass-rate series for one (attack, AV) pair.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LearningSeries {
@@ -21,7 +24,7 @@ pub struct LearningSeries {
     pub attack: String,
     /// AV name.
     pub av: String,
-    /// Bypass rate (%) at week 0 (always 100) through week `weeks`.
+    /// Bypass rate (%) at week 0 (always 100) through week [`WEEKS`].
     pub bypass_rate: Vec<f64>,
     /// Signatures the AV accumulated by the final week.
     pub signatures_learned: usize,
@@ -30,16 +33,28 @@ pub struct LearningSeries {
 /// Figure 4 results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LearningResults {
-    /// Number of update rounds (weeks after the first submission).
-    pub weeks: usize,
     /// One series per (attack, AV) pair that produced at least one AE.
     pub series: Vec<LearningSeries>,
 }
 
 impl LearningResults {
+    /// The persisted report (`results/exp_learning.json`): the week count
+    /// and one `(attack, av, bypass_rate, signatures_learned)` row per
+    /// series.
+    pub fn report(&self) -> String {
+        let rows: Vec<(&str, &str, &[f64], usize)> = self
+            .series
+            .iter()
+            .map(|s| {
+                (s.attack.as_str(), s.av.as_str(), s.bypass_rate.as_slice(), s.signatures_learned)
+            })
+            .collect();
+        serde_json::to_string_pretty(&(WEEKS, rows)).expect("results serialize")
+    }
+
     /// Format the Figure 4 panel for one AV.
     pub fn figure4(&self, av: &str) -> String {
-        let x: Vec<String> = (0..=self.weeks).map(|w| format!("wk{w}")).collect();
+        let x: Vec<String> = (0..=WEEKS).map(|w| format!("wk{w}")).collect();
         let rows: Vec<(String, Vec<f64>)> = self
             .series
             .iter()
@@ -74,10 +89,9 @@ impl LearningResults {
 /// Figure-3 AEs, one shard per (attack, AV) pair with surviving AEs.
 /// Each shard records its weekly bypass rate to the `learning/bypass`
 /// metrics series and its query volume to the standard counters.
-pub fn run_with_engine(
+pub fn run(
     world: &World,
     commercial: &CommercialResults,
-    weeks: usize,
     engine: &Engine,
 ) -> (LearningResults, MetricsFile) {
     let eligible: Vec<&crate::commercial::CommercialCell> = commercial
@@ -100,7 +114,7 @@ pub fn run_with_engine(
             .expect("eligibility filter checked the roster")
             .clone();
         let mut bypass_rate = vec![100.0];
-        for _week in 0..weeks {
+        for _week in 0..WEEKS {
             let submissions: Vec<&[u8]> =
                 cell.successful_aes.iter().map(|v| v.as_slice()).collect();
             av.weekly_update(&submissions);
@@ -124,12 +138,7 @@ pub fn run_with_engine(
         }
     });
     let metrics = MetricsFile::from_run("learning", &run);
-    (LearningResults { weeks, series: run.results }, metrics)
-}
-
-/// Run the learning experiment on a default engine, discarding metrics.
-pub fn run(world: &World, commercial: &CommercialResults, weeks: usize) -> LearningResults {
-    run_with_engine(world, commercial, weeks, &Engine::new(Default::default())).0
+    (LearningResults { series: run.results }, metrics)
 }
 
 #[cfg(test)]
@@ -165,7 +174,7 @@ mod tests {
                 successful_aes: aes,
             }],
         };
-        let results = run(&world, &commercial, 4);
+        let (results, _) = run(&world, &commercial, &Engine::new(Default::default()));
         assert_eq!(results.series.len(), 1);
         let s = &results.series[0];
         assert_eq!(s.bypass_rate.len(), 5);

@@ -2,7 +2,11 @@
 //!
 //! One runner per table/figure of *MPass* (DAC 2023), all operating on a
 //! shared [`World`]: the synthetic corpus, the benign-content pool, four
-//! trained offline detectors and five simulated commercial AVs.
+//! trained offline detectors and five simulated commercial AVs. Every
+//! (attack, target) table is a campaign grid of
+//! [`orchestrator::run_grid`]: Tables I–III over the offline detectors,
+//! Figure 3 and Tables IV–VI over the AVs, with Tables IV–VI as views
+//! over [`commercial::CommercialResults`].
 //!
 //! | Paper artifact | Runner | Binary |
 //! |---|---|---|
@@ -14,7 +18,9 @@
 //! | Figure 4 (AV learning) | [`learning::run`] | `exp_learning` |
 //! | Table V (Other-sec) + VI (random data) | [`ablation::run`] | `exp_ablation` |
 //! | §VI adversarial training | [`advtrain::run`] | `exp_advtrain` |
+//! | Design ablations | [`design::run`] | `exp_design` |
 //! | Multi-format demo (Mach-O) | [`macho_demo::run`] | `exp_macho` |
+//! | Everything above but Mach-O, one world | — | `exp_all` |
 //!
 //! Every binary accepts `--quick` for a down-scaled run and writes JSON
 //! results under `results/`.

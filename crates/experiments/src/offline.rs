@@ -5,7 +5,10 @@
 use crate::campaign::{CampaignOptions, OutcomeHook};
 use crate::orchestrator::{run_grid, AnyCell, CampaignKind};
 use crate::world::World;
-use mpass_baselines::{Gamma, GammaConfig, Mab, MabConfig, MalRnn, MalRnnConfig, Rla, RlaConfig};
+use mpass_baselines::{
+    other_sec, packer_profiles, Gamma, GammaConfig, Mab, MabConfig, MalRnn, MalRnnConfig, Packer,
+    RandomData, Rla, RlaConfig,
+};
 use mpass_core::attack::metrics::AttackStats;
 use mpass_core::{Attack, AttackOutcome, MPassAttack, MPassConfig};
 use mpass_corpus::Sample;
@@ -154,16 +157,24 @@ impl OutcomeHook for VerifyAes {
     }
 }
 
-/// Build one named attack of the roster for a campaign against
-/// `target_name`. MPass's known ensemble excludes the target (it is
-/// black-box); the baselines are target-agnostic.
+/// Build one named attack for a campaign against `target_name`: the
+/// [`ATTACK_NAMES`] roster, the Table IV packers (by
+/// [`packer_profiles`] name), and the Table V/VI ablations `Other-sec`
+/// and `Random data`. MPass's known ensemble, and Other-sec's, excludes
+/// the target (it is black-box); the others are target-agnostic.
+///
+/// # Panics
+///
+/// On a name outside that roster.
 pub fn make_attack<'a>(world: &'a World, target_name: &str, attack_name: &str) -> Box<dyn Attack + 'a> {
     let seed = world.config.seed;
+    let mpass_config =
+        || MPassConfig::builder().seed(seed).build().expect("default MPass config is valid");
     match attack_name {
         "MPass" => Box::new(MPassAttack::new(
             world.known_models_excluding(target_name),
             &world.pool,
-            MPassConfig::builder().seed(seed).build().expect("default MPass config is valid"),
+            mpass_config(),
         )),
         "RLA" => Box::new(Rla::new(&world.pool, RlaConfig { seed, ..RlaConfig::default() })),
         "MAB" => Box::new(Mab::new(&world.pool, MabConfig { seed, ..MabConfig::default() })),
@@ -174,7 +185,21 @@ pub fn make_attack<'a>(world: &'a World, target_name: &str, attack_name: &str) -
             &world.pool,
             MalRnnConfig { seed, ..MalRnnConfig::default() },
         )),
-        other => panic!("unknown attack {other:?}"),
+        "Other-sec" => Box::new(other_sec(
+            world.known_models_excluding(target_name),
+            &world.pool,
+            mpass_config(),
+        )),
+        "Random data" => {
+            // One random fill per modification MPass could submit:
+            // restarts × (1 + rounds per restart).
+            let cfg = mpass_config();
+            Box::new(RandomData::new(cfg.max_restarts() * (1 + cfg.rounds_per_restart()), seed))
+        }
+        other => match packer_profiles().into_iter().find(|p| p.name == other) {
+            Some(profile) => Box::new(Packer::new(profile)),
+            None => panic!("unknown attack {other:?}"),
+        },
     }
 }
 
@@ -182,33 +207,12 @@ pub fn make_attack<'a>(world: &'a World, target_name: &str, attack_name: &str) -
 /// per (attack, target) campaign. Campaigns — not samples — are the shard
 /// unit because RLA and MAB carry learned state across samples within one
 /// campaign.
-pub fn run_with_engine(world: &World, engine: &Engine) -> (OfflineResults, MetricsFile) {
-    run_campaign(world, engine, &CampaignOptions::default())
-        .expect("no journal configured, so no I/O can fail")
-}
-
-/// [`run_with_engine`] under explicit [`CampaignOptions`]: fault
-/// injection on the oracle channel and/or a crash-safe resume journal.
-///
-/// # Errors
-///
-/// Fails only on journal filesystem errors (opening or recovering it);
-/// the attack campaigns themselves cannot fail, only panic — and a
-/// panicking shard is isolated into the metrics file's failure list.
-pub fn run_campaign(
-    world: &World,
-    engine: &Engine,
-    opts: &CampaignOptions,
-) -> std::io::Result<(OfflineResults, MetricsFile)> {
+pub fn run(world: &World, engine: &Engine) -> (OfflineResults, MetricsFile) {
     let kind = CampaignKind::Offline;
-    let (cells, metrics) = run_grid(world, kind, &kind.default_grid(), engine, opts)?;
-    Ok((cells.into(), metrics))
-}
-
-/// Run the full offline comparison on a default engine, discarding the
-/// metrics (test/API convenience).
-pub fn run(world: &World) -> OfflineResults {
-    run_with_engine(world, &Engine::new(Default::default())).0
+    let opts = CampaignOptions::default();
+    let (cells, metrics) = run_grid(world, kind, &kind.default_grid(), engine, &opts)
+        .expect("no journal configured, so no I/O can fail");
+    (cells.into(), metrics)
 }
 
 #[cfg(test)]
@@ -223,7 +227,7 @@ pub(crate) mod tests {
         let mut cfg = WorldConfig::quick();
         cfg.attack_samples = 3;
         let world = World::build(cfg);
-        let results = run(&world);
+        let (results, _) = run(&world, &Engine::new(Default::default()));
         assert_eq!(results.cells.len(), 5 * 4);
         // Every cell attacked the same number of samples or fewer (if the
         // target misclassified some malware up front).
@@ -239,6 +243,23 @@ pub(crate) mod tests {
         assert!(t3.contains("TABLE III"));
     }
 
+    #[test]
+    fn make_attack_resolves_every_table_4_to_6_name_and_no_other() {
+        let mut cfg = WorldConfig::quick();
+        cfg.attack_samples = 1;
+        let world = World::build(cfg);
+        let names = crate::packers::ROSTER.into_iter().chain(crate::ablation::ROSTER);
+        for name in names {
+            assert_eq!(make_attack(&world, "AV1", name).name(), name);
+        }
+        let unknown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            make_attack(&world, "AV1", "NoSuchAttack").name().to_owned()
+        }));
+        let payload = unknown.expect_err("an unknown name must panic");
+        let message = payload.downcast_ref::<String>().expect("formatted panic message");
+        assert_eq!(message, "unknown attack \"NoSuchAttack\"");
+    }
+
     /// Same engine seed ⇒ identical attack outcomes, whatever the worker
     /// count: per-shard RNG streams are keyed by shard label, not by
     /// scheduling.
@@ -250,7 +271,7 @@ pub(crate) mod tests {
         let run_at = |workers: usize| {
             let engine =
                 Engine::new(mpass_engine::EngineConfig { workers, seed: world.config.seed });
-            let (results, metrics) = run_with_engine(&world, &engine);
+            let (results, metrics) = run(&world, &engine);
             // Metrics labels come back in input order too.
             let labels: Vec<String> =
                 metrics.shards.iter().map(|s| s.label.clone()).collect();

@@ -75,16 +75,16 @@ impl AnyCell {
 /// so there is exactly one place where a shard's attack, target, seed,
 /// and outcome hook are decided.
 ///
-/// Offline shards attack the named detector and check every AE in the
-/// sandbox. Commercial shards attack a fresh memoizing [`CachedAv`] copy
-/// of the named AV (so the metrics record per-shard score-cache hit
-/// rates) with MPass's ensemble of all three differentiable offline
-/// models, which `make_attack` provides by excluding a non-AV name, and
-/// keep every AE.
+/// The attack is `make_attack`'s for the shard's attack and target
+/// names. Offline shards attack the named detector and check every AE in
+/// the sandbox. Commercial shards attack a fresh memoizing [`CachedAv`]
+/// copy of the named AV (so the metrics record per-shard score-cache hit
+/// rates) and keep every AE; no AV is a known model, so MPass's ensemble
+/// is all three differentiable offline models.
 ///
 /// # Panics
 ///
-/// When the shard names a target the world does not have.
+/// When the shard names an attack or a target the world does not have.
 pub fn run_shard_work(
     world: &World,
     kind: CampaignKind,
@@ -96,6 +96,7 @@ pub fn run_shard_work(
     let unknown = || -> ! {
         panic!("shard {} names unknown {kind} target {}", spec.label, spec.target)
     };
+    let mut attack = make_attack(world, &spec.target, &spec.attack);
     match kind {
         CampaignKind::Offline => {
             let (_, det) = world
@@ -103,7 +104,6 @@ pub fn run_shard_work(
                 .into_iter()
                 .find(|(n, _)| *n == spec.target)
                 .unwrap_or_else(|| unknown());
-            let mut attack = make_attack(world, &spec.target, &spec.attack);
             AnyCell::Offline(run_shard(
                 world,
                 attack.as_mut(),
@@ -118,7 +118,6 @@ pub fn run_shard_work(
         CampaignKind::Commercial => {
             let av = world.avs.iter().find(|av| av.name() == spec.target);
             let av = CachedAv::new(av.unwrap_or_else(|| unknown()).clone());
-            let mut attack = make_attack(world, "LightGBM", &spec.attack);
             AnyCell::Commercial(run_shard(
                 world,
                 attack.as_mut(),

@@ -1,13 +1,15 @@
 //! EXP-T4 — Table IV: generic obfuscators (UPX, PESpin, ASPack) versus
 //! MPass on the commercial AVs.
 
-use crate::commercial::attack_av;
+use crate::commercial::CommercialResults;
+use crate::orchestrator::CampaignKind;
 use crate::world::World;
-use mpass_baselines::{packer_profiles, Packer};
-use mpass_core::{MPassAttack, MPassConfig};
-use mpass_detectors::Detector;
-use mpass_engine::{Engine, MetricsFile, Shard};
+use mpass_engine::{Engine, MetricsFile};
 use serde::{Deserialize, Serialize};
+
+/// Table IV's rows, in table order: the three packers (by
+/// `packer_profiles()` name), then MPass.
+pub const ROSTER: [&str; 4] = ["UPX", "PESpin", "ASPack", "MPass"];
 
 /// Table IV contents.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -16,97 +18,65 @@ pub struct PackerResults {
     pub rows: Vec<(String, Vec<f64>)>,
 }
 
+/// Table IV as a view over commercial cells: one ASR row per [`ROSTER`]
+/// name.
+impl From<&CommercialResults> for PackerResults {
+    fn from(grid: &CommercialResults) -> Self {
+        let rows = ROSTER.iter().map(|a| ((*a).to_owned(), grid.asr_row(a))).collect();
+        PackerResults { rows }
+    }
+}
+
 impl PackerResults {
     /// Format Table IV.
     pub fn table4(&self) -> String {
-        let avs: Vec<String> = (1..=5).map(|i| format!("AV{i}")).collect();
         crate::table::format_table(
             "TABLE IV: Comparison with obfuscation techniques on ASR (%) of attacking commercial AVs.",
             "Method",
-            &avs,
+            &CampaignKind::Commercial.default_targets(),
             &self.rows,
             1,
         )
     }
 }
 
-/// Run Table IV on `engine`: each packer applied once per sample against
-/// each AV, one shard per (packer, AV) campaign. `mpass_row` supplies the
-/// MPass reference ASRs (one per AV) when the caller has already run the
-/// Figure-3 campaign; otherwise the row is recomputed here.
-pub fn run_with_engine(
-    world: &World,
-    engine: &Engine,
-    mpass_row: Option<Vec<f64>>,
-) -> (PackerResults, MetricsFile) {
-    let profiles = packer_profiles();
-    let shards: Vec<Shard<(usize, usize)>> = profiles
-        .iter()
-        .enumerate()
-        .flat_map(|(p, profile)| {
-            world.avs.iter().enumerate().map(move |(a, av)| {
-                Shard::new(format!("{} vs {}", profile.name, av.name()), (p, a))
-            })
-        })
-        .collect();
-    let run = engine.run(shards, |_ctx, (p, a)| {
-        let mut packer = Packer::new(profiles[p]);
-        attack_av(world, &mut packer, &world.avs[a]).stats.asr
-    });
-    let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
-    for (p, profile) in profiles.iter().enumerate() {
-        let n = world.avs.len();
-        rows.push((profile.name.to_owned(), run.results[p * n..(p + 1) * n].to_vec()));
-    }
-    let mpass_asrs = mpass_row.unwrap_or_else(|| mpass_reference_row(world, engine));
-    rows.push(("MPass".to_owned(), mpass_asrs));
-    (PackerResults { rows }, MetricsFile::from_run("packers", &run))
-}
-
-/// Run Table IV on a default engine, discarding the metrics.
-pub fn run(world: &World, mpass_row: Option<Vec<f64>>) -> PackerResults {
-    run_with_engine(world, &Engine::new(Default::default()), mpass_row).0
-}
-
-/// Compute MPass's ASR against every AV on `engine` (the shared reference
-/// row of Tables IV, V and VI), one shard per AV.
-pub fn mpass_reference_row(world: &World, engine: &Engine) -> Vec<f64> {
-    let shards: Vec<Shard<usize>> = world
-        .avs
-        .iter()
-        .enumerate()
-        .map(|(a, av)| Shard::new(format!("MPass vs {}", av.name()), a))
-        .collect();
-    engine
-        .run(shards, |_ctx, a| {
-            let mut mpass = MPassAttack::new(
-                world.all_known_models(),
-                &world.pool,
-                MPassConfig::builder()
-                    .seed(world.config.seed)
-                    .build()
-                    .expect("default MPass config is valid"),
-            );
-            attack_av(world, &mut mpass, &world.avs[a]).stats.asr
-        })
-        .results
+/// Run Table IV on `engine`: the commercial grid over [`ROSTER`], each
+/// packer applied once per sample.
+pub fn run(world: &World, engine: &Engine) -> (PackerResults, MetricsFile) {
+    let (grid, metrics) = crate::commercial::run(world, engine, &ROSTER);
+    ((&grid).into(), MetricsFile { experiment: "packers".into(), ..metrics })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ablation::AblationResults;
+    use crate::offline::ATTACK_NAMES;
     use crate::world::WorldConfig;
 
+    /// Tables IV–VI repeat Figure 3's MPass row: the same shards, run
+    /// through the same commercial grid, must give the same ASRs.
     #[test]
-    fn table4_has_four_rows_and_five_columns() {
+    fn tables_4_to_6_repeat_the_figure3_mpass_row() {
         let mut cfg = WorldConfig::quick();
         cfg.attack_samples = 2;
         let world = World::build(cfg);
-        let results = run(&world, None);
-        assert_eq!(results.rows.len(), 4);
-        assert!(results.rows.iter().all(|(_, v)| v.len() == 5));
-        let names: Vec<&str> = results.rows.iter().map(|(n, _)| n.as_str()).collect();
+        let engine = Engine::new(Default::default());
+        let mpass = crate::commercial::run(&world, &engine, &ATTACK_NAMES).0.asr_row("MPass");
+        assert_eq!(mpass.len(), 5);
+
+        let (t4, _) = run(&world, &engine);
+        let names: Vec<&str> = t4.rows.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["UPX", "PESpin", "ASPack", "MPass"]);
-        assert!(results.table4().contains("TABLE IV"));
+        assert!(t4.rows.iter().all(|(_, v)| v.len() == 5));
+        assert_eq!(t4.rows[3].1, mpass);
+        assert!(t4.table4().contains("TABLE IV"));
+
+        let (ab, _): (AblationResults, _) = crate::ablation::run(&world, &engine);
+        assert_eq!(ab.other_sec.len(), 5);
+        assert_eq!(ab.random_data.len(), 5);
+        assert_eq!(ab.mpass, mpass);
+        assert!(ab.table5().contains("Other-sec"));
+        assert!(ab.table6().contains("Random data"));
     }
 }

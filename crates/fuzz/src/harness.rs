@@ -76,7 +76,7 @@ pub fn check_bytes(bytes: &[u8]) -> Result<(), String> {
     // exercised without the recording sink's capacity backstop.
     catch_unwind(AssertUnwindSafe(|| {
         let mut sink = DigestSink::new();
-        Vm::load_with(&pe, fuzz_limits()).run_with_sink(&mut sink)
+        Vm::load_binary(&pe, fuzz_limits()).run_with_sink(&mut sink)
     }))
     .map_err(|p| format!("Vm::run panicked: {}", panic_message(&*p)))?;
     Ok(())

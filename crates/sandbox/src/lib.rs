@@ -33,7 +33,6 @@
 //! ```
 
 use mpass_binary::{BinaryError, BinaryFormat, BinaryImage};
-use mpass_pe::PeFile;
 use mpass_vm::{
     ComparingSink, Execution, Outcome, ReferenceTrace, RunSummary, TraceDigest, TraceSink, Vm,
     VmLimits,
@@ -168,13 +167,8 @@ impl Sandbox {
         self.limits
     }
 
-    /// Execute a parsed PE and return the full execution record.
-    pub fn run_pe(&self, pe: &PeFile) -> Execution {
-        Vm::load_with(pe, self.limits).run()
-    }
-
-    /// Execute any parsed [`BinaryFormat`] image — the format-neutral twin
-    /// of [`Sandbox::run_pe`].
+    /// Execute a parsed PE, Mach-O or any other [`BinaryFormat`] image and
+    /// return the full execution record.
     pub fn run_image(&self, image: &dyn BinaryFormat) -> Execution {
         Vm::load_binary(image, self.limits).run()
     }
@@ -183,13 +177,8 @@ impl Sandbox {
     /// [`SandboxError::Unparseable`] preserves the parse failure reason
     /// when the bytes fit no supported format.
     pub fn execute(&self, bytes: &[u8]) -> Result<Execution, SandboxError> {
-        match BinaryImage::parse_auto(bytes) {
-            // The PE path stays on the inherent loader so its behaviour is
-            // bit-for-bit what the PE-only sandbox produced.
-            Ok(BinaryImage::Pe(pe)) => Ok(self.run_pe(&pe)),
-            Ok(image) => Ok(self.run_image(&image)),
-            Err(e) => Err(SandboxError::Unparseable(e)),
-        }
+        let image = BinaryImage::parse_auto(bytes).map_err(SandboxError::Unparseable)?;
+        Ok(self.run_image(&image))
     }
 
     /// Parse and execute raw bytes, driving `sink` with every API event
@@ -199,13 +188,8 @@ impl Sandbox {
         bytes: &[u8],
         sink: &mut S,
     ) -> Result<RunSummary, SandboxError> {
-        match BinaryImage::parse_auto(bytes) {
-            Ok(BinaryImage::Pe(pe)) => {
-                Ok(Vm::load_with(&pe, self.limits).run_with_sink(sink))
-            }
-            Ok(image) => Ok(Vm::load_binary(&image, self.limits).run_with_sink(sink)),
-            Err(e) => Err(SandboxError::Unparseable(e)),
-        }
+        let image = BinaryImage::parse_auto(bytes).map_err(SandboxError::Unparseable)?;
+        Ok(Vm::load_binary(&image, self.limits).run_with_sink(sink))
     }
 
     /// Run the original sample once and capture its behaviour as a

@@ -4,7 +4,6 @@
 use crate::api::{ApiEvent, ApiId};
 use crate::isa::{Instr, Reg, INSTR_SIZE};
 use crate::sink::{RecordingSink, SinkControl, TraceDigest, TraceSink};
-use mpass_pe::PeFile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -280,37 +279,16 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Map `pe` into a fresh VM, with the PC at the PE entry point, under
-    /// the default [`VmLimits`].
-    pub fn load(pe: &PeFile) -> Vm {
-        Self::load_with(pe, VmLimits::default())
-    }
-
-    /// Map `pe` under explicit resource `limits`. An image whose mapped
-    /// size exceeds [`VmLimits::memory_limit`] is not mapped at all; the VM
-    /// reports [`Outcome::ResourceExhausted`]`(`[`Resource::Memory`]`)` at
-    /// zero steps instead of allocating.
-    pub fn load_with(pe: &PeFile, limits: VmLimits) -> Vm {
-        let (memory, oversized) = match pe.map_image_bounded(limits.memory_limit) {
-            Ok(m) => (m, false),
-            Err(_) => (Vec::new(), true),
-        };
-        Vm {
-            memory,
-            regs: [0; 8],
-            pc: pe.entry_point(),
-            data_stack: Vec::new(),
-            call_stack: Vec::new(),
-            limits,
-            oversized,
-        }
-    }
-
-    /// Map any [`BinaryFormat`] image under explicit resource `limits`:
-    /// the format-neutral twin of [`Vm::load_with`]. The flat address
-    /// space works the same for every container — sections at their
-    /// virtual addresses, zero fill elsewhere — so Mach-O images execute
-    /// through the identical interpreter path as PEs.
+    /// Map a PE, Mach-O or any other
+    /// [`BinaryFormat`](mpass_binfmt::BinaryFormat) image into a fresh VM
+    /// under resource `limits`, with the PC at the image's entry point.
+    /// The flat address space works the same for every container —
+    /// sections at their virtual addresses, zero fill elsewhere — so every
+    /// format executes through the identical interpreter path. An image
+    /// whose mapped size exceeds [`VmLimits::memory_limit`] is not mapped
+    /// at all; the VM reports
+    /// [`Outcome::ResourceExhausted`]`(`[`Resource::Memory`]`)` at zero
+    /// steps instead of allocating.
     pub fn load_binary(image: &dyn mpass_binfmt::BinaryFormat, limits: VmLimits) -> Vm {
         let (memory, oversized) = match image.map_image_bounded(limits.memory_limit) {
             Ok(m) => (m, false),
@@ -1018,7 +996,7 @@ mod tests {
         b.add_section(".text", vec![0x90; 64], mpass_pe::SectionFlags::CODE).unwrap();
         let pe = b.build().unwrap();
         let limits = VmLimits { memory_limit: 16, ..VmLimits::default() };
-        let exec = Vm::load_with(&pe, limits).run();
+        let exec = Vm::load_binary(&pe, limits).run();
         assert_eq!(exec.outcome, Outcome::ResourceExhausted(Resource::Memory));
         assert_eq!(exec.steps, 0);
         assert!(exec.trace.is_empty());
@@ -1043,7 +1021,7 @@ mod tests {
         b.add_section(".text", code, mpass_pe::SectionFlags::CODE).unwrap();
         b.set_entry_section(".text", 0).unwrap();
         let pe = b.build().unwrap();
-        let exec = Vm::load(&pe).run();
+        let exec = Vm::load_binary(&pe, VmLimits::default()).run();
         assert!(exec.completed());
         assert_eq!(exec.suspicious_calls().count(), 1);
     }

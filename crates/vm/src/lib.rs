@@ -29,7 +29,7 @@
 //! ## Example: assemble, run, observe behaviour
 //!
 //! ```
-//! use mpass_vm::{Asm, Instr, Reg, Vm, api};
+//! use mpass_vm::{Asm, Instr, Reg, Vm, VmLimits, api};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut asm = Asm::new();
@@ -43,7 +43,7 @@
 //! pe.set_entry_section(".text", 0)?;
 //! let pe = pe.build()?;
 //!
-//! let exec = Vm::load(&pe).run();
+//! let exec = Vm::load_binary(&pe, VmLimits::default()).run();
 //! assert!(exec.completed());
 //! assert_eq!(exec.trace.len(), 1);
 //! assert_eq!(exec.trace[0].api, api::MESSAGE_BOX);

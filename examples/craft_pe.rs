@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Execute it.
     let sandbox = Sandbox::new();
-    let exec = sandbox.run_pe(&pe);
+    let exec = sandbox.run_image(&pe);
     println!("execution: {:?} after {} steps", exec.outcome, exec.steps);
     for ev in &exec.trace {
         println!("  api call: {} (arg {:#x})", ev.api, ev.arg);
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Round-trip and re-run: behaviour unchanged by the edits.
     let reparsed = PeFile::parse(&edited.to_bytes())?;
-    let exec2 = sandbox.run_pe(&reparsed);
+    let exec2 = sandbox.run_image(&reparsed);
     assert_eq!(exec.trace, exec2.trace);
     println!("edited image re-parses and behaves identically");
     Ok(())

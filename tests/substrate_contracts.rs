@@ -22,7 +22,7 @@ fn every_sample_parses_round_trips_and_halts() {
     for s in &ds.samples {
         let pe = PeFile::parse(&s.bytes).expect("sample parses");
         assert_eq!(pe.to_bytes(), s.bytes, "{} round-trip", s.name);
-        let exec = sandbox.run_pe(&pe);
+        let exec = sandbox.run_image(&pe);
         assert!(exec.completed(), "{}: {:?}", s.name, exec.outcome);
         assert!(!exec.trace.is_empty(), "{} has no behaviour", s.name);
     }
@@ -33,11 +33,11 @@ fn malware_and_benign_differ_behaviourally() {
     let ds = dataset();
     let sandbox = Sandbox::new();
     for s in ds.malware() {
-        let exec = sandbox.run_pe(s.pe().unwrap());
+        let exec = sandbox.run_image(s.pe().unwrap());
         assert!(exec.suspicious_calls().count() >= 3, "{}", s.name);
     }
     for s in ds.benign() {
-        let exec = sandbox.run_pe(s.pe().unwrap());
+        let exec = sandbox.run_image(s.pe().unwrap());
         assert!(exec.suspicious_calls().count() <= 1, "{}", s.name);
     }
 }
