@@ -436,7 +436,7 @@ pub fn run_pem(
             .into_iter()
             .map(|(k, v)| (k, v / samples.len().max(1) as f64))
             .collect();
-        ranking.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        ranking.sort_by(rank_order);
         per_model.push(ModelRanking { model: (*name).to_owned(), ranking });
     }
     // Intersection of top-k across models, ordered by cross-model mean.
@@ -463,8 +463,16 @@ pub fn run_pem(
             }
         }
     }
-    common.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    common.sort_by(rank_order);
     PemReport { per_model, common_critical: common.into_iter().map(|(k, _)| k).collect() }
+}
+
+/// Ranking order of `(kind, mean φ)` pairs: larger φ first, ties broken by
+/// [`SectionKind`] order. The pairs are drained from a `HashMap`, whose
+/// iteration order changes from map to map, so without the tie-break two
+/// runs on the same input could rank tied kinds differently.
+fn rank_order(a: &(SectionKind, f64), b: &(SectionKind, f64)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
 }
 
 #[cfg(test)]
@@ -706,5 +714,31 @@ mod tests {
             ],
         };
         assert!((ranking.top2_over_top3().unwrap() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tied_kinds_rank_the_same_from_every_map() {
+        use SectionKind::*;
+        let values =
+            [(Other, 0.5), (Code, 0.25), (Tls, 0.25), (Data, 0.25), (Bss, 0.0), (Resource, 0.5)];
+        let expected = vec![
+            (Resource, 0.5),
+            (Other, 0.5),
+            (Code, 0.25),
+            (Data, 0.25),
+            (Tls, 0.25),
+            (Bss, 0.0),
+        ];
+        // Every `HashMap::new()` draws its own hash seed, so these maps
+        // drain in differing orders.
+        let mut drained = std::collections::HashSet::new();
+        for _ in 0..32 {
+            let map: HashMap<SectionKind, f64> = values.into_iter().collect();
+            let mut ranking: Vec<(SectionKind, f64)> = map.into_iter().collect();
+            drained.insert(ranking.iter().map(|(k, _)| *k).collect::<Vec<_>>());
+            ranking.sort_by(rank_order);
+            assert_eq!(ranking, expected);
+        }
+        assert!(drained.len() > 1, "the maps all drained in one order");
     }
 }

@@ -277,6 +277,33 @@ mod tests {
         assert_eq!(decoded, Instr::Movi(Reg::R7, 1234));
     }
 
+    /// The VM runs the decode loop of both layouts in bulk: all but the
+    /// first and last iterations reach the sink as one `on_steps` block.
+    #[test]
+    fn the_decode_loop_runs_in_bulk_in_both_layouts() {
+        #[derive(Default)]
+        struct BulkSteps(u64);
+        impl mpass_vm::TraceSink for BulkSteps {
+            fn on_api_event(&mut self, _: mpass_vm::ApiEvent) -> mpass_vm::SinkControl {
+                mpass_vm::SinkControl::Continue
+            }
+            fn on_steps(&mut self, first: u64, last: u64) {
+                self.0 += last - first + 1;
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut filler = |len: usize| vec![0xCC; len];
+        let shuffled = layout_shuffled(&stub(), 0x500, 3, &mut filler, &mut rng).bytes;
+        // 24 bytes, each 9 steps sequential and 17 shuffled.
+        for (bytes, per_byte) in [(layout_sequential(&stub(), 0x500), 9), (shuffled, 17)] {
+            let mut image = vec![0u8; 0x4000];
+            image[0x500..0x500 + bytes.len()].copy_from_slice(&bytes);
+            let mut sink = BulkSteps::default();
+            Vm::from_image(image, 0x500).run_with_sink(&mut sink);
+            assert_eq!(sink.0, 22 * per_byte);
+        }
+    }
+
     #[test]
     fn empty_stub_is_empty_layout() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);

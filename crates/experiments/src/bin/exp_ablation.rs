@@ -3,7 +3,7 @@
 use mpass_experiments::{ablation, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse_without_campaign_flags("exp_ablation");
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);
     let (results, metrics) = ablation::run(&world, &engine);

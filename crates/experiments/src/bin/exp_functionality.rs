@@ -3,7 +3,7 @@
 use mpass_experiments::{functionality, offline, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse_without_campaign_flags("exp_functionality");
     let world = World::build(args.world_config());
     let (offline_results, _) = offline::run(&world, &args.engine(world.config.seed));
     let results = functionality::run(&offline_results);

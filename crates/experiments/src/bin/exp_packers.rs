@@ -3,7 +3,7 @@
 use mpass_experiments::{packers, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse_without_campaign_flags("exp_packers");
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);
     let (results, metrics) = packers::run(&world, &engine);

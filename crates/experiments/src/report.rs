@@ -88,6 +88,24 @@ impl CliArgs {
         }
     }
 
+    /// [`CliArgs::parse`] for a binary that runs no journalled,
+    /// fault-injected or distributed campaign. It could not honour
+    /// `--faults`, `--resume` or `--processes`, so instead of dropping
+    /// them it prints an error naming the flag and exits with status 2,
+    /// before any world is built.
+    pub fn parse_without_campaign_flags(binary: &str) -> CliArgs {
+        let campaign_flags = ["--faults", "--resume", "--processes"];
+        let mut args = std::env::args().skip(1);
+        if let Some(flag) = args.find(|a| campaign_flags.contains(&a.as_str())) {
+            eprintln!(
+                "error: {binary} does not support {flag}: it runs no resumable, \
+                 fault-injectable or distributed campaign"
+            );
+            std::process::exit(2);
+        }
+        Self::parse()
+    }
+
     /// The campaign options this invocation asked for. Journalling is
     /// always on for campaign-capable runners: the write-ahead log at
     /// `results/<experiment>.journal.jsonl` is what `--resume` picks up

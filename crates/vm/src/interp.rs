@@ -2,6 +2,7 @@
 //! executes from the entry point, recording the API-call behaviour trace.
 
 use crate::api::{ApiEvent, ApiId};
+use crate::bulk::{self, Plan};
 use crate::isa::{Instr, Reg, INSTR_SIZE};
 use crate::sink::{RecordingSink, SinkControl, TraceDigest, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -183,6 +184,17 @@ impl RunSummary {
 
 const STACK_LIMIT: usize = 64 * 1024;
 
+/// The per-run interpreter state that lives outside [`Vm`]: the step
+/// count, the first address of the sequential instruction stream
+/// executing (see [`VmFault::MisalignedPc`]), and the run of consecutive
+/// taken transfers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cursor {
+    pub(crate) steps: u64,
+    pub(crate) stream_anchor: u32,
+    pub(crate) jump_chain: u64,
+}
+
 /// Entries in the per-run decode cache. Fixed, so the cache costs the
 /// same 8 KiB whatever the image size or memory limit, and filling it is
 /// cheap enough for runs of a few dozen steps.
@@ -205,6 +217,9 @@ const _: () = assert!(std::mem::size_of::<[CacheEntry; DECODE_CACHE_SLOTS]>() <=
 /// they overlap, so a hit always equals a fresh decode of current memory.
 struct DecodeCache {
     entries: [CacheEntry; DECODE_CACHE_SLOTS],
+    /// One bit per entry: set when the bulk path rejected the loop its
+    /// `Jz` heads; refilling the entry clears it.
+    rejected: [u64; DECODE_CACHE_SLOTS / 64],
     /// Lowest and highest start address ever cached: a store that ends
     /// below `lo` or starts past `hi + 7` cannot touch a cached instruction.
     lo: u64,
@@ -217,6 +232,7 @@ impl DecodeCache {
     fn new() -> DecodeCache {
         DecodeCache {
             entries: [CacheEntry { tag: Self::EMPTY, instr: Instr::Nop }; DECODE_CACHE_SLOTS],
+            rejected: [0; DECODE_CACHE_SLOTS / 64],
             lo: u64::MAX,
             hi: 0,
         }
@@ -234,20 +250,38 @@ impl DecodeCache {
 
     fn insert(&mut self, pc: u32, instr: Instr) {
         let tag = u64::from(pc);
-        self.entries[Self::slot(tag)] = CacheEntry { tag, instr };
+        let slot = Self::slot(tag);
+        self.entries[slot] = CacheEntry { tag, instr };
+        self.rejected[slot / 64] &= !(1 << (slot % 64));
         self.lo = self.lo.min(tag);
         self.hi = self.hi.max(tag);
     }
 
+    /// True when `pc` holds a cached `Jz` whose loop was not rejected: the
+    /// trigger of a bulk block.
+    #[inline(always)]
+    fn is_loop_head(&self, pc: u32) -> bool {
+        let slot = Self::slot(u64::from(pc));
+        let e = &self.entries[slot];
+        e.tag == u64::from(pc)
+            && matches!(e.instr, Instr::Jz(..))
+            && self.rejected[slot / 64] & (1 << (slot % 64)) == 0
+    }
+
+    /// Mark the cached instruction at `pc` as the head of a rejected loop.
+    fn reject(&mut self, pc: u32) {
+        let slot = Self::slot(u64::from(pc));
+        self.rejected[slot / 64] |= 1 << (slot % 64);
+    }
+
     /// Drop every cached instruction overlapping the `len` bytes written
     /// at `addr`, i.e. those starting at `addr - 7 ..= addr + len - 1`.
+    /// Only start addresses inside the cached span `lo..=hi` are visited,
+    /// so a bulk store over a large section costs at most that span.
     #[inline(always)]
     fn invalidate(&mut self, addr: u32, len: u64) {
-        let first = u64::from(addr).saturating_sub(INSTR_SIZE as u64 - 1);
-        let last = u64::from(addr) + len - 1;
-        if last < self.lo || first > self.hi {
-            return;
-        }
+        let first = u64::from(addr).saturating_sub(INSTR_SIZE as u64 - 1).max(self.lo);
+        let last = (u64::from(addr) + len - 1).min(self.hi);
         for start in first..=last {
             let e = &mut self.entries[Self::slot(start)];
             if e.tag == start {
@@ -415,34 +449,54 @@ impl Vm {
     /// it overlaps, so self-modifying code (the recovery stub, unpackers)
     /// runs exactly as if every step decoded memory afresh; debug builds
     /// assert that on every cache hit.
+    ///
+    /// A taken transfer to a cached `Jz` may start a bulk block: when the
+    /// instructions from there back to it form an affine byte-map loop
+    /// (the recovery stub's `x = b - k` decode loop is one), the
+    /// iterations that provably neither fault nor trip a limit run as one
+    /// plain byte loop, leaving exactly the state stepping would have left
+    /// (see `crate::bulk`); debug builds re-run every block stepwise and
+    /// assert that.
     pub fn run_with_sink<S: TraceSink>(&mut self, sink: &mut S) -> RunSummary {
-        let mut steps: u64 = 0;
         if self.oversized {
             sink.on_exhausted(Resource::Memory);
-            return RunSummary { outcome: Outcome::ResourceExhausted(Resource::Memory), steps };
+            return RunSummary { outcome: Outcome::ResourceExhausted(Resource::Memory), steps: 0 };
         }
+        let mut at = Cursor { steps: 0, stream_anchor: self.pc, jump_chain: 0 };
+        self.step_loop::<S, true>(sink, &mut DecodeCache::new(), &mut at)
+    }
+
+    /// The interpreter proper: step from `at` until the run ends, then
+    /// leave the final cursor in `at`. `BULK` enables bulk blocks; the
+    /// debug oracle turns it off to get the stepwise reference.
+    #[inline(always)]
+    fn step_loop<S: TraceSink, const BULK: bool>(
+        &mut self,
+        sink: &mut S,
+        cache: &mut DecodeCache,
+        at: &mut Cursor,
+    ) -> RunSummary {
         // Termination helpers: notify the sink, then surface the outcome.
-        fn faulted<S: TraceSink>(sink: &mut S, fault: VmFault, steps: u64) -> RunSummary {
+        fn faulted<S: TraceSink>(sink: &mut S, fault: VmFault) -> Outcome {
             sink.on_fault(fault);
-            RunSummary { outcome: Outcome::Faulted(fault), steps }
+            Outcome::Faulted(fault)
         }
-        fn exhausted<S: TraceSink>(sink: &mut S, res: Resource, steps: u64) -> RunSummary {
+        fn exhausted<S: TraceSink>(sink: &mut S, res: Resource) -> Outcome {
             sink.on_exhausted(res);
-            RunSummary { outcome: Outcome::ResourceExhausted(res), steps }
+            Outcome::ResourceExhausted(res)
         }
-        let mut jump_chain: u64 = 0;
-        // First instruction address of the sequential stream currently
-        // executing; every slot in the stream sits at anchor + k·8.
-        let mut stream_anchor: u32 = self.pc;
-        let mut cache = DecodeCache::new();
-        loop {
+        // `stream_anchor` is the first instruction address of the
+        // sequential stream currently executing; every slot in the stream
+        // sits at anchor + k·8.
+        let Cursor { mut steps, mut stream_anchor, mut jump_chain } = *at;
+        let outcome = loop {
             if steps >= self.limits.step_limit {
-                return RunSummary { outcome: Outcome::StepLimit, steps };
+                break Outcome::StepLimit;
             }
             let pc = self.pc;
             let end = pc as usize + INSTR_SIZE;
             if end > self.memory.len() {
-                return faulted(sink, VmFault::PcOutOfBounds(pc), steps);
+                break faulted(sink, VmFault::PcOutOfBounds(pc));
             }
             let instr = match cache.get(pc) {
                 Some(i) => {
@@ -458,7 +512,7 @@ impl Vm {
                         cache.insert(pc, i);
                         i
                     }
-                    Err(_) => return faulted(sink, VmFault::IllegalInstruction(pc), steps),
+                    Err(_) => break faulted(sink, VmFault::IllegalInstruction(pc)),
                 },
             };
             steps += 1;
@@ -485,13 +539,13 @@ impl Vm {
                     let addr = r(b).wrapping_add(imm as u32);
                     match self.read8(addr) {
                         Ok(v) => self.regs[a.index()] = v as u32,
-                        Err(f) => return faulted(sink, f, steps),
+                        Err(f) => break faulted(sink, f),
                     }
                 }
                 Instr::St8(a, b, imm) => {
                     let addr = r(b).wrapping_add(imm as u32);
                     if let Err(f) = self.write8(addr, r(a) as u8) {
-                        return faulted(sink, f, steps);
+                        break faulted(sink, f);
                     }
                     cache.invalidate(addr, 1);
                 }
@@ -499,13 +553,13 @@ impl Vm {
                     let addr = r(b).wrapping_add(imm as u32);
                     match self.read32(addr) {
                         Ok(v) => self.regs[a.index()] = v,
-                        Err(f) => return faulted(sink, f, steps),
+                        Err(f) => break faulted(sink, f),
                     }
                 }
                 Instr::St32(a, b, imm) => {
                     let addr = r(b).wrapping_add(imm as u32);
                     if let Err(f) = self.write32(addr, r(a)) {
-                        return faulted(sink, f, steps);
+                        break faulted(sink, f);
                     }
                     cache.invalidate(addr, 4);
                 }
@@ -540,31 +594,25 @@ impl Vm {
                         }
                         // The refusing sink did not record the event, so
                         // the call must not take effect either.
-                        SinkControl::Exhausted => {
-                            return exhausted(sink, Resource::Trace, steps)
-                        }
-                        SinkControl::Abort => {
-                            return RunSummary { outcome: Outcome::Aborted, steps }
-                        }
+                        SinkControl::Exhausted => break exhausted(sink, Resource::Trace),
+                        SinkControl::Abort => break Outcome::Aborted,
                     }
                 }
-                Instr::Halt => {
-                    return RunSummary { outcome: Outcome::Halted, steps };
-                }
+                Instr::Halt => break Outcome::Halted,
                 Instr::Nop => {}
                 Instr::Push(a) => {
                     if self.data_stack.len() >= STACK_LIMIT {
-                        return faulted(sink, VmFault::StackOverflow, steps);
+                        break faulted(sink, VmFault::StackOverflow);
                     }
                     self.data_stack.push(r(a));
                 }
                 Instr::Pop(a) => match self.data_stack.pop() {
                     Some(v) => self.regs[a.index()] = v,
-                    None => return faulted(sink, VmFault::StackUnderflow, steps),
+                    None => break faulted(sink, VmFault::StackUnderflow),
                 },
                 Instr::Call(d) => {
                     if self.call_stack.len() >= STACK_LIMIT {
-                        return faulted(sink, VmFault::StackOverflow, steps);
+                        break faulted(sink, VmFault::StackOverflow);
                     }
                     self.call_stack.push(next);
                     self.pc = next.wrapping_add(d as u32);
@@ -575,29 +623,107 @@ impl Vm {
                         self.pc = addr;
                         taken = true;
                     }
-                    None => return faulted(sink, VmFault::StackUnderflow, steps),
+                    None => break faulted(sink, VmFault::StackUnderflow),
                 },
             }
             if taken {
                 let target = self.pc;
-                if target >= stream_anchor && target < next {
-                    // Landing inside the span this stream already executed:
-                    // the target must sit on the stream's slot grid.
-                    if !target.wrapping_sub(stream_anchor).is_multiple_of(INSTR_SIZE as u32) {
-                        return faulted(sink, VmFault::MisalignedPc(target), steps);
-                    }
-                } else {
-                    // Leaving the stream: the target starts a new one.
-                    stream_anchor = target;
+                match enter_stream(stream_anchor, next, target) {
+                    Some(anchor) => stream_anchor = anchor,
+                    None => break faulted(sink, VmFault::MisalignedPc(target)),
                 }
                 jump_chain += 1;
                 if jump_chain > self.limits.jump_chain_limit {
-                    return exhausted(sink, Resource::JumpChain, steps);
+                    break exhausted(sink, Resource::JumpChain);
+                }
+                if BULK && cache.is_loop_head(target) {
+                    let here = Cursor { steps, stream_anchor, jump_chain };
+                    Cursor { steps, stream_anchor, jump_chain } = self.run_bulk(sink, cache, here);
                 }
             } else {
                 jump_chain = 0;
             }
-        }
+        };
+        *at = Cursor { steps, stream_anchor, jump_chain };
+        RunSummary { outcome, steps }
+    }
+
+    /// Run the byte-map loop headed at `self.pc` in bulk if `at` allows
+    /// it, and return the cursor the step loop continues from: `at` when
+    /// no iteration ran. A head whose loop has the wrong shape is marked
+    /// in `cache` and not walked again until its entry is refilled.
+    #[inline(never)]
+    fn run_bulk<S: TraceSink>(
+        &mut self,
+        sink: &mut S,
+        cache: &mut DecodeCache,
+        at: Cursor,
+    ) -> Cursor {
+        let head = self.pc;
+        let memory = &self.memory;
+        let fetch = |pc: u32| {
+            cache.get(pc).or_else(|| {
+                let start = pc as usize;
+                Instr::decode(memory.get(start..start.checked_add(INSTR_SIZE)?)?).ok()
+            })
+        };
+        let map = match bulk::plan(head, fetch, &self.regs, memory.len(), at, &self.limits) {
+            Plan::Bulk(map) => map,
+            Plan::Step => return at,
+            Plan::Reject => {
+                cache.reject(head);
+                return at;
+            }
+        };
+        let steps = map.steps();
+        #[cfg(debug_assertions)]
+        let before = self.clone();
+        sink.on_steps(at.steps + 1, at.steps + steps);
+        map.run(&mut self.memory, &mut self.regs);
+        cache.invalidate(map.store, u64::from(map.iterations));
+        let after = Cursor { steps: at.steps + steps, jump_chain: map.chain, ..at };
+        #[cfg(debug_assertions)]
+        self.assert_stepwise(before, at, after);
+        after
+    }
+
+    /// The debug oracle of [`Vm::run_bulk`]: step `reference`, the VM as
+    /// it was before the block, from `from` up to `to.steps` with bulk
+    /// blocks off, and assert that it ends where the block did.
+    #[cfg(debug_assertions)]
+    fn assert_stepwise(&self, mut reference: Vm, from: Cursor, to: Cursor) {
+        let head = self.pc;
+        reference.limits.step_limit = to.steps;
+        let mut sink = RecordingSink::unbounded();
+        let mut at = from;
+        let run = reference.step_loop::<_, false>(&mut sink, &mut DecodeCache::new(), &mut at);
+        assert_eq!(run.outcome, Outcome::StepLimit, "bulk block at {head:#x} ran past a stop");
+        assert!(sink.trace().is_empty(), "bulk block at {head:#x} skipped an API call");
+        assert_eq!(at, to, "bulk block at {head:#x} left a different cursor");
+        assert_eq!(
+            (reference.pc, reference.regs),
+            (self.pc, self.regs),
+            "bulk block at {head:#x} left different registers"
+        );
+        assert!(reference.memory == self.memory, "bulk block at {head:#x} left different memory");
+        assert!(
+            reference.data_stack == self.data_stack && reference.call_stack == self.call_stack,
+            "bulk block at {head:#x} touched a stack"
+        );
+    }
+}
+
+/// The stream anchor after a taken transfer to `target` from the
+/// instruction that ends at `next`, or `None` when `target` lands strictly
+/// inside an instruction slot of the stream anchored at `anchor`
+/// ([`VmFault::MisalignedPc`]). A target inside the span the stream
+/// already executed keeps the anchor; any other starts a new stream.
+#[inline(always)]
+pub(crate) fn enter_stream(anchor: u32, next: u32, target: u32) -> Option<u32> {
+    if target >= anchor && target < next {
+        target.wrapping_sub(anchor).is_multiple_of(INSTR_SIZE as u32).then_some(anchor)
+    } else {
+        Some(target)
     }
 }
 
@@ -919,6 +1045,40 @@ mod tests {
         assert_eq!(exec.outcome, Outcome::Halted);
         assert_eq!(exec.steps, 1 + 4 + 2 * 4 + 1);
         assert_eq!(vm.regs()[5], 0x0100_0005);
+    }
+
+    #[test]
+    fn invalidation_visits_only_the_cached_span() {
+        let mut cache = DecodeCache::new();
+        for pc in [100, 4096, 4104, 9000] {
+            cache.insert(pc, Instr::Nop);
+        }
+        // Bytes 4100..=4107 overlap the instructions at 4096 and 4104 alone.
+        cache.invalidate(4100, 8);
+        assert_eq!(
+            [100, 4096, 4104, 9000].map(|pc| cache.get(pc).is_some()),
+            [true, false, false, true]
+        );
+        // A store over the whole 4 GiB address space scans 100..=9000, not
+        // 2^32 start addresses.
+        cache.invalidate(0, 1 << 32);
+        assert!([100, 9000].iter().all(|&pc| cache.get(pc).is_none()));
+        // Nothing cached: the span is empty and nothing is visited.
+        DecodeCache::new().invalidate(0, 1 << 32);
+    }
+
+    #[test]
+    fn a_refilled_entry_forgets_its_rejected_loop() {
+        let mut cache = DecodeCache::new();
+        cache.insert(64, Instr::Jz(Reg::R0, 8));
+        assert!(cache.is_loop_head(64));
+        cache.reject(64);
+        assert!(!cache.is_loop_head(64));
+        cache.insert(64 + 8 * DECODE_CACHE_SLOTS as u32, Instr::Nop);
+        cache.insert(64, Instr::Jz(Reg::R0, 8));
+        assert!(cache.is_loop_head(64));
+        cache.insert(72, Instr::Jnz(Reg::R0, 8));
+        assert!(!cache.is_loop_head(72), "only a `jz` heads a byte-map loop");
     }
 
     #[test]

@@ -63,6 +63,7 @@
 
 pub mod api;
 mod asm;
+mod bulk;
 mod interp;
 mod isa;
 pub mod sink;

@@ -19,7 +19,9 @@
 //!
 //! The dispatch is monomorphized (`run_with_sink` is generic over the
 //! sink), so a sink whose [`TraceSink::on_step`] is the default no-op pays
-//! nothing for it.
+//! nothing for it. The stock sinks also override [`TraceSink::on_steps`]
+//! with a no-op, so a bulk-executed loop costs them one call, not one per
+//! step.
 
 use crate::api::ApiEvent;
 use crate::interp::{Resource, VmFault};
@@ -113,7 +115,14 @@ pub enum SinkControl {
 /// 1. [`on_step`](TraceSink::on_step) fires once per executed instruction,
 ///    after the step counter increments and before the instruction
 ///    executes (so a fault inside the instruction still follows its
-///    `on_step`).
+///    `on_step`). A block of iterations of a byte-map loop that the
+///    interpreter runs in bulk is reported instead by one
+///    [`on_steps`](TraceSink::on_steps)`(first, last)` call before the
+///    block executes; it covers exactly the counters `first..=last` that
+///    stepping would have passed to `on_step`, and a block never contains
+///    an API call, a fault or the end of the run. The default `on_steps`
+///    calls `on_step` for each of them in order, so a sink that overrides
+///    only `on_step` sees the same sequence either way.
 /// 2. [`on_api_event`](TraceSink::on_api_event) fires for every `CallApi`
 ///    with the event that *would* be traced; its [`SinkControl`] decides
 ///    whether the call takes effect and the run continues.
@@ -132,6 +141,17 @@ pub trait TraceSink {
     /// `steps` is the post-increment counter. Default: no-op.
     fn on_step(&mut self, steps: u64) {
         let _ = steps;
+    }
+
+    /// The instructions with post-increment counters `first..=last` are
+    /// about to execute in one bulk block. Default: [`on_step`] for each,
+    /// in order.
+    ///
+    /// [`on_step`]: TraceSink::on_step
+    fn on_steps(&mut self, first: u64, last: u64) {
+        for steps in first..=last {
+            self.on_step(steps);
+        }
     }
 
     /// The run is terminating with a fault. Default: no-op.
@@ -187,6 +207,8 @@ impl TraceSink for RecordingSink {
         self.trace.push(event);
         SinkControl::Continue
     }
+
+    fn on_steps(&mut self, _: u64, _: u64) {}
 }
 
 /// The streaming sink: folds every event into a [`TraceDigest`] in O(1)
@@ -214,6 +236,8 @@ impl TraceSink for DigestSink {
         self.digest.absorb(event);
         SinkControl::Continue
     }
+
+    fn on_steps(&mut self, _: u64, _: u64) {}
 }
 
 /// A baseline trace prepared for streaming comparison: the recorded event
@@ -314,6 +338,8 @@ impl TraceSink for ComparingSink<'_> {
             }
         }
     }
+
+    fn on_steps(&mut self, _: u64, _: u64) {}
 }
 
 #[cfg(test)]
