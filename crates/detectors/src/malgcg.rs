@@ -374,26 +374,13 @@ impl MalGcg {
     }
 
     fn forward(&self, bytes: &[u8]) -> Activations {
-        let ch2 = self.config.ch2;
         let tokens = self.tokenize(bytes);
         let x = self.embedding.forward(&tokens);
         let c1 = self.conv1.forward(&x);
         let r1 = relu(&c1);
         let c2 = self.conv2.forward(&r1);
         let r2 = relu(&c2);
-        let (maxed, argmax) = global_max_pool(&r2, ch2);
-        let windows2 = r2.len() / ch2;
-        let mut mean = vec![0.0f32; ch2];
-        for w in 0..windows2 {
-            for c in 0..ch2 {
-                mean[c] += r2[w * ch2 + c];
-            }
-        }
-        for m in &mut mean {
-            *m /= windows2 as f32;
-        }
-        let mut pooled = maxed;
-        pooled.extend_from_slice(&mean);
+        let (pooled, argmax) = self.pool_r2(&r2);
         let a1 = self.head1.forward(&pooled);
         let h1 = relu(&a1);
         let logit = self.head2.forward(&h1)[0];

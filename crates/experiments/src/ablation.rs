@@ -3,8 +3,6 @@
 
 use crate::commercial::CommercialResults;
 use crate::orchestrator::CampaignKind;
-use crate::world::World;
-use mpass_engine::{Engine, MetricsFile};
 use serde::{Deserialize, Serialize};
 
 /// The attacks of Tables V and VI: both ablations and their shared
@@ -61,10 +59,4 @@ impl AblationResults {
             1,
         )
     }
-}
-
-/// Run both ablations on `engine`: the commercial grid over [`ROSTER`].
-pub fn run(world: &World, engine: &Engine) -> (AblationResults, MetricsFile) {
-    let (grid, metrics) = crate::commercial::run(world, engine, &ROSTER);
-    ((&grid).into(), MetricsFile { experiment: "ablation".into(), ..metrics })
 }

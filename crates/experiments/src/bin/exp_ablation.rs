@@ -1,19 +1,16 @@
-//! EXP-T5/T6: regenerate Tables V (Other-sec) and VI (random data).
+//! EXP-T5/T6: regenerate Tables V (Other-sec) and VI (random data), a
+//! view over the commercial grid of `ablation::ROSTER`.
 
-use mpass_experiments::{ablation, report, World};
+use mpass_experiments::ablation::{AblationResults, ROSTER};
+use mpass_experiments::commercial::CommercialResults;
+use mpass_experiments::orchestrator::{campaign_main, CampaignKind};
+use mpass_experiments::report;
 
 fn main() {
-    let args = report::CliArgs::parse_without_campaign_flags("exp_ablation");
-    let world = World::build(args.world_config());
-    let engine = args.engine(world.config.seed);
-    let (results, metrics) = ablation::run(&world, &engine);
+    let (grid, metrics): (CommercialResults, _) =
+        campaign_main("exp_ablation", CampaignKind::Commercial, &ROSTER, |_| {});
+    let results = AblationResults::from(&grid);
     println!("{}", results.table5());
     println!("{}", results.table6());
-    match report::save_json("exp_ablation", &results) {
-        Ok(p) => {
-            println!("results written to {}", p.display());
-            report::save_metrics(&p, &metrics);
-        }
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    report::publish("exp_ablation", &report::to_json(&results), Some(&metrics));
 }

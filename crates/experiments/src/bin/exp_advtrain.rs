@@ -7,8 +7,5 @@ fn main() {
     let world = World::build(args.world_config());
     let results = advtrain::run(&world);
     println!("{}", results.summary());
-    match report::save_json("exp_advtrain", &results) {
-        Ok(p) => println!("results written to {}", p.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    report::publish("exp_advtrain", &report::to_json(&results), None);
 }

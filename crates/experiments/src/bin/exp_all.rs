@@ -23,19 +23,17 @@ fn main() {
 
     let pem_results = pem::run(&world, world.config.attack_samples.min(20));
     println!("{}", pem_results.summary());
-    let _ = report::save_json("exp_pem", &pem_results);
+    report::publish("exp_pem", &report::to_json(&pem_results), None);
 
     let (offline_results, offline_metrics) = offline::run(&world, &engine);
     println!("{}", offline_results.table(Metric::Asr));
     println!("{}", offline_results.table(Metric::Avq));
     println!("{}", offline_results.table(Metric::Apr));
-    if let Ok(p) = report::save_report("exp_offline", &offline_results.report()) {
-        report::save_metrics(&p, &offline_metrics);
-    }
+    report::publish("exp_offline", &offline_results.report(), Some(&offline_metrics));
 
     let func = functionality::run(&offline_results);
     println!("{}", func.summary());
-    let _ = report::save_json("exp_functionality", &func);
+    report::publish("exp_functionality", &report::to_json(&func), None);
 
     // Every (attack, AV) shard of Figure 3 and Tables IV–VI runs once,
     // MPass's included; its metrics go next to exp_commercial.json.
@@ -57,27 +55,23 @@ fn main() {
         use mpass_detectors::Detector;
         println!("{}", fig4.figure4(av.name()));
     }
-    if let Ok(p) = report::save_report("exp_commercial", &fig3.report()) {
-        report::save_metrics(&p, &grid_metrics);
-    }
-    if let Ok(p) = report::save_report("exp_learning", &fig4.report()) {
-        report::save_metrics(&p, &fig4_metrics);
-    }
+    report::publish("exp_commercial", &fig3.report(), Some(&grid_metrics));
+    report::publish("exp_learning", &fig4.report(), Some(&fig4_metrics));
 
     println!("{}", t4.table4());
-    let _ = report::save_json("exp_packers", &t4);
+    report::publish("exp_packers", &report::to_json(&t4), None);
 
     println!("{}", ab.table5());
     println!("{}", ab.table6());
-    let _ = report::save_json("exp_ablation", &ab);
+    report::publish("exp_ablation", &report::to_json(&ab), None);
 
     let adv = advtrain::run(&world);
     println!("{}", adv.summary());
-    let _ = report::save_json("exp_advtrain", &adv);
+    report::publish("exp_advtrain", &report::to_json(&adv), None);
 
     let des = mpass_experiments::design::run(&world);
     println!("{}", des.summary());
-    let _ = report::save_json("exp_design", &des);
+    report::publish("exp_design", &report::to_json(&des), None);
 
     println!("== total {:.1}s ==", t0.elapsed().as_secs_f32());
 }

@@ -5,12 +5,13 @@
 //! flag); the report is byte-identical to the single-process run's.
 
 use mpass_experiments::commercial::CommercialResults;
+use mpass_experiments::offline::ATTACK_NAMES;
 use mpass_experiments::orchestrator::{campaign_main, CampaignKind};
+use mpass_experiments::report;
 
 fn main() {
-    campaign_main(
-        CampaignKind::Commercial,
-        |_world| {},
-        |results: &CommercialResults| println!("{}", results.figure3()),
-    );
+    let (results, metrics): (CommercialResults, _) =
+        campaign_main("exp_commercial", CampaignKind::Commercial, &ATTACK_NAMES, |_| {});
+    println!("{}", results.figure3());
+    report::publish("exp_commercial", &results.report(), Some(&metrics));
 }

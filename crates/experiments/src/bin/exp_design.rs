@@ -8,8 +8,5 @@ fn main() {
     let world = World::build(args.world_config());
     let results = design::run(&world);
     println!("{}", results.summary());
-    match report::save_json("exp_design", &results) {
-        Ok(p) => println!("results written to {}", p.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    report::publish("exp_design", &report::to_json(&results), None);
 }

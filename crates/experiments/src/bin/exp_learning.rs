@@ -4,7 +4,7 @@ use mpass_experiments::offline::ATTACK_NAMES;
 use mpass_experiments::{commercial, learning, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse_without_campaign_flags("exp_learning");
+    let args = report::CliArgs::parse();
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);
     let (fig3, _) = commercial::run(&world, &engine, &ATTACK_NAMES);
@@ -21,11 +21,5 @@ fn main() {
         results.final_bypass("GAMMA"),
         results.final_bypass("MalRNN"),
     );
-    match report::save_report("exp_learning", &results.report()) {
-        Ok(p) => {
-            println!("results written to {}", p.display());
-            report::save_metrics(&p, &metrics);
-        }
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    report::publish("exp_learning", &results.report(), Some(&metrics));
 }

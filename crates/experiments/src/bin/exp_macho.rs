@@ -5,13 +5,12 @@
 use mpass_experiments::{macho_demo, report};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let config =
-        if quick { macho_demo::MachoDemoConfig::quick() } else { macho_demo::MachoDemoConfig::full() };
+    let config = if report::CliArgs::parse().quick {
+        macho_demo::MachoDemoConfig::quick()
+    } else {
+        macho_demo::MachoDemoConfig::full()
+    };
     let results = macho_demo::run(&config);
     println!("{}", results.summary());
-    match report::save_json("exp_macho", &results) {
-        Ok(p) => println!("results written to {}", p.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    report::publish("exp_macho", &report::to_json(&results), None);
 }

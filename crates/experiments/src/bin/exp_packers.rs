@@ -1,18 +1,15 @@
-//! EXP-T4: regenerate Table IV (obfuscators vs MPass on commercial AVs).
+//! EXP-T4: regenerate Table IV (obfuscators vs MPass on commercial AVs),
+//! a view over the commercial grid of `packers::ROSTER`.
 
-use mpass_experiments::{packers, report, World};
+use mpass_experiments::commercial::CommercialResults;
+use mpass_experiments::orchestrator::{campaign_main, CampaignKind};
+use mpass_experiments::packers::{PackerResults, ROSTER};
+use mpass_experiments::report;
 
 fn main() {
-    let args = report::CliArgs::parse_without_campaign_flags("exp_packers");
-    let world = World::build(args.world_config());
-    let engine = args.engine(world.config.seed);
-    let (results, metrics) = packers::run(&world, &engine);
+    let (grid, metrics): (CommercialResults, _) =
+        campaign_main("exp_packers", CampaignKind::Commercial, &ROSTER, |_| {});
+    let results = PackerResults::from(&grid);
     println!("{}", results.table4());
-    match report::save_json("exp_packers", &results) {
-        Ok(p) => {
-            println!("results written to {}", p.display());
-            report::save_metrics(&p, &metrics);
-        }
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    report::publish("exp_packers", &report::to_json(&results), Some(&metrics));
 }

@@ -12,8 +12,5 @@ fn main() {
     let n = world.config.attack_samples.min(20);
     let results = pem::run(&world, n);
     println!("{}", results.summary());
-    match report::save_json("exp_pem", &results) {
-        Ok(p) => println!("results written to {}", p.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    report::publish("exp_pem", &report::to_json(&results), None);
 }

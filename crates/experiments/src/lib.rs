@@ -12,18 +12,21 @@
 //! |---|---|---|
 //! | §III-B PEM claim | [`pem::run`] | `exp_pem` |
 //! | Table I (ASR) + II (AVQ) + III (APR) | [`offline::run`] | `exp_offline` |
-//! | §IV-A functionality check | [`functionality::run`] | `exp_functionality` |
+//! | §IV-A functionality check | [`functionality::run`] over Table I's cells | `exp_offline` |
 //! | Figure 3 (commercial ASR) | [`commercial::run`] | `exp_commercial` |
-//! | Table IV (packers) | [`packers::run`] | `exp_packers` |
+//! | Table IV (packers) | [`commercial::run`] over [`packers::ROSTER`] | `exp_packers` |
 //! | Figure 4 (AV learning) | [`learning::run`] | `exp_learning` |
-//! | Table V (Other-sec) + VI (random data) | [`ablation::run`] | `exp_ablation` |
+//! | Table V (Other-sec) + VI (random data) | [`commercial::run`] over [`ablation::ROSTER`] | `exp_ablation` |
 //! | §VI adversarial training | [`advtrain::run`] | `exp_advtrain` |
 //! | Design ablations | [`design::run`] | `exp_design` |
 //! | Multi-format demo (Mach-O) | [`macho_demo::run`] | `exp_macho` |
 //! | Everything above but Mach-O, one world | — | `exp_all` |
 //!
 //! Every binary accepts `--quick` for a down-scaled run and writes JSON
-//! results under `results/`.
+//! results under `results/`. The four campaign binaries (`exp_offline`,
+//! `exp_commercial`, `exp_packers`, `exp_ablation`) share one main,
+//! [`orchestrator::campaign_main`], the only parser of `--faults`,
+//! `--resume` and `--processes`; every other binary refuses those flags.
 
 pub mod ablation;
 pub mod advtrain;

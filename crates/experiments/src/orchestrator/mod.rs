@@ -38,8 +38,10 @@ pub use worker::{
     WorkerOptions, WorkerSummary,
 };
 
+use crate::campaign::CampaignOptions;
 use crate::report::{self, CliArgs};
 use crate::world::World;
+use mpass_detectors::FaultProfile;
 use mpass_engine::MetricsFile;
 use std::path::Path;
 use std::time::Duration;
@@ -81,36 +83,41 @@ pub fn worker_options_from_args(args: &[String]) -> Result<WorkerOptions, String
     Ok(opts)
 }
 
-/// The main of the campaign binaries (`exp_offline`, `exp_commercial`).
+/// The main of the campaign binaries (`exp_offline`, `exp_commercial`,
+/// `exp_packers`, `exp_ablation`) and the only parser of
+/// [`report::CAMPAIGN_FLAGS`].
 ///
-/// Runs `kind`'s full grid either in process (`--workers` engine
-/// threads, journalled to `results/<experiment>.journal.jsonl` for
-/// `--resume`) or, with `--processes N`, across N worker processes in
+/// Runs the `kind` grid of `attacks` against every default target,
+/// either in process (`--workers` engine threads, journalled to
+/// `results/<experiment>.journal.jsonl` for `--resume`) or, with
+/// `--processes N`, across N worker processes in
 /// `results/<experiment>.campaign` — the workers are this same binary,
-/// re-entered via the hidden `--orchestrate-work` flag. Both modes then
-/// report failed shards, hand the results to `print`, and write the
-/// same [`report_from_cells`] bytes to `results/<experiment>.json` with
-/// the metrics file next to it. `on_world` sees the in-process world
-/// once it is built.
+/// re-entered via the hidden `--orchestrate-work` flag. `--faults SEED`
+/// runs every oracle under a seeded fault schedule. Both modes report
+/// failed shards on stderr and hand the cells, in grid order, back to the
+/// caller, which prints and saves its view of them. `on_world` sees the
+/// in-process world once it is built.
 pub fn campaign_main<R: From<Vec<AnyCell>>>(
+    experiment: &str,
     kind: CampaignKind,
+    attacks: &[&str],
     on_world: fn(&World),
-    print: fn(&R),
-) {
-    let args: Vec<String> = std::env::args().collect();
+) -> (R, MetricsFile) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--orchestrate-work") {
         std::process::exit(run_worker_from_args(&args));
     }
-    let cli = CliArgs::parse();
-    let experiment = format!("exp_{}", kind.experiment_name());
-    let outcome = match cli.processes.filter(|n| *n > 0) {
-        Some(processes) => run_distributed(kind, &experiment, &cli, processes),
+    let (flags, cli) = CampaignFlags::parse(&args)
+        .and_then(|flags| Ok((flags, CliArgs::parse_from(&args)?)))
+        .unwrap_or_else(|e| report::usage_error(&e));
+    let outcome = match flags.processes.filter(|n| *n > 0) {
+        Some(processes) => run_distributed(kind, experiment, attacks, &cli, &flags, processes),
         None => {
             let world = World::build(cli.world_config());
             on_world(&world);
             let engine = cli.engine(world.config.seed);
-            let opts = cli.campaign_options(&experiment);
-            run_grid(&world, kind, &kind.default_grid(), &engine, &opts)
+            let shards = manifest::grid(attacks, &kind.default_targets());
+            run_grid(&world, kind, &shards, &engine, &flags.campaign_options(experiment))
                 .map_err(|e| format!("could not open campaign journal: {e}"))
         }
     };
@@ -121,14 +128,40 @@ pub fn campaign_main<R: From<Vec<AnyCell>>>(
     for failure in &metrics.failures {
         eprintln!("shard {} failed: {}", failure.label, failure.panic);
     }
-    let report = report_from_cells(kind, &cells);
-    print(&R::from(cells));
-    match report::save_report(&experiment, &report) {
-        Ok(path) => {
-            println!("results written to {}", path.display());
-            report::save_metrics(&path, &metrics);
+    (R::from(cells), metrics)
+}
+
+/// The [`report::CAMPAIGN_FLAGS`] of one invocation.
+struct CampaignFlags {
+    /// Seed for oracle fault injection (`None` = reliable oracle).
+    faults: Option<u64>,
+    /// Resume from the experiment's journal or campaign directory
+    /// instead of restarting it.
+    resume: bool,
+    /// Distribute the campaign across this many worker *processes*
+    /// (`--workers` stays engine threads).
+    processes: Option<usize>,
+}
+
+impl CampaignFlags {
+    /// Parse the campaign flags out of `args`, ignoring any others.
+    fn parse(args: &[String]) -> Result<CampaignFlags, String> {
+        Ok(CampaignFlags {
+            faults: report::flag_value(args, "--faults")?,
+            resume: args.iter().any(|a| a == "--resume"),
+            processes: report::flag_value(args, "--processes")?,
+        })
+    }
+
+    /// The in-process campaign options. Journalling is always on: the
+    /// write-ahead log at `results/<experiment>.journal.jsonl` is what
+    /// `--resume` picks up after a crash or kill.
+    fn campaign_options(&self, experiment: &str) -> CampaignOptions {
+        CampaignOptions {
+            faults: self.faults.map(FaultProfile::seeded),
+            journal: Some(Path::new(report::RESULTS_DIR).join(format!("{experiment}.journal.jsonl"))),
+            resume: self.resume,
         }
-        Err(e) => eprintln!("could not write results: {e}"),
     }
 }
 
@@ -150,22 +183,24 @@ fn run_worker_from_args(args: &[String]) -> i32 {
     }
 }
 
-/// Coordinate `kind`'s full grid across `processes` worker processes in
-/// `results/<experiment>.campaign` and return the merged cells and
-/// metrics.
+/// Coordinate the `kind` grid of `attacks` across `processes` worker
+/// processes in `results/<experiment>.campaign` and return the merged
+/// cells and metrics.
 fn run_distributed(
     kind: CampaignKind,
     experiment: &str,
+    attacks: &[&str],
     cli: &CliArgs,
+    flags: &CampaignFlags,
     processes: usize,
 ) -> Result<(Vec<AnyCell>, MetricsFile), String> {
     let world = cli.world_config();
-    let attacks: Vec<String> =
-        crate::offline::ATTACK_NAMES.iter().map(|a| (*a).to_owned()).collect();
+    let attacks: Vec<String> = attacks.iter().map(|a| (*a).to_owned()).collect();
     let seed = world.seed;
-    let manifest = Manifest::new(kind, world, seed, cli.faults, &attacks, &kind.default_targets());
+    let manifest =
+        Manifest::new(kind, world, seed, flags.faults, &attacks, &kind.default_targets());
     let dir = Path::new(report::RESULTS_DIR).join(format!("{experiment}.campaign"));
-    if !cli.resume {
+    if !flags.resume {
         // Same contract as the single-process journal: a fresh run must
         // not resurrect records from an older campaign.
         let _ = std::fs::remove_dir_all(&dir);
@@ -174,7 +209,7 @@ fn run_distributed(
     let worker_cmd = vec![exe.to_string_lossy().into_owned(), "--orchestrate-work".to_owned()];
     let mut opts = CoordinatorOptions::new(dir, worker_cmd);
     opts.processes = processes;
-    opts.resume = cli.resume;
+    opts.resume = flags.resume;
     let summary = run_coordinator(&manifest, &opts)
         .map_err(|e| format!("distributed campaign failed: {e}"))?;
     println!(

@@ -3,8 +3,6 @@
 
 use crate::commercial::CommercialResults;
 use crate::orchestrator::CampaignKind;
-use crate::world::World;
-use mpass_engine::{Engine, MetricsFile};
 use serde::{Deserialize, Serialize};
 
 /// Table IV's rows, in table order: the three packers (by
@@ -40,19 +38,14 @@ impl PackerResults {
     }
 }
 
-/// Run Table IV on `engine`: the commercial grid over [`ROSTER`], each
-/// packer applied once per sample.
-pub fn run(world: &World, engine: &Engine) -> (PackerResults, MetricsFile) {
-    let (grid, metrics) = crate::commercial::run(world, engine, &ROSTER);
-    ((&grid).into(), MetricsFile { experiment: "packers".into(), ..metrics })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ablation::AblationResults;
+    use crate::commercial::run;
     use crate::offline::ATTACK_NAMES;
-    use crate::world::WorldConfig;
+    use crate::world::{World, WorldConfig};
+    use mpass_engine::Engine;
 
     /// Tables IV–VI repeat Figure 3's MPass row: the same shards, run
     /// through the same commercial grid, must give the same ASRs.
@@ -62,17 +55,17 @@ mod tests {
         cfg.attack_samples = 2;
         let world = World::build(cfg);
         let engine = Engine::new(Default::default());
-        let mpass = crate::commercial::run(&world, &engine, &ATTACK_NAMES).0.asr_row("MPass");
+        let mpass = run(&world, &engine, &ATTACK_NAMES).0.asr_row("MPass");
         assert_eq!(mpass.len(), 5);
 
-        let (t4, _) = run(&world, &engine);
+        let t4 = PackerResults::from(&run(&world, &engine, &ROSTER).0);
         let names: Vec<&str> = t4.rows.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["UPX", "PESpin", "ASPack", "MPass"]);
         assert!(t4.rows.iter().all(|(_, v)| v.len() == 5));
         assert_eq!(t4.rows[3].1, mpass);
         assert!(t4.table4().contains("TABLE IV"));
 
-        let (ab, _): (AblationResults, _) = crate::ablation::run(&world, &engine);
+        let ab = AblationResults::from(&run(&world, &engine, &crate::ablation::ROSTER).0);
         assert_eq!(ab.other_sec.len(), 5);
         assert_eq!(ab.random_data.len(), 5);
         assert_eq!(ab.mpass, mpass);

@@ -7,25 +7,9 @@ use std::path::{Path, PathBuf};
 /// Directory results are written to (workspace-relative).
 pub const RESULTS_DIR: &str = "results";
 
-/// Serialize `value` as pretty JSON into `results/<name>.json`, creating
-/// the directory if needed. Returns the written path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> io::Result<PathBuf> {
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    save_report(name, &json)
-}
-
-/// Write an already serialized report into `results/<name>.json`,
-/// creating the directory if needed. Returns the written path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_report(name: &str, json: &str) -> io::Result<PathBuf> {
+/// Write a serialized report into `results/<name>.json`, creating the
+/// directory if needed. Returns the written path.
+fn save_report(name: &str, json: &str) -> io::Result<PathBuf> {
     let dir = Path::new(RESULTS_DIR);
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
@@ -33,21 +17,58 @@ pub fn save_report(name: &str, json: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Write an engine metrics file next to a `results/<name>.json` produced
-/// by [`save_json`] (i.e. at `results/<name>.metrics.json`) and report
-/// where it went on stdout.
-pub fn save_metrics(results_path: &Path, metrics: &mpass_engine::MetricsFile) {
-    let path = mpass_engine::metrics_path(results_path);
-    match metrics.save(&path) {
-        Ok(()) => println!("metrics  -> {}", path.display()),
-        Err(e) => eprintln!("could not save metrics {}: {e}", path.display()),
+/// Write `json` to `results/<name>.json`, and `metrics` (if any) next to
+/// it at `results/<name>.metrics.json`, reporting both paths on stdout. A
+/// failed write is reported on stderr, not fatal: the tables are already
+/// printed.
+pub fn publish(name: &str, json: &str, metrics: Option<&mpass_engine::MetricsFile>) {
+    let path = match save_report(name, json) {
+        Ok(path) => path,
+        Err(e) => {
+            eprintln!("could not write results: {e}");
+            return;
+        }
+    };
+    println!("results written to {}", path.display());
+    if let Some(metrics) = metrics {
+        let path = mpass_engine::metrics_path(&path);
+        match metrics.save(&path) {
+            Ok(()) => println!("metrics  -> {}", path.display()),
+            Err(e) => eprintln!("could not save metrics {}: {e}", path.display()),
+        }
     }
 }
 
-/// Parse `--quick` / `--samples N` / `--workers N` style CLI flags shared
-/// by the binaries, plus the robustness flags `--faults SEED` (inject a
-/// deterministic oracle fault schedule) and `--resume` (continue a
-/// killed run from its journal).
+/// Pretty JSON of a result struct, the form of every `results/*.json`.
+pub fn to_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("results serialize")
+}
+
+/// The flags only the campaign binaries accept: they are parsed by
+/// [`crate::orchestrator::campaign_main`] and refused by [`CliArgs::parse`].
+pub const CAMPAIGN_FLAGS: [&str; 3] = ["--faults", "--resume", "--processes"];
+
+/// The value following `flag` in `args`, if the flag is present.
+///
+/// # Errors
+///
+/// A flag without a value, or with one that does not parse as `T`; the
+/// message names the flag.
+pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map(Some).map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
+/// Print `error: <message>` and exit with status 2, the usage-error code
+/// of every experiment binary.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// The `--quick` / `--samples N` / `--workers N` flags shared by every
+/// experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CliArgs {
     /// Use the down-scaled world.
@@ -57,67 +78,36 @@ pub struct CliArgs {
     /// Engine worker threads (`None`/0 = one per shard up to the core
     /// count).
     pub workers: Option<usize>,
-    /// Seed for oracle fault injection (`None` = reliable oracle).
-    pub faults: Option<u64>,
-    /// Resume from the experiment's journal instead of restarting it.
-    pub resume: bool,
-    /// Distribute the campaign across this many worker *processes*
-    /// (`--processes N`; `--workers` stays engine threads).
-    pub processes: Option<usize>,
 }
 
 impl CliArgs {
-    /// Parse from `std::env::args`.
+    /// Parse from `std::env::args`. A [`CAMPAIGN_FLAGS`] flag or a
+    /// malformed value is a [`usage_error`], raised before any world is
+    /// built.
     pub fn parse() -> CliArgs {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let resume = args.iter().any(|a| a == "--resume");
-        let grab = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-        };
-        CliArgs {
-            quick,
-            samples: grab("--samples"),
-            workers: grab("--workers"),
-            faults: grab("--faults").map(|n: usize| n as u64),
-            resume,
-            processes: grab("--processes"),
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if let Some(flag) = args.iter().find(|a| CAMPAIGN_FLAGS.contains(&a.as_str())) {
+            usage_error(&format!(
+                "{flag} is not supported here: only exp_offline, exp_commercial, \
+                 exp_packers and exp_ablation run resumable, fault-injectable or \
+                 distributed campaigns"
+            ));
         }
+        Self::parse_from(&args).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// [`CliArgs::parse`] for a binary that runs no journalled,
-    /// fault-injected or distributed campaign. It could not honour
-    /// `--faults`, `--resume` or `--processes`, so instead of dropping
-    /// them it prints an error naming the flag and exits with status 2,
-    /// before any world is built.
-    pub fn parse_without_campaign_flags(binary: &str) -> CliArgs {
-        let campaign_flags = ["--faults", "--resume", "--processes"];
-        let mut args = std::env::args().skip(1);
-        if let Some(flag) = args.find(|a| campaign_flags.contains(&a.as_str())) {
-            eprintln!(
-                "error: {binary} does not support {flag}: it runs no resumable, \
-                 fault-injectable or distributed campaign"
-            );
-            std::process::exit(2);
-        }
-        Self::parse()
-    }
-
-    /// The campaign options this invocation asked for. Journalling is
-    /// always on for campaign-capable runners: the write-ahead log at
-    /// `results/<experiment>.journal.jsonl` is what `--resume` picks up
-    /// after a crash or kill.
-    pub fn campaign_options(&self, experiment: &str) -> crate::campaign::CampaignOptions {
-        crate::campaign::CampaignOptions {
-            faults: self.faults.map(mpass_detectors::FaultProfile::seeded),
-            journal: Some(
-                Path::new(RESULTS_DIR).join(format!("{experiment}.journal.jsonl")),
-            ),
-            resume: self.resume,
-        }
+    /// Parse the shared flags out of `args` (program name excluded),
+    /// ignoring any others.
+    ///
+    /// # Errors
+    ///
+    /// A malformed `--samples` or `--workers` value, naming the flag.
+    pub fn parse_from(args: &[String]) -> Result<CliArgs, String> {
+        Ok(CliArgs {
+            quick: args.iter().any(|a| a == "--quick"),
+            samples: flag_value(args, "--samples")?,
+            workers: flag_value(args, "--workers")?,
+        })
     }
 
     /// Materialize the world configuration this invocation asked for.
@@ -145,12 +135,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn save_json_round_trips() {
+    fn publish_writes_pretty_json() {
         #[derive(Serialize)]
         struct Demo {
             x: u32,
         }
-        let path = save_json("test_save_json", &Demo { x: 7 }).unwrap();
+        publish("test_publish", &to_json(&Demo { x: 7 }), None);
+        let path = Path::new(RESULTS_DIR).join("test_publish.json");
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("\"x\": 7"));
         std::fs::remove_file(path).unwrap();
