@@ -14,7 +14,6 @@
 //! mpass score    FILE [FILE...]               # batched MalConv scoring
 //! mpass snapshot --out PATH                   # pack trained weights to a file
 //! mpass serve    --socket PATH                # persistent scoring daemon
-//! mpass campaign coordinate --dir DIR         # distributed campaign coordinator
 //! mpass campaign work --dir DIR               # join a campaign as a worker
 //! mpass campaign status --dir DIR             # per-shard progress + reassignments
 //! mpass campaign fault-matrix --out DIR       # seeded worker-kill sweep
@@ -33,6 +32,7 @@ use mpass_binary::{BinaryFormat, BinaryImage, Format, ParseMode};
 use mpass_corpus::{BenignPool, CorpusConfig, Dataset};
 use mpass_detectors::train::training_pairs;
 use mpass_detectors::{ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig};
+use mpass_experiments::report::flag_value;
 use mpass_pe::{PeFile, SectionKind};
 use mpass_sandbox::Sandbox;
 use rand::SeedableRng;
@@ -584,9 +584,10 @@ pub fn cmd_serve(opts: &ServeOptions) -> CliResult {
 
 /// `mpass engine-report`: human summary of one or more engine metrics
 /// files written next to `results/*.json` by the experiment runners. A
-/// directory argument is treated as a campaign directory (the kind
-/// `mpass campaign coordinate` produces): per-shard progress,
-/// reassignment counts and — once merged — the merged metrics summary.
+/// directory argument is treated as a campaign directory (the
+/// `results/<experiment>.campaign/` every campaign binary run leaves):
+/// per-shard progress, reassignment counts and — once a distributed run
+/// merged it — the merged metrics summary.
 pub fn cmd_engine_report(paths: &[&String]) -> CliResult {
     if paths.is_empty() {
         return Err(
@@ -611,106 +612,15 @@ pub fn cmd_engine_report(paths: &[&String]) -> CliResult {
     Ok(out)
 }
 
-/// The worker command prefix campaign subcommands hand to the
-/// coordinator: this very binary, re-entered through `campaign work`.
-fn self_worker_cmd() -> Result<Vec<String>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    Ok(vec![exe.to_string_lossy().into_owned(), "campaign".to_owned(), "work".to_owned()])
-}
-
-/// Parse `--kill SPAWN:AFTER[,SPAWN:AFTER...]` into a schedule.
-fn parse_kill_schedule(value: &str) -> Result<Vec<mpass_experiments::orchestrator::KillPoint>, String> {
-    value
-        .split(',')
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            let (spawn, after) = part
-                .split_once(':')
-                .ok_or_else(|| format!("--kill wants SPAWN:AFTER pairs, got {part:?}"))?;
-            Ok(mpass_experiments::orchestrator::KillPoint {
-                spawn_index: spawn
-                    .parse()
-                    .map_err(|_| format!("--kill: bad spawn index {spawn:?}"))?,
-                after_records: after
-                    .parse()
-                    .map_err(|_| format!("--kill: bad record count {after:?}"))?,
-            })
-        })
-        .collect()
-}
-
-/// `mpass campaign`: distributed campaign orchestration — coordinator,
-/// worker, live status, and the process-fault matrix harness.
+/// `mpass campaign`: inspect and join campaign directories — the
+/// `results/<experiment>.campaign/` of any campaign binary run, in
+/// process or distributed — and run the process-fault matrix harness.
 pub fn cmd_campaign(args: &[String]) -> CliResult {
-    use mpass_experiments::orchestrator::{
-        self, CampaignKind, CoordinatorOptions, FaultMatrixOptions, Manifest,
-    };
-    use mpass_experiments::WorldConfig;
-    use std::time::Duration;
+    use mpass_experiments::orchestrator::{self, FaultMatrixOptions};
 
     let sub = args.first().map(|s| s.as_str()).unwrap_or("");
     let rest = args.get(1..).unwrap_or_default();
-    let has = |name: &str| rest.iter().any(|a| a == name);
-    let ms = |name: &str, default: u64| -> u64 {
-        flag(rest, name).and_then(|s| s.parse().ok()).unwrap_or(default)
-    };
     match sub {
-        "coordinate" => {
-            let dir = flag(rest, "--dir").ok_or("campaign coordinate requires --dir DIR")?;
-            let kind = match flag(rest, "--kind").unwrap_or("offline") {
-                "offline" => CampaignKind::Offline,
-                "commercial" => CampaignKind::Commercial,
-                other => return Err(format!("unknown --kind {other:?} (offline|commercial)")),
-            };
-            let mut config = if has("--full") { WorldConfig::full() } else { WorldConfig::quick() };
-            if let Some(n) = flag(rest, "--samples").and_then(|s| s.parse().ok()) {
-                config.attack_samples = n;
-            }
-            if let Some(seed) = flag(rest, "--seed").and_then(|s| s.parse().ok()) {
-                config.seed = seed;
-            }
-            let attacks: Vec<String> = match flag(rest, "--attacks") {
-                Some(list) => list.split(',').map(str::to_owned).collect(),
-                None => mpass_experiments::offline::ATTACK_NAMES
-                    .iter()
-                    .map(|a| (*a).to_owned())
-                    .collect(),
-            };
-            let targets = match flag(rest, "--targets") {
-                Some(list) => list.split(',').map(str::to_owned).collect(),
-                None => kind.default_targets(),
-            };
-            let faults = flag(rest, "--faults").and_then(|s| s.parse().ok());
-            let manifest =
-                Manifest::new(kind, config.clone(), config.seed, faults, &attacks, &targets);
-            let mut opts = CoordinatorOptions::new(dir, self_worker_cmd()?);
-            opts.processes = flag(rest, "--processes").and_then(|s| s.parse().ok()).unwrap_or(2);
-            opts.ttl = Duration::from_millis(ms("--ttl-ms", 10_000));
-            opts.poll = Duration::from_millis(ms("--poll-ms", 200));
-            opts.heartbeat = Duration::from_millis(ms("--heartbeat-ms", 1_000));
-            opts.hold = Duration::from_millis(ms("--hold-ms", 0));
-            if let Some(schedule) = flag(rest, "--kill") {
-                opts.kill_schedule = parse_kill_schedule(schedule)?;
-            }
-            if let Some(n) = flag(rest, "--max-respawns").and_then(|s| s.parse().ok()) {
-                opts.max_respawns = n;
-            }
-            if let Some(secs) = flag(rest, "--deadline-s").and_then(|s| s.parse().ok()) {
-                opts.deadline = Some(Duration::from_secs(secs));
-            }
-            opts.resume = has("--resume");
-            let summary = orchestrator::run_coordinator(&manifest, &opts)?;
-            Ok(format!(
-                "campaign merged: {} shard(s), {} reassigned, {} respawned, {} spawned\n\
-                 report  {}\nmetrics {}\n",
-                summary.shards,
-                summary.reassigned,
-                summary.respawned,
-                summary.spawned,
-                summary.report_path.display(),
-                summary.metrics_path.display(),
-            ))
-        }
         "work" => {
             let opts = orchestrator::worker_options_from_args(rest)?;
             let summary = orchestrator::run_worker(&opts)?;
@@ -726,13 +636,16 @@ pub fn cmd_campaign(args: &[String]) -> CliResult {
         }
         "fault-matrix" => {
             let out = flag(rest, "--out").ok_or("campaign fault-matrix requires --out DIR")?;
+            // Workers are this very binary, re-entered through `campaign work`.
+            let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+            let exe = exe.to_string_lossy().into_owned();
             let opts = FaultMatrixOptions {
                 out: out.into(),
-                seed: flag(rest, "--seed").and_then(|s| s.parse().ok()).unwrap_or(0xFA17),
-                kills: flag(rest, "--kills").and_then(|s| s.parse().ok()).unwrap_or(3),
-                processes: flag(rest, "--processes").and_then(|s| s.parse().ok()).unwrap_or(2),
-                worker_cmd: self_worker_cmd()?,
-                samples: flag(rest, "--samples").and_then(|s| s.parse().ok()).unwrap_or(2),
+                seed: flag_value(rest, "--seed")?.unwrap_or(0xFA17),
+                kills: flag_value(rest, "--kills")?.unwrap_or(3),
+                processes: flag_value(rest, "--processes")?.unwrap_or(2),
+                worker_cmd: vec![exe, "campaign".to_owned(), "work".to_owned()],
+                samples: flag_value(rest, "--samples")?.unwrap_or(2),
             };
             orchestrator::run_fault_matrix(&opts)
         }
@@ -743,15 +656,9 @@ pub fn cmd_campaign(args: &[String]) -> CliResult {
 
 /// Usage text for `mpass campaign`.
 pub const CAMPAIGN_USAGE: &str = "\
-mpass campaign — distributed campaign orchestration
+mpass campaign — campaign directories and the process-fault matrix
 
 USAGE:
-  mpass campaign coordinate --dir DIR [--kind offline|commercial] [--full]
-                 [--samples N] [--seed S] [--faults SEED] [--processes N]
-                 [--attacks A,B,..] [--targets T,U,..] [--ttl-ms MS]
-                 [--poll-ms MS] [--heartbeat-ms MS] [--hold-ms MS]
-                 [--kill SPAWN:AFTER,..] [--max-respawns N] [--deadline-s S]
-                 [--resume]
   mpass campaign work --dir DIR [--worker-id ID] [--ttl-ms MS]
                  [--heartbeat-ms MS] [--poll-ms MS] [--hold-ms MS]
                  [--kill-after N]
@@ -759,12 +666,13 @@ USAGE:
   mpass campaign fault-matrix --out DIR [--seed S] [--kills N]
                  [--processes N] [--samples N]
 
-The coordinator shards the campaign grid across worker processes via
-lease files, reassigns shards of dead workers, and merges the per-shard
-journals into a report byte-identical to an uninterrupted run. `work` is
-what spawned workers run (also usable by hand on another terminal for
-the same --dir). `fault-matrix` sweeps seeded worker kills and checks
-merged-vs-baseline byte identity.
+Campaigns run through the campaign binaries (exp_offline, exp_commercial,
+exp_packers, exp_ablation), which keep their state in
+results/<experiment>.campaign/ — in process, or with --processes N across
+worker processes that share shards through lease files. `work` joins such
+a directory as one more worker (any terminal); `status` shows per-shard
+progress and reassignments. `fault-matrix` sweeps seeded worker kills and
+checks merged-vs-baseline byte identity.
 ";
 
 /// Top-level usage text.
@@ -785,13 +693,15 @@ USAGE:
               [--deadline-ms MS] [--rate R] [--burst B] [--tenant-budget N]
               [--metrics-out PATH] [--snapshot PATH]
   mpass engine-report METRICS.json|CAMPAIGN_DIR [...]
-  mpass campaign coordinate|work|status|fault-matrix ... (see mpass campaign help)
+  mpass campaign work|status|fault-matrix ... (see mpass campaign help)
 
 Container formats are auto-detected by magic (MZ -> pe, Mach-O magic
 family -> macho); --format forces one backend.
 ";
 
 /// Tiny flag parser: `--name value` pairs after positional arguments.
+/// Numeric flags go through [`flag_value`], which refuses a malformed
+/// value instead of falling back to the default.
 pub fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -804,14 +714,14 @@ pub fn dispatch(args: &[String]) -> CliResult {
     let cmd = args.first().map(|s| s.as_str()).unwrap_or("");
     let positional: Vec<&String> =
         args.iter().skip(1).take_while(|a| !a.starts_with("--")).collect();
-    let seed = flag(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(0xDAC2023);
+    let seed = flag_value(args, "--seed")?.unwrap_or(0xDAC2023);
     let format = parse_format_flag(flag(args, "--format"))?;
     match cmd {
         "gen" => {
             let out = flag(args, "--out").ok_or("gen requires --out DIR")?;
-            let m = flag(args, "--malware").and_then(|s| s.parse().ok()).unwrap_or(10);
-            let b = flag(args, "--benign").and_then(|s| s.parse().ok()).unwrap_or(10);
-            let f = flag(args, "--macho-fraction").and_then(|s| s.parse().ok()).unwrap_or(0.0);
+            let m = flag_value(args, "--malware")?.unwrap_or(10);
+            let b = flag_value(args, "--benign")?.unwrap_or(10);
+            let f = flag_value(args, "--macho-fraction")?.unwrap_or(0.0);
             cmd_gen(out, m, b, seed, f)
         }
         "inspect" => cmd_inspect(positional.first().ok_or("inspect requires FILE")?, format),
@@ -835,13 +745,13 @@ pub fn dispatch(args: &[String]) -> CliResult {
             positional.first().ok_or("attack requires FILE")?,
             flag(args, "--out").ok_or("attack requires --out FILE")?,
             seed,
-            flag(args, "--faults").and_then(|s| s.parse().ok()),
+            flag_value(args, "--faults")?,
             format,
         ),
         "score" => cmd_score(
             &positional,
             seed,
-            flag(args, "--batch").and_then(|s| s.parse().ok()).unwrap_or(32),
+            flag_value(args, "--batch")?.unwrap_or(32),
         ),
         "snapshot" => cmd_snapshot(
             flag(args, "--out").ok_or("snapshot requires --out PATH")?,
@@ -851,13 +761,13 @@ pub fn dispatch(args: &[String]) -> CliResult {
         "serve" => cmd_serve(&ServeOptions {
             socket: flag(args, "--socket").ok_or("serve requires --socket PATH")?.into(),
             seed,
-            max_batch: flag(args, "--batch").and_then(|s| s.parse().ok()).unwrap_or(32),
-            linger_ms: flag(args, "--linger-ms").and_then(|s| s.parse().ok()).unwrap_or(2),
-            queue: flag(args, "--queue").and_then(|s| s.parse().ok()).unwrap_or(256),
-            deadline_ms: flag(args, "--deadline-ms").and_then(|s| s.parse().ok()).unwrap_or(1_000),
-            rate: flag(args, "--rate").and_then(|s| s.parse().ok()).unwrap_or(200.0),
-            burst: flag(args, "--burst").and_then(|s| s.parse().ok()).unwrap_or(50),
-            tenant_budget: flag(args, "--tenant-budget").and_then(|s| s.parse().ok()),
+            max_batch: flag_value(args, "--batch")?.unwrap_or(32),
+            linger_ms: flag_value(args, "--linger-ms")?.unwrap_or(2),
+            queue: flag_value(args, "--queue")?.unwrap_or(256),
+            deadline_ms: flag_value(args, "--deadline-ms")?.unwrap_or(1_000),
+            rate: flag_value(args, "--rate")?.unwrap_or(200.0),
+            burst: flag_value(args, "--burst")?.unwrap_or(50),
+            tenant_budget: flag_value(args, "--tenant-budget")?,
             metrics_out: flag(args, "--metrics-out").map(Into::into),
             snapshot: flag(args, "--snapshot").map(Into::into),
         }),
@@ -1035,6 +945,26 @@ mod tests {
         assert!(dispatch(&strings(&["bogus"])).is_err());
         assert!(dispatch(&strings(&["help"])).unwrap().contains("USAGE"));
         assert!(dispatch(&[]).unwrap().contains("USAGE"));
+    }
+
+    /// A malformed numeric flag is an error naming the flag, raised
+    /// before any work, never a silent fall-back to the default.
+    #[test]
+    fn malformed_numeric_flags_are_errors_naming_the_flag() {
+        let cases: [(&[&str], &str); 5] = [
+            (&["attack", "/nonexistent/f.exe", "--out", "o.exe", "--faults", "abc"], "--faults"),
+            (&["campaign", "fault-matrix", "--out", "/nonexistent/fm", "--kills", "x"], "--kills"),
+            (&["gen", "--out", "/nonexistent/c", "--malware", "2.5"], "--malware"),
+            (&["score", "/nonexistent/f.exe", "--seed"], "--seed"),
+            (
+                &["serve", "--socket", "/nonexistent/s.sock", "--tenant-budget", "lots"],
+                "--tenant-budget",
+            ),
+        ];
+        for (args, flag) in cases {
+            let err = dispatch(&strings(args)).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn journalled_records(dir: &std::path::Path, manifest: &Manifest) -> usize {
         .shards
         .iter()
         .map(|spec| {
-            scan_journal(&manifest.journal_path(dir, spec)).map_or(0, |scan| scan.records)
+            scan_journal(&spec.journal_path(dir)).map_or(0, |scan| scan.records)
         })
         .sum()
 }
@@ -52,7 +52,7 @@ fn sigkilled_worker_is_reassigned_and_merge_matches_baseline() {
     let (baseline, _) = run_baseline(&world, &manifest, 0);
 
     let dir = campaign_dir("sigkill");
-    manifest.save(&dir).expect("campaign dir initializes");
+    manifest.open(&dir, false).expect("campaign dir initializes");
 
     // A real worker subprocess, paced with --hold-ms so the SIGKILL
     // lands mid-shard (after at least one journalled record, before the
@@ -86,8 +86,8 @@ fn sigkilled_worker_is_reassigned_and_merge_matches_baseline() {
     let mut pre_kill: Vec<(String, Vec<(String, usize)>)> = Vec::new();
     let mut any_unfinished_with_lease = false;
     for spec in &manifest.shards {
-        let scan = scan_journal(&manifest.journal_path(&dir, spec)).expect("scan");
-        if !scan.is_finished(&spec.label) && manifest.lease_path(&dir, spec).exists() {
+        let scan = scan_journal(&spec.journal_path(&dir)).expect("scan");
+        if !scan.is_finished(&spec.label) && spec.lease_path(&dir).exists() {
             any_unfinished_with_lease = true;
         }
         pre_kill
@@ -100,6 +100,7 @@ fn sigkilled_worker_is_reassigned_and_merge_matches_baseline() {
 
     // Restart coordination over the half-written directory: the dead
     // worker's lease is broken, fresh workers finish the remainder.
+    manifest.open(&dir, true).expect("the same campaign resumes");
     let mut opts =
         CoordinatorOptions::new(&dir, vec![exe.to_owned(), "campaign".into(), "work".into()]);
     opts.processes = 2;
@@ -107,7 +108,6 @@ fn sigkilled_worker_is_reassigned_and_merge_matches_baseline() {
     opts.heartbeat = Duration::from_millis(150);
     opts.poll = Duration::from_millis(100);
     opts.deadline = Some(Duration::from_secs(540));
-    opts.resume = true;
     let summary = run_coordinator(&manifest, &opts).expect("coordination completes");
 
     // The acceptance bar: merged output byte-identical to the
@@ -120,7 +120,7 @@ fn sigkilled_worker_is_reassigned_and_merge_matches_baseline() {
     // for exactly once, and the pre-kill spend was carried over — not
     // re-bought — by the finishing worker.
     for spec in &manifest.shards {
-        let scan = scan_journal(&manifest.journal_path(&dir, spec)).expect("scan");
+        let scan = scan_journal(&spec.journal_path(&dir)).expect("scan");
         let samples = scan.sample_queries.get(&spec.label).cloned().unwrap_or_default();
         let mut names: Vec<&str> = samples.iter().map(|(name, _)| name.as_str()).collect();
         names.sort_unstable();

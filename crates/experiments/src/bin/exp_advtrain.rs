@@ -3,7 +3,7 @@
 use mpass_experiments::{advtrain, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse(&["--workers"]);
     let world = World::build(args.world_config());
     let results = advtrain::run(&world);
     println!("{}", results.summary());

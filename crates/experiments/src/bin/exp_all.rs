@@ -11,7 +11,7 @@ use mpass_experiments::{
 };
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse(&[]);
     let t0 = std::time::Instant::now();
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);

@@ -4,7 +4,7 @@
 use mpass_experiments::{design, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse(&["--workers"]);
     let world = World::build(args.world_config());
     let results = design::run(&world);
     println!("{}", results.summary());

@@ -4,7 +4,7 @@ use mpass_experiments::offline::ATTACK_NAMES;
 use mpass_experiments::{commercial, learning, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse(&[]);
     let world = World::build(args.world_config());
     let engine = args.engine(world.config.seed);
     let (fig3, _) = commercial::run(&world, &engine, &ATTACK_NAMES);

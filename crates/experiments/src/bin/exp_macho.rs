@@ -5,7 +5,7 @@
 use mpass_experiments::{macho_demo, report};
 
 fn main() {
-    let config = if report::CliArgs::parse().quick {
+    let config = if report::CliArgs::parse(&["--samples", "--workers"]).quick {
         macho_demo::MachoDemoConfig::quick()
     } else {
         macho_demo::MachoDemoConfig::full()

@@ -3,7 +3,7 @@
 use mpass_experiments::{pem, report, World};
 
 fn main() {
-    let args = report::CliArgs::parse();
+    let args = report::CliArgs::parse(&["--workers"]);
     let world = World::build(args.world_config());
     println!("== detector health ==");
     for (name, acc) in world.detector_health() {

@@ -1,7 +1,7 @@
-//! The campaign runner's per-shard half: campaign-level options (fault
-//! injection on the oracle channel, the crash-safe resume journal) and
-//! `run_shard`, the one per-sample loop every campaign kind runs —
-//! offline and commercial, in-process and in a worker process.
+//! The campaign runner's per-shard half: `run_shard`, the one
+//! per-sample loop every campaign kind runs — offline and commercial,
+//! in-process and in a worker process — over an optionally fault-injected
+//! oracle channel and an optional crash-safe resume journal.
 
 use crate::journal::CampaignJournal;
 use crate::world::World;
@@ -11,44 +11,6 @@ use mpass_corpus::Sample;
 use mpass_detectors::{Detector, FaultProfile, UnreliableOracle};
 use mpass_engine::metrics as trace;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
-
-/// How a campaign run should treat the oracle transport and its own
-/// durability. `Default` is the historical behaviour: reliable oracle,
-/// no journal.
-#[derive(Clone, Debug, Default)]
-pub struct CampaignOptions {
-    /// Inject faults into every oracle query using this profile
-    /// (reseeded per shard so schedules are independent but replayable).
-    /// Failed submissions are retried under [`RetryPolicy::default`].
-    pub faults: Option<FaultProfile>,
-    /// Write-ahead journal path for crash-safe resume.
-    pub journal: Option<PathBuf>,
-    /// Resume from an existing journal instead of starting it over.
-    pub resume: bool,
-}
-
-impl CampaignOptions {
-    /// Open the configured journal. A fresh (non-`resume`) run deletes
-    /// any stale journal first so recovered records can only come from
-    /// *this* campaign.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from creating or recovering the
-    /// journal file.
-    pub fn open_journal(&self) -> std::io::Result<Option<CampaignJournal>> {
-        let Some(path) = &self.journal else { return Ok(None) };
-        if !self.resume {
-            match std::fs::remove_file(path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        CampaignJournal::open(path).map(Some)
-    }
-}
 
 /// What a campaign kind does with each sample's outcome, and how it
 /// folds a finished shard into the cell it journals and reports.
@@ -63,7 +25,10 @@ pub(crate) trait OutcomeHook {
 }
 
 /// Run one (attack, target) shard over the world's attack set under
-/// `label`, the engine shard label that also keys `shard_seed`.
+/// `label`, the engine shard label that also keys `shard_seed`. With
+/// `faults`, every oracle query goes through a fault-injected channel
+/// (reseeded per shard, so schedules are independent but replayable)
+/// and failed submissions are retried under [`RetryPolicy::default`].
 ///
 /// Per sample, in order: the ingestion gate ([`quarantined`]); then
 /// either replay of the journalled outcome or attack-then-journal; then
@@ -89,7 +54,7 @@ pub(crate) fn run_shard<H: OutcomeHook>(
     attack: &mut dyn Attack,
     target: &dyn Detector,
     label: &str,
-    opts: &CampaignOptions,
+    faults: Option<FaultProfile>,
     journal: Option<&CampaignJournal>,
     shard_seed: u64,
     mut hook: H,
@@ -102,7 +67,7 @@ pub(crate) fn run_shard<H: OutcomeHook>(
         result.unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
     };
     let replay_samples = !attack.stateful_across_samples();
-    let oracle = ShardOracle::build(target, opts, shard_seed);
+    let oracle = ShardOracle::build(target, faults, shard_seed);
     let samples = world.attack_set(target);
     let mut outcomes = Vec::with_capacity(samples.len());
     for sample in samples {
@@ -157,8 +122,8 @@ impl<'a> ShardOracle<'a> {
     /// Build the channel a shard should query. With faults enabled the
     /// profile is reseeded with `shard_seed` (the engine's label-keyed
     /// seed) so every shard draws an independent, replayable schedule.
-    fn build(detector: &'a dyn Detector, opts: &CampaignOptions, shard_seed: u64) -> Self {
-        match &opts.faults {
+    fn build(detector: &'a dyn Detector, faults: Option<FaultProfile>, shard_seed: u64) -> Self {
+        match faults {
             None => ShardOracle::Reliable(detector),
             Some(profile) => ShardOracle::Faulty(UnreliableOracle::new(
                 detector,
@@ -238,7 +203,7 @@ mod tests {
     #[test]
     fn reliable_channel_by_default() {
         let det = Benign;
-        let oracle = ShardOracle::build(&det, &CampaignOptions::default(), 7);
+        let oracle = ShardOracle::build(&det, None, 7);
         assert!(matches!(oracle, ShardOracle::Reliable(_)));
         let mut target = oracle.target(3, 7);
         assert!(target.validates_ae());
@@ -275,44 +240,17 @@ mod tests {
     #[test]
     fn faulty_channel_reseeds_per_shard() {
         let det = Benign;
-        let opts = CampaignOptions {
-            faults: Some(FaultProfile::seeded(99)),
-            ..CampaignOptions::default()
-        };
-        let a = ShardOracle::build(&det, &opts, 1);
-        let b = ShardOracle::build(&det, &opts, 2);
+        let faults = Some(FaultProfile::seeded(99));
+        let a = ShardOracle::build(&det, faults, 1);
+        let b = ShardOracle::build(&det, faults, 2);
         let (ShardOracle::Faulty(a), ShardOracle::Faulty(b)) = (&a, &b) else {
             panic!("faults configured; expected faulty channels");
         };
         assert_ne!(a.profile().seed, b.profile().seed);
         // Same shard seed reproduces the same schedule seed.
-        let ShardOracle::Faulty(a2) = ShardOracle::build(&det, &opts, 1) else {
+        let ShardOracle::Faulty(a2) = ShardOracle::build(&det, faults, 1) else {
             panic!("expected a faulty channel");
         };
         assert_eq!(a.profile().seed, a2.profile().seed);
-    }
-
-    #[test]
-    fn fresh_run_deletes_a_stale_journal() {
-        let dir = std::env::temp_dir().join("mpass-campaign-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("stale-{}.jsonl", std::process::id()));
-        std::fs::write(&path, "{\"kind\":\"shard\",\"shard\":\"s\",\"cell\":1}\n").unwrap();
-
-        let resumed = CampaignOptions {
-            journal: Some(path.clone()),
-            resume: true,
-            ..CampaignOptions::default()
-        };
-        let journal = resumed.open_journal().unwrap().unwrap();
-        assert_eq!(journal.shard_cell::<u64>("s"), Some(1));
-        drop(journal);
-
-        let fresh =
-            CampaignOptions { journal: Some(path.clone()), ..CampaignOptions::default() };
-        let journal = fresh.open_journal().unwrap().unwrap();
-        assert_eq!(journal.shard_cell::<u64>("s"), None);
-        drop(journal);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -3,7 +3,7 @@
 //! experiment. The same commercial grid, over other rosters, produces
 //! Tables IV–VI (`packers`, `ablation`).
 
-use crate::campaign::{CampaignOptions, OutcomeHook};
+use crate::campaign::OutcomeHook;
 use crate::offline::ATTACK_NAMES;
 use crate::orchestrator::manifest::grid;
 use crate::orchestrator::{run_grid, AnyCell, CampaignKind};
@@ -115,7 +115,7 @@ impl OutcomeHook for CollectAes {
 pub fn run(world: &World, engine: &Engine, attacks: &[&str]) -> (CommercialResults, MetricsFile) {
     let kind = CampaignKind::Commercial;
     let shards = grid(attacks, &kind.default_targets());
-    let (cells, metrics) = run_grid(world, kind, &shards, engine, &CampaignOptions::default())
+    let (cells, metrics) = run_grid(world, kind, &shards, engine, None, None)
         .expect("no journal configured, so no I/O can fail");
     (cells.into(), metrics)
 }
@@ -182,7 +182,7 @@ mod tests {
             attack.as_mut(),
             av,
             label,
-            &CampaignOptions::default(),
+            None,
             Some(&journal),
             11,
             CollectAes::default(),

@@ -45,7 +45,6 @@ pub mod report;
 pub mod table;
 pub mod world;
 
-pub use campaign::CampaignOptions;
 pub use journal::CampaignJournal;
 pub use orchestrator::{CampaignKind, Manifest};
 pub use world::{World, WorldConfig};

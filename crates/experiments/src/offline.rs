@@ -2,7 +2,7 @@
 //! against the four offline detectors, plus the §IV-A functionality
 //! verification of every generated AE.
 
-use crate::campaign::{CampaignOptions, OutcomeHook};
+use crate::campaign::OutcomeHook;
 use crate::orchestrator::{run_grid, AnyCell, CampaignKind};
 use crate::world::World;
 use mpass_baselines::{
@@ -209,8 +209,7 @@ pub fn make_attack<'a>(world: &'a World, target_name: &str, attack_name: &str) -
 /// campaign.
 pub fn run(world: &World, engine: &Engine) -> (OfflineResults, MetricsFile) {
     let kind = CampaignKind::Offline;
-    let opts = CampaignOptions::default();
-    let (cells, metrics) = run_grid(world, kind, &kind.default_grid(), engine, &opts)
+    let (cells, metrics) = run_grid(world, kind, &kind.default_grid(), engine, None, None)
         .expect("no journal configured, so no I/O can fail");
     (cells.into(), metrics)
 }
@@ -321,7 +320,7 @@ pub(crate) mod tests {
             attack.as_mut(),
             det,
             label,
-            &CampaignOptions::default(),
+            None,
             Some(&journal),
             11,
             VerifyAes::default(),
@@ -352,16 +351,12 @@ pub(crate) mod tests {
         cfg.attack_samples = 2;
         let world = World::build(cfg);
         let engine = Engine::new(mpass_engine::EngineConfig { workers: 2, seed: 5 });
-        let path = std::env::temp_dir()
-            .join(format!("mpass-{kind}-resume-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let opts =
-            CampaignOptions { journal: Some(path.clone()), ..CampaignOptions::default() };
+        let dir = std::env::temp_dir()
+            .join(format!("mpass-{kind}-resume-{}.campaign", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let grid = kind.default_grid();
-        let (first, _) = run_grid(&world, kind, &grid, &engine, &opts).unwrap();
-
-        let resume = CampaignOptions { resume: true, ..opts };
-        let (second, metrics) = run_grid(&world, kind, &grid, &engine, &resume).unwrap();
+        let (first, _) = run_grid(&world, kind, &grid, &engine, None, Some(&dir)).unwrap();
+        let (second, metrics) = run_grid(&world, kind, &grid, &engine, None, Some(&dir)).unwrap();
         assert_eq!(format!("{first:?}"), format!("{second:?}"));
         if kind == CampaignKind::Commercial {
             assert!(
@@ -379,6 +374,6 @@ pub(crate) mod tests {
         assert_eq!(resumed as usize, second.len(), "every shard replays from journal");
         // No shard re-queried the oracle.
         assert!(metrics.shards.iter().all(|s| !s.counters.contains_key("queries")));
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,6 +1,6 @@
-//! Campaign coordinator: writes the manifest, spawns worker processes,
-//! supervises their leases, and merges the per-shard journals into one
-//! deterministic final report.
+//! Campaign coordinator: spawns worker processes over an opened
+//! campaign directory, supervises their leases, and merges the per-shard
+//! journals into one deterministic final report.
 //!
 //! The coordinator never runs shard work itself. Its contract is
 //! recovery-shaped:
@@ -10,12 +10,13 @@
 //!   goes back on the market with its journal intact, so the next
 //!   claimant resumes at sample granularity instead of re-spending
 //!   oracle budget.
-//! * A coordinator that dies is itself restartable: `--resume` loads
-//!   the existing manifest (validated by config hash), clears stale
-//!   leases — mirroring how `mpass-serve` replaces a stale socket from
-//!   a dead daemon — and re-merges. The merge is a pure function of the
-//!   journals and writes through tmp+rename, so re-running it after any
-//!   interruption produces the same bytes.
+//! * A coordinator that dies is itself restartable: a `--resume` run
+//!   reopens the directory ([`Manifest::open`] checks the stored
+//!   manifest against the flags), clears stale leases — mirroring how
+//!   `mpass-serve` replaces a stale socket from a dead daemon — and
+//!   re-merges. The merge is a pure function of the journals and writes
+//!   through tmp+rename, so re-running it after any interruption
+//!   produces the same bytes.
 //!
 //! Process-level fault injection is a first-class input: a seeded kill
 //! schedule maps spawn indices to journal-append offsets, and the
@@ -46,10 +47,13 @@ pub struct KillPoint {
     pub after_records: u64,
 }
 
+/// Dead workers the coordinator replaces before giving up on a campaign.
+pub const MAX_RESPAWNS: usize = 8;
+
 /// How the coordinator should run a campaign.
 #[derive(Debug, Clone)]
 pub struct CoordinatorOptions {
-    /// Campaign directory (created if needed).
+    /// Campaign directory, opened by [`Manifest::open`].
     pub dir: PathBuf,
     /// Worker processes to keep running.
     pub processes: usize,
@@ -62,22 +66,16 @@ pub struct CoordinatorOptions {
     pub poll: Duration,
     /// Lease heartbeat interval handed to workers.
     pub heartbeat: Duration,
-    /// Per-append pacing handed to workers (test determinism).
-    pub hold: Duration,
     /// Fault injection schedule.
     pub kill_schedule: Vec<KillPoint>,
-    /// How many dead workers to replace before giving up.
-    pub max_respawns: usize,
     /// Abort the campaign (killing workers) after this much wall time.
     pub deadline: Option<Duration>,
-    /// Continue an initialized campaign directory instead of refusing.
-    pub resume: bool,
 }
 
 impl CoordinatorOptions {
     /// Defaults for a campaign in `dir` run by `worker_cmd`: 2
-    /// processes, 10 s TTL, 1 s heartbeat, 200 ms poll, 8 respawns, no
-    /// kills, no deadline.
+    /// processes, 10 s TTL, 1 s heartbeat, 200 ms poll, no kills, no
+    /// deadline.
     pub fn new(dir: impl Into<PathBuf>, worker_cmd: Vec<String>) -> CoordinatorOptions {
         CoordinatorOptions {
             dir: dir.into(),
@@ -86,11 +84,8 @@ impl CoordinatorOptions {
             ttl: Duration::from_secs(10),
             poll: Duration::from_millis(200),
             heartbeat: Duration::from_secs(1),
-            hold: Duration::ZERO,
             kill_schedule: Vec::new(),
-            max_respawns: 8,
             deadline: None,
-            resume: false,
         }
     }
 }
@@ -118,29 +113,6 @@ pub struct CoordinatorSummary {
     pub spawned: usize,
 }
 
-/// Initialize (or re-open) the campaign directory. A fresh coordinate
-/// on an already-initialized directory is refused unless `resume`; a
-/// resume loads and revalidates the existing manifest rather than
-/// trusting the caller's flags.
-///
-/// # Errors
-///
-/// Filesystem/validation errors, or the directory being initialized
-/// without `resume`.
-pub fn init_campaign(dir: &Path, manifest: &Manifest, resume: bool) -> Result<Manifest, String> {
-    if Manifest::path(dir).exists() {
-        if !resume {
-            return Err(format!(
-                "{} already holds a campaign; pass --resume to continue it or pick a fresh --dir",
-                dir.display()
-            ));
-        }
-        return Manifest::load(dir).map_err(|e| e.to_string());
-    }
-    manifest.save(dir).map_err(|e| format!("write manifest: {e}"))?;
-    Ok(manifest.clone())
-}
-
 /// Remove stale state a dead coordinator or dead workers left behind:
 /// leases whose holder pid is dead or whose TTL lapsed, and `*.tmp`
 /// remnants of interrupted atomic writes. Returns the cleared lease
@@ -157,13 +129,7 @@ pub fn clear_stale_state(
 ) -> Result<Vec<String>, String> {
     let mut cleared = Vec::new();
     for spec in &manifest.shards {
-        let path = manifest.lease_path(dir, spec);
-        if lease::is_stale(&path, ttl).map_err(|e| format!("{}: {e}", path.display()))? {
-            let holder = lease::read_info(&path)
-                .ok()
-                .flatten()
-                .map_or_else(|| "unknown".to_owned(), |i| i.worker);
-            let _ = std::fs::remove_file(&path);
+        if let Some(holder) = break_stale_lease(&spec.lease_path(dir), ttl)? {
             cleared.push(format!("{} (held by {holder})", spec.label));
         }
     }
@@ -176,6 +142,22 @@ pub fn clear_stale_state(
         }
     }
     Ok(cleared)
+}
+
+/// Remove the lease at `path` if it is stale ([`lease::is_stale`]) and
+/// return its holder's worker id (`"unknown"` if unreadable).
+///
+/// # Errors
+///
+/// Propagates filesystem errors from probing the lease.
+fn break_stale_lease(path: &Path, ttl: Duration) -> Result<Option<String>, String> {
+    if !lease::is_stale(path, ttl).map_err(|e| format!("{}: {e}", path.display()))? {
+        return Ok(None);
+    }
+    let holder =
+        lease::read_info(path).ok().flatten().map_or_else(|| "unknown".to_owned(), |i| i.worker);
+    let _ = std::fs::remove_file(path);
+    Ok(Some(holder))
 }
 
 /// Append one event to the coordinator's single-writer event log
@@ -233,9 +215,6 @@ fn spawn_worker(opts: &CoordinatorOptions, spawned: &mut usize) -> Result<Worker
         .arg("--heartbeat-ms")
         .arg(opts.heartbeat.as_millis().to_string())
         .stdout(Stdio::null());
-    if opts.hold > Duration::ZERO {
-        cmd.arg("--hold-ms").arg(opts.hold.as_millis().to_string());
-    }
     if let Some(kill) = opts.kill_schedule.iter().find(|k| k.spawn_index == spawn_index) {
         cmd.arg("--kill-after").arg(kill.after_records.to_string());
     }
@@ -244,19 +223,19 @@ fn spawn_worker(opts: &CoordinatorOptions, spawned: &mut usize) -> Result<Worker
     Ok(WorkerProc { child, id })
 }
 
-/// Run the whole campaign: manifest, workers, supervision, merge.
+/// Run the whole campaign in `opts.dir`, which [`Manifest::open`] opened
+/// with `manifest`: stale-state cleanup, workers, supervision, merge.
 ///
 /// # Errors
 ///
-/// Initialization/spawn/filesystem errors, the respawn budget running
-/// out with shards unfinished, or the deadline lapsing.
+/// Spawn/filesystem errors, the respawn budget ([`MAX_RESPAWNS`])
+/// running out with shards unfinished, or the deadline lapsing.
 pub fn run_coordinator(
     manifest: &Manifest,
     opts: &CoordinatorOptions,
 ) -> Result<CoordinatorSummary, String> {
     let started = Instant::now();
-    let manifest = init_campaign(&opts.dir, manifest, opts.resume)?;
-    for cleared in clear_stale_state(&opts.dir, &manifest, opts.ttl)? {
+    for cleared in clear_stale_state(&opts.dir, manifest, opts.ttl)? {
         println!("cleared stale lease: {cleared}");
         let _ = log_event(&opts.dir, "stale_lease_cleared", &cleared, "");
     }
@@ -276,7 +255,7 @@ pub fn run_coordinator(
         let mut samples = 0usize;
         let mut unfinished = Vec::new();
         for spec in &manifest.shards {
-            let scan = scan_journal(&manifest.journal_path(&opts.dir, spec))
+            let scan = scan_journal(&spec.journal_path(&opts.dir))
                 .map_err(|e| format!("scan {}: {e}", spec.slug))?;
             samples += scan.samples_done(&spec.label);
             if scan.is_finished(&spec.label) {
@@ -309,13 +288,7 @@ pub fn run_coordinator(
         // Break leases whose holder died or went silent past the TTL;
         // the shard goes back on the market with its journal intact.
         for spec in &unfinished {
-            let path = manifest.lease_path(&opts.dir, spec);
-            if lease::is_stale(&path, opts.ttl).map_err(|e| format!("{}: {e}", path.display()))? {
-                let holder = lease::read_info(&path)
-                    .ok()
-                    .flatten()
-                    .map_or_else(|| "unknown".to_owned(), |i| i.worker);
-                let _ = std::fs::remove_file(&path);
+            if let Some(holder) = break_stale_lease(&spec.lease_path(&opts.dir), opts.ttl)? {
                 reassigned += 1;
                 let _ = log_event(&opts.dir, "lease_reassigned", &spec.label, &holder);
                 println!("reassigned {} (lease of {holder} expired)", spec.label);
@@ -336,11 +309,10 @@ pub fn run_coordinator(
         }
         workers = alive;
         if workers.is_empty() {
-            if respawned >= opts.max_respawns {
+            if respawned >= MAX_RESPAWNS {
                 break Err(format!(
-                    "all workers exited and the respawn budget ({}) is spent; campaign stuck \
-                     at {finished}/{total} shards",
-                    opts.max_respawns
+                    "all workers exited and the respawn budget ({MAX_RESPAWNS}) is spent; \
+                     campaign stuck at {finished}/{total} shards"
                 ));
             }
             respawned += 1;
@@ -377,7 +349,7 @@ pub fn run_coordinator(
     coordinator.counters.insert("campaign/workers_spawned".into(), spawned as u64);
     coordinator.series.insert("campaign/shards_finished".into(), finished_series);
 
-    let (cells, metrics) = merge_campaign(&opts.dir, &manifest, opts.processes, coordinator)?;
+    let (cells, metrics) = merge_campaign(&opts.dir, manifest, opts.processes, coordinator)?;
     let report = report_from_cells(manifest.kind, &cells);
     let report_path = opts.dir.join("merged.json");
     let metrics_path = opts.dir.join("merged.metrics.json");
@@ -419,7 +391,7 @@ pub fn merge_campaign(
     let mut shard_metrics = Vec::new();
     let mut failures = Vec::new();
     for (index, spec) in manifest.shards.iter().enumerate() {
-        let journal = CampaignJournal::open(manifest.journal_path(dir, spec))
+        let journal = CampaignJournal::open(spec.journal_path(dir))
             .map_err(|e| format!("open journal {}: {e}", spec.slug))?;
         let cell = match manifest.kind {
             CampaignKind::Offline => journal.shard_cell(&spec.label).map(AnyCell::Offline),
@@ -502,9 +474,9 @@ pub fn campaign_status(dir: &Path) -> Result<CampaignStatus, String> {
     let events = read_events(dir);
     let mut shards = Vec::with_capacity(manifest.shards.len());
     for spec in &manifest.shards {
-        let scan = scan_journal(&manifest.journal_path(dir, spec))
+        let scan = scan_journal(&spec.journal_path(dir))
             .map_err(|e| format!("scan {}: {e}", spec.slug))?;
-        let lease = lease::read_info(&manifest.lease_path(dir, spec)).ok().flatten();
+        let lease = lease::read_info(&spec.lease_path(dir)).ok().flatten();
         shards.push(ShardStatus {
             label: spec.label.clone(),
             samples_done: scan.samples_done(&spec.label),
@@ -541,11 +513,10 @@ pub fn render_status(status: &CampaignStatus) -> String {
         if status.merged { "yes" } else { "no" }
     );
     for shard in &status.shards {
+        // In-process runs journal no worker metrics, so their shards
+        // finish by nobody in particular.
         let state = if shard.finished {
-            format!(
-                "finished by {}",
-                shard.finished_by.as_deref().unwrap_or("<no metrics record>")
-            )
+            shard.finished_by.as_ref().map_or("finished".to_owned(), |w| format!("finished by {w}"))
         } else if let Some(lease) = &shard.lease {
             format!("running on {} (pid {}, beat {})", lease.worker, lease.pid, lease.beat)
         } else {
@@ -637,7 +608,7 @@ pub fn run_fault_matrix(opts: &FaultMatrixOptions) -> Result<String, String> {
         let spawn_index = rng.gen_range(0..opts.processes.max(1));
         let after_records = rng.gen_range(1..=4u64);
         let dir = opts.out.join(format!("kill-{case:02}"));
-        let _ = std::fs::remove_dir_all(&dir);
+        manifest.open(&dir, false)?;
         let mut copts = coordinator_opts(dir);
         copts.kill_schedule = vec![KillPoint { spawn_index, after_records }];
         let summary = run_coordinator(&manifest, &copts)?;
@@ -662,16 +633,15 @@ pub fn run_fault_matrix(opts: &FaultMatrixOptions) -> Result<String, String> {
 
     // Coordinator killed mid-merge: a finished campaign whose merged
     // report is gone and whose tmp file holds garbage must re-merge to
-    // the same bytes on a resumed coordinate.
+    // the same bytes on a resumed run.
     let dir = opts.out.join("restart-mid-merge");
-    let _ = std::fs::remove_dir_all(&dir);
+    manifest.open(&dir, false)?;
     let first = run_coordinator(&manifest, &coordinator_opts(dir.clone()))?;
     std::fs::remove_file(&first.report_path).map_err(|e| format!("drop merged report: {e}"))?;
     std::fs::write(dir.join("merged.json.tmp"), b"{ garbage from a dead coordinator")
         .map_err(|e| format!("plant torn tmp: {e}"))?;
-    let mut resume_opts = coordinator_opts(dir.clone());
-    resume_opts.resume = true;
-    let resumed = run_coordinator(&manifest, &resume_opts)?;
+    manifest.open(&dir, true)?;
+    let resumed = run_coordinator(&manifest, &coordinator_opts(dir.clone()))?;
     let verdict =
         check_case("restart-mid-merge", &resumed, &baseline, &manifest, &dir, &opts.out)?;
     if !verdict.ok {
@@ -724,7 +694,7 @@ fn check_case(
     // so a duplicate (shard, sample) record means a resumed worker
     // re-attacked — and re-spent budget on — a delivered verdict.
     for spec in &manifest.shards {
-        let scan = scan_journal(&manifest.journal_path(dir, spec))
+        let scan = scan_journal(&spec.journal_path(dir))
             .map_err(|e| format!("scan {}: {e}", spec.slug))?;
         if let Some(samples) = scan.sample_queries.get(&spec.label) {
             let mut names: Vec<&str> = samples.iter().map(|(n, _)| n.as_str()).collect();
@@ -771,19 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn init_refuses_reinit_without_resume_and_loads_with() {
-        let dir = temp_dir("init");
-        let manifest = tiny_manifest();
-        let first = init_campaign(&dir, &manifest, false).unwrap();
-        assert_eq!(first, manifest);
-        let err = init_campaign(&dir, &manifest, false).unwrap_err();
-        assert!(err.contains("--resume"), "{err}");
-        let resumed = init_campaign(&dir, &manifest, true).unwrap();
-        assert_eq!(resumed, manifest);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn stale_state_cleanup_breaks_dead_leases_and_tmp_files() {
         let dir = temp_dir("stale");
         let manifest = tiny_manifest();
@@ -791,8 +748,7 @@ mod tests {
         let spec = &manifest.shards[0];
         // A lease held by a pid that cannot exist, and a torn tmp file.
         let info = LeaseInfo { worker: "ghost".into(), pid: u64::MAX - 1, beat: 1 };
-        std::fs::write(manifest.lease_path(&dir, spec), serde_json::to_string(&info).unwrap())
-            .unwrap();
+        std::fs::write(spec.lease_path(&dir), serde_json::to_string(&info).unwrap()).unwrap();
         std::fs::write(dir.join("merged.json.tmp"), b"{ torn").unwrap();
 
         let ttl = if cfg!(target_os = "linux") {
@@ -804,7 +760,7 @@ mod tests {
         let cleared = clear_stale_state(&dir, &manifest, ttl).unwrap();
         assert_eq!(cleared.len(), 1);
         assert!(cleared[0].contains("ghost"), "{:?}", cleared);
-        assert!(!manifest.lease_path(&dir, spec).exists());
+        assert!(!spec.lease_path(&dir).exists());
         assert!(!dir.join("merged.json.tmp").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -852,7 +808,7 @@ mod tests {
             broken: 0,
             checked: 0,
         };
-        let journal = CampaignJournal::open(manifest.journal_path(&dir, spec)).unwrap();
+        let journal = CampaignJournal::open(spec.journal_path(&dir)).unwrap();
         journal.record_shard(&spec.label, &cell).unwrap();
         let metrics = ShardMetrics { label: spec.label.clone(), ..Default::default() };
         journal.record_metrics(&spec.label, "w0", &metrics).unwrap();

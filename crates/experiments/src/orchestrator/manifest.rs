@@ -1,12 +1,13 @@
-//! Campaign manifest: the durable description of a distributed campaign
-//! that every worker process loads and every coordinator validates.
+//! Campaign manifest: the durable description of a campaign that every
+//! run of it — in process or a worker process — loads or checks.
 //!
 //! The manifest pins everything a shard's result depends on — world
 //! configuration, engine seed, fault schedule, and the exact shard grid
 //! in engine input order — so any worker, on any restart, rebuilds the
-//! same world and runs the same work. A config hash over the manifest
-//! body guards resumes: a coordinator restarted with different flags
-//! refuses to mix new work into an old campaign directory.
+//! same world and runs the same work. [`Manifest::open`] guards resumes:
+//! a run restarted with different flags refuses to mix new work into an
+//! old campaign directory, and a config hash over the manifest body
+//! catches a manifest edited on disk.
 
 use crate::world::WorldConfig;
 use serde::{Deserialize, Serialize};
@@ -86,6 +87,16 @@ impl ShardSpec {
             attack: attack.to_owned(),
             target: target.to_owned(),
         }
+    }
+
+    /// The shard's append-only journal file in campaign directory `dir`.
+    pub fn journal_path(&self, dir: &Path) -> PathBuf {
+        dir.join("shards").join(format!("{}.jsonl", self.slug))
+    }
+
+    /// The shard's lease file in campaign directory `dir`.
+    pub fn lease_path(&self, dir: &Path) -> PathBuf {
+        dir.join("leases").join(format!("{}.lease", self.slug))
     }
 }
 
@@ -200,14 +211,47 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// The shard's append-only journal file.
-    pub fn journal_path(&self, dir: &Path, spec: &ShardSpec) -> PathBuf {
-        dir.join("shards").join(format!("{}.jsonl", spec.slug))
-    }
-
-    /// The shard's lease file.
-    pub fn lease_path(&self, dir: &Path, spec: &ShardSpec) -> PathBuf {
-        dir.join("leases").join(format!("{}.lease", spec.slug))
+    /// Open campaign directory `dir` for a run of this manifest, the one
+    /// step every run takes before any shard work. A fresh run deletes
+    /// whatever `dir` holds and writes the manifest, so recovered records
+    /// can only come from *this* campaign. A `resume` run keeps `dir` and
+    /// its journals, but only if the manifest stored there equals this
+    /// one; a directory with no manifest yet starts fresh.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors, an unreadable stored manifest, or a stored
+    /// manifest that differs from this one (the message names the
+    /// differing fields).
+    pub fn open(&self, dir: &Path, resume: bool) -> Result<(), String> {
+        if resume && Self::path(dir).exists() {
+            let stored = Self::load(dir).map_err(|e| format!("cannot resume: {e}"))?;
+            let differs: Vec<&str> = [
+                ("kind", stored.kind != self.kind),
+                ("world", stored.world != self.world),
+                ("seed", stored.seed != self.seed),
+                ("faults", stored.faults != self.faults),
+                ("shards", stored.shards != self.shards),
+            ]
+            .into_iter()
+            .filter_map(|(field, differs)| differs.then_some(field))
+            .collect();
+            if differs.is_empty() {
+                return Ok(());
+            }
+            return Err(format!(
+                "cannot resume {}: its manifest differs in {} from the campaign these flags \
+                 describe; rerun without --resume to start over",
+                dir.display(),
+                differs.join(", ")
+            ));
+        }
+        match std::fs::remove_dir_all(dir) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(format!("reset {}: {e}", dir.display())),
+        }
+        self.save(dir).map_err(|e| format!("write {}: {e}", Self::path(dir).display()))
     }
 }
 
@@ -313,6 +357,39 @@ mod tests {
         std::fs::write(&path, edited).unwrap();
         let err = Manifest::load(&dir).unwrap_err();
         assert!(err.to_string().contains("config hash mismatch"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_resets_fresh_runs_and_guards_resumes() {
+        let dir = temp_dir("open");
+        let m = demo_manifest();
+        // Resuming a directory with no manifest yet starts fresh.
+        m.open(&dir, true).unwrap();
+        assert_eq!(Manifest::load(&dir).unwrap(), m);
+        let journal = m.shards[0].journal_path(&dir);
+        std::fs::write(&journal, "{}\n").unwrap();
+
+        // A resume of the same campaign keeps the journals.
+        m.open(&dir, true).unwrap();
+        assert!(journal.exists());
+
+        // A resume under other flags is refused and touches nothing.
+        let mut world = m.world.clone();
+        world.attack_samples += 1;
+        let targets = ["MalConv".into()];
+        let changed = Manifest::new(m.kind, world, m.seed, None, &["MPass".into()], &targets);
+        let err = changed.open(&dir, true).unwrap_err();
+        assert!(err.contains("world, faults, shards"), "{err}");
+        assert!(err.contains("--resume"), "{err}");
+        assert_eq!(Manifest::load(&dir).unwrap(), m);
+        assert!(journal.exists());
+
+        // A fresh run resets the directory.
+        changed.open(&dir, false).unwrap();
+        assert_eq!(Manifest::load(&dir).unwrap(), changed);
+        assert!(!journal.exists());
+        assert!(dir.join("shards").is_dir() && dir.join("leases").is_dir());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

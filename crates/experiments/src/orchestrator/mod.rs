@@ -1,18 +1,24 @@
-//! Distributed campaign orchestration: one coordinator process, N
-//! worker processes, lease-based shard ownership, crash-safe journals,
+//! Campaign orchestration: one campaign directory per experiment, run
+//! in process on engine threads or across N worker processes (one
+//! coordinator, lease-based shard ownership), with crash-safe journals
 //! and a deterministic merge.
 //!
-//! Layout of a campaign directory:
+//! Layout of a campaign directory (`results/<experiment>.campaign/` for
+//! the campaign binaries):
 //!
 //! ```text
 //! <dir>/
 //!   manifest.json          # world config + seed + shard grid (hashed)
-//!   leases/<slug>.lease    # heartbeat files: who owns which shard
 //!   shards/<slug>.jsonl    # per-shard crash-safe journals
+//!   leases/<slug>.lease    # heartbeat files: who owns which shard
 //!   events.jsonl           # coordinator event log (reassignments, respawns)
 //!   merged.json            # final report, byte-identical to in-process
 //!   merged.metrics.json    # merged per-worker shard metrics
 //! ```
+//!
+//! An in-process run writes only the manifest and the shard journals;
+//! the rest belongs to distributed runs. Either mode resumes a directory
+//! the other left behind.
 //!
 //! The determinism story: shard seeds are keyed by shard *label* (not
 //! by worker, thread, or schedule), resume replays journalled verdicts
@@ -38,12 +44,11 @@ pub use worker::{
     WorkerOptions, WorkerSummary,
 };
 
-use crate::campaign::CampaignOptions;
-use crate::report::{self, CliArgs};
+use crate::report::{self, flag_value, CliArgs};
 use crate::world::World;
 use mpass_detectors::FaultProfile;
 use mpass_engine::MetricsFile;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Parse the worker-process flags the coordinator passes when spawning
@@ -54,32 +59,21 @@ use std::time::Duration;
 ///
 /// # Errors
 ///
-/// A missing `--dir` or an unparsable numeric value.
+/// A missing `--dir`, or a flag with a missing or unparsable value
+/// (naming the flag).
 pub fn worker_options_from_args(args: &[String]) -> Result<WorkerOptions, String> {
-    let grab = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
-    let number = |flag: &str| -> Result<Option<u64>, String> {
-        grab(flag)
-            .map(|v| v.parse().map_err(|_| format!("{flag}: not a number: {v}")))
-            .transpose()
-    };
-    let dir = grab("--dir").ok_or_else(|| "worker needs --dir <campaign-dir>".to_owned())?;
+    let dir: String = flag_value(args, "--dir")?
+        .ok_or_else(|| "worker needs --dir <campaign-dir>".to_owned())?;
     // "manual" keeps a hand-started worker out of the coordinator's
     // `w<N>` id space.
-    let worker_id = grab("--worker-id").cloned().unwrap_or_else(|| "manual".to_owned());
+    let worker_id: String = flag_value(args, "--worker-id")?.unwrap_or_else(|| "manual".into());
     let mut opts = WorkerOptions::new(dir, worker_id);
-    if let Some(ms) = number("--ttl-ms")? {
-        opts.ttl = Duration::from_millis(ms);
-    }
-    if let Some(ms) = number("--heartbeat-ms")? {
-        opts.heartbeat = Duration::from_millis(ms);
-    }
-    if let Some(ms) = number("--poll-ms")? {
-        opts.poll = Duration::from_millis(ms);
-    }
-    if let Some(ms) = number("--hold-ms")? {
-        opts.hold = Duration::from_millis(ms);
-    }
-    opts.kill_after = number("--kill-after")?;
+    let ms = |flag: &str| Ok::<_, String>(flag_value(args, flag)?.map(Duration::from_millis));
+    opts.ttl = ms("--ttl-ms")?.unwrap_or(opts.ttl);
+    opts.heartbeat = ms("--heartbeat-ms")?.unwrap_or(opts.heartbeat);
+    opts.poll = ms("--poll-ms")?.unwrap_or(opts.poll);
+    opts.hold = ms("--hold-ms")?.unwrap_or(opts.hold);
+    opts.kill_after = flag_value(args, "--kill-after")?;
     Ok(opts)
 }
 
@@ -87,14 +81,16 @@ pub fn worker_options_from_args(args: &[String]) -> Result<WorkerOptions, String
 /// `exp_packers`, `exp_ablation`) and the only parser of
 /// [`report::CAMPAIGN_FLAGS`].
 ///
-/// Runs the `kind` grid of `attacks` against every default target,
-/// either in process (`--workers` engine threads, journalled to
-/// `results/<experiment>.journal.jsonl` for `--resume`) or, with
-/// `--processes N`, across N worker processes in
-/// `results/<experiment>.campaign` — the workers are this same binary,
-/// re-entered via the hidden `--orchestrate-work` flag. `--faults SEED`
-/// runs every oracle under a seeded fault schedule. Both modes report
-/// failed shards on stderr and hand the cells, in grid order, back to the
+/// Runs the `kind` grid of `attacks` against every default target in the
+/// campaign directory `results/<experiment>.campaign`, either in process
+/// (`--workers` engine threads) or, with `--processes N`, across N worker
+/// processes — the workers are this same binary, re-entered via the
+/// hidden `--orchestrate-work` flag. `--faults SEED` runs every oracle
+/// under a seeded fault schedule. A fresh run resets the directory; a
+/// `--resume` run continues it in either mode, and exits 2 before
+/// building anything if the directory holds a campaign other than the
+/// one the flags describe ([`Manifest::open`]). Both modes report failed
+/// shards on stderr and hand the cells, in grid order, back to the
 /// caller, which prints and saves its view of them. `on_world` sees the
 /// in-process world once it is built.
 pub fn campaign_main<R: From<Vec<AnyCell>>>(
@@ -110,15 +106,22 @@ pub fn campaign_main<R: From<Vec<AnyCell>>>(
     let (flags, cli) = CampaignFlags::parse(&args)
         .and_then(|flags| Ok((flags, CliArgs::parse_from(&args)?)))
         .unwrap_or_else(|e| report::usage_error(&e));
+    let world = cli.world_config();
+    let attacks: Vec<String> = attacks.iter().map(|a| (*a).to_owned()).collect();
+    let targets = kind.default_targets();
+    let manifest =
+        Manifest::new(kind, world.clone(), world.seed, flags.faults, &attacks, &targets);
+    let dir = Path::new(report::RESULTS_DIR).join(format!("{experiment}.campaign"));
+    manifest.open(&dir, flags.resume).unwrap_or_else(|e| report::usage_error(&e));
     let outcome = match flags.processes.filter(|n| *n > 0) {
-        Some(processes) => run_distributed(kind, experiment, attacks, &cli, &flags, processes),
+        Some(processes) => run_distributed(&manifest, dir, processes),
         None => {
-            let world = World::build(cli.world_config());
+            let world = World::build(world);
             on_world(&world);
-            let engine = cli.engine(world.config.seed);
-            let shards = manifest::grid(attacks, &kind.default_targets());
-            run_grid(&world, kind, &shards, &engine, &flags.campaign_options(experiment))
-                .map_err(|e| format!("could not open campaign journal: {e}"))
+            let engine = cli.engine(manifest.seed);
+            let faults = manifest.faults.map(FaultProfile::seeded);
+            run_grid(&world, kind, &manifest.shards, &engine, faults, Some(&dir))
+                .map_err(|e| format!("could not open campaign journals: {e}"))
         }
     };
     let (cells, metrics) = outcome.unwrap_or_else(|e| {
@@ -135,8 +138,8 @@ pub fn campaign_main<R: From<Vec<AnyCell>>>(
 struct CampaignFlags {
     /// Seed for oracle fault injection (`None` = reliable oracle).
     faults: Option<u64>,
-    /// Resume from the experiment's journal or campaign directory
-    /// instead of restarting it.
+    /// Continue the experiment's campaign directory instead of
+    /// restarting it.
     resume: bool,
     /// Distribute the campaign across this many worker *processes*
     /// (`--workers` stays engine threads).
@@ -147,21 +150,10 @@ impl CampaignFlags {
     /// Parse the campaign flags out of `args`, ignoring any others.
     fn parse(args: &[String]) -> Result<CampaignFlags, String> {
         Ok(CampaignFlags {
-            faults: report::flag_value(args, "--faults")?,
+            faults: flag_value(args, "--faults")?,
             resume: args.iter().any(|a| a == "--resume"),
-            processes: report::flag_value(args, "--processes")?,
+            processes: flag_value(args, "--processes")?,
         })
-    }
-
-    /// The in-process campaign options. Journalling is always on: the
-    /// write-ahead log at `results/<experiment>.journal.jsonl` is what
-    /// `--resume` picks up after a crash or kill.
-    fn campaign_options(&self, experiment: &str) -> CampaignOptions {
-        CampaignOptions {
-            faults: self.faults.map(FaultProfile::seeded),
-            journal: Some(Path::new(report::RESULTS_DIR).join(format!("{experiment}.journal.jsonl"))),
-            resume: self.resume,
-        }
     }
 }
 
@@ -183,34 +175,18 @@ fn run_worker_from_args(args: &[String]) -> i32 {
     }
 }
 
-/// Coordinate the `kind` grid of `attacks` across `processes` worker
-/// processes in `results/<experiment>.campaign` and return the merged
-/// cells and metrics.
+/// Coordinate `manifest`'s campaign, already opened in `dir`, across
+/// `processes` worker processes and return the merged cells and metrics.
 fn run_distributed(
-    kind: CampaignKind,
-    experiment: &str,
-    attacks: &[&str],
-    cli: &CliArgs,
-    flags: &CampaignFlags,
+    manifest: &Manifest,
+    dir: PathBuf,
     processes: usize,
 ) -> Result<(Vec<AnyCell>, MetricsFile), String> {
-    let world = cli.world_config();
-    let attacks: Vec<String> = attacks.iter().map(|a| (*a).to_owned()).collect();
-    let seed = world.seed;
-    let manifest =
-        Manifest::new(kind, world, seed, flags.faults, &attacks, &kind.default_targets());
-    let dir = Path::new(report::RESULTS_DIR).join(format!("{experiment}.campaign"));
-    if !flags.resume {
-        // Same contract as the single-process journal: a fresh run must
-        // not resurrect records from an older campaign.
-        let _ = std::fs::remove_dir_all(&dir);
-    }
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let worker_cmd = vec![exe.to_string_lossy().into_owned(), "--orchestrate-work".to_owned()];
     let mut opts = CoordinatorOptions::new(dir, worker_cmd);
     opts.processes = processes;
-    opts.resume = flags.resume;
-    let summary = run_coordinator(&manifest, &opts)
+    let summary = run_coordinator(manifest, &opts)
         .map_err(|e| format!("distributed campaign failed: {e}"))?;
     println!(
         "campaign: {} shard(s) over {processes} process(es), {} reassigned, {} respawned",
@@ -267,6 +243,6 @@ mod tests {
         let err =
             worker_options_from_args(&args(&["bin", "--dir", "d", "--ttl-ms", "soon"]))
                 .unwrap_err();
-        assert!(err.contains("not a number"), "{err}");
+        assert!(err.contains("--ttl-ms"), "{err}");
     }
 }

@@ -5,10 +5,12 @@
 //! detector and attack → `campaign::run_shard`) and persists
 //! its cells through one writer per kind ([`report_from_cells`]). The
 //! in-process runner is [`run_grid`]; a worker process runs the same
-//! [`run_shard_work`] under a lease and a per-shard journal. That is
-//! what makes a merged distributed campaign byte-identical to an
-//! uninterrupted in-process run: same label-keyed shard seeds, same
-//! resume semantics, same JSON shape.
+//! [`run_shard_work`] under a lease. Both journal each shard into the
+//! same `shards/<slug>.jsonl` of one campaign directory. That is what
+//! makes a merged distributed campaign byte-identical to an
+//! uninterrupted in-process run, and lets a campaign started in one
+//! mode resume in the other: same label-keyed shard seeds, same journals,
+//! same JSON shape.
 //!
 //! Fault injection is process-level: with `kill_after` set, the worker
 //! counts journal appends across all its shards and dies via
@@ -18,7 +20,7 @@
 
 use super::lease::{Heartbeat, Lease};
 use super::manifest::{CampaignKind, Manifest, ShardSpec};
-use crate::campaign::{run_shard, CampaignOptions};
+use crate::campaign::run_shard;
 use crate::commercial::{CollectAes, CommercialCell, CommercialResults};
 use crate::journal::{scan_journal, CampaignJournal};
 use crate::offline::{make_attack, OfflineCell, OfflineResults, VerifyAes};
@@ -28,7 +30,7 @@ use mpass_engine::metrics::{self as trace, Collector};
 use mpass_engine::{Engine, EngineConfig, MetricsFile, Shard};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,7 +91,7 @@ pub fn run_shard_work(
     world: &World,
     kind: CampaignKind,
     spec: &ShardSpec,
-    opts: &CampaignOptions,
+    faults: Option<FaultProfile>,
     journal: Option<&CampaignJournal>,
     shard_seed: u64,
 ) -> AnyCell {
@@ -109,7 +111,7 @@ pub fn run_shard_work(
                 attack.as_mut(),
                 det,
                 &spec.label,
-                opts,
+                faults,
                 journal,
                 shard_seed,
                 VerifyAes::default(),
@@ -123,7 +125,7 @@ pub fn run_shard_work(
                 attack.as_mut(),
                 &av,
                 &spec.label,
-                opts,
+                faults,
                 journal,
                 shard_seed,
                 CollectAes::default(),
@@ -132,28 +134,38 @@ pub fn run_shard_work(
     }
 }
 
-/// Run `shards` of a `kind` campaign on `engine`, in process, with the
-/// journal `opts` configures. Cells come back in shard order, which is
-/// the order a distributed merge writes them in.
+/// Run `shards` of a `kind` campaign on `engine`, in process, under
+/// `faults`. With a campaign directory `dir` (opened by
+/// [`Manifest::open`]), each shard journals into its own
+/// `shards/<slug>.jsonl` there and resumes from what that journal already
+/// holds. Cells come back in shard order, which is the order a
+/// distributed merge writes them in.
 ///
 /// # Errors
 ///
-/// Fails only on journal filesystem errors (opening or recovering it);
-/// the shards themselves cannot fail, only panic — and a panicking shard
-/// is isolated into the metrics file's failure list.
+/// Fails only on journal filesystem errors: every journal is opened (and
+/// recovered) before any shard starts. The shards themselves cannot fail,
+/// only panic — and a panicking shard is isolated into the metrics file's
+/// failure list.
 pub fn run_grid(
     world: &World,
     kind: CampaignKind,
     shards: &[ShardSpec],
     engine: &Engine,
-    opts: &CampaignOptions,
+    faults: Option<FaultProfile>,
+    dir: Option<&Path>,
 ) -> std::io::Result<(Vec<AnyCell>, MetricsFile)> {
-    let journal = opts.open_journal()?;
-    let journal = journal.as_ref();
-    let shards: Vec<Shard<&ShardSpec>> =
-        shards.iter().map(|s| Shard::new(s.label.clone(), s)).collect();
-    let run = engine.run(shards, |ctx, spec| {
-        run_shard_work(world, kind, spec, opts, journal, engine.shard_seed(ctx.label()))
+    let journals = shards
+        .iter()
+        .map(|s| dir.map(|dir| CampaignJournal::open(s.journal_path(dir))).transpose())
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let shards: Vec<Shard<(&ShardSpec, Option<&CampaignJournal>)>> = shards
+        .iter()
+        .zip(&journals)
+        .map(|(s, journal)| Shard::new(s.label.clone(), (s, journal.as_ref())))
+        .collect();
+    let run = engine.run(shards, |ctx, (spec, journal)| {
+        run_shard_work(world, kind, spec, faults, journal, engine.shard_seed(ctx.label()))
     });
     let metrics = MetricsFile::from_run(kind.experiment_name(), &run);
     Ok((run.results, metrics))
@@ -171,16 +183,13 @@ pub fn report_from_cells(kind: CampaignKind, cells: &[AnyCell]) -> String {
 }
 
 /// Uninterrupted single-process reference run over the manifest's exact
-/// shard grid: [`run_grid`] without a journal, then [`report_from_cells`].
+/// shard grid: [`run_grid`] without journals, then [`report_from_cells`].
 /// Returns the serialized report — what a distributed merge must
 /// reproduce byte-for-byte — and the metrics file.
 pub fn run_baseline(world: &World, manifest: &Manifest, workers: usize) -> (String, MetricsFile) {
     let engine = Engine::new(EngineConfig { workers, seed: manifest.seed });
-    let opts = CampaignOptions {
-        faults: manifest.faults.map(FaultProfile::seeded),
-        ..CampaignOptions::default()
-    };
-    let (cells, metrics) = run_grid(world, manifest.kind, &manifest.shards, &engine, &opts)
+    let faults = manifest.faults.map(FaultProfile::seeded);
+    let (cells, metrics) = run_grid(world, manifest.kind, &manifest.shards, &engine, faults, None)
         .expect("no journal configured, so no I/O can fail");
     (report_from_cells(manifest.kind, &cells), metrics)
 }
@@ -252,11 +261,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerSummary, String> {
     // label, so one worker thread per process still produces exactly
     // the seeds an in-process multi-threaded run would.
     let engine = Engine::new(EngineConfig { workers: 1, seed: manifest.seed });
-    let campaign = CampaignOptions {
-        faults: manifest.faults.map(FaultProfile::seeded),
-        resume: true,
-        ..CampaignOptions::default()
-    };
+    let faults = manifest.faults.map(FaultProfile::seeded);
     let appended = Arc::new(AtomicU64::new(0));
     let mut failed: HashSet<String> = HashSet::new();
     let mut summary = WorkerSummary {
@@ -269,8 +274,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerSummary, String> {
         let mut claimable = 0usize;
         let mut attempted = false;
         for spec in &manifest.shards {
-            let journal_path = manifest.journal_path(&opts.dir, spec);
-            let scan = scan_journal(&journal_path)
+            let scan = scan_journal(&spec.journal_path(&opts.dir))
                 .map_err(|e| format!("worker {}: scan {}: {e}", opts.worker_id, spec.slug))?;
             if scan.is_finished(&spec.label) {
                 continue;
@@ -280,7 +284,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerSummary, String> {
                 continue;
             }
             claimable += 1;
-            let lease_path = manifest.lease_path(&opts.dir, spec);
+            let lease_path = spec.lease_path(&opts.dir);
             let Some(lease) = Lease::try_claim(&lease_path, &opts.worker_id, opts.ttl)
                 .map_err(|e| format!("worker {}: claim {}: {e}", opts.worker_id, spec.slug))?
             else {
@@ -288,7 +292,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerSummary, String> {
             };
             attempted = true;
             match run_leased_shard(
-                &world, &manifest, spec, &engine, &campaign, opts, &appended, lease,
+                &world, &manifest, spec, &engine, faults, opts, &appended, lease,
             ) {
                 Ok(()) => summary.shards_run += 1,
                 Err(message) => {
@@ -325,12 +329,12 @@ fn run_leased_shard(
     manifest: &Manifest,
     spec: &ShardSpec,
     engine: &Engine,
-    campaign: &CampaignOptions,
+    faults: Option<FaultProfile>,
     opts: &WorkerOptions,
     appended: &Arc<AtomicU64>,
     lease: Lease,
 ) -> Result<(), String> {
-    let journal_path = manifest.journal_path(&opts.dir, spec);
+    let journal_path = spec.journal_path(&opts.dir);
     let mut journal = CampaignJournal::open(&journal_path)
         .map_err(|e| format!("open journal {}: {e}", journal_path.display()))?;
     {
@@ -355,7 +359,7 @@ fn run_leased_shard(
     let previous = trace::install(Collector::default());
     let started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_shard_work(world, manifest.kind, spec, campaign, Some(&journal), shard_seed)
+        run_shard_work(world, manifest.kind, spec, faults, Some(&journal), shard_seed)
     }));
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let collector = trace::take().unwrap_or_default();
@@ -438,7 +442,7 @@ mod tests {
 
         // The journal now carries the cell and the worker's metrics.
         let spec = &manifest.shards[0];
-        let journal = CampaignJournal::open(manifest.journal_path(&dir, spec)).unwrap();
+        let journal = CampaignJournal::open(spec.journal_path(&dir)).unwrap();
         let cell: OfflineCell = journal.shard_cell(&spec.label).expect("cell journalled");
         let (worker, metrics) = journal.shard_metrics(&spec.label).expect("metrics journalled");
         assert_eq!(worker, "wtest");

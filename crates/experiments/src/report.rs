@@ -81,17 +81,21 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Parse from `std::env::args`. A [`CAMPAIGN_FLAGS`] flag or a
+    /// Parse from `std::env::args`. A [`CAMPAIGN_FLAGS`] flag, one of the
+    /// shared flags in `ignored` (those the binary does not honour), or a
     /// malformed value is a [`usage_error`], raised before any world is
     /// built.
-    pub fn parse() -> CliArgs {
+    pub fn parse(ignored: &[&str]) -> CliArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        if let Some(flag) = args.iter().find(|a| CAMPAIGN_FLAGS.contains(&a.as_str())) {
-            usage_error(&format!(
-                "{flag} is not supported here: only exp_offline, exp_commercial, \
-                 exp_packers and exp_ablation run resumable, fault-injectable or \
-                 distributed campaigns"
-            ));
+        let refused = |a: &&String| CAMPAIGN_FLAGS.iter().chain(ignored).any(|f| f == a);
+        if let Some(flag) = args.iter().find(refused) {
+            let why = if CAMPAIGN_FLAGS.contains(&flag.as_str()) {
+                "only exp_offline, exp_commercial, exp_packers and exp_ablation run \
+                 resumable, fault-injectable or distributed campaigns"
+            } else {
+                "this experiment does not use it"
+            };
+            usage_error(&format!("{flag} is not supported here: {why}"));
         }
         Self::parse_from(&args).unwrap_or_else(|e| usage_error(&e))
     }

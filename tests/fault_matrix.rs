@@ -11,17 +11,17 @@ use mpass::detectors::FaultProfile;
 use mpass::engine::metrics::{self, Collector, ShardMetrics};
 use mpass_experiments::offline::OfflineCell;
 use mpass_experiments::orchestrator::{run_shard_work, CampaignKind, ShardSpec};
-use mpass_experiments::{CampaignOptions, World, WorldConfig};
+use mpass_experiments::{World, WorldConfig};
 
 /// Fault schedule seeds of the matrix. Fixed, not sampled: the point is
 /// a reproducible CI job, and determinism means passing once is passing
 /// forever.
 const SCHEDULE_SEEDS: [u64; 3] = [11, 47, 2023];
 
-fn run_cell(world: &World, opts: &CampaignOptions) -> (OfflineCell, ShardMetrics) {
+fn run_cell(world: &World, faults: Option<FaultProfile>) -> (OfflineCell, ShardMetrics) {
     let spec = ShardSpec::new(0, "MPass", "MalConv");
     let previous = metrics::install(Collector::default());
-    let cell = run_shard_work(world, CampaignKind::Offline, &spec, opts, None, 0xFA17_5EED)
+    let cell = run_shard_work(world, CampaignKind::Offline, &spec, faults, None, 0xFA17_5EED)
         .into_offline();
     let collected = metrics::take().unwrap_or_default().finish("MPass vs MalConv", 0.0);
     if let Some(previous) = previous {
@@ -36,7 +36,7 @@ fn faulted_campaigns_match_the_reliable_run_for_every_seed() {
     cfg.attack_samples = 4;
     let world = World::build(cfg);
 
-    let (reference, reference_metrics) = run_cell(&world, &CampaignOptions::default());
+    let (reference, reference_metrics) = run_cell(&world, None);
     assert!(!reference_metrics.counters.contains_key("oracle/retry"));
 
     let mut total_faulted_submissions = 0u64;
@@ -50,8 +50,7 @@ fn faulted_campaigns_match_the_reliable_run_for_every_seed() {
             rate_limited: 0.10,
             ..FaultProfile::seeded(seed)
         };
-        let opts = CampaignOptions { faults: Some(profile), ..CampaignOptions::default() };
-        let (cell, cell_metrics) = run_cell(&world, &opts);
+        let (cell, cell_metrics) = run_cell(&world, Some(profile));
 
         assert_eq!(
             format!("{:?}", cell.stats),

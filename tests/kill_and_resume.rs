@@ -7,7 +7,7 @@ use mpass::engine::metrics::{self, Collector};
 use mpass::engine::{Engine, EngineConfig, Shard};
 use mpass_experiments::offline::{make_attack, OfflineCell};
 use mpass_experiments::orchestrator::{run_shard_work, CampaignKind, ShardSpec};
-use mpass_experiments::{CampaignJournal, CampaignOptions, World, WorldConfig};
+use mpass_experiments::{CampaignJournal, World, WorldConfig};
 use std::path::PathBuf;
 
 const CRASH_SHARD: &str = "MPass vs MalConv";
@@ -26,14 +26,13 @@ fn journal_path() -> PathBuf {
 fn run_shard(
     world: &World,
     label: &str,
-    opts: &CampaignOptions,
     journal: Option<&CampaignJournal>,
 ) -> (OfflineCell, std::collections::BTreeMap<String, u64>) {
     let attack_name = label.split(' ').next().expect("label is `<attack> vs <target>`");
     let spec = ShardSpec::new(0, attack_name, "MalConv");
     assert_eq!(spec.label, label);
     let previous = metrics::install(Collector::default());
-    let cell = run_shard_work(world, CampaignKind::Offline, &spec, opts, journal, 7).into_offline();
+    let cell = run_shard_work(world, CampaignKind::Offline, &spec, None, journal, 7).into_offline();
     let collected = metrics::take().unwrap_or_default().finish(label, 0.0);
     if let Some(previous) = previous {
         metrics::install(previous);
@@ -48,15 +47,13 @@ fn killed_campaign_resumes_bit_identically() {
     let _ = std::fs::remove_file(&path);
 
     // Reference: both shards, no journal, no crash.
-    let opts = CampaignOptions::default();
-    let (reference_crash, _) = run_shard(&world, CRASH_SHARD, &opts, None);
-    let (reference_clean, _) = run_shard(&world, CLEAN_SHARD, &opts, None);
+    let (reference_crash, _) = run_shard(&world, CRASH_SHARD, None);
+    let (reference_clean, _) = run_shard(&world, CLEAN_SHARD, None);
 
     // "Kill" run: the engine executes both shards against a journal;
     // the clean shard finishes, the other journals its first sample and
     // then dies. catch_unwind isolation means the run itself completes.
-    let fresh = CampaignOptions { journal: Some(path.clone()), ..CampaignOptions::default() };
-    let journal = fresh.open_journal().expect("journal opens").expect("journal configured");
+    let journal = CampaignJournal::open(&path).expect("journal opens");
     {
         let journal = &journal;
         let world = &world;
@@ -76,7 +73,7 @@ fn killed_campaign_resumes_bit_identically() {
                 panic!("simulated crash after one journalled sample");
             }
             let spec = ShardSpec::new(0, "GAMMA", "MalConv");
-            run_shard_work(world, CampaignKind::Offline, &spec, &fresh, Some(journal), 7)
+            run_shard_work(world, CampaignKind::Offline, &spec, None, Some(journal), 7)
         });
         assert_eq!(run.failures.len(), 1, "exactly the crash shard fails");
         assert_eq!(run.failures[0].label, CRASH_SHARD);
@@ -86,12 +83,7 @@ fn killed_campaign_resumes_bit_identically() {
 
     // Resume: the journal recovered from the "killed" process replays
     // the clean shard wholesale and the crash shard's finished sample.
-    let resume = CampaignOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..CampaignOptions::default()
-    };
-    let journal = resume.open_journal().expect("journal opens").expect("journal configured");
+    let journal = CampaignJournal::open(&path).expect("journal opens");
     let clean_samples = world.attack_set(&world.malconv).len();
     assert_eq!(
         journal.recovered_samples(),
@@ -99,8 +91,8 @@ fn killed_campaign_resumes_bit_identically() {
         "crash shard's one sample plus every clean-shard sample"
     );
 
-    let (resumed_crash, crash_counters) = run_shard(&world, CRASH_SHARD, &resume, Some(&journal));
-    let (resumed_clean, clean_counters) = run_shard(&world, CLEAN_SHARD, &resume, Some(&journal));
+    let (resumed_crash, crash_counters) = run_shard(&world, CRASH_SHARD, Some(&journal));
+    let (resumed_clean, clean_counters) = run_shard(&world, CLEAN_SHARD, Some(&journal));
 
     assert_eq!(
         format!("{reference_crash:?}"),
@@ -128,13 +120,11 @@ fn torn_journal_tail_still_resumes() {
         std::env::temp_dir().join(format!("mpass-torn-resume-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
-    let opts = CampaignOptions::default();
-    let (reference, _) = run_shard(&world, CRASH_SHARD, &opts, None);
+    let (reference, _) = run_shard(&world, CRASH_SHARD, None);
 
     // Journal the full shard, then simulate a kill mid-append.
-    let fresh = CampaignOptions { journal: Some(path.clone()), ..CampaignOptions::default() };
-    let journal = fresh.open_journal().unwrap().unwrap();
-    let (first, _) = run_shard(&world, CRASH_SHARD, &fresh, Some(&journal));
+    let journal = CampaignJournal::open(&path).unwrap();
+    let (first, _) = run_shard(&world, CRASH_SHARD, Some(&journal));
     assert_eq!(format!("{reference:?}"), format!("{first:?}"));
     drop(journal);
     {
@@ -143,13 +133,8 @@ fn torn_journal_tail_still_resumes() {
         file.write_all(b"{\"kind\":\"sample\",\"shard\":\"MPass vs Mal").unwrap();
     }
 
-    let resume = CampaignOptions {
-        journal: Some(path.clone()),
-        resume: true,
-        ..CampaignOptions::default()
-    };
-    let journal = resume.open_journal().unwrap().unwrap();
-    let (resumed, counters) = run_shard(&world, CRASH_SHARD, &resume, Some(&journal));
+    let journal = CampaignJournal::open(&path).unwrap();
+    let (resumed, counters) = run_shard(&world, CRASH_SHARD, Some(&journal));
     assert_eq!(format!("{reference:?}"), format!("{resumed:?}"));
     assert_eq!(counters.get("campaign/shard_resumed"), Some(&1));
 
