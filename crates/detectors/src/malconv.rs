@@ -205,11 +205,11 @@ impl MalConv {
             stride: snap.meta_parsed("stride")?,
             hidden: snap.meta_parsed("hidden")?,
         };
-        if config.kernel == 0 || config.stride == 0 {
-            return Err(SnapshotError::BadMeta {
-                key: "kernel".to_owned(),
-                value: format!("kernel {} stride {}", config.kernel, config.stride),
-            });
+        let c = &config;
+        if [c.window, c.embed_dim, c.filters, c.kernel, c.stride, c.hidden].contains(&0)
+            || c.window < c.kernel
+        {
+            return Err(unrunnable(c));
         }
         let nonneg = snap.meta_parsed::<u8>("nonneg")? != 0;
         let name = snap
@@ -263,44 +263,12 @@ impl MalConv {
         })
     }
 
-    fn tokenize(&self, bytes: &[u8]) -> Vec<usize> {
-        let mut tokens = Vec::with_capacity(self.config.window);
-        for i in 0..self.config.window {
-            tokens.push(bytes.get(i).map(|&b| b as usize).unwrap_or(PAD));
-        }
-        tokens
-    }
-
-    /// Re-tokenize into an existing `window`-sized buffer.
-    fn tokenize_into(&self, bytes: &[u8], tokens: &mut [usize]) {
-        debug_assert_eq!(tokens.len(), self.config.window);
-        for (i, t) in tokens.iter_mut().enumerate() {
-            *t = bytes.get(i).map(|&b| b as usize).unwrap_or(PAD);
-        }
-    }
-
     /// The token-indexed conv tables, built on first use after training.
     fn tables(&self) -> &GatedTables {
         self.tables.get_or_build(|| GatedTables {
             a: TokenConv::build(&self.conv_a, &self.embedding),
             b: TokenConv::build(&self.conv_b, &self.embedding),
         })
-    }
-
-    /// Tabled gated forward: fill `a`, `b` and `gated = a · σ(b)` over
-    /// `tokens` (all `[windows × filters]` flat).
-    fn gated_forward(
-        &self,
-        t: &GatedTables,
-        tokens: &[usize],
-        a: &mut Vec<f32>,
-        b: &mut Vec<f32>,
-        gated: &mut Vec<f32>,
-    ) {
-        t.a.forward_into(tokens, a);
-        t.b.forward_into(tokens, b);
-        gated.clear();
-        gated.extend(a.iter().zip(b.iter()).map(|(&ai, &bi)| ai * sigmoid(bi)));
     }
 
     /// Pool + dense head over cached gated activations; returns the logit.
@@ -367,7 +335,7 @@ impl MalConv {
     }
 
     fn forward(&self, bytes: &[u8]) -> Activations {
-        let tokens = self.tokenize(bytes);
+        let tokens = tokenize(bytes, self.config.window);
         let x = self.embedding.forward(&tokens);
         let a = self.conv_a.forward(&x);
         let b = self.conv_b.forward(&x);
@@ -460,78 +428,38 @@ impl MalConv {
     /// `forward_window_into` arithmetic, over an embedding buffer filled
     /// with the same per-token rows. Windows past the file's extent all
     /// see the identical all-PAD patch, so their gated row is computed
-    /// once per batch and replicated — that skip, plus embedding/conv
-    /// scratch drawn once from a [`Workspace`] free-list and reused
-    /// across items, is where the batch throughput comes from.
+    /// once per batch and replicated — that skip, plus scratch allocated
+    /// once per batch and reused across items, is where the batch
+    /// throughput comes from.
     fn logit_batch_into(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let dim = self.embedding.dim();
-        let window = self.config.window;
         let filters = self.config.filters;
-        let kernel = self.config.kernel;
-        let stride = self.config.stride;
-        let windows_total = self.conv_a.windows(window);
+        let windows_total = self.conv_a.windows(self.config.window);
         // Component-major weight copies let every window's conv run as
         // lane-chunked axpy over contiguous output channels; the kernel is
         // bit-identical to the scalar `forward_window_into`, and building
         // the transpose once per batch amortizes it over all items.
         let xa = self.conv_a.transposed();
         let xb = self.conv_b.transposed();
-        let mut ws = Workspace::default();
+        let mut input = PaddedInput::new(&self.embedding, self.config.window, &self.conv_a);
+        let mut a_row = vec![0.0; filters];
+        let mut b_row = vec![0.0; filters];
         // One all-PAD receptive field serves every fully-padded window in
         // every item.
-        let mut pad_patch = ws.take_f32(kernel * dim);
-        for k in 0..kernel {
-            pad_patch[k * dim..(k + 1) * dim].copy_from_slice(self.embedding.vector(PAD));
-        }
-        let mut pad_a = ws.take_f32(filters);
-        let mut pad_b = ws.take_f32(filters);
-        let mut pad_gated = ws.take_f32(filters);
-        if windows_total > 0 {
-            xa.forward_window_into(&pad_patch, 0, &mut pad_a);
-            xb.forward_window_into(&pad_patch, 0, &mut pad_b);
-            for ((g, &ai), &bi) in pad_gated.iter_mut().zip(&pad_a).zip(&pad_b) {
-                *g = ai * sigmoid(bi);
-            }
-        }
-        let mut x = ws.take_f32(window * dim);
-        let mut a_row = ws.take_f32(filters);
-        let mut b_row = ws.take_f32(filters);
-        let mut gated = ws.take_f32(windows_total * filters);
+        let mut pad_gated = vec![0.0; filters];
+        xa.forward_window_into(&input.pad_patch, 0, &mut a_row);
+        xb.forward_window_into(&input.pad_patch, 0, &mut b_row);
+        gate_into(&a_row, &b_row, &mut pad_gated);
+        let mut gated = vec![0.0; windows_total * filters];
         out.reserve(items.len());
         for bytes in items {
-            let data_len = bytes.len().min(window);
-            // Windows touching position < data_len; everything after is
-            // all-PAD and gets the replicated row.
-            let data_windows = if data_len == 0 {
-                0
-            } else {
-                (((data_len - 1) / stride) + 1).min(windows_total)
-            };
-            // Embed only what those windows can see: the data prefix plus
-            // any PAD positions inside the last data-overlapping window.
-            let visible = if data_windows == 0 {
-                0
-            } else {
-                ((data_windows - 1) * stride + kernel).min(window)
-            };
-            let data_fill = data_len.min(visible);
-            for (i, &byte) in bytes.iter().enumerate().take(data_fill) {
-                x[i * dim..(i + 1) * dim]
-                    .copy_from_slice(self.embedding.vector(byte as usize));
-            }
-            for i in data_fill..visible {
-                x[i * dim..(i + 1) * dim].copy_from_slice(self.embedding.vector(PAD));
-            }
+            let data_windows = input.embed(bytes);
             for w in 0..data_windows {
-                xa.forward_window_into(&x, w, &mut a_row);
-                xb.forward_window_into(&x, w, &mut b_row);
-                let g = &mut gated[w * filters..(w + 1) * filters];
-                for ((gi, &ai), &bi) in g.iter_mut().zip(&a_row).zip(&b_row) {
-                    *gi = ai * sigmoid(bi);
-                }
+                xa.forward_window_into(&input.x, w, &mut a_row);
+                xb.forward_window_into(&input.x, w, &mut b_row);
+                gate_into(&a_row, &b_row, &mut gated[w * filters..(w + 1) * filters]);
             }
-            for w in data_windows..windows_total {
-                gated[w * filters..(w + 1) * filters].copy_from_slice(&pad_gated);
+            for row in gated[data_windows * filters..].chunks_exact_mut(filters) {
+                row.copy_from_slice(&pad_gated);
             }
             out.push(self.head_logit(&gated));
         }
@@ -585,47 +513,17 @@ impl WhiteBoxModel for MalConv {
         self.config.window
     }
 
-    fn benign_loss_grad_into(
-        &self,
-        bytes: &[u8],
-        ws: &mut Workspace,
-        grad: &mut Vec<f32>,
-    ) -> f32 {
-        let t = self.tables();
-        let mut tokens = ws.take_idx(self.config.window);
-        self.tokenize_into(bytes, &mut tokens);
-        let mut a = ws.take_f32(0);
-        let mut b = ws.take_f32(0);
-        let mut gated = ws.take_f32(0);
-        self.gated_forward(t, &tokens, &mut a, &mut b, &mut gated);
-        let loss = self.head_backward_into(ws, &a, &b, &gated, grad);
-        ws.give_f32(gated);
-        ws.give_f32(b);
-        ws.give_f32(a);
-        ws.give_idx(tokens);
-        loss
-    }
-
     fn session(&self) -> Box<dyn WhiteBoxSession + '_> {
-        Box::new(ByteConvSession {
-            tables: self.tables(),
-            net: self,
-            ws: Workspace::default(),
-            tokens: Vec::new(),
-            a: Vec::new(),
-            b: Vec::new(),
-            gated: Vec::new(),
-            len: 0,
-            primed: false,
-        })
+        Box::new(ByteConvSession::new(self))
     }
 }
 
 /// Incremental inference session over one evolving byte buffer: caches
 /// the tokenization and gated-conv activations, recomputing only windows
-/// whose receptive field overlaps a dirty span, then re-pools. Patched
-/// windows use the identical per-window arithmetic as the full tabled
-/// forward, so incremental results are bit-equal to a fresh session.
+/// whose receptive field overlaps a dirty span, then re-pools. Priming is
+/// the dirty span `0..window`, so every result comes from the one
+/// per-window loop and incremental results are bit-equal to a fresh
+/// session's.
 struct ByteConvSession<'a> {
     net: &'a MalConv,
     tables: &'a GatedTables,
@@ -634,57 +532,54 @@ struct ByteConvSession<'a> {
     a: Vec<f32>,
     b: Vec<f32>,
     gated: Vec<f32>,
-    len: usize,
-    primed: bool,
+    /// Length of the buffer the caches describe; `None` until primed.
+    len: Option<usize>,
 }
 
-impl ByteConvSession<'_> {
+impl<'a> ByteConvSession<'a> {
+    fn new(net: &'a MalConv) -> Self {
+        let tables = net.tables();
+        let cells = tables.a.windows(net.config.window) * net.config.filters;
+        ByteConvSession {
+            net,
+            tables,
+            ws: Workspace::default(),
+            tokens: vec![PAD; net.config.window],
+            a: vec![0.0; cells],
+            b: vec![0.0; cells],
+            gated: vec![0.0; cells],
+            len: None,
+        }
+    }
+
     /// Bring cached activations up to date with `bytes`, trusting `dirty`
     /// to cover every changed offset since the last call.
     fn sync(&mut self, bytes: &[u8], dirty: &[Range<usize>]) {
-        let window = self.net.config.window;
-        if !self.primed || bytes.len() != self.len {
-            self.tokens.clear();
-            self.tokens.resize(window, 0);
-            self.net.tokenize_into(bytes, &mut self.tokens);
-            self.net.gated_forward(
-                self.tables,
-                &self.tokens,
-                &mut self.a,
-                &mut self.b,
-                &mut self.gated,
-            );
-            self.len = bytes.len();
-            self.primed = true;
-            return;
-        }
-        let filters = self.net.config.filters;
+        let (window, filters) = (self.net.config.window, self.net.config.filters);
+        let prime = 0..window;
+        let dirty = if self.len == Some(bytes.len()) {
+            dirty
+        } else {
+            self.len = Some(bytes.len());
+            std::slice::from_ref(&prime)
+        };
         for r in dirty {
-            let lo = r.start.min(window);
-            let hi = r.end.min(window);
-            if lo >= hi {
-                continue;
-            }
+            let (lo, hi) = (r.start.min(window), r.end.min(window));
             for i in lo..hi {
-                self.tokens[i] = bytes.get(i).map(|&v| v as usize).unwrap_or(PAD);
+                self.tokens[i] = token_at(bytes, i);
             }
             for w in self.tables.a.dirty_windows(window, lo, hi) {
                 let span = w * filters..(w + 1) * filters;
                 self.tables.a.window_into(&self.tokens, w, &mut self.a[span.clone()]);
                 self.tables.b.window_into(&self.tokens, w, &mut self.b[span.clone()]);
-                for i in span {
-                    self.gated[i] = self.a[i] * sigmoid(self.b[i]);
-                }
+                gate_into(&self.a[span.clone()], &self.b[span.clone()], &mut self.gated[span]);
             }
         }
-        #[cfg(debug_assertions)]
-        for (i, &t) in self.tokens.iter().enumerate() {
-            debug_assert_eq!(
-                t,
-                bytes.get(i).map(|&v| v as usize).unwrap_or(PAD),
-                "dirty spans did not cover a changed byte at offset {i}"
-            );
-        }
+        debug_assert_eq!(
+            self.tokens.iter().enumerate().position(|(i, &t)| t != token_at(bytes, i)),
+            None,
+            "dirty spans did not cover every changed byte"
+        );
     }
 }
 
@@ -702,6 +597,89 @@ impl WhiteBoxSession for ByteConvSession<'_> {
     ) -> f32 {
         self.sync(bytes, dirty);
         self.net.head_backward_into(&mut self.ws, &self.a, &self.b, &self.gated, grad)
+    }
+}
+
+/// `g = a · σ(b)` element-wise: the gate of every MalConv window.
+fn gate_into(a: &[f32], b: &[f32], g: &mut [f32]) {
+    for ((gi, &ai), &bi) in g.iter_mut().zip(a).zip(b) {
+        *gi = ai * sigmoid(bi);
+    }
+}
+
+/// The token a byte-conv model reads at offset `i`: the byte there, or
+/// [`PAD`] past the end of the file.
+pub(crate) fn token_at(bytes: &[u8], i: usize) -> usize {
+    bytes.get(i).map_or(PAD, |&b| usize::from(b))
+}
+
+/// The `window` tokens a byte-conv model reads from `bytes`.
+pub(crate) fn tokenize(bytes: &[u8], window: usize) -> Vec<usize> {
+    (0..window).map(|i| token_at(bytes, i)).collect()
+}
+
+/// The `BadMeta` refusal of a snapshot config no forward pass can run: a
+/// zero width, or an input shorter than one conv window, whose max-pool
+/// would panic at the first score.
+pub(crate) fn unrunnable(config: &impl std::fmt::Debug) -> SnapshotError {
+    SnapshotError::BadMeta { key: "window".to_owned(), value: format!("{config:?}") }
+}
+
+/// Of the `total` windows of a `kernel`/`stride` conv, how many read one
+/// of the first `len` input positions, and how many leading positions
+/// those windows read. Every later window reads padding only.
+pub(crate) fn data_extent(
+    len: usize,
+    kernel: usize,
+    stride: usize,
+    total: usize,
+) -> (usize, usize) {
+    if len == 0 || total == 0 {
+        return (0, 0);
+    }
+    let windows = ((len - 1) / stride + 1).min(total);
+    (windows, (windows - 1) * stride + kernel)
+}
+
+/// The byte end of both pad-skipping batch kernels, built once per batch
+/// for a model's first conv layer: an embedding buffer reused across
+/// items, and the all-PAD receptive field whose response stands in for
+/// every window past a file's extent.
+pub(crate) struct PaddedInput<'a> {
+    embedding: &'a Embedding,
+    kernel: usize,
+    stride: usize,
+    windows: usize,
+    /// `window × dim` embedded input; [`PaddedInput::embed`] refreshes the
+    /// prefix the data-overlapping windows read.
+    pub x: Vec<f32>,
+    /// One `kernel × dim` receptive field of PAD embeddings.
+    pub pad_patch: Vec<f32>,
+}
+
+impl<'a> PaddedInput<'a> {
+    pub fn new(embedding: &'a Embedding, window: usize, conv: &Conv1d) -> Self {
+        PaddedInput {
+            embedding,
+            kernel: conv.kernel(),
+            stride: conv.stride(),
+            windows: conv.windows(window),
+            x: vec![0.0; window * embedding.dim()],
+            pad_patch: embedding.vector(PAD).repeat(conv.kernel()),
+        }
+    }
+
+    /// Embed the positions of `bytes` its data-overlapping windows read
+    /// (file bytes, then PAD to the end of the last such window); returns
+    /// how many windows overlap the data.
+    pub fn embed(&mut self, bytes: &[u8]) -> usize {
+        let dim = self.embedding.dim();
+        let (windows, visible) = data_extent(bytes.len(), self.kernel, self.stride, self.windows);
+        for i in 0..visible {
+            self.x[i * dim..(i + 1) * dim]
+                .copy_from_slice(self.embedding.vector(token_at(bytes, i)));
+        }
+        windows
     }
 }
 
@@ -759,9 +737,8 @@ mod tests {
         let mut m = MalConv::new(ByteConvConfig::tiny(), &mut rng);
         m.train(&pairs, 4, 5e-3, &mut rng);
         let mal = &ds.malware()[0].bytes;
-        let mut ws = Workspace::default();
         let mut grad = Vec::new();
-        let loss = m.benign_loss_grad_into(mal, &mut ws, &mut grad);
+        let loss = m.session().loss_grad_delta(mal, &[], &mut grad);
         assert!(loss.is_finite());
         // Finite-difference along the negative gradient direction, probed
         // through the embedding of byte 0 at position 100 (inside .text is
@@ -799,7 +776,7 @@ mod tests {
         let mut modified = mal.clone();
         if pos < modified.len() {
             modified[pos] = newtok as u8;
-            let loss2 = m.benign_loss_grad_into(&modified, &mut ws, &mut grad);
+            let loss2 = m.session().loss_grad_delta(&modified, &[], &mut grad);
             assert!(loss2 <= loss + 1e-3, "loss rose from {loss} to {loss2}");
         }
     }
@@ -948,24 +925,50 @@ mod tests {
         }
     }
 
+    /// A session re-primes whenever `bytes.len()` changes, whatever
+    /// `dirty` says: every score and gradient after a length change equals
+    /// a fresh session's bit for bit, for longer and shorter buffers alike.
+    #[test]
+    fn sessions_reprime_when_the_length_changes() {
+        let m = trained_tiny();
+        let ds = dataset();
+        let full = &ds.malware()[2].bytes;
+        let mut sess = m.session();
+        sess.score_delta(&full[..2000], &[]); // prime
+        let (mut g_live, mut g_fresh) = (Vec::new(), Vec::new());
+        for len in [3000, 1000, full.len(), 64] {
+            let bytes = &full[..len];
+            let live = sess.score_delta(bytes, &[]);
+            let fresh = m.session().score_delta(bytes, &[]);
+            assert_eq!(live.to_bits(), fresh.to_bits(), "score after resize to {len}");
+        }
+        for len in [2500, 700] {
+            let bytes = &full[..len];
+            let live = sess.loss_grad_delta(bytes, &[], &mut g_live);
+            let fresh = m.session().loss_grad_delta(bytes, &[], &mut g_fresh);
+            assert_eq!(live.to_bits(), fresh.to_bits(), "loss after resize to {len}");
+            assert_eq!(g_live, g_fresh, "gradient after resize to {len}");
+        }
+    }
+
     /// The zero-clone gradient path: the model's own parameter-gradient
     /// accumulators stay untouched (nothing backpropagates into them), and
-    /// the workspace reaches a steady state where repeated calls recycle
-    /// every buffer instead of allocating.
+    /// the session's workspace reaches a steady state where repeated calls
+    /// recycle every buffer instead of allocating.
     #[test]
     fn gradient_path_is_zero_clone_and_reuses_buffers() {
         let m = trained_tiny();
         let ds = dataset();
         let bytes = &ds.malware()[0].bytes;
-        let mut ws = Workspace::default();
+        let mut sess = ByteConvSession::new(&m);
         let mut grad = Vec::new();
-        let l1 = m.benign_loss_grad_into(bytes, &mut ws, &mut grad);
-        let pooled_after_first = ws.pooled();
+        let l1 = sess.loss_grad_delta(bytes, &[], &mut grad);
+        let pooled_after_first = sess.ws.pooled();
         let g1 = grad.clone();
-        let l2 = m.benign_loss_grad_into(bytes, &mut ws, &mut grad);
+        let l2 = sess.loss_grad_delta(bytes, &[], &mut grad);
         assert_eq!(l1.to_bits(), l2.to_bits());
         assert_eq!(g1, grad, "repeated calls must be deterministic");
-        assert_eq!(ws.pooled(), pooled_after_first, "buffer pool must reach steady state");
+        assert_eq!(sess.ws.pooled(), pooled_after_first, "buffer pool must reach steady state");
         // &self throughout: parameter gradients cannot have been touched.
         assert!(m.conv_a.weight.g.iter().all(|&g| g == 0.0));
         assert!(m.conv_b.weight.g.iter().all(|&g| g == 0.0));

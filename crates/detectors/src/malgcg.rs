@@ -7,18 +7,17 @@
 //! gradients differ from the MalConv family — which is what makes it a
 //! meaningful fourth transfer target.
 
+use crate::malconv::{data_extent, token_at, tokenize, unrunnable, PaddedInput, PAD, VOCAB};
 use crate::traits::{Detector, WhiteBoxModel, WhiteBoxSession};
 use mpass_ml::{
     bce_with_logits, bce_with_logits_backward, global_max_pool, global_max_pool_backward,
-    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, Embedding, Linear, Snapshot,
-    SnapshotBuilder, SnapshotError, TokenConv, Workspace,
+    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, ConvXposed, Embedding, Linear,
+    Snapshot, SnapshotBuilder, SnapshotError, TokenConv, Workspace,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-
-use crate::malconv::{PAD, VOCAB};
 
 /// Hyper-parameters for [`MalGcg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,15 +86,8 @@ pub struct MalGcg {
     head2: Linear,
     threshold: f32,
     /// Token-indexed layer-1 responses; rebuilt lazily after training.
-    tables: Cached<GcgTables>,
-}
-
-/// Token-indexed response table of the first conv layer. The second layer
-/// runs over layer-1 activations (not tokens), so it keeps the plain
-/// [`Conv1d`] per-window kernel.
-#[derive(Debug, Clone)]
-struct GcgTables {
-    t1: TokenConv,
+    /// Layer 2 reads layer-1 activations, not tokens, so it has no table.
+    tables: Cached<TokenConv>,
 }
 
 struct Activations {
@@ -175,15 +167,13 @@ impl MalGcg {
             stride2: snap.meta_parsed("stride2")?,
             hidden: snap.meta_parsed("hidden")?,
         };
-        if config.kernel1 == 0 || config.stride1 == 0 || config.kernel2 == 0 || config.stride2 == 0
+        let c = &config;
+        if [c.window, c.embed_dim, c.ch1, c.kernel1, c.stride1].contains(&0)
+            || [c.ch2, c.kernel2, c.stride2, c.hidden].contains(&0)
+            || c.window < c.kernel1
+            || (c.window - c.kernel1) / c.stride1 + 1 < c.kernel2
         {
-            return Err(SnapshotError::BadMeta {
-                key: "kernel1".to_owned(),
-                value: format!(
-                    "kernel1 {} stride1 {} kernel2 {} stride2 {}",
-                    config.kernel1, config.stride1, config.kernel2, config.stride2
-                ),
-            });
+            return Err(unrunnable(c));
         }
         let embedding = Embedding::from_weights(
             VOCAB,
@@ -232,53 +222,9 @@ impl MalGcg {
         })
     }
 
-    fn tokenize(&self, bytes: &[u8]) -> Vec<usize> {
-        (0..self.config.window)
-            .map(|i| bytes.get(i).map(|&b| b as usize).unwrap_or(PAD))
-            .collect()
-    }
-
-    /// Re-tokenize into an existing `window`-sized buffer.
-    fn tokenize_into(&self, bytes: &[u8], tokens: &mut [usize]) {
-        debug_assert_eq!(tokens.len(), self.config.window);
-        for (i, t) in tokens.iter_mut().enumerate() {
-            *t = bytes.get(i).map(|&b| b as usize).unwrap_or(PAD);
-        }
-    }
-
     /// The token-indexed layer-1 table, built on first use after training.
-    fn tables(&self) -> &GcgTables {
-        self.tables
-            .get_or_build(|| GcgTables { t1: TokenConv::build(&self.conv1, &self.embedding) })
-    }
-
-    /// Tabled stacked forward: layer 1 via the token table, layer 2 via the
-    /// per-window conv kernel over layer-1 activations. Fills `c1`/`r1`
-    /// (`[windows1 × ch1]`) and `c2`/`r2` (`[windows2 × ch2]`).
-    fn stacked_forward(
-        &self,
-        t: &GcgTables,
-        tokens: &[usize],
-        c1: &mut Vec<f32>,
-        r1: &mut Vec<f32>,
-        c2: &mut Vec<f32>,
-        r2: &mut Vec<f32>,
-    ) {
-        t.t1.forward_into(tokens, c1);
-        r1.clear();
-        r1.extend(c1.iter().map(|&v| v.max(0.0)));
-        let ch2 = self.config.ch2;
-        let windows2 = self.conv2.windows(r1.len() / self.config.ch1);
-        c2.clear();
-        c2.resize(windows2 * ch2, 0.0);
-        // One transpose amortized over all layer-2 windows; bit-identical
-        // to the scalar per-window kernel.
-        let x2 = self.conv2.transposed();
-        for w in 0..windows2 {
-            x2.forward_window_into(r1, w, &mut c2[w * ch2..(w + 1) * ch2]);
-        }
-        r2.clear();
-        r2.extend(c2.iter().map(|&v| v.max(0.0)));
+    fn tables(&self) -> &TokenConv {
+        self.tables.get_or_build(|| TokenConv::build(&self.conv1, &self.embedding))
     }
 
     /// The mixed max/mean pooled features over cached `r2` activations,
@@ -374,7 +320,7 @@ impl MalGcg {
     }
 
     fn forward(&self, bytes: &[u8]) -> Activations {
-        let tokens = self.tokenize(bytes);
+        let tokens = tokenize(bytes, self.config.window);
         let x = self.embedding.forward(&tokens);
         let c1 = self.conv1.forward(&x);
         let r1 = relu(&c1);
@@ -455,12 +401,10 @@ impl MalGcg {
     /// produce one constant relu row, and layer-2 windows whose receptive
     /// field lies entirely in that constant region produce one constant
     /// `r2` row — each computed once per batch through the real conv
-    /// kernels, then replicated. Scratch is drawn once from a
-    /// [`Workspace`] free-list and reused across items.
+    /// kernels, then replicated. Scratch is allocated once per batch and
+    /// reused across items.
     fn logit_batch_into(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let dim = self.config.embed_dim;
         let (window, ch1, ch2) = (self.config.window, self.config.ch1, self.config.ch2);
-        let (kernel1, stride1) = (self.config.kernel1, self.config.stride1);
         let (kernel2, stride2) = (self.config.kernel2, self.config.stride2);
         let w1_total = self.conv1.windows(window);
         let w2_total = self.conv2.windows(w1_total);
@@ -469,87 +413,38 @@ impl MalGcg {
         // channels, bit-identical to the scalar kernel.
         let x1 = self.conv1.transposed();
         let x2 = self.conv2.transposed();
-        let mut ws = Workspace::default();
+        let mut input = PaddedInput::new(&self.embedding, window, &self.conv1);
+        let mut c1_row = vec![0.0; ch1];
+        let mut c2_row = vec![0.0; ch2];
         // Constant rows for the fully-padded tail, layer by layer.
-        let mut pad_patch = ws.take_f32(kernel1 * dim);
-        for k in 0..kernel1 {
-            pad_patch[k * dim..(k + 1) * dim].copy_from_slice(self.embedding.vector(PAD));
-        }
-        let mut pad_r1 = ws.take_f32(ch1);
-        if w1_total > 0 {
-            x1.forward_window_into(&pad_patch, 0, &mut pad_r1);
-            for v in &mut pad_r1 {
-                *v = v.max(0.0);
-            }
-        }
-        let mut pad_r1_patch = ws.take_f32(kernel2 * ch1);
-        for k in 0..kernel2 {
-            pad_r1_patch[k * ch1..(k + 1) * ch1].copy_from_slice(&pad_r1);
-        }
-        let mut pad_r2 = ws.take_f32(ch2);
-        if w2_total > 0 {
-            x2.forward_window_into(&pad_r1_patch, 0, &mut pad_r2);
-            for v in &mut pad_r2 {
-                *v = v.max(0.0);
-            }
-        }
-        let mut x = ws.take_f32(window * dim);
-        let mut c1_row = ws.take_f32(ch1);
-        let mut c2_row = ws.take_f32(ch2);
-        let mut r1 = ws.take_f32(w1_total * ch1);
-        let mut r2 = ws.take_f32(w2_total * ch2);
+        let mut pad_r1 = vec![0.0; ch1];
+        x1.forward_window_into(&input.pad_patch, 0, &mut c1_row);
+        relu_into(&c1_row, &mut pad_r1);
+        let mut pad_r2 = vec![0.0; ch2];
+        x2.forward_window_into(&pad_r1.repeat(kernel2), 0, &mut c2_row);
+        relu_into(&c2_row, &mut pad_r2);
+        let mut r1 = vec![0.0; w1_total * ch1];
+        let mut r2 = vec![0.0; w2_total * ch2];
         out.reserve(items.len());
         for bytes in items {
-            let data_len = bytes.len().min(window);
-            let data_w1 = if data_len == 0 {
-                0
-            } else {
-                (((data_len - 1) / stride1) + 1).min(w1_total)
-            };
-            // Embed only what the data-overlapping layer-1 windows see.
-            let visible = if data_w1 == 0 {
-                0
-            } else {
-                ((data_w1 - 1) * stride1 + kernel1).min(window)
-            };
-            let data_fill = data_len.min(visible);
-            for (i, &byte) in bytes.iter().enumerate().take(data_fill) {
-                x[i * dim..(i + 1) * dim]
-                    .copy_from_slice(self.embedding.vector(byte as usize));
-            }
-            for i in data_fill..visible {
-                x[i * dim..(i + 1) * dim].copy_from_slice(self.embedding.vector(PAD));
-            }
+            let data_w1 = input.embed(bytes);
             for w in 0..data_w1 {
-                x1.forward_window_into(&x, w, &mut c1_row);
-                for (r, &v) in r1[w * ch1..(w + 1) * ch1].iter_mut().zip(&c1_row) {
-                    *r = v.max(0.0);
-                }
+                x1.forward_window_into(&input.x, w, &mut c1_row);
+                relu_into(&c1_row, &mut r1[w * ch1..(w + 1) * ch1]);
             }
             // Layer-2 windows read kernel2 consecutive r1 rows; the PAD
             // rows still visible to a data-overlapping layer-2 window must
             // be materialized before the conv runs over them.
-            let data_w2 = if data_w1 == 0 {
-                0
-            } else {
-                (((data_w1 - 1) / stride2) + 1).min(w2_total)
-            };
-            let visible1 = if data_w2 == 0 {
-                0
-            } else {
-                ((data_w2 - 1) * stride2 + kernel2).min(w1_total)
-            };
+            let (data_w2, visible1) = data_extent(data_w1, kernel2, stride2, w2_total);
             for w in data_w1..visible1 {
                 r1[w * ch1..(w + 1) * ch1].copy_from_slice(&pad_r1);
             }
             for w in 0..data_w2 {
                 x2.forward_window_into(&r1, w, &mut c2_row);
-                for (r, &v) in r2[w * ch2..(w + 1) * ch2].iter_mut().zip(&c2_row) {
-                    *r = v.max(0.0);
-                }
+                relu_into(&c2_row, &mut r2[w * ch2..(w + 1) * ch2]);
             }
-            for w in data_w2..w2_total {
-                r2[w * ch2..(w + 1) * ch2].copy_from_slice(&pad_r2);
+            for row in r2[data_w2 * ch2..].chunks_exact_mut(ch2) {
+                row.copy_from_slice(&pad_r2);
             }
             out.push(self.head_logit(&r2));
         }
@@ -603,122 +498,87 @@ impl WhiteBoxModel for MalGcg {
         self.config.window
     }
 
-    fn benign_loss_grad_into(
-        &self,
-        bytes: &[u8],
-        ws: &mut Workspace,
-        grad: &mut Vec<f32>,
-    ) -> f32 {
-        let t = self.tables();
-        let mut tokens = ws.take_idx(self.config.window);
-        self.tokenize_into(bytes, &mut tokens);
-        let mut c1 = ws.take_f32(0);
-        let mut r1 = ws.take_f32(0);
-        let mut c2 = ws.take_f32(0);
-        let mut r2 = ws.take_f32(0);
-        self.stacked_forward(t, &tokens, &mut c1, &mut r1, &mut c2, &mut r2);
-        let loss = self.backward_into(ws, &c1, &r1, &c2, &r2, grad);
-        ws.give_f32(r2);
-        ws.give_f32(c2);
-        ws.give_f32(r1);
-        ws.give_f32(c1);
-        ws.give_idx(tokens);
-        loss
-    }
-
     fn session(&self) -> Box<dyn WhiteBoxSession + '_> {
-        Box::new(MalGcgSession {
-            tables: self.tables(),
-            net: self,
-            ws: Workspace::default(),
-            tokens: Vec::new(),
-            c1: Vec::new(),
-            r1: Vec::new(),
-            c2: Vec::new(),
-            r2: Vec::new(),
-            len: 0,
-            primed: false,
-        })
+        Box::new(MalGcgSession::new(self))
     }
 }
 
 /// Incremental inference session: caches the tokenization and both conv
 /// layers' activations. Dirty byte spans invalidate layer-1 windows, which
 /// in turn invalidate the layer-2 windows whose receptive field overlaps
-/// them; everything else is reused. Patched windows use the identical
-/// per-window arithmetic as the full stacked forward, so incremental
-/// results are bit-equal to a fresh session.
+/// them; everything else is reused. Priming is the dirty span
+/// `0..window`, so every result comes from the one per-window loop and
+/// incremental results are bit-equal to a fresh session's.
 struct MalGcgSession<'a> {
     net: &'a MalGcg,
-    tables: &'a GcgTables,
+    t1: &'a TokenConv,
+    /// Layer 2's transposed kernel, bit-identical to the scalar one.
+    x2: ConvXposed<'a>,
     ws: Workspace,
     tokens: Vec<usize>,
     c1: Vec<f32>,
     r1: Vec<f32>,
     c2: Vec<f32>,
     r2: Vec<f32>,
-    len: usize,
-    primed: bool,
+    /// Length of the buffer the caches describe; `None` until primed.
+    len: Option<usize>,
 }
 
-impl MalGcgSession<'_> {
+impl<'a> MalGcgSession<'a> {
+    fn new(net: &'a MalGcg) -> Self {
+        let c = &net.config;
+        let windows1 = net.conv1.windows(c.window);
+        let cells1 = windows1 * c.ch1;
+        let cells2 = net.conv2.windows(windows1) * c.ch2;
+        MalGcgSession {
+            net,
+            t1: net.tables(),
+            x2: net.conv2.transposed(),
+            ws: Workspace::default(),
+            tokens: vec![PAD; c.window],
+            c1: vec![0.0; cells1],
+            r1: vec![0.0; cells1],
+            c2: vec![0.0; cells2],
+            r2: vec![0.0; cells2],
+            len: None,
+        }
+    }
+
     /// Bring cached activations up to date with `bytes`, trusting `dirty`
     /// to cover every changed offset since the last call.
     fn sync(&mut self, bytes: &[u8], dirty: &[Range<usize>]) {
-        let window = self.net.config.window;
-        if !self.primed || bytes.len() != self.len {
-            self.tokens.clear();
-            self.tokens.resize(window, 0);
-            self.net.tokenize_into(bytes, &mut self.tokens);
-            self.net.stacked_forward(
-                self.tables,
-                &self.tokens,
-                &mut self.c1,
-                &mut self.r1,
-                &mut self.c2,
-                &mut self.r2,
-            );
-            self.len = bytes.len();
-            self.primed = true;
-            return;
-        }
-        let ch1 = self.net.config.ch1;
-        let ch2 = self.net.config.ch2;
+        let (window, ch1, ch2) = (self.net.config.window, self.net.config.ch1, self.net.config.ch2);
+        let prime = 0..window;
+        let dirty = if self.len == Some(bytes.len()) {
+            dirty
+        } else {
+            self.len = Some(bytes.len());
+            std::slice::from_ref(&prime)
+        };
         let windows1 = self.c1.len() / ch1;
         for r in dirty {
-            let lo = r.start.min(window);
-            let hi = r.end.min(window);
-            if lo >= hi {
-                continue;
-            }
+            let (lo, hi) = (r.start.min(window), r.end.min(window));
             for i in lo..hi {
-                self.tokens[i] = bytes.get(i).map(|&v| v as usize).unwrap_or(PAD);
+                self.tokens[i] = token_at(bytes, i);
             }
-            let w1 = self.tables.t1.dirty_windows(window, lo, hi);
+            let w1 = self.t1.dirty_windows(window, lo, hi);
             for w in w1.clone() {
                 let span = w * ch1..(w + 1) * ch1;
-                self.tables.t1.window_into(&self.tokens, w, &mut self.c1[span.clone()]);
-                for i in span {
-                    self.r1[i] = self.c1[i].max(0.0);
-                }
+                self.t1.window_into(&self.tokens, w, &mut self.c1[span.clone()]);
+                relu_into(&self.c1[span.clone()], &mut self.r1[span]);
             }
             // Layer-1 windows are layer-2 input positions.
             for w in self.net.conv2.dirty_windows(windows1, w1.start, w1.end) {
                 let span = w * ch2..(w + 1) * ch2;
-                self.net.conv2.forward_window_into(&self.r1, w, &mut self.c2[span.clone()]);
-                for i in span {
-                    self.r2[i] = self.c2[i].max(0.0);
-                }
+                self.x2.forward_window_into(&self.r1, w, &mut self.c2[span.clone()]);
+                relu_into(&self.c2[span.clone()], &mut self.r2[span]);
             }
         }
-        #[cfg(debug_assertions)]
-        for (i, &t) in self.tokens.iter().enumerate() {
-            debug_assert_eq!(
-                t,
-                bytes.get(i).map(|&v| v as usize).unwrap_or(PAD),
-                "dirty spans did not cover a changed byte at offset {i}"
-            );
-        }
+        debug_assert_eq!(
+            self.tokens.iter().enumerate().position(|(i, &t)| t != token_at(bytes, i)),
+            None,
+            "dirty spans did not cover every changed byte"
+        );
     }
 }
 
@@ -736,6 +596,13 @@ impl WhiteBoxSession for MalGcgSession<'_> {
     ) -> f32 {
         self.sync(bytes, dirty);
         self.net.backward_into(&mut self.ws, &self.c1, &self.r1, &self.c2, &self.r2, grad)
+    }
+}
+
+/// `dst = max(src, 0)` element-wise: the relu of every MalGCG window.
+fn relu_into(src: &[f32], dst: &mut [f32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = v.max(0.0);
     }
 }
 
@@ -774,9 +641,8 @@ mod tests {
     fn gradient_has_window_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let m = MalGcg::new(MalGcgConfig::tiny(), &mut rng);
-        let mut ws = Workspace::default();
         let mut grad = Vec::new();
-        let loss = m.benign_loss_grad_into(&[0x55u8; 700], &mut ws, &mut grad);
+        let loss = m.session().loss_grad_delta(&[0x55u8; 700], &[], &mut grad);
         assert!(loss.is_finite());
         assert_eq!(grad.len(), m.window() * m.embedding().dim());
     }
@@ -915,21 +781,46 @@ mod tests {
         }
     }
 
-    /// The gradient path never clones the model and recycles its workspace
-    /// buffers across calls.
+    /// A session re-primes whenever `bytes.len()` changes, whatever
+    /// `dirty` says: every score and gradient after a length change equals
+    /// a fresh session's bit for bit, for longer and shorter buffers alike.
+    #[test]
+    fn sessions_reprime_when_the_length_changes() {
+        let (m, ds) = trained_tiny();
+        let full = &ds.malware()[2].bytes;
+        let mut sess = m.session();
+        sess.score_delta(&full[..2000], &[]); // prime
+        let (mut g_live, mut g_fresh) = (Vec::new(), Vec::new());
+        for len in [3000, 1000, full.len(), 40] {
+            let bytes = &full[..len];
+            let live = sess.score_delta(bytes, &[]);
+            let fresh = m.session().score_delta(bytes, &[]);
+            assert_eq!(live.to_bits(), fresh.to_bits(), "score after resize to {len}");
+        }
+        for len in [2500, 700] {
+            let bytes = &full[..len];
+            let live = sess.loss_grad_delta(bytes, &[], &mut g_live);
+            let fresh = m.session().loss_grad_delta(bytes, &[], &mut g_fresh);
+            assert_eq!(live.to_bits(), fresh.to_bits(), "loss after resize to {len}");
+            assert_eq!(g_live, g_fresh, "gradient after resize to {len}");
+        }
+    }
+
+    /// The gradient path never clones the model, and the session's
+    /// workspace recycles its buffers across calls.
     #[test]
     fn gradient_path_is_zero_clone_and_reuses_buffers() {
         let (m, ds) = trained_tiny();
         let bytes = &ds.malware()[0].bytes;
-        let mut ws = Workspace::default();
+        let mut sess = MalGcgSession::new(&m);
         let mut grad = Vec::new();
-        let l1 = m.benign_loss_grad_into(bytes, &mut ws, &mut grad);
-        let pooled_after_first = ws.pooled();
+        let l1 = sess.loss_grad_delta(bytes, &[], &mut grad);
+        let pooled_after_first = sess.ws.pooled();
         let g1 = grad.clone();
-        let l2 = m.benign_loss_grad_into(bytes, &mut ws, &mut grad);
+        let l2 = sess.loss_grad_delta(bytes, &[], &mut grad);
         assert_eq!(l1.to_bits(), l2.to_bits());
         assert_eq!(g1, grad, "repeated calls must be deterministic");
-        assert_eq!(ws.pooled(), pooled_after_first, "buffer pool must reach steady state");
+        assert_eq!(sess.ws.pooled(), pooled_after_first, "buffer pool must reach steady state");
         // &self throughout: parameter gradients cannot have been touched.
         assert!(m.conv1.weight.g.iter().all(|&g| g == 0.0));
         assert!(m.conv2.weight.g.iter().all(|&g| g == 0.0));

@@ -138,6 +138,32 @@ mod tests {
         ));
     }
 
+    /// A checksummed snapshot whose config no forward pass can run — a
+    /// zero width, or a window shorter than one receptive field at either
+    /// conv layer — fails typed at load instead of panicking at its first
+    /// score.
+    #[test]
+    fn unrunnable_configs_fail_typed_at_load() {
+        let mut rng = ChaCha8Rng::seed_from_u64(36);
+        // Tiny MalConv has kernel 64; tiny MalGCG's layer 1 yields 128
+        // windows, too few for a 129-wide layer 2.
+        let snaps = [
+            MalConv::new(ByteConvConfig { window: 16, ..ByteConvConfig::tiny() }, &mut rng)
+                .to_snapshot(),
+            MalGcg::new(MalGcgConfig { kernel2: 129, ..MalGcgConfig::tiny() }, &mut rng)
+                .to_snapshot(),
+            MalGcg::new(MalGcgConfig { window: 0, ..MalGcgConfig::tiny() }, &mut rng)
+                .to_snapshot(),
+        ];
+        for (i, snap) in snaps.iter().enumerate() {
+            let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("snapshot decodes");
+            assert!(
+                matches!(detector_from_snapshot(&snap), Err(SnapshotError::BadMeta { .. })),
+                "snapshot {i} loaded"
+            );
+        }
+    }
+
     /// A [`crate::SwappableDetector`] reloaded from a weight snapshot must
     /// score bit-identically to the freshly trained model it replaces —
     /// the regression guarding the daemon's O(read) hot-reload path.

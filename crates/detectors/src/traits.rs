@@ -169,23 +169,20 @@ pub trait WhiteBoxModel: Detector {
     /// Number of leading file bytes the model consumes (its input window).
     fn window(&self) -> usize;
 
-    /// Compute `ℒ(F(bytes), benign)` and its gradient with respect to the
-    /// embedding vector of every input position, writing the gradient into
-    /// `grad` (resized to `window() * embedding().dim()`) and drawing all
-    /// scratch from `ws`.
-    ///
-    /// This is the allocation-free kernel of the attack loop: the model is
-    /// `&self` throughout, so implementations cannot clone it for scratch
-    /// parameter accumulators — the gradient path must be input-grad-only.
-    /// Positions past the end of file correspond to the padding token and
-    /// carry gradients too, though the attack never selects them.
-    fn benign_loss_grad_into(&self, bytes: &[u8], ws: &mut Workspace, grad: &mut Vec<f32>)
-        -> f32;
-
     /// Open a stateful inference session for repeated evaluation of
     /// *nearby* inputs (the optimizer mutates a handful of bytes per
-    /// iteration), recomputing only what the dirty spans touch.
+    /// iteration), recomputing only what the dirty spans touch. The
+    /// session is the model's one tabled white-box forward: it owns its
+    /// scratch and takes the model as `&self`, so the gradient path is
+    /// input-grad-only and never clones the model.
     fn session(&self) -> Box<dyn WhiteBoxSession + '_>;
+
+    /// A fresh session's `loss_grad_delta(bytes, &[], grad)`; `ws` is
+    /// unused. Kept, like [`Detector::score_quantized`], only until the
+    /// benchmark harness stops forwarding it.
+    fn benign_loss_grad_into(&self, bytes: &[u8], _ws: &mut Workspace, grad: &mut Vec<f32>) -> f32 {
+        self.session().loss_grad_delta(bytes, &[], grad)
+    }
 }
 
 /// A stateful white-box inference session over one evolving byte buffer.
@@ -203,9 +200,12 @@ pub trait WhiteBoxSession {
     /// dirty span.
     fn score_delta(&mut self, bytes: &[u8], dirty: &[Range<usize>]) -> f32;
 
-    /// Benign-direction loss and input-space gradient for `bytes`, with
-    /// the same incremental forward as [`WhiteBoxSession::score_delta`].
-    /// `grad` is resized to `window() * embedding().dim()`.
+    /// Benign-direction loss `ℒ(F(bytes), benign)` and its gradient with
+    /// respect to the embedding vector of every input position, with the
+    /// same incremental forward as [`WhiteBoxSession::score_delta`].
+    /// `grad` is resized to `window() * embedding().dim()`; positions past
+    /// the end of file hold the padding token and carry gradients too,
+    /// though the attack never selects them.
     fn loss_grad_delta(
         &mut self,
         bytes: &[u8],

@@ -109,19 +109,6 @@ impl TokenConv {
         }
     }
 
-    /// Full forward over `tokens` into `out`, resized to
-    /// `[windows × out_ch]`. Equivalent to embedding `tokens` and running
-    /// the original conv (within float-summation reassociation error).
-    pub fn forward_into(&self, tokens: &[usize], out: &mut Vec<f32>) {
-        let windows = self.windows(tokens.len());
-        out.clear();
-        out.resize(windows * self.out_ch, 0.0);
-        for w in 0..windows {
-            let (lo, hi) = (w * self.out_ch, (w + 1) * self.out_ch);
-            self.window_into(tokens, w, &mut out[lo..hi]);
-        }
-    }
-
     /// The windows whose receptive field overlaps byte offsets `[lo, hi)`,
     /// clamped to the valid window range for a `len`-token input. Returns
     /// an empty range when there is no overlap.
@@ -169,19 +156,23 @@ mod tests {
         (conv, emb)
     }
 
+    /// Every tabled window agrees with the same window of the naive conv
+    /// over embedded tokens, within float-summation reassociation error.
     #[test]
-    fn forward_matches_naive_conv() {
+    fn windows_match_naive_conv() {
         for (kernel, stride) in [(4usize, 4usize), (8, 4), (3, 1)] {
             let (conv, emb) = fixture(kernel, stride);
             let tc = TokenConv::build(&conv, &emb);
             let mut rng = ChaCha8Rng::seed_from_u64(99);
             let tokens: Vec<usize> = (0..64).map(|_| rng.gen_range(0..257)).collect();
             let naive = conv.forward(&emb.forward(&tokens));
-            let mut tabled = Vec::new();
-            tc.forward_into(&tokens, &mut tabled);
-            assert_eq!(naive.len(), tabled.len());
-            for (i, (a, b)) in naive.iter().zip(&tabled).enumerate() {
-                assert!((a - b).abs() < 1e-5, "window entry {i}: naive {a} vs tabled {b}");
+            assert_eq!(naive.len(), tc.windows(tokens.len()) * tc.out_ch());
+            let mut row = vec![0.0; tc.out_ch()];
+            for (w, expected) in naive.chunks_exact(tc.out_ch()).enumerate() {
+                tc.window_into(&tokens, w, &mut row);
+                for (a, b) in expected.iter().zip(&row) {
+                    assert!((a - b).abs() < 1e-5, "window {w}: naive {a} vs tabled {b}");
+                }
             }
         }
     }
@@ -206,20 +197,5 @@ mod tests {
         }
         assert_eq!(tc.dirty_windows(len, 5, 5), 0..0, "empty span");
         assert_eq!(tc.dirty_windows(4, 0, 4), 0..0, "input shorter than kernel");
-    }
-
-    #[test]
-    fn window_into_matches_forward_slice() {
-        let (conv, emb) = fixture(8, 4);
-        let tc = TokenConv::build(&conv, &emb);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let tokens: Vec<usize> = (0..40).map(|_| rng.gen_range(0..257)).collect();
-        let mut full = Vec::new();
-        tc.forward_into(&tokens, &mut full);
-        let mut row = vec![0.0; tc.out_ch()];
-        for w in 0..tc.windows(tokens.len()) {
-            tc.window_into(&tokens, w, &mut row);
-            assert_eq!(&full[w * tc.out_ch()..(w + 1) * tc.out_ch()], &row[..]);
-        }
     }
 }

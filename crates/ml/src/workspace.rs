@@ -12,18 +12,17 @@ use std::sync::OnceLock;
 
 /// A pool of reusable scratch buffers.
 ///
-/// Buffers handed out by [`Workspace::take_f32`] / [`Workspace::take_idx`]
-/// come back zero-filled at the requested length but keep their previous
-/// capacity, so steady-state use performs no heap allocation. Return
-/// buffers with the matching `give_*` when done; failing to do so is not
-/// unsafe, it merely re-allocates next time.
+/// Buffers handed out by [`Workspace::take_f32`] come back zero-filled at
+/// the requested length but keep their previous capacity, so steady-state
+/// use performs no heap allocation. Return buffers with
+/// [`Workspace::give_f32`] when done; failing to do so is not unsafe, it
+/// merely re-allocates next time.
 ///
 /// A `Workspace` is deliberately `!Sync`-by-use: each thread (engine
 /// shard, optimizer session) owns its own.
 #[derive(Debug, Default)]
 pub struct Workspace {
     f32s: Vec<Vec<f32>>,
-    idxs: Vec<Vec<usize>>,
 }
 
 impl Workspace {
@@ -40,22 +39,9 @@ impl Workspace {
         self.f32s.push(v);
     }
 
-    /// A zero-filled index buffer of length `len` (recycled capacity).
-    pub fn take_idx(&mut self, len: usize) -> Vec<usize> {
-        let mut v = self.idxs.pop().unwrap_or_default();
-        v.clear();
-        v.resize(len, 0);
-        v
-    }
-
-    /// Return an index buffer to the pool.
-    pub fn give_idx(&mut self, v: Vec<usize>) {
-        self.idxs.push(v);
-    }
-
     /// Number of pooled buffers currently at rest (diagnostic).
     pub fn pooled(&self) -> usize {
-        self.f32s.len() + self.idxs.len()
+        self.f32s.len()
     }
 }
 

@@ -417,7 +417,9 @@ pub fn sigterm_received() -> bool {
 
 /// Run the server, draining gracefully on SIGTERM as well as on a
 /// protocol `shutdown`. This wraps [`Server::run`] with a scoped watcher
-/// thread that polls [`sigterm_received`] and requests shutdown.
+/// thread that polls [`sigterm_received`] and requests shutdown; once
+/// `run` returns, `Ok` or `Err` (say, the socket cannot be bound), the
+/// watcher is told to stop too, so the call never outlives the server.
 pub fn run_with_sigterm(server: &Server<'_>) -> Result<ServeSummary, String> {
     unsafe {
         signal(SIGTERM, on_sigterm);
@@ -432,7 +434,9 @@ pub fn run_with_sigterm(server: &Server<'_>) -> Result<ServeSummary, String> {
                 std::thread::sleep(Duration::from_millis(20));
             }
         });
-        server.run()
+        let result = server.run();
+        server.request_shutdown();
+        result
     })
 }
 
@@ -520,6 +524,27 @@ mod tests {
         assert_eq!(summary.reloads, 1);
         assert_eq!(summary.client_gone, 0);
         assert!(!socket.exists(), "socket file must be removed at drain");
+    }
+
+    /// A bind failure ends `run_with_sigterm` with the error instead of
+    /// leaving its SIGTERM watcher (and so the call) running forever.
+    #[test]
+    fn run_with_sigterm_returns_after_a_bind_failure() {
+        let socket = std::env::temp_dir()
+            .join(format!("mpass-serve-missing-{}", std::process::id()))
+            .join("s.sock");
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A detached thread: if the call hangs, the test still fails.
+        std::thread::spawn(move || {
+            let model = ReloadableModel::new(Arc::new(Fixed(0.9)), |_| Err("no".to_owned()));
+            let server = Server::new(&model, ServerConfig { socket, ..ServerConfig::default() });
+            tx.send(run_with_sigterm(&server).map(|_| ())).ok();
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run_with_sigterm still running 10 s after a bind failure");
+        let err = result.expect_err("binding inside a missing directory must fail");
+        assert!(err.contains("cannot bind"), "unexpected error: {err}");
     }
 
     #[test]
