@@ -281,11 +281,26 @@ impl PeFile {
         Ok(self.map_image_sized(size))
     }
 
+    /// The first `size_of_headers` bytes equal those of
+    /// [`PeFile::to_bytes`] without serializing the sections: the headers,
+    /// zero-padded, under the raw data of every section that starts below
+    /// their end, laid on in table order as `to_bytes` lays it.
     fn map_image_sized(&self, size: usize) -> Vec<u8> {
         let mut image = vec![0u8; size];
-        let header_bytes = self.to_bytes();
-        let hdr_len = (self.optional.size_of_headers as usize).min(header_bytes.len()).min(size);
-        image[..hdr_len].copy_from_slice(&header_bytes[..hdr_len]);
+        let hdr_len = (self.optional.size_of_headers as usize).min(size);
+        let mut headers = Vec::with_capacity(self.header_size());
+        self.write_headers(&mut headers);
+        let n = headers.len().min(hdr_len);
+        image[..n].copy_from_slice(&headers[..n]);
+        for s in &self.sections {
+            let h = s.header();
+            let start = h.pointer_to_raw_data as usize;
+            if h.size_of_raw_data == 0 || start >= hdr_len {
+                continue;
+            }
+            let end = (start + s.data().len().min(h.size_of_raw_data as usize)).min(hdr_len);
+            image[start..end].copy_from_slice(&s.data()[..end - start]);
+        }
         for s in &self.sections {
             let start = s.header().virtual_address as usize;
             let data = s.data();

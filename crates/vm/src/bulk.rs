@@ -4,7 +4,7 @@
 //! loop that the shuffled layout stretches to 17 interpreted steps per
 //! byte. [`plan`] recognises such a loop from the instructions it would
 //! execute next, and [`ByteMap::run`] performs the iterations it proves
-//! safe as one plain Rust byte loop. The shape, read from the head:
+//! safe as one chunked Rust byte loop. The shape, read from the head:
 //!
 //! ```text
 //! head: jz   c, exit           ; the only conditional
@@ -20,14 +20,18 @@
 //! Nothing else may appear: no other instruction, no load into a pointer
 //! or the counter, no second write to any of them. Pointer registers may
 //! coincide (`s = p` in the stub) and their ranges may overlap; the bulk
-//! loop runs loads and store in program order, so aliasing behaves
-//! exactly as it does stepwise.
+//! loop loads each chunk's operands before it stores the chunk, and sizes
+//! the chunks so that no store reaches a later load of its own chunk, so
+//! aliasing behaves exactly as it does stepwise.
 
 use crate::interp::{enter_stream, Cursor, VmLimits};
 use crate::isa::{Instr, Reg, INSTR_SIZE};
 
 /// Longest loop body, in instructions, the recogniser follows.
 const MAX_BODY: usize = 64;
+
+/// Most iterations [`ByteMap::map`] loads before it stores.
+const CHUNK: usize = 64;
 
 /// What [`plan`] found at a loop head.
 pub(crate) enum Plan {
@@ -238,17 +242,49 @@ impl ByteMap {
         *c = c.wrapping_sub(self.iterations);
     }
 
-    /// The byte loop itself, in program order: both loads, then the store.
-    /// Returns the last iteration's combined and source registers.
+    /// The byte loop itself: iterations run in chunks that load their
+    /// operands, combine and then store, and the last iteration runs alone
+    /// after every earlier write. Returns the last iteration's combined and
+    /// source registers.
+    ///
+    /// Iteration `k` loads `d + k` and `s + k` and stores `st + k`, so its
+    /// store is read again only by iteration `k + st − d` (or `k + st − s`),
+    /// and only when the store runs ahead of that load. A chunk no longer
+    /// than either positive distance therefore reads no byte it writes, and
+    /// loading it whole before storing it equals stepping; a length of 1 is
+    /// plain program order. Loads behind the store, or at it, read bytes
+    /// that stepping also reads before the store.
     #[inline(always)]
     fn map(&self, memory: &mut [u8], f: impl Fn(u32, u32) -> u32) -> (u32, u32) {
         let (d, s, st) = (self.dst_load as usize, self.src_load as usize, self.store as usize);
-        let (mut out, mut src) = (0, 0);
-        for k in 0..self.iterations as usize {
-            src = u32::from(memory[s + k]);
-            out = f(u32::from(memory[d + k]), src);
-            memory[st + k] = out as u8;
+        let ahead = |load: usize| if st > load { st - load } else { CHUNK };
+        let chunk = CHUNK.min(ahead(d)).min(ahead(s));
+        let last = self.iterations as usize - 1;
+        let (mut src_chunk, mut out_chunk) = ([0u8; CHUNK], [0u8; CHUNK]);
+        let mut k = 0;
+        while k < last {
+            let n = chunk.min(last - k);
+            let src = &mut src_chunk[..n];
+            src.copy_from_slice(&memory[s + k..s + k + n]);
+            let combine = |a: &u8, b: &u8| f(u32::from(*a), u32::from(*b)) as u8;
+            if st == d {
+                // The recovery stub stores where it loads the destination:
+                // combine in place and copy only the source chunk.
+                for (a, b) in memory[d + k..d + k + n].iter_mut().zip(&*src) {
+                    *a = combine(a, b);
+                }
+            } else {
+                let out = &mut out_chunk[..n];
+                for ((o, a), b) in out.iter_mut().zip(&memory[d + k..d + k + n]).zip(&*src) {
+                    *o = combine(a, b);
+                }
+                memory[st + k..st + k + n].copy_from_slice(out);
+            }
+            k += n;
         }
+        let src = u32::from(memory[s + last]);
+        let out = f(u32::from(memory[d + last]), src);
+        memory[st + last] = out as u8;
         (out, src)
     }
 }

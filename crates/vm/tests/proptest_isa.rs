@@ -222,6 +222,7 @@ fn self_modifying_programs_match_fresh_decoding() {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoopKind {
     Plain,
+    StoreAhead,
     OutOfBoundsAtK,
     StepLimitMidLoop,
     StoresIntoItself,
@@ -235,8 +236,9 @@ enum LoopKind {
     RejectLoadIntoPointer,
 }
 
-const LOOP_KINDS: [LoopKind; 12] = [
+const LOOP_KINDS: [LoopKind; 13] = [
     LoopKind::Plain,
+    LoopKind::StoreAhead,
     LoopKind::OutOfBoundsAtK,
     LoopKind::StepLimitMidLoop,
     LoopKind::StoresIntoItself,
@@ -283,24 +285,32 @@ fn byte_map_case(rng: &mut ChaCha8Rng, kind: LoopKind) -> LoopCase {
     let [c, x, y, p, mut q, mut s, k, e] = regs;
     // A loop that stores into its own code keeps its loads in the data, so
     // they never read the one byte in which the two spellings differ.
-    if kind != StoresIntoItself && rng.gen_bool(0.5) {
+    if kind != StoresIntoItself && kind != StoreAhead && rng.gen_bool(0.5) {
         s = p;
     }
     if rng.gen_bool(0.25) {
         q = p;
+    }
+    // The distance a `StoreAhead` store runs ahead of one load: below, at
+    // and above the bulk loop's 64-byte chunk. Its store may share the
+    // source load's register, and then runs ahead of the destination load.
+    let ahead = (kind == StoreAhead).then(|| [1, 2, 31, 63, 64, 65][rng.gen_range(0..6)]);
+    if ahead.is_some() && q != p && rng.gen() {
+        s = q;
     }
     let counter: u32 = match kind {
         CounterZero => 0,
         CounterOne => 1,
         CounterMax => u32::MAX,
         StoresIntoItself => rng.gen_range(100..400),
+        StoreAhead => rng.gen_range(3 * 64 + 2..400),
         _ => rng.gen_range(3..200),
     };
     let warm = kind == ChainLimitBelowRun || rng.gen_bool(0.5);
     let p0 = DATA + rng.gen_range(0..512);
-    let q0 = if q == p { p0 } else { DATA + rng.gen_range(0..512) };
+    let mut q0 = if q == p { p0 } else { DATA + rng.gen_range(0..512) };
     let delta = rng.gen_range(-3..=3i32) as u32;
-    let s0 = match rng.gen_range(0..3u32) {
+    let mut s0 = match rng.gen_range(0..3u32) {
         _ if s == p => p0,
         0 => p0.wrapping_add(delta),
         1 => q0.wrapping_add(delta),
@@ -309,15 +319,23 @@ fn byte_map_case(rng: &mut ChaCha8Rng, kind: LoopKind) -> LoopCase {
 
     // Logical body after the head: the four core instructions, one addi
     // per distinct pointer and one for the counter, in random positions.
-    let ld_x = Instr::Ld8(x, p, rng.gen_range(-2..=2));
-    let ld_y = Instr::Ld8(y, q, rng.gen_range(-2..=2));
+    let (i, j) = (rng.gen_range(-2..=2), rng.gen_range(-2..=2));
+    let (ld_x, ld_y) = (Instr::Ld8(x, p, i), Instr::Ld8(y, q, j));
     let mut body = if rng.gen() { vec![ld_x, ld_y] } else { vec![ld_y, ld_x] };
     body.push(match rng.gen_range(0..3u32) {
         0 => Instr::Sub(x, y),
         1 => Instr::Add(x, y),
         _ => Instr::Xor(x, y),
     });
-    body.push(Instr::St8(x, s, rng.gen_range(-2..=2)));
+    let l = rng.gen_range(-2..=2);
+    body.push(Instr::St8(x, s, l));
+    if let Some(ahead) = ahead {
+        let (base, imm) = if s == q || rng.gen() { (p0, i) } else { (q0, j) };
+        s0 = (base as i32 + imm + ahead - l) as u32;
+        if s == q {
+            q0 = s0;
+        }
+    }
     if kind == RejectLoadIntoPointer {
         if let Instr::Ld8(_, b, imm) = body[1] {
             body[1] = Instr::Ld8(s, b, imm);
@@ -512,8 +530,9 @@ impl mpass_vm::TraceSink for StepAudit {
 
 /// Bulk-executed byte-map loops end exactly where stepping ends: same
 /// outcome, step count, trace, registers and memory, over aliasing
-/// pointers, faults, limits, self-modification, counter extremes and
-/// shapes the bulk path must refuse.
+/// pointers, stores running up to just over one chunk ahead of a load,
+/// faults, limits, self-modification, counter extremes and shapes the
+/// bulk path must refuse.
 #[test]
 fn byte_map_loops_run_in_bulk_exactly_as_stepwise() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x15A8);
@@ -557,7 +576,7 @@ fn byte_map_loops_run_in_bulk_exactly_as_stepwise() {
     }
     let index = |kind| LOOP_KINDS.iter().position(|&k| k == kind).expect("listed");
     let count = |kind| bulked[index(kind)];
-    for kind in [LoopKind::Plain, LoopKind::CounterMax] {
+    for kind in [LoopKind::Plain, LoopKind::StoreAhead, LoopKind::CounterMax] {
         assert_eq!(count(kind), cases[index(kind)], "every {kind:?} loop runs in bulk");
     }
     for kind in [
