@@ -260,4 +260,56 @@ mod tests {
         assert_eq!(world.known_models_excluding("LightGBM").len(), 3);
         assert_eq!(world.all_known_models().len(), 3);
     }
+
+    fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Digests of the quick world's trained weights and of the five AVs'
+    /// score bits over its corpus, captured before the training kernels
+    /// (Adam's decay lanes, the one-pass split search) were optimised. Any
+    /// drift in what training computes trips this.
+    #[test]
+    fn quick_world_training_golden_regression() {
+        let world = World::build(WorldConfig::quick());
+        let snapshots = [
+            ("MalConv", world.malconv.to_snapshot().to_bytes()),
+            ("NonNeg", world.nonneg.to_snapshot().to_bytes()),
+            ("MalGCG", world.malgcg.to_snapshot().to_bytes()),
+            ("LightGBM", world.lightgbm.to_snapshot().to_bytes()),
+        ];
+        let weights: Vec<(&str, u64)> = snapshots
+            .iter()
+            .map(|(name, bytes)| (*name, fnv1a64(bytes.iter().copied())))
+            .collect();
+        let scores: Vec<(&str, u64)> = world
+            .avs
+            .iter()
+            .map(|av| {
+                let bits = world
+                    .dataset
+                    .samples
+                    .iter()
+                    .flat_map(|s| av.score(&s.bytes).to_bits().to_le_bytes());
+                (av.name(), fnv1a64(bits))
+            })
+            .collect();
+        let golden_weights = [
+            ("MalConv", 0x6311_9167_bd10_6b45),
+            ("NonNeg", 0x7d2e_7010_e603_fd17),
+            ("MalGCG", 0x8da3_8681_21f9_4605),
+            ("LightGBM", 0x9990_1261_97b4_f7f2),
+        ];
+        let golden_scores = [
+            ("AV1", 0xb2c5_cc33_8e0c_435e),
+            ("AV2", 0x8e19_5d19_b156_39ac),
+            ("AV3", 0x63ff_559f_f599_5451),
+            ("AV4", 0x5c71_fbba_7d5c_5f35),
+            ("AV5", 0xc3f0_cd3a_1a55_a69d),
+        ];
+        assert_eq!(weights, golden_weights);
+        assert_eq!(scores, golden_scores);
+    }
 }
