@@ -269,7 +269,7 @@ mod tests {
 
     /// Digests of the quick world's trained weights and of the five AVs'
     /// score bits over its corpus, captured before the training kernels
-    /// (Adam's decay lanes, the one-pass split search) were optimised. Any
+    /// (Adam's decay lanes, the gathered split search) were optimised. Any
     /// drift in what training computes trips this.
     #[test]
     fn quick_world_training_golden_regression() {

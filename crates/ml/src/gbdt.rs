@@ -291,6 +291,9 @@ impl FlatForest {
     }
 }
 
+/// A split search: the best `(feature, threshold, gain)` of a node.
+type SplitFn = fn(&mut Builder<'_>, &[usize]) -> Option<(usize, f32, f32)>;
+
 struct Builder<'a> {
     features: &'a [Vec<f32>],
     grad: &'a [f32],
@@ -298,6 +301,44 @@ struct Builder<'a> {
     params: GbdtParams,
     active_features: Vec<usize>,
     nodes: Vec<Node>,
+    split: SplitFn,
+    scratch: SplitScratch,
+}
+
+/// Buffers [`Builder::best_split`] reuses across nodes and features: the
+/// node's `grad`, `hess` and current feature column, in node order.
+#[derive(Default)]
+struct SplitScratch {
+    grad: Vec<f32>,
+    hess: Vec<f32>,
+    column: Vec<f32>,
+}
+
+/// Candidate thresholds one sweep of a node's column sums at once; their
+/// sums stay in registers for the whole sweep.
+const THRESHOLD_BLOCK: usize = 8;
+
+/// Left-side sums `(Σg, Σh, count)` of a column at each threshold of a
+/// block: every sample updates every threshold, in column order, so each
+/// threshold sees exactly the additions of a pass of its own.
+fn left_sums(
+    thresholds: &[f32; THRESHOLD_BLOCK],
+    column: &[f32],
+    grad: &[f32],
+    hess: &[f32],
+) -> ([f32; THRESHOLD_BLOCK], [f32; THRESHOLD_BLOCK], [u32; THRESHOLD_BLOCK]) {
+    let mut gl = [0.0f32; THRESHOLD_BLOCK];
+    let mut hl = [0.0f32; THRESHOLD_BLOCK];
+    let mut nl = [0u32; THRESHOLD_BLOCK];
+    for ((&v, &g), &h) in column.iter().zip(grad).zip(hess) {
+        for j in 0..THRESHOLD_BLOCK {
+            let left = v <= thresholds[j];
+            gl[j] = if left { gl[j] + g } else { gl[j] };
+            hl[j] = if left { hl[j] + h } else { hl[j] };
+            nl[j] += u32::from(left);
+        }
+    }
+    (gl, hl, nl)
 }
 
 impl<'a> Builder<'a> {
@@ -307,44 +348,58 @@ impl<'a> Builder<'a> {
         -self.params.learning_rate * g / (h + self.params.lambda)
     }
 
-    fn best_split(&self, idx: &[usize]) -> Option<(usize, f32, f32)> {
+    /// The best split of the node `idx`. Its `grad`, `hess` and each
+    /// feature column are gathered once; [`left_sums`] then sweeps the
+    /// column once per block of [`THRESHOLD_BLOCK`] candidate thresholds
+    /// (`gl = if v <= thr { gl + g } else { gl }`), so every threshold gets
+    /// the sums, gain and `(feature, k)` tie order of a pass of its own,
+    /// bit for bit.
+    fn best_split(&mut self, idx: &[usize]) -> Option<(usize, f32, f32)> {
         let g_total: f32 = idx.iter().map(|&i| self.grad[i]).sum();
         let h_total: f32 = idx.iter().map(|&i| self.hess[i]).sum();
         let lambda = self.params.lambda;
         let parent_score = g_total * g_total / (h_total + lambda);
+        let splits = self.params.candidate_splits;
+        let s = &mut self.scratch;
+        s.grad.clear();
+        s.grad.extend(idx.iter().map(|&i| self.grad[i]));
+        s.hess.clear();
+        s.hess.extend(idx.iter().map(|&i| self.hess[i]));
         let mut best: Option<(usize, f32, f32)> = None;
         for &f in &self.active_features {
+            s.column.clear();
+            s.column.extend(idx.iter().map(|&i| self.features[i][f]));
             let mut lo = f32::INFINITY;
             let mut hi = f32::NEG_INFINITY;
-            for &i in idx {
-                let v = self.features[i][f];
+            for &v in &s.column {
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
             if hi <= lo {
                 continue;
             }
-            for k in 1..=self.params.candidate_splits {
-                let thr = lo + (hi - lo) * k as f32 / (self.params.candidate_splits + 1) as f32;
-                let mut gl = 0.0f32;
-                let mut hl = 0.0f32;
-                let mut nl = 0usize;
-                for &i in idx {
-                    if self.features[i][f] <= thr {
-                        gl += self.grad[i];
-                        hl += self.hess[i];
-                        nl += 1;
+            for first in (1..=splits).step_by(THRESHOLD_BLOCK) {
+                let count = THRESHOLD_BLOCK.min(splits + 1 - first);
+                // Padding thresholds are NaN: no sample goes left of them.
+                let mut thresholds = [f32::NAN; THRESHOLD_BLOCK];
+                for (j, thr) in thresholds[..count].iter_mut().enumerate() {
+                    *thr = lo + (hi - lo) * (first + j) as f32 / (splits + 1) as f32;
+                }
+                let (gl, hl, nl) = left_sums(&thresholds, &s.column, &s.grad, &s.hess);
+                for j in 0..count {
+                    // A node's sample count fits in u32 (the training set
+                    // is held in memory as one Vec per sample).
+                    if nl[j] == 0 || nl[j] as usize == idx.len() {
+                        continue;
                     }
-                }
-                if nl == 0 || nl == idx.len() {
-                    continue;
-                }
-                let gr = g_total - gl;
-                let hr = h_total - hl;
-                let gain =
-                    gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score;
-                if gain > 1e-6 && best.map(|(_, _, g)| gain > g).unwrap_or(true) {
-                    best = Some((f, thr, gain));
+                    let (gl, hl) = (gl[j], hl[j]);
+                    let gr = g_total - gl;
+                    let hr = h_total - hl;
+                    let gain =
+                        gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score;
+                    if gain > 1e-6 && best.map(|(_, _, g)| gain > g).unwrap_or(true) {
+                        best = Some((f, thresholds[j], gain));
+                    }
                 }
             }
         }
@@ -359,7 +414,7 @@ impl<'a> Builder<'a> {
             self.nodes.push(Node::Leaf { value: v });
             return self.nodes.len() - 1;
         }
-        match self.best_split(&idx) {
+        match (self.split)(self, &idx) {
             None => {
                 let v = self.leaf_value(&idx);
                 self.nodes.push(Node::Leaf { value: v });
@@ -391,6 +446,17 @@ impl Gbdt {
         labels: &[f32],
         params: GbdtParams,
         rng: &mut R,
+    ) -> Gbdt {
+        Gbdt::train_with(features, labels, params, rng, |b, idx| b.best_split(idx))
+    }
+
+    /// [`Gbdt::train`] with the split search `split`.
+    fn train_with<R: Rng + ?Sized>(
+        features: &[Vec<f32>],
+        labels: &[f32],
+        params: GbdtParams,
+        rng: &mut R,
+        split: SplitFn,
     ) -> Gbdt {
         assert!(!features.is_empty(), "training set must be non-empty");
         assert_eq!(features.len(), labels.len(), "features/labels length mismatch");
@@ -425,6 +491,8 @@ impl Gbdt {
                 params,
                 active_features: cols,
                 nodes: Vec::new(),
+                split,
+                scratch: SplitScratch::default(),
             };
             let root = builder.build((0..n).collect(), 0);
             debug_assert_eq!(root, 0);
@@ -479,6 +547,163 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    impl Builder<'_> {
+        /// The split search as it ran before the gathered sweep: one pass
+        /// over the node per candidate threshold. The reference
+        /// [`Builder::best_split`] must match bit for bit.
+        fn best_split_reference(&mut self, idx: &[usize]) -> Option<(usize, f32, f32)> {
+            let g_total: f32 = idx.iter().map(|&i| self.grad[i]).sum();
+            let h_total: f32 = idx.iter().map(|&i| self.hess[i]).sum();
+            let lambda = self.params.lambda;
+            let parent_score = g_total * g_total / (h_total + lambda);
+            let mut best: Option<(usize, f32, f32)> = None;
+            for &f in &self.active_features {
+                let mut lo = f32::INFINITY;
+                let mut hi = f32::NEG_INFINITY;
+                for &i in idx {
+                    let v = self.features[i][f];
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                }
+                if hi <= lo {
+                    continue;
+                }
+                for k in 1..=self.params.candidate_splits {
+                    let thr =
+                        lo + (hi - lo) * k as f32 / (self.params.candidate_splits + 1) as f32;
+                    let mut gl = 0.0f32;
+                    let mut hl = 0.0f32;
+                    let mut nl = 0usize;
+                    for &i in idx {
+                        if self.features[i][f] <= thr {
+                            gl += self.grad[i];
+                            hl += self.hess[i];
+                            nl += 1;
+                        }
+                    }
+                    if nl == 0 || nl == idx.len() {
+                        continue;
+                    }
+                    let gr = g_total - gl;
+                    let hr = h_total - hl;
+                    let gain =
+                        gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score;
+                    if gain > 1e-6 && best.map(|(_, _, g)| gain > g).unwrap_or(true) {
+                        best = Some((f, thr, gain));
+                    }
+                }
+            }
+            best
+        }
+    }
+
+    fn split_bits(split: Option<(usize, f32, f32)>) -> Option<(usize, u32, u32)> {
+        split.map(|(f, thr, gain)| (f, thr.to_bits(), gain.to_bits()))
+    }
+
+    /// One random feature value: a small grid of duplicates, a spread of
+    /// magnitudes, signed zeros, NaN or an infinity.
+    fn random_value(rng: &mut ChaCha8Rng) -> f32 {
+        match rng.gen_range(0..10) {
+            0..=3 => rng.gen_range(0..4) as f32 * 0.25,
+            4..=6 => rng.gen_range(-1e3..1e3),
+            7 => 0.0f32.copysign(rng.gen_range(-1.0..1.0)),
+            8 => f32::NAN,
+            _ => f32::INFINITY.copysign(rng.gen_range(-1.0..1.0)),
+        }
+    }
+
+    /// The gathered split search equals the per-threshold reference on
+    /// seeded random nodes: duplicate values, constant, NaN and infinite
+    /// features, nodes in any sample order and 0, 1, 16 or 33 candidate
+    /// thresholds.
+    #[test]
+    fn best_split_matches_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5_9117);
+        let mut found = 0;
+        for case in 0..2_000 {
+            let n = rng.gen_range(1..80);
+            let dim = rng.gen_range(1..8);
+            // Per feature: 0 random, 1 constant, 2 all NaN, 3 NaN-speckled.
+            let kinds: Vec<u32> = (0..dim).map(|_| rng.gen_range(0..4)).collect();
+            let constant: Vec<f32> = (0..dim).map(|_| random_value(&mut rng)).collect();
+            let features: Vec<Vec<f32>> = (0..n)
+                .map(|_| {
+                    (0..dim)
+                        .map(|f| match kinds[f] {
+                            1 => constant[f],
+                            2 => f32::NAN,
+                            3 if rng.gen_bool(0.3) => f32::NAN,
+                            _ => random_value(&mut rng),
+                        })
+                        .collect()
+                })
+                .collect();
+            let grad: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let hess: Vec<f32> = (0..n).map(|_| rng.gen_range(1e-6..0.25)).collect();
+            let mut idx: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.8)).collect();
+            if rng.gen_bool(0.3) {
+                for i in (1..idx.len()).rev() {
+                    idx.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            let params = GbdtParams {
+                candidate_splits: [0, 1, 16, 33][case % 4],
+                lambda: [1.0, 0.0, 1e-3][rng.gen_range(0..3)],
+                ..GbdtParams::default()
+            };
+            let mut builder = Builder {
+                features: &features,
+                grad: &grad,
+                hess: &hess,
+                params,
+                active_features: (0..dim).filter(|_| rng.gen_bool(0.8)).collect(),
+                nodes: Vec::new(),
+                split: |b, idx| b.best_split(idx),
+                scratch: SplitScratch::default(),
+            };
+            let want = split_bits(builder.best_split_reference(&idx));
+            // Twice: the second search runs on the scratch the first left.
+            assert_eq!(split_bits(builder.best_split(&idx)), want, "case {case}");
+            assert_eq!(split_bits(builder.best_split(&idx)), want, "case {case} (reused)");
+            found += usize::from(want.is_some());
+        }
+        assert!(found > 400, "only {found} nodes split");
+    }
+
+    /// On the quick corpus's extracted features, training with the
+    /// gathered search flattens to the same columns, bit for bit, as
+    /// training with the reference search.
+    #[test]
+    fn training_matches_reference_on_corpus_features() {
+        let corpus = mpass_corpus::Dataset::generate(&mpass_corpus::CorpusConfig {
+            n_malware: 20,
+            n_benign: 20,
+            seed: 0xDAC2023,
+            no_slack_fraction: 0.1,
+        });
+        let extractor = mpass_detectors::features::FeatureExtractor::new();
+        let features: Vec<Vec<f32>> =
+            corpus.samples.iter().map(|s| extractor.extract(&s.bytes)).collect();
+        let labels: Vec<f32> = corpus.samples.iter().map(|s| s.label.target()).collect();
+        let bits = |forest: FlatForest| {
+            let (roots, feature, value, left, right) = forest.columns();
+            let value: Vec<u32> = value.iter().map(|v| v.to_bits()).collect();
+            (forest.base().to_bits(), roots, feature, value, left, right)
+        };
+        for (trees, seed) in [(30, 0x4D50_4153 ^ 0x7284), (50, 11)] {
+            let params = GbdtParams { trees, ..GbdtParams::default() };
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let fast = Gbdt::train(&features, &labels, params, &mut rng);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let reference = Gbdt::train_with(&features, &labels, params, &mut rng, |b, idx| {
+                b.best_split_reference(idx)
+            });
+            assert!(fast.flatten().node_count() > trees, "trees never split");
+            assert_eq!(bits(fast.flatten()), bits(reference.flatten()), "{trees} trees");
+        }
+    }
 
     fn toy_dataset(rng: &mut ChaCha8Rng, n: usize) -> (Vec<Vec<f32>>, Vec<f32>) {
         // Label = 1 iff x0 > 0.3 AND x2 < 0.5 — a tree-friendly rule.
