@@ -37,7 +37,7 @@
 //!   against the report at PATH ([`mpass_bench::check_gate`]).
 
 use mpass_bench::{bench_corpus, Cli, PairRow};
-use mpass_detectors::train::training_pairs;
+use mpass_detectors::train::{training_pairs, TrainingSet};
 use mpass_detectors::{ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig};
 use mpass_ml::{Conv1d, Gbdt, GbdtParams};
 use mpass_serve::{ReloadableModel, Response, ServeClient, Server, ServerConfig, TenantPolicy};
@@ -120,7 +120,7 @@ fn measure(reps: usize) -> (Vec<PairRow>, MalConv, Vec<Vec<u8>>) {
     let mut malgcg = MalGcg::new(MalGcgConfig::default(), &mut rng);
     malgcg.train(&pairs, 2, 5e-3, &mut rng);
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let lightgbm = LightGbm::train(&samples, GbdtParams::default(), &mut rng);
+    let lightgbm = LightGbm::train(&TrainingSet::new(&samples), GbdtParams::default(), &mut rng);
 
     let items: Vec<&[u8]> = ds.samples.iter().map(|s| s.bytes.as_slice()).collect();
     let roster: [(&str, &dyn Detector); 4] = [

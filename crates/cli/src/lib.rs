@@ -30,7 +30,7 @@
 
 use mpass_binary::{BinaryFormat, BinaryImage, Format, ParseMode};
 use mpass_corpus::{BenignPool, CorpusConfig, Dataset};
-use mpass_detectors::train::training_pairs;
+use mpass_detectors::train::{training_pairs, TrainingSet};
 use mpass_detectors::{ByteConvConfig, Detector, LightGbm, MalConv, MalGcg, MalGcgConfig};
 use mpass_experiments::report::flag_value;
 use mpass_pe::{PeFile, SectionKind};
@@ -452,7 +452,8 @@ pub fn cmd_snapshot(out_path: &str, detector: &str, seed: u64) -> CliResult {
             m.to_snapshot()
         }
         "lightgbm" => {
-            LightGbm::train(&samples, mpass_ml::GbdtParams::default(), &mut rng).to_snapshot()
+            let set = TrainingSet::new(&samples);
+            LightGbm::train(&set, mpass_ml::GbdtParams::default(), &mut rng).to_snapshot()
         }
         other => {
             return Err(format!(

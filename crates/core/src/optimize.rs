@@ -20,11 +20,10 @@
 use crate::modify::{CoupledByte, ModifiedSample};
 use mpass_detectors::{benign_loss, DetectorExt, WhiteBoxModel, WhiteBoxSession};
 use mpass_engine::metrics as trace;
+use mpass_ml::simd::{self, Kernel};
 use mpass_ml::{Adam, Embedding, ParamBuf};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-#[cfg(target_arch = "x86_64")]
-use std::sync::OnceLock;
 
 /// Optimizer hyper-parameters. The paper uses Adam with η = 0.01 and
 /// γ = 50 iterations; this reproduction spends a smaller per-round budget
@@ -240,83 +239,52 @@ fn nearest_byte(
 /// `dirty`; `scores` is scratch and ends holding the last variable's
 /// objective.
 ///
-/// [`map_vars_body`] is compiled twice: for the build's baseline target
-/// and, on x86-64, with AVX2 enabled, picked by a CPU check made once per
-/// process. The two select identical bytes: every candidate runs the same
-/// floating-point operations in the same order in both (Rust never
-/// contracts `a * b + c` into a fused multiply-add), and [`BLOCK`] only
-/// sets how many candidates share a register pass.
-fn map_vars(
-    states: &[ModelState],
-    vars: &[Var],
-    bytes: &mut [u8],
-    dirty: &mut Vec<Range<usize>>,
-    scores: &mut [f32; 256],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `has_avx2` detected AVX2 on this CPU.
-        return unsafe { map_vars_avx2(states, vars, bytes, dirty, scores) };
-    }
-    map_vars_body(states, vars, bytes, dirty, scores);
+/// [`EnsembleOptimizer::run`] runs this [`simd::Kernel`] as compiled for
+/// the widest instruction set this CPU executes ([`simd::Level::best`]:
+/// AVX-512F, AVX2 or the build's baseline). Every instantiation selects
+/// identical bytes: every candidate runs the same floating-point
+/// operations in the same order in each (Rust never contracts `a * b + c`
+/// into a fused multiply-add), and [`BLOCK`] only sets how many candidates
+/// share a register pass.
+struct MapVars<'a> {
+    states: &'a [ModelState],
+    vars: &'a [Var],
+    bytes: &'a mut [u8],
+    dirty: &'a mut Vec<Range<usize>>,
+    scores: &'a mut [f32; 256],
 }
 
-/// Whether this CPU executes AVX2, detected on the first call.
-#[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
-}
+impl Kernel for MapVars<'_> {
+    type Output = ();
 
-/// [`map_vars_body`] compiled with AVX2 enabled.
-///
-/// # Safety
-///
-/// The CPU must execute AVX2 ([`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn map_vars_avx2(
-    states: &[ModelState],
-    vars: &[Var],
-    bytes: &mut [u8],
-    dirty: &mut Vec<Range<usize>>,
-    scores: &mut [f32; 256],
-) {
-    map_vars_body(states, vars, bytes, dirty, scores);
-}
-
-/// The one source body of [`map_vars`]; inlined, with everything it calls
-/// in the sweep, into each instantiation.
-#[inline(always)]
-fn map_vars_body(
-    states: &[ModelState],
-    vars: &[Var],
-    bytes: &mut [u8],
-    dirty: &mut Vec<Range<usize>>,
-    scores: &mut [f32; 256],
-) {
-    let mut cover = Vec::with_capacity(states.len());
-    let mut key = Vec::with_capacity(states.len());
-    for &var in vars {
-        match var {
-            Var::Free { off, slot } => {
-                visible_terms(states, slot, off, &mut cover);
-                let best = nearest_byte(&cover, None, scores).map_or(bytes[off], |b| b as u8);
-                if best != bytes[off] {
-                    bytes[off] = best;
-                    dirty.push(off..off + 1);
+    /// The sweep's one source body; inlined, with everything it calls,
+    /// into each instantiation.
+    #[inline(always)]
+    fn run(self) {
+        let MapVars { states, vars, bytes, dirty, scores } = self;
+        let mut cover = Vec::with_capacity(states.len());
+        let mut key = Vec::with_capacity(states.len());
+        for &var in vars {
+            match var {
+                Var::Free { off, slot } => {
+                    visible_terms(states, slot, off, &mut cover);
+                    let best = nearest_byte(&cover, None, scores).map_or(bytes[off], |b| b as u8);
+                    if best != bytes[off] {
+                        bytes[off] = best;
+                        dirty.push(off..off + 1);
+                    }
                 }
-            }
-            Var::Coupled { pair, cover_slot, key_slot } => {
-                visible_terms(states, cover_slot, pair.cover_offset, &mut cover);
-                visible_terms(states, key_slot, pair.key_offset, &mut key);
-                let best = nearest_byte(&cover, Some((&key, pair.original)), scores)
-                    .map_or(bytes[pair.cover_offset], |b| b as u8);
-                if best != bytes[pair.cover_offset] {
-                    bytes[pair.cover_offset] = best;
-                    bytes[pair.key_offset] = crate::recovery::rekey(best, pair.original);
-                    dirty.push(pair.cover_offset..pair.cover_offset + 1);
-                    dirty.push(pair.key_offset..pair.key_offset + 1);
+                Var::Coupled { pair, cover_slot, key_slot } => {
+                    visible_terms(states, cover_slot, pair.cover_offset, &mut cover);
+                    visible_terms(states, key_slot, pair.key_offset, &mut key);
+                    let best = nearest_byte(&cover, Some((&key, pair.original)), scores)
+                        .map_or(bytes[pair.cover_offset], |b| b as u8);
+                    if best != bytes[pair.cover_offset] {
+                        bytes[pair.cover_offset] = best;
+                        bytes[pair.key_offset] = crate::recovery::rekey(best, pair.original);
+                        dirty.push(pair.cover_offset..pair.cover_offset + 1);
+                        dirty.push(pair.key_offset..pair.key_offset + 1);
+                    }
                 }
             }
         }
@@ -347,13 +315,12 @@ pub struct EnsembleOptimizer<'a> {
     probe: SweepProbe,
 }
 
-/// Test hook on the mapping step: `plain` forces the baseline
-/// instantiation of [`map_vars_body`], and `spans` logs the dirty spans
-/// of every iteration.
+/// Test hook on the mapping step: `level` forces one instantiation of
+/// [`MapVars`], and `spans` logs the dirty spans of every iteration.
 #[cfg(test)]
 #[derive(Default)]
 struct SweepProbe {
-    plain: bool,
+    level: Option<simd::Level>,
     spans: Vec<Vec<Range<usize>>>,
 }
 
@@ -491,9 +458,18 @@ impl<'a> EnsembleOptimizer<'a> {
             trace::series("optimize/loss", f64::from(iteration_loss));
             // Map back to bytes, jointly over models and (for coupled
             // variables) jointly over the cover and the induced key byte.
+            #[cfg(not(test))]
+            let level = simd::Level::best();
             #[cfg(test)]
-            let map_vars = if self.probe.plain { map_vars_body } else { map_vars };
-            map_vars(&self.states, &self.vars, &mut sample.bytes, &mut self.dirty, &mut scores);
+            let level = self.probe.level.unwrap_or_else(simd::Level::best);
+            let sweep = MapVars {
+                states: &self.states,
+                vars: &self.vars,
+                bytes: &mut sample.bytes,
+                dirty: &mut self.dirty,
+                scores: &mut scores,
+            };
+            simd::run_at(level, sweep);
             #[cfg(test)]
             self.probe.spans.push(self.dirty.clone());
         }
@@ -825,39 +801,15 @@ mod tests {
         }
     }
 
-    type MapVars = fn(&[ModelState], &[Var], &mut [u8], &mut Vec<Range<usize>>, &mut [f32; 256]);
-
-    /// Every instantiation of the mapping sweep this CPU can run, by name.
-    fn instantiations() -> Vec<(&'static str, MapVars)> {
-        #[allow(unused_mut)] // nothing further to add off x86-64
-        let mut out: Vec<(&'static str, MapVars)> = vec![("plain", map_vars_body)];
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            out.push(("avx2", |states, vars, bytes, dirty, scores| {
-                // SAFETY: listed only after `has_avx2` detected AVX2.
-                unsafe { map_vars_avx2(states, vars, bytes, dirty, scores) }
-            }));
-        }
-        out
-    }
-
-    /// Name of the instantiation [`map_vars`] dispatches to on this CPU.
-    fn dispatched() -> &'static str {
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            return "avx2";
-        }
-        "plain"
-    }
-
     #[test]
     fn fused_sweep_matches_the_reference_bit_for_bit() {
         // Cover and key offsets of the same index share a visibility
         // class: below 1000, 1000..2000, or beyond every window.
         const COVER: [usize; 4] = [10, 1000, 5000, 1999];
         const KEY: [usize; 4] = [11, 1001, 5001, 1998];
-        let sweeps = instantiations();
-        let names: Vec<_> = sweeps.iter().map(|(name, _)| *name).collect();
+        // Every instantiation of the mapping sweep this CPU can run.
+        let sweeps = simd::Level::available();
+        let names: Vec<_> = sweeps.iter().map(|level| level.name()).collect();
         println!("mapping sweep vs reference, instantiations compared: {names:?}");
         // Model `m` sees the first `windows[m]` bytes. The last case's
         // middle model is blind to 1000..2000 while both neighbours see it.
@@ -908,20 +860,25 @@ mod tests {
                                 want_dirty.push(k_off..k_off + 1);
                             }
                         }
-                        for (name, sweep) in &sweeps {
+                        for &level in &sweeps {
                             let what = format!(
-                                "{name} {kind} dims {dims:?} grid {grid} wild {wild} pair {pair}"
+                                "{} {kind} dims {dims:?} grid {grid} wild {wild} pair {pair}",
+                                level.name()
                             );
+                            let (states, vars) = (&states, &[var]);
+                            let sweep = |bytes: &mut [u8], dirty: &mut _, scores: &mut _| {
+                                simd::run_at(level, MapVars { states, vars, bytes, dirty, scores })
+                            };
                             let mut bytes = before.clone();
                             let (mut dirty, mut scores) = (Vec::new(), [0.0f32; 256]);
-                            sweep(&states, &[var], &mut bytes, &mut dirty, &mut scores);
+                            sweep(&mut bytes, &mut dirty, &mut scores);
                             assert_same_bits(&scores, &want_scores, &what);
                             assert!(bytes == want_bytes, "{what}: selected bytes differ");
                             assert_eq!(dirty, want_dirty, "{what}");
                             // The states did not move, so a second sweep
                             // keeps every byte and marks nothing dirty.
                             dirty.clear();
-                            sweep(&states, &[var], &mut bytes, &mut dirty, &mut scores);
+                            sweep(&mut bytes, &mut dirty, &mut scores);
                             assert!(bytes == want_bytes && dirty.is_empty(), "{what}: resweep");
                         }
                     }
@@ -933,7 +890,7 @@ mod tests {
     #[test]
     fn dispatched_sweep_runs_the_optimizer_like_the_plain_body() {
         let w = world();
-        println!("optimizer run: plain body vs dispatched sweep ({})", dispatched());
+        println!("optimizer run: plain body vs dispatched sweep ({})", simd::Level::best().name());
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let models: Vec<&dyn mpass_detectors::WhiteBoxModel> =
             vec![&w.malconv, &w.nonneg, &w.malgcg];
@@ -944,7 +901,7 @@ mod tests {
                 modify(s, &w.pool, &ModificationConfig::default(), &mut rng).unwrap();
             let mut ms = plain_ms.clone();
             let mut plain = EnsembleOptimizer::new(models.clone(), &plain_ms, cfg);
-            plain.probe.plain = true;
+            plain.probe.level = Some(simd::Level::Plain);
             let mut opt = EnsembleOptimizer::new(models.clone(), &ms, cfg);
             for round in 0..4 {
                 let want = plain.run(&mut plain_ms);

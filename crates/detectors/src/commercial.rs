@@ -16,8 +16,8 @@
 
 use crate::features::FeatureExtractor;
 use crate::signatures::SignatureStore;
+use crate::train::TrainingSet;
 use crate::traits::Detector;
-use mpass_corpus::Sample;
 use mpass_ml::{Adam, Gbdt, GbdtParams, Mlp};
 use mpass_binary::{BinaryFormat, BinaryImage};
 use rand::Rng;
@@ -109,6 +109,12 @@ pub fn default_profiles() -> Vec<AvProfile> {
 /// absent from this list.)
 const KNOWN_PACKER_MARKERS: &[&[u8]] = &[b"UPX!", b"PESpin", b"ASPack", b".aspack"];
 
+/// A vendor's view of a feature vector: every feature outside its subset
+/// reads 0.
+fn mask(features: impl IntoIterator<Item = f32>, keep: &[bool]) -> Vec<f32> {
+    features.into_iter().zip(keep).map(|(v, &keep)| if keep { v } else { 0.0 }).collect()
+}
+
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
 }
@@ -126,38 +132,33 @@ pub struct CommercialAv {
 }
 
 impl CommercialAv {
-    /// Train a vendor model on labelled samples. The benign portion of the
-    /// training set doubles as the clean reference that signature mining
-    /// must never collide with.
-    pub fn train(profile: AvProfile, samples: &[&Sample]) -> CommercialAv {
+    /// Train a vendor model on a labelled set, masking its extracted
+    /// features to the vendor's subset. The benign portion of the training
+    /// set doubles as the clean reference that signature mining must never
+    /// collide with.
+    pub fn train(profile: AvProfile, set: &TrainingSet) -> CommercialAv {
         let mut rng = ChaCha8Rng::seed_from_u64(profile.seed);
         let extractor = FeatureExtractor::new();
         let dim = extractor.dim();
         let feature_mask: Vec<bool> =
             (0..dim).map(|_| !rng.gen_bool(profile.feature_dropout as f64)).collect();
-        let mask = |f: Vec<f32>| -> Vec<f32> {
-            f.into_iter()
-                .zip(&feature_mask)
-                .map(|(v, &keep)| if keep { v } else { 0.0 })
-                .collect()
-        };
         let features: Vec<Vec<f32>> =
-            samples.iter().map(|s| mask(extractor.extract(&s.bytes))).collect();
-        let labels: Vec<f32> = samples.iter().map(|s| s.label.target()).collect();
+            set.features().iter().map(|f| mask(f.iter().copied(), &feature_mask)).collect();
+        let labels = set.labels();
         let gbdt = Gbdt::train(
             &features,
-            &labels,
+            labels,
             GbdtParams { trees: 50, ..GbdtParams::default() },
             &mut rng,
         );
         let mut mlp = Mlp::new(dim, 24, &mut rng);
-        let pairs: Vec<(Vec<f32>, f32)> =
-            features.iter().cloned().zip(labels.iter().copied()).collect();
+        let pairs: Vec<(Vec<f32>, f32)> = features.into_iter().zip(labels.iter().copied()).collect();
         let adam = Adam::with_lr(5e-3);
         for _ in 0..20 {
             mlp.train_epoch(&pairs, &adam);
         }
-        let clean_reference = samples
+        let clean_reference = set
+            .samples()
             .iter()
             .filter(|s| s.label == mpass_corpus::Label::Benign)
             .map(|s| s.bytes.clone())
@@ -190,12 +191,7 @@ impl CommercialAv {
     }
 
     fn masked_features(&self, bytes: &[u8]) -> Vec<f32> {
-        self.extractor
-            .extract(bytes)
-            .into_iter()
-            .zip(&self.feature_mask)
-            .map(|(v, &keep)| if keep { v } else { 0.0 })
-            .collect()
+        mask(self.extractor.extract(bytes), &self.feature_mask)
     }
 
     /// The ML-ensemble component of the score.
@@ -450,7 +446,7 @@ mod tests {
 
     fn one_av(ds: &Dataset) -> CommercialAv {
         let samples: Vec<_> = ds.samples.iter().collect();
-        CommercialAv::train(default_profiles().remove(0), &samples)
+        CommercialAv::train(default_profiles().remove(0), &TrainingSet::new(&samples))
     }
 
     #[test]

@@ -37,6 +37,8 @@ mod lightgbm;
 mod malconv;
 mod malgcg;
 pub mod oracle;
+#[cfg(test)]
+mod session_check;
 mod signatures;
 pub mod snapshot;
 pub mod swap;

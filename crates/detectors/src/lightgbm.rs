@@ -7,8 +7,8 @@
 //! pure transfer from the differentiable ensemble.
 
 use crate::features::{FeatureExtractor, FeatureScratch};
+use crate::train::TrainingSet;
 use crate::traits::Detector;
-use mpass_corpus::Sample;
 use mpass_ml::{FlatForest, Gbdt, GbdtParams, Snapshot, SnapshotBuilder, SnapshotError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -22,18 +22,14 @@ pub struct LightGbm {
 }
 
 impl LightGbm {
-    /// Train on labelled samples.
+    /// Train on a labelled set's extracted features.
     pub fn train<R: Rng + ?Sized>(
-        samples: &[&Sample],
+        set: &TrainingSet,
         params: GbdtParams,
         rng: &mut R,
     ) -> LightGbm {
-        let extractor = FeatureExtractor::new();
-        let features: Vec<Vec<f32>> =
-            samples.iter().map(|s| extractor.extract(&s.bytes)).collect();
-        let labels: Vec<f32> = samples.iter().map(|s| s.label.target()).collect();
-        let model = Gbdt::train(&features, &labels, params, rng);
-        LightGbm { extractor, model, threshold: 0.5 }
+        let model = Gbdt::train(set.features(), set.labels(), params, rng);
+        LightGbm { extractor: FeatureExtractor::new(), model, threshold: 0.5 }
     }
 
     /// The underlying tree count (diagnostic).
@@ -139,7 +135,7 @@ impl crate::traits::DetectorExt for LightGbm {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::score_pairs;
+    use crate::train::{score_pairs, TrainingSet};
     use mpass_corpus::{CorpusConfig, Dataset};
     use mpass_ml::metrics;
     use rand::SeedableRng;
@@ -155,7 +151,7 @@ mod tests {
         });
         let (train, test) = ds.split(5);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let model = LightGbm::train(&train, GbdtParams::default(), &mut rng);
+        let model = LightGbm::train(&TrainingSet::new(&train), GbdtParams::default(), &mut rng);
         let pairs = score_pairs(&model, &test);
         let acc = metrics::accuracy(&pairs, model.threshold());
         let auc = metrics::auc(&pairs);
@@ -177,7 +173,7 @@ mod tests {
         });
         let all: Vec<_> = ds.samples.iter().collect();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let model = LightGbm::train(&all, GbdtParams::default(), &mut rng);
+        let model = LightGbm::train(&TrainingSet::new(&all), GbdtParams::default(), &mut rng);
         let s = ds.malware()[0];
         let base = model.score(&s.bytes);
         let mut pe = s.pe().unwrap().clone();

@@ -15,7 +15,7 @@ use crate::traits::{Detector, WhiteBoxModel, WhiteBoxSession};
 use mpass_ml::{
     bce_with_logits, bce_with_logits_backward, global_max_pool, global_max_pool_backward,
     relu, relu_backward, sigmoid, Adam, Cached, Conv1d, Embedding, Linear, Snapshot,
-    SnapshotBuilder, SnapshotError, TokenConv, Workspace,
+    SnapshotBuilder, SnapshotError, TokenConv, WindowMask, Workspace,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -532,14 +532,20 @@ struct ByteConvSession<'a> {
     a: Vec<f32>,
     b: Vec<f32>,
     gated: Vec<f32>,
+    /// Windows to recompute in the current [`ByteConvSession::sync`].
+    marked: WindowMask,
     /// Length of the buffer the caches describe; `None` until primed.
     len: Option<usize>,
+    /// Recomputations of each window in the last sync.
+    #[cfg(test)]
+    recomputed: Vec<u32>,
 }
 
 impl<'a> ByteConvSession<'a> {
     fn new(net: &'a MalConv) -> Self {
         let tables = net.tables();
-        let cells = tables.a.windows(net.config.window) * net.config.filters;
+        let windows = tables.a.windows(net.config.window);
+        let cells = windows * net.config.filters;
         ByteConvSession {
             net,
             tables,
@@ -548,12 +554,17 @@ impl<'a> ByteConvSession<'a> {
             a: vec![0.0; cells],
             b: vec![0.0; cells],
             gated: vec![0.0; cells],
+            marked: WindowMask::new(windows),
             len: None,
+            #[cfg(test)]
+            recomputed: vec![0; windows],
         }
     }
 
     /// Bring cached activations up to date with `bytes`, trusting `dirty`
-    /// to cover every changed offset since the last call.
+    /// to cover every changed offset since the last call. Every span's
+    /// tokens are updated first; then each window overlapping any span is
+    /// recomputed once, from the final tokens.
     fn sync(&mut self, bytes: &[u8], dirty: &[Range<usize>]) {
         let (window, filters) = (self.net.config.window, self.net.config.filters);
         let prime = 0..window;
@@ -568,12 +579,19 @@ impl<'a> ByteConvSession<'a> {
             for i in lo..hi {
                 self.tokens[i] = token_at(bytes, i);
             }
-            for w in self.tables.a.dirty_windows(window, lo, hi) {
-                let span = w * filters..(w + 1) * filters;
-                self.tables.a.window_into(&self.tokens, w, &mut self.a[span.clone()]);
-                self.tables.b.window_into(&self.tokens, w, &mut self.b[span.clone()]);
-                gate_into(&self.a[span.clone()], &self.b[span.clone()], &mut self.gated[span]);
+            self.marked.mark(self.tables.a.dirty_windows(window, lo, hi));
+        }
+        #[cfg(test)]
+        self.recomputed.fill(0);
+        for w in self.marked.drain().flatten() {
+            #[cfg(test)]
+            {
+                self.recomputed[w] += 1;
             }
+            let span = w * filters..(w + 1) * filters;
+            self.tables.a.window_into(&self.tokens, w, &mut self.a[span.clone()]);
+            self.tables.b.window_into(&self.tokens, w, &mut self.b[span.clone()]);
+            gate_into(&self.a[span.clone()], &self.b[span.clone()], &mut self.gated[span]);
         }
         debug_assert_eq!(
             self.tokens.iter().enumerate().position(|(i, &t)| t != token_at(bytes, i)),
@@ -922,6 +940,28 @@ mod tests {
             let lf = m.session().loss_grad_delta(&bytes, &[], &mut g_full);
             assert_eq!(li.to_bits(), lf.to_bits(), "trial {trial} loss mismatch");
             assert_eq!(g_inc, g_full, "trial {trial} gradient mismatch");
+        }
+    }
+
+    /// Optimizer-shaped dirty lists (hundreds of 1-byte spans, repeats,
+    /// overlaps, edge and empty spans) give a fresh session's bits, and
+    /// each call recomputes every window at most once — for MalConv and
+    /// NonNeg alike.
+    #[test]
+    fn multi_span_syncs_match_a_fresh_session_and_recompute_each_window_once() {
+        let ds = dataset();
+        let pairs = training_pairs(&ds.samples.iter().collect::<Vec<_>>());
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut nonneg = MalConv::nonneg(ByteConvConfig::tiny(), &mut rng);
+        nonneg.train(&pairs, 3, 5e-3, &mut rng);
+        for (seed, m) in [(81, trained_tiny()), (82, nonneg)] {
+            crate::session_check::check_multi_span(
+                || ByteConvSession::new(&m),
+                |s| &s.recomputed,
+                ds.malware()[seed as usize % 4].bytes.clone(),
+                m.config.window,
+                seed,
+            );
         }
     }
 

@@ -12,7 +12,7 @@ use crate::traits::{Detector, WhiteBoxModel, WhiteBoxSession};
 use mpass_ml::{
     bce_with_logits, bce_with_logits_backward, global_max_pool, global_max_pool_backward,
     relu, relu_backward, sigmoid, Adam, Cached, Conv1d, ConvXposed, Embedding, Linear,
-    Snapshot, SnapshotBuilder, SnapshotError, TokenConv, Workspace,
+    Snapshot, SnapshotBuilder, SnapshotError, TokenConv, WindowMask, Workspace,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -520,16 +520,25 @@ struct MalGcgSession<'a> {
     r1: Vec<f32>,
     c2: Vec<f32>,
     r2: Vec<f32>,
+    /// Layer-1 and layer-2 windows to recompute in the current
+    /// [`MalGcgSession::sync`].
+    marked1: WindowMask,
+    marked2: WindowMask,
     /// Length of the buffer the caches describe; `None` until primed.
     len: Option<usize>,
+    /// Recomputations of each layer-1, then each layer-2 window in the
+    /// last sync.
+    #[cfg(test)]
+    recomputed: Vec<u32>,
 }
 
 impl<'a> MalGcgSession<'a> {
     fn new(net: &'a MalGcg) -> Self {
         let c = &net.config;
         let windows1 = net.conv1.windows(c.window);
+        let windows2 = net.conv2.windows(windows1);
         let cells1 = windows1 * c.ch1;
-        let cells2 = net.conv2.windows(windows1) * c.ch2;
+        let cells2 = windows2 * c.ch2;
         MalGcgSession {
             net,
             t1: net.tables(),
@@ -540,12 +549,19 @@ impl<'a> MalGcgSession<'a> {
             r1: vec![0.0; cells1],
             c2: vec![0.0; cells2],
             r2: vec![0.0; cells2],
+            marked1: WindowMask::new(windows1),
+            marked2: WindowMask::new(windows2),
             len: None,
+            #[cfg(test)]
+            recomputed: vec![0; windows1 + windows2],
         }
     }
 
     /// Bring cached activations up to date with `bytes`, trusting `dirty`
-    /// to cover every changed offset since the last call.
+    /// to cover every changed offset since the last call. Every span's
+    /// tokens are updated first; then each dirty layer-1 window is
+    /// recomputed once, from the final tokens, and after them each
+    /// layer-2 window they feed, from the final layer-1 output.
     fn sync(&mut self, bytes: &[u8], dirty: &[Range<usize>]) {
         let (window, ch1, ch2) = (self.net.config.window, self.net.config.ch1, self.net.config.ch2);
         let prime = 0..window;
@@ -561,18 +577,31 @@ impl<'a> MalGcgSession<'a> {
             for i in lo..hi {
                 self.tokens[i] = token_at(bytes, i);
             }
-            let w1 = self.t1.dirty_windows(window, lo, hi);
-            for w in w1.clone() {
+            self.marked1.mark(self.t1.dirty_windows(window, lo, hi));
+        }
+        #[cfg(test)]
+        self.recomputed.fill(0);
+        for run in self.marked1.drain() {
+            // Layer-1 windows are layer-2 input positions.
+            self.marked2.mark(self.net.conv2.dirty_windows(windows1, run.start, run.end));
+            for w in run {
+                #[cfg(test)]
+                {
+                    self.recomputed[w] += 1;
+                }
                 let span = w * ch1..(w + 1) * ch1;
                 self.t1.window_into(&self.tokens, w, &mut self.c1[span.clone()]);
                 relu_into(&self.c1[span.clone()], &mut self.r1[span]);
             }
-            // Layer-1 windows are layer-2 input positions.
-            for w in self.net.conv2.dirty_windows(windows1, w1.start, w1.end) {
-                let span = w * ch2..(w + 1) * ch2;
-                self.x2.forward_window_into(&self.r1, w, &mut self.c2[span.clone()]);
-                relu_into(&self.c2[span.clone()], &mut self.r2[span]);
+        }
+        for w in self.marked2.drain().flatten() {
+            #[cfg(test)]
+            {
+                self.recomputed[windows1 + w] += 1;
             }
+            let span = w * ch2..(w + 1) * ch2;
+            self.x2.forward_window_into(&self.r1, w, &mut self.c2[span.clone()]);
+            relu_into(&self.c2[span.clone()], &mut self.r2[span]);
         }
         debug_assert_eq!(
             self.tokens.iter().enumerate().position(|(i, &t)| t != token_at(bytes, i)),
@@ -779,6 +808,21 @@ mod tests {
             assert_eq!(li.to_bits(), lf.to_bits(), "trial {trial} loss mismatch");
             assert_eq!(g_inc, g_full, "trial {trial} gradient mismatch");
         }
+    }
+
+    /// Optimizer-shaped dirty lists (hundreds of 1-byte spans, repeats,
+    /// overlaps, edge and empty spans) give a fresh session's bits, and
+    /// each call recomputes every layer-1 and layer-2 window at most once.
+    #[test]
+    fn multi_span_syncs_match_a_fresh_session_and_recompute_each_window_once() {
+        let (m, ds) = trained_tiny();
+        crate::session_check::check_multi_span(
+            || MalGcgSession::new(&m),
+            |s| &s.recomputed,
+            ds.malware()[3].bytes.clone(),
+            m.config.window,
+            83,
+        );
     }
 
     /// A session re-primes whenever `bytes.len()` changes, whatever

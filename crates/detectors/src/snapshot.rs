@@ -36,7 +36,7 @@ mod tests {
     use super::*;
     use crate::malconv::ByteConvConfig;
     use crate::malgcg::MalGcgConfig;
-    use crate::train::training_pairs;
+    use crate::train::{training_pairs, TrainingSet};
     use mpass_corpus::{CorpusConfig, Dataset};
     use mpass_ml::GbdtParams;
     use rand::SeedableRng;
@@ -117,7 +117,7 @@ mod tests {
         let ds = dataset();
         let all: Vec<_> = ds.samples.iter().collect();
         let mut rng = ChaCha8Rng::seed_from_u64(34);
-        let m = LightGbm::train(&all, GbdtParams::default(), &mut rng);
+        let m = LightGbm::train(&TrainingSet::new(&all), GbdtParams::default(), &mut rng);
         let snap = Snapshot::from_bytes(&m.to_snapshot().to_bytes()).expect("decodes");
         let back = detector_from_snapshot(&snap).expect("registry rebuilds");
         assert_bit_identical(&m, back.as_ref(), &ds);

@@ -1,6 +1,45 @@
 //! Shared training helpers.
 
+use crate::features::FeatureExtractor;
 use mpass_corpus::Sample;
+
+/// Labelled samples with their static features extracted once: every
+/// feature-based detector trained on the same samples (LightGBM and each
+/// simulated commercial AV) reads this one extraction instead of running
+/// its own.
+#[derive(Debug, Clone)]
+pub struct TrainingSet<'a> {
+    samples: Vec<&'a Sample>,
+    features: Vec<Vec<f32>>,
+    labels: Vec<f32>,
+}
+
+impl<'a> TrainingSet<'a> {
+    /// Extract the features of `samples`, in sample order.
+    pub fn new(samples: &[&'a Sample]) -> Self {
+        let extractor = FeatureExtractor::new();
+        TrainingSet {
+            samples: samples.to_vec(),
+            features: samples.iter().map(|s| extractor.extract(&s.bytes)).collect(),
+            labels: samples.iter().map(|s| s.label.target()).collect(),
+        }
+    }
+
+    /// The samples, in order.
+    pub fn samples(&self) -> &[&'a Sample] {
+        &self.samples
+    }
+
+    /// Each sample's [`FeatureExtractor::extract`] vector.
+    pub fn features(&self) -> &[Vec<f32>] {
+        &self.features
+    }
+
+    /// Each sample's training target (1 for malware, 0 for benign).
+    pub fn labels(&self) -> &[f32] {
+        &self.labels
+    }
+}
 
 /// Borrowed `(bytes, target)` pairs from samples, in sample order.
 pub fn training_pairs<'a>(samples: &[&'a Sample]) -> Vec<(&'a [u8], f32)> {

@@ -1,7 +1,7 @@
 //! The shared experimental world: corpus, benign pool, trained detectors.
 
 use mpass_corpus::{BenignPool, CorpusConfig, Dataset, Sample};
-use mpass_detectors::train::training_pairs;
+use mpass_detectors::train::{training_pairs, TrainingSet};
 use mpass_detectors::{
     commercial::default_profiles, ByteConvConfig, CommercialAv, Detector, DetectorExt, LightGbm,
     MalConv, MalGcg, MalGcgConfig, WhiteBoxModel,
@@ -145,11 +145,12 @@ impl World {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x7283);
         let mut malgcg = MalGcg::new(config.malgcg, &mut rng);
         malgcg.train(&pairs, config.conv_epochs, config.conv_lr, &mut rng);
+        let train_features = TrainingSet::new(&train);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x7284);
-        let lightgbm = LightGbm::train(&train, config.gbdt, &mut rng);
+        let lightgbm = LightGbm::train(&train_features, config.gbdt, &mut rng);
         let avs = default_profiles()
             .into_iter()
-            .map(|p| CommercialAv::train(p, &train))
+            .map(|p| CommercialAv::train(p, &train_features))
             .collect();
         World { config, dataset, pool, malconv, nonneg, lightgbm, malgcg, avs }
     }

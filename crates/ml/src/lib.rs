@@ -59,5 +59,5 @@ pub use mlp::Mlp;
 pub use param::{Adam, ParamBuf};
 pub use pool::{global_max_pool, global_max_pool_backward};
 pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
-pub use table::{dirty_window_span, TokenConv};
+pub use table::{dirty_window_span, TokenConv, WindowMask, WindowRuns};
 pub use workspace::{Cached, Workspace};

@@ -143,6 +143,75 @@ pub fn dirty_window_span(
     }
 }
 
+/// A reusable set of dirty window indices: spans of windows are marked,
+/// then drained as maximal runs in ascending order, so an incremental
+/// session recomputes each window once per call however many dirty spans
+/// overlap it. One bit per window; marking and draining allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct WindowMask {
+    words: Vec<u64>,
+}
+
+impl WindowMask {
+    /// An empty mask over windows `0..windows`.
+    pub fn new(windows: usize) -> Self {
+        WindowMask { words: vec![0; windows.div_ceil(64)] }
+    }
+
+    /// Mark every window of `span`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `span` reaches past the mask.
+    pub fn mark(&mut self, span: std::ops::Range<usize>) {
+        for w in span {
+            self.words[w / 64] |= 1 << (w % 64);
+        }
+    }
+
+    /// The maximal runs of marked windows, in ascending order; each run is
+    /// cleared as it is yielded, so a fully drained mask is empty again.
+    pub fn drain(&mut self) -> WindowRuns<'_> {
+        WindowRuns { words: &mut self.words, word: 0 }
+    }
+}
+
+/// Iterator of [`WindowMask::drain`].
+#[derive(Debug)]
+pub struct WindowRuns<'a> {
+    words: &'a mut [u64],
+    /// Every word before this one is clear.
+    word: usize,
+}
+
+impl Iterator for WindowRuns<'_> {
+    type Item = std::ops::Range<usize>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while *self.words.get(self.word)? == 0 {
+            self.word += 1;
+        }
+        let start = self.word * 64 + self.words[self.word].trailing_zeros() as usize;
+        let mut end = start;
+        // Extend through consecutive set bits, clearing them, until a clear
+        // bit or the end of the mask.
+        while let Some(word) = self.words.get_mut(end / 64) {
+            let bit = end % 64;
+            let ones = (*word >> bit).trailing_ones() as usize;
+            if ones == 0 {
+                break;
+            }
+            *word &= !((u64::MAX >> (64 - ones)) << bit);
+            end += ones;
+            if bit + ones < 64 {
+                break;
+            }
+        }
+        self.word = end / 64;
+        Some(start..end)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,5 +266,47 @@ mod tests {
         }
         assert_eq!(tc.dirty_windows(len, 5, 5), 0..0, "empty span");
         assert_eq!(tc.dirty_windows(4, 0, 4), 0..0, "input shorter than kernel");
+    }
+
+    /// A drained mask yields exactly the marked windows, once each, as
+    /// maximal ascending runs, and is empty afterwards — across word
+    /// boundaries, full words and the mask's last window.
+    #[test]
+    fn window_mask_drains_maximal_runs_once() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for windows in [0usize, 1, 63, 64, 65, 128, 200, 256] {
+            let mut mask = WindowMask::new(windows);
+            for trial in 0..200 {
+                // Nothing, everything, then the first and last window
+                // before random spans.
+                let mut spans = Vec::new();
+                match trial {
+                    0 => {}
+                    1 => spans.push(0..windows),
+                    _ => spans.extend([0..windows.min(1), windows.saturating_sub(1)..windows]),
+                }
+                for _ in 0..if trial < 3 { 0 } else { rng.gen_range(0..12) } {
+                    let lo = rng.gen_range(0..=windows);
+                    spans.push(lo..(lo + rng.gen_range(0..70)).min(windows));
+                }
+                let mut want = vec![false; windows];
+                for span in spans {
+                    want[span.clone()].fill(true);
+                    mask.mark(span);
+                }
+                let runs: Vec<_> = mask.drain().collect();
+                let mut got = vec![false; windows];
+                for (i, run) in runs.iter().enumerate() {
+                    assert!(!run.is_empty(), "{windows}/{trial}: empty run");
+                    if i > 0 {
+                        let prev = &runs[i - 1];
+                        assert!(prev.end < run.start, "{windows}/{trial}: {runs:?} not maximal");
+                    }
+                    got[run.clone()].fill(true);
+                }
+                assert_eq!(got, want, "{windows}/{trial}: runs {runs:?}");
+                assert_eq!(mask.drain().next(), None, "{windows}/{trial}: drained mask");
+            }
+        }
     }
 }

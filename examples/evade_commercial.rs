@@ -10,7 +10,7 @@ use mpass::baselines::{Mab, MabConfig};
 use mpass::core::{Attack, HardLabelTarget, MPassAttack, MPassConfig};
 use mpass::corpus::{BenignPool, CorpusConfig, Dataset};
 use mpass::detectors::commercial::default_profiles;
-use mpass::detectors::train::training_pairs;
+use mpass::detectors::train::{training_pairs, TrainingSet};
 use mpass::detectors::{ByteConvConfig, CommercialAv, Detector, MalConv, MalGcg, MalGcgConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,7 +32,7 @@ fn main() {
     let mut malgcg = MalGcg::new(MalGcgConfig::default(), &mut rng);
     malgcg.train(&pairs, 5, 5e-3, &mut rng);
 
-    let av = CommercialAv::train(default_profiles().remove(2), &samples);
+    let av = CommercialAv::train(default_profiles().remove(2), &TrainingSet::new(&samples));
     println!("target: {} (threshold {})", av.name(), av.threshold());
 
     let pool = BenignPool::generate(10, 3);
