@@ -21,17 +21,26 @@
 //! * `mixed-wave` — half and half, the realistic campaign mix.
 //!
 //! Both paths are timed in the same process over the same bytes, one
-//! [`PairRow`] per wave in table `digest`. Usage (see
-//! [`mpass_bench::Cli`]):
+//! [`PairRow`] per wave in table `digest`. Both sides load every input
+//! the way the sandbox does, through the borrowed `PeView`.
+//!
+//! One more row, `load/pe-load`, times that load alone over the corpus
+//! mixed wave: `PeView::parse` plus `map_image_bounded`, which maps each
+//! section straight from the candidate's bytes, against
+//! `BinaryImage::parse_auto` plus `map_image_bounded`, which copies every
+//! section and the overlay before mapping.
+//!
+//! Usage (see [`mpass_bench::Cli`]):
 //!
 //! * `bench_validate` — measure and write `results/BENCH_validate.json`,
 //! * `--quick` — fewer repetitions (CI smoke),
 //! * `--out PATH` — alternative output path,
-//! * `--gate PATH` — fail (exit 1) if a wave's speedup regressed >20%
+//! * `--gate PATH` — fail (exit 1) if a row's speedup regressed >20%
 //!   against the report at PATH ([`mpass_bench::check_gate`]).
 
 use mpass_bench::{bench_corpus, Cli, PairRow};
-use mpass_sandbox::{FunctionalityVerdict, Sandbox};
+use mpass_pe::PeView;
+use mpass_sandbox::{BinaryImage, FunctionalityVerdict, Sandbox};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -39,14 +48,16 @@ use std::hint::black_box;
 struct ValidateReport {
     /// Human description of the fixture the numbers were taken on.
     fixture: String,
-    /// One digest-vs-full-trace row per wave, µs per candidate.
+    /// One digest-vs-full-trace row per wave, then the view-vs-owned load
+    /// row, µs per candidate.
     rows: Vec<PairRow>,
 }
 
 const FIXTURE_DESC: &str = "two originals x 48-candidate waves: corpus- rows use bench sample \
      mal_0 (seed 0xBE7C4, parse-dominated); hot- rows use a synthetic 4096-event API loop \
      (execution-dominated, campaign-representative). Waves: preserved (timestamp/overlay \
-     edits), diverging (first API event differs), mixed (24/24)";
+     edits), diverging (first API event differs), mixed (24/24). load/pe-load parses and maps \
+     the corpus mixed wave";
 
 /// Synthetic execution-dominated original: a loop that emits
 /// `HOT_EVENTS` API events before halting, so validation cost is the
@@ -156,6 +167,41 @@ fn measure_wave(
     )
 }
 
+/// Loading a candidate for execution: the borrowed view against the owned
+/// parse, both mapping the image under the sandbox's memory ceiling.
+fn measure_load(candidates: &[Vec<u8>], reps: usize) -> PairRow {
+    let limit = mpass_vm::VmLimits::default().memory_limit;
+    let owned = |c: &[u8]| {
+        let image = BinaryImage::parse_auto(c).ok()?;
+        image.as_dyn().map_image_bounded(limit).ok()
+    };
+    let view = |c: &[u8]| PeView::parse(c).ok()?.map_image_bounded(limit).ok();
+    // Correctness first, outside the timed region: both loads map the
+    // same bytes.
+    for c in candidates {
+        let mapped = view(c);
+        assert!(mapped.is_some(), "pe-load: a candidate does not load");
+        assert!(mapped == owned(c), "pe-load: the view maps a different image");
+    }
+    PairRow::measure(
+        "load",
+        "pe-load",
+        "BinaryImage::parse_auto + map_image_bounded",
+        candidates.len(),
+        reps,
+        || {
+            for c in candidates {
+                black_box(owned(c));
+            }
+        },
+        || {
+            for c in candidates {
+                black_box(view(c));
+            }
+        },
+    )
+}
+
 fn measure(reps: usize) -> Vec<PairRow> {
     let ds = bench_corpus();
     let sb = Sandbox::new();
@@ -211,6 +257,9 @@ fn measure(reps: usize) -> Vec<PairRow> {
     rows.push(measure_wave(&sb, "hot-diverging-wave", &hot_original, &hot_diverging, reps));
     rows.push(measure_wave(&sb, "hot-mixed-wave", &hot_original, &hot_mixed, reps));
 
+    // A load pass is ~100× shorter than a wave's validation pass, so it
+    // takes 20× the repetitions to settle its minimum.
+    rows.push(measure_load(&mixed, 20 * reps));
     rows
 }
 

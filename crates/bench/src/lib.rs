@@ -7,7 +7,8 @@
 //!   the conv-forward and GBDT-predict kernels, plus two ungated daemon
 //!   load scenarios,
 //! * `bench_validate` — digest validation vs full-trace comparison over
-//!   six candidate waves.
+//!   six candidate waves, and loading a PE candidate through the borrowed
+//!   `PeView` vs the owned parse.
 //!
 //! Every gated measurement is one [`PairRow`], timed by the interleaved
 //! pair timer ([`time_pair_us`]) and compared against a committed report
@@ -51,8 +52,8 @@ pub fn time_pair_us(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f
 /// it replaced, timed in the same process over the same inputs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PairRow {
-    /// Report table the row sits in (`batched`, `kernel`, `digest`); with
-    /// `name`, the key the gate matches rows by.
+    /// Report table the row sits in (`batched`, `kernel`, `digest`,
+    /// `load`); with `name`, the key the gate matches rows by.
     pub table: String,
     /// Row name within its table (detector name, kernel tag, wave tag).
     pub name: String,
@@ -369,6 +370,7 @@ mod tests {
                 "digest/hot-preserved-wave",
                 "digest/hot-diverging-wave",
                 "digest/hot-mixed-wave",
+                "load/pe-load",
             ]
         );
     }

@@ -17,7 +17,7 @@
 #![deny(missing_docs)]
 
 pub use mpass_binfmt::{
-    detect_format, BinaryError, BinaryFormat, Format, ImportSummary, ModifiableKind,
+    detect_format, BinaryError, BinaryFormat, Format, ImportSummary, Loadable, ModifiableKind,
     ModifiableRegion, ParseMode, SectionKind, SectionMeta,
 };
 pub use mpass_macho::{MachoError, MachoFile};
@@ -133,6 +133,16 @@ impl BinaryImage {
     }
 }
 
+impl Loadable for BinaryImage {
+    fn entry_point(&self) -> u64 {
+        self.as_dyn().entry_point()
+    }
+
+    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError> {
+        self.as_dyn().map_image_bounded(max_bytes)
+    }
+}
+
 impl BinaryFormat for BinaryImage {
     fn format(&self) -> Format {
         self.as_dyn().format()
@@ -179,10 +189,6 @@ impl BinaryFormat for BinaryImage {
         self.as_dyn().next_free_va()
     }
 
-    fn entry_point(&self) -> u64 {
-        self.as_dyn().entry_point()
-    }
-
     fn set_entry_point(&mut self, va: u64) -> Result<(), BinaryError> {
         self.as_dyn_mut().set_entry_point(va)
     }
@@ -215,9 +221,6 @@ impl BinaryFormat for BinaryImage {
         self.as_dyn_mut().truncate_overlay(len);
     }
 
-    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError> {
-        self.as_dyn().map_image_bounded(max_bytes)
-    }
 
     fn randomize_free_headers(&mut self, rng: &mut dyn RngCore) {
         self.as_dyn_mut().randomize_free_headers(rng);

@@ -7,7 +7,8 @@
 //! re-serialize. This crate defines that contract once:
 //!
 //! * [`BinaryFormat`] — the trait every backend implements (`mpass-pe`,
-//!   `mpass-macho`).
+//!   `mpass-macho`), and its supertrait [`Loadable`], the read half the
+//!   VM's loader takes.
 //! * [`Format`] / [`detect_format`] — container identification by magic.
 //! * [`SectionKind`] — the shared section-role vocabulary.
 //! * [`SectionMeta`], [`ModifiableRegion`], [`ImportSummary`] — the
@@ -30,7 +31,7 @@ mod traits;
 pub use error::BinaryError;
 pub use kind::{SectionKind, SectionTraits};
 pub use meta::{ImportSummary, ModifiableKind, ModifiableRegion, SectionMeta};
-pub use traits::BinaryFormat;
+pub use traits::{BinaryFormat, Loadable};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

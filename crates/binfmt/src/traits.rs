@@ -1,7 +1,23 @@
-//! The [`BinaryFormat`] trait: the one API every container backend speaks.
+//! The [`BinaryFormat`] trait: the one API every container backend speaks,
+//! and [`Loadable`], the read half a loader needs.
 
 use crate::{BinaryError, Format, ImportSummary, ModifiableRegion, SectionKind, SectionMeta};
 use rand::RngCore;
+
+/// What a loader reads of a parsed image: where execution starts and the
+/// image as mapped into memory.
+///
+/// Every [`BinaryFormat`] is `Loadable`, and so are read-only parses that
+/// are not editable containers (`mpass_pe::PeView` borrows its sections
+/// from the input bytes). The VM loads through this trait.
+pub trait Loadable {
+    /// Virtual address execution starts at.
+    fn entry_point(&self) -> u64;
+
+    /// Map the image as the loader would, failing when the mapped size
+    /// exceeds `max_bytes`.
+    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError>;
+}
 
 /// A parsed, editable, re-serializable binary container.
 ///
@@ -17,12 +33,12 @@ use rand::RngCore;
 /// * **Round trip** — `parse(to_bytes(x)) == x` for any `x` the backend
 ///   accepts (each backend exposes its own inherent `parse`, since a
 ///   constructor cannot live on a dyn-compatible trait).
-/// * **Address honesty** — `entry_point`, section metadata and
-///   `read_virtual`/`write_virtual` all use the same native address space
-///   (RVAs for PE, absolute `vmaddr` for Mach-O).
+/// * **Address honesty** — `entry_point` (from [`Loadable`]), section
+///   metadata and `read_virtual`/`write_virtual` all use the same native
+///   address space (RVAs for PE, absolute `vmaddr` for Mach-O).
 /// * **No panics** — malformed state surfaces as [`BinaryError`], never as
 ///   a panic; backends deny `unwrap`/`expect`/`panic` outside tests.
-pub trait BinaryFormat {
+pub trait BinaryFormat: Loadable {
     /// Which container format this image is.
     fn format(&self) -> Format;
 
@@ -60,9 +76,6 @@ pub trait BinaryFormat {
     /// The virtual address the next added section would receive.
     fn next_free_va(&self) -> u64;
 
-    /// Virtual address execution starts at.
-    fn entry_point(&self) -> u64;
-
     /// Retarget the entry point to `va` (must map into a section).
     fn set_entry_point(&mut self, va: u64) -> Result<(), BinaryError>;
 
@@ -87,10 +100,6 @@ pub trait BinaryFormat {
 
     /// Truncate the overlay to `len` bytes.
     fn truncate_overlay(&mut self, len: usize);
-
-    /// Map the image as the loader would, failing when the mapped size
-    /// exceeds `max_bytes`.
-    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError>;
 
     /// Randomize the header fields the loader ignores (timestamps, version
     /// stamps, reserved words) — the header leg of the paper's modifiable
@@ -127,5 +136,8 @@ mod tests {
     #[test]
     fn trait_is_dyn_compatible() {
         fn _takes_dyn(_: &dyn BinaryFormat) {}
+        fn _upcasts(image: &dyn BinaryFormat) -> &dyn Loadable {
+            image
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::recovery::{compute_keys, generate_recovery_stub, EncodedRegion};
 use crate::shuffle::{layout_sequential, layout_shuffled};
-use mpass_binary::{BinaryError, BinaryFormat, BinaryImage, SectionKind};
+use mpass_binary::{BinaryError, BinaryFormat, BinaryImage, Loadable, SectionKind};
 use mpass_corpus::{BenignPool, Sample};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

@@ -19,7 +19,7 @@ use crate::signatures::SignatureStore;
 use crate::train::TrainingSet;
 use crate::traits::Detector;
 use mpass_ml::{Adam, Gbdt, GbdtParams, Mlp};
-use mpass_binary::{BinaryFormat, BinaryImage};
+use mpass_binary::{BinaryFormat, BinaryImage, Loadable};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -9,7 +9,7 @@
 //! feature space (the PE path is bit-identical to the historical PE-only
 //! extractor). Unparseable files fall back to whole-file byte statistics.
 
-use mpass_binary::{BinaryFormat, BinaryImage, SectionKind};
+use mpass_binary::{BinaryFormat, BinaryImage, Loadable, SectionKind};
 use mpass_pe::{entropy, window_entropy_into};
 use mpass_vm::{api, INSTR_SIZE};
 use serde::{Deserialize, Serialize};

@@ -1,9 +1,10 @@
 //! The fuzz oracle: one function per container format that checks every
 //! ingestion contract against one byte string.
 
+use mpass_binary::Loadable;
 use mpass_macho::MachoFile;
-use mpass_pe::PeFile;
-use mpass_vm::{disassemble, DigestSink, Vm, VmLimits};
+use mpass_pe::{PeFile, PeView};
+use mpass_vm::{disassemble, DigestSink, RunSummary, TraceDigest, Vm, VmLimits};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Resource ceilings fuzz executions run under: tight enough that ten
@@ -40,16 +41,26 @@ pub fn silence_panics() {
 /// A graceful parse *rejection* is a pass — hostile bytes are supposed
 /// to be turned away. `Err` describes the violated contract:
 ///
-/// * `PeFile::parse` panicked;
+/// * `PeFile::parse` or `PeView::parse` panicked;
+/// * the view, copied to an owned image, differs from the owned parse
+///   (or the two reject with different errors);
 /// * the accepted image does not round-trip (`to_bytes` panicked,
 ///   its output no longer parses, or it parses to a different image);
 /// * `disassemble` panicked on a section's bytes;
 /// * `Vm::run` panicked (resource exhaustion and faults are graceful
-///   terminations, not violations).
+///   terminations, not violations);
+/// * the view maps a different image than the owned parse, or a VM
+///   loaded from the view runs differently (outcome, steps, trace
+///   digest) from one loaded from the owned parse.
 pub fn check_bytes(bytes: &[u8]) -> Result<(), String> {
     let parsed = catch_unwind(AssertUnwindSafe(|| PeFile::parse(bytes)))
         .map_err(|p| format!("PeFile::parse panicked: {}", panic_message(&*p)))?;
-    let Ok(pe) = parsed else {
+    let viewed = catch_unwind(AssertUnwindSafe(|| PeView::parse(bytes)))
+        .map_err(|p| format!("PeView::parse panicked: {}", panic_message(&*p)))?;
+    if viewed.as_ref().map(PeView::to_owned).map_err(Clone::clone) != parsed {
+        return Err("PeView::parse disagrees with PeFile::parse".to_owned());
+    }
+    let (Ok(pe), Ok(view)) = (parsed, viewed) else {
         return Ok(());
     };
 
@@ -71,15 +82,27 @@ pub fn check_bytes(bytes: &[u8]) -> Result<(), String> {
         })?;
     }
 
-    // The VM-terminates property holds under the streaming sink API too:
-    // a digest sink materializes no trace, so exhaustion/fault handling is
-    // exercised without the recording sink's capacity backstop.
+    let limit = fuzz_limits().memory_limit;
+    if view.map_image_bounded(limit) != pe.map_image_bounded(limit) {
+        return Err("the view maps a different image than the owned parse".to_owned());
+    }
+    if run_digest(&view)? != run_digest(&pe)? {
+        return Err("a VM loaded from the view runs differently".to_owned());
+    }
+    Ok(())
+}
+
+/// Run `image` under [`fuzz_limits`] through a [`DigestSink`]. The
+/// VM-terminates property holds under the streaming sink API too: a
+/// digest sink materializes no trace, so exhaustion/fault handling is
+/// exercised without the recording sink's capacity backstop.
+fn run_digest(image: &dyn Loadable) -> Result<(RunSummary, TraceDigest), String> {
     catch_unwind(AssertUnwindSafe(|| {
         let mut sink = DigestSink::new();
-        Vm::load_binary(&pe, fuzz_limits()).run_with_sink(&mut sink)
+        let run = Vm::load_binary(image, fuzz_limits()).run_with_sink(&mut sink);
+        (run, sink.digest())
     }))
-    .map_err(|p| format!("Vm::run panicked: {}", panic_message(&*p)))?;
-    Ok(())
+    .map_err(|p| format!("Vm::run panicked: {}", panic_message(&*p)))
 }
 
 /// Check every ingestion contract against `bytes` through the Mach-O
@@ -119,11 +142,7 @@ pub fn check_macho_bytes(bytes: &[u8]) -> Result<(), String> {
         })?;
     }
 
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut sink = DigestSink::new();
-        Vm::load_binary(&m, fuzz_limits()).run_with_sink(&mut sink)
-    }))
-    .map_err(|p| format!("Vm::run panicked: {}", panic_message(&*p)))?;
+    run_digest(&m)?;
     Ok(())
 }
 

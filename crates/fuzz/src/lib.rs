@@ -3,7 +3,7 @@
 //! The attack pipeline ingests bytes it does not control: candidate
 //! adversarial examples, on-disk samples, and anything a detector or the
 //! sandbox is pointed at. This crate stress-tests that surface with a
-//! deterministic, seeded fuzzer and encodes the three ingestion
+//! deterministic, seeded fuzzer and encodes the four ingestion
 //! contracts as a reusable harness:
 //!
 //! 1. **Totality** — `PeFile::parse` never panics, whatever the bytes.
@@ -12,6 +12,9 @@
 //! 3. **Termination** — `Vm::run` on any parsed image terminates
 //!    gracefully under explicit [`mpass_vm::VmLimits`] (and
 //!    `disassemble` never panics on section bytes).
+//! 4. **One parser** — the borrowed `PeView` the sandbox loads from
+//!    agrees with the owned `PeFile`: the same parse result or error,
+//!    the same mapped image and the same VM run.
 //!
 //! [`mutate::Mutator`] draws every decision from a seeded ChaCha8
 //! stream, so a fuzz campaign is a pure function of `(seed,

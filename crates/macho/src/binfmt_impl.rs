@@ -3,8 +3,8 @@
 
 use crate::{MachoFile, MachoSection, Segment64};
 use mpass_binfmt::{
-    BinaryError, BinaryFormat, Format, ImportSummary, ModifiableKind, ModifiableRegion,
-    SectionKind, SectionMeta, SectionTraits,
+    BinaryError, BinaryFormat, Format, ImportSummary, Loadable, ModifiableKind,
+    ModifiableRegion, SectionKind, SectionMeta, SectionTraits,
 };
 use rand::RngCore;
 
@@ -28,6 +28,16 @@ pub fn classify_section(name: &str, sect: &MachoSection, seg: &Segment64) -> Sec
             initialized_data: !sect.is_zerofill() && !sect.data.is_empty(),
             writable: seg.is_writable(),
         }),
+    }
+}
+
+impl Loadable for MachoFile {
+    fn entry_point(&self) -> u64 {
+        MachoFile::entry_point(self)
+    }
+
+    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError> {
+        Ok(MachoFile::map_image_bounded(self, max_bytes)?)
     }
 }
 
@@ -85,10 +95,6 @@ impl BinaryFormat for MachoFile {
         MachoFile::next_free_va(self)
     }
 
-    fn entry_point(&self) -> u64 {
-        MachoFile::entry_point(self)
-    }
-
     fn set_entry_point(&mut self, va: u64) -> Result<(), BinaryError> {
         Ok(MachoFile::set_entry_point(self, va)?)
     }
@@ -119,10 +125,6 @@ impl BinaryFormat for MachoFile {
 
     fn truncate_overlay(&mut self, len: usize) {
         MachoFile::truncate_overlay(self, len);
-    }
-
-    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError> {
-        Ok(MachoFile::map_image_bounded(self, max_bytes)?)
     }
 
     fn randomize_free_headers(&mut self, rng: &mut dyn RngCore) {
@@ -241,11 +243,11 @@ mod tests {
                 .set_entry_style(style)
                 .set_entry_section("__text", 8);
             let mut m = b.build().unwrap();
-            let old = BinaryFormat::entry_point(&m);
+            let old = Loadable::entry_point(&m);
             assert_eq!(old, 0x1008, "{style:?}");
             let target = old + 16;
             BinaryFormat::set_entry_point(&mut m, target).unwrap();
-            assert_eq!(BinaryFormat::entry_point(&m), target, "{style:?}");
+            assert_eq!(Loadable::entry_point(&m), target, "{style:?}");
             let re = MachoFile::parse(&m.to_bytes()).unwrap();
             assert_eq!(re.entry_point(), target, "{style:?}");
         }

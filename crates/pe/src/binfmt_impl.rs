@@ -7,10 +7,10 @@
 //! same RNG draw order for header randomization, same address arithmetic.
 
 use crate::section::classify_section;
-use crate::{PeError, PeFile, SectionFlags};
+use crate::{PeError, PeFile, PeView, SectionFlags};
 use mpass_binfmt::{
-    BinaryError, BinaryFormat, Format, ImportSummary, ModifiableKind, ModifiableRegion,
-    SectionKind, SectionMeta,
+    BinaryError, BinaryFormat, Format, ImportSummary, Loadable, ModifiableKind,
+    ModifiableRegion, SectionKind, SectionMeta,
 };
 use rand::{Rng, RngCore};
 
@@ -56,6 +56,28 @@ fn flags_for_kind(kind: SectionKind) -> SectionFlags {
 
 fn rva32(va: u64) -> Result<u32, BinaryError> {
     u32::try_from(va).map_err(|_| BinaryError::UnmappedAddress(va))
+}
+
+impl Loadable for PeFile {
+    fn entry_point(&self) -> u64 {
+        PeFile::entry_point(self) as u64
+    }
+
+    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError> {
+        Ok(PeFile::map_image_bounded(self, max_bytes)?)
+    }
+}
+
+/// The sandbox loads candidates through the view, so no section byte is
+/// copied before mapping.
+impl Loadable for PeView<'_> {
+    fn entry_point(&self) -> u64 {
+        PeView::entry_point(self) as u64
+    }
+
+    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError> {
+        Ok(PeView::map_image_bounded(self, max_bytes)?)
+    }
 }
 
 impl BinaryFormat for PeFile {
@@ -116,10 +138,6 @@ impl BinaryFormat for PeFile {
         self.next_free_rva() as u64
     }
 
-    fn entry_point(&self) -> u64 {
-        PeFile::entry_point(self) as u64
-    }
-
     fn set_entry_point(&mut self, va: u64) -> Result<(), BinaryError> {
         PeFile::set_entry_point(self, rva32(va)?)?;
         Ok(())
@@ -156,10 +174,6 @@ impl BinaryFormat for PeFile {
 
     fn truncate_overlay(&mut self, len: usize) {
         PeFile::truncate_overlay(self, len);
-    }
-
-    fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, BinaryError> {
-        Ok(PeFile::map_image_bounded(self, max_bytes)?)
     }
 
     fn randomize_free_headers(&mut self, rng: &mut dyn RngCore) {

@@ -66,7 +66,33 @@ impl DosHeader {
         }
     }
 
-    pub(crate) fn parse(buf: &[u8]) -> Result<Self, PeError> {
+    /// This header with its opaque bytes borrowed.
+    pub fn view(&self) -> DosHeaderView<'_> {
+        DosHeaderView {
+            e_magic: self.e_magic,
+            reserved: &self.reserved,
+            e_lfanew: self.e_lfanew,
+            stub: &self.stub,
+        }
+    }
+}
+
+/// A [`DosHeader`] whose `reserved` bytes and stub are borrowed from the
+/// parsed input, as [`crate::PeView`] holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DosHeaderView<'a> {
+    /// Must be [`DOS_MAGIC`].
+    pub e_magic: u16,
+    /// The 58 bytes between the magic and `e_lfanew`, kept opaque.
+    pub reserved: &'a [u8],
+    /// File offset of the PE signature.
+    pub e_lfanew: u32,
+    /// DOS stub program between the DOS header and the PE signature.
+    pub stub: &'a [u8],
+}
+
+impl<'a> DosHeaderView<'a> {
+    pub(crate) fn parse(buf: &'a [u8]) -> Result<Self, PeError> {
         let e_magic = read_u16(buf, 0, "dos header")?;
         if e_magic != DOS_MAGIC {
             return Err(PeError::BadMagic { context: "dos header", found: e_magic as u32 });
@@ -85,16 +111,26 @@ impl DosHeader {
                 reason: format!("{e_lfanew:#x} outside image"),
             });
         }
-        let reserved = buf[2..0x3C].to_vec();
-        let stub = buf[DOS_HEADER_SIZE..e_lfanew as usize].to_vec();
-        Ok(DosHeader { e_magic, reserved, e_lfanew, stub })
+        let reserved = &buf[2..0x3C];
+        let stub = &buf[DOS_HEADER_SIZE..e_lfanew as usize];
+        Ok(DosHeaderView { e_magic, reserved, e_lfanew, stub })
     }
 
-    pub(crate) fn write(&self, out: &mut Vec<u8>) {
+    /// Copy the borrowed bytes into an owned [`DosHeader`].
+    pub fn to_owned(self) -> DosHeader {
+        DosHeader {
+            e_magic: self.e_magic,
+            reserved: self.reserved.to_vec(),
+            e_lfanew: self.e_lfanew,
+            stub: self.stub.to_vec(),
+        }
+    }
+
+    pub(crate) fn write(self, out: &mut Vec<u8>) {
         put_u16(out, self.e_magic);
-        out.extend_from_slice(&self.reserved);
+        out.extend_from_slice(self.reserved);
         put_u32(out, self.e_lfanew);
-        out.extend_from_slice(&self.stub);
+        out.extend_from_slice(self.stub);
     }
 }
 
@@ -389,17 +425,18 @@ mod tests {
     fn dos_round_trip() {
         let h = DosHeader::minimal();
         let mut buf = Vec::new();
-        h.write(&mut buf);
-        let h2 = DosHeader::parse(&buf).unwrap();
-        assert_eq!(h, h2);
+        h.view().write(&mut buf);
+        let h2 = DosHeaderView::parse(&buf).unwrap();
+        assert_eq!(h2, h.view());
+        assert_eq!(h2.to_owned(), h);
     }
 
     #[test]
     fn dos_rejects_bad_magic() {
         let mut buf = Vec::new();
-        DosHeader::minimal().write(&mut buf);
+        DosHeader::minimal().view().write(&mut buf);
         buf[0] = b'X';
-        assert!(matches!(DosHeader::parse(&buf), Err(PeError::BadMagic { .. })));
+        assert!(matches!(DosHeaderView::parse(&buf), Err(PeError::BadMagic { .. })));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! and its baselines perform:
 //!
 //! * parsing and byte-exact re-serialization of PE images
-//!   ([`PeFile::parse`], [`PeFile::to_bytes`]),
+//!   ([`PeFile::parse`], [`PeFile::to_bytes`]), and a borrowed parse
+//!   ([`PeView`]) that maps an image for execution without copying its
+//!   sections,
 //! * construction of fresh executables ([`PeBuilder`]),
 //! * structural edits: adding sections, renaming sections, rewriting the
 //!   entry point, appending overlay data, and patching header fields that do
@@ -60,8 +62,10 @@ mod entropy;
 mod error;
 mod headers;
 mod imports;
+mod map;
 mod parse;
 mod section;
+mod view;
 mod write;
 
 pub use builder::PeBuilder;
@@ -69,13 +73,16 @@ pub use entropy::{byte_histogram, entropy, window_entropy, window_entropy_into};
 pub use error::PeError;
 pub use imports::{ImportEntry, ImportTable, ImportedDll, IMPORT_DIRECTORY_INDEX};
 pub use headers::{
-    CoffHeader, DataDirectory, DosHeader, OptionalHeader, DATA_DIRECTORY_COUNT, DOS_HEADER_SIZE,
-    DOS_MAGIC, OPTIONAL_HEADER_SIZE, PE32_MAGIC, PE_SIGNATURE,
+    CoffHeader, DataDirectory, DosHeader, DosHeaderView, OptionalHeader, DATA_DIRECTORY_COUNT,
+    DOS_HEADER_SIZE, DOS_MAGIC, OPTIONAL_HEADER_SIZE, PE32_MAGIC, PE_SIGNATURE,
 };
 pub use parse::ParseMode;
 pub use section::{
     classify_section, Section, SectionFlags, SectionHeader, SectionKind, SECTION_HEADER_SIZE,
 };
+pub use view::{PeView, SectionView};
+
+use map::Headers;
 
 use serde::{Deserialize, Serialize};
 
@@ -233,11 +240,7 @@ impl PeFile {
     /// (DOS header + stub + PE signature + COFF + optional header + section
     /// table), before alignment to `size_of_headers`.
     pub(crate) fn header_size(&self) -> usize {
-        self.dos.e_lfanew as usize
-            + PE_SIGNATURE.len()
-            + CoffHeader::SIZE
-            + OPTIONAL_HEADER_SIZE
-            + self.sections.len() * SECTION_HEADER_SIZE
+        self.headers().unpadded_len(self.sections.len())
     }
 
     /// First RVA beyond the virtual extent of the last section, aligned to
@@ -262,7 +265,7 @@ impl PeFile {
     /// handling untrusted images should prefer [`PeFile::map_image_bounded`]
     /// so a hostile header cannot force a giant allocation.
     pub fn map_image(&self) -> Vec<u8> {
-        self.map_image_sized(self.optional.size_of_image as usize)
+        self.headers().map(self.optional.size_of_image as usize, self.section_parts())
     }
 
     /// Like [`PeFile::map_image`], but refuses to allocate more than
@@ -272,45 +275,17 @@ impl PeFile {
     ///
     /// [`PeError::Malformed`] when `size_of_image` exceeds `max_bytes`.
     pub fn map_image_bounded(&self, max_bytes: usize) -> Result<Vec<u8>, PeError> {
-        let size = self.optional.size_of_image as usize;
-        if size > max_bytes {
-            return Err(PeError::Malformed(format!(
-                "size_of_image {size:#x} exceeds the mapping ceiling {max_bytes:#x}"
-            )));
-        }
-        Ok(self.map_image_sized(size))
+        self.headers().map_bounded(max_bytes, self.section_parts())
     }
 
-    /// The first `size_of_headers` bytes equal those of
-    /// [`PeFile::to_bytes`] without serializing the sections: the headers,
-    /// zero-padded, under the raw data of every section that starts below
-    /// their end, laid on in table order as `to_bytes` lays it.
-    fn map_image_sized(&self, size: usize) -> Vec<u8> {
-        let mut image = vec![0u8; size];
-        let hdr_len = (self.optional.size_of_headers as usize).min(size);
-        let mut headers = Vec::with_capacity(self.header_size());
-        self.write_headers(&mut headers);
-        let n = headers.len().min(hdr_len);
-        image[..n].copy_from_slice(&headers[..n]);
-        for s in &self.sections {
-            let h = s.header();
-            let start = h.pointer_to_raw_data as usize;
-            if h.size_of_raw_data == 0 || start >= hdr_len {
-                continue;
-            }
-            let end = (start + s.data().len().min(h.size_of_raw_data as usize)).min(hdr_len);
-            image[start..end].copy_from_slice(&s.data()[..end - start]);
-        }
-        for s in &self.sections {
-            let start = s.header().virtual_address as usize;
-            let data = s.data();
-            if start >= size {
-                continue;
-            }
-            let n = data.len().min(size - start);
-            image[start..start + n].copy_from_slice(&data[..n]);
-        }
-        image
+    /// The headers, borrowed, as serialization and mapping read them.
+    pub(crate) fn headers(&self) -> Headers<'_> {
+        Headers { dos: self.dos.view(), coff: &self.coff, optional: &self.optional }
+    }
+
+    /// Each section's header with its data, as the mapping reads them.
+    fn section_parts(&self) -> impl Iterator<Item = (&SectionHeader, &[u8])> + Clone {
+        self.sections.iter().map(|s| (&s.header, s.data.as_slice()))
     }
 
     /// True when the appending space between `size_of_headers` and the first

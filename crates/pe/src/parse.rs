@@ -1,8 +1,9 @@
 //! Parsing a PE image from raw bytes.
 
 use crate::error::PeError;
-use crate::headers::{CoffHeader, DosHeader, OptionalHeader, PE_SIGNATURE};
+use crate::headers::{CoffHeader, DosHeaderView, OptionalHeader, PE_SIGNATURE};
 use crate::section::{Section, SectionHeader, SECTION_HEADER_SIZE};
+use crate::view::{PeView, SectionView};
 use crate::PeFile;
 
 // How much structural validation parsing applies beyond what the loader
@@ -49,7 +50,9 @@ impl PeFile {
         Self::parse_with(bytes, ParseMode::Strict)
     }
 
-    /// Parse a PE image under an explicit [`ParseMode`].
+    /// Parse a PE image under an explicit [`ParseMode`]. The result equals
+    /// [`PeView::parse_with`] followed by [`PeView::to_owned`], error for
+    /// error; the parser copies each section as it accepts it.
     ///
     /// # Errors
     ///
@@ -57,108 +60,197 @@ impl PeFile {
     /// mismatches, a header field is malformed, or (in strict mode) a
     /// structural invariant is violated.
     pub fn parse_with(bytes: &[u8], mode: ParseMode) -> Result<PeFile, PeError> {
-        let dos = DosHeader::parse(bytes)?;
-        let sig_at = dos.e_lfanew as usize;
-        let sig = bytes.get(sig_at..sig_at + 4).ok_or(PeError::Truncated {
-            context: "pe signature",
-            needed: sig_at + 4,
-            available: bytes.len(),
-        })?;
-        if sig != PE_SIGNATURE {
-            return Err(PeError::BadMagic {
-                context: "pe signature",
-                found: u32::from_le_bytes([sig[0], sig[1], sig[2], sig[3]]),
-            });
-        }
-        let coff_at = sig_at + 4;
-        let coff = CoffHeader::parse(bytes, coff_at)?;
-        let opt_at = coff_at + CoffHeader::SIZE;
-        let optional = OptionalHeader::parse(bytes, opt_at)?;
-
-        // Serialization-faithfulness invariants, enforced in every mode:
-        // anything accepted here must re-serialize to an image that parses
-        // back equal (the round-trip contract the AE gate and the fuzz
-        // harness rely on). The writer only emits the PE32 dialect with a
-        // full optional header, and places the overlay after the last data
-        // byte, so inputs outside that shape cannot round-trip.
-        if coff.size_of_optional_header as usize != crate::OPTIONAL_HEADER_SIZE {
-            return Err(PeError::Malformed(format!(
-                "size_of_optional_header {} (the PE32 dialect requires {})",
-                coff.size_of_optional_header,
-                crate::OPTIONAL_HEADER_SIZE
-            )));
-        }
-        if optional.size_of_headers as u64 > bytes.len() as u64 {
-            return Err(PeError::Malformed(format!(
-                "size_of_headers {:#x} past the file end ({:#x} bytes)",
-                optional.size_of_headers,
-                bytes.len()
-            )));
-        }
-
-        let table_at = opt_at + coff.size_of_optional_header as usize;
-        let n_sections = coff.number_of_sections as usize;
-        let mut sections = Vec::with_capacity(n_sections);
-        let mut raw_end = optional.size_of_headers as usize;
-        for i in 0..n_sections {
-            let header = SectionHeader::parse(bytes, table_at + i * SECTION_HEADER_SIZE)?;
-            let start = header.pointer_to_raw_data as usize;
-            let len = header.size_of_raw_data as usize;
-            let data = if len == 0 {
-                Vec::new()
-            } else {
-                bytes
-                    .get(start..start + len)
-                    .ok_or(PeError::Truncated {
-                        context: "section raw data",
-                        needed: start + len,
-                        available: bytes.len(),
-                    })?
-                    .to_vec()
-            };
-            // Zero-size sections store no bytes and are skipped by
-            // `to_bytes`, so their (possibly hostile) raw pointer must not
-            // drag the overlay anchor: the anchor has to land exactly where
-            // serialization will end, or the overlay drifts on round trip.
-            if len > 0 {
-                raw_end = raw_end.max(start + len);
-            }
-            sections.push(Section::new(header, data));
-        }
-        // The overlay starts where the declared data region ends; if the
-        // headers themselves spill past it, re-serialization would push the
-        // overlay to a different offset and the round trip breaks.
-        let table_end = table_at + n_sections * SECTION_HEADER_SIZE;
-        if table_end > raw_end {
-            return Err(PeError::Malformed(format!(
-                "section table ends at {table_end:#x}, past the declared data \
-                 region ({raw_end:#x})"
-            )));
-        }
-        let overlay = bytes.get(raw_end..).map(<[u8]>::to_vec).unwrap_or_default();
-        let pe = PeFile { dos, coff, optional, sections, overlay };
-        if mode == ParseMode::Strict {
-            validate_strict(&pe, bytes.len(), table_at)?;
-        }
-        Ok(pe)
+        let p = parse_parts::<Section>(bytes, mode)?;
+        Ok(PeFile {
+            dos: p.dos.to_owned(),
+            coff: p.coff,
+            optional: p.optional,
+            sections: p.sections,
+            overlay: p.overlay.to_vec(),
+        })
     }
 }
+
+impl<'a> PeView<'a> {
+    /// Parse a PE image in place with [`ParseMode::LoaderTolerant`]
+    /// validation; [`PeFile::parse`] accepts and rejects the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`PeFile::parse`] rejects, with the same error.
+    pub fn parse(bytes: &'a [u8]) -> Result<PeView<'a>, PeError> {
+        Self::parse_with(bytes, ParseMode::LoaderTolerant)
+    }
+
+    /// Parse a PE image in place under an explicit [`ParseMode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PeError`] when the image is truncated, a magic value
+    /// mismatches, a header field is malformed, or (in strict mode) a
+    /// structural invariant is violated.
+    pub fn parse_with(bytes: &'a [u8], mode: ParseMode) -> Result<PeView<'a>, PeError> {
+        let p = parse_parts::<SectionView<'a>>(bytes, mode)?;
+        Ok(PeView {
+            dos: p.dos,
+            coff: p.coff,
+            optional: p.optional,
+            sections: p.sections,
+            overlay: p.overlay,
+        })
+    }
+}
+
+/// How a representation stores each section the parser accepts: borrowed
+/// by [`PeView`], copied by [`PeFile`].
+trait ParsedSection<'a> {
+    fn new(header: SectionHeader, data: &'a [u8]) -> Self;
+    fn header(&self) -> &SectionHeader;
+}
+
+impl<'a> ParsedSection<'a> for SectionView<'a> {
+    fn new(header: SectionHeader, data: &'a [u8]) -> Self {
+        SectionView { header, data }
+    }
+
+    fn header(&self) -> &SectionHeader {
+        &self.header
+    }
+}
+
+impl ParsedSection<'_> for Section {
+    fn new(header: SectionHeader, data: &[u8]) -> Self {
+        Section::new(header, data.to_vec())
+    }
+
+    fn header(&self) -> &SectionHeader {
+        &self.header
+    }
+}
+
+/// What the parser accepted, before it is wrapped as a [`PeView`] or a
+/// [`PeFile`].
+struct Parts<'a, S> {
+    dos: DosHeaderView<'a>,
+    coff: CoffHeader,
+    optional: OptionalHeader,
+    sections: Vec<S>,
+    overlay: &'a [u8],
+}
+
+/// The one PE parser: every check and error of either [`ParseMode`], with
+/// each accepted section stored as `S`. Generic so the owned parse copies
+/// a section as it accepts it rather than building a view first; inlined
+/// into its one caller per representation, so the parts are built where
+/// the result goes.
+#[inline]
+fn parse_parts<'a, S: ParsedSection<'a>>(
+    bytes: &'a [u8],
+    mode: ParseMode,
+) -> Result<Parts<'a, S>, PeError> {
+    let dos = DosHeaderView::parse(bytes)?;
+    let sig_at = dos.e_lfanew as usize;
+    let sig = bytes.get(sig_at..sig_at + 4).ok_or(PeError::Truncated {
+        context: "pe signature",
+        needed: sig_at + 4,
+        available: bytes.len(),
+    })?;
+    if sig != PE_SIGNATURE {
+        return Err(PeError::BadMagic {
+            context: "pe signature",
+            found: u32::from_le_bytes([sig[0], sig[1], sig[2], sig[3]]),
+        });
+    }
+    let coff_at = sig_at + 4;
+    let coff = CoffHeader::parse(bytes, coff_at)?;
+    let opt_at = coff_at + CoffHeader::SIZE;
+    let optional = OptionalHeader::parse(bytes, opt_at)?;
+
+    // Serialization-faithfulness invariants, enforced in every mode:
+    // anything accepted here must re-serialize to an image that parses
+    // back equal (the round-trip contract the AE gate and the fuzz
+    // harness rely on). The writer only emits the PE32 dialect with a
+    // full optional header, and places the overlay after the last data
+    // byte, so inputs outside that shape cannot round-trip.
+    if coff.size_of_optional_header as usize != crate::OPTIONAL_HEADER_SIZE {
+        return Err(PeError::Malformed(format!(
+            "size_of_optional_header {} (the PE32 dialect requires {})",
+            coff.size_of_optional_header,
+            crate::OPTIONAL_HEADER_SIZE
+        )));
+    }
+    if optional.size_of_headers as u64 > bytes.len() as u64 {
+        return Err(PeError::Malformed(format!(
+            "size_of_headers {:#x} past the file end ({:#x} bytes)",
+            optional.size_of_headers,
+            bytes.len()
+        )));
+    }
+
+    let table_at = opt_at + coff.size_of_optional_header as usize;
+    let n_sections = coff.number_of_sections as usize;
+    let mut sections = Vec::with_capacity(n_sections);
+    let mut raw_end = optional.size_of_headers as usize;
+    for i in 0..n_sections {
+        let header = SectionHeader::parse(bytes, table_at + i * SECTION_HEADER_SIZE)?;
+        let start = header.pointer_to_raw_data as usize;
+        let len = header.size_of_raw_data as usize;
+        let data = if len == 0 {
+            &[][..]
+        } else {
+            bytes.get(start..start + len).ok_or(PeError::Truncated {
+                context: "section raw data",
+                needed: start + len,
+                available: bytes.len(),
+            })?
+        };
+        // Zero-size sections store no bytes and are skipped by
+        // `to_bytes`, so their (possibly hostile) raw pointer must not
+        // drag the overlay anchor: the anchor has to land exactly where
+        // serialization will end, or the overlay drifts on round trip.
+        if len > 0 {
+            raw_end = raw_end.max(start + len);
+        }
+        sections.push(S::new(header, data));
+    }
+    // The overlay starts where the declared data region ends; if the
+    // headers themselves spill past it, re-serialization would push the
+    // overlay to a different offset and the round trip breaks.
+    let table_end = table_at + n_sections * SECTION_HEADER_SIZE;
+    if table_end > raw_end {
+        return Err(PeError::Malformed(format!(
+            "section table ends at {table_end:#x}, past the declared data \
+             region ({raw_end:#x})"
+        )));
+    }
+    let overlay = bytes.get(raw_end..).unwrap_or_default();
+    if mode == ParseMode::Strict {
+        validate_strict(&optional, &sections, bytes.len(), table_at)?;
+    }
+    Ok(Parts { dos, coff, optional, sections, overlay })
+}
+
 
 /// The additional invariants [`ParseMode::Strict`] enforces. All arithmetic
 /// is performed in 64 bits so hostile 32-bit fields cannot overflow the
 /// checks themselves.
-fn validate_strict(pe: &PeFile, file_len: usize, table_at: usize) -> Result<(), PeError> {
-    let table_end = table_at + pe.sections.len() * SECTION_HEADER_SIZE;
-    if table_end > pe.optional.size_of_headers as usize {
+fn validate_strict<'a, S: ParsedSection<'a>>(
+    optional: &OptionalHeader,
+    sections: &[S],
+    file_len: usize,
+    table_at: usize,
+) -> Result<(), PeError> {
+    let table_end = table_at + sections.len() * SECTION_HEADER_SIZE;
+    if table_end > optional.size_of_headers as usize {
         return Err(PeError::Malformed(format!(
             "section table ends at {table_end:#x}, past size_of_headers {:#x}",
-            pe.optional.size_of_headers
+            optional.size_of_headers
         )));
     }
-    let mut raw_spans: Vec<(u64, u64, String)> = Vec::with_capacity(pe.sections.len());
-    for s in &pe.sections {
+    let mut raw_spans: Vec<(u64, u64, String)> = Vec::with_capacity(sections.len());
+    for s in sections {
         let h = s.header();
-        let name = s.name();
+        let name = h.name_str();
         let raw_start = h.pointer_to_raw_data as u64;
         let raw_len = h.size_of_raw_data as u64;
         if raw_len == 0 && raw_start as usize > file_len {
@@ -174,11 +266,11 @@ fn validate_strict(pe: &PeFile, file_len: usize, table_at: usize) -> Result<(), 
             )));
         }
         if h.virtual_address as u64 + (h.virtual_size.max(h.size_of_raw_data).max(1)) as u64
-            > pe.optional.size_of_image as u64
+            > optional.size_of_image as u64
         {
             return Err(PeError::Malformed(format!(
                 "section {name:?} extends past size_of_image {:#x}",
-                pe.optional.size_of_image
+                optional.size_of_image
             )));
         }
         if raw_len > 0 {

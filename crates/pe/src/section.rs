@@ -2,7 +2,7 @@
 //! problem-space explainability method (PEM) reasons over.
 
 use crate::error::PeError;
-use crate::headers::{put_u32, read_u32};
+use crate::headers::put_u32;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -116,26 +116,28 @@ pub struct SectionHeader {
 
 impl SectionHeader {
     pub(crate) fn parse(buf: &[u8], at: usize) -> Result<Self, PeError> {
-        if buf.len() < at + SECTION_HEADER_SIZE {
-            return Err(PeError::Truncated {
-                context: "section header",
-                needed: at + SECTION_HEADER_SIZE,
-                available: buf.len(),
-            });
-        }
+        // One bounds check for the whole entry; the fixed offsets below
+        // then index a slice of known length.
+        let b = buf.get(at..at + SECTION_HEADER_SIZE).ok_or(PeError::Truncated {
+            context: "section header",
+            needed: at + SECTION_HEADER_SIZE,
+            available: buf.len(),
+        })?;
+        let u16_at = |o: usize| u16::from_le_bytes([b[o], b[o + 1]]);
+        let u32_at = |o: usize| u32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]]);
         let mut name = [0u8; 8];
-        name.copy_from_slice(&buf[at..at + 8]);
+        name.copy_from_slice(&b[..8]);
         Ok(SectionHeader {
             name,
-            virtual_size: read_u32(buf, at + 8, "section virtual_size")?,
-            virtual_address: read_u32(buf, at + 12, "section virtual_address")?,
-            size_of_raw_data: read_u32(buf, at + 16, "section raw size")?,
-            pointer_to_raw_data: read_u32(buf, at + 20, "section raw pointer")?,
-            pointer_to_relocations: read_u32(buf, at + 24, "section reloc pointer")?,
-            pointer_to_linenumbers: read_u32(buf, at + 28, "section lineno pointer")?,
-            number_of_relocations: crate::headers::read_u16(buf, at + 32, "section relocs")?,
-            number_of_linenumbers: crate::headers::read_u16(buf, at + 34, "section linenos")?,
-            characteristics: SectionFlags(read_u32(buf, at + 36, "section characteristics")?),
+            virtual_size: u32_at(8),
+            virtual_address: u32_at(12),
+            size_of_raw_data: u32_at(16),
+            pointer_to_raw_data: u32_at(20),
+            pointer_to_relocations: u32_at(24),
+            pointer_to_linenumbers: u32_at(28),
+            number_of_relocations: u16_at(32),
+            number_of_linenumbers: u16_at(34),
+            characteristics: SectionFlags(u32_at(36)),
         })
     }
 

@@ -1,7 +1,6 @@
 //! Serialization of a [`PeFile`] back to on-disk bytes, plus the PE
 //! checksum algorithm.
 
-use crate::headers::PE_SIGNATURE;
 use crate::PeFile;
 
 /// Round `v` up to a multiple of `align`, saturating at `u32::MAX` instead
@@ -23,7 +22,7 @@ impl PeFile {
     /// result always re-parses to an equal [`PeFile`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.optional.size_of_headers as usize + 1024);
-        self.write_headers(&mut out);
+        self.headers().write(&mut out, self.sections.iter().map(|s| &s.header));
         // Pad headers out to size_of_headers.
         let hdr = self.optional.size_of_headers as usize;
         if out.len() < hdr {
@@ -47,18 +46,6 @@ impl PeFile {
         }
         out.extend_from_slice(&self.overlay);
         out
-    }
-
-    /// Append the headers, unpadded: DOS header and stub, signature, COFF
-    /// and optional headers, then the section table.
-    pub(crate) fn write_headers(&self, out: &mut Vec<u8>) {
-        self.dos.write(out);
-        out.extend_from_slice(&PE_SIGNATURE);
-        self.coff.write(out);
-        self.optional.write(out);
-        for s in &self.sections {
-            s.header.write(out);
-        }
     }
 
     /// Recompute raw/virtual layout after structural edits (section data

@@ -8,6 +8,14 @@
 //! API trace; [`Sandbox::verify_functionality`] compares an original
 //! against a modified sample and explains any divergence.
 //!
+//! A PE is loaded straight from its bytes: it is parsed as an
+//! `mpass_pe::PeView`, which borrows its sections, and mapped into VM
+//! memory with no intermediate copy (Mach-O still parses to an owned
+//! [`BinaryImage`]). The view accepts and rejects the same bytes, with the
+//! same [`SandboxError`], as [`BinaryImage::parse_auto`] and maps the same
+//! image, so [`Sandbox::execute`] on bytes and [`Sandbox::run_image`] on
+//! their parsed image agree in outcome, steps and trace.
+//!
 //! At campaign scale the same original is compared against many candidate
 //! modifications, so the validation surface is split in two:
 //! [`Sandbox::baseline_digest`] runs the original *once* and captures a
@@ -32,7 +40,9 @@
 //! assert!(verdicts.iter().all(FunctionalityVerdict::is_preserved));
 //! ```
 
-use mpass_binary::{BinaryError, BinaryFormat, BinaryImage};
+pub use mpass_binary::{BinaryError, BinaryFormat, BinaryImage};
+use mpass_binary::{detect_format, Format};
+use mpass_pe::PeView;
 use mpass_vm::{
     ComparingSink, Execution, Outcome, ReferenceTrace, RunSummary, TraceDigest, TraceSink, Vm,
     VmLimits,
@@ -177,8 +187,7 @@ impl Sandbox {
     /// [`SandboxError::Unparseable`] preserves the parse failure reason
     /// when the bytes fit no supported format.
     pub fn execute(&self, bytes: &[u8]) -> Result<Execution, SandboxError> {
-        let image = BinaryImage::parse_auto(bytes).map_err(SandboxError::Unparseable)?;
-        Ok(self.run_image(&image))
+        Ok(self.load(bytes)?.run())
     }
 
     /// Parse and execute raw bytes, driving `sink` with every API event
@@ -188,8 +197,24 @@ impl Sandbox {
         bytes: &[u8],
         sink: &mut S,
     ) -> Result<RunSummary, SandboxError> {
-        let image = BinaryImage::parse_auto(bytes).map_err(SandboxError::Unparseable)?;
-        Ok(Vm::load_binary(&image, self.limits).run_with_sink(sink))
+        Ok(self.load(bytes)?.run_with_sink(sink))
+    }
+
+    /// Parse `bytes` and map them into a fresh VM: a PE through a
+    /// [`PeView`], so its sections are mapped straight from `bytes`, any
+    /// other format through [`BinaryImage::parse_auto`].
+    fn load(&self, bytes: &[u8]) -> Result<Vm, SandboxError> {
+        Ok(match detect_format(bytes) {
+            Ok(Format::Pe) => {
+                let view = PeView::parse(bytes)
+                    .map_err(|e| SandboxError::Unparseable(e.into()))?;
+                Vm::load_binary(&view, self.limits)
+            }
+            _ => {
+                let image = BinaryImage::parse_auto(bytes).map_err(SandboxError::Unparseable)?;
+                Vm::load_binary(&image, self.limits)
+            }
+        })
     }
 
     /// Run the original sample once and capture its behaviour as a

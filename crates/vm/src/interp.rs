@@ -313,9 +313,10 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Map a PE, Mach-O or any other
-    /// [`BinaryFormat`](mpass_binfmt::BinaryFormat) image into a fresh VM
-    /// under resource `limits`, with the PC at the image's entry point.
+    /// Map a PE, Mach-O or any other [`Loadable`](mpass_binfmt::Loadable)
+    /// image (every [`BinaryFormat`](mpass_binfmt::BinaryFormat) is one, and
+    /// so is a borrowed `mpass_pe::PeView`) into a fresh VM under resource
+    /// `limits`, with the PC at the image's entry point.
     /// The flat address space works the same for every container —
     /// sections at their virtual addresses, zero fill elsewhere — so every
     /// format executes through the identical interpreter path. An image
@@ -323,7 +324,7 @@ impl Vm {
     /// at all; the VM reports
     /// [`Outcome::ResourceExhausted`]`(`[`Resource::Memory`]`)` at zero
     /// steps instead of allocating.
-    pub fn load_binary(image: &dyn mpass_binfmt::BinaryFormat, limits: VmLimits) -> Vm {
+    pub fn load_binary(image: &dyn mpass_binfmt::Loadable, limits: VmLimits) -> Vm {
         let (memory, oversized) = match image.map_image_bounded(limits.memory_limit) {
             Ok(m) => (m, false),
             Err(_) => (Vec::new(), true),

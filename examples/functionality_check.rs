@@ -51,7 +51,7 @@ fn main() {
 
         // Show that the original code bytes are gone from the file yet
         // recovered at runtime.
-        use mpass::binary::BinaryFormat;
+        use mpass::binary::{BinaryFormat, Loadable};
         let image = modified.reparse().expect("structure intact");
         let entry_section = image
             .section_index_containing_va(image.entry_point())

@@ -17,7 +17,7 @@
 //!   serialized file and never overlap each other.
 
 use mpass::binary::{
-    BinaryFormat, BinaryImage, Format, ParseMode, SectionKind,
+    BinaryFormat, BinaryImage, Format, Loadable, ParseMode, SectionKind,
 };
 use mpass::corpus::{CorpusConfig, Dataset};
 
