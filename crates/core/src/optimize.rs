@@ -915,6 +915,56 @@ mod tests {
         assert!(rewritten > 0, "the sweeps never rewrote a byte");
     }
 
+    /// FNV-1a over `bytes`, continuing from `h`.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// One digest over four rounds of two samples against a 16 KiB-window
+    /// MalConv and the tiny MalGCG (4 KiB): every round's bytes and loss
+    /// bits, then every iteration's dirty spans. The wide model also sees
+    /// the key slots and free bytes beyond the narrow one's window, so
+    /// slot numbering, per-model visibility and the gradient copy are all
+    /// pinned on a layout `mpass-transfer` never reaches (there, both
+    /// models see the covers alone). Captured before the mapping sweep's fused
+    /// first minimum and the per-model visible prefixes went in.
+    #[test]
+    fn optimizer_trajectory_golden_regression() {
+        let w = world();
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let narrow = w.malgcg.window();
+        let wide_cfg = ByteConvConfig { window: 16 * 1024, ..ByteConvConfig::tiny() };
+        let mut wide = MalConv::new(wide_cfg, &mut rng);
+        let samples: Vec<_> = w.ds.samples.iter().collect();
+        wide.train(&training_pairs(&samples), 2, 5e-3, &mut rng);
+        let models: Vec<&dyn mpass_detectors::WhiteBoxModel> = vec![&wide, &w.malgcg];
+        let cfg = OptimizerConfig { lr: 0.12, iterations: 3 };
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for s in w.ds.malware().into_iter().take(2) {
+            let mut ms = modify(s, &w.pool, &ModificationConfig::default(), &mut rng).unwrap();
+            // Covers both models see; keys and free bytes only the wide one
+            // sees.
+            let wide_only = |off: &usize| (narrow..wide.window()).contains(off);
+            assert!(ms.coupled.iter().any(|c| c.cover_offset < narrow), "{}", s.name);
+            assert!(ms.coupled.iter().any(|c| wide_only(&c.key_offset)), "{}", s.name);
+            assert!(ms.free_offsets.iter().any(wide_only), "{}", s.name);
+            let mut opt = EnsembleOptimizer::new(models.clone(), &ms, cfg);
+            for _ in 0..4 {
+                let loss = opt.run(&mut ms);
+                h = fnv1a(h, &ms.bytes);
+                h = fnv1a(h, &loss.to_bits().to_le_bytes());
+            }
+            for spans in &opt.probe.spans {
+                h = fnv1a(h, &(spans.len() as u64).to_le_bytes());
+                for span in spans {
+                    h = fnv1a(h, &(span.start as u64).to_le_bytes());
+                    h = fnv1a(h, &(span.end as u64).to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(h, 0x517c_8da3_6d8c_6a1c, "optimizer trajectory digest {h:#018x}");
+    }
+
     /// The serial first-win scan `argmin256` must agree with.
     fn naive_argmin(vals: &[f32; 256]) -> Option<usize> {
         let mut best = (f32::INFINITY, None);

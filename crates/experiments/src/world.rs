@@ -313,4 +313,32 @@ mod tests {
         assert_eq!(weights, golden_weights);
         assert_eq!(scores, golden_scores);
     }
+
+    /// Digest of MPass against the quick world's MalConv as the
+    /// `mpass-transfer` benchmark runs it: the NonNeg + MalGCG ensemble,
+    /// one attack instance seeded from the world seed, and a 100-query,
+    /// AE-gated oracle per sample. Each outcome's `evaded` flag, query
+    /// count and AE bytes are folded in attack-set order. Captured before
+    /// the optimizer's mapping sweep, state layout and Adam kernel were
+    /// optimised; any drift in what the optimizer selects trips this.
+    #[test]
+    fn quick_world_mpass_trajectory_golden_regression() {
+        use mpass_core::{Attack, HardLabelTarget, MPassAttack, MPassConfig};
+        let world = World::build(WorldConfig::quick());
+        let cfg = MPassConfig::builder().seed(world.config.seed).build().expect("valid config");
+        let models = world.known_models_excluding("MalConv");
+        let mut attack = MPassAttack::new(models, &world.pool, cfg);
+        let mut digest = Vec::new();
+        for sample in world.attack_set(&world.malconv) {
+            let mut oracle = HardLabelTarget::new(&world.malconv, 100).with_ae_validation();
+            let outcome = attack.attack(sample, &mut oracle);
+            digest.push(u8::from(outcome.evaded));
+            digest.extend_from_slice(&(outcome.queries as u64).to_le_bytes());
+            let ae = outcome.adversarial.as_deref().unwrap_or_default();
+            digest.extend_from_slice(&(ae.len() as u64).to_le_bytes());
+            digest.extend_from_slice(ae);
+        }
+        let digest = fnv1a64(digest);
+        assert_eq!(digest, 0xa4f8_f7b0_cd01_1304, "MPass trajectory digest {digest:#018x}");
+    }
 }
