@@ -44,10 +44,6 @@ impl Default for OptimizerConfig {
     }
 }
 
-/// Lanes of [`argmin256`]'s running minimum: lane `j` tracks the
-/// candidates `j, j + 8, j + 16, …`.
-const LANES: usize = 8;
-
 /// Candidates per block of the mapping sweep, summed over every model in
 /// registers before the block is stored. 64 candidates are eight 8-lane
 /// accumulators under AVX2, enough independent chains to hide the latency
@@ -60,37 +56,70 @@ const BLOCK: usize = 64;
 /// wraps.
 const SPAN: usize = 512;
 
-/// Index of the first minimum of `vals` under a strict-`<` first-win scan,
-/// or `None` when nothing compares below +∞.
+/// The first minimum of the mapping sweep's scores, kept while each block
+/// is still in registers: lane `j` holds the strict-`<` running minimum of
+/// the candidates `j, j + BLOCK, j + 2·BLOCK, …` and the block in which it
+/// was set.
 ///
-/// A serial strict-`<` scan is a 256-step dependency chain the compiler
-/// may not reorder. Here each of [`LANES`] lanes keeps its own strict-`<`
-/// running minimum over every eighth value, the lane minima reduce to the
-/// global minimum *value*, and a first-equal scan recovers its index. The
-/// index is the serial scan's: NaNs lose every comparison, so they never
-/// enter a lane and never equal the minimum; the smallest lane minimum
-/// equals the serial minimum up to the sign of zero; and `==` pairs ±0.0,
-/// so the first value equal to it is the first value holding the minimum.
-#[inline(always)]
-fn argmin256(vals: &[f32; 256]) -> Option<usize> {
-    let mut lane_min = [f32::INFINITY; LANES];
-    for group in vals.chunks_exact(LANES) {
-        for (m, &d) in lane_min.iter_mut().zip(group) {
-            *m = if d < *m { d } else { *m };
+/// [`FirstMin::index`] returns what a serial strict-`<` first-win scan
+/// over all 256 scores returns. A lane visits its candidates in ascending
+/// order, so strict `<` keeps the first index holding the lane's minimum.
+/// NaNs lose every comparison and never enter a lane. The smallest lane
+/// minimum is the serial minimum up to the sign of zero, and `==` pairs
+/// ±0.0, so the lanes equal to it are exactly those holding the serial
+/// minimum, and the smallest index among them is its first occurrence.
+/// Nothing below +∞ leaves every lane at +∞, which is the serial scan's
+/// `None`. No step branches on the data.
+struct FirstMin {
+    min: [f32; BLOCK],
+    block: [u32; BLOCK],
+}
+
+impl FirstMin {
+    #[inline(always)]
+    fn new() -> FirstMin {
+        FirstMin { min: [f32::INFINITY; BLOCK], block: [0; BLOCK] }
+    }
+
+    /// Fold in the scores `s` of block number `blk`; blocks come in
+    /// ascending order. The lanes are rebuilt as fresh arrays: a select
+    /// stored back over its own operand compiles to a masked store on
+    /// x86, which the next block's loads cannot forward from.
+    #[inline(always)]
+    fn update(&mut self, blk: u32, s: &[f32; BLOCK]) {
+        let (min, block) = (self.min, self.block);
+        self.min = std::array::from_fn(|j| if s[j] < min[j] { s[j] } else { min[j] });
+        self.block = std::array::from_fn(|j| if s[j] < min[j] { blk } else { block[j] });
+    }
+
+    /// Index of the first minimum over every block folded in, or `None`
+    /// when nothing compared below +∞.
+    #[inline(always)]
+    fn index(&self) -> Option<usize> {
+        // Halve the lane minima pairwise down to one, with the same
+        // strict-`<` select: no lane holds a NaN, so the order of the
+        // tree does not matter, and it is log₂ BLOCK steps deep instead
+        // of BLOCK.
+        let mut min = self.min;
+        let mut half = BLOCK / 2;
+        while half > 0 {
+            for j in 0..half {
+                min[j] = if min[j + half] < min[j] { min[j + half] } else { min[j] };
+            }
+            half /= 2;
         }
+        let best = min[0];
+        let at: [u32; BLOCK] = std::array::from_fn(|j| {
+            let at = self.block[j] * BLOCK as u32 + j as u32;
+            if self.min[j] == best {
+                at
+            } else {
+                u32::MAX
+            }
+        });
+        let first = at.iter().fold(u32::MAX, |first, &at| first.min(at));
+        (best < f32::INFINITY).then_some(first as usize)
     }
-    let best = lane_min.iter().fold(f32::INFINITY, |m, &d| if d < m { d } else { m });
-    if best == f32::INFINITY {
-        return None;
-    }
-    // Test a whole lane group per step (no early exit inside a group, so
-    // the compare vectorizes), then locate the hit inside the first group
-    // that has one.
-    let (g, group) = vals
-        .chunks_exact(LANES)
-        .enumerate()
-        .find(|(_, group)| group.iter().fold(false, |hit, &d| hit | (d == best)))?;
-    group.iter().position(|&d| d == best).map(|j| g * LANES + j)
 }
 
 /// One optimizable variable of Eq. 2.
@@ -102,11 +131,18 @@ enum Var {
     Coupled { pair: CoupledByte, cover_slot: usize, key_slot: usize },
 }
 
-/// Per-model continuous optimization state over all tracked slots.
+/// Per-model continuous optimization state over the tracked slots the
+/// model sees.
+///
+/// Slots are numbered by ascending file offset ([`number_slots`]), so the
+/// slots inside a model's window are a prefix of that order: `z` holds
+/// the `visible` slots of the prefix, `dim` floats each, and Adam steps
+/// nothing the model never reads.
 struct ModelState {
     z: ParamBuf,
     dim: usize,
-    window: usize,
+    /// Number of leading slots inside the model's window.
+    visible: usize,
     /// `norms[i] = ‖e(i mod 256)‖²` over the doubled axis, precomputed
     /// once: the mapping step ranks candidates by `‖e(b)‖² − 2⟨e(b), z⟩`,
     /// which orders identically to `‖e(b) − z‖²` (the `‖z‖²` term is
@@ -120,10 +156,17 @@ struct ModelState {
 }
 
 impl ModelState {
-    /// State over the slots whose stacked embedding vectors are `z`, for a
-    /// model with embedding table `emb` that sees the first `window` bytes.
-    fn new(emb: &Embedding, window: usize, z: Vec<f32>) -> ModelState {
+    /// State for a model with embedding table `emb` that sees the first
+    /// `window` bytes, over the slots at file offsets `slot_offsets`
+    /// (ascending), each starting at the embedding of its byte in `bytes`.
+    fn new(emb: &Embedding, window: usize, slot_offsets: &[usize], bytes: &[u8]) -> ModelState {
+        debug_assert!(slot_offsets.is_sorted(), "slots are numbered by ascending offset");
+        let visible = slot_offsets.partition_point(|&off| off < window);
         let dim = emb.dim();
+        let mut z = Vec::with_capacity(visible * dim);
+        for &off in &slot_offsets[..visible] {
+            z.extend_from_slice(emb.vector(usize::from(bytes[off])));
+        }
         let mut et = vec![0.0f32; dim * SPAN];
         for i in 0..SPAN {
             for (c, &v) in emb.vector(i % 256).iter().enumerate() {
@@ -134,7 +177,7 @@ impl ModelState {
         ModelState {
             z: ParamBuf::new(z),
             dim,
-            window,
+            visible,
             norms: norms.iter().chain(&norms).copied().collect(),
             et,
         }
@@ -163,6 +206,28 @@ impl ModelState {
         let n: &[f32; BLOCK] = self.norms[start..][..BLOCK].try_into().expect("BLOCK wide");
         std::array::from_fn(|j| n[j] - 2.0 * a[j])
     }
+
+    /// Copy the input gradient `grad` (`dim` floats per file offset) into
+    /// `z.g` at every visible slot; `slot_offsets` are the file offsets of
+    /// all slots, ascending.
+    fn load_grad(&mut self, grad: &[f32], slot_offsets: &[usize]) {
+        let (g, visible) = (&mut self.z.g, &slot_offsets[..self.visible]);
+        // The embedding widths of the tiny and default detectors get a
+        // copy of constant width, a few moves instead of a `memcpy` call.
+        match self.dim {
+            4 => gather_rows(g, grad, visible, 4),
+            8 => gather_rows(g, grad, visible, 8),
+            dim => gather_rows(g, grad, visible, dim),
+        }
+    }
+}
+
+/// `dst[i] = src[offsets[i]]` over rows of `dim` floats.
+#[inline(always)]
+fn gather_rows(dst: &mut [f32], src: &[f32], offsets: &[usize], dim: usize) {
+    for (row, &off) in offsets.iter().enumerate() {
+        dst[row * dim..][..dim].copy_from_slice(&src[off * dim..][..dim]);
+    }
 }
 
 /// One model's contribution to one slot in the fused mapping sweep.
@@ -172,17 +237,12 @@ struct Term<'s> {
     z: &'s [f32],
 }
 
-/// Fill `out` with the [`Term`]s at `slot` of the models that can see
-/// file offset `off`, in model order.
+/// Fill `out` with the [`Term`]s at `slot` of the models that see it, in
+/// model order.
 #[inline(always)]
-fn visible_terms<'s>(
-    states: &'s [ModelState],
-    slot: usize,
-    off: usize,
-    out: &mut Vec<Term<'s>>,
-) {
+fn visible_terms<'s>(states: &'s [ModelState], slot: usize, out: &mut Vec<Term<'s>>) {
     out.clear();
-    out.extend(states.iter().filter(|st| off < st.window).map(|st| Term {
+    out.extend(states.iter().filter(|st| slot < st.visible).map(|st| Term {
         state: st,
         z: &st.z.w[slot * st.dim..(slot + 1) * st.dim],
     }));
@@ -210,16 +270,18 @@ fn slot_block(terms: &[Term], start: usize) -> [f32; BLOCK] {
 /// `b`, plus — for a coupled variable with `key = Some((terms, original))`
 /// — the key slot's term at the induced key `(b − original) & 255`. Each
 /// block of [`BLOCK`] candidates is summed over every model and both slots
-/// in registers and stored once. Returns the selected byte, the first
-/// strict minimum of `scores` ([`argmin256`]).
+/// in registers, folded into the running first minimum ([`FirstMin`])
+/// and stored once. Returns the selected byte, the first strict minimum
+/// of `scores`.
 #[inline(always)]
 fn nearest_byte(
     cover: &[Term],
     key: Option<(&[Term], u8)>,
     scores: &mut [f32; 256],
 ) -> Option<usize> {
-    for (blk, out) in scores.chunks_exact_mut(BLOCK).enumerate() {
-        let b0 = blk * BLOCK;
+    let mut first = FirstMin::new();
+    for (blk, out) in (0u32..).zip(scores.chunks_exact_mut(BLOCK)) {
+        let b0 = blk as usize * BLOCK;
         let mut s = slot_block(cover, b0);
         if let Some((key, original)) = key {
             let k = slot_block(key, b0 + 256 - usize::from(original));
@@ -227,9 +289,10 @@ fn nearest_byte(
                 *s += k;
             }
         }
+        first.update(blk, &s);
         out.copy_from_slice(&s);
     }
-    argmin256(scores)
+    first.index()
 }
 
 /// The mapping step of one gradient iteration: every variable goes back to
@@ -267,7 +330,7 @@ impl Kernel for MapVars<'_> {
         for &var in vars {
             match var {
                 Var::Free { off, slot } => {
-                    visible_terms(states, slot, off, &mut cover);
+                    visible_terms(states, slot, &mut cover);
                     let best = nearest_byte(&cover, None, scores).map_or(bytes[off], |b| b as u8);
                     if best != bytes[off] {
                         bytes[off] = best;
@@ -275,8 +338,8 @@ impl Kernel for MapVars<'_> {
                     }
                 }
                 Var::Coupled { pair, cover_slot, key_slot } => {
-                    visible_terms(states, cover_slot, pair.cover_offset, &mut cover);
-                    visible_terms(states, key_slot, pair.key_offset, &mut key);
+                    visible_terms(states, cover_slot, &mut cover);
+                    visible_terms(states, key_slot, &mut key);
                     let best = nearest_byte(&cover, Some((&key, pair.original)), scores)
                         .map_or(bytes[pair.cover_offset], |b| b as u8);
                     if best != bytes[pair.cover_offset] {
@@ -291,6 +354,28 @@ impl Kernel for MapVars<'_> {
     }
 }
 
+/// Renumber the slots of `vars` by ascending file offset, given the file
+/// offset of each slot under its current number, and return the offsets
+/// in the new order. Slots at equal offsets keep their relative order.
+fn number_slots(vars: &mut [Var], offsets: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..offsets.len()).collect();
+    order.sort_by_key(|&slot| offsets[slot]);
+    let mut rank = vec![0; order.len()];
+    for (new, &old) in order.iter().enumerate() {
+        rank[old] = new;
+    }
+    for var in vars.iter_mut() {
+        match var {
+            Var::Free { slot, .. } => *slot = rank[*slot],
+            Var::Coupled { cover_slot, key_slot, .. } => {
+                *cover_slot = rank[*cover_slot];
+                *key_slot = rank[*key_slot];
+            }
+        }
+    }
+    order.iter().map(|&slot| offsets[slot]).collect()
+}
+
 /// The ensemble optimizer over one [`ModifiedSample`].
 ///
 /// Holds one warm [`WhiteBoxSession`] per model: across the gradient
@@ -302,7 +387,8 @@ pub struct EnsembleOptimizer<'a> {
     models: Vec<&'a dyn WhiteBoxModel>,
     cfg: OptimizerConfig,
     vars: Vec<Var>,
-    /// File offset of every tracked slot (cover offsets and key offsets).
+    /// File offset of every tracked slot (cover offsets and key offsets),
+    /// ascending.
     slot_offsets: Vec<usize>,
     states: Vec<ModelState>,
     adam: Adam,
@@ -349,16 +435,10 @@ impl<'a> EnsembleOptimizer<'a> {
                 vars.push(Var::Coupled { pair, cover_slot, key_slot });
             }
         }
+        let slot_offsets = number_slots(&mut vars, &slot_offsets);
         let states = models
             .iter()
-            .map(|m| {
-                let emb = m.embedding();
-                let mut z = Vec::with_capacity(slot_offsets.len() * emb.dim());
-                for &off in &slot_offsets {
-                    z.extend_from_slice(emb.vector(sample.bytes[off] as usize));
-                }
-                ModelState::new(emb, m.window(), z)
-            })
+            .map(|m| ModelState::new(m.embedding(), m.window(), &slot_offsets, &sample.bytes))
             .collect();
         let sessions = models.iter().map(|&m| m.session()).collect();
         EnsembleOptimizer {
@@ -445,13 +525,7 @@ impl<'a> EnsembleOptimizer<'a> {
             for (sess, state) in self.sessions.iter_mut().zip(&mut self.states) {
                 let loss = sess.loss_grad_delta(&sample.bytes, &self.dirty, &mut self.grad);
                 iteration_loss += loss;
-                for (slot, &off) in self.slot_offsets.iter().enumerate() {
-                    if off >= state.window {
-                        continue;
-                    }
-                    let g = &self.grad[off * state.dim..(off + 1) * state.dim];
-                    state.z.g[slot * state.dim..(slot + 1) * state.dim].copy_from_slice(g);
-                }
+                state.load_grad(&self.grad, &self.slot_offsets);
                 self.adam.step(&mut state.z);
             }
             self.dirty.clear(); // every session has now seen those spans
@@ -664,17 +738,19 @@ mod tests {
         }
 
         /// `Σ_F ‖e_F(b)‖² − 2⟨e_F(b), z_F[slot]⟩` over the models that can
-        /// see file offset `off`, one 256-wide pass per model.
+        /// see file offset `off` (model `m` sees the first `windows[m]`
+        /// bytes), one 256-wide pass per model.
         fn fill_slot_scores(
             states: &[ModelState],
+            windows: &[usize],
             slot: usize,
             off: usize,
             scores: &mut [f32; 256],
         ) {
             let mut acc = [0.0f32; 256];
             let mut first = true;
-            for state in states {
-                if off >= state.window {
+            for (state, &window) in states.iter().zip(windows) {
+                if off >= window {
                     continue; // invisible to this model
                 }
                 let z = &state.z.w[slot * state.dim..(slot + 1) * state.dim];
@@ -734,16 +810,17 @@ mod tests {
         /// original))`).
         pub fn select(
             states: &[ModelState],
+            windows: &[usize],
             cover: (usize, usize),
             key: Option<(usize, usize, u8)>,
         ) -> ([f32; 256], Option<usize>) {
             let mut cover_scores = [0.0f32; 256];
-            fill_slot_scores(states, cover.0, cover.1, &mut cover_scores);
+            fill_slot_scores(states, windows, cover.0, cover.1, &mut cover_scores);
             let Some((key_slot, key_off, original)) = key else {
                 return (cover_scores, argmin_two_pass(&cover_scores));
             };
             let mut key_scores = [0.0f32; 256];
-            fill_slot_scores(states, key_slot, key_off, &mut key_scores);
+            fill_slot_scores(states, windows, key_slot, key_off, &mut key_scores);
             let o = original as usize;
             let split = 256 - o;
             let mut rotated = [0.0f32; 256];
@@ -771,23 +848,27 @@ mod tests {
         }
     }
 
-    /// Seeded random states for models of embedding widths `dims` over
-    /// `slots` slots; model `m` sees the first `windows[m]` bytes.
+    /// Seeded random states for models of embedding widths `dims` over the
+    /// slots at file offsets `slot_offsets` (ascending); model `m` sees
+    /// the first `windows[m]` bytes. Built as the optimizer builds them,
+    /// then every visible slot's state is redrawn.
     fn random_states(
         rng: &mut ChaCha8Rng,
         dims: &[usize],
         windows: &[usize],
-        slots: usize,
+        slot_offsets: &[usize],
         grid: bool,
         wild: bool,
     ) -> Vec<ModelState> {
+        let bytes = vec![0u8; slot_offsets.last().map_or(0, |&off| off + 1)];
         dims.iter()
             .zip(windows)
             .map(|(&dim, &window)| {
                 let table = (0..256 * dim).map(|_| draw(rng, grid, false)).collect();
                 let emb = Embedding::from_weights(256, dim, table);
-                let z = (0..slots * dim).map(|_| draw(rng, grid, wild)).collect();
-                ModelState::new(&emb, window, z)
+                let mut state = ModelState::new(&emb, window, slot_offsets, &bytes);
+                state.z.w.iter_mut().for_each(|z| *z = draw(rng, grid, wild));
+                state
             })
             .collect()
     }
@@ -824,63 +905,77 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
         for (dims, windows) in cases {
             for (grid, wild) in [(false, false), (true, false), (true, true)] {
-                let slots = 64;
-                let states = random_states(&mut rng, dims, windows, slots, grid, wild);
-                for pair in 0..slots / 2 {
-                    let (cs, ks) = (2 * pair, 2 * pair + 1);
+                // 32 pairs, each a free variable on the cover slot and a
+                // coupled one on both slots, with slots in discovery
+                // order, then renumbered as the optimizer numbers them.
+                let mut offsets = Vec::new();
+                let mut vars = Vec::new();
+                for pair in 0..32 {
+                    let (cover_slot, key_slot) = (offsets.len(), offsets.len() + 1);
                     let (c_off, k_off) = (COVER[pair % 4], KEY[(pair / 4) % 4]);
+                    offsets.extend([c_off, k_off]);
                     let original = match pair % 8 {
                         0 => 0,
                         1 => 255,
                         _ => rng.gen_range(0..256usize) as u8,
                     };
-                    let current = rng.gen_range(0..256usize) as u8;
                     let coupled = CoupledByte { cover_offset: c_off, key_offset: k_off, original };
-                    let vars = [
-                        ("free", Var::Free { off: c_off, slot: cs }, None),
-                        (
-                            "coupled",
-                            Var::Coupled { pair: coupled, cover_slot: cs, key_slot: ks },
-                            Some((ks, k_off, original)),
-                        ),
-                    ];
-                    for (kind, var, key) in vars {
-                        let (want_scores, want) = reference::select(&states, (cs, c_off), key);
-                        let best = want.map_or(current, |b| b as u8);
-                        let mut before = vec![0u8; 6000];
-                        before[c_off] = current;
-                        before[k_off] = crate::recovery::rekey(current, original);
-                        let mut want_bytes = before.clone();
-                        let mut want_dirty = Vec::new();
+                    vars.push(Var::Free { off: c_off, slot: cover_slot });
+                    vars.push(Var::Coupled { pair: coupled, cover_slot, key_slot });
+                }
+                let slot_offsets = number_slots(&mut vars, &offsets);
+                let states = random_states(&mut rng, dims, windows, &slot_offsets, grid, wild);
+                for (i, &var) in vars.iter().enumerate() {
+                    let (kind, cover, key) = match var {
+                        Var::Free { off, slot } => ("free", (slot, off), None),
+                        Var::Coupled { pair: c, cover_slot, key_slot } => {
+                            let key = (key_slot, c.key_offset, c.original);
+                            ("coupled", (cover_slot, c.cover_offset), Some(key))
+                        }
+                    };
+                    // Renumbering kept every slot on its offset.
+                    assert_eq!(slot_offsets[cover.0], cover.1);
+                    assert!(key.is_none_or(|(slot, off, _)| slot_offsets[slot] == off));
+                    let (want_scores, want) = reference::select(&states, windows, cover, key);
+                    let current = rng.gen_range(0..256usize) as u8;
+                    let best = want.map_or(current, |b| b as u8);
+                    let mut before = vec![0u8; 6000];
+                    let mut want_bytes = vec![0u8; 6000];
+                    let mut want_dirty = Vec::new();
+                    let changed = |off: usize, dirty: &mut Vec<_>| {
                         if best != current {
-                            want_bytes[c_off] = best;
-                            want_dirty.push(c_off..c_off + 1);
-                            if key.is_some() {
-                                want_bytes[k_off] = crate::recovery::rekey(best, original);
-                                want_dirty.push(k_off..k_off + 1);
-                            }
+                            dirty.push(off..off + 1);
                         }
-                        for &level in &sweeps {
-                            let what = format!(
-                                "{} {kind} dims {dims:?} grid {grid} wild {wild} pair {pair}",
-                                level.name()
-                            );
-                            let (states, vars) = (&states, &[var]);
-                            let sweep = |bytes: &mut [u8], dirty: &mut _, scores: &mut _| {
-                                simd::run_at(level, MapVars { states, vars, bytes, dirty, scores })
-                            };
-                            let mut bytes = before.clone();
-                            let (mut dirty, mut scores) = (Vec::new(), [0.0f32; 256]);
-                            sweep(&mut bytes, &mut dirty, &mut scores);
-                            assert_same_bits(&scores, &want_scores, &what);
-                            assert!(bytes == want_bytes, "{what}: selected bytes differ");
-                            assert_eq!(dirty, want_dirty, "{what}");
-                            // The states did not move, so a second sweep
-                            // keeps every byte and marks nothing dirty.
-                            dirty.clear();
-                            sweep(&mut bytes, &mut dirty, &mut scores);
-                            assert!(bytes == want_bytes && dirty.is_empty(), "{what}: resweep");
-                        }
+                    };
+                    before[cover.1] = current;
+                    want_bytes[cover.1] = best;
+                    changed(cover.1, &mut want_dirty);
+                    if let Some((_, k_off, original)) = key {
+                        before[k_off] = crate::recovery::rekey(current, original);
+                        want_bytes[k_off] = crate::recovery::rekey(best, original);
+                        changed(k_off, &mut want_dirty);
+                    }
+                    let pair = i / 2;
+                    for &level in &sweeps {
+                        let what = format!(
+                            "{} {kind} dims {dims:?} grid {grid} wild {wild} pair {pair}",
+                            level.name()
+                        );
+                        let (states, vars) = (&states, &[var]);
+                        let sweep = |bytes: &mut [u8], dirty: &mut _, scores: &mut _| {
+                            simd::run_at(level, MapVars { states, vars, bytes, dirty, scores })
+                        };
+                        let mut bytes = before.clone();
+                        let (mut dirty, mut scores) = (Vec::new(), [0.0f32; 256]);
+                        sweep(&mut bytes, &mut dirty, &mut scores);
+                        assert_same_bits(&scores, &want_scores, &what);
+                        assert!(bytes == want_bytes, "{what}: selected bytes differ");
+                        assert_eq!(dirty, want_dirty, "{what}");
+                        // The states did not move, so a second sweep
+                        // keeps every byte and marks nothing dirty.
+                        dirty.clear();
+                        sweep(&mut bytes, &mut dirty, &mut scores);
+                        assert!(bytes == want_bytes && dirty.is_empty(), "{what}: resweep");
                     }
                 }
             }
@@ -965,7 +1060,8 @@ mod tests {
         assert_eq!(h, 0x517c_8da3_6d8c_6a1c, "optimizer trajectory digest {h:#018x}");
     }
 
-    /// The serial first-win scan `argmin256` must agree with.
+    /// The serial first-win scan the mapping sweep's selection must
+    /// agree with.
     fn naive_argmin(vals: &[f32; 256]) -> Option<usize> {
         let mut best = (f32::INFINITY, None);
         for (i, &d) in vals.iter().enumerate() {
@@ -976,8 +1072,28 @@ mod tests {
         best.1
     }
 
+    /// [`FirstMin`] folded over stored scores, block by block, as
+    /// [`nearest_byte`] folds it.
+    struct SelectFirst<'a>(&'a [f32; 256]);
+
+    impl Kernel for SelectFirst<'_> {
+        type Output = Option<usize>;
+
+        #[inline(always)]
+        fn run(self) -> Option<usize> {
+            let mut first = FirstMin::new();
+            for (blk, block) in (0u32..).zip(self.0.chunks_exact(BLOCK)) {
+                first.update(blk, block.try_into().expect("BLOCK wide"));
+            }
+            first.index()
+        }
+    }
+
     #[test]
-    fn argmin256_matches_a_first_win_scan_on_adversarial_arrays() {
+    fn first_min_matches_a_first_win_scan_on_adversarial_arrays() {
+        let levels = simd::Level::available();
+        let names: Vec<_> = levels.iter().map(|level| level.name()).collect();
+        println!("first minimum vs serial scan, instantiations compared: {names:?}");
         let with = |fill: f32, at: &[(usize, f32)]| {
             let mut v = [fill; 256];
             for &(i, d) in at {
@@ -991,6 +1107,7 @@ mod tests {
             (with(inf, &[]), None),
             (with(nan, &[]), None),
             (with(inf, &[(3, nan), (77, nan)]), None),
+            (with(nan, &[(40, inf), (200, inf)]), None),
             (with(1.0, &[(13, 0.0), (5, -0.0)]), Some(5)),
             (with(1.0, &[(13, -0.0), (5, 0.0)]), Some(5)),
             (with(1.0, &[(8, -0.0), (1, 0.0), (250, -0.0)]), Some(1)),
@@ -1002,17 +1119,39 @@ mod tests {
             (with(inf, &[(100, -inf), (4, -inf)]), Some(4)),
             (with(-inf, &[]), Some(0)),
             (with(f32::MAX, &[(31, nan), (32, f32::MAX)]), Some(0)),
+            // Ties in one lane across blocks, and across lanes and blocks.
+            (with(1.0, &[(6 + 3 * BLOCK, -2.0), (6 + BLOCK, -2.0)]), Some(6 + BLOCK)),
+            (with(1.0, &[(200, -2.0), (70, -2.0), (130, -2.0)]), Some(70)),
+            (with(1.0, &[(BLOCK - 1, -2.0), (BLOCK, -2.0)]), Some(BLOCK - 1)),
+            (with(1.0, &[(BLOCK, -2.0), (BLOCK - 1, -1.0)]), Some(BLOCK)),
+            // ±0 across lanes and blocks: the first zero wins, either sign.
+            (with(1.0, &[(100, -0.0), (37, 0.0)]), Some(37)),
+            (with(1.0, &[(199, -0.0), (200, 0.0), (3, 0.5)]), Some(199)),
+            (with(1.0, &[(2 * BLOCK + 5, 0.0), (BLOCK + 9, -0.0), (5, 0.0)]), Some(5)),
+            (with(nan, &[(255, -0.0), (128, 0.0)]), Some(128)),
         ];
         for (i, (vals, want)) in cases.iter().enumerate() {
             assert_eq!(naive_argmin(vals), *want, "case {i}: the oracle itself");
-            assert_eq!(argmin256(vals), *want, "case {i}");
+            for &level in &levels {
+                assert_eq!(simd::run_at(level, SelectFirst(vals)), *want, "{} case {i}", level.name());
+            }
         }
-        // Random arrays over a value set dense in ties and non-finites.
+        // Random arrays over random subsets of a value set dense in ties
+        // and non-finites.
         let pool = [nan, inf, -inf, 0.0, -0.0, 1.0, -1.0, 2.0, f32::MIN_POSITIVE];
         let mut rng = ChaCha8Rng::seed_from_u64(0xa11);
         for round in 0..2000 {
-            let vals: [f32; 256] = std::array::from_fn(|_| pool[rng.gen_range(0..pool.len())]);
-            assert_eq!(argmin256(&vals), naive_argmin(&vals), "random array {round}");
+            let mut values: Vec<f32> = pool.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+            if values.is_empty() {
+                values.push(pool[rng.gen_range(0..pool.len())]);
+            }
+            let vals: [f32; 256] = std::array::from_fn(|_| values[rng.gen_range(0..values.len())]);
+            let want = naive_argmin(&vals);
+            for &level in &levels {
+                let got = simd::run_at(level, SelectFirst(&vals));
+                assert_eq!(got, want, "{} random array {round}", level.name());
+            }
         }
     }
 }
+

@@ -1,5 +1,6 @@
 //! Parameter buffers and the Adam optimizer.
 
+use crate::simd::{self, Kernel, Level};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -96,7 +97,18 @@ impl Adam {
     /// `m`) their exact result without subnormal arithmetic, which needs
     /// microcode assists on x86. Every weight, moment and gradient bit
     /// equals the plain update's.
+    ///
+    /// The chunk loop is a [`simd::Kernel`] run as compiled for the widest
+    /// instruction set this CPU executes ([`Level::best`]). Each lane's
+    /// divisions and square root are correctly rounded at every width and
+    /// Rust never contracts `a * b + c`, so every instantiation computes
+    /// the same bits.
     pub fn step(&self, buf: &mut ParamBuf) {
+        self.step_at(Level::best(), buf);
+    }
+
+    /// [`Adam::step`] with its chunk loop as compiled for `level`.
+    fn step_at(&self, level: Level, buf: &mut ParamBuf) {
         buf.t += 1;
         let t = buf.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
@@ -105,6 +117,36 @@ impl Adam {
         let lanes = Lanes { lr, beta1, beta2, eps, bc1, bc2 };
         let decay = DecayLanes::new(&lanes);
         let ParamBuf { w, g, m, v, .. } = buf;
+        simd::run_at(level, Step { lanes, decay, w, g, m, v });
+    }
+
+    /// Step a batch of buffers.
+    pub fn step_all(&self, bufs: &mut [&mut ParamBuf]) {
+        for b in bufs.iter_mut() {
+            self.step(b);
+        }
+    }
+}
+
+/// Lanes per subnormal check in [`Adam::step`].
+const CHUNK: usize = 64;
+
+/// The chunk loop of one [`Adam::step`] over a buffer's lanes.
+struct Step<'a> {
+    lanes: Lanes,
+    decay: Option<DecayLanes>,
+    w: &'a mut [f32],
+    g: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+}
+
+impl Kernel for Step<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Step { lanes, decay, w, g, m, v } = self;
         let chunks = w
             .chunks_mut(CHUNK)
             .zip(g.chunks_mut(CHUNK))
@@ -124,17 +166,7 @@ impl Adam {
             }
         }
     }
-
-    /// Step a batch of buffers.
-    pub fn step_all(&self, bufs: &mut [&mut ParamBuf]) {
-        for b in bufs.iter_mut() {
-            self.step(b);
-        }
-    }
 }
-
-/// Lanes per subnormal check in [`Adam::step`].
-const CHUNK: usize = 64;
 
 /// One step's Adam arithmetic, with the bias corrections of step `t`.
 #[derive(Debug, Clone, Copy)]
@@ -166,11 +198,13 @@ const INF_BITS: u32 = 0x7f80_0000;
 /// Bits of 2^-120, the least second moment a decay lane accepts.
 const V_MIN_BITS: u32 = (127 - 120) << 23;
 
+#[inline(always)]
 fn is_subnormal_bits(bits: u32) -> bool {
     (bits & 0x7fff_ffff).wrapping_sub(1) < SUBNORMAL_MAX
 }
 
 /// Whether any lane of `m` is subnormal (branch-free, so it vectorises).
+#[inline(always)]
 fn any_subnormal(m: &[f32]) -> bool {
     m.iter().fold(false, |any, m| any | is_subnormal_bits(m.to_bits()))
 }
@@ -244,6 +278,7 @@ impl DecayLanes {
 
     /// The plain update of one chunk, bit for bit, with decay lanes taken
     /// exactly instead of in subnormal arithmetic. Branch-free per lane.
+    #[inline(always)]
     fn update(&self, lanes: &Lanes, w: &mut [f32], g: &mut [f32], m: &mut [f32], v: &mut [f32]) {
         let lanes_iter = w.iter_mut().zip(g.iter_mut()).zip(m.iter_mut()).zip(v.iter_mut());
         for (((w, g), m), v) in lanes_iter {
@@ -390,9 +425,13 @@ mod tests {
     /// over random bit patterns rich in decaying lanes (subnormal `m`,
     /// `g == ±0`), zeros, infinities, NaNs and tiny or huge `w` and `v`,
     /// at the detectors' training rate, the attack optimizer's rate and
-    /// a few odd or ineligible hyper-parameters, for `t` in 1..=5000.
+    /// a few odd or ineligible hyper-parameters, for `t` in 1..=5000, with
+    /// the chunk loop as compiled for every level this CPU executes.
     #[test]
     fn step_matches_reference_bit_for_bit() {
+        let levels = Level::available();
+        let names: Vec<_> = levels.iter().map(|level| level.name()).collect();
+        println!("Adam step vs reference, instantiations compared: {names:?}");
         let mut rng = ChaCha8Rng::seed_from_u64(0xADA4);
         let optimizers = [
             Adam::with_lr(5e-3),
@@ -415,26 +454,36 @@ mod tests {
             buf.v = lane.iter().map(|l| l[3]).collect();
             buf.t = rng.gen_range(0..5000);
             let mut reference = buf.clone();
-            adam.step(&mut buf);
             step_reference(&adam, &mut reference);
-            assert_eq!(buf.t, reference.t);
+            let stepped: Vec<_> = levels
+                .iter()
+                .map(|&level| {
+                    let mut got = buf.clone();
+                    adam.step_at(level, &mut got);
+                    assert_eq!(got.t, reference.t);
+                    (level, got)
+                })
+                .collect();
             for (i, &[w, g, m, v]) in lane.iter().enumerate() {
-                let fields = [
-                    ("w", buf.w[i], reference.w[i]),
-                    ("m", buf.m[i], reference.m[i]),
-                    ("v", buf.v[i], reference.v[i]),
-                    ("g", buf.g[i], reference.g[i]),
-                ];
-                for (name, got, want) in fields {
-                    assert!(
-                        same(got, want),
-                        "{name}: {got:e} ({:#010x}) != reference {want:e} ({:#010x}) \
-                         for lane {:?} at t {} under {adam:?}",
-                        got.to_bits(),
-                        want.to_bits(),
-                        [w, g, m, v].map(f32::to_bits),
-                        buf.t,
-                    );
+                for (level, buf) in &stepped {
+                    let fields = [
+                        ("w", buf.w[i], reference.w[i]),
+                        ("m", buf.m[i], reference.m[i]),
+                        ("v", buf.v[i], reference.v[i]),
+                        ("g", buf.g[i], reference.g[i]),
+                    ];
+                    for (name, got, want) in fields {
+                        assert!(
+                            same(got, want),
+                            "{} {name}: {got:e} ({:#010x}) != reference {want:e} ({:#010x}) \
+                             for lane {:?} at t {} under {adam:?}",
+                            level.name(),
+                            got.to_bits(),
+                            want.to_bits(),
+                            [w, g, m, v].map(f32::to_bits),
+                            buf.t,
+                        );
+                    }
                 }
                 if g == 0.0 && is_subnormal_bits(m.to_bits()) {
                     decaying += 1;
