@@ -941,19 +941,16 @@ mod tests {
                     let best = want.map_or(current, |b| b as u8);
                     let mut before = vec![0u8; 6000];
                     let mut want_bytes = vec![0u8; 6000];
-                    let mut want_dirty = Vec::new();
-                    let changed = |off: usize, dirty: &mut Vec<_>| {
-                        if best != current {
-                            dirty.push(off..off + 1);
-                        }
-                    };
+                    let mut want_dirty = vec![cover.1..cover.1 + 1];
                     before[cover.1] = current;
                     want_bytes[cover.1] = best;
-                    changed(cover.1, &mut want_dirty);
                     if let Some((_, k_off, original)) = key {
                         before[k_off] = crate::recovery::rekey(current, original);
                         want_bytes[k_off] = crate::recovery::rekey(best, original);
-                        changed(k_off, &mut want_dirty);
+                        want_dirty.push(k_off..k_off + 1);
+                    }
+                    if best == current {
+                        want_dirty.clear();
                     }
                     let pair = i / 2;
                     for &level in &sweeps {
@@ -1021,8 +1018,8 @@ mod tests {
     /// the key slots and free bytes beyond the narrow one's window, so
     /// slot numbering, per-model visibility and the gradient copy are all
     /// pinned on a layout `mpass-transfer` never reaches (there, both
-    /// models see the covers alone). Captured before the mapping sweep's fused
-    /// first minimum and the per-model visible prefixes went in.
+    /// models see the covers alone). Captured before the mapping sweep's
+    /// fused first minimum and the per-model visible prefixes went in.
     #[test]
     fn optimizer_trajectory_golden_regression() {
         let w = world();
