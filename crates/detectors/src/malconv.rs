@@ -943,6 +943,40 @@ mod tests {
         }
     }
 
+    /// Digests of training and of the gradient path at full size
+    /// (`ByteConvConfig::default()`: its 16 KiB window leaves pad windows
+    /// in every corpus file) and with overlapping windows (kernel 64,
+    /// stride 32) for MalConv and NonNeg: snapshot bytes after training,
+    /// then scores, losses and gradients over long and short probes.
+    /// Captured before training ran the batch kernel and the sparse
+    /// backward.
+    #[test]
+    fn training_and_gradient_golden_regression() {
+        use crate::session_check::{golden_digest, golden_pairs};
+        let ds = dataset();
+        let overlap = ByteConvConfig { kernel: 64, stride: 32, ..ByteConvConfig::tiny() };
+        let cases = [
+            ("MalConv default", ByteConvConfig::default(), false, 1),
+            ("MalConv 64/32", overlap, false, 2),
+            ("NonNeg 64/32", overlap, true, 2),
+        ];
+        let digests: Vec<(&str, u64)> = cases
+            .iter()
+            .map(|&(name, config, nonneg, epochs)| {
+                let mut rng = ChaCha8Rng::seed_from_u64(13);
+                let mut m = MalConv::build(config, nonneg, &mut rng);
+                m.train(&golden_pairs(&ds), epochs, 5e-3, &mut rng);
+                (name, golden_digest(&m, &m.to_snapshot().to_bytes(), &ds))
+            })
+            .collect();
+        let golden = [
+            ("MalConv default", 0xa555_7fa4_bb7e_963a),
+            ("MalConv 64/32", 0x06d5_a6a8_d295_058d),
+            ("NonNeg 64/32", 0xed66_f2a6_ed25_edc8),
+        ];
+        assert_eq!(digests, golden, "{digests:#x?}");
+    }
+
     /// Optimizer-shaped dirty lists (hundreds of 1-byte spans, repeats,
     /// overlaps, edge and empty spans) give a fresh session's bits, and
     /// each call recomputes every window at most once — for MalConv and

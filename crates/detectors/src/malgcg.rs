@@ -810,6 +810,23 @@ mod tests {
         }
     }
 
+    /// Digest of training and of the gradient path for
+    /// `MalGcgConfig::default()`: overlapping layer-1 windows (kernel 128,
+    /// stride 64), a nonzero PAD embedding, and a 16 KiB window that
+    /// leaves pad windows at both layers in every corpus file. Snapshot
+    /// bytes after training, then scores, losses and gradients over long
+    /// and short probes. Captured before training ran the batch kernel.
+    #[test]
+    fn training_and_gradient_golden_regression() {
+        use crate::session_check::{golden_digest, golden_pairs};
+        let (_, ds) = trained_tiny();
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let mut m = MalGcg::new(MalGcgConfig::default(), &mut rng);
+        m.train(&golden_pairs(&ds), 1, 5e-3, &mut rng);
+        let digest = golden_digest(&m, &m.to_snapshot().to_bytes(), &ds);
+        assert_eq!(digest, 0x1095_59e3_7ee5_b958, "MalGCG default digest {digest:#018x}");
+    }
+
     /// Optimizer-shaped dirty lists (hundreds of 1-byte spans, repeats,
     /// overlaps, edge and empty spans) give a fresh session's bits, and
     /// each call recomputes every layer-1 and layer-2 window at most once.

@@ -1,8 +1,11 @@
-//! Shared check of the dirty-span sessions against the span lists the
-//! ensemble optimizer feeds them: many 1-byte spans, repeats, unsorted
-//! and overlapping spans, spans past the model window and empty spans.
+//! Shared checks of the conv detectors: the dirty-span sessions against
+//! the span lists the ensemble optimizer feeds them (many 1-byte spans,
+//! repeats, unsorted and overlapping spans, spans past the model window
+//! and empty spans), and the digests that pin what training and the
+//! gradient path compute.
 
-use crate::traits::WhiteBoxSession;
+use crate::traits::{WhiteBoxModel, WhiteBoxSession};
+use mpass_corpus::Dataset;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
@@ -91,4 +94,37 @@ pub(crate) fn check_multi_span<S: WhiteBoxSession>(
             panic!("{what}: window {w} recomputed {} times in one call", counts[w]);
         }
     }
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Training pairs of the golden digests: every sample of `ds`, then two
+/// truncated copies short enough to leave pad windows in any model window.
+pub(crate) fn golden_pairs(ds: &Dataset) -> Vec<(&[u8], f32)> {
+    let mut pairs = crate::train::training_pairs(&ds.samples.iter().collect::<Vec<_>>());
+    pairs.push((&ds.malware()[0].bytes[..200], 1.0));
+    pairs.push((&ds.benign()[0].bytes[..1000], 0.0));
+    pairs
+}
+
+/// Digest of a trained model: its snapshot bytes, then for each probe
+/// (two whole samples, a 100-byte prefix, an empty file) the raw score
+/// bits and a fresh session's `loss_grad_delta` loss and gradient bits.
+pub(crate) fn golden_digest(model: &dyn WhiteBoxModel, snapshot: &[u8], ds: &Dataset) -> u64 {
+    let mal = &ds.malware()[1].bytes;
+    let probes: [&[u8]; 4] = [mal, &ds.benign()[1].bytes, &mal[..100], &[]];
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, snapshot);
+    let mut grad = Vec::new();
+    for bytes in probes {
+        h = fnv1a(h, &model.raw_score(bytes).to_bits().to_le_bytes());
+        let loss = model.session().loss_grad_delta(bytes, &[], &mut grad);
+        h = fnv1a(h, &loss.to_bits().to_le_bytes());
+        for g in &grad {
+            h = fnv1a(h, &g.to_bits().to_le_bytes());
+        }
+    }
+    h
 }
