@@ -941,7 +941,7 @@ mod tests {
                     let best = want.map_or(current, |b| b as u8);
                     let mut before = vec![0u8; 6000];
                     let mut want_bytes = vec![0u8; 6000];
-                    let mut want_dirty = vec![cover.1..cover.1 + 1];
+                    let mut want_dirty = std::iter::once(cover.1..cover.1 + 1).collect::<Vec<_>>();
                     before[cover.1] = current;
                     want_bytes[cover.1] = best;
                     if let Some((_, k_off, original)) = key {

@@ -13,8 +13,8 @@
 
 use crate::traits::{Detector, WhiteBoxModel, WhiteBoxSession};
 use mpass_ml::{
-    bce_with_logits, bce_with_logits_backward, global_max_pool, global_max_pool_backward,
-    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, Embedding, Linear, Snapshot,
+    bce_with_logits, bce_with_logits_backward, global_max_pool, relu, relu_backward, sigmoid, Adam,
+    Cached, Conv1d, ConvXposed, Embedding, GradSink, Grads, Linear, NoGrads, ParamBuf, Snapshot,
     SnapshotBuilder, SnapshotError, TokenConv, WindowMask, Workspace,
 };
 use rand::seq::SliceRandom;
@@ -62,6 +62,17 @@ impl ByteConvConfig {
     pub fn tiny() -> Self {
         ByteConvConfig { window: 4096, embed_dim: 4, filters: 8, kernel: 64, stride: 64, hidden: 8 }
     }
+
+    /// The input positions the ascending conv `windows` read, as disjoint
+    /// spans in ascending order.
+    fn read_spans<'w>(&self, windows: &'w [usize]) -> impl Iterator<Item = Range<usize>> + 'w {
+        let (kernel, stride, mut end) = (self.kernel, self.stride, 0);
+        windows.iter().map(move |&w| {
+            let start = (w * stride).max(end);
+            end = w * stride + kernel;
+            start..end
+        })
+    }
 }
 
 /// The gated-convolution network: the MalConv detector, or its NonNeg
@@ -93,18 +104,77 @@ struct GatedTables {
     b: TokenConv,
 }
 
-/// Cached activations of one forward pass.
-struct Activations {
-    tokens: Vec<usize>,
-    x: Vec<f32>,
+/// The `a`, `b` and gated rows of every window of one input: what a
+/// forward (the batch kernel's or a session's) leaves for the backward.
+struct GatedRows {
     a: Vec<f32>,
     b: Vec<f32>,
     gated: Vec<f32>,
-    argmax: Vec<usize>,
-    pooled: Vec<f32>,
-    a1: Vec<f32>,
-    h1: Vec<f32>,
-    logit: f32,
+}
+
+impl GatedRows {
+    fn new(cells: usize) -> Self {
+        GatedRows { a: vec![0.0; cells], b: vec![0.0; cells], gated: vec![0.0; cells] }
+    }
+}
+
+/// The batch kernel of one set of weights: component-major conv weights
+/// (bit-identical to the scalar kernel) and the rows of an all-PAD window.
+/// Built once per batch, or per training step.
+struct BatchKernel<'m> {
+    net: &'m MalConv,
+    xa: ConvXposed<'m>,
+    xb: ConvXposed<'m>,
+    pad: GatedRows,
+}
+
+impl<'m> BatchKernel<'m> {
+    fn new(net: &'m MalConv) -> Self {
+        let (xa, xb) = (net.conv_a.transposed(), net.conv_b.transposed());
+        let patch = net.embedding.vector(PAD).repeat(net.config.kernel);
+        let mut pad = GatedRows::new(net.config.filters);
+        xa.forward_window_into(&patch, 0, &mut pad.a);
+        xb.forward_window_into(&patch, 0, &mut pad.b);
+        gate_into(&pad.a, &pad.b, &mut pad.gated);
+        BatchKernel { net, xa, xb, pad }
+    }
+
+    /// The one forward, behind scoring and training: every window whose
+    /// receptive field touches file bytes runs the conv pair; windows past
+    /// the file's extent read the identical all-PAD patch, so they copy
+    /// the pad rows. `capture` embeds the PAD positions too, which the
+    /// backward reads.
+    fn forward(&self, input: &mut PaddedInput, rows: &mut GatedRows, bytes: &[u8], capture: bool) {
+        let filters = self.net.config.filters;
+        let data_windows = input.embed(&self.net.embedding, bytes, capture);
+        for w in 0..data_windows {
+            let span = w * filters..(w + 1) * filters;
+            self.xa.forward_window_into(&input.x, w, &mut rows.a[span.clone()]);
+            self.xb.forward_window_into(&input.x, w, &mut rows.b[span.clone()]);
+            gate_into(&rows.a[span.clone()], &rows.b[span.clone()], &mut rows.gated[span]);
+        }
+        for w in data_windows..rows.gated.len() / filters {
+            let span = w * filters..(w + 1) * filters;
+            rows.a[span.clone()].copy_from_slice(&self.pad.a);
+            rows.b[span.clone()].copy_from_slice(&self.pad.b);
+            rows.gated[span].copy_from_slice(&self.pad.gated);
+        }
+    }
+}
+
+/// What a training run reuses across steps: the batch kernel's input and
+/// rows, the backward's workspace and its input gradient.
+pub(crate) struct TrainScratch<R> {
+    pub input: PaddedInput,
+    pub rows: R,
+    pub ws: Workspace,
+    pub dx: Vec<f32>,
+}
+
+impl<R> TrainScratch<R> {
+    pub fn new(input: PaddedInput, rows: R) -> Self {
+        TrainScratch { dx: vec![0.0; input.x.len()], input, rows, ws: Workspace::default() }
+    }
 }
 
 impl MalConv {
@@ -271,41 +341,51 @@ impl MalConv {
         })
     }
 
-    /// Pool + dense head over cached gated activations; returns the logit.
+    /// Each layer's `(weight, bias)`, in the backward's order of sinks.
+    fn layers(&mut self) -> [(&mut ParamBuf, &mut ParamBuf); 4] {
+        [
+            (&mut self.conv_a.weight, &mut self.conv_a.bias),
+            (&mut self.conv_b.weight, &mut self.conv_b.bias),
+            (&mut self.head1.weight, &mut self.head1.bias),
+            (&mut self.head2.weight, &mut self.head2.bias),
+        ]
+    }
+
+    /// Pool + dense head over gated rows; returns the logit.
     fn head_logit(&self, gated: &[f32]) -> f32 {
         let (pooled, _) = global_max_pool(gated, self.config.filters);
         let h1 = relu(&self.head1.forward(&pooled));
         self.head2.forward(&h1)[0]
     }
 
-    /// From cached gated-conv activations: pool + head forward, then the
-    /// input-grad-only backward. Never touches parameter gradients (every
-    /// layer is used through `&self`), so no scratch model clone exists on
-    /// this path — the zero-clone contract is structural. Returns the
-    /// benign-direction loss and fills `grad` with `∂ℒ/∂x` over the full
-    /// `window × dim` embedded input.
-    fn head_backward_into(
+    /// The one backward, behind training and sessions: pool and head over
+    /// `rows`, the loss against `target` (returned), then gradients, one
+    /// sink per layer of [`MalConv::layers`] (conv sinks read `x` only if
+    /// they keep gradients). The max pool leaves each channel's gradient on
+    /// one window; only those windows (returned, ascending) run the conv
+    /// backward, writing `dx` only where they read. conv_a and conv_b sum
+    /// into separate buffers, then add, as a dense pass would.
+    fn backward<S: GradSink>(
         &self,
         ws: &mut Workspace,
-        a: &[f32],
-        b: &[f32],
-        gated: &[f32],
-        grad: &mut Vec<f32>,
-    ) -> f32 {
+        x: &[f32],
+        rows: &GatedRows,
+        target: f32,
+        grads: &mut [S; 4],
+        dx: &mut [f32],
+    ) -> (f32, Vec<usize>) {
         let filters = self.config.filters;
+        let GatedRows { a, b, gated } = rows;
         let (pooled, argmax) = global_max_pool(gated, filters);
         let a1 = self.head1.forward(&pooled);
         let h1 = relu(&a1);
         let logit = self.head2.forward(&h1)[0];
-        let loss = bce_with_logits(logit, 0.0);
-        let dlogit = bce_with_logits_backward(logit, 0.0);
+        let dlogit = bce_with_logits_backward(logit, target);
         let mut dh1 = ws.take_f32(self.config.hidden);
-        self.head2.backward_input(&[dlogit], &mut dh1);
+        self.head2.backward(&h1, &[dlogit], &mut dh1, &mut grads[3]);
         let da1 = relu_backward(&a1, &dh1);
         let mut dpooled = ws.take_f32(filters);
-        self.head1.backward_input(&da1, &mut dpooled);
-        // The max pool makes the gate gradient sparse: exactly one window
-        // per channel receives it.
+        self.head1.backward(&pooled, &da1, &mut dpooled, &mut grads[2]);
         let mut da = ws.take_f32(gated.len());
         let mut db = ws.take_f32(gated.len());
         for (c, &w) in argmax.iter().enumerate() {
@@ -318,60 +398,48 @@ impl MalConv {
             da[i] = g * s;
             db[i] = g * a[i] * s * (1.0 - s);
         }
-        grad.clear();
-        grad.resize(self.config.window * self.embedding.dim(), 0.0);
-        let mut gb = ws.take_f32(grad.len());
-        self.conv_a.backward_input(&da, grad);
-        self.conv_b.backward_input(&db, &mut gb);
-        for (ga, &gbi) in grad.iter_mut().zip(&gb) {
-            *ga += gbi;
-        }
-        ws.give_f32(gb);
-        ws.give_f32(db);
-        ws.give_f32(da);
-        ws.give_f32(dpooled);
-        ws.give_f32(dh1);
-        loss
-    }
-
-    fn forward(&self, bytes: &[u8]) -> Activations {
-        let tokens = tokenize(bytes, self.config.window);
-        let x = self.embedding.forward(&tokens);
-        let a = self.conv_a.forward(&x);
-        let b = self.conv_b.forward(&x);
-        let gated: Vec<f32> = a.iter().zip(&b).map(|(&ai, &bi)| ai * sigmoid(bi)).collect();
-        let (pooled, argmax) = global_max_pool(&gated, self.config.filters);
-        let a1 = self.head1.forward(&pooled);
-        let h1 = relu(&a1);
-        let logit = self.head2.forward(&h1)[0];
-        Activations { tokens, x, a, b, gated, argmax, pooled, a1, h1, logit }
-    }
-
-    /// Backward from `dlogit`; accumulates parameter gradients and returns
-    /// the gradient w.r.t. the embedded input `x`.
-    fn backward(&mut self, act: &Activations, dlogit: f32) -> Vec<f32> {
-        let dh1 = self.head2.backward(&act.h1, &[dlogit]);
-        let da1 = relu_backward(&act.a1, &dh1);
-        let dpooled = self.head1.backward(&act.pooled, &da1);
-        let windows = act.gated.len() / self.config.filters;
-        let dgated =
-            global_max_pool_backward(&dpooled, &act.argmax, windows, self.config.filters);
-        let mut da = vec![0.0f32; act.a.len()];
-        let mut db = vec![0.0f32; act.b.len()];
-        for i in 0..dgated.len() {
-            if dgated[i] == 0.0 {
-                continue;
+        let mut windows = argmax;
+        windows.sort_unstable();
+        windows.dedup();
+        let mut gb = ws.take_f32_stale(dx.len());
+        self.conv_a.backward(x, &da, windows.iter().copied(), dx, &mut grads[0]);
+        self.conv_b.backward(x, &db, windows.iter().copied(), &mut gb, &mut grads[1]);
+        let dim = self.embedding.dim();
+        for span in self.config.read_spans(&windows) {
+            let cells = span.start * dim..span.end * dim;
+            for (d, &g) in dx[cells.clone()].iter_mut().zip(&gb[cells]) {
+                *d += g;
             }
-            let s = sigmoid(act.b[i]);
-            da[i] = dgated[i] * s;
-            db[i] = dgated[i] * act.a[i] * s * (1.0 - s);
         }
-        let mut dx = self.conv_a.backward(&act.x, &da);
-        let dxb = self.conv_b.backward(&act.x, &db);
-        for (d, db_) in dx.iter_mut().zip(dxb) {
-            *d += db_;
+        for buf in [gb, db, da, dpooled, dh1] {
+            ws.give_f32(buf);
         }
-        dx
+        (bce_with_logits(logit, target), windows)
+    }
+
+    /// Batch-kernel input and rows of this model's shape.
+    fn scratch(&self) -> (PaddedInput, GatedRows) {
+        let c = &self.config;
+        let input = PaddedInput::new(c.window, self.embedding.dim(), &self.conv_a);
+        (input, GatedRows::new(self.conv_a.windows(c.window) * c.filters))
+    }
+
+    /// One step's gradients: the forward with capture, the backward into
+    /// the layers' gradient buffers, then the embedding gradient of each
+    /// position the backward reached, ascending. Returns the loss.
+    fn step_grads(&mut self, s: &mut TrainScratch<GatedRows>, bytes: &[u8], target: f32) -> f32 {
+        let mut grads = self.layers().map(Grads::take);
+        BatchKernel::new(self).forward(&mut s.input, &mut s.rows, bytes, true);
+        let (loss, windows) =
+            self.backward(&mut s.ws, &s.input.x, &s.rows, target, &mut grads, &mut s.dx);
+        for (layer, g) in self.layers().into_iter().zip(grads) {
+            g.restore(layer);
+        }
+        let dim = self.embedding.dim();
+        for p in self.config.read_spans(&windows).flatten() {
+            self.embedding.backward(token_at(bytes, p), &s.dx[p * dim..(p + 1) * dim]);
+        }
+        loss
     }
 
     /// Train on `(bytes, target)` pairs with per-sample Adam updates; a
@@ -385,34 +453,20 @@ impl MalConv {
         rng: &mut R,
     ) -> f32 {
         let adam = Adam::with_lr(lr);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut last = 0.0;
-        for _ in 0..epochs {
-            order.shuffle(rng);
-            let mut total = 0.0;
-            for &i in &order {
-                let (bytes, target) = data[i];
-                let act = self.forward(bytes);
-                total += bce_with_logits(act.logit, target);
-                let dlogit = bce_with_logits_backward(act.logit, target);
-                let dx = self.backward(&act, dlogit);
-                self.embedding.backward(&act.tokens, &dx);
-                self.embedding.freeze_zero_row(PAD);
-                adam.step(&mut self.embedding.table);
-                adam.step(&mut self.conv_a.weight);
-                adam.step(&mut self.conv_a.bias);
-                adam.step(&mut self.conv_b.weight);
-                adam.step(&mut self.conv_b.bias);
-                adam.step(&mut self.head1.weight);
-                adam.step(&mut self.head1.bias);
-                adam.step(&mut self.head2.weight);
-                adam.step(&mut self.head2.bias);
-                if self.nonneg {
-                    self.clamp_nonneg();
-                }
+        let (input, rows) = self.scratch();
+        let mut scratch = TrainScratch::new(input, rows);
+        let last = train_epochs(data, epochs, rng, |bytes, target| {
+            let loss = self.step_grads(&mut scratch, bytes, target);
+            self.embedding.freeze_zero_row(PAD);
+            adam.step(&mut self.embedding.table);
+            for buf in self.layers().into_iter().flat_map(|(w, b)| [w, b]) {
+                adam.step(buf);
             }
-            last = total / data.len().max(1) as f32;
-        }
+            if self.nonneg {
+                self.clamp_nonneg();
+            }
+            loss
+        });
         // Weights changed: the derived token tables must be rebuilt on
         // next use.
         self.tables.invalidate();
@@ -420,48 +474,16 @@ impl MalConv {
     }
 
     /// Logits of `items`, appended to `out` in input order — the one f32
-    /// inference kernel behind every black-box score (`score` and
-    /// `raw_score` are a batch of one).
-    ///
-    /// Bit-identical to the training `forward(..).logit`: every window
-    /// whose receptive field touches file bytes runs the same
-    /// `forward_window_into` arithmetic, over an embedding buffer filled
-    /// with the same per-token rows. Windows past the file's extent all
-    /// see the identical all-PAD patch, so their gated row is computed
-    /// once per batch and replicated — that skip, plus scratch allocated
-    /// once per batch and reused across items, is where the batch
-    /// throughput comes from.
+    /// inference path behind every black-box score (`score` and
+    /// `raw_score` are a batch of one), with the batch kernel and its
+    /// scratch built once per batch.
     fn logit_batch_into(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let filters = self.config.filters;
-        let windows_total = self.conv_a.windows(self.config.window);
-        // Component-major weight copies let every window's conv run as
-        // lane-chunked axpy over contiguous output channels; the kernel is
-        // bit-identical to the scalar `forward_window_into`, and building
-        // the transpose once per batch amortizes it over all items.
-        let xa = self.conv_a.transposed();
-        let xb = self.conv_b.transposed();
-        let mut input = PaddedInput::new(&self.embedding, self.config.window, &self.conv_a);
-        let mut a_row = vec![0.0; filters];
-        let mut b_row = vec![0.0; filters];
-        // One all-PAD receptive field serves every fully-padded window in
-        // every item.
-        let mut pad_gated = vec![0.0; filters];
-        xa.forward_window_into(&input.pad_patch, 0, &mut a_row);
-        xb.forward_window_into(&input.pad_patch, 0, &mut b_row);
-        gate_into(&a_row, &b_row, &mut pad_gated);
-        let mut gated = vec![0.0; windows_total * filters];
+        let kernel = BatchKernel::new(self);
+        let (mut input, mut rows) = self.scratch();
         out.reserve(items.len());
         for bytes in items {
-            let data_windows = input.embed(bytes);
-            for w in 0..data_windows {
-                xa.forward_window_into(&input.x, w, &mut a_row);
-                xb.forward_window_into(&input.x, w, &mut b_row);
-                gate_into(&a_row, &b_row, &mut gated[w * filters..(w + 1) * filters]);
-            }
-            for row in gated[data_windows * filters..].chunks_exact_mut(filters) {
-                row.copy_from_slice(&pad_gated);
-            }
-            out.push(self.head_logit(&gated));
+            kernel.forward(&mut input, &mut rows, bytes, false);
+            out.push(self.head_logit(&rows.gated));
         }
     }
 }
@@ -529,9 +551,7 @@ struct ByteConvSession<'a> {
     tables: &'a GatedTables,
     ws: Workspace,
     tokens: Vec<usize>,
-    a: Vec<f32>,
-    b: Vec<f32>,
-    gated: Vec<f32>,
+    rows: GatedRows,
     /// Windows to recompute in the current [`ByteConvSession::sync`].
     marked: WindowMask,
     /// Length of the buffer the caches describe; `None` until primed.
@@ -551,9 +571,7 @@ impl<'a> ByteConvSession<'a> {
             tables,
             ws: Workspace::default(),
             tokens: vec![PAD; net.config.window],
-            a: vec![0.0; cells],
-            b: vec![0.0; cells],
-            gated: vec![0.0; cells],
+            rows: GatedRows::new(cells),
             marked: WindowMask::new(windows),
             len: None,
             #[cfg(test)]
@@ -589,9 +607,10 @@ impl<'a> ByteConvSession<'a> {
                 self.recomputed[w] += 1;
             }
             let span = w * filters..(w + 1) * filters;
-            self.tables.a.window_into(&self.tokens, w, &mut self.a[span.clone()]);
-            self.tables.b.window_into(&self.tokens, w, &mut self.b[span.clone()]);
-            gate_into(&self.a[span.clone()], &self.b[span.clone()], &mut self.gated[span]);
+            let rows = &mut self.rows;
+            self.tables.a.window_into(&self.tokens, w, &mut rows.a[span.clone()]);
+            self.tables.b.window_into(&self.tokens, w, &mut rows.b[span.clone()]);
+            gate_into(&rows.a[span.clone()], &rows.b[span.clone()], &mut rows.gated[span]);
         }
         debug_assert_eq!(
             self.tokens.iter().enumerate().position(|(i, &t)| t != token_at(bytes, i)),
@@ -604,7 +623,7 @@ impl<'a> ByteConvSession<'a> {
 impl WhiteBoxSession for ByteConvSession<'_> {
     fn score_delta(&mut self, bytes: &[u8], dirty: &[Range<usize>]) -> f32 {
         self.sync(bytes, dirty);
-        self.net.head_logit(&self.gated)
+        self.net.head_logit(&self.rows.gated)
     }
 
     fn loss_grad_delta(
@@ -614,7 +633,9 @@ impl WhiteBoxSession for ByteConvSession<'_> {
         grad: &mut Vec<f32>,
     ) -> f32 {
         self.sync(bytes, dirty);
-        self.net.head_backward_into(&mut self.ws, &self.a, &self.b, &self.gated, grad)
+        grad.clear();
+        grad.resize(self.net.config.window * self.net.embedding.dim(), 0.0);
+        self.net.backward(&mut self.ws, &[], &self.rows, 0.0, &mut [NoGrads; 4], grad).0
     }
 }
 
@@ -631,9 +652,25 @@ pub(crate) fn token_at(bytes: &[u8], i: usize) -> usize {
     bytes.get(i).map_or(PAD, |&b| usize::from(b))
 }
 
-/// The `window` tokens a byte-conv model reads from `bytes`.
-pub(crate) fn tokenize(bytes: &[u8], window: usize) -> Vec<usize> {
-    (0..window).map(|i| token_at(bytes, i)).collect()
+/// `epochs` passes of `step` (one pair in, its loss out) over `data` in
+/// fresh shuffled orders; returns the last epoch's mean loss.
+pub(crate) fn train_epochs<R: Rng + ?Sized>(
+    data: &[(&[u8], f32)],
+    epochs: usize,
+    rng: &mut R,
+    mut step: impl FnMut(&[u8], f32) -> f32,
+) -> f32 {
+    let mut order: Vec<usize> = (0..data.len()).collect();
+    let mut last = 0.0;
+    for _ in 0..epochs {
+        order.shuffle(rng);
+        let mut total = 0.0;
+        for &i in &order {
+            total += step(data[i].0, data[i].1);
+        }
+        last = total / data.len().max(1) as f32;
+    }
+    last
 }
 
 /// The `BadMeta` refusal of a snapshot config no forward pass can run: a
@@ -659,43 +696,36 @@ pub(crate) fn data_extent(
     (windows, (windows - 1) * stride + kernel)
 }
 
-/// The byte end of both pad-skipping batch kernels, built once per batch
-/// for a model's first conv layer: an embedding buffer reused across
-/// items, and the all-PAD receptive field whose response stands in for
-/// every window past a file's extent.
-pub(crate) struct PaddedInput<'a> {
-    embedding: &'a Embedding,
+/// The byte end of both pad-skipping batch kernels, for a model's first
+/// conv layer: an embedding buffer reused across items and training steps.
+pub(crate) struct PaddedInput {
     kernel: usize,
     stride: usize,
     windows: usize,
     /// `window × dim` embedded input; [`PaddedInput::embed`] refreshes the
     /// prefix the data-overlapping windows read.
     pub x: Vec<f32>,
-    /// One `kernel × dim` receptive field of PAD embeddings.
-    pub pad_patch: Vec<f32>,
 }
 
-impl<'a> PaddedInput<'a> {
-    pub fn new(embedding: &'a Embedding, window: usize, conv: &Conv1d) -> Self {
+impl PaddedInput {
+    pub fn new(window: usize, dim: usize, conv: &Conv1d) -> Self {
         PaddedInput {
-            embedding,
             kernel: conv.kernel(),
             stride: conv.stride(),
             windows: conv.windows(window),
-            x: vec![0.0; window * embedding.dim()],
-            pad_patch: embedding.vector(PAD).repeat(conv.kernel()),
+            x: vec![0.0; window * dim],
         }
     }
 
     /// Embed the positions of `bytes` its data-overlapping windows read
-    /// (file bytes, then PAD to the end of the last such window); returns
-    /// how many windows overlap the data.
-    pub fn embed(&mut self, bytes: &[u8]) -> usize {
-        let dim = self.embedding.dim();
+    /// (file bytes, then PAD to the end of the last such window), or with
+    /// `whole` every position; returns how many windows overlap the data.
+    pub fn embed(&mut self, embedding: &Embedding, bytes: &[u8], whole: bool) -> usize {
+        let dim = embedding.dim();
         let (windows, visible) = data_extent(bytes.len(), self.kernel, self.stride, self.windows);
-        for i in 0..visible {
-            self.x[i * dim..(i + 1) * dim]
-                .copy_from_slice(self.embedding.vector(token_at(bytes, i)));
+        let end = if whole { self.x.len() / dim } else { visible };
+        for i in 0..end {
+            self.x[i * dim..(i + 1) * dim].copy_from_slice(embedding.vector(token_at(bytes, i)));
         }
         windows
     }
@@ -824,9 +854,188 @@ mod tests {
         m
     }
 
+    /// What the dense reference computed for one input.
+    struct Reference {
+        logit: f32,
+        argmax: Vec<usize>,
+        dpooled: Vec<f32>,
+        /// A copy of the model holding the parameter gradients.
+        grads: MalConv,
+        /// `∂ℒ/∂x` over the whole window.
+        dx: Vec<f32>,
+    }
+
+    /// The dense forward and backward MalConv trained with before the batch
+    /// kernel and the sparse backward: every position embedded, every
+    /// window convolved, every layer's backward over every window into
+    /// fresh zeroed buffers, and the embedding backward over every
+    /// position.
+    fn reference(m: &MalConv, bytes: &[u8], target: f32) -> Reference {
+        reference_from(m, bytes, target, crate::session_check::conv_forward)
+    }
+
+    /// [`reference`] with the conv responses of the tabled session.
+    fn tabled_reference(m: &MalConv, bytes: &[u8]) -> Reference {
+        let tokens: Vec<usize> = (0..m.config.window).map(|i| token_at(bytes, i)).collect();
+        let mut tables = [&m.tables().a, &m.tables().b].into_iter();
+        reference_from(m, bytes, 0.0, |conv, _| {
+            let table = tables.next().expect("two convs");
+            let mut out = vec![0.0; conv.windows(tokens.len()) * conv.out_ch()];
+            for (w, row) in out.chunks_exact_mut(conv.out_ch()).enumerate() {
+                table.window_into(&tokens, w, row);
+            }
+            out
+        })
+    }
+
+    /// The reference over conv responses from `conv_a` then `conv_b`.
+    fn reference_from(
+        m: &MalConv,
+        bytes: &[u8],
+        target: f32,
+        mut conv: impl FnMut(&Conv1d, &[f32]) -> Vec<f32>,
+    ) -> Reference {
+        use crate::session_check::{dense_conv_backward, dense_linear_backward};
+        let (c, dim) = (m.config, m.embedding.dim());
+        let tokens: Vec<usize> = (0..c.window).map(|i| token_at(bytes, i)).collect();
+        let x: Vec<f32> = tokens.iter().flat_map(|&t| m.embedding.vector(t).to_vec()).collect();
+        let (a, b) = (conv(&m.conv_a, &x), conv(&m.conv_b, &x));
+        let gated: Vec<f32> = a.iter().zip(&b).map(|(&ai, &bi)| ai * sigmoid(bi)).collect();
+        let (pooled, argmax) = global_max_pool(&gated, c.filters);
+        let a1 = m.head1.forward(&pooled);
+        let h1 = relu(&a1);
+        let logit = m.head2.forward(&h1)[0];
+        let mut g = m.clone();
+        g.embedding.table.zero_grad();
+        for (weight, bias) in g.layers() {
+            weight.zero_grad();
+            bias.zero_grad();
+        }
+        let dlogit = [bce_with_logits_backward(logit, target)];
+        let dh1 = dense_linear_backward(&m.head2, &mut g.head2, &h1, &dlogit);
+        let da1 = relu_backward(&a1, &dh1);
+        let dpooled = dense_linear_backward(&m.head1, &mut g.head1, &pooled, &da1);
+        let mut dgated = vec![0.0f32; gated.len()];
+        for (ch, &w) in argmax.iter().enumerate() {
+            dgated[w * c.filters + ch] = dpooled[ch];
+        }
+        let (mut da, mut db) = (vec![0.0f32; gated.len()], vec![0.0f32; gated.len()]);
+        for i in 0..gated.len() {
+            if dgated[i] == 0.0 {
+                continue;
+            }
+            let s = sigmoid(b[i]);
+            da[i] = dgated[i] * s;
+            db[i] = dgated[i] * a[i] * s * (1.0 - s);
+        }
+        let mut dx = dense_conv_backward(&m.conv_a, &mut g.conv_a, &x, &da);
+        let dxb = dense_conv_backward(&m.conv_b, &mut g.conv_b, &x, &db);
+        for (d, e) in dx.iter_mut().zip(dxb) {
+            *d += e;
+        }
+        for (i, &t) in tokens.iter().enumerate() {
+            g.embedding.backward(t, &dx[i * dim..(i + 1) * dim]);
+        }
+        Reference { logit, argmax, dpooled, grads: g, dx }
+    }
+
+    fn all_grad_bits(m: &mut MalConv) -> Vec<u32> {
+        let mut bits = crate::session_check::grad_bits([&m.embedding.table]);
+        for (weight, bias) in m.layers() {
+            bits.extend(crate::session_check::grad_bits([&*weight, &*bias]));
+        }
+        bits
+    }
+
+    /// A trained model rigged so the one backward meets its edge cases:
+    /// channels 0 and 1 are identical (one argmax window for both);
+    /// channel 2 feeds nothing into the head (`dpooled == 0`); channel 3's
+    /// gate is saturated (`σ(b) == 0`, so `g·σ(b) == 0`); and channel 4
+    /// responds most to PAD, so a file shorter than the window puts its
+    /// argmax on a pad window.
+    fn rigged(config: ByteConvConfig, nonneg: bool) -> MalConv {
+        let ds = dataset();
+        let pairs = training_pairs(&ds.samples.iter().collect::<Vec<_>>());
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let mut m = MalConv::build(config, nonneg, &mut rng);
+        m.train(&pairs, 1, 5e-3, &mut rng);
+        let (k_in, dim) = (config.kernel * config.embed_dim, config.embed_dim);
+        for conv in [&mut m.conv_a, &mut m.conv_b] {
+            conv.weight.w.copy_within(0..k_in, k_in);
+            conv.bias.w[1] = conv.bias.w[0];
+        }
+        for o in 0..config.hidden {
+            m.head1.weight.w[o * config.filters + 2] = 0.0;
+        }
+        m.conv_b.bias.w[3] = -200.0;
+        // Channel 4 reads -Σ e(t)[0] with e(t)[0] > 0 for every byte and
+        // e(PAD) = 0, so all-PAD windows score highest.
+        let row4 = &mut m.conv_a.weight.w[4 * k_in..5 * k_in];
+        for (i, w) in row4.iter_mut().enumerate() {
+            *w = if i % dim == 0 { -1.0 } else { 0.0 };
+        }
+        m.conv_b.weight.w[4 * k_in..5 * k_in].fill(0.0);
+        for t in 0..256 {
+            m.embedding.table.w[t * dim] = m.embedding.table.w[t * dim].abs() + 0.01;
+        }
+        m
+    }
+
+    /// The one backward, as training runs it (`step_grads`: the batch
+    /// kernel with capture, gradients through [`Grads`], the sparse
+    /// embedding backward) and as sessions run it (through [`NoGrads`],
+    /// after the tabled forward), gives the dense reference's parameter
+    /// and input gradients bit for bit, with non-overlapping and overlapping windows, for MalConv and
+    /// NonNeg, on inputs whose argmax windows are shared, padded, carry no
+    /// gradient or sit behind a saturated gate.
+    #[test]
+    fn one_backward_matches_the_dense_reference_bit_for_bit() {
+        let ds = dataset();
+        let overlap = ByteConvConfig { kernel: 64, stride: 32, ..ByteConvConfig::tiny() };
+        for (config, nonneg) in [(ByteConvConfig::tiny(), false), (overlap, true)] {
+            let m = rigged(config, nonneg);
+            let mal = &ds.malware()[0].bytes;
+            let inputs: [&[u8]; 5] =
+                [mal, &ds.benign()[0].bytes, &mal[..100], &mal[..config.kernel + 5], &[]];
+            for (n, bytes) in inputs.into_iter().enumerate() {
+                let what = format!("{}/{} input {n}", config.kernel, config.stride);
+                let want = tabled_reference(&m, bytes);
+                let windows = m.conv_a.windows(config.window);
+                assert_eq!(want.argmax[0], want.argmax[1], "{what}: shared argmax");
+                assert_eq!(want.dpooled[2], 0.0, "{what}: dpooled");
+                assert_eq!(sigmoid(-200.0), 0.0, "{what}: saturated gate");
+                let data_windows =
+                    data_extent(bytes.len(), config.kernel, config.stride, windows).0;
+                assert_eq!(want.argmax[4] >= data_windows, bytes.len() < config.window, "{what}");
+                // The session: loss and the whole input gradient.
+                let mut grad = vec![f32::NAN; 3];
+                let loss = m.session().loss_grad_delta(bytes, &[], &mut grad);
+                assert_eq!(loss.to_bits(), bce_with_logits(want.logit, 0.0).to_bits(), "{what}");
+                let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&grad), bits(&want.dx), "{what}: input gradient");
+                // Training, from stale scratch, for either target.
+                for target in [0.0, 1.0] {
+                    let mut want = reference(&m, bytes, target);
+                    let mut got = m.clone();
+                    let (input, rows) = got.scratch();
+                    let mut scratch = TrainScratch::new(input, rows);
+                    scratch.dx.fill(f32::NAN);
+                    scratch.input.x.fill(f32::NAN);
+                    let loss = got.step_grads(&mut scratch, bytes, target);
+                    let want_loss = bce_with_logits(want.logit, target);
+                    assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what} target {target}");
+                    assert!(
+                        all_grad_bits(&mut got) == all_grad_bits(&mut want.grads),
+                        "{what} target {target}: parameter gradients differ"
+                    );
+                }
+            }
+        }
+    }
+
     /// Every black-box score runs the pad-skipping batch kernel; batched,
     /// single-call `score` and single-call `raw_score` results must all
-    /// stay bit-identical to the training forward's logit — including
+    /// stay bit-identical to the dense reference's logit — including
     /// empty input, files shorter than one kernel, exactly one window, and
     /// files longer than the model window.
     #[test]
@@ -848,7 +1057,7 @@ mod tests {
         m.raw_score_batch(&items, &mut raw);
         assert_eq!(scores.len(), items.len());
         for (i, bytes) in items.iter().enumerate() {
-            let logit = m.forward(bytes).logit;
+            let logit = reference(&m, bytes, 0.0).logit;
             let len = bytes.len();
             assert_eq!(raw[i].to_bits(), logit.to_bits(), "batched raw item {i} (len {len})");
             assert_eq!(m.raw_score(bytes).to_bits(), logit.to_bits(), "raw item {i} (len {len})");
@@ -863,14 +1072,14 @@ mod tests {
         }
     }
 
-    /// The tabled white-box forward must agree with the naive training
+    /// The tabled white-box forward must agree with the dense reference's
     /// forward within float-reassociation error.
     #[test]
     fn tabled_logit_matches_naive_logit() {
         let m = trained_tiny();
         let ds = dataset();
         for s in ds.samples.iter().take(6) {
-            let naive = m.forward(&s.bytes).logit;
+            let naive = reference(&m, &s.bytes, 0.0).logit;
             let tabled = m.session().score_delta(&s.bytes, &[]);
             assert!(
                 (naive - tabled).abs() < 1e-4,

@@ -7,14 +7,15 @@
 //! gradients differ from the MalConv family — which is what makes it a
 //! meaningful fourth transfer target.
 
-use crate::malconv::{data_extent, token_at, tokenize, unrunnable, PaddedInput, PAD, VOCAB};
+use crate::malconv::{
+    data_extent, token_at, train_epochs, unrunnable, PaddedInput, TrainScratch, PAD, VOCAB,
+};
 use crate::traits::{Detector, WhiteBoxModel, WhiteBoxSession};
 use mpass_ml::{
-    bce_with_logits, bce_with_logits_backward, global_max_pool, global_max_pool_backward,
-    relu, relu_backward, sigmoid, Adam, Cached, Conv1d, ConvXposed, Embedding, Linear,
-    Snapshot, SnapshotBuilder, SnapshotError, TokenConv, WindowMask, Workspace,
+    bce_with_logits, bce_with_logits_backward, global_max_pool, relu, relu_backward, sigmoid, Adam,
+    Cached, Conv1d, ConvXposed, Embedding, GradSink, Grads, Linear, NoGrads, ParamBuf, Snapshot,
+    SnapshotBuilder, SnapshotError, TokenConv, WindowMask, Workspace,
 };
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -90,18 +91,76 @@ pub struct MalGcg {
     tables: Cached<TokenConv>,
 }
 
-struct Activations {
-    tokens: Vec<usize>,
-    x: Vec<f32>,
-    c1: Vec<f32>,
+/// The relu rows of every window of both conv layers for one input: what
+/// a forward (the batch kernel's or a session's) leaves for the backward.
+struct ReluRows {
     r1: Vec<f32>,
-    c2: Vec<f32>,
     r2: Vec<f32>,
-    argmax: Vec<usize>,
-    pooled: Vec<f32>, // max ++ mean, length 2*ch2
-    a1: Vec<f32>,
-    h1: Vec<f32>,
-    logit: f32,
+}
+
+impl ReluRows {
+    fn new(net: &MalGcg) -> Self {
+        let (c, windows1) = (&net.config, net.conv1.windows(net.config.window));
+        let windows2 = net.conv2.windows(windows1);
+        ReluRows { r1: vec![0.0; windows1 * c.ch1], r2: vec![0.0; windows2 * c.ch2] }
+    }
+}
+
+/// The batch kernel of one set of weights: component-major conv weights
+/// and the relu rows of an all-PAD window at each layer (MalGCG's PAD
+/// embedding trains too). Built once per batch, or per training step.
+struct BatchKernel<'m> {
+    net: &'m MalGcg,
+    x1: ConvXposed<'m>,
+    x2: ConvXposed<'m>,
+    pad_r1: Vec<f32>,
+    pad_r2: Vec<f32>,
+}
+
+impl<'m> BatchKernel<'m> {
+    fn new(net: &'m MalGcg) -> Self {
+        let c = &net.config;
+        let (x1, x2) = (net.conv1.transposed(), net.conv2.transposed());
+        let mut pad_r1 = vec![0.0; c.ch1];
+        x1.forward_window_into(&net.embedding.vector(PAD).repeat(c.kernel1), 0, &mut pad_r1);
+        relu_in_place(&mut pad_r1);
+        let mut pad_r2 = vec![0.0; c.ch2];
+        x2.forward_window_into(&pad_r1.repeat(c.kernel2), 0, &mut pad_r2);
+        relu_in_place(&mut pad_r2);
+        BatchKernel { net, x1, x2, pad_r1, pad_r2 }
+    }
+
+    /// The one forward, behind scoring and training, with MalConv's pad
+    /// replication at both layers: all-PAD layer-1 windows copy one relu
+    /// row, layer-2 windows that read only those copy one `r2` row.
+    /// `capture` fills every row and position the backward reads.
+    fn forward(&self, input: &mut PaddedInput, rows: &mut ReluRows, bytes: &[u8], capture: bool) {
+        let c = &self.net.config;
+        let (ch1, ch2) = (c.ch1, c.ch2);
+        let data_w1 = input.embed(&self.net.embedding, bytes, capture);
+        for w in 0..data_w1 {
+            let r = &mut rows.r1[w * ch1..(w + 1) * ch1];
+            self.x1.forward_window_into(&input.x, w, r);
+            relu_in_place(r);
+        }
+        // Layer-2 windows read kernel2 consecutive r1 rows; the PAD rows
+        // still visible to a data-overlapping layer-2 window must be
+        // materialized before the conv runs over them.
+        let w2_total = rows.r2.len() / ch2;
+        let (data_w2, visible1) = data_extent(data_w1, c.kernel2, c.stride2, w2_total);
+        let end1 = if capture { rows.r1.len() / ch1 } else { visible1 };
+        for w in data_w1..end1 {
+            rows.r1[w * ch1..(w + 1) * ch1].copy_from_slice(&self.pad_r1);
+        }
+        for w in 0..data_w2 {
+            let r = &mut rows.r2[w * ch2..(w + 1) * ch2];
+            self.x2.forward_window_into(&rows.r1, w, r);
+            relu_in_place(r);
+        }
+        for row in rows.r2[data_w2 * ch2..].chunks_exact_mut(ch2) {
+            row.copy_from_slice(&self.pad_r2);
+        }
+    }
 }
 
 impl MalGcg {
@@ -227,61 +286,66 @@ impl MalGcg {
         self.tables.get_or_build(|| TokenConv::build(&self.conv1, &self.embedding))
     }
 
-    /// The mixed max/mean pooled features over cached `r2` activations,
-    /// with the exact arithmetic of [`MalGcg::forward`]; also returns the
+    /// Each layer's `(weight, bias)`, in the backward's order of sinks.
+    fn layers(&mut self) -> [(&mut ParamBuf, &mut ParamBuf); 4] {
+        [
+            (&mut self.conv1.weight, &mut self.conv1.bias),
+            (&mut self.conv2.weight, &mut self.conv2.bias),
+            (&mut self.head1.weight, &mut self.head1.bias),
+            (&mut self.head2.weight, &mut self.head2.bias),
+        ]
+    }
+
+    /// The mixed max/mean pooled features over `r2` rows; also returns the
     /// max-pool argmax for backprop.
     fn pool_r2(&self, r2: &[f32]) -> (Vec<f32>, Vec<usize>) {
         let ch2 = self.config.ch2;
-        let (maxed, argmax) = global_max_pool(r2, ch2);
-        let windows2 = r2.len() / ch2;
-        let mut mean = vec![0.0f32; ch2];
-        for w in 0..windows2 {
-            for c in 0..ch2 {
-                mean[c] += r2[w * ch2 + c];
+        let (mut pooled, argmax) = global_max_pool(r2, ch2);
+        let mut sum = vec![0.0f32; ch2];
+        for row in r2.chunks_exact(ch2) {
+            for (s, &v) in sum.iter_mut().zip(row) {
+                *s += v;
             }
         }
-        for m in &mut mean {
-            *m /= windows2 as f32;
-        }
-        let mut pooled = maxed;
-        pooled.extend_from_slice(&mean);
+        let windows2 = (r2.len() / ch2) as f32;
+        pooled.extend(sum.iter().map(|s| s / windows2));
         (pooled, argmax)
     }
 
-    /// Pool + dense head over cached `r2` activations; returns the logit.
+    /// Pool + dense head over `r2` rows; returns the logit.
     fn head_logit(&self, r2: &[f32]) -> f32 {
         let (pooled, _) = self.pool_r2(r2);
         let h1 = relu(&self.head1.forward(&pooled));
         self.head2.forward(&h1)[0]
     }
 
-    /// From cached stacked-conv activations: pool + head forward, then the
-    /// input-grad-only backward through both conv layers. Every layer is
-    /// used through `&self`, so no scratch model clone exists on this path.
-    /// Returns the benign-direction loss and fills `grad` with `∂ℒ/∂x`
-    /// over the full `window × dim` embedded input.
-    fn backward_into(
+    /// The one backward, behind training and sessions: pool and head over
+    /// `rows`, the loss against `target` (returned), then gradients into
+    /// `dx` and one sink per layer of [`MalGcg::layers`] (conv sinks read
+    /// `x` and `r1` only if they keep gradients). The mean pool spreads
+    /// gradient over every window, so this backward stays dense.
+    fn backward<S: GradSink>(
         &self,
         ws: &mut Workspace,
-        c1: &[f32],
-        r1: &[f32],
-        c2: &[f32],
-        r2: &[f32],
-        grad: &mut Vec<f32>,
+        x: &[f32],
+        rows: &ReluRows,
+        target: f32,
+        grads: &mut [S; 4],
+        dx: &mut [f32],
     ) -> f32 {
+        let ReluRows { r1, r2 } = rows;
         let ch2 = self.config.ch2;
         let windows2 = r2.len() / ch2;
         let (pooled, argmax) = self.pool_r2(r2);
         let a1 = self.head1.forward(&pooled);
         let h1 = relu(&a1);
         let logit = self.head2.forward(&h1)[0];
-        let loss = bce_with_logits(logit, 0.0);
-        let dlogit = bce_with_logits_backward(logit, 0.0);
+        let dlogit = bce_with_logits_backward(logit, target);
         let mut dh1 = ws.take_f32(self.config.hidden);
-        self.head2.backward_input(&[dlogit], &mut dh1);
+        self.head2.backward(&h1, &[dlogit], &mut dh1, &mut grads[3]);
         let da1 = relu_backward(&a1, &dh1);
         let mut dpooled = ws.take_f32(2 * ch2);
-        self.head1.backward_input(&da1, &mut dpooled);
+        self.head1.backward(&pooled, &da1, &mut dpooled, &mut grads[2]);
         // Max branch scatters to the winning windows; the mean branch
         // spreads uniformly over all of them.
         let mut dr2 = ws.take_f32(r2.len());
@@ -293,64 +357,32 @@ impl MalGcg {
                 dr2[w * ch2 + c] += dpooled[ch2 + c] / windows2 as f32;
             }
         }
-        let mut dc2 = ws.take_f32(c2.len());
-        for i in 0..c2.len() {
-            if c2[i] > 0.0 {
-                dc2[i] = dr2[i];
-            }
-        }
+        // `r > 0` exactly where the relu input was: `f32::max` maps NaN to 0.
+        let dc2 = relu_backward(r2, &dr2);
         let mut dr1 = ws.take_f32(r1.len());
-        self.conv2.backward_input(&dc2, &mut dr1);
-        let mut dc1 = ws.take_f32(c1.len());
-        for i in 0..c1.len() {
-            if c1[i] > 0.0 {
-                dc1[i] = dr1[i];
-            }
+        self.conv2.backward(r1, &dc2, 0..windows2, &mut dr1, &mut grads[1]);
+        let dc1 = relu_backward(r1, &dr1);
+        self.conv1.backward(x, &dc1, 0..r1.len() / self.config.ch1, dx, &mut grads[0]);
+        for buf in [dr1, dr2, dpooled, dh1] {
+            ws.give_f32(buf);
         }
-        grad.clear();
-        grad.resize(self.config.window * self.embedding.dim(), 0.0);
-        self.conv1.backward_input(&dc1, grad);
-        ws.give_f32(dc1);
-        ws.give_f32(dr1);
-        ws.give_f32(dc2);
-        ws.give_f32(dr2);
-        ws.give_f32(dpooled);
-        ws.give_f32(dh1);
+        bce_with_logits(logit, target)
+    }
+
+    /// One step's gradients: the forward with capture, the backward into
+    /// the layers' gradient buffers, then the embedding gradient of every
+    /// position, ascending. Returns the loss.
+    fn step_grads(&mut self, s: &mut TrainScratch<ReluRows>, bytes: &[u8], target: f32) -> f32 {
+        let mut grads = self.layers().map(Grads::take);
+        BatchKernel::new(self).forward(&mut s.input, &mut s.rows, bytes, true);
+        let loss = self.backward(&mut s.ws, &s.input.x, &s.rows, target, &mut grads, &mut s.dx);
+        for (layer, g) in self.layers().into_iter().zip(grads) {
+            g.restore(layer);
+        }
+        for (p, g) in s.dx.chunks_exact(self.embedding.dim()).enumerate() {
+            self.embedding.backward(token_at(bytes, p), g);
+        }
         loss
-    }
-
-    fn forward(&self, bytes: &[u8]) -> Activations {
-        let tokens = tokenize(bytes, self.config.window);
-        let x = self.embedding.forward(&tokens);
-        let c1 = self.conv1.forward(&x);
-        let r1 = relu(&c1);
-        let c2 = self.conv2.forward(&r1);
-        let r2 = relu(&c2);
-        let (pooled, argmax) = self.pool_r2(&r2);
-        let a1 = self.head1.forward(&pooled);
-        let h1 = relu(&a1);
-        let logit = self.head2.forward(&h1)[0];
-        Activations { tokens, x, c1, r1, c2, r2, argmax, pooled, a1, h1, logit }
-    }
-
-    fn backward(&mut self, act: &Activations, dlogit: f32) -> Vec<f32> {
-        let ch2 = self.config.ch2;
-        let dh1 = self.head2.backward(&act.h1, &[dlogit]);
-        let da1 = relu_backward(&act.a1, &dh1);
-        let dpooled = self.head1.backward(&act.pooled, &da1);
-        let windows2 = act.r2.len() / ch2;
-        let mut dr2 =
-            global_max_pool_backward(&dpooled[..ch2], &act.argmax, windows2, ch2);
-        // Mean-pool branch gradient.
-        for w in 0..windows2 {
-            for c in 0..ch2 {
-                dr2[w * ch2 + c] += dpooled[ch2 + c] / windows2 as f32;
-            }
-        }
-        let dc2 = relu_backward(&act.c2, &dr2);
-        let dr1 = self.conv2.backward(&act.r1, &dc2);
-        let dc1 = relu_backward(&act.c1, &dr1);
-        self.conv1.backward(&act.x, &dc1)
     }
 
     /// Train on `(bytes, target)` pairs; returns the mean loss of the last
@@ -363,30 +395,16 @@ impl MalGcg {
         rng: &mut R,
     ) -> f32 {
         let adam = Adam::with_lr(lr);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut last = 0.0;
-        for _ in 0..epochs {
-            order.shuffle(rng);
-            let mut total = 0.0;
-            for &i in &order {
-                let (bytes, target) = data[i];
-                let act = self.forward(bytes);
-                total += bce_with_logits(act.logit, target);
-                let dlogit = bce_with_logits_backward(act.logit, target);
-                let dx = self.backward(&act, dlogit);
-                self.embedding.backward(&act.tokens, &dx);
-                adam.step(&mut self.embedding.table);
-                adam.step(&mut self.conv1.weight);
-                adam.step(&mut self.conv1.bias);
-                adam.step(&mut self.conv2.weight);
-                adam.step(&mut self.conv2.bias);
-                adam.step(&mut self.head1.weight);
-                adam.step(&mut self.head1.bias);
-                adam.step(&mut self.head2.weight);
-                adam.step(&mut self.head2.bias);
+        let input = PaddedInput::new(self.config.window, self.embedding.dim(), &self.conv1);
+        let mut scratch = TrainScratch::new(input, ReluRows::new(self));
+        let last = train_epochs(data, epochs, rng, |bytes, target| {
+            let loss = self.step_grads(&mut scratch, bytes, target);
+            adam.step(&mut self.embedding.table);
+            for buf in self.layers().into_iter().flat_map(|(w, b)| [w, b]) {
+                adam.step(buf);
             }
-            last = total / data.len().max(1) as f32;
-        }
+            loss
+        });
         // Weights changed: the derived token table must be rebuilt on
         // next use.
         self.tables.invalidate();
@@ -394,59 +412,17 @@ impl MalGcg {
     }
 
     /// Logits of `items`, appended to `out` in input order — the one f32
-    /// inference kernel behind every black-box score (`score` and
-    /// `raw_score` are a batch of one), bit-identical to the training
-    /// `forward(..).logit`. Same pad-replication scheme as the
-    /// MalConv batch path, applied at both layers: all-PAD layer-1 windows
-    /// produce one constant relu row, and layer-2 windows whose receptive
-    /// field lies entirely in that constant region produce one constant
-    /// `r2` row — each computed once per batch through the real conv
-    /// kernels, then replicated. Scratch is allocated once per batch and
-    /// reused across items.
+    /// inference path behind every black-box score (`score` and
+    /// `raw_score` are a batch of one), with the batch kernel and its
+    /// scratch built once per batch.
     fn logit_batch_into(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let (window, ch1, ch2) = (self.config.window, self.config.ch1, self.config.ch2);
-        let (kernel2, stride2) = (self.config.kernel2, self.config.stride2);
-        let w1_total = self.conv1.windows(window);
-        let w2_total = self.conv2.windows(w1_total);
-        // Component-major weight copies, built once per batch: each
-        // window's conv becomes lane-chunked axpy over contiguous output
-        // channels, bit-identical to the scalar kernel.
-        let x1 = self.conv1.transposed();
-        let x2 = self.conv2.transposed();
-        let mut input = PaddedInput::new(&self.embedding, window, &self.conv1);
-        let mut c1_row = vec![0.0; ch1];
-        let mut c2_row = vec![0.0; ch2];
-        // Constant rows for the fully-padded tail, layer by layer.
-        let mut pad_r1 = vec![0.0; ch1];
-        x1.forward_window_into(&input.pad_patch, 0, &mut c1_row);
-        relu_into(&c1_row, &mut pad_r1);
-        let mut pad_r2 = vec![0.0; ch2];
-        x2.forward_window_into(&pad_r1.repeat(kernel2), 0, &mut c2_row);
-        relu_into(&c2_row, &mut pad_r2);
-        let mut r1 = vec![0.0; w1_total * ch1];
-        let mut r2 = vec![0.0; w2_total * ch2];
+        let kernel = BatchKernel::new(self);
+        let mut input = PaddedInput::new(self.config.window, self.embedding.dim(), &self.conv1);
+        let mut rows = ReluRows::new(self);
         out.reserve(items.len());
         for bytes in items {
-            let data_w1 = input.embed(bytes);
-            for w in 0..data_w1 {
-                x1.forward_window_into(&input.x, w, &mut c1_row);
-                relu_into(&c1_row, &mut r1[w * ch1..(w + 1) * ch1]);
-            }
-            // Layer-2 windows read kernel2 consecutive r1 rows; the PAD
-            // rows still visible to a data-overlapping layer-2 window must
-            // be materialized before the conv runs over them.
-            let (data_w2, visible1) = data_extent(data_w1, kernel2, stride2, w2_total);
-            for w in data_w1..visible1 {
-                r1[w * ch1..(w + 1) * ch1].copy_from_slice(&pad_r1);
-            }
-            for w in 0..data_w2 {
-                x2.forward_window_into(&r1, w, &mut c2_row);
-                relu_into(&c2_row, &mut r2[w * ch2..(w + 1) * ch2]);
-            }
-            for row in r2[data_w2 * ch2..].chunks_exact_mut(ch2) {
-                row.copy_from_slice(&pad_r2);
-            }
-            out.push(self.head_logit(&r2));
+            kernel.forward(&mut input, &mut rows, bytes, false);
+            out.push(self.head_logit(&rows.r2));
         }
     }
 }
@@ -516,10 +492,7 @@ struct MalGcgSession<'a> {
     x2: ConvXposed<'a>,
     ws: Workspace,
     tokens: Vec<usize>,
-    c1: Vec<f32>,
-    r1: Vec<f32>,
-    c2: Vec<f32>,
-    r2: Vec<f32>,
+    rows: ReluRows,
     /// Layer-1 and layer-2 windows to recompute in the current
     /// [`MalGcgSession::sync`].
     marked1: WindowMask,
@@ -534,21 +507,15 @@ struct MalGcgSession<'a> {
 
 impl<'a> MalGcgSession<'a> {
     fn new(net: &'a MalGcg) -> Self {
-        let c = &net.config;
-        let windows1 = net.conv1.windows(c.window);
+        let windows1 = net.conv1.windows(net.config.window);
         let windows2 = net.conv2.windows(windows1);
-        let cells1 = windows1 * c.ch1;
-        let cells2 = windows2 * c.ch2;
         MalGcgSession {
             net,
             t1: net.tables(),
             x2: net.conv2.transposed(),
             ws: Workspace::default(),
-            tokens: vec![PAD; c.window],
-            c1: vec![0.0; cells1],
-            r1: vec![0.0; cells1],
-            c2: vec![0.0; cells2],
-            r2: vec![0.0; cells2],
+            tokens: vec![PAD; net.config.window],
+            rows: ReluRows::new(net),
             marked1: WindowMask::new(windows1),
             marked2: WindowMask::new(windows2),
             len: None,
@@ -571,7 +538,7 @@ impl<'a> MalGcgSession<'a> {
             self.len = Some(bytes.len());
             std::slice::from_ref(&prime)
         };
-        let windows1 = self.c1.len() / ch1;
+        let windows1 = self.rows.r1.len() / ch1;
         for r in dirty {
             let (lo, hi) = (r.start.min(window), r.end.min(window));
             for i in lo..hi {
@@ -589,9 +556,9 @@ impl<'a> MalGcgSession<'a> {
                 {
                     self.recomputed[w] += 1;
                 }
-                let span = w * ch1..(w + 1) * ch1;
-                self.t1.window_into(&self.tokens, w, &mut self.c1[span.clone()]);
-                relu_into(&self.c1[span.clone()], &mut self.r1[span]);
+                let r = &mut self.rows.r1[w * ch1..(w + 1) * ch1];
+                self.t1.window_into(&self.tokens, w, r);
+                relu_in_place(r);
             }
         }
         for w in self.marked2.drain().flatten() {
@@ -599,9 +566,9 @@ impl<'a> MalGcgSession<'a> {
             {
                 self.recomputed[windows1 + w] += 1;
             }
-            let span = w * ch2..(w + 1) * ch2;
-            self.x2.forward_window_into(&self.r1, w, &mut self.c2[span.clone()]);
-            relu_into(&self.c2[span.clone()], &mut self.r2[span]);
+            let r = &mut self.rows.r2[w * ch2..(w + 1) * ch2];
+            self.x2.forward_window_into(&self.rows.r1, w, r);
+            relu_in_place(r);
         }
         debug_assert_eq!(
             self.tokens.iter().enumerate().position(|(i, &t)| t != token_at(bytes, i)),
@@ -614,7 +581,7 @@ impl<'a> MalGcgSession<'a> {
 impl WhiteBoxSession for MalGcgSession<'_> {
     fn score_delta(&mut self, bytes: &[u8], dirty: &[Range<usize>]) -> f32 {
         self.sync(bytes, dirty);
-        self.net.head_logit(&self.r2)
+        self.net.head_logit(&self.rows.r2)
     }
 
     fn loss_grad_delta(
@@ -624,14 +591,16 @@ impl WhiteBoxSession for MalGcgSession<'_> {
         grad: &mut Vec<f32>,
     ) -> f32 {
         self.sync(bytes, dirty);
-        self.net.backward_into(&mut self.ws, &self.c1, &self.r1, &self.c2, &self.r2, grad)
+        grad.clear();
+        grad.resize(self.net.config.window * self.net.embedding.dim(), 0.0);
+        self.net.backward(&mut self.ws, &[], &self.rows, 0.0, &mut [NoGrads; 4], grad)
     }
 }
 
-/// `dst = max(src, 0)` element-wise: the relu of every MalGCG window.
-fn relu_into(src: &[f32], dst: &mut [f32]) {
-    for (d, &v) in dst.iter_mut().zip(src) {
-        *d = v.max(0.0);
+/// `r = max(r, 0)` element-wise: the relu of every MalGCG window.
+fn relu_in_place(row: &mut [f32]) {
+    for v in row {
+        *v = v.max(0.0);
     }
 }
 
@@ -699,9 +668,151 @@ mod tests {
         (m, ds)
     }
 
+    /// What the dense reference computed for one input.
+    struct Reference {
+        logit: f32,
+        argmax: Vec<usize>,
+        dpooled: Vec<f32>,
+        /// A copy of the model holding the parameter gradients.
+        grads: MalGcg,
+        /// `∂ℒ/∂x` over the whole window.
+        dx: Vec<f32>,
+    }
+
+    /// The dense forward and backward MalGCG trained with before the batch
+    /// kernel: every position embedded, every window of both layers
+    /// convolved, the relu masks read from the pre-activations, every
+    /// layer's backward into fresh zeroed buffers, and the embedding
+    /// backward over every position.
+    fn reference(m: &MalGcg, bytes: &[u8], target: f32) -> Reference {
+        reference_from(m, bytes, target, crate::session_check::conv_forward)
+    }
+
+    /// [`reference`] with the layer-1 responses of the tabled session.
+    fn tabled_reference(m: &MalGcg, bytes: &[u8]) -> Reference {
+        let tokens: Vec<usize> = (0..m.config.window).map(|i| token_at(bytes, i)).collect();
+        reference_from(m, bytes, 0.0, |conv, _| {
+            let mut out = vec![0.0; conv.windows(tokens.len()) * conv.out_ch()];
+            for (w, row) in out.chunks_exact_mut(conv.out_ch()).enumerate() {
+                m.tables().window_into(&tokens, w, row);
+            }
+            out
+        })
+    }
+
+    /// The reference over layer-1 responses from `conv1`.
+    fn reference_from(
+        m: &MalGcg,
+        bytes: &[u8],
+        target: f32,
+        conv1: impl Fn(&Conv1d, &[f32]) -> Vec<f32>,
+    ) -> Reference {
+        use crate::session_check::{conv_forward, dense_conv_backward, dense_linear_backward};
+        let (c, dim) = (m.config, m.embedding.dim());
+        let tokens: Vec<usize> = (0..c.window).map(|i| token_at(bytes, i)).collect();
+        let x: Vec<f32> = tokens.iter().flat_map(|&t| m.embedding.vector(t).to_vec()).collect();
+        let c1 = conv1(&m.conv1, &x);
+        let r1 = relu(&c1);
+        let c2 = conv_forward(&m.conv2, &r1);
+        let r2 = relu(&c2);
+        let (pooled, argmax) = m.pool_r2(&r2);
+        let a1 = m.head1.forward(&pooled);
+        let h1 = relu(&a1);
+        let logit = m.head2.forward(&h1)[0];
+        let mut g = m.clone();
+        g.embedding.table.zero_grad();
+        for (weight, bias) in g.layers() {
+            weight.zero_grad();
+            bias.zero_grad();
+        }
+        let dlogit = [bce_with_logits_backward(logit, target)];
+        let dh1 = dense_linear_backward(&m.head2, &mut g.head2, &h1, &dlogit);
+        let da1 = relu_backward(&a1, &dh1);
+        let dpooled = dense_linear_backward(&m.head1, &mut g.head1, &pooled, &da1);
+        let windows2 = r2.len() / c.ch2;
+        let mut dr2 = vec![0.0f32; r2.len()];
+        for (ch, &w) in argmax.iter().enumerate() {
+            dr2[w * c.ch2 + ch] = dpooled[ch];
+        }
+        for w in 0..windows2 {
+            for ch in 0..c.ch2 {
+                dr2[w * c.ch2 + ch] += dpooled[c.ch2 + ch] / windows2 as f32;
+            }
+        }
+        let dr1 = dense_conv_backward(&m.conv2, &mut g.conv2, &r1, &relu_backward(&c2, &dr2));
+        let dx = dense_conv_backward(&m.conv1, &mut g.conv1, &x, &relu_backward(&c1, &dr1));
+        for (i, &t) in tokens.iter().enumerate() {
+            g.embedding.backward(t, &dx[i * dim..(i + 1) * dim]);
+        }
+        Reference { logit, argmax, dpooled, grads: g, dx }
+    }
+
+    fn all_grad_bits(m: &mut MalGcg) -> Vec<u32> {
+        let mut bits = crate::session_check::grad_bits([&m.embedding.table]);
+        for (weight, bias) in m.layers() {
+            bits.extend(crate::session_check::grad_bits([&*weight, &*bias]));
+        }
+        bits
+    }
+
+    /// The one backward, as training runs it (`step_grads`: the batch
+    /// kernel with capture, gradients through [`Grads`]) and as sessions
+    /// run it (through [`NoGrads`], after the tabled forward), gives the dense reference's parameter
+    /// and input gradients bit for bit, with disjoint (tiny) and
+    /// overlapping (default) layer-1 windows, on files that fill the
+    /// window and files that leave pad windows at both layers. The model
+    /// is rigged so layer-2 channels 0 and 1 share their argmax window and
+    /// channel 2's max feeds nothing into the head (`dpooled == 0`).
+    #[test]
+    fn one_backward_matches_the_dense_reference_bit_for_bit() {
+        let (_, ds) = trained_tiny();
+        let pairs = training_pairs(&ds.samples.iter().collect::<Vec<_>>());
+        for config in [MalGcgConfig::tiny(), MalGcgConfig::default()] {
+            let mut rng = ChaCha8Rng::seed_from_u64(16);
+            let mut m = MalGcg::new(config, &mut rng);
+            m.train(&pairs, 1, 5e-3, &mut rng);
+            let k_in = config.kernel2 * config.ch1;
+            m.conv2.weight.w.copy_within(0..k_in, k_in);
+            m.conv2.bias.w[1] = m.conv2.bias.w[0];
+            for o in 0..config.hidden {
+                m.head1.weight.w[o * 2 * config.ch2 + 2] = 0.0;
+            }
+            let mal = &ds.malware()[0].bytes;
+            let inputs: [&[u8]; 5] =
+                [mal, &ds.benign()[0].bytes, &mal[..100], &mal[..config.kernel1 + 5], &[]];
+            for (n, bytes) in inputs.into_iter().enumerate() {
+                let what = format!("{}/{} input {n}", config.kernel1, config.stride1);
+                let want = tabled_reference(&m, bytes);
+                assert_eq!(want.argmax[0], want.argmax[1], "{what}: shared argmax");
+                assert_eq!(want.dpooled[2], 0.0, "{what}: dpooled");
+                let mut grad = vec![f32::NAN; 3];
+                let loss = m.session().loss_grad_delta(bytes, &[], &mut grad);
+                assert_eq!(loss.to_bits(), bce_with_logits(want.logit, 0.0).to_bits(), "{what}");
+                let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&grad), bits(&want.dx), "{what}: input gradient");
+                for target in [0.0, 1.0] {
+                    let mut want = reference(&m, bytes, target);
+                    let mut got = m.clone();
+                    let input = PaddedInput::new(config.window, config.embed_dim, &m.conv1);
+                    let mut scratch = TrainScratch::new(input, ReluRows::new(&m));
+                    scratch.input.x.fill(f32::NAN);
+                    scratch.rows.r1.fill(f32::NAN);
+                    scratch.rows.r2.fill(f32::NAN);
+                    let loss = got.step_grads(&mut scratch, bytes, target);
+                    let want_loss = bce_with_logits(want.logit, target);
+                    assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what} target {target}");
+                    assert!(
+                        all_grad_bits(&mut got) == all_grad_bits(&mut want.grads),
+                        "{what} target {target}: parameter gradients differ"
+                    );
+                }
+            }
+        }
+    }
+
     /// Every black-box score runs the two-level pad-replication batch
     /// kernel; batched, single-call `score` and single-call `raw_score`
-    /// results must all stay bit-identical to the training forward's
+    /// results must all stay bit-identical to the dense reference's
     /// logit — including empty input, files shorter than one layer-1
     /// kernel, exactly one window, and files past the model window.
     #[test]
@@ -722,7 +833,7 @@ mod tests {
         m.raw_score_batch(&items, &mut raw);
         assert_eq!(scores.len(), items.len());
         for (i, bytes) in items.iter().enumerate() {
-            let logit = m.forward(bytes).logit;
+            let logit = reference(&m, bytes, 0.0).logit;
             let len = bytes.len();
             assert_eq!(raw[i].to_bits(), logit.to_bits(), "batched raw item {i} (len {len})");
             assert_eq!(m.raw_score(bytes).to_bits(), logit.to_bits(), "raw item {i} (len {len})");
@@ -732,13 +843,13 @@ mod tests {
         }
     }
 
-    /// The tabled white-box forward must agree with the naive training
+    /// The tabled white-box forward must agree with the dense reference's
     /// forward within float-reassociation error.
     #[test]
     fn tabled_logit_matches_naive_logit() {
         let (m, ds) = trained_tiny();
         for s in ds.samples.iter().take(6) {
-            let naive = m.forward(&s.bytes).logit;
+            let naive = reference(&m, &s.bytes, 0.0).logit;
             let tabled = m.session().score_delta(&s.bytes, &[]);
             assert!(
                 (naive - tabled).abs() < 1e-4,

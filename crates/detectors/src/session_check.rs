@@ -1,11 +1,12 @@
 //! Shared checks of the conv detectors: the dirty-span sessions against
 //! the span lists the ensemble optimizer feeds them (many 1-byte spans,
 //! repeats, unsorted and overlapping spans, spans past the model window
-//! and empty spans), and the digests that pin what training and the
-//! gradient path compute.
+//! and empty spans), the digests that pin what training and the gradient
+//! path compute, and the dense loops the one backward is checked against.
 
 use crate::traits::{WhiteBoxModel, WhiteBoxSession};
 use mpass_corpus::Dataset;
+use mpass_ml::{Conv1d, Linear, ParamBuf};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
@@ -127,4 +128,66 @@ pub(crate) fn golden_digest(model: &dyn WhiteBoxModel, snapshot: &[u8], ds: &Dat
         }
     }
     h
+}
+
+/// Every window of `conv` over `x`, `[windows × out_ch]` flat.
+pub(crate) fn conv_forward(conv: &Conv1d, x: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0; conv.windows(x.len() / conv.in_ch()) * conv.out_ch()];
+    for (w, row) in out.chunks_exact_mut(conv.out_ch()).enumerate() {
+        conv.forward_window_into(x, w, row);
+    }
+    out
+}
+
+/// The dense conv backward the conv detectors trained with before the one
+/// backward: every window, every nonzero channel, into a fresh zeroed
+/// input gradient (returned); parameter gradients accumulate into `grads`.
+pub(crate) fn dense_conv_backward(
+    conv: &Conv1d,
+    grads: &mut Conv1d,
+    x: &[f32],
+    grad_out: &[f32],
+) -> Vec<f32> {
+    let (in_ch, out_ch, k_in) = (conv.in_ch(), conv.out_ch(), conv.kernel() * conv.in_ch());
+    let mut gx = vec![0.0f32; x.len()];
+    for w in 0..conv.windows(x.len() / in_ch) {
+        let start = w * conv.stride() * in_ch;
+        for oc in 0..out_ch {
+            let g = grad_out[w * out_ch + oc];
+            if g == 0.0 {
+                continue;
+            }
+            grads.bias.g[oc] += g;
+            for i in 0..k_in {
+                grads.weight.g[oc * k_in + i] += g * x[start + i];
+                gx[start + i] += g * conv.weight.w[oc * k_in + i];
+            }
+        }
+    }
+    gx
+}
+
+/// The dense linear backward of the same era: the input gradient
+/// (returned) and parameter gradients accumulated into `grads`.
+pub(crate) fn dense_linear_backward(
+    l: &Linear,
+    grads: &mut Linear,
+    x: &[f32],
+    grad_out: &[f32],
+) -> Vec<f32> {
+    let n = l.in_dim();
+    let mut gx = vec![0.0f32; n];
+    for (o, &g) in grad_out.iter().enumerate() {
+        grads.bias.g[o] += g;
+        for i in 0..n {
+            grads.weight.g[o * n + i] += g * x[i];
+            gx[i] += g * l.weight.w[o * n + i];
+        }
+    }
+    gx
+}
+
+/// The bits of every gradient buffer of `bufs`.
+pub(crate) fn grad_bits<'a>(bufs: impl IntoIterator<Item = &'a ParamBuf>) -> Vec<u32> {
+    bufs.into_iter().flat_map(|b| b.g.iter().map(|g| g.to_bits())).collect()
 }

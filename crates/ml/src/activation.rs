@@ -10,11 +10,6 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Gradient of sigmoid given its *output* `y = sigmoid(x)`.
-pub fn sigmoid_backward(y: f32, grad_out: f32) -> f32 {
-    grad_out * y * (1.0 - y)
-}
-
 /// Rectified linear unit applied element-wise, returning a new vector.
 pub fn relu(x: &[f32]) -> Vec<f32> {
     x.iter().map(|&v| v.max(0.0)).collect()
@@ -44,7 +39,8 @@ mod tests {
         for &x in &[-2.0f32, -0.3, 0.0, 0.7, 3.0] {
             let eps = 1e-3;
             let num = (sigmoid(x + eps) - sigmoid(x - eps)) / (2.0 * eps);
-            let ana = sigmoid_backward(sigmoid(x), 1.0);
+            // σ' = σ(1 − σ), the form the MalConv gate backward uses.
+            let ana = sigmoid(x) * (1.0 - sigmoid(x));
             assert!((num - ana).abs() < 1e-3, "x={x}");
         }
     }

@@ -2,6 +2,7 @@
 //! to weights *and inputs* (the input gradient is what the ensemble
 //! transfer attack differentiates through).
 
+use crate::grads::GradSink;
 use crate::param::ParamBuf;
 use crate::simd;
 use rand::Rng;
@@ -102,10 +103,8 @@ impl Conv1d {
         }
     }
 
-    /// Recompute a single output window `w` of [`Conv1d::forward`] into
-    /// `out_row` (`out_ch` wide), using bit-identical per-window
-    /// arithmetic — patching window `w` of a cached forward output with
-    /// this equals rerunning the full forward.
+    /// Output window `w` of input `x` into `out_row` (`out_ch` wide): the
+    /// scalar reference of [`ConvXposed::forward_window_into`].
     ///
     /// # Panics
     ///
@@ -154,93 +153,44 @@ impl Conv1d {
         ConvXposed { conv: self, wt }
     }
 
-    /// Forward pass. `x` is `[positions × in_ch]` flat; returns
-    /// `[windows × out_ch]` flat.
-    ///
-    /// Runs through the transposed lane-chunked kernel ([`ConvXposed`]),
-    /// which is bit-identical to [`Conv1d::forward_window_into`] per
-    /// window — callers patching cached outputs with either kernel see
-    /// the same numbers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len()` is not a multiple of `in_ch`.
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len() % self.in_ch, 0, "input not a whole number of positions");
-        let positions = x.len() / self.in_ch;
-        let windows = self.windows(positions);
-        let mut out = vec![0.0f32; windows * self.out_ch];
-        let xp = self.transposed();
-        for w in 0..windows {
-            let (lo, hi) = (w * self.out_ch, (w + 1) * self.out_ch);
-            xp.forward_window_into(x, w, &mut out[lo..hi]);
-        }
-        out
-    }
-
-    /// Backward pass: given `x` and the gradient w.r.t. the output,
-    /// accumulate weight/bias gradients and return the gradient w.r.t. `x`.
+    /// Backward pass over the ascending output `windows`: each nonzero
+    /// `grad_out` entry of a visited window sends its parameter gradient to
+    /// `grads` (which reads the forward input `x` only if it keeps it) and
+    /// adds its input gradient into `grad_x` (`[positions × in_ch]`). The
+    /// first visited window that reads a row of `grad_x` clears it; rows
+    /// no visited window reads are left as they are. Rows accumulate in
+    /// window, then channel order, as a pass over every window would, so
+    /// a window left out must carry no nonzero gradient.
     ///
     /// # Panics
     ///
-    /// Panics when `x.len()` is not a multiple of `in_ch` (a ragged input
-    /// would silently truncate the trailing partial position).
-    pub fn backward(&mut self, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len() % self.in_ch, 0, "input not a whole number of positions");
-        let positions = x.len() / self.in_ch;
-        let windows = self.windows(positions);
-        debug_assert_eq!(grad_out.len(), windows * self.out_ch);
-        let mut grad_x = vec![0.0f32; x.len()];
-        let k_in = self.kernel * self.in_ch;
-        for w in 0..windows {
-            let start = w * self.stride * self.in_ch;
-            let patch = &x[start..start + k_in];
-            let g_row = &grad_out[w * self.out_ch..(w + 1) * self.out_ch];
-            for (oc, &g) in g_row.iter().enumerate() {
-                if g == 0.0 {
-                    continue;
-                }
-                self.bias.g[oc] += g;
-                let kw = &self.weight.w[oc * k_in..(oc + 1) * k_in];
-                let kg = &mut self.weight.g[oc * k_in..(oc + 1) * k_in];
-                let gx = &mut grad_x[start..start + k_in];
-                simd::axpy(g, patch, kg);
-                simd::axpy(g, kw, gx);
-            }
-        }
-        grad_x
-    }
-
-    /// Input-gradient-only backward: accumulate `∂L/∂x` into `grad_x`
-    /// without touching parameter gradients (and therefore without needing
-    /// `&mut self` or the forward input `x` — the input gradient depends
-    /// only on the weights). This is the attack-loop path: the optimizer
-    /// differentiates through a *frozen* model, so cloning it for scratch
-    /// parameter accumulators is pure waste.
-    ///
-    /// `grad_x` must be `[positions × in_ch]` and is accumulated into
-    /// (callers zero it first, typically via a recycled workspace buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `grad_x` is ragged or `grad_out` does not match the
-    /// window count implied by `grad_x`.
-    pub fn backward_input(&self, grad_out: &[f32], grad_x: &mut [f32]) {
+    /// Panics when `grad_x` is ragged, `grad_out` does not match the window
+    /// count `grad_x` implies, or a window is out of range.
+    pub fn backward<S: GradSink>(
+        &self,
+        x: &[f32],
+        grad_out: &[f32],
+        windows: impl IntoIterator<Item = usize>,
+        grad_x: &mut [f32],
+        grads: &mut S,
+    ) {
         assert_eq!(grad_x.len() % self.in_ch, 0, "input not a whole number of positions");
-        let positions = grad_x.len() / self.in_ch;
-        let windows = self.windows(positions);
-        assert_eq!(grad_out.len(), windows * self.out_ch, "output gradient shape mismatch");
+        let n = self.windows(grad_x.len() / self.in_ch);
+        assert_eq!(grad_out.len(), n * self.out_ch, "output gradient shape mismatch");
         let k_in = self.kernel * self.in_ch;
-        for w in 0..windows {
+        let mut cleared = 0;
+        for w in windows {
             let start = w * self.stride * self.in_ch;
-            let g_row = &grad_out[w * self.out_ch..(w + 1) * self.out_ch];
+            debug_assert!(start + k_in > cleared, "windows not strictly ascending");
+            grad_x[cleared.max(start)..start + k_in].fill(0.0);
+            cleared = start + k_in;
             let gx = &mut grad_x[start..start + k_in];
-            for (oc, &g) in g_row.iter().enumerate() {
+            for (oc, &g) in grad_out[w * self.out_ch..(w + 1) * self.out_ch].iter().enumerate() {
                 if g == 0.0 {
                     continue;
                 }
-                let kw = &self.weight.w[oc * k_in..(oc + 1) * k_in];
-                simd::axpy(g, kw, gx);
+                grads.add(oc, g, || &x[start..start + k_in]);
+                simd::axpy(g, &self.weight.w[oc * k_in..(oc + 1) * k_in], gx);
             }
         }
     }
@@ -296,12 +246,33 @@ impl ConvXposed<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grads::{Grads, NoGrads};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn conv(in_ch: usize, out_ch: usize, kernel: usize, stride: usize) -> Conv1d {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         Conv1d::new(in_ch, out_ch, kernel, stride, &mut rng)
+    }
+
+    /// Every output window of `x`, `[windows × out_ch]` flat.
+    fn forward(c: &Conv1d, x: &[f32]) -> Vec<f32> {
+        assert_eq!(x.len() % c.in_ch, 0, "input not a whole number of positions");
+        let mut out = vec![0.0; c.windows(x.len() / c.in_ch) * c.out_ch];
+        for (w, row) in out.chunks_exact_mut(c.out_ch).enumerate() {
+            c.forward_window_into(x, w, row);
+        }
+        out
+    }
+
+    /// The backward over every window with [`Grads`]: returns `∂L/∂x` and
+    /// leaves the parameter gradients in `c`.
+    fn backward_all(c: &mut Conv1d, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
+        let mut grads = Grads::take((&mut c.weight, &mut c.bias));
+        let mut grad_x = vec![0.0; x.len()];
+        c.backward(x, grad_out, 0..c.windows(x.len() / c.in_ch), &mut grad_x, &mut grads);
+        grads.restore((&mut c.weight, &mut c.bias));
+        grad_x
     }
 
     #[test]
@@ -314,21 +285,13 @@ mod tests {
     }
 
     #[test]
-    fn forward_shape() {
-        let c = conv(2, 3, 4, 2);
-        let x = vec![0.1f32; 10 * 2];
-        let y = c.forward(&x);
-        assert_eq!(y.len(), c.windows(10) * 3);
-    }
-
-    #[test]
     fn identity_like_kernel_detects_position() {
         // One input channel, one output channel, kernel 1, stride 1, weight 1.
         let mut c = conv(1, 1, 1, 1);
         c.weight.w[0] = 1.0;
         c.bias.w[0] = 0.0;
         let x = vec![3.0, -1.0, 2.5];
-        assert_eq!(c.forward(&x), vec![3.0, -1.0, 2.5]);
+        assert_eq!(forward(&c, &x), vec![3.0, -1.0, 2.5]);
     }
 
     /// Finite-difference gradient check against the analytic backward.
@@ -338,12 +301,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let x: Vec<f32> = (0..5 * 3).map(|_| rng.gen_range(-1.0..1.0)).collect();
         // Scalar objective: sum of outputs.
-        let objective = |c: &Conv1d, x: &[f32]| -> f32 { c.forward(x).iter().sum() };
-        let y = c.forward(&x);
-        let grad_out = vec![1.0f32; y.len()];
-        c.weight.zero_grad();
-        c.bias.zero_grad();
-        let grad_x = c.backward(&x, &grad_out);
+        let objective = |c: &Conv1d, x: &[f32]| -> f32 { forward(c, x).iter().sum() };
+        let grad_out = vec![1.0f32; forward(&c, &x).len()];
+        let grad_x = backward_all(&mut c, &x, &grad_out);
 
         let eps = 1e-3;
         // Check a handful of weight entries.
@@ -381,16 +341,16 @@ mod tests {
     #[should_panic(expected = "whole number of positions")]
     fn ragged_input_panics() {
         let c = conv(3, 1, 1, 1);
-        let _ = c.forward(&[0.0; 7]);
+        let _ = forward(&c, &[0.0; 7]);
     }
 
-    /// Regression: `backward` used to silently truncate ragged inputs via
-    /// integer division instead of rejecting them like `forward` does.
+    /// Regression: the backward used to silently truncate ragged inputs via
+    /// integer division instead of rejecting them like the forward does.
     #[test]
     #[should_panic(expected = "whole number of positions")]
     fn ragged_backward_panics() {
-        let mut c = conv(3, 1, 1, 1);
-        let _ = c.backward(&[0.0; 7], &[1.0; 2]);
+        let c = conv(3, 1, 1, 1);
+        c.backward(&[0.0; 7], &[1.0; 2], 0..2, &mut [0.0; 7], &mut NoGrads);
     }
 
     /// The transposed lane-chunked kernel must be bit-identical to the
@@ -424,21 +384,77 @@ mod tests {
         }
     }
 
+    /// The dense loops the backward replaced: every window, every nonzero
+    /// channel, into fresh zeroed buffers. Returns `(∂x, ∂weight, ∂bias)`.
+    fn dense_reference(c: &Conv1d, x: &[f32], grad_out: &[f32]) -> [Vec<f32>; 3] {
+        let k_in = c.kernel * c.in_ch;
+        let (mut gx, mut gw, mut gb) =
+            (vec![0.0f32; x.len()], vec![0.0f32; c.weight.len()], vec![0.0f32; c.out_ch]);
+        for w in 0..c.windows(x.len() / c.in_ch) {
+            let start = w * c.stride * c.in_ch;
+            for oc in 0..c.out_ch {
+                let g = grad_out[w * c.out_ch + oc];
+                if g == 0.0 {
+                    continue;
+                }
+                gb[oc] += g;
+                for i in 0..k_in {
+                    gw[oc * k_in + i] += g * x[start + i];
+                    gx[start + i] += g * c.weight.w[oc * k_in + i];
+                }
+            }
+        }
+        [gx, gw, gb]
+    }
+
+    /// Over a sparse, max-pool-shaped gradient, the backward visiting only
+    /// the windows that carry it gives the dense loops' bits in every row
+    /// those windows read, for parameter gradients too, and leaves every
+    /// other row of `grad_x` as it found it, for overlapping and disjoint
+    /// windows alike. Visiting every window gives the dense bits
+    /// everywhere.
     #[test]
-    fn backward_input_matches_full_backward() {
-        let mut c = conv(3, 2, 2, 2);
+    fn sparse_backward_matches_the_dense_loops_bit_for_bit() {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let x: Vec<f32> = (0..9 * 3).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let y = c.forward(&x);
-        // Sparse gradient, like a max-pool scatter.
-        let mut grad_out = vec![0.0f32; y.len()];
-        grad_out[1] = 2.0;
-        grad_out[4] = -0.5;
-        c.weight.zero_grad();
-        c.bias.zero_grad();
-        let full = c.backward(&x, &grad_out);
-        let mut fast = vec![0.0f32; x.len()];
-        c.backward_input(&grad_out, &mut fast);
-        assert_eq!(full, fast);
+        for (in_ch, out_ch, kernel, stride, positions) in
+            [(3, 2, 2, 2, 9), (4, 5, 3, 1, 12), (2, 9, 8, 3, 40), (4, 8, 64, 32, 512)]
+        {
+            let mut c = conv(in_ch, out_ch, kernel, stride);
+            let x: Vec<f32> = (0..positions * in_ch).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let windows = c.windows(positions);
+            // Every channel's gradient on one window; two channels share
+            // window 1 and the last window, and one channel carries none.
+            let mut grad_out = vec![0.0f32; windows * out_ch];
+            let mut hit = Vec::new();
+            for oc in 1..out_ch {
+                let w = [1, windows - 1, rng.gen_range(0..windows)][oc % 3];
+                grad_out[w * out_ch + oc] = rng.gen_range(-2.0..2.0);
+                hit.push(w);
+            }
+            hit.sort_unstable();
+            hit.dedup();
+            let [gx, gw, gb] = dense_reference(&c, &x, &grad_out);
+            assert_eq!(backward_all(&mut c, &x, &grad_out), gx);
+            assert_eq!((&c.weight.g, &c.bias.g), (&gw, &gb));
+            let mut sparse = vec![f32::NAN; x.len()];
+            let mut grads = Grads::take((&mut c.weight, &mut c.bias));
+            c.backward(&x, &grad_out, hit.iter().copied(), &mut sparse, &mut grads);
+            grads.restore((&mut c.weight, &mut c.bias));
+            let mut frozen = vec![f32::NAN; x.len()];
+            c.backward(&[], &grad_out, hit.iter().copied(), &mut frozen, &mut NoGrads);
+            for (i, ((s, f), d)) in sparse.iter().zip(&frozen).zip(&gx).enumerate() {
+                let row = i / in_ch;
+                let read = hit.iter().any(|&w| (w * stride..w * stride + kernel).contains(&row));
+                let want = if read { d.to_bits() } else { f32::NAN.to_bits() };
+                assert_eq!((s.to_bits(), f.to_bits()), (want, want), "{kernel}/{stride} row {row}");
+            }
+            // One term per parameter, now accumulated twice.
+            let doubled = |v: &[f32]| v.iter().map(|g| g + g).collect::<Vec<_>>();
+            assert_eq!(
+                (&c.weight.g, &c.bias.g),
+                (&doubled(&gw), &doubled(&gb)),
+                "{kernel}/{stride}"
+            );
+        }
     }
 }

@@ -63,15 +63,6 @@ impl Embedding {
         &self.table.w[token * self.dim..(token + 1) * self.dim]
     }
 
-    /// Embed a token sequence into a flat `[len × dim]` activation.
-    pub fn forward(&self, tokens: &[usize]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(tokens.len() * self.dim);
-        for &t in tokens {
-            out.extend_from_slice(self.vector(t));
-        }
-        out
-    }
-
     /// Zero the embedding row of `token` and its gradient accumulator.
     /// Calling this at init and again after every backward pass keeps the
     /// row frozen at the zero vector — PyTorch's `padding_idx` semantics.
@@ -84,16 +75,13 @@ impl Embedding {
         self.table.g[token * self.dim..(token + 1) * self.dim].fill(0.0);
     }
 
-    /// Accumulate table gradients from the gradient w.r.t. the embedded
-    /// activation (same layout as [`Embedding::forward`] output).
-    pub fn backward(&mut self, tokens: &[usize], grad_out: &[f32]) {
-        debug_assert_eq!(grad_out.len(), tokens.len() * self.dim);
-        for (i, &t) in tokens.iter().enumerate() {
-            let g = &grad_out[i * self.dim..(i + 1) * self.dim];
-            let row = &mut self.table.g[t * self.dim..(t + 1) * self.dim];
-            for (r, &gi) in row.iter_mut().zip(g) {
-                *r += gi;
-            }
+    /// Accumulate the gradient `grad` of one embedded position holding
+    /// `token` into that token's row.
+    pub fn backward(&mut self, token: usize, grad: &[f32]) {
+        debug_assert_eq!(grad.len(), self.dim);
+        let row = &mut self.table.g[token * self.dim..(token + 1) * self.dim];
+        for (r, &g) in row.iter_mut().zip(grad) {
+            *r += g;
         }
     }
 
@@ -120,39 +108,13 @@ impl Embedding {
         best
     }
 
-    /// Squared L2 norms `‖e(t)‖²` for every token `t < limit`, for use
-    /// with [`Embedding::nearest_token_with`]. Recompute after weights
-    /// change (i.e. after training).
+    /// Squared L2 norms `‖e(t)‖²` for every token `t < limit`. Recompute
+    /// after weights change (i.e. after training).
     pub fn squared_norms(&self, limit: usize) -> Vec<f32> {
         let limit = limit.min(self.vocab);
         (0..limit)
             .map(|t| self.vector(t).iter().map(|a| a * a).sum())
             .collect()
-    }
-
-    /// Fast variant of [`Embedding::nearest_token`] using precomputed
-    /// squared norms: since `‖e(t) − z‖² = ‖e(t)‖² − 2⟨e(t), z⟩ + ‖z‖²`
-    /// and `‖z‖²` is constant across candidates, the argmin of
-    /// `norms[t] − 2⟨e(t), z⟩` is the nearest token. The candidate set is
-    /// `norms.len()` (pass `squared_norms(limit)` to bound it).
-    pub fn nearest_token_with(&self, norms: &[f32], vec: &[f32]) -> usize {
-        debug_assert_eq!(vec.len(), self.dim);
-        let limit = norms.len().min(self.vocab);
-        let mut best = 0;
-        let mut best_s = f32::INFINITY;
-        for (t, &n) in norms[..limit].iter().enumerate() {
-            let row = &self.table.w[t * self.dim..(t + 1) * self.dim];
-            let mut dot = 0.0;
-            for (a, b) in row.iter().zip(vec) {
-                dot += a * b;
-            }
-            let s = n - 2.0 * dot;
-            if s < best_s {
-                best_s = s;
-                best = t;
-            }
-        }
-        best
     }
 }
 
@@ -168,21 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_concatenates_rows() {
-        let e = emb();
-        let out = e.forward(&[3, 5]);
-        assert_eq!(out.len(), 8);
-        assert_eq!(&out[..4], e.vector(3));
-        assert_eq!(&out[4..], e.vector(5));
-    }
-
-    #[test]
     fn backward_accumulates_per_token() {
         let mut e = emb();
         e.table.zero_grad();
-        let tokens = [7usize, 7, 9];
-        let grad = vec![1.0f32; 12];
-        e.backward(&tokens, &grad);
+        for token in [7, 7, 9] {
+            e.backward(token, &[1.0; 4]);
+        }
         // token 7 appears twice → gradient 2.0 per component.
         assert!(e.table.g[7 * 4..8 * 4].iter().all(|&g| (g - 2.0).abs() < 1e-6));
         assert!(e.table.g[9 * 4..10 * 4].iter().all(|&g| (g - 1.0).abs() < 1e-6));
@@ -211,23 +164,5 @@ mod tests {
     fn out_of_vocab_panics() {
         let e = emb();
         let _ = e.vector(300);
-    }
-
-    /// Property: the norm-table sweep returns the identical token to the
-    /// naive squared-distance loop on random queries.
-    #[test]
-    fn nearest_token_with_matches_naive_loop() {
-        let e = emb();
-        let norms = e.squared_norms(256);
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        for _ in 0..200 {
-            let v: Vec<f32> = (0..4).map(|_| rng.gen_range(-1.5..1.5)).collect();
-            assert_eq!(e.nearest_token_with(&norms, &v), e.nearest_token(&v, 256));
-        }
-        // Exact token vectors must round-trip too.
-        for t in [0usize, 42, 255] {
-            let v = e.vector(t).to_vec();
-            assert_eq!(e.nearest_token_with(&norms, &v), t);
-        }
     }
 }

@@ -19,10 +19,10 @@
 //!   for LightGBM/EMBER,
 //! * [`metrics`] — accuracy/AUC helpers.
 //!
-//! Every differentiable layer exposes `forward` and a `backward` that
-//! returns the gradient with respect to its input, so full input-gradient
-//! chains (loss → logits → conv → embedding) are available to the
-//! ensemble-transfer optimizer.
+//! Every differentiable layer has one `backward`, generic over a
+//! [`GradSink`] that keeps ([`Grads`]) or drops ([`NoGrads`]) parameter
+//! gradients, so the ensemble-transfer optimizer's input-gradient chains
+//! (loss → logits → conv → embedding) run the training backward.
 //!
 //! The serving-oriented additions live in two modules: [`simd`]
 //! (lane-chunked, bit-exact f32 kernels the conv/linear/table forwards
@@ -38,6 +38,7 @@ mod activation;
 mod conv;
 mod embedding;
 mod gbdt;
+mod grads;
 mod linear;
 mod loss;
 pub mod metrics;
@@ -49,15 +50,16 @@ pub mod snapshot;
 mod table;
 mod workspace;
 
-pub use activation::{relu, relu_backward, sigmoid, sigmoid_backward};
+pub use activation::{relu, relu_backward, sigmoid};
 pub use conv::{Conv1d, ConvXposed};
 pub use embedding::Embedding;
 pub use gbdt::{FlatForest, Gbdt, GbdtParams, Tree};
+pub use grads::{GradSink, Grads, NoGrads};
 pub use linear::Linear;
 pub use loss::{bce_with_logits, bce_with_logits_backward};
 pub use mlp::Mlp;
 pub use param::{Adam, ParamBuf};
-pub use pool::{global_max_pool, global_max_pool_backward};
+pub use pool::global_max_pool;
 pub use snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
 pub use table::{dirty_window_span, TokenConv, WindowMask, WindowRuns};
 pub use workspace::{Cached, Workspace};

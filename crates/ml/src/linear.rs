@@ -1,5 +1,6 @@
 //! Fully-connected layer.
 
+use crate::grads::GradSink;
 use crate::param::ParamBuf;
 use crate::simd;
 use rand::Rng;
@@ -51,82 +52,55 @@ impl Linear {
         self.out_dim
     }
 
-    /// Component-major (transposed) copy of the weights, `wt[i][o]`
-    /// flattened — the layout [`Linear::forward`] streams through
-    /// [`simd::axpy`].
-    fn weight_xposed(&self) -> Vec<f32> {
-        let mut wt = vec![0.0f32; self.in_dim * self.out_dim];
-        for o in 0..self.out_dim {
-            let row = &self.weight.w[o * self.in_dim..(o + 1) * self.in_dim];
-            for (i, &v) in row.iter().enumerate() {
-                wt[i * self.out_dim + o] = v;
-            }
-        }
-        wt
-    }
-
-    /// `y = W x + b` through a prebuilt transposed weight copy
-    /// ([`Linear::weight_xposed`]). Per-output accumulation visits input
-    /// components in the same ascending order as a row-major loop, so the
-    /// result is bit-identical to it while the inner loop runs across
-    /// outputs and autovectorizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x`, `y`, or `wt` shapes mismatch the layer.
-    fn forward_xposed_into(&self, wt: &[f32], x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.in_dim, "linear input dimension mismatch");
-        assert_eq!(y.len(), self.out_dim, "linear output dimension mismatch");
-        assert_eq!(wt.len(), self.in_dim * self.out_dim, "transposed weight shape mismatch");
-        y.copy_from_slice(&self.bias.w);
-        // Four input components per pass (bit-identical fusion — see
-        // `simd::axpy4`), plain axpy for the ragged tail.
-        let quads = self.in_dim / 4 * 4;
-        for i in (0..quads).step_by(4) {
-            let a = [x[i], x[i + 1], x[i + 2], x[i + 3]];
-            simd::axpy4(a, &wt[i * self.out_dim..(i + 4) * self.out_dim], y);
-        }
-        for i in quads..self.in_dim {
-            simd::axpy(x[i], &wt[i * self.out_dim..(i + 1) * self.out_dim], y);
-        }
-    }
-
-    /// `y = W x + b`.
+    /// `y = W x + b`, streamed through a component-major copy of the
+    /// weights: per output, the accumulation visits input components in
+    /// the ascending order of a row-major loop, so the result is
+    /// bit-identical to it while the inner loop runs across outputs and
+    /// autovectorizes.
     ///
     /// # Panics
     ///
     /// Panics when `x.len() != in_dim`.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let wt = self.weight_xposed();
-        let mut y = vec![0.0f32; self.out_dim];
-        self.forward_xposed_into(&wt, x, &mut y);
+        assert_eq!(x.len(), self.in_dim, "linear input dimension mismatch");
+        let (n, m) = (self.in_dim, self.out_dim);
+        let mut wt = vec![0.0f32; n * m];
+        for o in 0..m {
+            for (i, &v) in self.weight.w[o * n..(o + 1) * n].iter().enumerate() {
+                wt[i * m + o] = v;
+            }
+        }
+        let mut y = self.bias.w.clone();
+        // Four input components per pass (bit-identical fusion — see
+        // `simd::axpy4`), plain axpy for the ragged tail.
+        let quads = n / 4 * 4;
+        for i in (0..quads).step_by(4) {
+            simd::axpy4([x[i], x[i + 1], x[i + 2], x[i + 3]], &wt[i * m..(i + 4) * m], &mut y);
+        }
+        for i in quads..n {
+            simd::axpy(x[i], &wt[i * m..(i + 1) * m], &mut y);
+        }
         y
     }
 
-    /// Accumulate weight/bias gradients and return the input gradient.
-    pub fn backward(&mut self, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(grad_out.len(), self.out_dim);
-        let mut grad_x = vec![0.0f32; self.in_dim];
-        for (o, &g) in grad_out.iter().enumerate() {
-            self.bias.g[o] += g;
-            let row = &self.weight.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let grow = &mut self.weight.g[o * self.in_dim..(o + 1) * self.in_dim];
-            simd::axpy(g, x, grow);
-            simd::axpy(g, row, &mut grad_x);
-        }
-        grad_x
-    }
-
-    /// Input-gradient-only backward: accumulate `Wᵀ · grad_out` into
-    /// `grad_x` without touching parameter gradients (the input gradient
-    /// needs only the weights, so the layer stays immutable — no scratch
-    /// clone for frozen-model differentiation).
-    pub fn backward_input(&self, grad_out: &[f32], grad_x: &mut [f32]) {
+    /// Backward pass: sends the parameter gradients of every output to
+    /// `grads` and adds `Wᵀ · grad_out` into `grad_x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `grad_out` or `grad_x` shapes mismatch the layer.
+    pub fn backward<S: GradSink>(
+        &self,
+        x: &[f32],
+        grad_out: &[f32],
+        grad_x: &mut [f32],
+        grads: &mut S,
+    ) {
         assert_eq!(grad_out.len(), self.out_dim, "output gradient dimension mismatch");
         assert_eq!(grad_x.len(), self.in_dim, "input gradient dimension mismatch");
         for (o, &g) in grad_out.iter().enumerate() {
-            let row = &self.weight.w[o * self.in_dim..(o + 1) * self.in_dim];
-            simd::axpy(g, row, grad_x);
+            grads.add(o, g, || x);
+            simd::axpy(g, &self.weight.w[o * self.in_dim..(o + 1) * self.in_dim], grad_x);
         }
     }
 }
@@ -134,6 +108,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grads::{Grads, NoGrads};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -147,16 +122,23 @@ mod tests {
         assert_eq!(y, vec![3.5, 6.5]);
     }
 
+    /// The backward with [`Grads`]: returns `∂L/∂x` and leaves the
+    /// parameter gradients in `l`.
+    fn backward(l: &mut Linear, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
+        let mut grads = Grads::take((&mut l.weight, &mut l.bias));
+        let mut grad_x = vec![0.0; l.in_dim];
+        l.backward(x, grad_out, &mut grad_x, &mut grads);
+        grads.restore((&mut l.weight, &mut l.bias));
+        grad_x
+    }
+
     #[test]
     fn gradient_check() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut l = Linear::new(4, 3, &mut rng);
         let x: Vec<f32> = (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let y = l.forward(&x);
-        let grad_out = vec![1.0f32; y.len()];
-        l.weight.zero_grad();
-        l.bias.zero_grad();
-        let grad_x = l.backward(&x, &grad_out);
+        let grad_out = vec![1.0f32; l.forward(&x).len()];
+        let grad_x = backward(&mut l, &x, &grad_out);
         let objective = |l: &Linear, x: &[f32]| -> f32 { l.forward(x).iter().sum() };
         let eps = 1e-3;
         for idx in 0..l.weight.len() {
@@ -177,17 +159,17 @@ mod tests {
         }
     }
 
+    /// Dropping the parameter gradients leaves the input gradient's bits
+    /// as they are with [`Grads`].
     #[test]
-    fn backward_input_matches_full_backward() {
+    fn no_grads_backward_matches_grads_backward() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut l = Linear::new(5, 3, &mut rng);
         let x: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let grad_out = vec![0.3f32, -1.2, 0.0];
-        l.weight.zero_grad();
-        l.bias.zero_grad();
-        let full = l.backward(&x, &grad_out);
+        let full = backward(&mut l, &x, &grad_out);
         let mut fast = vec![0.0f32; 5];
-        l.backward_input(&grad_out, &mut fast);
+        l.backward(&[], &grad_out, &mut fast, &mut NoGrads);
         assert_eq!(full, fast);
     }
 

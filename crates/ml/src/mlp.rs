@@ -2,6 +2,7 @@
 //! simulated commercial AVs.
 
 use crate::activation::{relu, relu_backward};
+use crate::grads::Grads;
 use crate::linear::Linear;
 use crate::loss::{bce_with_logits, bce_with_logits_backward};
 use crate::param::Adam;
@@ -47,9 +48,14 @@ impl Mlp {
             let logit = self.l2.forward(&h)[0];
             total += bce_with_logits(logit, *y);
             let dlogit = bce_with_logits_backward(logit, *y);
-            let dh = self.l2.backward(&h, &[dlogit]);
+            let mut g1 = Grads::take((&mut self.l1.weight, &mut self.l1.bias));
+            let mut g2 = Grads::take((&mut self.l2.weight, &mut self.l2.bias));
+            let mut dh = vec![0.0; h.len()];
+            self.l2.backward(&h, &[dlogit], &mut dh, &mut g2);
             let da1 = relu_backward(&a1, &dh);
-            let _ = self.l1.backward(x, &da1);
+            self.l1.backward(x, &da1, &mut vec![0.0; x.len()], &mut g1);
+            g1.restore((&mut self.l1.weight, &mut self.l1.bias));
+            g2.restore((&mut self.l2.weight, &mut self.l2.bias));
             adam.step(&mut self.l1.weight);
             adam.step(&mut self.l1.bias);
             adam.step(&mut self.l2.weight);

@@ -119,13 +119,6 @@ impl Adam {
         let ParamBuf { w, g, m, v, .. } = buf;
         simd::run_at(level, Step { lanes, decay, w, g, m, v });
     }
-
-    /// Step a batch of buffers.
-    pub fn step_all(&self, bufs: &mut [&mut ParamBuf]) {
-        for b in bufs.iter_mut() {
-            self.step(b);
-        }
-    }
 }
 
 /// Lanes per subnormal check in [`Adam::step`].

@@ -26,21 +26,6 @@ pub fn global_max_pool(x: &[f32], channels: usize) -> (Vec<f32>, Vec<usize>) {
     (pooled, argmax)
 }
 
-/// Scatter the pooled gradient back to the winning windows.
-pub fn global_max_pool_backward(
-    grad_pooled: &[f32],
-    argmax: &[usize],
-    windows: usize,
-    channels: usize,
-) -> Vec<f32> {
-    debug_assert_eq!(grad_pooled.len(), channels);
-    let mut grad_x = vec![0.0f32; windows * channels];
-    for c in 0..channels {
-        grad_x[argmax[c] * channels + c] = grad_pooled[c];
-    }
-    grad_x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,14 +37,6 @@ mod tests {
         let (pooled, argmax) = global_max_pool(&x, 2);
         assert_eq!(pooled, vec![5.0, 9.0]);
         assert_eq!(argmax, vec![1, 0]);
-    }
-
-    #[test]
-    fn backward_scatters_to_winner() {
-        let x = vec![1.0, 9.0, 5.0, 2.0, 3.0, 4.0];
-        let (_, argmax) = global_max_pool(&x, 2);
-        let g = global_max_pool_backward(&[10.0, 20.0], &argmax, 3, 2);
-        assert_eq!(g, vec![0.0, 20.0, 10.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

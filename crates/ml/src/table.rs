@@ -234,10 +234,12 @@ mod tests {
             let tc = TokenConv::build(&conv, &emb);
             let mut rng = ChaCha8Rng::seed_from_u64(99);
             let tokens: Vec<usize> = (0..64).map(|_| rng.gen_range(0..257)).collect();
-            let naive = conv.forward(&emb.forward(&tokens));
-            assert_eq!(naive.len(), tc.windows(tokens.len()) * tc.out_ch());
-            let mut row = vec![0.0; tc.out_ch()];
-            for (w, expected) in naive.chunks_exact(tc.out_ch()).enumerate() {
+            let x: Vec<f32> = tokens.iter().flat_map(|&t| emb.vector(t).to_vec()).collect();
+            let windows = conv.windows(tokens.len());
+            assert_eq!(windows, tc.windows(tokens.len()));
+            let (mut expected, mut row) = (vec![0.0; tc.out_ch()], vec![0.0; tc.out_ch()]);
+            for w in 0..windows {
+                conv.forward_window_into(&x, w, &mut expected);
                 tc.window_into(&tokens, w, &mut row);
                 for (a, b) in expected.iter().zip(&row) {
                     assert!((a - b).abs() < 1e-5, "window {w}: naive {a} vs tabled {b}");

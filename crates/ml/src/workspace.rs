@@ -34,6 +34,14 @@ impl Workspace {
         v
     }
 
+    /// An `f32` buffer of length `len` holding whatever its last user left,
+    /// for callers that write every element before reading it.
+    pub fn take_f32_stale(&mut self, len: usize) -> Vec<f32> {
+        let mut v = self.f32s.pop().unwrap_or_default();
+        v.resize(len, 0.0);
+        v
+    }
+
     /// Return an `f32` buffer to the pool.
     pub fn give_f32(&mut self, v: Vec<f32>) {
         self.f32s.push(v);
