@@ -23,10 +23,11 @@
 //!   can hold; reports how much was shed (typed refusals, no waiting)
 //!   and that the p99 of *admitted* requests stays bounded.
 //!
-//! A third tier times two inference kernels — conv forward and GBDT
-//! predict — each against the reference path it replaced, in the same
-//! process. Detector and kernel rows are [`PairRow`]s in tables
-//! `batched` and `kernel`; the daemon scenarios are reported, not gated.
+//! A third tier times the inference kernels — conv forward at the default
+//! and at the quick world's narrow MalConv shape, and GBDT predict — each
+//! against the reference path it replaced, in the same process. Detector
+//! and kernel rows are [`PairRow`]s in tables `batched` and `kernel`; the
+//! daemon scenarios are reported, not gated.
 //!
 //! Usage (see [`mpass_bench::Cli`]):
 //!
@@ -141,49 +142,19 @@ fn ramp(n: usize, phase: f32) -> Vec<f32> {
     (0..n).map(|i| ((i as f32 + phase) * 0.137).sin() * 0.5).collect()
 }
 
-/// Micro-benchmark two inference kernels, each against the reference
+/// Micro-benchmark the inference kernels, each against the reference
 /// path it replaced. Kernel passes are cheap, so repetitions stay high
 /// even under `--quick` — the gate needs stable ratios more than the
 /// detector tier does.
 fn measure_kernels(reps: usize) -> Vec<PairRow> {
     let reps = reps.max(50);
 
-    // MalConv-shaped convolution: 8 -> 16 channels, kernel 256, one pass
-    // = 64 windows (a 16 KiB window's worth at stride 256).
-    let (dim, filters, kernel, windows) = (8usize, 16usize, 256usize, 64usize);
-    let conv = Conv1d::from_weights(
-        dim,
-        filters,
-        kernel,
-        kernel,
-        ramp(filters * kernel * dim, 0.3),
-        ramp(filters, 0.7),
-    );
-    let x = ramp(windows * kernel * dim, 1.1);
-    let mut opt_row = vec![0.0f32; filters];
-    let mut ref_row = vec![0.0f32; filters];
-    let conv_row = PairRow::measure(
-        "kernel",
-        "conv-forward",
-        "scalar Conv1d::forward_window_into",
-        windows,
-        reps,
-        || {
-            for w in 0..windows {
-                conv.forward_window_into(&x, w, &mut ref_row);
-                std::hint::black_box(&ref_row);
-            }
-        },
-        || {
-            // The batch paths hoist the transpose once per batch; one pass
-            // here is one 64-window batch, so the copy pays its real share.
-            let xp = conv.transposed();
-            for w in 0..windows {
-                xp.forward_window_into(&x, w, &mut opt_row);
-                std::hint::black_box(&opt_row);
-            }
-        },
-    );
+    // MalConv-shaped convolutions, one pass = 64 windows: the default
+    // 8 -> 16 channels at kernel 256 (a 16 KiB window's worth at stride
+    // 256), and the quick world's 4 -> 8 channels at kernel 64, where the
+    // output row is a single lane group.
+    let conv_row = measure_conv(reps, "conv-forward", 8, 16, 256);
+    let narrow_row = measure_conv(reps, "conv-forward-narrow", 4, 8, 64);
 
     // GBDT predict: flattened node-array traversal versus the
     // pointer-chasing tree walk, over 64 feature vectors per pass.
@@ -217,7 +188,47 @@ fn measure_kernels(reps: usize) -> Vec<PairRow> {
         },
     );
 
-    vec![conv_row, gbdt_row]
+    vec![conv_row, narrow_row, gbdt_row]
+}
+
+/// One conv-forward kernel row: the register-blocked transposed window
+/// kernel against the scalar reference over 64 non-overlapping windows of
+/// a `dim -> filters` convolution of width `kernel`.
+fn measure_conv(reps: usize, name: &str, dim: usize, filters: usize, kernel: usize) -> PairRow {
+    let windows = 64;
+    let conv = Conv1d::from_weights(
+        dim,
+        filters,
+        kernel,
+        kernel,
+        ramp(filters * kernel * dim, 0.3),
+        ramp(filters, 0.7),
+    );
+    let x = ramp(windows * kernel * dim, 1.1);
+    let mut opt_row = vec![0.0f32; filters];
+    let mut ref_row = vec![0.0f32; filters];
+    PairRow::measure(
+        "kernel",
+        name,
+        "scalar Conv1d::forward_window_into",
+        windows,
+        reps,
+        || {
+            for w in 0..windows {
+                conv.forward_window_into(&x, w, &mut ref_row);
+                std::hint::black_box(&ref_row);
+            }
+        },
+        || {
+            // The batch paths hoist the transpose once per batch; one pass
+            // here is one 64-window batch, so the copy pays its real share.
+            let xp = conv.transposed();
+            for w in 0..windows {
+                xp.forward_window_into(&x, w, &mut opt_row);
+                std::hint::black_box(&opt_row);
+            }
+        },
+    )
 }
 
 /// Run one daemon scenario: boot `mpass-serve` over `model`, hammer it

@@ -4,8 +4,8 @@
 //! the same process:
 //!
 //! * `bench_serve` — batched vs sequential scoring per roster detector,
-//!   the conv-forward and GBDT-predict kernels, plus two ungated daemon
-//!   load scenarios,
+//!   the conv-forward (default and narrow shapes) and GBDT-predict
+//!   kernels, plus two ungated daemon load scenarios,
 //! * `bench_validate` — digest validation vs full-trace comparison over
 //!   six candidate waves, and loading a PE candidate through the borrowed
 //!   `PeView` vs the owned parse.
@@ -358,6 +358,7 @@ mod tests {
                 "batched/MalGCG",
                 "batched/LightGBM",
                 "kernel/conv-forward",
+                "kernel/conv-forward-narrow",
                 "kernel/gbdt-predict",
             ]
         );

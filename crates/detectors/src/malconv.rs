@@ -382,10 +382,10 @@ impl MalConv {
         let logit = self.head2.forward(&h1)[0];
         let dlogit = bce_with_logits_backward(logit, target);
         let mut dh1 = ws.take_f32(self.config.hidden);
-        self.head2.backward(&h1, &[dlogit], &mut dh1, &mut grads[3]);
+        self.head2.backward(&h1, &[dlogit], Some(&mut dh1), &mut grads[3]);
         let da1 = relu_backward(&a1, &dh1);
         let mut dpooled = ws.take_f32(filters);
-        self.head1.backward(&pooled, &da1, &mut dpooled, &mut grads[2]);
+        self.head1.backward(&pooled, &da1, Some(&mut dpooled), &mut grads[2]);
         let mut da = ws.take_f32(gated.len());
         let mut db = ws.take_f32(gated.len());
         for (c, &w) in argmax.iter().enumerate() {

@@ -342,10 +342,10 @@ impl MalGcg {
         let logit = self.head2.forward(&h1)[0];
         let dlogit = bce_with_logits_backward(logit, target);
         let mut dh1 = ws.take_f32(self.config.hidden);
-        self.head2.backward(&h1, &[dlogit], &mut dh1, &mut grads[3]);
+        self.head2.backward(&h1, &[dlogit], Some(&mut dh1), &mut grads[3]);
         let da1 = relu_backward(&a1, &dh1);
         let mut dpooled = ws.take_f32(2 * ch2);
-        self.head1.backward(&pooled, &da1, &mut dpooled, &mut grads[2]);
+        self.head1.backward(&pooled, &da1, Some(&mut dpooled), &mut grads[2]);
         // Max branch scatters to the winning windows; the mean branch
         // spreads uniformly over all of them.
         let mut dr2 = ws.take_f32(r2.len());
@@ -591,8 +591,13 @@ impl WhiteBoxSession for MalGcgSession<'_> {
         grad: &mut Vec<f32>,
     ) -> f32 {
         self.sync(bytes, dirty);
-        grad.clear();
-        grad.resize(self.net.config.window * self.net.embedding.dim(), 0.0);
+        // The backward clears every row a layer-1 window reads before it
+        // adds to it, so only the rows no window reads are zeroed here.
+        let (window, dim) = (self.net.config.window, self.net.embedding.dim());
+        grad.resize(window * dim, 0.0);
+        for rows in self.net.conv1.unread_rows(window) {
+            grad[rows.start * dim..rows.end * dim].fill(0.0);
+        }
         self.net.backward(&mut self.ws, &[], &self.rows, 0.0, &mut [NoGrads; 4], grad)
     }
 }
@@ -918,6 +923,27 @@ mod tests {
             let lf = m.session().loss_grad_delta(&bytes, &[], &mut g_full);
             assert_eq!(li.to_bits(), lf.to_bits(), "trial {trial} loss mismatch");
             assert_eq!(g_inc, g_full, "trial {trial} gradient mismatch");
+        }
+    }
+
+    /// A session's gradient overwrites whatever the buffer held, at any
+    /// length: rows no layer-1 window reads (the gaps of a stride wider
+    /// than the kernel, the tail past the last window) come back zero.
+    #[test]
+    fn loss_grad_delta_overwrites_a_stale_buffer() {
+        let (_, ds) = trained_tiny();
+        let config =
+            MalGcgConfig { window: 4000, kernel1: 24, stride1: 40, ..MalGcgConfig::tiny() };
+        let m = MalGcg::new(config, &mut ChaCha8Rng::seed_from_u64(5));
+        assert!(m.conv1.unread_rows(config.window).any(|rows| !rows.is_empty()));
+        let bytes = &ds.malware()[0].bytes;
+        let mut want = Vec::new();
+        let loss = m.session().loss_grad_delta(bytes, &[], &mut want);
+        for stale in [vec![f32::NAN; want.len()], vec![7.0; want.len() + 9], vec![-1.0; 3]] {
+            let mut got = stale;
+            let mut sess = m.session();
+            assert_eq!(sess.loss_grad_delta(bytes, &[], &mut got).to_bits(), loss.to_bits());
+            assert_eq!(got, want);
         }
     }
 

@@ -4,9 +4,10 @@
 
 use crate::grads::GradSink;
 use crate::param::ParamBuf;
-use crate::simd;
+use crate::simd::{self, LANES};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A 1-D convolution `in_ch → out_ch` with kernel width `kernel` and hop
 /// `stride`, over an input laid out `[position][in_ch]` (row-major flat).
@@ -133,21 +134,36 @@ impl Conv1d {
         positions: usize,
         lo: usize,
         hi: usize,
-    ) -> std::ops::Range<usize> {
+    ) -> Range<usize> {
         crate::table::dirty_window_span(self.kernel, self.stride, self.windows(positions), lo, hi)
     }
 
+    /// The input rows, out of `positions`, that no output window reads, as
+    /// ascending disjoint spans (some empty): the gaps between windows
+    /// when the stride exceeds the kernel, then the tail past the last
+    /// window.
+    pub fn unread_rows(&self, positions: usize) -> impl Iterator<Item = Range<usize>> {
+        let (kernel, stride, windows) = (self.kernel, self.stride, self.windows(positions));
+        let gaps = if stride > kernel { windows.saturating_sub(1) } else { 0 };
+        let read_end = if windows == 0 { 0 } else { (windows - 1) * stride + kernel };
+        (0..gaps)
+            .map(move |w| w * stride + kernel..(w + 1) * stride)
+            .chain(std::iter::once(read_end..positions))
+    }
+
     /// Component-major (transposed) copy of the kernel weights for the
-    /// vectorized window kernel — see [`ConvXposed`]. Building the copy
-    /// costs `kernel·in_ch·out_ch` writes, amortized over however many
-    /// windows (or batch items) the caller pushes through it.
+    /// register-blocked window kernel — see [`ConvXposed`]. Building the
+    /// copy costs `kernel·in_ch·out_ch` writes (plus the zero padding),
+    /// amortized over however many windows (or batch items) the caller
+    /// pushes through it.
     pub fn transposed(&self) -> ConvXposed<'_> {
         let k_in = self.kernel * self.in_ch;
-        let mut wt = vec![0.0f32; k_in * self.out_ch];
-        for oc in 0..self.out_ch {
-            let row = &self.weight.w[oc * k_in..(oc + 1) * k_in];
-            for (i, &v) in row.iter().enumerate() {
-                wt[i * self.out_ch + oc] = v;
+        let mut wt = Vec::with_capacity(k_in * self.out_ch.next_multiple_of(LANES));
+        for first in (0..self.out_ch).step_by(LANES) {
+            let group = first..(first + LANES).min(self.out_ch);
+            for i in 0..k_in {
+                wt.extend(group.clone().map(|oc| self.weight.w[oc * k_in + i]));
+                wt.resize(wt.len() + LANES - group.len(), 0.0);
             }
         }
         ConvXposed { conv: self, wt }
@@ -196,21 +212,24 @@ impl Conv1d {
     }
 }
 
-/// Component-major view of a [`Conv1d`]: the weights copied into
-/// `wt[i][oc]` order for flat patch index `i ∈ 0..kernel·in_ch`, so the
-/// window kernel streams one input component against a contiguous row of
-/// per-output-channel weights ([`simd::axpy`]).
+/// Component-major view of a [`Conv1d`] for the register-blocked window
+/// kernel. The output channels are cut into groups of [`LANES`], the last
+/// one zero-padded to full width (MalGCG's 6-channel layer runs one full
+/// group, not a scalar tail); group by group, the weights are copied into
+/// `[kernel·in_ch][LANES]` order, so the kernel streams one contiguous
+/// weight row per patch component.
 ///
-/// Numerics: for each output channel the accumulation visits patch
-/// components in the same ascending order as the scalar
-/// [`Conv1d::forward_window_into`] loop — only the operand order of each
-/// multiplication differs, and IEEE-754 multiplication is commutative —
-/// so the result is **bit-identical** to the scalar kernel while the
-/// inner loop runs across output channels and autovectorizes.
+/// Numerics: each group's accumulators live in registers for the whole
+/// patch. Every output channel starts from its bias and adds its terms in
+/// ascending patch order, as the scalar [`Conv1d::forward_window_into`]
+/// loop does; only the operand order of each multiplication differs, and
+/// IEEE-754 multiplication is commutative. The result is **bit-identical**
+/// to the scalar kernel while the inner loop runs across output channels
+/// and vectorizes. Padding lanes compute zeros nobody reads.
 #[derive(Debug)]
 pub struct ConvXposed<'a> {
     conv: &'a Conv1d,
-    /// Transposed weights, `[kernel·in_ch][out_ch]` flattened.
+    /// Transposed, padded weights: per group, `[kernel·in_ch][LANES]`.
     wt: Vec<f32>,
 }
 
@@ -229,16 +248,17 @@ impl ConvXposed<'_> {
         let k_in = c.kernel * c.in_ch;
         let start = w * c.stride * c.in_ch;
         let patch = &x[start..start + k_in];
-        out_row.copy_from_slice(&c.bias.w);
-        // Four patch components per pass (bit-identical fusion — see
-        // `simd::axpy4`), plain axpy for the ragged tail.
-        let quads = k_in / 4 * 4;
-        for i in (0..quads).step_by(4) {
-            let a = [patch[i], patch[i + 1], patch[i + 2], patch[i + 3]];
-            simd::axpy4(a, &self.wt[i * c.out_ch..(i + 4) * c.out_ch], out_row);
-        }
-        for (i, &xi) in patch.iter().enumerate().skip(quads) {
-            simd::axpy(xi, &self.wt[i * c.out_ch..(i + 1) * c.out_ch], out_row);
+        let groups = out_row.chunks_mut(LANES).zip(c.bias.w.chunks(LANES));
+        for ((out, bias), wt) in groups.zip(self.wt.chunks_exact(k_in * LANES)) {
+            // `out[l] = bias[l] + Σᵢ patch[i]·wt[i][l]`, ascending in `i`.
+            let mut acc = [0.0f32; LANES];
+            acc[..bias.len()].copy_from_slice(bias);
+            for (&xi, row) in patch.iter().zip(wt.chunks_exact(LANES)) {
+                for (a, &wi) in acc.iter_mut().zip(row) {
+                    *a += xi * wi;
+                }
+            }
+            out.copy_from_slice(&acc[..out.len()]);
         }
     }
 }
@@ -353,15 +373,33 @@ mod tests {
         c.backward(&[0.0; 7], &[1.0; 2], 0..2, &mut [0.0; 7], &mut NoGrads);
     }
 
-    /// The transposed lane-chunked kernel must be bit-identical to the
-    /// scalar reference across shapes that exercise lane tails (out_ch
-    /// not a multiple of 8) and strides.
+    /// The register-blocked kernel must be bit-identical to the scalar
+    /// reference: at the detectors' shapes (MalGCG's 6- and 8-channel
+    /// layers, MalConv's 8 and 16 channels), at padded and multi-block
+    /// widths, at ragged `kernel·in_ch`, and with one input in four an
+    /// IEEE-754 special value (signed zero, subnormal, infinity, NaN).
     #[test]
     fn transposed_kernel_is_bit_identical_to_scalar() {
+        const SPECIAL: [f32; 7] =
+            [0.0, -0.0, 1e-40, -1e-40, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
         let mut rng = ChaCha8Rng::seed_from_u64(29);
-        for (in_ch, out_ch, kernel, stride, positions) in
-            [(1, 1, 1, 1, 4), (2, 3, 4, 2, 11), (4, 7, 3, 1, 9), (8, 16, 5, 3, 20), (3, 9, 2, 2, 8)]
-        {
+        for (in_ch, out_ch, kernel, stride, positions) in [
+            (1, 1, 1, 1, 4),
+            (2, 3, 4, 2, 11),
+            (4, 7, 3, 1, 9),
+            (8, 16, 5, 3, 20),
+            (3, 9, 2, 2, 8),
+            (4, 6, 32, 32, 256),
+            (6, 8, 4, 2, 31),
+            (4, 8, 64, 64, 640),
+            (8, 16, 256, 256, 1024),
+            (3, 6, 5, 2, 23),
+            (5, 8, 7, 3, 40),
+            (7, 16, 3, 1, 12),
+            (4, 12, 9, 4, 50),
+            (2, 24, 5, 5, 30),
+            (1, 33, 6, 2, 21),
+        ] {
             let mut c = conv(in_ch, out_ch, kernel, stride);
             for w in c.weight.w.iter_mut() {
                 *w = rng.gen_range(-1.0..1.0);
@@ -369,17 +407,46 @@ mod tests {
             for b in c.bias.w.iter_mut() {
                 *b = rng.gen_range(-0.5..0.5);
             }
-            let x: Vec<f32> =
-                (0..positions * in_ch).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let xp = c.transposed();
-            let mut scalar = vec![0.0f32; out_ch];
-            let mut lanes = vec![0.0f32; out_ch];
-            for w in 0..c.windows(positions) {
-                c.forward_window_into(&x, w, &mut scalar);
-                xp.forward_window_into(&x, w, &mut lanes);
-                for (s, l) in scalar.iter().zip(&lanes) {
-                    assert_eq!(s.to_bits(), l.to_bits(), "shape {in_ch}x{out_ch}k{kernel}");
+            for special in [false, true] {
+                let x: Vec<f32> = (0..positions * in_ch)
+                    .map(|_| match special && rng.gen_range(0..4) == 0 {
+                        true => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+                        false => rng.gen_range(-1.0..1.0),
+                    })
+                    .collect();
+                let xp = c.transposed();
+                let mut scalar = vec![0.0f32; out_ch];
+                let mut blocked = vec![0.0f32; out_ch];
+                for w in 0..c.windows(positions) {
+                    c.forward_window_into(&x, w, &mut scalar);
+                    xp.forward_window_into(&x, w, &mut blocked);
+                    // Rust leaves a NaN result's payload unspecified.
+                    for (s, b) in scalar.iter().zip(&blocked) {
+                        assert!(
+                            s.to_bits() == b.to_bits() || s.is_nan() && b.is_nan(),
+                            "shape {in_ch}x{out_ch}k{kernel}s{stride} window {w}: {s} vs {b}"
+                        );
+                    }
                 }
+            }
+        }
+    }
+
+    /// `unread_rows` names exactly the rows no window reads, for
+    /// overlapping, touching and gapped windows and inputs too short for
+    /// any window.
+    #[test]
+    fn unread_rows_are_the_rows_no_window_reads() {
+        for (kernel, stride) in [(4, 2), (4, 4), (3, 5), (1, 7), (6, 6)] {
+            let c = conv(2, 3, kernel, stride);
+            for positions in 0..40 {
+                let windows = c.windows(positions);
+                let read = |r| {
+                    (0..windows).any(|w| (w * stride..w * stride + kernel).contains(&r))
+                };
+                let want: Vec<usize> = (0..positions).filter(|&r| !read(r)).collect();
+                let got: Vec<usize> = c.unread_rows(positions).flatten().collect();
+                assert_eq!(got, want, "kernel {kernel} stride {stride} positions {positions}");
             }
         }
     }

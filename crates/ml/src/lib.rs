@@ -25,8 +25,8 @@
 //! (loss → logits → conv → embedding) run the training backward.
 //!
 //! The serving-oriented additions live in two modules: [`simd`]
-//! (lane-chunked, bit-exact f32 kernels the conv/linear/table forwards
-//! are built on) and [`snapshot`] (versioned, checksummed weight buffers
+//! (element-wise, bit-exact f32 kernels the linear and table forwards and
+//! the backwards are built on) and [`snapshot`] (versioned, checksummed weight buffers
 //! for O(read) hot reload).
 
 // Inference kernels run inside the serving daemon; a stray panic there is

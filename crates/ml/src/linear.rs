@@ -84,7 +84,8 @@ impl Linear {
     }
 
     /// Backward pass: sends the parameter gradients of every output to
-    /// `grads` and adds `Wᵀ · grad_out` into `grad_x`.
+    /// `grads` and, unless `grad_x` is `None` (a first layer, whose input
+    /// gradient nobody reads), adds `Wᵀ · grad_out` into it.
     ///
     /// # Panics
     ///
@@ -93,14 +94,18 @@ impl Linear {
         &self,
         x: &[f32],
         grad_out: &[f32],
-        grad_x: &mut [f32],
+        mut grad_x: Option<&mut [f32]>,
         grads: &mut S,
     ) {
         assert_eq!(grad_out.len(), self.out_dim, "output gradient dimension mismatch");
-        assert_eq!(grad_x.len(), self.in_dim, "input gradient dimension mismatch");
+        if let Some(gx) = &grad_x {
+            assert_eq!(gx.len(), self.in_dim, "input gradient dimension mismatch");
+        }
         for (o, &g) in grad_out.iter().enumerate() {
             grads.add(o, g, || x);
-            simd::axpy(g, &self.weight.w[o * self.in_dim..(o + 1) * self.in_dim], grad_x);
+            if let Some(gx) = grad_x.as_deref_mut() {
+                simd::axpy(g, &self.weight.w[o * self.in_dim..(o + 1) * self.in_dim], gx);
+            }
         }
     }
 }
@@ -127,7 +132,7 @@ mod tests {
     fn backward(l: &mut Linear, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
         let mut grads = Grads::take((&mut l.weight, &mut l.bias));
         let mut grad_x = vec![0.0; l.in_dim];
-        l.backward(x, grad_out, &mut grad_x, &mut grads);
+        l.backward(x, grad_out, Some(&mut grad_x), &mut grads);
         grads.restore((&mut l.weight, &mut l.bias));
         grad_x
     }
@@ -169,8 +174,26 @@ mod tests {
         let grad_out = vec![0.3f32, -1.2, 0.0];
         let full = backward(&mut l, &x, &grad_out);
         let mut fast = vec![0.0f32; 5];
-        l.backward(&[], &grad_out, &mut fast, &mut NoGrads);
+        l.backward(&[], &grad_out, Some(&mut fast), &mut NoGrads);
         assert_eq!(full, fast);
+    }
+
+    /// Skipping the input gradient leaves the parameter gradients' bits as
+    /// they are when it is computed.
+    #[test]
+    fn skipping_the_input_gradient_keeps_the_parameter_gradients() {
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let l = Linear::new(5, 3, &mut rng);
+        let x: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let grad_out = vec![0.3f32, -1.2, 0.0];
+        let param_grads = |grad_x: Option<&mut [f32]>| {
+            let mut l = l.clone();
+            let mut grads = Grads::take((&mut l.weight, &mut l.bias));
+            l.backward(&x, &grad_out, grad_x, &mut grads);
+            grads.restore((&mut l.weight, &mut l.bias));
+            (l.weight.g, l.bias.g)
+        };
+        assert_eq!(param_grads(None), param_grads(Some(&mut [0.0; 5])));
     }
 
     /// The transposed kernel must be bit-identical to the row-major

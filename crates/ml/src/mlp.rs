@@ -51,9 +51,9 @@ impl Mlp {
             let mut g1 = Grads::take((&mut self.l1.weight, &mut self.l1.bias));
             let mut g2 = Grads::take((&mut self.l2.weight, &mut self.l2.bias));
             let mut dh = vec![0.0; h.len()];
-            self.l2.backward(&h, &[dlogit], &mut dh, &mut g2);
+            self.l2.backward(&h, &[dlogit], Some(&mut dh), &mut g2);
             let da1 = relu_backward(&a1, &dh);
-            self.l1.backward(x, &da1, &mut vec![0.0; x.len()], &mut g1);
+            self.l1.backward(x, &da1, None, &mut g1);
             g1.restore((&mut self.l1.weight, &mut self.l1.bias));
             g2.restore((&mut self.l2.weight, &mut self.l2.bias));
             adam.step(&mut self.l1.weight);

@@ -1,12 +1,23 @@
-//! Explicit lane-chunked f32 kernels that autovectorize, and the one
-//! run-time dispatch to wider instruction sets.
+//! Element-wise f32 lane kernels that autovectorize, and the one run-time
+//! dispatch to wider instruction sets.
 //!
-//! The hot inference loops (conv windows, dense heads, token-table
-//! accumulation) all reduce to a few element-wise primitive shapes.
-//! Writing them once with `chunks_exact(LANES)` bodies over fixed-size
-//! lane groups gives LLVM a trip count it can turn into packed
-//! arithmetic, with a scalar tail for ragged lengths — no `std::simd`
-//! (unstable). Under the default x86-64 target that is SSE2.
+//! The hot training and inference loops (dense layers, conv input and
+//! weight gradients, token-table accumulation) reduce to a few
+//! element-wise primitive shapes. [`axpy`] and [`axpy4`] are plain
+//! per-element loops over zipped slices: LLVM sees unit-stride streams and
+//! emits packed loads, arithmetic and stores, with a scalar tail for
+//! ragged lengths — no `std::simd` (unstable). Under the default x86-64
+//! target that is SSE2. Do not cut several input rows into
+//! `chunks_exact(LANES)` bodies with an inner lane loop: LLVM vectorizes
+//! that shape as a stride-8 interleave group, loading every element with
+//! `movss` and stitching the vectors together, 4–6× slower from 100
+//! elements up. [`add_assign`] reads one input row, so its lane-chunked
+//! body compiles to packed loads too, and its unrolled tail is the faster
+//! one at the 6-wide rows of MalGCG's token table.
+//!
+//! The conv window forward ([`ConvXposed`](crate::ConvXposed)) is not
+//! element-wise: it keeps each [`LANES`]-wide group of output channels in
+//! registers for the whole patch.
 //!
 //! A kernel worth compiling wider implements [`Kernel`] with an
 //! `#[inline(always)]` body and runs through [`run_at`]: the body is
@@ -20,7 +31,7 @@
 //! reference the twins are tested against.
 //!
 //! Numerics contract: every lane kernel here is element-wise, so it is
-//! **bit-identical** to the naive loop it replaces — chunking never
+//! **bit-identical** to the naive loop it replaces — vectorizing never
 //! re-associates a sum that lands in one output element. A dispatched
 //! kernel's instantiations run the same operations in the same order
 //! (Rust never contracts `a * b + c` into a fused multiply-add), so they
@@ -29,9 +40,9 @@
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
-/// Lane-group width the chunked loops are written for. Under the default
-/// x86-64 target eight f32 lanes fill two SSE2 registers, which LLVM
-/// packs.
+/// Lane-group width of [`add_assign`]'s chunks and of the conv window
+/// forward's register groups. Under the default x86-64 target eight f32
+/// lanes fill two SSE2 registers.
 pub const LANES: usize = 8;
 
 /// An instruction-set level a [`Kernel`] is compiled for.
@@ -151,11 +162,11 @@ unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
     kernel.run()
 }
 
-/// `y[i] += a * x[i]` — element-wise, bit-identical to the scalar loop.
+/// `y[i] += a * x[i]`, one element at a time.
 ///
-/// This is the workhorse of the transposed conv/linear kernels: the
-/// caller streams one input component `a` against a contiguous row of
-/// per-output-channel weights `x`, accumulating into the output row `y`.
+/// This is the workhorse of the transposed linear kernel, the conv input
+/// gradient and the weight gradients: the caller streams one input
+/// component `a` against a contiguous row `x`, accumulating into `y`.
 ///
 /// # Panics
 ///
@@ -163,15 +174,7 @@ unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
 #[inline]
 pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    let split = x.len() - x.len() % LANES;
-    let (x_main, x_tail) = x.split_at(split);
-    let (y_main, y_tail) = y.split_at_mut(split);
-    for (yc, xc) in y_main.chunks_exact_mut(LANES).zip(x_main.chunks_exact(LANES)) {
-        for i in 0..LANES {
-            yc[i] += a * xc[i];
-        }
-    }
-    for (yi, &xi) in y_tail.iter_mut().zip(x_tail) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += a * xi;
     }
 }
@@ -182,10 +185,7 @@ pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
 ///
 /// Each output element receives the same four additions in the same
 /// order as four sequential [`axpy`] calls — **bit-identical** — but the
-/// output chunk is loaded and stored once instead of four times. In the
-/// transposed conv/linear kernels the output-row traffic dominates the
-/// weight traffic 2:1, so this fusion is where most of the window-kernel
-/// time goes.
+/// output element is loaded and stored once instead of four times.
 ///
 /// # Panics
 ///
@@ -197,30 +197,13 @@ pub fn axpy4(a: [f32; 4], x: &[f32], y: &mut [f32]) {
     let (x0, rest) = x.split_at(n);
     let (x1, rest) = rest.split_at(n);
     let (x2, x3) = rest.split_at(n);
-    let split = n - n % LANES;
-    for c in 0..split / LANES {
-        let base = c * LANES;
-        let yc = &mut y[base..base + LANES];
-        let c0 = &x0[base..base + LANES];
-        let c1 = &x1[base..base + LANES];
-        let c2 = &x2[base..base + LANES];
-        let c3 = &x3[base..base + LANES];
-        for i in 0..LANES {
-            let mut v = yc[i];
-            v += a[0] * c0[i];
-            v += a[1] * c1[i];
-            v += a[2] * c2[i];
-            v += a[3] * c3[i];
-            yc[i] = v;
-        }
-    }
-    for i in split..n {
-        let mut v = y[i];
-        v += a[0] * x0[i];
-        v += a[1] * x1[i];
-        v += a[2] * x2[i];
-        v += a[3] * x3[i];
-        y[i] = v;
+    for ((((yi, &v0), &v1), &v2), &v3) in y.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+        let mut v = *yi;
+        v += a[0] * v0;
+        v += a[1] * v1;
+        v += a[2] * v2;
+        v += a[3] * v3;
+        *yi = v;
     }
 }
 
@@ -255,49 +238,89 @@ mod tests {
         (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect()
     }
 
-    /// axpy must be bit-identical to the scalar loop for every length
-    /// around the lane boundary.
+    /// Operands that take IEEE-754's special paths: signed zeros,
+    /// subnormals, infinities, NaN and the largest finite value.
+    const SPECIAL: [f32; 10] = [
+        0.0,
+        -0.0,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MAX,
+        -1.0,
+    ];
+
+    /// `randvec` with about one element in four drawn from [`SPECIAL`].
+    fn mixed_vec(rng: &mut ChaCha8Rng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                if rng.gen_range(0..4) == 0 {
+                    SPECIAL[rng.gen_range(0..SPECIAL.len())]
+                } else {
+                    rng.gen_range(-2.0..2.0)
+                }
+            })
+            .collect()
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: Rust leaves the
+    /// payload of a NaN result unspecified, so an operand swap the
+    /// compiler may make can change it.
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        let same = |(g, w): (&f32, &f32)| g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan();
+        got.len() == want.len() && got.iter().zip(want).all(same)
+    }
+
+    /// The lengths the kernels run at: lane-boundary lengths, MalGCG's
+    /// 6-channel rows, the conv and MLP widths (8, 24, 105, 128, 256) and
+    /// a long 2048.
+    const LENGTHS: [usize; 17] =
+        [0, 1, 6, 7, 8, 9, 16, 17, 24, 63, 64, 100, 105, 128, 256, 1000, 2048];
+
+    /// axpy must be bit-identical to the scalar loop at every length the
+    /// kernels use, for special operands too.
     #[test]
     fn axpy_is_bit_identical_to_scalar() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        for n in [0usize, 1, 7, 8, 9, 16, 17, 63, 64, 100] {
-            let x = randvec(&mut rng, n);
-            let base = randvec(&mut rng, n);
-            let a = rng.gen_range(-1.5..1.5f32);
-            let mut fast = base.clone();
-            axpy(a, &x, &mut fast);
-            let mut slow = base.clone();
-            for (yi, &xi) in slow.iter_mut().zip(&x) {
-                *yi += a * xi;
-            }
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(f.to_bits(), s.to_bits(), "n={n}");
+        for n in LENGTHS {
+            let scalars = SPECIAL.into_iter().chain([rng.gen_range(-1.5..1.5f32)]);
+            for a in scalars {
+                let x = mixed_vec(&mut rng, n);
+                let base = mixed_vec(&mut rng, n);
+                let mut fast = base.clone();
+                axpy(a, &x, &mut fast);
+                let mut slow = base.clone();
+                for i in 0..n {
+                    slow[i] += a * x[i];
+                }
+                assert!(same_bits(&fast, &slow), "n={n} a={a}");
             }
         }
     }
 
-    /// axpy4 must be bit-identical to four sequential axpy calls across
-    /// lane-boundary lengths.
+    /// axpy4 must be bit-identical to four sequential axpy calls at every
+    /// length the kernels use, for special operands too.
     #[test]
     fn axpy4_is_bit_identical_to_four_axpys() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for n in [1usize, 7, 8, 9, 16, 17, 63, 64, 100] {
-            let rows = randvec(&mut rng, 4 * n);
-            let base = randvec(&mut rng, n);
-            let a = [
-                rng.gen_range(-1.5..1.5f32),
-                rng.gen_range(-1.5..1.5f32),
-                rng.gen_range(-1.5..1.5f32),
-                rng.gen_range(-1.5..1.5f32),
-            ];
-            let mut fused = base.clone();
-            axpy4(a, &rows, &mut fused);
-            let mut seq = base.clone();
-            for (j, &aj) in a.iter().enumerate() {
-                axpy(aj, &rows[j * n..(j + 1) * n], &mut seq);
-            }
-            for (f, s) in fused.iter().zip(&seq) {
-                assert_eq!(f.to_bits(), s.to_bits(), "n={n}");
+        for n in LENGTHS {
+            for round in 0..4 {
+                let rows = mixed_vec(&mut rng, 4 * n);
+                let base = mixed_vec(&mut rng, n);
+                let a: [f32; 4] = std::array::from_fn(|j| match round {
+                    0 => rng.gen_range(-1.5..1.5f32),
+                    _ => SPECIAL[(3 * round + j) % SPECIAL.len()],
+                });
+                let mut fused = base.clone();
+                axpy4(a, &rows, &mut fused);
+                let mut seq = base.clone();
+                for (j, &aj) in a.iter().enumerate() {
+                    axpy(aj, &rows[j * n..(j + 1) * n], &mut seq);
+                }
+                assert!(same_bits(&fused, &seq), "n={n} a={a:?}");
             }
         }
     }
@@ -367,18 +390,16 @@ mod tests {
     #[test]
     fn add_assign_is_bit_identical_to_scalar() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        for n in [0usize, 1, 8, 9, 31, 32, 65] {
-            let x = randvec(&mut rng, n);
-            let base = randvec(&mut rng, n);
+        for n in LENGTHS {
+            let x = mixed_vec(&mut rng, n);
+            let base = mixed_vec(&mut rng, n);
             let mut fast = base.clone();
             add_assign(&mut fast, &x);
             let mut slow = base.clone();
-            for (yi, &xi) in slow.iter_mut().zip(&x) {
-                *yi += xi;
+            for i in 0..n {
+                slow[i] += x[i];
             }
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(f.to_bits(), s.to_bits(), "n={n}");
-            }
+            assert!(same_bits(&fast, &slow), "n={n}");
         }
     }
 }
