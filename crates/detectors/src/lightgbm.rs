@@ -182,4 +182,38 @@ mod tests {
         assert!(base > 0.5);
         assert!((base - with).abs() < 0.4);
     }
+
+    /// A LightGBM snapshot holding the given forest columns.
+    fn forest_snapshot(roots: &[u32], left: &[u32], right: &[u32]) -> Snapshot {
+        const LEAF: u32 = u32::MAX;
+        let feature: Vec<u32> =
+            left.iter().zip(right).map(|(&l, &r)| if l == r { LEAF } else { 0 }).collect();
+        let mut b = SnapshotBuilder::new();
+        b.meta("detector", "LightGBM")
+            .meta("feature_dim", crate::features::FEATURE_DIM)
+            .tensor("gbdt.base", &[0.0])
+            .tensor_u32("gbdt.roots", roots)
+            .tensor_u32("gbdt.feature", &feature)
+            .tensor("gbdt.value", &vec![0.5; left.len()])
+            .tensor_u32("gbdt.left", left)
+            .tensor_u32("gbdt.right", right)
+            .tensor("threshold", &[0.5]);
+        b.finish()
+    }
+
+    /// Columns whose every child lies after its parent can still break
+    /// the per-tree layout: a child inside the next tree, or roots out of
+    /// order. Both must fail to load. (Leaves have `left == right`.)
+    #[test]
+    fn hostile_forest_snapshots_are_rejected() {
+        // Tree 0 is a split over two leaves, tree 1 one leaf.
+        let valid = forest_snapshot(&[0, 3], &[1, 0, 0, 0], &[2, 0, 0, 0]);
+        assert!(LightGbm::from_snapshot(&valid).is_ok());
+        // Tree 0's root sends its right child to tree 1's root.
+        let crossing = forest_snapshot(&[0, 3], &[1, 0, 0, 0], &[3, 0, 0, 0]);
+        assert!(LightGbm::from_snapshot(&crossing).is_err());
+        // Descending roots over two one-leaf trees.
+        let descending = forest_snapshot(&[1, 0], &[0, 0], &[0, 0]);
+        assert!(LightGbm::from_snapshot(&descending).is_err());
+    }
 }
