@@ -156,29 +156,29 @@ fn measure_kernels(reps: usize) -> Vec<PairRow> {
     let conv_row = measure_conv(reps, "conv-forward", 8, 16, 256);
     let narrow_row = measure_conv(reps, "conv-forward-narrow", 4, 8, 64);
 
-    // GBDT predict: flattened node-array traversal versus the
-    // pointer-chasing tree walk, over 64 feature vectors per pass.
+    // GBDT predict: the arena walk versus the pointer-chasing tree walk,
+    // over 64 feature vectors per pass.
     let feats: Vec<Vec<f32>> = (0..64).map(|i| ramp(32, i as f32)).collect();
     let labels: Vec<f32> = (0..64).map(|i| (i % 2) as f32).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let gbdt = Gbdt::train(&feats, &labels, GbdtParams::default(), &mut rng);
+    let walk = TreeWalk::new(&gbdt);
     for f in &feats {
-        // Warm the cached flat forest and hold the exact-equality contract.
         assert_eq!(
             gbdt.logit(f).to_bits(),
-            gbdt.logit_treewalk(f).to_bits(),
-            "flattened GBDT diverged from the tree walk"
+            walk.logit(f).to_bits(),
+            "the GBDT arena diverged from the tree walk"
         );
     }
     let gbdt_row = PairRow::measure(
         "kernel",
         "gbdt-predict",
-        "pointer-chasing Gbdt::logit_treewalk",
+        "pointer-chasing tree walk over Gbdt::columns",
         feats.len(),
         reps,
         || {
             for f in &feats {
-                std::hint::black_box(gbdt.logit_treewalk(std::hint::black_box(f)));
+                std::hint::black_box(walk.logit(std::hint::black_box(f)));
             }
         },
         || {
@@ -189,6 +189,68 @@ fn measure_kernels(reps: usize) -> Vec<PairRow> {
     );
 
     vec![conv_row, narrow_row, gbdt_row]
+}
+
+/// One node of [`TreeWalk`]: the enum node form the arena replaced, with
+/// tree-local child indices.
+enum TreeNode {
+    Split { feature: usize, threshold: f32, left: usize, right: usize },
+    Leaf { value: f32 },
+}
+
+/// The pointer-form ensemble the `gbdt-predict` row times the arena
+/// against: `base` plus one node `Vec` per tree, rebuilt from
+/// [`Gbdt::columns`], summed in tree order like [`Gbdt::logit`].
+struct TreeWalk {
+    base: f32,
+    trees: Vec<Vec<TreeNode>>,
+}
+
+impl TreeWalk {
+    fn new(gbdt: &Gbdt) -> TreeWalk {
+        let (roots, feature, value, left, right) = gbdt.columns();
+        let n = feature.len();
+        let trees = roots
+            .iter()
+            .enumerate()
+            .map(|(t, &root)| {
+                let end = roots.get(t + 1).map_or(n, |&r| r as usize);
+                (root as usize..end)
+                    .map(|at| match feature[at] {
+                        // The columns' leaf sentinel.
+                        u32::MAX => TreeNode::Leaf { value: value[at] },
+                        f => TreeNode::Split {
+                            feature: f as usize,
+                            threshold: value[at],
+                            left: (left[at] - root) as usize,
+                            right: (right[at] - root) as usize,
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        TreeWalk { base: gbdt.base(), trees }
+    }
+
+    fn logit(&self, x: &[f32]) -> f32 {
+        self.base + self.trees.iter().map(|t| TreeWalk::predict(t, x)).sum::<f32>()
+    }
+
+    fn predict(nodes: &[TreeNode], x: &[f32]) -> f32 {
+        let mut at = 0;
+        loop {
+            match nodes[at] {
+                TreeNode::Leaf { value } => return value,
+                TreeNode::Split { feature, threshold, left, right } => {
+                    at = if x.get(feature).copied().unwrap_or(0.0) <= threshold {
+                        left
+                    } else {
+                        right
+                    };
+                }
+            }
+        }
+    }
 }
 
 /// One conv-forward kernel row: the register-blocked transposed window

@@ -14,7 +14,7 @@
 //! heuristics partially price in, while offline models never see such
 //! artifacts during training.
 
-use crate::features::FeatureExtractor;
+use crate::features::{contains_subslice, FeatureExtractor};
 use crate::signatures::SignatureStore;
 use crate::train::TrainingSet;
 use crate::traits::Detector;
@@ -113,10 +113,6 @@ const KNOWN_PACKER_MARKERS: &[&[u8]] = &[b"UPX!", b"PESpin", b"ASPack", b".aspac
 /// reads 0.
 fn mask(features: impl IntoIterator<Item = f32>, keep: &[bool]) -> Vec<f32> {
     features.into_iter().zip(keep).map(|(v, &keep)| if keep { v } else { 0.0 }).collect()
-}
-
-fn contains(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
 }
 
 /// A simulated commercial ML AV.
@@ -245,7 +241,7 @@ impl CommercialAv {
         if image.overlay().len() * 2 > bytes.len() {
             h += 0.2; // more than half the file is overlay
         }
-        if KNOWN_PACKER_MARKERS.iter().any(|m| contains(bytes, m)) {
+        if KNOWN_PACKER_MARKERS.iter().any(|m| contains_subslice(bytes, m)) {
             h += 0.6; // stub signature of a malware-associated packer
         }
         h.min(1.5)

@@ -238,7 +238,8 @@ fn count_api_opcodes_into(bytes: &[u8], counts: &mut [usize; 33]) {
     }
 }
 
-fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
+/// Whether `needle` occurs in `haystack`.
+pub(crate) fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
 }
 

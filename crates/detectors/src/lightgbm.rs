@@ -9,7 +9,7 @@
 use crate::features::{FeatureExtractor, FeatureScratch};
 use crate::train::TrainingSet;
 use crate::traits::Detector;
-use mpass_ml::{FlatForest, Gbdt, GbdtParams, Snapshot, SnapshotBuilder, SnapshotError};
+use mpass_ml::{Gbdt, GbdtParams, Snapshot, SnapshotBuilder, SnapshotError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -38,14 +38,13 @@ impl LightGbm {
     }
 
     /// Pack the trained forest into a versioned, checksummed [`Snapshot`]:
-    /// the flattened SoA node columns plus base and threshold scalars.
+    /// the forest's node columns plus base and threshold scalars.
     pub fn to_snapshot(&self) -> Snapshot {
-        let flat = self.model.flatten();
-        let (roots, feature, value, left, right) = flat.columns();
+        let (roots, feature, value, left, right) = self.model.columns();
         let mut b = SnapshotBuilder::new();
         b.meta("detector", "LightGBM")
             .meta("feature_dim", crate::features::FEATURE_DIM)
-            .tensor("gbdt.base", &[flat.base()])
+            .tensor("gbdt.base", &[self.model.base()])
             .tensor_u32("gbdt.roots", &roots)
             .tensor_u32("gbdt.feature", &feature)
             .tensor("gbdt.value", &value)
@@ -67,7 +66,7 @@ impl LightGbm {
                 value: dim.to_string(),
             });
         }
-        let forest = FlatForest::from_columns(
+        let model = Gbdt::from_columns(
             snap.tensor_scalar("gbdt.base")?,
             snap.tensor_u32("gbdt.roots")?,
             snap.tensor_u32("gbdt.feature")?,
@@ -76,8 +75,6 @@ impl LightGbm {
             snap.tensor_u32("gbdt.right")?,
         )
         .map_err(|e| SnapshotError::BadMeta { key: "gbdt".to_owned(), value: e })?;
-        let model = Gbdt::from_flat(&forest)
-            .map_err(|e| SnapshotError::BadMeta { key: "gbdt".to_owned(), value: e })?;
         Ok(LightGbm {
             extractor: FeatureExtractor::new(),
             model,

@@ -6,7 +6,6 @@
 //! quantile candidate splits.
 
 use crate::activation::sigmoid;
-use crate::workspace::Cached;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -43,83 +42,31 @@ impl Default for GbdtParams {
     }
 }
 
-/// One node of a regression tree, stored in a flat arena.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Split { feature: usize, threshold: f32, left: usize, right: usize },
-    Leaf { value: f32 },
-}
-
-/// A single regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Tree {
-    nodes: Vec<Node>,
-}
-
-impl Tree {
-    /// Evaluate the tree on one feature vector.
-    pub fn predict(&self, x: &[f32]) -> f32 {
-        let mut at = 0;
-        loop {
-            match self.nodes[at] {
-                Node::Leaf { value } => return value,
-                Node::Split { feature, threshold, left, right } => {
-                    at = if x.get(feature).copied().unwrap_or(0.0) <= threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
-        }
-    }
-
-    /// Number of nodes (diagnostic).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-/// A boosted ensemble for binary classification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Gbdt {
-    base: f32,
-    trees: Vec<Tree>,
-    /// Lazily flattened node arena for the hot `logit` path — rebuilt on
-    /// demand, never serialized, always equal under `PartialEq`.
-    flat: Cached<FlatForest>,
-}
-
 /// Sentinel in [`FlatNode::feature`] marking a leaf node.
 const LEAF: u32 = u32::MAX;
 
-/// Columnar projection of a [`FlatForest`]:
+/// Columnar projection of a [`Gbdt`]'s arena:
 /// `(roots, feature, value, left, right)` — the shape the snapshot
-/// format stores.
+/// format stores. A leaf's `feature` is `u32::MAX` and its `value` the
+/// leaf value; a split's `value` is its threshold.
 pub type ForestColumns = (Vec<u32>, Vec<u32>, Vec<f32>, Vec<u32>, Vec<u32>);
 
-/// The whole ensemble flattened into one contiguous node arena: all
-/// trees' nodes packed depth-first into a single [`FlatNode`] buffer,
-/// leaves inlined, traversed iteratively. Replaces the pointer-chasing
-/// enum walk on the hot path — a node visit is one bounds-checked load
-/// from one cache-line segment, and the arena order matches the
-/// builder's depth-first layout so left descents stay cache-linear.
-///
-/// Numerics: per-node comparisons and the `base + Σ tree` accumulation
-/// order are identical to [`Tree::predict`] / the tree-walk logit, so
-/// flat predictions are **exactly** equal, not approximately.
+/// A boosted ensemble for binary classification, trained into and scored
+/// from one contiguous node arena: each tree's nodes are contiguous, in
+/// the builder's preorder (a split, then its left subtree, then its
+/// right), with absolute child indices, so left descents stay
+/// cache-linear and a node visit is one bounds-checked load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlatForest {
+pub struct Gbdt {
     base: f32,
-    /// Arena index of each tree's root.
+    /// Arena index of each tree's root, ascending.
     roots: Vec<u32>,
-    /// All trees' nodes in one contiguous arena, depth-first per tree.
+    /// All trees' nodes.
     nodes: Vec<FlatNode>,
 }
 
 /// One packed arena node: 16 bytes, so a traversal step costs one
-/// bounds-checked load from one cache-line segment (the 40-byte
-/// [`Node`] enum costs 2.5× the bandwidth per visit).
+/// bounds-checked load from one cache-line segment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct FlatNode {
     /// Split feature, or [`LEAF`].
@@ -132,162 +79,9 @@ struct FlatNode {
     right: u32,
 }
 
-impl FlatForest {
-    /// Flatten `trees` (with their additive `base`) into one arena.
-    pub fn from_trees(base: f32, trees: &[Tree]) -> FlatForest {
-        let total: usize = trees.iter().map(Tree::node_count).sum();
-        let mut flat = FlatForest {
-            base,
-            roots: Vec::with_capacity(trees.len()),
-            nodes: Vec::with_capacity(total),
-        };
-        for tree in trees {
-            let offset = flat.nodes.len() as u32;
-            flat.roots.push(offset);
-            for node in &tree.nodes {
-                flat.nodes.push(match *node {
-                    Node::Leaf { value } => {
-                        FlatNode { feature: LEAF, value, left: 0, right: 0 }
-                    }
-                    Node::Split { feature, threshold, left, right } => FlatNode {
-                        feature: feature as u32,
-                        value: threshold,
-                        left: offset + left as u32,
-                        right: offset + right as u32,
-                    },
-                });
-            }
-        }
-        flat
-    }
-
-    /// Raw additive logit — exactly equal to the tree-walk evaluation.
-    pub fn logit(&self, x: &[f32]) -> f32 {
-        let mut sum = 0.0f32;
-        for &root in &self.roots {
-            let mut at = root as usize;
-            loop {
-                let n = self.nodes[at];
-                if n.feature == LEAF {
-                    sum += n.value;
-                    break;
-                }
-                let v = x.get(n.feature as usize).copied().unwrap_or(0.0);
-                at = if v <= n.value { n.left } else { n.right } as usize;
-            }
-        }
-        self.base + sum
-    }
-
-    /// Additive base term.
-    pub fn base(&self) -> f32 {
-        self.base
-    }
-
-    /// Number of trees.
-    pub fn tree_count(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Total nodes across all trees.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Column projections `(roots, feature, value, left, right)` for
-    /// snapshot serialization (the on-disk format stays columnar even
-    /// though traversal storage is packed).
-    pub fn columns(&self) -> ForestColumns {
-        (
-            self.roots.clone(),
-            self.nodes.iter().map(|n| n.feature).collect(),
-            self.nodes.iter().map(|n| n.value).collect(),
-            self.nodes.iter().map(|n| n.left).collect(),
-            self.nodes.iter().map(|n| n.right).collect(),
-        )
-    }
-
-    /// Rebuild from raw columns (the snapshot load path), validating the
-    /// topology so corrupt input cannot make [`FlatForest::logit`] loop
-    /// or index out of bounds.
-    pub fn from_columns(
-        base: f32,
-        roots: Vec<u32>,
-        feature: Vec<u32>,
-        value: Vec<f32>,
-        left: Vec<u32>,
-        right: Vec<u32>,
-    ) -> Result<FlatForest, String> {
-        let n = feature.len();
-        if value.len() != n || left.len() != n || right.len() != n {
-            return Err(format!(
-                "column length mismatch: feature {n}, value {}, left {}, right {}",
-                value.len(),
-                left.len(),
-                right.len()
-            ));
-        }
-        for (t, &root) in roots.iter().enumerate() {
-            if root as usize >= n {
-                return Err(format!("tree {t} root {root} out of {n} nodes"));
-            }
-        }
-        for at in 0..n {
-            if feature[at] == LEAF {
-                continue;
-            }
-            // Children strictly after the parent: in-bounds and acyclic
-            // (every descent makes progress), so traversal terminates.
-            let (l, r) = (left[at] as usize, right[at] as usize);
-            if l <= at || l >= n || r <= at || r >= n {
-                return Err(format!("split node {at} has bad children ({l}, {r}) of {n}"));
-            }
-        }
-        let nodes = (0..n)
-            .map(|at| FlatNode {
-                feature: feature[at],
-                value: value[at],
-                left: left[at],
-                right: right[at],
-            })
-            .collect();
-        Ok(FlatForest { base, roots, nodes })
-    }
-
-    /// Reconstruct the pointer-form ensemble (the exact inverse of
-    /// [`Gbdt::flatten`], used by snapshot reload). Requires `roots` to be
-    /// ascending with each tree's nodes contiguous — the layout
-    /// [`FlatForest::from_trees`] produces.
-    pub fn to_gbdt(&self) -> Result<Gbdt, String> {
-        let n = self.nodes.len();
-        let mut trees = Vec::with_capacity(self.roots.len());
-        for (t, &root) in self.roots.iter().enumerate() {
-            let start = root as usize;
-            let end = self.roots.get(t + 1).map_or(n, |&r| r as usize);
-            if start > end || end > n {
-                return Err(format!("tree {t} spans [{start}, {end}) of {n} nodes"));
-            }
-            let mut nodes = Vec::with_capacity(end - start);
-            for at in start..end {
-                let node = self.nodes[at];
-                if node.feature == LEAF {
-                    nodes.push(Node::Leaf { value: node.value });
-                } else {
-                    let (l, r) = (node.left as usize, node.right as usize);
-                    if l < start || l >= end || r < start || r >= end {
-                        return Err(format!("tree {t} node {at} children escape its span"));
-                    }
-                    nodes.push(Node::Split {
-                        feature: node.feature as usize,
-                        threshold: node.value,
-                        left: l - start,
-                        right: r - start,
-                    });
-                }
-            }
-            trees.push(Tree { nodes });
-        }
-        Ok(Gbdt { base: self.base, trees, flat: Cached::new() })
+impl FlatNode {
+    fn leaf(value: f32) -> FlatNode {
+        FlatNode { feature: LEAF, value, left: 0, right: 0 }
     }
 }
 
@@ -300,7 +94,8 @@ struct Builder<'a> {
     hess: &'a [f32],
     params: GbdtParams,
     active_features: Vec<usize>,
-    nodes: Vec<Node>,
+    /// The ensemble's arena; [`Builder::build`] appends one tree.
+    nodes: &'a mut Vec<FlatNode>,
     split: SplitFn,
     scratch: SplitScratch,
 }
@@ -406,31 +201,29 @@ impl<'a> Builder<'a> {
         best
     }
 
+    /// Append the subtree over `idx` to the arena in preorder and return
+    /// its root's index.
     fn build(&mut self, idx: Vec<usize>, depth: usize) -> usize {
+        let here = self.nodes.len();
         if depth >= self.params.depth
             || idx.len() < self.params.min_samples_split
         {
-            let v = self.leaf_value(&idx);
-            self.nodes.push(Node::Leaf { value: v });
-            return self.nodes.len() - 1;
+            self.nodes.push(FlatNode::leaf(self.leaf_value(&idx)));
+            return here;
         }
         match (self.split)(self, &idx) {
-            None => {
-                let v = self.leaf_value(&idx);
-                self.nodes.push(Node::Leaf { value: v });
-                self.nodes.len() - 1
-            }
+            None => self.nodes.push(FlatNode::leaf(self.leaf_value(&idx))),
             Some((feature, threshold, _)) => {
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
                     idx.iter().partition(|&&i| self.features[i][feature] <= threshold);
-                let here = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-                let left = self.build(left_idx, depth + 1);
-                let right = self.build(right_idx, depth + 1);
-                self.nodes[here] = Node::Split { feature, threshold, left, right };
-                here
+                self.nodes.push(FlatNode::leaf(0.0)); // placeholder
+                let left = self.build(left_idx, depth + 1) as u32;
+                let right = self.build(right_idx, depth + 1) as u32;
+                self.nodes[here] =
+                    FlatNode { feature: feature as u32, value: threshold, left, right };
             }
         }
+        here
     }
 }
 
@@ -465,7 +258,7 @@ impl Gbdt {
         let pos = labels.iter().sum::<f32>() / n as f32;
         let base = (pos.clamp(1e-4, 1.0 - 1e-4) / (1.0 - pos.clamp(1e-4, 1.0 - 1e-4))).ln();
         let mut logits = vec![base; n];
-        let mut trees = Vec::with_capacity(params.trees);
+        let mut model = Gbdt { base, roots: Vec::with_capacity(params.trees), nodes: Vec::new() };
         let n_cols = ((dim as f32 * params.colsample).ceil() as usize).clamp(1, dim);
         for _ in 0..params.trees {
             let grad: Vec<f32> =
@@ -490,45 +283,41 @@ impl Gbdt {
                 hess: &hess,
                 params,
                 active_features: cols,
-                nodes: Vec::new(),
+                nodes: &mut model.nodes,
                 split,
                 scratch: SplitScratch::default(),
             };
-            let root = builder.build((0..n).collect(), 0);
-            debug_assert_eq!(root, 0);
-            let tree = Tree { nodes: builder.nodes };
-            for (i, z) in logits.iter_mut().enumerate() {
-                *z += tree.predict(&features[i]);
+            let root = builder.build((0..n).collect(), 0) as u32;
+            model.roots.push(root);
+            for (z, x) in logits.iter_mut().zip(features) {
+                *z += model.tree_logit(root, x);
             }
-            trees.push(tree);
         }
-        Gbdt { base, trees, flat: Cached::new() }
+        model
     }
 
-    /// Raw additive logit, evaluated through the lazily built
-    /// [`FlatForest`] — exactly equal to [`Gbdt::logit_treewalk`].
+    /// The leaf value tree `root` sends `x` to. A missing feature reads 0.
+    #[inline]
+    fn tree_logit(&self, root: u32, x: &[f32]) -> f32 {
+        let mut at = root as usize;
+        loop {
+            let n = self.nodes[at];
+            if n.feature == LEAF {
+                return n.value;
+            }
+            let v = x.get(n.feature as usize).copied().unwrap_or(0.0);
+            at = if v <= n.value { n.left } else { n.right } as usize;
+        }
+    }
+
+    /// Raw additive logit: `base` plus the sum of every tree's leaf, in
+    /// tree order.
     pub fn logit(&self, x: &[f32]) -> f32 {
-        self.flat.get_or_build(|| FlatForest::from_trees(self.base, &self.trees)).logit(x)
-    }
-
-    /// Pointer-chasing reference evaluation over the original tree
-    /// arenas. Kept as the exact-equality oracle for the flattened path
-    /// (and for the training loop, which predicts through trees as they
-    /// are grown).
-    pub fn logit_treewalk(&self, x: &[f32]) -> f32 {
-        self.base + self.trees.iter().map(|t| t.predict(x)).sum::<f32>()
-    }
-
-    /// Flatten into SoA columns (snapshot serialization).
-    pub fn flatten(&self) -> FlatForest {
-        FlatForest::from_trees(self.base, &self.trees)
-    }
-
-    /// Rebuild from a flattened forest (snapshot reload). The
-    /// reconstruction is exact: predictions are bit-identical to the
-    /// model that was flattened.
-    pub fn from_flat(flat: &FlatForest) -> Result<Gbdt, String> {
-        flat.to_gbdt()
+        let mut sum = 0.0f32;
+        for &root in &self.roots {
+            sum += self.tree_logit(root, x);
+        }
+        self.base + sum
     }
 
     /// Malicious probability.
@@ -536,9 +325,85 @@ impl Gbdt {
         sigmoid(self.logit(x))
     }
 
+    /// Additive base term.
+    pub fn base(&self) -> f32 {
+        self.base
+    }
+
     /// Number of trees.
     pub fn tree_count(&self) -> usize {
-        self.trees.len()
+        self.roots.len()
+    }
+
+    /// Total nodes across all trees.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Column projections `(roots, feature, value, left, right)` for
+    /// snapshot serialization (the on-disk format stays columnar even
+    /// though the arena is packed).
+    pub fn columns(&self) -> ForestColumns {
+        (
+            self.roots.clone(),
+            self.nodes.iter().map(|n| n.feature).collect(),
+            self.nodes.iter().map(|n| n.value).collect(),
+            self.nodes.iter().map(|n| n.left).collect(),
+            self.nodes.iter().map(|n| n.right).collect(),
+        )
+    }
+
+    /// Rebuild from raw columns (the snapshot load path); predictions are
+    /// bit-identical to the model [`Gbdt::columns`] was taken from. The
+    /// layout the builder writes is required, so corrupt input cannot
+    /// make [`Gbdt::logit`] loop or index out of bounds: every node
+    /// belongs to one tree (roots start at 0 and ascend strictly, and a
+    /// tree runs up to the next root), and a split's children lie after
+    /// it inside its own tree.
+    pub fn from_columns(
+        base: f32,
+        roots: Vec<u32>,
+        feature: Vec<u32>,
+        value: Vec<f32>,
+        left: Vec<u32>,
+        right: Vec<u32>,
+    ) -> Result<Gbdt, String> {
+        let n = feature.len();
+        if value.len() != n || left.len() != n || right.len() != n {
+            return Err(format!(
+                "column length mismatch: feature {n}, value {}, left {}, right {}",
+                value.len(),
+                left.len(),
+                right.len()
+            ));
+        }
+        if roots.first().map_or(n, |&r| r as usize) != 0 {
+            return Err(format!("nodes before the first root of {n} nodes"));
+        }
+        for (t, &root) in roots.iter().enumerate() {
+            let start = root as usize;
+            let end = roots.get(t + 1).map_or(n, |&r| r as usize);
+            if start >= end || end > n {
+                return Err(format!("tree {t} spans [{start}, {end}) of {n} nodes"));
+            }
+            for at in start..end {
+                let (l, r) = (left[at] as usize, right[at] as usize);
+                if feature[at] != LEAF && (l <= at || l >= end || r <= at || r >= end) {
+                    return Err(format!(
+                        "tree {t} split {at} has children ({l}, {r}) outside ({at}, {end})"
+                    ));
+                }
+            }
+        }
+        let nodes = (0..n)
+            .map(|at| FlatNode {
+                feature: feature[at],
+                value: value[at],
+                left: left[at],
+                right: right[at],
+            })
+            .collect();
+        Ok(Gbdt { base, roots, nodes })
     }
 }
 
@@ -659,7 +524,7 @@ mod tests {
                 hess: &hess,
                 params,
                 active_features: (0..dim).filter(|_| rng.gen_bool(0.8)).collect(),
-                nodes: Vec::new(),
+                nodes: &mut Vec::new(),
                 split: |b, idx| b.best_split(idx),
                 scratch: SplitScratch::default(),
             };
@@ -673,7 +538,7 @@ mod tests {
     }
 
     /// On the quick corpus's extracted features, training with the
-    /// gathered search flattens to the same columns, bit for bit, as
+    /// gathered search trains the same columns, bit for bit, as
     /// training with the reference search.
     #[test]
     fn training_matches_reference_on_corpus_features() {
@@ -687,7 +552,7 @@ mod tests {
         let features: Vec<Vec<f32>> =
             corpus.samples.iter().map(|s| extractor.extract(&s.bytes)).collect();
         let labels: Vec<f32> = corpus.samples.iter().map(|s| s.label.target()).collect();
-        let bits = |forest: FlatForest| {
+        let bits = |forest: &Gbdt| {
             let (roots, feature, value, left, right) = forest.columns();
             let value: Vec<u32> = value.iter().map(|v| v.to_bits()).collect();
             (forest.base().to_bits(), roots, feature, value, left, right)
@@ -700,8 +565,8 @@ mod tests {
             let reference = Gbdt::train_with(&features, &labels, params, &mut rng, |b, idx| {
                 b.best_split_reference(idx)
             });
-            assert!(fast.flatten().node_count() > trees, "trees never split");
-            assert_eq!(bits(fast.flatten()), bits(reference.flatten()), "{trees} trees");
+            assert!(fast.node_count() > trees, "trees never split");
+            assert_eq!(bits(&fast), bits(&reference), "{trees} trees");
         }
     }
 
@@ -777,59 +642,64 @@ mod tests {
         let _ = Gbdt::train(&[], &[], GbdtParams::default(), &mut rng);
     }
 
-    /// The flattened SoA traversal must equal the pointer walk *exactly*,
-    /// including short (missing-feature) and out-of-range inputs.
-    #[test]
-    fn flat_logit_is_bit_identical_to_treewalk() {
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let (xs, ys) = toy_dataset(&mut rng, 200);
-        let model = Gbdt::train(&xs, &ys, GbdtParams::default(), &mut rng);
-        for x in xs.iter().take(50) {
-            assert_eq!(model.logit(x).to_bits(), model.logit_treewalk(x).to_bits());
-        }
-        for x in [vec![], vec![0.5], vec![9e9, -9e9, 0.0, 1.0, 7.0]] {
-            assert_eq!(model.logit(&x).to_bits(), model.logit_treewalk(&x).to_bits());
-        }
-    }
-
-    /// flatten → from_flat is the identity on the ensemble, and the
+    /// columns → from_columns is the identity on the ensemble, and the
     /// round-tripped model predicts bit-identically.
     #[test]
-    fn flatten_round_trip_is_exact() {
+    fn columns_round_trip_is_exact() {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
         let (xs, ys) = toy_dataset(&mut rng, 150);
         let model = Gbdt::train(&xs, &ys, GbdtParams::default(), &mut rng);
-        let flat = model.flatten();
-        let back = Gbdt::from_flat(&flat).expect("valid forest reconstructs");
+        let (roots, feature, value, left, right) = model.columns();
+        let back = Gbdt::from_columns(model.base(), roots, feature, value, left, right)
+            .expect("trained columns reload");
         assert_eq!(model, back);
         for x in xs.iter().take(20) {
             assert_eq!(model.logit(x).to_bits(), back.logit(x).to_bits());
         }
     }
 
+    /// A hand-built two-tree forest walks as written: `x[f] <= threshold`
+    /// goes left, and a feature past the end of `x` reads 0.
+    #[test]
+    fn from_columns_walks_each_tree() {
+        // Tree 0: x0 <= 0.5 ? 1 : 2. Tree 1: x1 <= -1 ? 10 : 20.
+        let forest = Gbdt::from_columns(
+            0.25,
+            vec![0, 3],
+            vec![0, LEAF, LEAF, 1, LEAF, LEAF],
+            vec![0.5, 1.0, 2.0, -1.0, 10.0, 20.0],
+            vec![1, 0, 0, 4, 0, 0],
+            vec![2, 0, 0, 5, 0, 0],
+        )
+        .expect("valid columns");
+        assert_eq!((forest.tree_count(), forest.node_count()), (2, 6));
+        assert_eq!(forest.logit(&[0.5, -1.0]), 0.25 + (1.0 + 10.0));
+        assert_eq!(forest.logit(&[0.6, 3.0]), 0.25 + (2.0 + 20.0));
+        assert_eq!(forest.logit(&[]), 0.25 + (1.0 + 20.0));
+    }
+
     /// Column validation rejects topology that could hang or overrun the
-    /// iterative traversal.
+    /// iterative traversal, and nodes outside the per-tree layout.
     #[test]
     fn from_columns_rejects_bad_topology() {
+        let load = |roots: &[u32], feature: &[u32], left: &[u32], right: &[u32]| {
+            let value = vec![0.5; feature.len()];
+            Gbdt::from_columns(0.0, roots.into(), feature.into(), value, left.into(), right.into())
+        };
         // Root out of range.
-        assert!(FlatForest::from_columns(0.0, vec![1], vec![LEAF], vec![0.5], vec![0], vec![0])
-            .is_err());
+        assert!(load(&[1], &[LEAF], &[0], &[0]).is_err());
         // Split whose child points backwards (would cycle).
-        assert!(FlatForest::from_columns(
-            0.0,
-            vec![0],
-            vec![0, 0, LEAF],
-            vec![0.5, 0.5, 1.0],
-            vec![1, 0, 0],
-            vec![2, 2, 0],
-        )
-        .is_err());
+        assert!(load(&[0], &[0, 0, LEAF], &[1, 0, 0], &[2, 2, 0]).is_err());
         // Mismatched column lengths.
-        assert!(
-            FlatForest::from_columns(0.0, vec![0], vec![LEAF], vec![], vec![0], vec![0]).is_err()
-        );
+        assert!(Gbdt::from_columns(0.0, vec![0], vec![LEAF], vec![], vec![0], vec![0]).is_err());
+        // An empty tree, and nodes before the first root. (A child inside
+        // the next tree and descending roots: `mpass-detectors`'
+        // `hostile_forest_snapshots_are_rejected`.)
+        assert!(load(&[0, 0], &[LEAF], &[0], &[0]).is_err());
+        assert!(load(&[1], &[LEAF, LEAF], &[0, 0], &[0, 0]).is_err());
+        assert!(load(&[], &[LEAF], &[0], &[0]).is_err());
         // A well-formed single-leaf forest passes and evaluates.
-        let ok = FlatForest::from_columns(0.25, vec![0], vec![LEAF], vec![0.5], vec![0], vec![0])
+        let ok = Gbdt::from_columns(0.25, vec![0], vec![LEAF], vec![0.5], vec![0], vec![0])
             .expect("valid columns");
         assert_eq!(ok.logit(&[]), 0.75);
     }

@@ -25,9 +25,9 @@
 //! (loss → logits → conv → embedding) run the training backward.
 //!
 //! The serving-oriented additions live in two modules: [`simd`]
-//! (element-wise, bit-exact f32 kernels the linear and table forwards and
-//! the backwards are built on) and [`snapshot`] (versioned, checksummed weight buffers
-//! for O(read) hot reload).
+//! (element-wise, bit-exact f32 kernels the table forwards and the
+//! backwards are built on) and [`snapshot`] (versioned, checksummed weight
+//! buffers for O(read) hot reload).
 
 // Inference kernels run inside the serving daemon; a stray panic there is
 // an outage. Shape violations still use `assert!` (programmer error), but
@@ -53,7 +53,7 @@ mod workspace;
 pub use activation::{relu, relu_backward, sigmoid};
 pub use conv::{Conv1d, ConvXposed};
 pub use embedding::Embedding;
-pub use gbdt::{FlatForest, Gbdt, GbdtParams, Tree};
+pub use gbdt::{Gbdt, GbdtParams};
 pub use grads::{GradSink, Grads, NoGrads};
 pub use linear::Linear;
 pub use loss::{bce_with_logits, bce_with_logits_backward};

@@ -1,19 +1,21 @@
 //! Element-wise f32 lane kernels that autovectorize, and the one run-time
 //! dispatch to wider instruction sets.
 //!
-//! The hot training and inference loops (dense layers, conv input and
+//! The hot training loops (dense-layer input gradients, conv input and
 //! weight gradients, token-table accumulation) reduce to a few
-//! element-wise primitive shapes. [`axpy`] and [`axpy4`] are plain
-//! per-element loops over zipped slices: LLVM sees unit-stride streams and
-//! emits packed loads, arithmetic and stores, with a scalar tail for
-//! ragged lengths — no `std::simd` (unstable). Under the default x86-64
-//! target that is SSE2. Do not cut several input rows into
-//! `chunks_exact(LANES)` bodies with an inner lane loop: LLVM vectorizes
-//! that shape as a stride-8 interleave group, loading every element with
-//! `movss` and stitching the vectors together, 4–6× slower from 100
-//! elements up. [`add_assign`] reads one input row, so its lane-chunked
-//! body compiles to packed loads too, and its unrolled tail is the faster
-//! one at the 6-wide rows of MalGCG's token table.
+//! element-wise primitive shapes. [`axpy`] is a plain per-element loop
+//! over zipped slices: LLVM sees unit-stride streams and emits packed
+//! loads, arithmetic and stores, with a scalar tail for ragged lengths —
+//! no `std::simd` (unstable). Under the default x86-64 target that is
+//! SSE2. Do not cut several input rows into `chunks_exact(LANES)` bodies
+//! with an inner lane loop: LLVM vectorizes that shape as a stride-8
+//! interleave group, loading every element with `movss` and stitching the
+//! vectors together, 4–6× slower from 100 elements up. [`add_assign`]
+//! reads one input row, so its lane-chunked body compiles to packed loads
+//! too, and its unrolled tail is the faster one at the 6-wide rows of
+//! MalGCG's token table. The dense forward
+//! ([`Linear::forward`](crate::Linear::forward)) is a dot product per
+//! output over its own weight row, not a lane kernel.
 //!
 //! The conv window forward ([`ConvXposed`](crate::ConvXposed)) is not
 //! element-wise: it keeps each [`LANES`]-wide group of output channels in
@@ -164,8 +166,8 @@ unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
 
 /// `y[i] += a * x[i]`, one element at a time.
 ///
-/// This is the workhorse of the transposed linear kernel, the conv input
-/// gradient and the weight gradients: the caller streams one input
+/// This is the workhorse of the dense-layer input gradient, the conv
+/// input gradient and the weight gradients: the caller streams one input
 /// component `a` against a contiguous row `x`, accumulating into `y`.
 ///
 /// # Panics
@@ -176,34 +178,6 @@ pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += a * xi;
-    }
-}
-
-/// Four fused axpy passes over four consecutive rows of `x`:
-/// `y[i] += a[0]·x₀[i]; y[i] += a[1]·x₁[i]; y[i] += a[2]·x₂[i];
-/// y[i] += a[3]·x₃[i]` where `xⱼ = x[j·y.len()..(j+1)·y.len()]`.
-///
-/// Each output element receives the same four additions in the same
-/// order as four sequential [`axpy`] calls — **bit-identical** — but the
-/// output element is loaded and stored once instead of four times.
-///
-/// # Panics
-///
-/// Panics when `x.len() != 4 * y.len()`.
-#[inline]
-pub fn axpy4(a: [f32; 4], x: &[f32], y: &mut [f32]) {
-    let n = y.len();
-    assert_eq!(x.len(), 4 * n, "axpy4 expects four rows of y.len()");
-    let (x0, rest) = x.split_at(n);
-    let (x1, rest) = rest.split_at(n);
-    let (x2, x3) = rest.split_at(n);
-    for ((((yi, &v0), &v1), &v2), &v3) in y.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
-        let mut v = *yi;
-        v += a[0] * v0;
-        v += a[1] * v1;
-        v += a[2] * v2;
-        v += a[3] * v3;
-        *yi = v;
     }
 }
 
@@ -297,30 +271,6 @@ mod tests {
                     slow[i] += a * x[i];
                 }
                 assert!(same_bits(&fast, &slow), "n={n} a={a}");
-            }
-        }
-    }
-
-    /// axpy4 must be bit-identical to four sequential axpy calls at every
-    /// length the kernels use, for special operands too.
-    #[test]
-    fn axpy4_is_bit_identical_to_four_axpys() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for n in LENGTHS {
-            for round in 0..4 {
-                let rows = mixed_vec(&mut rng, 4 * n);
-                let base = mixed_vec(&mut rng, n);
-                let a: [f32; 4] = std::array::from_fn(|j| match round {
-                    0 => rng.gen_range(-1.5..1.5f32),
-                    _ => SPECIAL[(3 * round + j) % SPECIAL.len()],
-                });
-                let mut fused = base.clone();
-                axpy4(a, &rows, &mut fused);
-                let mut seq = base.clone();
-                for (j, &aj) in a.iter().enumerate() {
-                    axpy(aj, &rows[j * n..(j + 1) * n], &mut seq);
-                }
-                assert!(same_bits(&fused, &seq), "n={n} a={a:?}");
             }
         }
     }

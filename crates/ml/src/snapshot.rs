@@ -10,7 +10,7 @@
 //! snapshot costs one file read plus one pass over the payload instead of
 //! a retrain.
 //!
-//! Integer index tensors (e.g. flattened GBDT child links) are stored as
+//! Integer index tensors (e.g. GBDT child links) are stored as
 //! `f32` **bit patterns** via `f32::from_bits`/`to_bits` — the payload is
 //! only ever moved, never used in arithmetic, so the round trip is exact.
 //!

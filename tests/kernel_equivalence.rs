@@ -1,11 +1,11 @@
 //! Equivalence gates for the optimized inference kernels.
 //!
-//! The flattened GBDT and weight snapshots promise exact
-//! reconstruction. These tests pin both contracts at the integration
-//! level, on the same trained world the experiment binaries use:
+//! GBDT columns and weight snapshots promise exact reconstruction.
+//! These tests pin both contracts at the integration level, on the same
+//! trained world the experiment binaries use:
 //!
-//! * the flattened forest scores exactly like the pointer-form tree
-//!   walk, and survives a flatten → rebuild round trip,
+//! * a forest rebuilt from its columns scores exactly like the trained
+//!   one,
 //! * every roster detector reloaded from its weight snapshot scores
 //!   bit-identically to the model that wrote it.
 //!
@@ -35,7 +35,7 @@ fn probe_items(w: &World) -> Vec<&[u8]> {
 }
 
 #[test]
-fn flattened_gbdt_equals_treewalk_exactly() {
+fn gbdt_columns_round_trip_exactly() {
     let w = world();
     // A forest over the real EMBER-style features of the real corpus.
     let extractor = FeatureExtractor::new();
@@ -45,18 +45,14 @@ fn flattened_gbdt_equals_treewalk_exactly() {
     let mut rng = ChaCha8Rng::seed_from_u64(41);
     let gbdt = Gbdt::train(&features, &labels, GbdtParams::default(), &mut rng);
 
-    let rebuilt = Gbdt::from_flat(&gbdt.flatten()).expect("flatten round-trips");
+    let (roots, feature, value, left, right) = gbdt.columns();
+    let rebuilt = Gbdt::from_columns(gbdt.base(), roots, feature, value, left, right)
+        .expect("columns round-trip");
     for f in &features {
-        let tree = gbdt.logit_treewalk(f);
-        assert_eq!(
-            gbdt.logit(f).to_bits(),
-            tree.to_bits(),
-            "flattened traversal diverged from the tree walk"
-        );
         assert_eq!(
             rebuilt.logit(f).to_bits(),
-            tree.to_bits(),
-            "flatten -> rebuild changed a prediction"
+            gbdt.logit(f).to_bits(),
+            "columns -> rebuild changed a prediction"
         );
     }
 }
