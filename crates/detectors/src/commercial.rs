@@ -445,6 +445,41 @@ mod tests {
         CommercialAv::train(default_profiles().remove(0), &TrainingSet::new(&samples))
     }
 
+    /// Digests of each default profile's `score`, `ml_score` and
+    /// `heuristic_score` bits over the feature golden's inputs, with every
+    /// AV trained on the quick corpus. Taken before the AV moved onto one
+    /// scan per query; any drift in a component trips this.
+    #[test]
+    fn av_components_golden_regression() {
+        use crate::features::tests::{fnv1a64, golden_inputs, quick_config};
+        let corpus = Dataset::generate(&quick_config());
+        let samples: Vec<_> = corpus.samples.iter().collect();
+        let set = TrainingSet::new(&samples);
+        let inputs = golden_inputs();
+        let digests: Vec<(String, u64)> = default_profiles()
+            .into_iter()
+            .map(|profile| {
+                let av = CommercialAv::train(profile, &set);
+                let bits = inputs.iter().flat_map(|bytes| {
+                    [av.score(bytes), av.ml_score(bytes), av.heuristic_score(bytes)]
+                        .into_iter()
+                        .flat_map(|v| v.to_bits().to_le_bytes())
+                });
+                (av.name().to_owned(), fnv1a64(bits))
+            })
+            .collect();
+        let golden = [
+            ("AV1", 0xaf3a_021b_d8c9_d8e3),
+            ("AV2", 0x480a_d008_eeab_4fb0),
+            ("AV3", 0xd206_1653_5a34_5a57),
+            ("AV4", 0x6125_8c2f_c926_d697),
+            ("AV5", 0x36d8_3dac_463b_8031),
+        ];
+        let golden: Vec<(String, u64)> =
+            golden.iter().map(|&(name, d)| (name.to_owned(), d)).collect();
+        assert_eq!(digests, golden);
+    }
+
     #[test]
     fn five_distinct_profiles() {
         let ps = default_profiles();

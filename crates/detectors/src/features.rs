@@ -50,6 +50,11 @@ pub const FEATURE_DIM: usize = HIST_BUCKETS     // byte histogram
     + 3                                          // overlay: present, size ratio, entropy
     + 4; // imports: present, dll count, symbol count, dual-use fraction
 
+/// The [`FEATURE_DIM`] features of raw file bytes.
+pub fn extract(bytes: &[u8]) -> Vec<f32> {
+    FeatureExtractor.extract(bytes)
+}
+
 /// Stateless extractor producing fixed-size feature vectors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FeatureExtractor;
@@ -257,9 +262,65 @@ pub fn suspicious_api_count(bytes: &[u8]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mpass_corpus::{CorpusConfig, Dataset};
+
+    pub(crate) fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The quick world's corpus configuration.
+    pub(crate) fn quick_config() -> CorpusConfig {
+        CorpusConfig { n_malware: 20, n_benign: 20, seed: 0xDAC2023, no_slack_fraction: 0.1 }
+    }
+
+    /// Inputs the golden regressions digest: the quick corpus's PE
+    /// samples, Mach-O samples from the same configuration, every
+    /// malformed fixture, short and chunk-boundary buffers (256 is the
+    /// window length), and one sample grown to GAMMA size (148,000
+    /// bytes) by appending benign bytes past a 256-byte boundary.
+    pub(crate) fn golden_inputs() -> Vec<Vec<u8>> {
+        let pe = Dataset::generate(&quick_config());
+        let macho = Dataset::generate_mixed(&quick_config(), 1.0);
+        let mut inputs: Vec<Vec<u8>> =
+            pe.samples.iter().chain(&macho.samples).map(|s| s.bytes.clone()).collect();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/malformed");
+        let mut fixtures: Vec<_> = std::fs::read_dir(dir)
+            .expect("malformed fixtures")
+            .map(|e| e.expect("fixture entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+            .collect();
+        fixtures.sort();
+        assert_eq!(fixtures.len(), 17, "malformed fixture count");
+        inputs.extend(fixtures.iter().map(|p| std::fs::read(p).expect("fixture bytes")));
+        for len in [0usize, 1, 7, 255, 256, 257, 511, 512, 513] {
+            inputs.push((0..len).map(|i| (i * 131 % 251) as u8).collect());
+        }
+        let mut large = pe.samples[0].bytes.clone();
+        let benign: Vec<u8> = pe.benign().iter().flat_map(|s| s.bytes.iter().copied()).collect();
+        large.extend(benign.iter().cycle().take(148_000 - large.len()));
+        inputs.push(large);
+        inputs
+    }
+
+    /// Digest of every feature's bits over [`golden_inputs`], taken
+    /// before extraction moved onto one scan per query. Any drift in a
+    /// feature's value trips this.
+    #[test]
+    fn feature_scan_golden_regression() {
+        let inputs = golden_inputs();
+        assert_eq!(inputs.len(), 40 + 40 + 17 + 9 + 1);
+        let digest = fnv1a64(
+            inputs.iter().flat_map(|bytes| extract(bytes)).flat_map(|v| v.to_bits().to_le_bytes()),
+        );
+        assert_eq!(digest, 0xac94_c24e_6adc_f929);
+        // An empty file has no windows; its mean window entropy is the
+        // empty f64 sum, which is -0.0.
+        assert_eq!(extract(&[])[HIST_BUCKETS + 3].to_bits(), 0x8000_0000);
+    }
 
     fn tiny() -> Dataset {
         Dataset::generate(&CorpusConfig {
