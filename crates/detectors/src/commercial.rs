@@ -14,12 +14,13 @@
 //! heuristics partially price in, while offline models never see such
 //! artifacts during training.
 
-use crate::features::{contains_subslice, FeatureExtractor};
+use crate::features::{contains_subslice, Scan, FEATURE_DIM};
 use crate::signatures::SignatureStore;
 use crate::train::TrainingSet;
 use crate::traits::Detector;
+use mpass_binary::{BinaryFormat, SectionKind};
 use mpass_ml::{Adam, Gbdt, GbdtParams, Mlp};
-use mpass_binary::{BinaryFormat, BinaryImage, Loadable};
+use mpass_pe::histogram_entropy;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -115,11 +116,44 @@ fn mask(features: impl IntoIterator<Item = f32>, keep: &[bool]) -> Vec<f32> {
     features.into_iter().zip(keep).map(|(v, &keep)| if keep { v } else { 0.0 }).collect()
 }
 
+/// [`CommercialAv::heuristic_score`] over one scan.
+fn heuristic(scan: &Scan) -> f32 {
+    let Some(image) = &scan.image else {
+        return 1.5; // unparseable executables are flagged outright
+    };
+    let mut h = 0.0f32;
+    let n = scan.sections.len();
+    if let Some(idx) = scan.entry_section {
+        if n > 1 && idx >= n - 2 {
+            h += 0.4; // entry point in a trailing section: stub
+        }
+        let entry_name = scan.sections.get(idx).map_or("", |s| s.meta.name.as_str());
+        if !matches!(entry_name, ".text" | "CODE" | ".code" | "__text") {
+            h += 0.15;
+        }
+    } else {
+        h += 0.6; // entry outside every section
+    }
+    if scan.sections.iter().any(|s| {
+        s.meta.kind != SectionKind::Resource
+            && s.len >= 256
+            && histogram_entropy(&s.hist, s.len) > 7.5
+    }) {
+        h += 0.25;
+    }
+    if image.overlay().len() * 2 > scan.bytes.len() {
+        h += 0.2; // more than half the file is overlay
+    }
+    if KNOWN_PACKER_MARKERS.iter().any(|m| contains_subslice(scan.bytes, m)) {
+        h += 0.6; // stub signature of a malware-associated packer
+    }
+    h.min(1.5)
+}
+
 /// A simulated commercial ML AV.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CommercialAv {
     profile: AvProfile,
-    extractor: FeatureExtractor,
     feature_mask: Vec<bool>,
     gbdt: Gbdt,
     mlp: Mlp,
@@ -134,10 +168,8 @@ impl CommercialAv {
     /// collide with.
     pub fn train(profile: AvProfile, set: &TrainingSet) -> CommercialAv {
         let mut rng = ChaCha8Rng::seed_from_u64(profile.seed);
-        let extractor = FeatureExtractor::new();
-        let dim = extractor.dim();
         let feature_mask: Vec<bool> =
-            (0..dim).map(|_| !rng.gen_bool(profile.feature_dropout as f64)).collect();
+            (0..FEATURE_DIM).map(|_| !rng.gen_bool(profile.feature_dropout as f64)).collect();
         let features: Vec<Vec<f32>> =
             set.features().iter().map(|f| mask(f.iter().copied(), &feature_mask)).collect();
         let labels = set.labels();
@@ -147,7 +179,7 @@ impl CommercialAv {
             GbdtParams { trees: 50, ..GbdtParams::default() },
             &mut rng,
         );
-        let mut mlp = Mlp::new(dim, 24, &mut rng);
+        let mut mlp = Mlp::new(FEATURE_DIM, 24, &mut rng);
         let pairs: Vec<(Vec<f32>, f32)> = features.into_iter().zip(labels.iter().copied()).collect();
         let adam = Adam::with_lr(5e-3);
         for _ in 0..20 {
@@ -161,7 +193,6 @@ impl CommercialAv {
             .collect();
         CommercialAv {
             profile,
-            extractor,
             feature_mask,
             gbdt,
             mlp,
@@ -186,13 +217,13 @@ impl CommercialAv {
         self.signatures.matches(bytes)
     }
 
-    fn masked_features(&self, bytes: &[u8]) -> Vec<f32> {
-        mask(self.extractor.extract(bytes), &self.feature_mask)
-    }
-
     /// The ML-ensemble component of the score.
     pub fn ml_score(&self, bytes: &[u8]) -> f32 {
-        let f = self.masked_features(bytes);
+        self.ml(&Scan::new(bytes))
+    }
+
+    fn ml(&self, scan: &Scan) -> f32 {
+        let f = mask(scan.features(), &self.feature_mask);
         let g = self.gbdt.score(&f);
         let m = self.mlp.score(&f);
         self.profile.gbdt_blend * g + (1.0 - self.profile.gbdt_blend) * m
@@ -208,43 +239,7 @@ impl CommercialAv {
     /// Because packed *benign* software exists in the training corpus, the
     /// indicators contribute score rather than verdicts.
     pub fn heuristic_score(&self, bytes: &[u8]) -> f32 {
-        let Ok(image) = BinaryImage::parse_auto(bytes) else {
-            return 1.5; // unparseable executables are flagged outright
-        };
-        let mut h = 0.0f32;
-        let n = image.section_count();
-        let entry_idx = image.section_index_containing_va(image.entry_point());
-        if let Some(idx) = entry_idx {
-            if n > 1 && idx >= n - 2 {
-                h += 0.4; // entry point in a trailing section: stub
-            }
-            let entry_name =
-                image.section_meta(idx).map(|m| m.name).unwrap_or_default();
-            if !matches!(entry_name.as_str(), ".text" | "CODE" | ".code" | "__text") {
-                h += 0.15;
-            }
-        } else {
-            h += 0.6; // entry outside every section
-        }
-        let high_entropy_secs = (0..n)
-            .filter(|&i| {
-                image
-                    .section_meta(i)
-                    .is_some_and(|m| m.kind != mpass_binary::SectionKind::Resource)
-            })
-            .filter_map(|i| image.section_data(i))
-            .filter(|d| d.len() >= 256 && mpass_pe::entropy(d) > 7.5)
-            .count();
-        if high_entropy_secs > 0 {
-            h += 0.25;
-        }
-        if image.overlay().len() * 2 > bytes.len() {
-            h += 0.2; // more than half the file is overlay
-        }
-        if KNOWN_PACKER_MARKERS.iter().any(|m| contains_subslice(bytes, m)) {
-            h += 0.6; // stub signature of a malware-associated packer
-        }
-        h.min(1.5)
+        heuristic(&Scan::new(bytes))
     }
 
     /// Weekly continual-learning update: mine shared n-grams from the
@@ -271,9 +266,8 @@ impl Detector for CommercialAv {
         if self.signatures.matches(bytes) {
             return 0.99;
         }
-        let ml = self.ml_score(bytes);
-        let h = self.heuristic_score(bytes);
-        (ml + self.profile.heuristic_weight * h).min(1.0)
+        let scan = Scan::new(bytes);
+        (self.ml(&scan) + self.profile.heuristic_weight * heuristic(&scan)).min(1.0)
     }
 
     fn threshold(&self) -> f32 {
@@ -293,6 +287,10 @@ impl crate::traits::DetectorExt for CommercialAv {}
 /// commercial experiments. Hits and misses are recorded to the
 /// `av/cache_hit` / `av/cache_miss` metrics counters, so the engine's
 /// metrics file reports the cache hit rate per shard.
+///
+/// Batches go through [`Detector::score_batch`]'s sequential loop, so a
+/// batch meters exactly what the same scores one by one would: one hit
+/// or miss per item, and a duplicate later in the batch is a hit.
 ///
 /// The cache keys on the *full submission bytes* — an earlier revision
 /// keyed on a 64-bit FNV-1a hash alone, which would silently serve one
@@ -362,64 +360,6 @@ impl Detector for CachedAv {
 
     fn threshold(&self) -> f32 {
         self.inner.threshold()
-    }
-
-    fn score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        // Resolve cache hits and batch-local duplicates in one lock pass,
-        // then score only the unique misses against the inner AV. Metric
-        // totals match the sequential loop exactly — one hit *or* miss per
-        // item, never one per batch — and a byte-identical duplicate later
-        // in the batch counts as a hit, because a sequential loop would
-        // already have inserted its first occurrence.
-        enum Slot {
-            Hit(f32),
-            Pending(usize),
-        }
-        let mut pending: Vec<&[u8]> = Vec::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(items.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        {
-            let mut seen: std::collections::HashMap<&[u8], usize> =
-                std::collections::HashMap::new();
-            let cache = self.cache();
-            for &bytes in items {
-                if let Some(&s) = cache.get(bytes) {
-                    hits += 1;
-                    slots.push(Slot::Hit(s));
-                } else if let Some(&i) = seen.get(bytes) {
-                    hits += 1;
-                    slots.push(Slot::Pending(i));
-                } else {
-                    misses += 1;
-                    seen.insert(bytes, pending.len());
-                    slots.push(Slot::Pending(pending.len()));
-                    pending.push(bytes);
-                }
-            }
-        }
-        if hits > 0 {
-            mpass_engine::metrics::counter("av/cache_hit", hits);
-        }
-        if misses > 0 {
-            mpass_engine::metrics::counter("av/cache_miss", misses);
-        }
-        let mut fresh = Vec::with_capacity(pending.len());
-        self.inner.score_batch(&pending, &mut fresh);
-        {
-            let mut cache = self.cache();
-            for (bytes, &s) in pending.iter().zip(&fresh) {
-                cache.insert(bytes.to_vec(), s);
-            }
-        }
-        out.reserve(slots.len());
-        out.extend(slots.into_iter().map(|slot| match slot {
-            Slot::Hit(s) => s,
-            Slot::Pending(i) => fresh[i],
-        }));
-    }
-
-    fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.inner.raw_score_batch(items, out)
     }
 }
 
@@ -595,7 +535,8 @@ mod tests {
     }
 
     /// Batch scoring must meter the cache per item (not per batch) and
-    /// score byte-identical duplicates against the inner AV only once.
+    /// score byte-identical duplicates against the inner AV only once,
+    /// exactly as a sequential replay does.
     #[test]
     fn batched_cache_counts_per_item_and_dedups_inner_scoring() {
         let ds = dataset();

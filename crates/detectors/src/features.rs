@@ -8,11 +8,14 @@
 //! [`BinaryFormat`] trait, so PE and Mach-O samples land in the same
 //! feature space (the PE path is bit-identical to the historical PE-only
 //! extractor). Unparseable files fall back to whole-file byte statistics.
+//!
+//! Every query reads one [`Scan`]: one parse and one byte histogram per
+//! section, shared by [`extract`] and the commercial AVs' packer
+//! heuristics.
 
-use mpass_binary::{BinaryFormat, BinaryImage, Loadable, SectionKind};
-use mpass_pe::{entropy, window_entropy_into};
+use mpass_binary::{BinaryFormat, BinaryImage, Loadable, SectionKind, SectionMeta};
+use mpass_pe::{byte_histogram, entropy, histogram_entropy};
 use mpass_vm::{api, INSTR_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// Number of coarse byte-histogram buckets.
 const HIST_BUCKETS: usize = 32;
@@ -52,144 +55,123 @@ pub const FEATURE_DIM: usize = HIST_BUCKETS     // byte histogram
 
 /// The [`FEATURE_DIM`] features of raw file bytes.
 pub fn extract(bytes: &[u8]) -> Vec<f32> {
-    FeatureExtractor.extract(bytes)
+    Scan::new(bytes).features()
 }
 
-/// Stateless extractor producing fixed-size feature vectors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FeatureExtractor;
-
-/// Reusable scratch buffers for [`FeatureExtractor::extract_with`].
-/// Batched scoring extracts thousands of candidates; holding the
-/// window-entropy buffer, the section-concatenation buffer, and the API
-/// counter array across items makes that loop allocation-free.
-#[derive(Debug, Clone)]
-pub struct FeatureScratch {
-    we: Vec<f64>,
-    all: Vec<u8>,
-    api: [usize; 33],
+/// One section as a scan sees it.
+pub(crate) struct ScannedSection {
+    pub(crate) meta: SectionMeta,
+    /// Length of the section's data.
+    pub(crate) len: usize,
+    /// Byte counts of the section's data.
+    pub(crate) hist: [u64; 256],
 }
 
-impl Default for FeatureScratch {
-    fn default() -> Self {
-        FeatureScratch { we: Vec::new(), all: Vec::new(), api: [0; 33] }
-    }
+/// One query's view of a file: the parse and each section's byte counts,
+/// taken once and read by both the features and the AV heuristics.
+pub(crate) struct Scan<'a> {
+    pub(crate) bytes: &'a [u8],
+    /// The parse, when the bytes are a supported executable.
+    pub(crate) image: Option<BinaryImage>,
+    /// Every section of `image`, in section order (empty without one).
+    pub(crate) sections: Vec<ScannedSection>,
+    /// The section containing the entry point.
+    pub(crate) entry_section: Option<usize>,
 }
 
-impl FeatureScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> Self {
-        FeatureScratch::default()
+impl<'a> Scan<'a> {
+    /// Parse `bytes` and count each section's bytes.
+    pub(crate) fn new(bytes: &'a [u8]) -> Scan<'a> {
+        let image = BinaryImage::parse_auto(bytes).ok();
+        let mut sections = Vec::new();
+        let mut entry_section = None;
+        if let Some(image) = &image {
+            sections = (0..image.section_count())
+                .filter_map(|i| {
+                    let data = image.section_data(i)?;
+                    let meta = image.section_meta(i)?;
+                    Some(ScannedSection { meta, len: data.len(), hist: byte_histogram(data) })
+                })
+                .collect();
+            entry_section = image.section_index_containing_va(image.entry_point());
+        }
+        Scan { bytes, image, sections, entry_section }
     }
-}
 
-impl FeatureExtractor {
-    /// Create an extractor.
-    pub fn new() -> Self {
-        FeatureExtractor
-    }
-
-    /// The dimensionality of extracted vectors.
-    pub fn dim(&self) -> usize {
-        FEATURE_DIM
-    }
-
-    /// Extract features from raw file bytes.
-    pub fn extract(&self, bytes: &[u8]) -> Vec<f32> {
+    /// The [`FEATURE_DIM`] features.
+    pub(crate) fn features(&self) -> Vec<f32> {
+        let bytes = self.bytes;
         let mut f = Vec::with_capacity(FEATURE_DIM);
-        self.extract_into(bytes, &mut f);
-        f
-    }
-
-    /// Extract features into a reused buffer (cleared first), with private
-    /// scratch allocated per call. Prefer [`FeatureExtractor::extract_with`]
-    /// in batched loops so the scratch survives across items.
-    pub fn extract_into(&self, bytes: &[u8], f: &mut Vec<f32>) {
-        let mut scratch = FeatureScratch::new();
-        self.extract_with(bytes, &mut scratch, f);
-    }
-
-    /// Extract features into a reused buffer (cleared first), reusing
-    /// `scratch` across calls. The arithmetic is identical to
-    /// [`FeatureExtractor::extract_into`] — only the allocations move.
-    pub fn extract_with(&self, bytes: &[u8], scratch: &mut FeatureScratch, f: &mut Vec<f32>) {
-        f.clear();
         // --- byte histogram (coarse, normalized) ---
-        let hist = mpass_pe::byte_histogram(bytes);
+        let hist = byte_histogram(bytes);
         let total = bytes.len().max(1) as f32;
-        for bucket in 0..HIST_BUCKETS {
-            let lo = bucket * (256 / HIST_BUCKETS);
-            let hi = lo + 256 / HIST_BUCKETS;
-            let count: u64 = hist[lo..hi].iter().sum();
-            f.push(count as f32 / total);
+        for bucket in hist.chunks(256 / HIST_BUCKETS) {
+            f.push(bucket.iter().sum::<u64>() as f32 / total);
         }
         // --- global statistics ---
-        f.push(entropy(bytes) as f32 / 8.0);
+        f.push(histogram_entropy(&hist, bytes.len()) as f32 / 8.0);
         f.push((bytes.len() as f32).ln() / 16.0);
-        window_entropy_into(bytes, 256, &mut scratch.we);
-        let max_we = scratch.we.iter().cloned().fold(0.0f64, f64::max);
-        let mean_we = scratch.we.iter().sum::<f64>() / scratch.we.len().max(1) as f64;
+        // Max and mean over the 256-byte windows; the tail window may be
+        // short. The mean's sum starts at -0.0, as `Iterator::sum` does,
+        // so an empty file keeps its historical -0.0.
+        let (mut max_we, mut sum_we, mut windows) = (0.0f64, -0.0f64, 0usize);
+        for window in bytes.chunks(256) {
+            let e = entropy(window);
+            max_we = max_we.max(e);
+            sum_we += e;
+            windows += 1;
+        }
         f.push(max_we as f32 / 8.0);
-        f.push(mean_we as f32 / 8.0);
-
-        let image = BinaryImage::parse_auto(bytes).ok();
-        let metas: Vec<_> = image
-            .iter()
-            .flat_map(|img| (0..img.section_count()).filter_map(|i| img.section_meta(i)))
-            .collect();
+        f.push((sum_we / windows.max(1) as f64) as f32 / 8.0);
         // --- header features ---
-        match &image {
+        match &self.image {
             Some(image) => {
-                f.push(metas.len() as f32 / 16.0);
+                let n = self.sections.len();
+                f.push(n as f32 / 16.0);
                 let ts = image.timestamp();
                 f.push(if ts == 0 || ts > 0x7000_0000 { 1.0 } else { 0.0 });
                 f.push((ts as f32) / (u32::MAX as f32));
-                let entry = image.entry_point();
-                let entry_idx = image.section_index_containing_va(entry).unwrap_or(0);
+                let entry_idx = self.entry_section.unwrap_or(0);
                 f.push(entry_idx as f32 / 16.0);
-                let last = metas.len().saturating_sub(1);
+                let last = n.saturating_sub(1);
                 f.push(if entry_idx == last && last > 0 { 1.0 } else { 0.0 });
-                let std_names = metas.iter().filter(|m| m.standard_name).count();
-                f.push(1.0 - std_names as f32 / metas.len().max(1) as f32);
+                let std_names = self.sections.iter().filter(|s| s.meta.standard_name).count();
+                f.push(1.0 - std_names as f32 / n.max(1) as f32);
             }
             None => f.extend_from_slice(&[0.0; 6]),
         }
         // --- per-kind section features ---
-        match &image {
-            Some(image) => {
-                for kind in KINDS {
-                    let all = &mut scratch.all;
-                    all.clear();
-                    let mut present = false;
-                    for (i, _) in metas.iter().enumerate().filter(|(_, m)| m.kind == kind) {
-                        if let Some(d) = image.section_data(i) {
-                            present = true;
-                            all.extend_from_slice(d);
-                        }
-                    }
-                    if !present {
-                        f.extend_from_slice(&[0.0, 0.0, 0.0]);
-                    } else {
-                        f.push(1.0);
-                        f.push(all.len() as f32 / total);
-                        f.push(entropy(all) as f32 / 8.0);
-                    }
+        // A kind's entropy comes from its sections' summed counts, which
+        // is bit-identical to the entropy of their concatenation.
+        for kind in KINDS {
+            let mut of_kind = self.sections.iter().filter(|s| s.meta.kind == kind).peekable();
+            if of_kind.peek().is_none() {
+                f.extend_from_slice(&[0.0, 0.0, 0.0]);
+                continue;
+            }
+            let (mut len, mut kind_hist) = (0usize, [0u64; 256]);
+            for s in of_kind {
+                len += s.len;
+                for (h, c) in kind_hist.iter_mut().zip(&s.hist) {
+                    *h += c;
                 }
             }
-            None => f.extend_from_slice(&[0.0; 18]),
+            f.push(1.0);
+            f.push(len as f32 / total);
+            f.push(histogram_entropy(&kind_hist, len) as f32 / 8.0);
         }
         // --- static API invocation counts ---
-        count_api_opcodes_into(bytes, &mut scratch.api);
+        let api = api_counts(bytes);
         let code_units = (bytes.len() / INSTR_SIZE).max(1) as f32;
-        for id in 1..=32usize {
-            f.push(scratch.api[id] as f32 * 64.0 / code_units);
+        for count in &api[1..] {
+            f.push(*count as f32 * 64.0 / code_units);
         }
         // --- string indicators ---
         for s in SUSPICIOUS_STRINGS {
             f.push(if contains_subslice(bytes, s.as_bytes()) { 1.0 } else { 0.0 });
         }
         // --- overlay features ---
-        match &image {
+        match &self.image {
             Some(image) if !image.overlay().is_empty() => {
                 f.push(1.0);
                 f.push(image.overlay().len() as f32 / total);
@@ -198,7 +180,7 @@ impl FeatureExtractor {
             _ => f.extend_from_slice(&[0.0, 0.0, 0.0]),
         }
         // --- import-surface features ---
-        match image.as_ref().and_then(|image| image.imports_summary()) {
+        match self.image.as_ref().and_then(|image| image.imports_summary()) {
             Some(summary) => {
                 let dual = summary
                     .symbols
@@ -213,34 +195,25 @@ impl FeatureExtractor {
             None => f.extend_from_slice(&[0.0; 4]),
         }
         debug_assert_eq!(f.len(), FEATURE_DIM);
+        f
     }
 }
 
 /// Count statically visible `CallApi` encodings anywhere in the file (any
-/// byte offset — detectors cannot assume instruction alignment). `counts`
-/// is zeroed first and indexed by API id; id 0 is never counted. A fixed
-/// array replaces the old per-call hash map: ids are dense in `1..=32`, so
-/// direct indexing is both faster and allocation-free.
-fn count_api_opcodes_into(bytes: &[u8], counts: &mut [usize; 33]) {
-    counts.fill(0);
-    if bytes.len() < INSTR_SIZE {
-        return;
-    }
-    for i in 0..=bytes.len() - INSTR_SIZE {
+/// byte offset — detectors cannot assume instruction alignment), indexed
+/// by API id. Ids are dense in `1..=32`; id 0 is never counted.
+fn api_counts(bytes: &[u8]) -> [usize; 33] {
+    let mut counts = [0usize; 33];
+    for w in bytes.windows(INSTR_SIZE) {
         // CallApi encodes as [0x30, 0, 0, 0, id_lo, id_hi, 0, 0].
-        if bytes[i] == 0x30
-            && bytes[i + 1] == 0
-            && bytes[i + 2] == 0
-            && bytes[i + 3] == 0
-            && bytes[i + 6] == 0
-            && bytes[i + 7] == 0
-        {
-            let id = u16::from_le_bytes([bytes[i + 4], bytes[i + 5]]);
+        if let [0x30, 0, 0, 0, lo, hi, 0, 0] = *w {
+            let id = u16::from_le_bytes([lo, hi]);
             if (1..=32).contains(&id) {
                 counts[id as usize] += 1;
             }
         }
     }
+    counts
 }
 
 /// Whether `needle` occurs in `haystack`.
@@ -251,9 +224,7 @@ pub(crate) fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
 /// Count of statically visible *suspicious* API invocations — a convenience
 /// used by tests and the ablation analysis.
 pub fn suspicious_api_count(bytes: &[u8]) -> usize {
-    let mut counts = [0usize; 33];
-    count_api_opcodes_into(bytes, &mut counts);
-    counts
+    api_counts(bytes)
         .iter()
         .enumerate()
         .filter(|(id, _)| api::ApiId(*id as u16).is_suspicious())
@@ -333,21 +304,19 @@ pub(crate) mod tests {
 
     #[test]
     fn dimension_is_stable() {
-        let fx = FeatureExtractor::new();
         let ds = tiny();
         for s in &ds.samples {
-            assert_eq!(fx.extract(&s.bytes).len(), FEATURE_DIM);
+            assert_eq!(extract(&s.bytes).len(), FEATURE_DIM);
         }
         // Non-PE garbage still extracts.
-        assert_eq!(fx.extract(&[0u8; 100]).len(), FEATURE_DIM);
-        assert_eq!(fx.extract(&[]).len(), FEATURE_DIM);
+        assert_eq!(extract(&[0u8; 100]).len(), FEATURE_DIM);
+        assert_eq!(extract(&[]).len(), FEATURE_DIM);
     }
 
     #[test]
     fn features_are_finite_and_bounded() {
-        let fx = FeatureExtractor::new();
         for s in &tiny().samples {
-            for (i, v) in fx.extract(&s.bytes).iter().enumerate() {
+            for (i, v) in extract(&s.bytes).iter().enumerate() {
                 assert!(v.is_finite(), "feature {i} not finite");
                 assert!(*v >= 0.0, "feature {i} negative: {v}");
             }
@@ -369,12 +338,11 @@ pub(crate) mod tests {
     fn classes_are_separable_in_feature_space() {
         // A trivial centroid classifier over our features must beat chance
         // comfortably, otherwise detectors have nothing to learn.
-        let fx = FeatureExtractor::new();
         let ds = tiny();
         let mean = |samples: &[&mpass_corpus::Sample]| -> Vec<f32> {
             let mut m = vec![0.0f32; FEATURE_DIM];
             for s in samples {
-                for (mi, v) in m.iter_mut().zip(fx.extract(&s.bytes)) {
+                for (mi, v) in m.iter_mut().zip(extract(&s.bytes)) {
                     *mi += v;
                 }
             }
@@ -387,7 +355,7 @@ pub(crate) mod tests {
         };
         let mut correct = 0;
         for s in &ds.samples {
-            let f = fx.extract(&s.bytes);
+            let f = extract(&s.bytes);
             let pred_mal = dist(&f, &mal_c) < dist(&f, &ben_c);
             if pred_mal == (s.label == mpass_corpus::Label::Malware) {
                 correct += 1;
@@ -401,13 +369,12 @@ pub(crate) mod tests {
 
     #[test]
     fn overlay_features_respond() {
-        let fx = FeatureExtractor::new();
         let ds = tiny();
         let s = &ds.samples[0];
-        let base = fx.extract(&s.bytes);
+        let base = extract(&s.bytes);
         let mut pe = s.pe().unwrap().clone();
         pe.append_overlay(&[0xAB; 2048]);
-        let with = fx.extract(&pe.to_bytes());
+        let with = extract(&pe.to_bytes());
         let off = FEATURE_DIM - 7; // overlay features precede the 4 import features
         assert_eq!(base[off], 0.0);
         assert_eq!(with[off], 1.0);
@@ -416,14 +383,13 @@ pub(crate) mod tests {
 
     #[test]
     fn macho_samples_share_the_feature_space() {
-        let fx = FeatureExtractor::new();
         let ds = Dataset::generate_mixed(
             &CorpusConfig { n_malware: 8, n_benign: 8, seed: 11, no_slack_fraction: 0.0 },
             1.0,
         );
         for s in &ds.samples {
             assert_eq!(s.format(), mpass_binary::Format::MachO, "{}", s.name);
-            let f = fx.extract(&s.bytes);
+            let f = extract(&s.bytes);
             assert_eq!(f.len(), FEATURE_DIM);
             for (i, v) in f.iter().enumerate() {
                 assert!(v.is_finite() && *v >= 0.0, "{}: feature {i} = {v}", s.name);
@@ -451,14 +417,13 @@ pub(crate) mod tests {
 
     #[test]
     fn macho_dylib_surface_reaches_import_features() {
-        let fx = FeatureExtractor::new();
         let ds = Dataset::generate_mixed(
             &CorpusConfig { n_malware: 4, n_benign: 4, seed: 5, no_slack_fraction: 0.0 },
             1.0,
         );
         let present = FEATURE_DIM - 4;
         for s in &ds.samples {
-            let f = fx.extract(&s.bytes);
+            let f = extract(&s.bytes);
             assert_eq!(f[present], 1.0, "{}: dylib list invisible", s.name);
             assert!(f[present + 1] > 0.0, "{}: zero libraries", s.name);
         }

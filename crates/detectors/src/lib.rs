@@ -9,7 +9,7 @@
 //! |---|---|
 //! | MalConv (Raff et al.) | [`MalConv`]: byte embedding → gated 1-D conv → global max pool → dense head |
 //! | NonNeg (Fleshman et al.) | [`MalConv::nonneg`]: same architecture with a non-negative dense head (convs unconstrained) |
-//! | LightGBM / EMBER | [`LightGbm`]: gradient-boosted trees over [`features::FeatureExtractor`] EMBER-style features |
+//! | LightGBM / EMBER | [`LightGbm`]: gradient-boosted trees over [`features::extract`] EMBER-style features |
 //! | MalGCG (Raff et al. 2021) | [`MalGcg`]: two stacked byte convolutions with mixed mean/max pooling |
 //! | MAX / CrowdStrike / Acronis / SentinelOne / Cylance | [`CommercialAv`] profiles AV₁–AV₅: ML ensemble + packer heuristics + an n-gram signature store with weekly [`CommercialAv::weekly_update`] learning |
 //!

@@ -6,7 +6,7 @@
 //! it cannot be backpropagated" (paper footnote 6), so MPass attacks it by
 //! pure transfer from the differentiable ensemble.
 
-use crate::features::{FeatureExtractor, FeatureScratch};
+use crate::features::extract;
 use crate::train::TrainingSet;
 use crate::traits::Detector;
 use mpass_ml::{Gbdt, GbdtParams, Snapshot, SnapshotBuilder, SnapshotError};
@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 /// GBDT over EMBER-style features.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LightGbm {
-    extractor: FeatureExtractor,
     model: Gbdt,
     threshold: f32,
 }
@@ -29,7 +28,7 @@ impl LightGbm {
         rng: &mut R,
     ) -> LightGbm {
         let model = Gbdt::train(set.features(), set.labels(), params, rng);
-        LightGbm { extractor: FeatureExtractor::new(), model, threshold: 0.5 }
+        LightGbm { model, threshold: 0.5 }
     }
 
     /// The underlying tree count (diagnostic).
@@ -75,11 +74,7 @@ impl LightGbm {
             snap.tensor_u32("gbdt.right")?,
         )
         .map_err(|e| SnapshotError::BadMeta { key: "gbdt".to_owned(), value: e })?;
-        Ok(LightGbm {
-            extractor: FeatureExtractor::new(),
-            model,
-            threshold: snap.tensor_scalar("threshold")?,
-        })
+        Ok(LightGbm { model, threshold: snap.tensor_scalar("threshold")? })
     }
 }
 
@@ -89,39 +84,15 @@ impl Detector for LightGbm {
     }
 
     fn score(&self, bytes: &[u8]) -> f32 {
-        self.model.score(&self.extractor.extract(bytes))
+        self.model.score(&extract(bytes))
     }
 
     fn raw_score(&self, bytes: &[u8]) -> f32 {
-        self.model.logit(&self.extractor.extract(bytes))
+        self.model.logit(&extract(bytes))
     }
 
     fn threshold(&self) -> f32 {
         self.threshold
-    }
-
-    fn score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        // Feature extraction dominates tree walking; the batch path keeps
-        // the per-item arithmetic identical and recycles the feature buffer
-        // plus all extraction scratch (window-entropy, section-concat, API
-        // counters) across the batch.
-        let mut scratch = FeatureScratch::new();
-        let mut features = Vec::with_capacity(self.extractor.dim());
-        out.reserve(items.len());
-        for bytes in items {
-            self.extractor.extract_with(bytes, &mut scratch, &mut features);
-            out.push(self.model.score(&features));
-        }
-    }
-
-    fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let mut scratch = FeatureScratch::new();
-        let mut features = Vec::with_capacity(self.extractor.dim());
-        out.reserve(items.len());
-        for bytes in items {
-            self.extractor.extract_with(bytes, &mut scratch, &mut features);
-            out.push(self.model.logit(&features));
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Shared training helpers.
 
-use crate::features::FeatureExtractor;
+use crate::features::extract;
 use mpass_corpus::Sample;
 
 /// Labelled samples with their static features extracted once: every
@@ -17,10 +17,9 @@ pub struct TrainingSet<'a> {
 impl<'a> TrainingSet<'a> {
     /// Extract the features of `samples`, in sample order.
     pub fn new(samples: &[&'a Sample]) -> Self {
-        let extractor = FeatureExtractor::new();
         TrainingSet {
             samples: samples.to_vec(),
-            features: samples.iter().map(|s| extractor.extract(&s.bytes)).collect(),
+            features: samples.iter().map(|s| extract(&s.bytes)).collect(),
             labels: samples.iter().map(|s| s.label.target()).collect(),
         }
     }
@@ -30,7 +29,7 @@ impl<'a> TrainingSet<'a> {
         &self.samples
     }
 
-    /// Each sample's [`FeatureExtractor::extract`] vector.
+    /// Each sample's [`crate::features::extract`] vector.
     pub fn features(&self) -> &[Vec<f32>] {
         &self.features
     }

@@ -548,9 +548,8 @@ mod tests {
             seed: 0xDAC2023,
             no_slack_fraction: 0.1,
         });
-        let extractor = mpass_detectors::features::FeatureExtractor::new();
         let features: Vec<Vec<f32>> =
-            corpus.samples.iter().map(|s| extractor.extract(&s.bytes)).collect();
+            corpus.samples.iter().map(|s| mpass_detectors::features::extract(&s.bytes)).collect();
         let labels: Vec<f32> = corpus.samples.iter().map(|s| s.label.target()).collect();
         let bits = |forest: &Gbdt| {
             let (roots, feature, value, left, right) = forest.columns();

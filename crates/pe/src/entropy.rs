@@ -10,11 +10,15 @@
 /// assert_eq!(mpass_pe::entropy(&[7u8; 1024]), 0.0);
 /// ```
 pub fn entropy(bytes: &[u8]) -> f64 {
-    if bytes.is_empty() {
-        return 0.0;
-    }
-    let hist = byte_histogram(bytes);
-    let n = bytes.len() as f64;
+    histogram_entropy(&byte_histogram(bytes), bytes.len())
+}
+
+/// Shannon entropy, in bits per byte, of `len` bytes whose counts are
+/// `hist`. Summing the histograms of several slices and passing their
+/// total length gives, bit for bit, the [`entropy`] of their
+/// concatenation: the sum runs over the same counts in the same order.
+pub fn histogram_entropy(hist: &[u64; 256], len: usize) -> f64 {
+    let n = len as f64;
     let mut h = 0.0;
     for &count in hist.iter() {
         if count > 0 {
@@ -32,26 +36,6 @@ pub fn byte_histogram(bytes: &[u8]) -> [u64; 256] {
         hist[b as usize] += 1;
     }
     hist
-}
-
-/// Entropy computed over fixed-size windows; the tail window may be short
-/// but never empty. Returns one entropy value per window.
-///
-/// Used by detector feature extractors to spot localized high-entropy
-/// regions (packed/encrypted payloads).
-pub fn window_entropy(bytes: &[u8], window: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    window_entropy_into(bytes, window, &mut out);
-    out
-}
-
-/// [`window_entropy`] into a reused buffer (cleared first): batched
-/// feature extraction calls this once per candidate, and recycling the
-/// buffer keeps that loop allocation-free.
-pub fn window_entropy_into(bytes: &[u8], window: usize, out: &mut Vec<f64>) {
-    assert!(window > 0, "window must be positive");
-    out.clear();
-    out.extend(bytes.chunks(window).map(entropy));
 }
 
 #[cfg(test)]
@@ -97,16 +81,17 @@ mod tests {
     }
 
     #[test]
-    fn window_entropy_covers_tail() {
-        let data = vec![0u8; 1000];
-        let w = window_entropy(&data, 256);
-        assert_eq!(w.len(), 4); // 256,256,256,232
-        assert!(w.iter().all(|&e| e == 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn window_zero_panics() {
-        window_entropy(&[1, 2, 3], 0);
+    fn summed_histograms_give_the_concatenations_entropy() {
+        let a: Vec<u8> = (0..300u32).map(|i| (i * 7 % 256) as u8).collect();
+        let b = b"hello world, some text with structure".repeat(3);
+        let mut hist = byte_histogram(&a);
+        for (h, c) in hist.iter_mut().zip(byte_histogram(&b)) {
+            *h += c;
+        }
+        let joined = [a.as_slice(), b.as_slice()].concat();
+        assert_eq!(
+            histogram_entropy(&hist, a.len() + b.len()).to_bits(),
+            entropy(&joined).to_bits()
+        );
     }
 }

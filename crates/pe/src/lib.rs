@@ -69,7 +69,7 @@ mod view;
 mod write;
 
 pub use builder::PeBuilder;
-pub use entropy::{byte_histogram, entropy, window_entropy, window_entropy_into};
+pub use entropy::{byte_histogram, entropy, histogram_entropy};
 pub use error::PeError;
 pub use imports::{ImportEntry, ImportTable, ImportedDll, IMPORT_DIRECTORY_INDEX};
 pub use headers::{

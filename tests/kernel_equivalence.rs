@@ -13,7 +13,7 @@
 //! forward by the unit tests beside it, and to batching by
 //! `batch_equivalence.rs`.
 
-use mpass_detectors::features::FeatureExtractor;
+use mpass_detectors::features::extract;
 use mpass_detectors::{detector_from_snapshot, Detector};
 use mpass_experiments::world::{World, WorldConfig};
 use mpass_ml::{Gbdt, GbdtParams, Snapshot};
@@ -38,9 +38,7 @@ fn probe_items(w: &World) -> Vec<&[u8]> {
 fn gbdt_columns_round_trip_exactly() {
     let w = world();
     // A forest over the real EMBER-style features of the real corpus.
-    let extractor = FeatureExtractor::new();
-    let features: Vec<Vec<f32>> =
-        w.dataset.samples.iter().map(|s| extractor.extract(&s.bytes)).collect();
+    let features: Vec<Vec<f32>> = w.dataset.samples.iter().map(|s| extract(&s.bytes)).collect();
     let labels: Vec<f32> = w.dataset.samples.iter().map(|s| s.label.target()).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(41);
     let gbdt = Gbdt::train(&features, &labels, GbdtParams::default(), &mut rng);
