@@ -2,7 +2,8 @@
 //! ingestion contract, failing the process on the first violations.
 //! Runs two campaigns of `--iterations` each — a PE campaign through
 //! [`check_bytes`] and a Mach-O campaign through [`check_macho_bytes`]
-//! — from independent deterministic streams.
+//! — from independent deterministic streams. Every mutant of both also
+//! goes through [`check_features`], the detectors' feature extraction.
 //!
 //! ```text
 //! fuzz_smoke [--iterations N] [--seed S] [--save-dir DIR]
@@ -13,7 +14,7 @@
 //! function of its arguments, so any reported iteration reproduces
 //! exactly.
 
-use mpass_fuzz::harness::{check_bytes, check_macho_bytes, silence_panics};
+use mpass_fuzz::harness::{check_bytes, check_features, check_macho_bytes, silence_panics};
 use mpass_fuzz::minimize::minimize;
 use mpass_fuzz::mutate::{MachoMutator, Mutator};
 use mpass_fuzz::seeds::{macho_seed_images, seed_images};
@@ -111,7 +112,7 @@ fn main() {
         "pe",
         &pe_seeds,
         |b, d| pe_mutator.mutate(b, d),
-        check_bytes,
+        |b| check_bytes(b).and_then(|()| check_features(b)),
         iterations,
         seed,
         0x9E37_79B9_7F4A_7C15,
@@ -124,7 +125,7 @@ fn main() {
         "macho",
         &macho_seeds,
         |b, d| macho_mutator.mutate(b, d),
-        check_macho_bytes,
+        |b| check_macho_bytes(b).and_then(|()| check_features(b)),
         iterations,
         seed,
         0xC2B2_AE3D_27D4_EB4F,

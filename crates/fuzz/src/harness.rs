@@ -146,11 +146,25 @@ pub fn check_macho_bytes(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// Check the feature path every LightGBM and commercial-AV query runs on
+/// attacker-shaped bytes: `features::extract` must not panic and must
+/// yield `FEATURE_DIM` values, whatever the bytes parse to.
+pub fn check_features(bytes: &[u8]) -> Result<(), String> {
+    use mpass_detectors::features::{extract, FEATURE_DIM};
+    let features = catch_unwind(AssertUnwindSafe(|| extract(bytes)))
+        .map_err(|p| format!("features::extract panicked: {}", panic_message(&*p)))?;
+    if features.len() != FEATURE_DIM {
+        return Err(format!("features::extract gave {} values, not {FEATURE_DIM}", features.len()));
+    }
+    Ok(())
+}
+
 /// Check the format-dispatch layer itself: `BinaryImage::parse_auto`
-/// must never panic, and whatever backend it picks must satisfy that
-/// backend's contracts.
+/// must never panic, whatever backend it picks must satisfy that
+/// backend's contracts, and [`check_features`] must hold.
 pub fn check_auto_bytes(bytes: &[u8]) -> Result<(), String> {
     use mpass_binary::BinaryFormat as _;
+    check_features(bytes)?;
     let detected = catch_unwind(AssertUnwindSafe(|| {
         mpass_binary::BinaryImage::parse_auto(bytes).map(|i| i.format())
     }))

@@ -3,7 +3,7 @@
 //! The attack pipeline ingests bytes it does not control: candidate
 //! adversarial examples, on-disk samples, and anything a detector or the
 //! sandbox is pointed at. This crate stress-tests that surface with a
-//! deterministic, seeded fuzzer and encodes the four ingestion
+//! deterministic, seeded fuzzer and encodes the five ingestion
 //! contracts as a reusable harness:
 //!
 //! 1. **Totality** — `PeFile::parse` never panics, whatever the bytes.
@@ -15,6 +15,9 @@
 //! 4. **One parser** — the borrowed `PeView` the sandbox loads from
 //!    agrees with the owned `PeFile`: the same parse result or error,
 //!    the same mapped image and the same VM run.
+//! 5. **Features** — the detectors' feature extraction, which every
+//!    LightGBM and commercial-AV query runs, never panics and always
+//!    yields `FEATURE_DIM` values.
 //!
 //! [`mutate::Mutator`] draws every decision from a seeded ChaCha8
 //! stream, so a fuzz campaign is a pure function of `(seed,
