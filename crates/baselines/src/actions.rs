@@ -91,11 +91,6 @@ impl ActionLibrary {
         actions
     }
 
-    /// Number of payload chunks.
-    pub fn payload_count(&self) -> usize {
-        self.payloads.len()
-    }
-
     /// Apply `action` to `pe`. Actions are best-effort: inapplicable
     /// actions (duplicate names, full section table) degrade to their
     /// nearest applicable effect rather than failing, matching how the

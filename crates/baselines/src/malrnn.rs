@@ -140,11 +140,6 @@ impl MalRnn {
         let corpus = pool.random_chunk(cfg.train_bytes, &mut rng);
         MalRnn { lm: ByteLm::fit(&corpus), cfg }
     }
-
-    /// Access the underlying language model (diagnostics).
-    pub fn language_model(&self) -> &ByteLm {
-        &self.lm
-    }
 }
 
 impl Attack for MalRnn {

@@ -92,24 +92,8 @@ impl BinaryImage {
         }
     }
 
-    /// Mutable access to the wrapped PE, when this image is one.
-    pub fn as_pe_mut(&mut self) -> Option<&mut PeFile> {
-        match self {
-            BinaryImage::Pe(pe) => Some(pe.as_mut()),
-            _ => None,
-        }
-    }
-
     /// The wrapped Mach-O, when this image is one.
     pub fn as_macho(&self) -> Option<&MachoFile> {
-        match self {
-            BinaryImage::MachO(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the wrapped Mach-O, when this image is one.
-    pub fn as_macho_mut(&mut self) -> Option<&mut MachoFile> {
         match self {
             BinaryImage::MachO(m) => Some(m),
             _ => None,

@@ -170,11 +170,6 @@ impl ModifiedSample {
         }
     }
 
-    /// Current byte value at a position index.
-    pub fn position_value(&self, index: usize) -> u8 {
-        self.bytes[self.position_offset(index)]
-    }
-
     /// Re-parse the current bytes (for structural assertions).
     ///
     /// # Errors

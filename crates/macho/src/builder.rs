@@ -52,7 +52,6 @@ pub struct MachoBuilder {
     entry: Option<(String, u64)>,
     entry_style: EntryStyle,
     header_slack: usize,
-    flags: u32,
 }
 
 impl Default for MachoBuilder {
@@ -71,7 +70,6 @@ impl MachoBuilder {
             entry: None,
             entry_style: EntryStyle::Main,
             header_slack: 2,
-            flags: 0,
         }
     }
 
@@ -86,12 +84,6 @@ impl MachoBuilder {
     /// Choose how the entry point is declared.
     pub fn set_entry_style(&mut self, style: EntryStyle) -> &mut Self {
         self.entry_style = style;
-        self
-    }
-
-    /// Set the `mach_header_64` flags word.
-    pub fn set_flags(&mut self, flags: u32) -> &mut Self {
-        self.flags = flags;
         self
     }
 
@@ -243,7 +235,7 @@ impl MachoBuilder {
                 cputype: CPU_TYPE_X86_64,
                 cpusubtype: CPU_SUBTYPE_X86_64_ALL,
                 filetype: MH_EXECUTE,
-                flags: self.flags,
+                flags: 0,
                 reserved: 0,
             },
             commands,

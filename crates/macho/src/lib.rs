@@ -110,11 +110,6 @@ impl MachoFile {
         None
     }
 
-    /// Flat index of the first section named `name`.
-    pub fn section_index(&self, name: &str) -> Option<usize> {
-        self.sections().position(|s| s.name() == name)
-    }
-
     /// Flat index of the section whose mapped extent contains `va`.
     pub fn section_index_containing_va(&self, va: u64) -> Option<usize> {
         self.sections().position(|s| s.contains_va(va))
