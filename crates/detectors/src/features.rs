@@ -9,7 +9,7 @@
 //! feature space (the PE path is bit-identical to the historical PE-only
 //! extractor). Unparseable files fall back to whole-file byte statistics.
 //!
-//! Every query reads one [`Scan`]: one parse and one byte histogram per
+//! Every query reads one `Scan`: one parse and one byte histogram per
 //! section, shared by [`extract`] and the commercial AVs' packer
 //! heuristics.
 
@@ -60,6 +60,7 @@ pub fn extract(bytes: &[u8]) -> Vec<f32> {
 
 /// One section as a scan sees it.
 pub(crate) struct ScannedSection {
+    /// The section's metadata (name, kind, ...).
     pub(crate) meta: SectionMeta,
     /// Length of the section's data.
     pub(crate) len: usize,
@@ -83,18 +84,19 @@ impl<'a> Scan<'a> {
     /// Parse `bytes` and count each section's bytes.
     pub(crate) fn new(bytes: &'a [u8]) -> Scan<'a> {
         let image = BinaryImage::parse_auto(bytes).ok();
-        let mut sections = Vec::new();
-        let mut entry_section = None;
-        if let Some(image) = &image {
-            sections = (0..image.section_count())
-                .filter_map(|i| {
+        let sections = image
+            .iter()
+            .flat_map(|image| {
+                (0..image.section_count()).filter_map(|i| {
                     let data = image.section_data(i)?;
                     let meta = image.section_meta(i)?;
                     Some(ScannedSection { meta, len: data.len(), hist: byte_histogram(data) })
                 })
-                .collect();
-            entry_section = image.section_index_containing_va(image.entry_point());
-        }
+            })
+            .collect();
+        let entry_section = image
+            .as_ref()
+            .and_then(|image| image.section_index_containing_va(image.entry_point()));
         Scan { bytes, image, sections, entry_section }
     }
 
@@ -144,21 +146,21 @@ impl<'a> Scan<'a> {
         // A kind's entropy comes from its sections' summed counts, which
         // is bit-identical to the entropy of their concatenation.
         for kind in KINDS {
-            let mut of_kind = self.sections.iter().filter(|s| s.meta.kind == kind).peekable();
-            if of_kind.peek().is_none() {
-                f.extend_from_slice(&[0.0, 0.0, 0.0]);
-                continue;
-            }
-            let (mut len, mut kind_hist) = (0usize, [0u64; 256]);
-            for s in of_kind {
+            let (mut present, mut len, mut kind_hist) = (false, 0usize, [0u64; 256]);
+            for s in self.sections.iter().filter(|s| s.meta.kind == kind) {
+                present = true;
                 len += s.len;
                 for (h, c) in kind_hist.iter_mut().zip(&s.hist) {
                     *h += c;
                 }
             }
-            f.push(1.0);
-            f.push(len as f32 / total);
-            f.push(histogram_entropy(&kind_hist, len) as f32 / 8.0);
+            if present {
+                f.push(1.0);
+                f.push(len as f32 / total);
+                f.push(histogram_entropy(&kind_hist, len) as f32 / 8.0);
+            } else {
+                f.extend_from_slice(&[0.0, 0.0, 0.0]);
+            }
         }
         // --- static API invocation counts ---
         let api = api_counts(bytes);
