@@ -703,6 +703,75 @@ mod tests {
         }
     }
 
+    /// The memo counters of both Shapley routines, for the black-box and
+    /// the session path: the exact routine looks up all 2ⁿ subsets once
+    /// per section and misses each once; the sampled routine looks up
+    /// n + 1 prefixes per permutation and misses each distinct prefix once.
+    #[test]
+    fn mask_lookups_count_as_before() {
+        use mpass_detectors::{ByteConvConfig, MalConv};
+        use mpass_engine::Collector;
+        use std::collections::HashSet;
+
+        fn counted(run: impl FnOnce()) -> (u64, u64) {
+            trace::install(Collector::default());
+            run();
+            let shard = trace::take().expect("collector installed").finish("pem", 0.0);
+            let count = |key: &str| shard.counters.get(key).copied().unwrap_or(0);
+            (count("pem/cache_hit"), count("pem/cache_miss"))
+        }
+
+        let ds = Dataset::generate(&CorpusConfig {
+            n_malware: 1,
+            n_benign: 0,
+            seed: 9,
+            no_slack_fraction: 0.0,
+        });
+        let image = &ds.samples[0].image;
+        let n_sections = image.section_count();
+        let oracle = CodeDataOracle;
+        let malconv = MalConv::new(ByteConvConfig::tiny(), &mut ChaCha8Rng::seed_from_u64(3));
+        let models: [(&dyn DetectorExt, bool); 2] = [(&oracle, false), (&malconv, true)];
+        for (model, white_box) in models {
+            let mut scorer = SampleScorer::new(model, image);
+            assert_eq!(scorer.session.is_some(), white_box);
+            let n = scorer.plan.n() as u32;
+            let (hit, miss) = counted(|| {
+                shapley_exact(&mut scorer, n_sections);
+            });
+            assert_eq!(miss, 1 << n, "white box {white_box}: exact misses");
+            assert_eq!(
+                hit,
+                u64::from(n) * (1 << n) - (1 << n),
+                "white box {white_box}: exact hits"
+            );
+
+            let permutations = 12;
+            let mut rng = ChaCha8Rng::seed_from_u64(4);
+            let mut replay = rng.clone();
+            let mut scorer = SampleScorer::new(model, image);
+            let (hit, miss) = counted(|| {
+                shapley_sampled(&mut scorer, n_sections, permutations, &mut rng);
+            });
+            let mut order: Vec<usize> = (0..n as usize).collect();
+            let mut distinct = HashSet::from([0u64]);
+            for _ in 0..permutations {
+                order.shuffle(&mut replay);
+                let mut mask = 0u64;
+                for &i in &order {
+                    mask |= 1 << i;
+                    distinct.insert(mask);
+                }
+            }
+            assert_eq!(
+                hit + miss,
+                (permutations as u64) * (u64::from(n) + 1),
+                "white box {white_box}: sampled lookups"
+            );
+            assert_eq!(miss, distinct.len() as u64, "white box {white_box}: sampled misses");
+        }
+    }
+
     #[test]
     fn top2_over_top3_ratio() {
         let ranking = ModelRanking {
