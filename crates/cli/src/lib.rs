@@ -11,7 +11,7 @@
 //! mpass verify   ORIGINAL MODIFIED         # functionality comparison
 //! mpass pack     FILE --packer upx|pespin|aspack --out FILE
 //! mpass attack   FILE --out FILE [--seed S]   # MPass one sample vs MalConv
-//! mpass score    FILE [FILE...]               # batched MalConv scoring
+//! mpass score    FILE [FILE...]               # MalConv scoring, one batch
 //! mpass snapshot --out PATH                   # pack trained weights to a file
 //! mpass serve    --socket PATH                # persistent scoring daemon
 //! mpass campaign work --dir DIR               # join a campaign as a worker
@@ -468,9 +468,10 @@ pub fn cmd_snapshot(out_path: &str, detector: &str, seed: u64) -> CliResult {
 
 /// `mpass score`: classify files with a freshly trained MalConv
 /// (demonstration scale, same world as `mpass attack`), reported in
-/// argument order. Files are scored in `max_batch`-sized `score_batch`
-/// calls, whose scores are bit-identical to sequential `score` calls.
-pub fn cmd_score(paths: &[&String], seed: u64, max_batch: usize) -> CliResult {
+/// argument order. Every file is read first and all are scored in one
+/// `score_batch` call, whose scores are bit-identical to sequential
+/// `score` calls.
+pub fn cmd_score(paths: &[&String], seed: u64) -> CliResult {
     if paths.is_empty() {
         return Err("score requires at least one FILE".to_owned());
     }
@@ -479,11 +480,9 @@ pub fn cmd_score(paths: &[&String], seed: u64, max_batch: usize) -> CliResult {
         files.push(read(path)?);
     }
     let target = train_demo_malconv(seed);
-    let mut scores = Vec::with_capacity(files.len());
-    for batch in files.chunks(max_batch.max(1)) {
-        let items: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
-        target.score_batch(&items, &mut scores);
-    }
+    let items: Vec<&[u8]> = files.iter().map(Vec::as_slice).collect();
+    let mut scores = Vec::with_capacity(items.len());
+    target.score_batch(&items, &mut scores);
     let threshold = target.threshold();
     let mut out = String::new();
     for (path, score) in paths.iter().zip(&scores) {
@@ -688,7 +687,7 @@ USAGE:
   mpass verify ORIGINAL MODIFIED
   mpass pack FILE --packer upx|pespin|aspack --out FILE
   mpass attack FILE --out FILE [--seed S] [--faults SEED] [--format pe|macho]
-  mpass score FILE [FILE ...] [--seed S] [--batch N]
+  mpass score FILE [FILE ...] [--seed S]
   mpass snapshot --out PATH [--detector malconv|nonneg|malgcg|lightgbm] [--seed S]
   mpass serve --socket PATH [--seed S] [--batch N] [--linger-ms MS] [--queue N]
               [--deadline-ms MS] [--rate R] [--burst B] [--tenant-budget N]
@@ -749,11 +748,7 @@ pub fn dispatch(args: &[String]) -> CliResult {
             flag_value(args, "--faults")?,
             format,
         ),
-        "score" => cmd_score(
-            &positional,
-            seed,
-            flag_value(args, "--batch")?.unwrap_or(32),
-        ),
+        "score" => cmd_score(&positional, seed),
         "snapshot" => cmd_snapshot(
             flag(args, "--out").ok_or("snapshot requires --out PATH")?,
             flag(args, "--detector").unwrap_or("malconv"),
@@ -995,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn score_reports_every_file_in_order_across_batches() {
+    fn score_reports_every_file_in_argument_order() {
         let dir = tempdir();
         let out = dir.join("score-corpus");
         dispatch(&strings(&[
@@ -1014,19 +1009,13 @@ mod tests {
             .iter()
             .map(|n| out.join(format!("{n}.exe")).to_str().unwrap().to_owned())
             .collect();
-        let score = |batch: &str| {
-            let mut args = vec!["score".to_owned()];
-            args.extend(files.iter().cloned());
-            args.extend(["--seed", "9", "--batch", batch].map(String::from));
-            dispatch(&args).unwrap()
-        };
-        // Five files in batches of two: three score_batch calls.
-        let msg = score("2");
+        let mut args = vec!["score".to_owned()];
+        args.extend(files.iter().cloned());
+        args.extend(["--seed", "9"].map(String::from));
+        let msg = dispatch(&args).unwrap();
         let reported: Vec<&str> =
             msg.lines().map(|l| l.split(": score ").next().unwrap()).collect();
         assert_eq!(reported, files, "{msg}");
-        // One batch of all five scores bit-identically.
-        assert_eq!(msg, score("32"));
         assert!(dispatch(&strings(&["score"])).is_err());
         std::fs::remove_dir_all(&out).ok();
     }

@@ -160,16 +160,6 @@ impl ModifiedSample {
         }
     }
 
-    /// The file offset a position index refers to (the cover offset for
-    /// coupled positions — the byte the detector sees at that index).
-    pub fn position_offset(&self, index: usize) -> usize {
-        if index < self.free_offsets.len() {
-            self.free_offsets[index]
-        } else {
-            self.coupled[index - self.free_offsets.len()].cover_offset
-        }
-    }
-
     /// Re-parse the current bytes (for structural assertions).
     ///
     /// # Errors

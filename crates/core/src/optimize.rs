@@ -18,7 +18,7 @@
 //! distance of `e(b − original)` to the key state.
 
 use crate::modify::{CoupledByte, ModifiedSample};
-use mpass_detectors::{benign_loss, DetectorExt, WhiteBoxModel, WhiteBoxSession};
+use mpass_detectors::{benign_loss, WhiteBoxModel, WhiteBoxSession};
 use mpass_engine::metrics as trace;
 use mpass_ml::simd::{self, Kernel};
 use mpass_ml::{Adam, Embedding, ParamBuf};
@@ -384,7 +384,6 @@ fn number_slots(vars: &mut [Var], offsets: &[usize]) -> Vec<usize> {
 /// marked dirty, so each model re-scores a handful of conv windows instead
 /// of its whole input window.
 pub struct EnsembleOptimizer<'a> {
-    models: Vec<&'a dyn WhiteBoxModel>,
     cfg: OptimizerConfig,
     vars: Vec<Var>,
     /// File offset of every tracked slot (cover offsets and key offsets),
@@ -442,7 +441,6 @@ impl<'a> EnsembleOptimizer<'a> {
             .collect();
         let sessions = models.iter().map(|&m| m.session()).collect();
         EnsembleOptimizer {
-            models,
             adam: Adam::with_lr(cfg.lr),
             cfg,
             vars,
@@ -456,53 +454,9 @@ impl<'a> EnsembleOptimizer<'a> {
         }
     }
 
-    /// Set up the optimizer from a mixed detector roster: members exposing
-    /// a white-box interface ([`DetectorExt::as_white_box`]) become the
-    /// known-model ensemble, the rest are skipped. Callers hold one roster
-    /// instead of parallel `&dyn Detector` / `&dyn WhiteBoxModel` lists.
-    pub fn from_roster(
-        roster: &[&'a dyn DetectorExt],
-        sample: &ModifiedSample,
-        cfg: OptimizerConfig,
-    ) -> Self {
-        let models: Vec<&'a dyn WhiteBoxModel> =
-            roster.iter().filter_map(|d| d.as_white_box()).collect();
-        EnsembleOptimizer::new(models, sample, cfg)
-    }
-
-    /// Number of known models in the ensemble.
-    pub fn model_count(&self) -> usize {
-        self.models.len()
-    }
-
     /// Number of variables under optimization.
     pub fn position_count(&self) -> usize {
         self.vars.len()
-    }
-
-    /// Current ensemble loss (sum of per-model benign-direction losses).
-    /// A pure forward pass — no gradients, no sessions touched.
-    pub fn ensemble_loss(&self, bytes: &[u8]) -> f32 {
-        self.models.iter().map(|m| benign_loss(m.raw_score(bytes))).sum()
-    }
-
-    /// Ensemble loss of a whole candidate set in one pass per model,
-    /// appended to `out` in input order. Each model scores the candidates
-    /// through its batched margin path ([`Detector::raw_score_batch`]),
-    /// so per-candidate dispatch and scratch setup are paid once per model
-    /// instead of once per (model, candidate). Results are bit-identical
-    /// to per-candidate [`EnsembleOptimizer::ensemble_loss`] calls.
-    pub fn ensemble_loss_batch(&self, candidates: &[&[u8]], out: &mut Vec<f32>) {
-        let start = out.len();
-        out.extend(candidates.iter().map(|_| 0.0f32));
-        let mut margins = Vec::with_capacity(candidates.len());
-        for m in &self.models {
-            margins.clear();
-            m.raw_score_batch(candidates, &mut margins);
-            for (total, &raw) in out[start..].iter_mut().zip(&margins) {
-                *total += benign_loss(raw);
-            }
-        }
     }
 
     /// Run `cfg.iterations` gradient iterations, mutating the sample's
@@ -605,9 +559,6 @@ mod tests {
         let models: Vec<&dyn mpass_detectors::WhiteBoxModel> =
             vec![&w.malconv, &w.nonneg, &w.malgcg];
         let cfg = OptimizerConfig { lr: 0.05, iterations: 6 };
-        // The whole candidate set is scored as one batch before the
-        // optimizer rounds — one batched margin pass per model instead of
-        // one forward per (model, candidate).
         let mut candidates: Vec<_> = w
             .ds
             .malware()
@@ -615,17 +566,10 @@ mod tests {
             .take(4)
             .map(|s| modify(s, &w.pool, &ModificationConfig::default(), &mut rng).unwrap())
             .collect();
-        let mut before = Vec::new();
-        {
-            let probe = EnsembleOptimizer::new(models.clone(), &candidates[0], cfg);
-            let byte_refs: Vec<&[u8]> =
-                candidates.iter().map(|ms| ms.bytes.as_slice()).collect();
-            probe.ensemble_loss_batch(&byte_refs, &mut before);
-            // Batching is a throughput optimization, not a numerics change.
-            for (i, ms) in candidates.iter().enumerate() {
-                assert_eq!(before[i].to_bits(), probe.ensemble_loss(&ms.bytes).to_bits());
-            }
-        }
+        let before: Vec<f32> = candidates
+            .iter()
+            .map(|ms| models.iter().map(|m| benign_loss(m.raw_score(&ms.bytes))).sum())
+            .collect();
         let mut improved = 0;
         for (ms, before) in candidates.iter_mut().zip(before) {
             let mut opt = EnsembleOptimizer::new(models.clone(), ms, cfg);
@@ -677,29 +621,6 @@ mod tests {
             let key = ms.bytes[c.key_offset];
             assert_eq!(cover.wrapping_sub(key), c.original, "coupling violated");
         }
-    }
-
-    #[test]
-    fn from_roster_keeps_only_white_box_members() {
-        let w = world();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let s = w.ds.malware()[0];
-        let ms = modify(s, &w.pool, &ModificationConfig::default(), &mut rng).unwrap();
-        // A mixed roster: two gradient-capable models and one opaque stub.
-        struct Opaque;
-        impl mpass_detectors::Detector for Opaque {
-            fn name(&self) -> &str {
-                "opaque"
-            }
-            fn score(&self, _: &[u8]) -> f32 {
-                1.0
-            }
-        }
-        impl DetectorExt for Opaque {}
-        let opaque = Opaque;
-        let roster: Vec<&dyn DetectorExt> = vec![&w.malconv, &opaque, &w.malgcg];
-        let opt = EnsembleOptimizer::from_roster(&roster, &ms, OptimizerConfig::default());
-        assert_eq!(opt.model_count(), 2);
     }
 
     #[test]

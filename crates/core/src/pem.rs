@@ -241,43 +241,6 @@ impl<'m> SampleScorer<'m> {
         self.cache.insert(mask, v);
         v
     }
-
-    /// Memoized margins for a whole mask sequence, appended to `out` in
-    /// request order. Counter-for-counter identical to calling
-    /// [`SampleScorer::score`] per mask: a mask already cached (or
-    /// repeated earlier in the same request) counts one `pem/cache_hit`,
-    /// a first-seen uncached mask one `pem/cache_miss`. White-box models
-    /// keep the warm incremental session — its dirty-span state is
-    /// inherently sequential — while black-box models materialize every
-    /// uncached ablation image and score them through one
-    /// [`Detector::raw_score_batch`] pass instead of one dispatch per
-    /// mask.
-    fn scores_batch(&mut self, masks: &[u64], out: &mut Vec<f64>) {
-        if self.session.is_some() {
-            out.extend(masks.iter().map(|&m| self.score(m)));
-            return;
-        }
-        let mut pending: Vec<u64> = Vec::new();
-        for &mask in masks {
-            if self.cache.contains_key(&mask) || pending.contains(&mask) {
-                trace::counter("pem/cache_hit", 1);
-            } else {
-                trace::counter("pem/cache_miss", 1);
-                pending.push(mask);
-            }
-        }
-        if !pending.is_empty() {
-            let images: Vec<Vec<u8>> =
-                pending.iter().map(|&m| self.plan.ablated(m).to_vec()).collect();
-            let refs: Vec<&[u8]> = images.iter().map(|v| v.as_slice()).collect();
-            let mut margins = Vec::with_capacity(refs.len());
-            self.model.raw_score_batch(&refs, &mut margins);
-            for (&m, &raw) in pending.iter().zip(&margins) {
-                self.cache.insert(m, f64::from(raw));
-            }
-        }
-        out.extend(masks.iter().map(|&m| self.cache[&m]));
-    }
 }
 
 /// Exact Shapley values over the sample's sections for one model, via
@@ -294,43 +257,20 @@ fn shapley_exact(scorer: &mut SampleScorer, n_sections: usize) -> Vec<f64> {
     })
     .collect();
     let mut phi = vec![0.0f64; n_sections];
-    // Subsets are scored in (with, without) pairs submitted chunk-wise, so
-    // a black-box model sees one batched scoring pass per chunk instead of
-    // one dispatch per subset. The request order matches the sequential
-    // enumeration exactly, so the memoization pattern — and the resulting
-    // cache counters and accumulation order — are unchanged.
-    const CHUNK: u64 = 64;
-    let mut masks: Vec<u64> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
     for i in 0..n {
         let mut phi_i = 0.0f64;
         let others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-        let total = 1u64 << others.len();
-        let mut sub = 0u64;
-        while sub < total {
-            let end = (sub + CHUNK).min(total);
-            masks.clear();
-            weights.clear();
-            for s in sub..end {
-                let mut mask = 0u64;
-                let mut size = 0usize;
-                for (bit, &j) in others.iter().enumerate() {
-                    if s & (1 << bit) != 0 {
-                        mask |= 1 << j;
-                        size += 1;
-                    }
+        for s in 0..1u64 << others.len() {
+            let mut mask = 0u64;
+            let mut size = 0usize;
+            for (bit, &j) in others.iter().enumerate() {
+                if s & (1 << bit) != 0 {
+                    mask |= 1 << j;
+                    size += 1;
                 }
-                weights.push(fact[size] * fact[n - size - 1] / fact[n]);
-                masks.push(mask | (1 << i));
-                masks.push(mask);
             }
-            vals.clear();
-            scorer.scores_batch(&masks, &mut vals);
-            for (k, &w) in weights.iter().enumerate() {
-                phi_i += w * (vals[2 * k] - vals[2 * k + 1]);
-            }
-            sub = end;
+            let w = fact[size] * fact[n - size - 1] / fact[n];
+            phi_i += w * (scorer.score(mask | (1 << i)) - scorer.score(mask));
         }
         phi[scorer.plan.tracked[i]] = phi_i;
     }
@@ -347,24 +287,15 @@ fn shapley_sampled(
     let n = scorer.plan.n();
     let mut phi = vec![0.0f64; n];
     let mut order: Vec<usize> = (0..n).collect();
-    // One batched scoring pass per permutation: the n + 1 prefix masks of
-    // the walk are submitted together, in walk order, so memoization and
-    // accumulation behave exactly as the sequential prefix loop did.
-    let mut masks: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut vals: Vec<f64> = Vec::with_capacity(n + 1);
     for _ in 0..permutations {
         order.shuffle(rng);
-        masks.clear();
-        masks.push(0);
         let mut mask = 0u64;
+        let mut prev = scorer.score(mask);
         for &i in &order {
             mask |= 1 << i;
-            masks.push(mask);
-        }
-        vals.clear();
-        scorer.scores_batch(&masks, &mut vals);
-        for (k, &i) in order.iter().enumerate() {
-            phi[i] += vals[k + 1] - vals[k];
+            let cur = scorer.score(mask);
+            phi[i] += cur - prev;
+            prev = cur;
         }
     }
     let mut out = vec![0.0f64; n_sections];

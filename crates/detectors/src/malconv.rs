@@ -514,10 +514,6 @@ impl Detector for MalConv {
             *s = sigmoid(*s);
         }
     }
-
-    fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.logit_batch_into(items, out);
-    }
 }
 
 impl crate::traits::DetectorExt for MalConv {

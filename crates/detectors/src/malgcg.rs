@@ -453,10 +453,6 @@ impl Detector for MalGcg {
             *s = sigmoid(*s);
         }
     }
-
-    fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        self.logit_batch_into(items, out);
-    }
 }
 
 impl crate::traits::DetectorExt for MalGcg {

@@ -34,23 +34,6 @@ pub trait Oracle: Send + Sync {
 
     /// Submit one file for classification.
     fn submit(&self, bytes: &[u8]) -> Result<Verdict, OracleFault>;
-
-    /// Submit a batch of files, appending one result per item to `out`
-    /// in input order.
-    ///
-    /// Contract: the appended results are identical to `N` sequential
-    /// [`Oracle::submit`] calls on the same channel state — for
-    /// fault-injecting transports that means the batch consumes the
-    /// same per-submission schedule indices a sequential loop would,
-    /// so batched and sequential campaigns see byte-identical fault
-    /// sequences. The default loops over `submit`; implementations
-    /// override it to amortize transport and scoring overhead.
-    fn submit_batch(&self, items: &[&[u8]], out: &mut Vec<Result<Verdict, OracleFault>>) {
-        out.reserve(items.len());
-        for bytes in items {
-            out.push(self.submit(bytes));
-        }
-    }
 }
 
 /// Every in-process detector is a perfectly reliable oracle.
@@ -61,12 +44,6 @@ impl<D: Detector + ?Sized> Oracle for D {
 
     fn submit(&self, bytes: &[u8]) -> Result<Verdict, OracleFault> {
         Ok(self.classify(bytes))
-    }
-
-    fn submit_batch(&self, items: &[&[u8]], out: &mut Vec<Result<Verdict, OracleFault>>) {
-        let mut verdicts = Vec::with_capacity(items.len());
-        self.classify_batch(items, &mut verdicts);
-        out.extend(verdicts.into_iter().map(Ok));
     }
 }
 
@@ -250,60 +227,6 @@ impl Oracle for UnreliableOracle<'_> {
             }
         }
     }
-
-    fn submit_batch(&self, items: &[&[u8]], out: &mut Vec<Result<Verdict, OracleFault>>) {
-        // One lock round-trip decides the whole batch, advancing the
-        // per-submission schedule index item by item — exactly the
-        // indices (and burst-cap state transitions) a sequential loop
-        // of `submit` calls would consume.
-        let decisions: Vec<Decision> = {
-            let mut state = self.state();
-            items
-                .iter()
-                .map(|_| {
-                    let index = state.submissions;
-                    state.submissions += 1;
-                    self.decide(&mut state, index)
-                })
-                .collect()
-        };
-        let mut delivered: Vec<&[u8]> = Vec::with_capacity(items.len());
-        for (bytes, decision) in items.iter().zip(&decisions) {
-            match decision {
-                Decision::Inject(fault) => match fault {
-                    OracleFault::Transient => trace::counter("oracle/fault_transient", 1),
-                    OracleFault::RateLimited { .. } => {
-                        trace::counter("oracle/fault_rate_limited", 1)
-                    }
-                    OracleFault::Fatal => trace::counter("oracle/fault_fatal", 1),
-                },
-                Decision::Deliver { slow } => {
-                    if *slow {
-                        trace::counter("oracle/fault_slow", 1);
-                        if self.profile.slow_ms > 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(
-                                self.profile.slow_ms,
-                            ));
-                        }
-                    }
-                    delivered.push(bytes);
-                }
-            }
-        }
-        // The delivered subset rides the detector's batched scorer.
-        let mut verdicts = Vec::with_capacity(delivered.len());
-        self.inner.classify_batch(&delivered, &mut verdicts);
-        let mut verdicts = verdicts.into_iter();
-        out.reserve(decisions.len());
-        for decision in decisions {
-            out.push(match decision {
-                Decision::Inject(fault) => Err(fault),
-                Decision::Deliver { .. } => {
-                    Ok(verdicts.next().expect("one verdict per delivered item"))
-                }
-            });
-        }
-    }
 }
 
 /// A uniform draw in `[0, 1)` keyed on `(seed, submission index, salt)`
@@ -440,32 +363,6 @@ mod tests {
         let limited = shard.counters.get("oracle/fault_rate_limited").copied().unwrap_or(0);
         assert!(transient > 0 && limited > 0, "transient {transient}, limited {limited}");
         assert_eq!(transient + limited, oracle.faults_injected());
-    }
-
-    #[test]
-    fn submit_batch_consumes_the_same_schedule_as_sequential_submits() {
-        let det = Fixed(0.9);
-        let seq = UnreliableOracle::new(&det, FaultProfile::seeded(7));
-        let bat = UnreliableOracle::new(&det, FaultProfile::seeded(7));
-        let items: Vec<Vec<u8>> = (0..64).map(|i| vec![i as u8; 4]).collect();
-        let refs: Vec<&[u8]> = items.iter().map(|v| v.as_slice()).collect();
-        let sequential: Vec<_> = refs.iter().map(|b| seq.submit(b)).collect();
-        // Split across two batches to prove schedule state carries over.
-        let mut batched = Vec::new();
-        bat.submit_batch(&refs[..20], &mut batched);
-        bat.submit_batch(&refs[20..], &mut batched);
-        assert_eq!(sequential, batched);
-        assert_eq!(seq.faults_injected(), bat.faults_injected());
-        assert_eq!(seq.submissions(), bat.submissions());
-    }
-
-    #[test]
-    fn reliable_batch_delivers_every_verdict() {
-        let det = Fixed(0.9);
-        let oracle: &dyn Oracle = &det;
-        let mut out = Vec::new();
-        oracle.submit_batch(&[b"a".as_slice(), b"b".as_slice()], &mut out);
-        assert_eq!(out, vec![Ok(Verdict::Malicious), Ok(Verdict::Malicious)]);
     }
 
     #[test]

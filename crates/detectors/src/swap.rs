@@ -100,15 +100,11 @@ impl Detector for SwappableDetector {
     }
 
     // One snapshot per *batch*: a batched call is one logical operation
-    // and must never straddle a swap mid-batch.
+    // and must never straddle a swap mid-batch. (`raw_score_batch` keeps
+    // the trait's per-item loop: nothing batches margins through a slot.)
     fn score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         let (model, _) = self.current();
         model.score_batch(items, out);
-    }
-
-    fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
-        let (model, _) = self.current();
-        model.raw_score_batch(items, out);
     }
 
     fn classify_batch(&self, items: &[&[u8]], out: &mut Vec<Verdict>) {

@@ -92,10 +92,10 @@ pub trait Detector: Send + Sync {
     }
 
     /// Batched [`Detector::raw_score`]: append one margin per item to
-    /// `out` in input order, bit-identical to `N` sequential calls.
-    /// Consumers that difference margins in bulk (ensemble transfer loss,
-    /// PEM ablation masks) go through this instead of `score_batch` for
-    /// the same reason `raw_score` exists at all.
+    /// `out` in input order, bit-identical to `N` sequential calls. No
+    /// detector overrides this loop and nothing outside tests calls it;
+    /// like [`Detector::score_quantized`], it is kept only until the
+    /// benchmark harness stops forwarding it.
     fn raw_score_batch(&self, items: &[&[u8]], out: &mut Vec<f32>) {
         out.reserve(items.len());
         for bytes in items {

@@ -13,6 +13,7 @@
 //! [`BinaryFormat`]: mpass_binary::BinaryFormat
 
 use crate::table::format_table;
+use crate::world::attack_set;
 use mpass_binary::Format;
 use mpass_core::attack::{
     metrics::{self, AttackStats},
@@ -152,17 +153,6 @@ impl MachoDemoResults {
 fn accuracy(det: &dyn Detector, samples: &[&Sample]) -> f64 {
     let pairs = mpass_detectors::train::score_pairs(det, samples);
     mpass_ml::metrics::accuracy(&pairs, det.threshold()) as f64
-}
-
-/// Malware that `target` initially flags, capped at `n` — the paper's
-/// sample-quality requirement (1), applied to the Mach-O corpus.
-fn attack_set<'a>(dataset: &'a Dataset, target: &dyn Detector, n: usize) -> Vec<&'a Sample> {
-    dataset
-        .malware()
-        .into_iter()
-        .filter(|s| target.classify(&s.bytes).is_malicious())
-        .take(n)
-        .collect()
 }
 
 /// Run the demo: build the Mach-O world, attack every detector, verify

@@ -191,34 +191,10 @@ impl World {
         self.offline_roster().into_iter().filter_map(|(_, d)| d.as_white_box()).collect()
     }
 
-    /// Malware samples that `target` initially classifies correctly — the
-    /// paper's sample-quality requirement (1) — capped at
+    /// [`attack_set`] over this world's corpus, capped at
     /// `config.attack_samples`.
     pub fn attack_set(&self, target: &dyn Detector) -> Vec<&Sample> {
-        // Batched equivalent of `.filter(classify is_malicious).take(n)`.
-        // Each chunk is sized to the number of samples still needed, which
-        // keeps the set of classified samples identical to the sequential
-        // early-exit loop: the take(n) cutoff lands on the n-th malicious
-        // verdict, and a chunk of `needed` items can reach it no earlier
-        // than its last element. Stateful targets (a caching AV wrapper)
-        // therefore end up with the same cache contents and counter totals
-        // either way.
-        let malware = self.dataset.malware();
-        let mut picked = Vec::with_capacity(self.config.attack_samples);
-        let mut next = 0;
-        let mut verdicts = Vec::new();
-        while picked.len() < self.config.attack_samples && next < malware.len() {
-            let needed = self.config.attack_samples - picked.len();
-            let chunk = &malware[next..malware.len().min(next + needed)];
-            let items: Vec<&[u8]> = chunk.iter().map(|s| s.bytes.as_slice()).collect();
-            verdicts.clear();
-            target.classify_batch(&items, &mut verdicts);
-            picked.extend(
-                chunk.iter().zip(&verdicts).filter(|(_, v)| v.is_malicious()).map(|(s, _)| *s),
-            );
-            next += chunk.len();
-        }
-        picked
+        attack_set(&self.dataset, target, self.config.attack_samples)
     }
 
     /// Detection accuracy of every target on the full corpus (sanity
@@ -236,6 +212,17 @@ impl World {
         }
         out
     }
+}
+
+/// Malware in `dataset` that `target` initially classifies correctly — the
+/// paper's sample-quality requirement (1) — capped at `n`.
+pub fn attack_set<'a>(dataset: &'a Dataset, target: &dyn Detector, n: usize) -> Vec<&'a Sample> {
+    dataset
+        .malware()
+        .into_iter()
+        .filter(|s| target.classify(&s.bytes).is_malicious())
+        .take(n)
+        .collect()
 }
 
 #[cfg(test)]

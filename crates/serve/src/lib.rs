@@ -42,4 +42,4 @@ pub use protocol::{
 };
 pub use server::{run_with_sigterm, sigterm_received, ServeSummary, Server, ServerConfig};
 pub use stats::ServeStats;
-pub use target::{OracleTarget, ReloadableModel, ScoredVerdict, ServeTarget};
+pub use target::{ReloadableModel, ScoredVerdict, ServeTarget};

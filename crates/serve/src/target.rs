@@ -1,21 +1,16 @@
 //! What the daemon scores against: a batch-scoring, epoch-tagged,
 //! possibly hot-reloadable target.
 //!
-//! [`ServeTarget`] is the one trait the server loop needs. Two
-//! implementations cover the stock cases:
-//!
-//! * [`ReloadableModel`] — a [`SwappableDetector`] slot plus a producer
-//!   closure (the weekly-learning retrain); `reload` produces the next
-//!   model and swaps it in atomically, in-flight batches keep scoring on
-//!   their snapshot.
-//! * [`OracleTarget`] — any [`Oracle`] channel (including the seeded
-//!   fault-injecting `UnreliableOracle`); hard-label only, not
-//!   reloadable.
+//! [`ServeTarget`] is the one trait the server loop needs. The stock
+//! implementation is [`ReloadableModel`]: a [`SwappableDetector`] slot plus
+//! a producer closure (the weekly-learning retrain); `reload` produces the
+//! next model and swaps it in atomically, in-flight batches keep scoring on
+//! their snapshot.
 //!
 //! Tests compose their own (e.g. fault injection *around* a reloadable
 //! slot) by implementing the trait directly.
 
-use mpass_detectors::{detector_from_snapshot, Detector, Oracle, SwappableDetector, Verdict};
+use mpass_detectors::{detector_from_snapshot, Detector, SwappableDetector, Verdict};
 use mpass_engine::OracleFault;
 use mpass_ml::Snapshot;
 use std::path::{Path, PathBuf};
@@ -119,38 +114,6 @@ impl ServeTarget for ReloadableModel {
     }
 }
 
-/// A static target over any oracle channel. Faults from the channel
-/// surface per item; `reload` is unsupported.
-pub struct OracleTarget<'a> {
-    oracle: &'a dyn Oracle,
-}
-
-impl<'a> OracleTarget<'a> {
-    pub fn new(oracle: &'a dyn Oracle) -> Self {
-        OracleTarget { oracle }
-    }
-}
-
-impl ServeTarget for OracleTarget<'_> {
-    fn epoch(&self) -> u64 {
-        1
-    }
-
-    fn reload(&self) -> Result<u64, String> {
-        Err(format!("target {:?} has no model producer", self.oracle.name()))
-    }
-
-    fn score_batch(&self, items: &[&[u8]]) -> (u64, Vec<Result<ScoredVerdict, OracleFault>>) {
-        let mut out = Vec::with_capacity(items.len());
-        self.oracle.submit_batch(items, &mut out);
-        let results = out
-            .into_iter()
-            .map(|r| r.map(|verdict| ScoredVerdict { verdict, score: None }))
-            .collect();
-        (1, results)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,17 +204,5 @@ mod tests {
         assert!(model.reload().is_err());
         assert_eq!(model.epoch(), 2, "failed reload must not bump the epoch");
         assert!(ReloadableModel::from_snapshot_file(&path).is_err());
-    }
-
-    #[test]
-    fn oracle_target_is_hard_label_and_not_reloadable() {
-        let det = Fixed(0.9);
-        let target = OracleTarget::new(&det);
-        assert_eq!(target.epoch(), 1);
-        assert!(target.reload().is_err());
-        let (_, results) = target.score_batch(&[b"x".as_slice()]);
-        let sv = results[0].as_ref().unwrap();
-        assert_eq!(sv.verdict, Verdict::Malicious);
-        assert_eq!(sv.score, None, "oracle channels expose no probability");
     }
 }

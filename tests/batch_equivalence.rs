@@ -7,16 +7,13 @@
 //!
 //! * `Detector::score_batch` / `raw_score_batch` / `classify_batch` are
 //!   bit-identical to N sequential calls for every roster detector,
-//!   including the caching AV wrapper,
-//! * `Oracle::submit_batch` consumes the same fault schedule as N
-//!   sequential submissions on an `UnreliableOracle`.
+//!   including the caching AV wrapper.
 //!
 //! Attacks query their target one candidate at a time
 //! (`HardLabelTarget::query`); its budget and retry contract is pinned
 //! by the unit tests next to it in `mpass-core`.
 
-use mpass_detectors::{CachedAv, Detector, FaultProfile, Oracle, UnreliableOracle, Verdict};
-use mpass_engine::OracleFault;
+use mpass_detectors::{CachedAv, Detector, Verdict};
 use mpass_experiments::world::{World, WorldConfig};
 use std::sync::OnceLock;
 
@@ -104,26 +101,4 @@ fn cached_av_batches_match_a_fresh_sequential_wrapper() {
     }
     let seq_verdicts: Vec<Verdict> = items.iter().map(|b| sequential.classify(b)).collect();
     assert_eq!(verdicts, seq_verdicts, "CachedAv: classify_batch diverged");
-}
-
-/// Batched submission through a fault-injecting oracle consumes exactly
-/// the per-submission schedule a sequential loop would: same verdicts,
-/// same faults, same positions.
-#[test]
-fn unreliable_oracle_submit_batch_consumes_the_sequential_schedule() {
-    let w = world();
-    let items = probe_items(w);
-    let profile = FaultProfile::seeded(0xFA17);
-
-    let batched = UnreliableOracle::new(&w.malconv, profile);
-    let mut batch_results = Vec::new();
-    batched.submit_batch(&items, &mut batch_results);
-
-    let sequential = UnreliableOracle::new(&w.malconv, profile);
-    let seq_results: Vec<Result<Verdict, OracleFault>> =
-        items.iter().map(|b| sequential.submit(b)).collect();
-
-    assert_eq!(batch_results, seq_results);
-    assert_eq!(batched.submissions(), sequential.submissions());
-    assert_eq!(batched.faults_injected(), sequential.faults_injected());
 }

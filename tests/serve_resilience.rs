@@ -290,11 +290,11 @@ impl ServeTarget for FlakyTarget<'_> {
 
     fn score_batch(&self, items: &[&[u8]]) -> (u64, Vec<Result<ScoredVerdict, OracleFault>>) {
         let epoch = self.model.epoch();
-        let mut out = Vec::with_capacity(items.len());
-        self.oracle.submit_batch(items, &mut out);
-        let results = out
-            .into_iter()
-            .map(|r| r.map(|verdict| ScoredVerdict { verdict, score: None }))
+        let results = items
+            .iter()
+            .map(|bytes| {
+                self.oracle.submit(bytes).map(|verdict| ScoredVerdict { verdict, score: None })
+            })
             .collect();
         (epoch, results)
     }
